@@ -4,15 +4,17 @@ A CDStore client splits each backup file into *secrets* (chunks) before
 convergent dispersal.  Variable-size chunking — content-defined boundaries
 from a rolling fingerprint — is the default because it is robust to
 content shifting; the paper configures average/min/max chunk sizes of
-8 KB / 2 KB / 16 KB over a Rabin fingerprint [49].
+8 KB / 2 KB / 16 KB (§4.2), which every variable-size chunker here keeps.
 
 Three chunkers are registered (see :mod:`repro.chunking.registry` for the
-``name:key=value,...`` spec-string grammar used by the CLI and benchmarks):
+``name:key=value,...`` spec-string grammar used by the CLI and benchmarks);
+:data:`DEFAULT_CHUNKER` is the one place the default is named:
 
-* ``rabin`` — the paper's Rabin-fingerprint chunker (default);
-* ``gear`` — FastCDC-style gear chunker: the same boundary robustness at
-  several times the ingest throughput (normalized masks, min-size
-  cut-point skipping, two-level vectorised kernel);
+* ``rabin`` (default) — the paper's Rabin-fingerprint chunker [49];
+* ``gear`` — FastCDC-style gear chunker: the boundary robustness of
+  ``rabin`` at several times the ingest throughput (normalized masks,
+  min-size cut-point skipping, two-level vectorised kernel), for under one
+  percentage point of dedup saving;
 * ``fixed`` — fixed-size chunks (§4.2's simpler alternative, used by the
   VM dataset).
 """

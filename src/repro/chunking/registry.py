@@ -37,7 +37,8 @@ __all__ = [
     "register_chunker",
 ]
 
-#: Name used when no chunker is specified (the paper's default, §4.2).
+#: Name used when no chunker is specified — by ``create_chunker(None)``,
+#: ``ReproConfig`` and ``repro init`` alike (the paper's default, §4.2).
 DEFAULT_CHUNKER = "rabin"
 
 #: name -> (factory, {spec alias -> constructor kwarg}).
@@ -150,7 +151,7 @@ class ChunkerSpec:
 def create_chunker(spec: "Chunker | ChunkerSpec | str | None") -> Chunker:
     """Resolve any accepted chunker designation to a live chunker.
 
-    ``None`` yields the paper default; live :class:`Chunker` instances
+    ``None`` yields :data:`DEFAULT_CHUNKER`; live :class:`Chunker` instances
     pass through unchanged; strings parse as spec strings.
     """
     if spec is None:

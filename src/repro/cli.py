@@ -34,7 +34,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.chunking import ChunkerSpec, chunker_names
+from repro.chunking import DEFAULT_CHUNKER, ChunkerSpec, chunker_names
 from repro.cloud.network import Link
 from repro.cloud.provider import CloudProvider
 from repro.config import CONFIG_FILE_NAME, CloudSpec, ReproConfig
@@ -942,10 +942,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     chunker_help = (
         f"chunker spec: one of {{{', '.join(chunker_names())}}}, optionally "
-        "with parameters, e.g. 'gear:avg=8192,min=2048,max=16384'; 'gear' "
-        "(FastCDC-style) ingests several times faster than 'rabin' with "
-        "equivalent dedup; clients only deduplicate against backups made "
-        "with the same chunker"
+        "with parameters, e.g. 'gear:avg=8192,min=2048,max=16384'; "
+        f"'{DEFAULT_CHUNKER}' is the default for new deployments; 'gear' "
+        "(FastCDC-style) ingests several times faster than the paper's "
+        "'rabin' with equivalent dedup; clients only deduplicate against "
+        "backups made with the same chunker, so an existing root keeps the "
+        "one its config file records"
     )
 
     p = sub.add_parser("init", help="create a deployment directory")
@@ -954,7 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--salt", default="")
     p.add_argument(
-        "--chunker", type=_chunker_arg, default="rabin",
+        "--chunker", type=_chunker_arg, default=DEFAULT_CHUNKER,
         help=f"deployment-wide default {chunker_help}",
     )
     p.add_argument(

@@ -1,22 +1,17 @@
-"""Compression substrate (§4.7 "open issues").
+"""Recipe compression (§4.7 "open issues").
 
 The paper defers two storage-efficiency features to future work:
 "Compression also effectively reduces storage space of both data [58] and
-metadata (e.g., file recipes [41])."  This package implements both from
-scratch:
+metadata (e.g., file recipes [41])."  *Share* payloads are encrypted
+(AONT output ≈ uniformly random) and do not compress, so CDStore
+compresses only the metadata: file recipes, whose fingerprint entries
+repeat across versions (Meister et al. [41]).
 
-* :mod:`repro.compress.lzss` — an LZSS dictionary coder (sliding window,
-  hash-chain match finder);
-* :mod:`repro.compress.huffman` — canonical Huffman entropy coding;
-* :mod:`repro.compress.codec` — the composed ``lzss+huffman`` pipeline
-  with a self-describing header, plus the recipe-compression helpers
-  (Meister et al. [41] style) the CDStore server uses when constructed
-  with ``recipe_compression=True``.
-
-Important interaction with deduplication: *share* payloads are encrypted
-(AONT output ≈ uniformly random) and do not compress, so CDStore applies
-compression to metadata (file recipes) — where fingerprint entries share
-long common prefixes across versions — and leaves shares untouched.
+:mod:`repro.compress.codec` is a thin, bounded wrapper over the stdlib
+``zlib``: a self-describing method byte (stored, or DEFLATE when that is
+smaller), typed errors on hostile input, and the ``RCPZ``-framed recipe
+helpers the CDStore server uses unless constructed with
+``recipe_compression=False``.
 """
 
 from repro.compress.codec import (
@@ -25,16 +20,10 @@ from repro.compress.codec import (
     decompress,
     decompress_recipe,
 )
-from repro.compress.huffman import huffman_decode, huffman_encode
-from repro.compress.lzss import lzss_compress, lzss_decompress
 
 __all__ = [
     "compress",
     "compress_recipe",
     "decompress",
     "decompress_recipe",
-    "huffman_decode",
-    "huffman_encode",
-    "lzss_compress",
-    "lzss_decompress",
 ]

@@ -1,62 +1,79 @@
-"""Composed compression pipeline and recipe-compression helpers.
+"""Recipe codec: stored-or-zlib behind a self-describing method byte.
 
-Format: 1 method byte | method-specific body.
+Format: 1 method byte | body.
 
-* method 0 — stored (incompressible input; the pipeline never expands
-  data by more than one byte);
-* method 1 — LZSS only;
-* method 2 — LZSS then Huffman.
+* method 0 — stored (incompressible input; never expands data by more
+  than the one-byte header);
+* method 3 — zlib (DEFLATE), chosen only when smaller than stored.
 
-:func:`compress_recipe` / :func:`decompress_recipe` wrap the pipeline for
+Bytes 1 and 2 named the retired hand-rolled LZSS / LZSS+Huffman coders;
+they are rejected like any unknown method, so an old blob fails typed
+instead of mis-decoding.
+
+:func:`compress_recipe` / :func:`decompress_recipe` wrap the codec for
 file recipes, the metadata the paper highlights as compressible [41]:
 recipes are runs of 36-byte entries whose fingerprints repeat across
-versions, which LZSS folds into back-references.
+versions, which DEFLATE folds into back-references.
 """
 
 from __future__ import annotations
 
-from repro.compress.huffman import huffman_decode, huffman_encode
-from repro.compress.lzss import lzss_compress, lzss_decompress
+import zlib
+
 from repro.errors import ParameterError
 
 __all__ = ["compress", "decompress", "compress_recipe", "decompress_recipe"]
 
 METHOD_STORED = 0
-METHOD_LZSS = 1
-METHOD_LZSS_HUFFMAN = 2
+METHOD_ZLIB = 3
 
 
-def compress(data: bytes, method: str = "auto") -> bytes:
-    """Compress ``data``; picks the smallest representation under 'auto'."""
-    if method not in ("auto", "stored", "lzss", "lzss+huffman"):
-        raise ParameterError(f"unknown compression method {method!r}")
-    candidates: list[tuple[int, bytes]] = [(METHOD_STORED, data)]
-    if method in ("auto", "lzss", "lzss+huffman"):
-        lz = lzss_compress(data)
-        if method != "lzss+huffman":
-            candidates.append((METHOD_LZSS, lz))
-        if method in ("auto", "lzss+huffman"):
-            candidates.append((METHOD_LZSS_HUFFMAN, huffman_encode(lz)))
-    if method == "stored":
-        candidates = [(METHOD_STORED, data)]
-    elif method == "lzss":
-        candidates = [c for c in candidates if c[0] in (METHOD_STORED, METHOD_LZSS)]
-    best_method, best_body = min(candidates, key=lambda c: len(c[1]))
-    return bytes([best_method]) + best_body
+def compress(data: bytes) -> bytes:
+    """Compress ``data``, falling back to stored when zlib does not shrink it."""
+    packed = zlib.compress(data)
+    if len(packed) < len(data):
+        return bytes([METHOD_ZLIB]) + packed
+    return bytes([METHOD_STORED]) + data
 
 
-def decompress(blob: bytes) -> bytes:
-    """Invert :func:`compress`."""
+def decompress(blob: bytes, expected_size: int | None = None) -> bytes:
+    """Invert :func:`compress`.
+
+    Hostile input fails with :class:`ParameterError`.  With
+    ``expected_size`` the output must be exactly that long, and a zlib
+    body is never inflated past it — a small blob cannot allocate
+    without bound.
+    """
     if not blob:
         raise ParameterError("empty compressed blob")
     method, body = blob[0], blob[1:]
     if method == METHOD_STORED:
-        return body
-    if method == METHOD_LZSS:
-        return lzss_decompress(body)
-    if method == METHOD_LZSS_HUFFMAN:
-        return lzss_decompress(huffman_decode(body))
+        return _sized(body, expected_size)
+    if method == METHOD_ZLIB:
+        return _sized(_inflate(body, expected_size), expected_size)
     raise ParameterError(f"unknown compression method byte {method}")
+
+
+def _sized(out: bytes, expected_size: int | None) -> bytes:
+    if expected_size is not None and len(out) != expected_size:
+        raise ParameterError(f"blob holds {len(out)} bytes, expected {expected_size}")
+    return out
+
+
+def _inflate(body: bytes, expected_size: int | None) -> bytes:
+    inflater = zlib.decompressobj()
+    # One byte of slack: an over-long stream then stops short of its end
+    # without being inflated any further.  0 means unbounded.
+    max_length = 0 if expected_size is None else expected_size + 1
+    try:
+        out = inflater.decompress(body, max_length)
+    except zlib.error as exc:
+        raise ParameterError(f"corrupt zlib body: {exc}") from exc
+    if not inflater.eof:
+        raise ParameterError("zlib body is truncated or longer than expected")
+    if inflater.unused_data:
+        raise ParameterError("trailing bytes after the zlib stream")
+    return out
 
 
 _RECIPE_MAGIC = b"RCPZ"
@@ -67,8 +84,11 @@ def compress_recipe(recipe_blob: bytes) -> bytes:
     return _RECIPE_MAGIC + compress(recipe_blob)
 
 
-def decompress_recipe(blob: bytes) -> bytes:
-    """Transparently decompress a recipe blob (pass through legacy blobs)."""
+def decompress_recipe(blob: bytes, expected_size: int | None = None) -> bytes:
+    """Transparently decompress a recipe blob (pass through unframed blobs).
+
+    ``expected_size`` bounds and checks the output as in :func:`decompress`.
+    """
     if blob.startswith(_RECIPE_MAGIC):
-        return decompress(blob[len(_RECIPE_MAGIC):])
-    return blob
+        return decompress(blob[len(_RECIPE_MAGIC):], expected_size)
+    return _sized(blob, expected_size)

@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from repro.chunking.registry import DEFAULT_CHUNKER
 from repro.errors import ParameterError, ReproError
 
 __all__ = ["CloudSpec", "GatewaySpec", "ObsSpec", "ReproConfig", "CONFIG_FILE_NAME"]
@@ -298,7 +299,7 @@ class ReproConfig:
     n: int = 4
     k: int = 3
     salt: str = ""
-    chunker: str = "rabin"
+    chunker: str = DEFAULT_CHUNKER
     cloud_specs: tuple[CloudSpec, ...] = ()
     scheme: str = "caont-rs"
     threads: int = 1

@@ -23,6 +23,8 @@ from repro.errors import ParameterError
 
 __all__ = ["DRBG", "system_random_bytes"]
 
+_BLOCK_BYTES = hashlib.sha256().digest_size
+
 
 def system_random_bytes(length: int) -> bytes:
     """Operating-system randomness (the production default)."""
@@ -51,12 +53,15 @@ class DRBG:
         """Return the next ``length`` bytes of the stream."""
         if length < 0:
             raise ParameterError(f"negative length {length}")
-        while len(self._buffer) < length:
-            block = hashlib.sha256(
-                self._seed + struct.pack(">Q", self._counter)
-            ).digest()
-            self._counter += 1
-            self._buffer += block
+        missing = length - len(self._buffer)
+        if missing > 0:
+            # Join once: appending block by block to ``bytes`` is quadratic.
+            count = -(-missing // _BLOCK_BYTES)
+            self._buffer += b"".join(
+                hashlib.sha256(self._seed + struct.pack(">Q", i)).digest()
+                for i in range(self._counter, self._counter + count)
+            )
+            self._counter += count
         out, self._buffer = self._buffer[:length], self._buffer[length:]
         return out
 

@@ -12,8 +12,12 @@ index module builds on (§4.4).  Semantics:
 * ``snapshot`` writes a point-in-time copy of the store to a directory —
   mirroring "the snapshot feature provided by LevelDB" the paper mentions
   for backing up indices to the cloud;
-* reopen replays the WAL, recovering everything acknowledged before a
-  crash.
+* ``sync`` is the durability point: one ``sync`` per acknowledged batch
+  fsyncs the WAL (the same contract as
+  :class:`~repro.storage.journal.ContainerJournal`'s ``record``/``commit``);
+* reopen replays the WAL, recovering everything ``sync()``ed before a
+  crash — mutations since the last ``sync`` were never acknowledged and
+  may be lost.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ class LSMStore:
             self._next_table_id = max(self._next_table_id, table_id + 1)
 
     def _recover(self) -> None:
-        for op, key, value in self._wal.replay():
+        for op, key, value in self._wal.recover():
             if op == OP_PUT:
                 self._mem.put(key, value)
             elif op == OP_DELETE:
@@ -132,8 +136,8 @@ class LSMStore:
 
     def sync(self) -> None:
         """Group commit: fsync the WAL so every mutation so far survives
-        kill -9.  One call per acknowledged batch is the crash-only
-        serving contract — cheaper than ``sync=True`` per append."""
+        kill -9; nothing is durable before it.  One call per acknowledged
+        batch is the crash-only serving contract."""
         self._check_open()
         self._wal.sync()
         _WAL_SYNCS.inc()

@@ -1,9 +1,14 @@
 """Write-ahead log for LSM durability.
 
 Every mutation is appended (length-prefixed, CRC-protected) before touching
-the memtable, so an interrupted process replays the tail on reopen.  A
-truncated or corrupt tail record — the normal crash signature — is detected
-by its CRC and dropped, matching LevelDB's recovery semantics.
+the memtable.  Each append is handed to the OS; :meth:`WriteAheadLog.sync`
+is the durability point — one fsync per group commit, the same "durable
+only after commit" contract as
+:class:`~repro.storage.journal.ContainerJournal`.  An interrupted process
+replays, on reopen, everything ``sync()``ed before the crash; records
+appended since the last ``sync()`` were never acknowledged and may be
+lost.  A truncated or corrupt tail record — the normal crash signature —
+is detected by its CRC and dropped, matching LevelDB's recovery semantics.
 
 Record format (all big-endian)::
 
@@ -32,11 +37,8 @@ _HEADER = struct.Struct(">II")
 class WriteAheadLog:
     """Append-only redo log with CRC-framed records."""
 
-    def __init__(self, path: str | Path, sync_every_append: bool = False) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        #: fsync after every append (safest, slowest).  The crash-only
-        #: server leaves this off and group-commits with :meth:`sync`.
-        self.sync_every_append = sync_every_append
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # Long-lived handle owned by the WAL object, closed in close().
         self._fh = open(self.path, "ab")  # noqa: SIM115
@@ -57,14 +59,12 @@ class WriteAheadLog:
         record = _HEADER.pack(zlib.crc32(payload), len(payload)) + payload
         self._fh.write(record)
         self._fh.flush()
-        if self.sync_every_append:
-            os.fsync(self._fh.fileno())
 
     def sync(self) -> None:
         """Force every appended record to stable storage (group commit).
 
-        Lets a caller run without per-append fsyncs and still ack
-        batches durably: one fsync covers the whole batch.
+        The only durability point: a caller acks a batch only after this
+        returns, and one fsync covers the whole batch.
         """
         if self._fh.closed:
             raise StorageError("WAL is closed")
@@ -77,6 +77,24 @@ class WriteAheadLog:
 
         Stops silently at the first corrupt/truncated record (crash tail).
         """
+        for _, op, key, value in self._scan():
+            yield op, key, value
+
+    def recover(self) -> Iterator[tuple[int, bytes, bytes]]:
+        """:meth:`replay` for the owning store: once exhausted, the file
+        is cut back to its last intact record.
+
+        Records appended behind a torn one would sit past the point where
+        replay stops, so they could be ``sync()``ed and still never
+        recovered.
+        """
+        intact = 0
+        for intact, op, key, value in self._scan():
+            yield op, key, value
+        self._fh.truncate(intact)
+
+    def _scan(self) -> Iterator[tuple[int, int, bytes, bytes]]:
+        """``(end offset, op, key, value)`` of every intact record."""
         if not self.path.exists():
             return
         with open(self.path, "rb") as fh:
@@ -91,15 +109,12 @@ class WriteAheadLog:
                 op, keylen = struct.unpack(">BI", payload[:5])
                 key = payload[5 : 5 + keylen]
                 value = payload[5 + keylen :]
-                yield op, key, value
+                yield fh.tell(), op, key, value
 
     def reset(self) -> None:
         """Truncate the log (called after a successful memtable flush)."""
         self._fh.close()
         self._fh = open(self.path, "wb")  # noqa: SIM115 -- long-lived, closed in close()
-        self._fh.flush()
-        if self.sync_every_append:
-            os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         if not self._fh.closed:

@@ -31,10 +31,12 @@ from pathlib import Path
 
 from repro.analysis.annotations import guarded_by, requires_lock
 from repro.cloud.provider import CloudProvider
+from repro.compress import compress_recipe, decompress_recipe
 from repro.crypto.hashing import fingerprint
 from repro.dedup.stats import DedupStats
 from repro.errors import (
     NotFoundError,
+    ParameterError,
     ProtocolError,
     QuotaExceededError,
     ReproError,
@@ -79,6 +81,12 @@ _COMMIT_SECONDS = REGISTRY.histogram(
 _STORAGE_WRITE_SECONDS = REGISTRY.histogram(
     "server_storage_write_seconds",
     "Container append latency for one ingested share",
+)
+# Where a slow finalize went: resolving client fingerprints, writing the
+# recipe and refcounts, releasing the overwritten recipe, or the commit.
+_FINALIZE_SECONDS = REGISTRY.histogram(
+    "server_finalize_seconds",
+    "finalize_file latency, by stage (resolve | recipe | release | commit)",
 )
 _RECOVERY_RUNS = REGISTRY.counter(
     "server_recovery_runs_total", "Boot-time recovery passes, by outcome"
@@ -464,6 +472,13 @@ class CDStoreServer:
         GC reap shares the user's other files still need).
         """
         self.cloud.check_available()
+        started = time.perf_counter()
+        if len(share_metas) != manifest.secret_count:
+            # Readers size the recipe from the file entry's secret count.
+            raise ProtocolError(
+                f"manifest names {manifest.secret_count} secrets, "
+                f"{len(share_metas)} share metas were sent"
+            )
         old_blob = self.index.get(self._file_key(user_id, manifest.lookup_key))
         # Resolve and validate every new recipe entry before mutating any
         # refcount, so validation errors leave the indices untouched.
@@ -499,6 +514,7 @@ class CDStoreServer:
                     f"tenant {user_id!r} would own {projected} stored bytes, "
                     f"quota is {quota.max_bytes}"
                 )
+        resolved_at = time.perf_counter()
         entries: list[RecipeEntry] = []
         for server_fp, secret_size in resolved:
             share_entries[server_fp].add_owner(user_id)
@@ -509,8 +525,6 @@ class CDStoreServer:
             self._put_share_entry(server_fp, share_entry)
         recipe_blob = b"".join(entry.pack() for entry in entries)
         if self.recipe_compression:
-            from repro.compress import compress_recipe
-
             recipe_blob = compress_recipe(recipe_blob)
         recipe_ref = self.containers.append(
             user_id, KIND_RECIPE, manifest.lookup_key, recipe_blob
@@ -522,6 +536,7 @@ class CDStoreServer:
             secret_count=manifest.secret_count,
         )
         self.index.put(self._file_key(user_id, manifest.lookup_key), file_entry.pack())
+        recipe_at = time.perf_counter()
         if old_blob is not None:
             try:
                 old_recipe = self._recipe_entries(FileEntry.unpack(old_blob))
@@ -534,7 +549,12 @@ class CDStoreServer:
             self._charge_owned_bytes(user_id, newly_owned_bytes)
             pending = self._pending_bytes.get(user_id, 0)
             self._pending_bytes[user_id] = max(0, pending - newly_owned_bytes)
+        released_at = time.perf_counter()
         self._commit_durable()
+        _FINALIZE_SECONDS.observe(resolved_at - started, stage="resolve")
+        _FINALIZE_SECONDS.observe(recipe_at - resolved_at, stage="recipe")
+        _FINALIZE_SECONDS.observe(released_at - recipe_at, stage="release")
+        _FINALIZE_SECONDS.observe(time.perf_counter() - released_at, stage="commit")
 
     @_locked
     def flush(self) -> None:
@@ -618,12 +638,13 @@ class CDStoreServer:
     ) -> list[RecipeEntry]:
         """Read and decode the recipe a file entry points at."""
         _, blob = self.containers.read_entry(entry.recipe_ref, bypass_cache=bypass_cache)
-        from repro.compress import decompress_recipe
-
-        blob = decompress_recipe(blob)
         size = RecipeEntry.packed_size()
-        if len(blob) % size:
-            raise ProtocolError("recipe blob corrupt (bad length)")
+        try:
+            # The file entry says how long the recipe is, so a hostile
+            # container cannot make the decompressor allocate past it.
+            blob = decompress_recipe(blob, expected_size=entry.secret_count * size)
+        except ParameterError as exc:
+            raise ProtocolError(f"recipe blob corrupt ({exc})") from exc
         return [
             RecipeEntry.unpack(blob[pos : pos + size])
             for pos in range(0, len(blob), size)
@@ -774,12 +795,12 @@ class CDStoreServer:
         self, user_id: str, lookup_key: bytes, entries: list[RecipeEntry]
     ) -> None:
         """Rewrite a file's recipe (scrub-repair of a corrupt recipe
-        container); the file-index entry is preserved apart from the ref."""
+        container); the file-index entry is preserved apart from the ref
+        and the secret count readers size the recipe by."""
         file_entry = self.get_file_entry(user_id, lookup_key)
+        file_entry.secret_count = len(entries)
         blob = b"".join(entry.pack() for entry in entries)
         if self.recipe_compression:
-            from repro.compress import compress_recipe
-
             blob = compress_recipe(blob)
         file_entry.recipe_ref = self.containers.append(
             user_id, KIND_RECIPE, lookup_key, blob

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chunking import (
+    DEFAULT_CHUNKER,
     GEAR_WINDOW,
     ChunkerSpec,
     chunker_names,
@@ -320,6 +321,51 @@ class TestChunkerRegistry:
 
     def test_default_is_rabin(self):
         assert isinstance(create_chunker(None), RabinChunker)
+
+    def test_default_has_one_source_of_truth(self, tmp_path):
+        """``create_chunker(None)``, ``ReproConfig()`` and ``repro init``
+        without ``--chunker`` all follow ``DEFAULT_CHUNKER``, at the
+        paper's 2/8/16 KiB sizes."""
+        from repro.cli import main
+        from repro.config import ReproConfig
+
+        default = create_chunker(None)
+        assert type(default) is type(create_chunker(DEFAULT_CHUNKER))
+        assert (default.min_size, default.avg_size, default.max_size) == (
+            2048, 8192, 16384,
+        )
+        assert ReproConfig().chunker == DEFAULT_CHUNKER
+        assert main(["init", "--root", str(tmp_path / "root")]) == 0
+        assert ReproConfig.from_file(tmp_path / "root").chunker == DEFAULT_CHUNKER
+
+    def test_root_recorded_as_rabin_keeps_rabin_and_dedups(self, tmp_path, monkeypatch):
+        """A root names its chunker in its config file: its clients keep
+        cutting with rabin when ``DEFAULT_CHUNKER`` moves, so a re-backup
+        deduplicates against what was written before."""
+        import json
+
+        from repro.chunking import registry
+        from repro.config import CONFIG_FILE_NAME, ReproConfig
+        from repro.system.cdstore import CDStoreSystem
+
+        root = tmp_path / "root"
+        root.mkdir()
+        (root / CONFIG_FILE_NAME).write_text(
+            json.dumps({"n": 4, "k": 3, "salt": "old", "chunker": "rabin"})
+        )
+        data = DRBG("pre-upgrade").random_bytes(200_000)
+        with CDStoreSystem.from_config(ReproConfig.from_file(root), root=root) as old:
+            writer = old.client("alice", chunker=RabinChunker())
+            assert writer.upload("/v1", data).transferred_share_bytes > 0
+            writer.flush()
+        monkeypatch.setattr(registry, "DEFAULT_CHUNKER", "gear")
+        assert isinstance(create_chunker(None), GearChunker)
+        with CDStoreSystem.from_config(ReproConfig.from_file(root), root=root) as new:
+            client = new.client("alice")
+            assert isinstance(client.chunker, RabinChunker)
+            assert client.upload("/v2", data).transferred_share_bytes == 0
+            client.flush()
+            assert client.download("/v2") == data
 
     def test_parse_and_create(self):
         chunker = create_chunker("gear:avg=512,min=64,max=2048,norm=1")

@@ -136,11 +136,36 @@ class TestFileEntryCrossCheck:
             client.download("/f")
 
     def test_secret_count_disagreement_raises(self, system):
+        """A server that *lies* about the secret count (and so skips the
+        consistency check an honest one runs on its own recipe) is caught
+        by the client's cross-check."""
+
+        class LyingServer:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def get_file_entry(self, user_id, lookup_key):
+                entry = self._inner.get_file_entry(user_id, lookup_key)
+                entry.secret_count += 1
+                return entry
+
         client = system.client("alice", chunker=FixedChunker(4096))
         client.upload("/f", data_of(20_000))
-        self._tamper_entry(system, "alice", "/f", server_idx=0, secret_count=1)
+        client.servers[0] = LyingServer(client.servers[0])
         with pytest.raises(IntegrityError):
             client.download("/f")
+
+    def test_server_whose_entry_and_recipe_disagree_is_failed_over(self, system):
+        """An honest server whose index entry no longer matches its stored
+        recipe reports a malformed recipe; the restore uses the spare."""
+        client = system.client("alice", chunker=FixedChunker(4096))
+        payload = data_of(20_000)
+        client.upload("/f", payload)
+        self._tamper_entry(system, "alice", "/f", server_idx=0, secret_count=1)
+        assert client.download("/f") == payload
 
 
 # ---------------------------------------------------------------------------

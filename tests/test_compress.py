@@ -1,89 +1,37 @@
-"""Compression substrate: LZSS, Huffman, composed codec, recipes."""
+"""Recipe codec: stored-or-zlib method byte, bounded typed decompression."""
+
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compress.codec import compress, compress_recipe, decompress, decompress_recipe
-from repro.compress.huffman import huffman_decode, huffman_encode
-from repro.compress.lzss import lzss_compress, lzss_decompress
+from repro.compress.codec import (
+    METHOD_STORED,
+    METHOD_ZLIB,
+    compress,
+    compress_recipe,
+    decompress,
+    decompress_recipe,
+)
 from repro.crypto.drbg import DRBG
-from repro.errors import ParameterError
-
-
-class TestLZSS:
-    @settings(max_examples=50)
-    @given(st.binary(min_size=0, max_size=2000))
-    def test_roundtrip(self, data):
-        assert lzss_decompress(lzss_compress(data)) == data
-
-    def test_repetitive_data_shrinks(self):
-        data = b"abcdefgh" * 500
-        assert len(lzss_compress(data)) < len(data) / 3
-
-    def test_random_data_bounded_expansion(self):
-        data = DRBG("incompressible").random_bytes(4096)
-        assert len(lzss_compress(data)) < len(data) * 1.15
-
-    def test_expected_size_validation(self):
-        blob = lzss_compress(b"hello world")
-        assert lzss_decompress(blob, expected_size=11) == b"hello world"
-        with pytest.raises(ParameterError):
-            lzss_decompress(blob, expected_size=99)
-
-    def test_corrupt_reference_detected(self):
-        # A reference pointing before the start of output is rejected.
-        blob = bytes([0b00000001, 0xFF, 0xFF])
-        with pytest.raises(ParameterError):
-            lzss_decompress(blob)
-
-    def test_truncated_reference_detected(self):
-        blob = bytes([0b00000001, 0x10])
-        with pytest.raises(ParameterError):
-            lzss_decompress(blob)
-
-    def test_overlapping_match(self):
-        # Classic LZ run: "aaaa..." requires self-overlapping copies.
-        data = b"a" * 300
-        assert lzss_decompress(lzss_compress(data)) == data
-
-
-class TestHuffman:
-    @settings(max_examples=50)
-    @given(st.binary(min_size=0, max_size=2000))
-    def test_roundtrip(self, data):
-        assert huffman_decode(huffman_encode(data)) == data
-
-    def test_skewed_data_shrinks(self):
-        data = b"\x00" * 900 + bytes(range(100))
-        assert len(huffman_encode(data)) < len(data) * 0.6
-
-    def test_single_symbol(self):
-        data = b"z" * 100
-        assert huffman_decode(huffman_encode(data)) == data
-
-    def test_truncated_header_raises(self):
-        with pytest.raises(ParameterError):
-            huffman_decode(b"\x00\x00")
-        with pytest.raises(ParameterError):
-            huffman_decode((100).to_bytes(4, "big") + b"\x01" * 10)
-
-    def test_stream_ending_early_raises(self):
-        blob = huffman_encode(b"some data here")
-        with pytest.raises(ParameterError):
-            huffman_decode(blob[:-2])
+from repro.errors import ParameterError, ProtocolError
 
 
 class TestComposedCodec:
     @settings(max_examples=30)
     @given(st.binary(min_size=0, max_size=1500))
     def test_roundtrip(self, data):
-        assert decompress(compress(data)) == data
+        blob = compress(data)
+        assert decompress(blob) == data
+        assert decompress(blob, expected_size=len(data)) == data
 
-    @pytest.mark.parametrize("method", ["stored", "lzss", "lzss+huffman", "auto"])
-    def test_all_methods(self, method):
-        data = b"recipe entry " * 100
-        assert decompress(compress(data, method=method)) == data
+    def test_picks_the_smaller_method(self):
+        repetitive = b"recipe entry " * 100
+        assert compress(repetitive)[0] == METHOD_ZLIB
+        assert len(compress(repetitive)) < len(repetitive) / 3
+        assert compress(DRBG("rand").random_bytes(2000))[0] == METHOD_STORED
+        assert compress(b"") == bytes([METHOD_STORED])
 
     def test_never_expands_beyond_header(self):
         data = DRBG("rand").random_bytes(2000)
@@ -91,11 +39,56 @@ class TestComposedCodec:
 
     def test_unknown_method_raises(self):
         with pytest.raises(ParameterError):
-            compress(b"x", method="zstd")
-        with pytest.raises(ParameterError):
             decompress(b"\x63payload")
         with pytest.raises(ParameterError):
             decompress(b"")
+
+    @pytest.mark.parametrize("method", [1, 2])
+    def test_retired_method_bytes_rejected(self, method):
+        """Bytes 1/2 named the LZSS coders: an old blob fails typed."""
+        with pytest.raises(ParameterError):
+            decompress(bytes([method]) + b"old lzss body")
+
+    def test_corrupt_and_truncated_zlib_bodies_raise(self):
+        blob = compress(b"recipe entry " * 100)
+        with pytest.raises(ParameterError):
+            decompress(blob[:-3])
+        with pytest.raises(ParameterError):
+            decompress(blob[:-3], expected_size=1300)
+        with pytest.raises(ParameterError):
+            decompress(bytes([METHOD_ZLIB]) + b"not a zlib stream")
+        for expected_size in (None, 1300):
+            with pytest.raises(ParameterError, match="trailing"):
+                decompress(blob + b"x", expected_size=expected_size)
+
+    def test_expected_size_validation(self):
+        for data in (b"recipe entry " * 100, DRBG("rand").random_bytes(64)):
+            blob = compress(data)
+            for wrong in (0, len(data) - 1, len(data) + 1):
+                with pytest.raises(ParameterError):
+                    decompress(blob, expected_size=wrong)
+
+    def test_bomb_is_refused_before_it_is_allocated(self):
+        """DEFLATE tops out near 1000:1, so the bomb is a 64 KiB blob that
+        inflates to 64 MiB (a wrong decoder then fails this test instead
+        of exhausting the runner).  Read as a one-entry recipe it is
+        refused on length after at most 37 bytes of output."""
+        import tracemalloc
+
+        deflater = zlib.compressobj(9)
+        body = deflater.compress(bytes(64 << 20)) + deflater.flush()
+        blob = bytes([METHOD_ZLIB]) + body
+        assert len(blob) < 70 * 1024
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError):
+                decompress(blob, expected_size=36)
+            with pytest.raises(ParameterError):
+                decompress_recipe(b"RCPZ" + blob, expected_size=36)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRecipeCompression:
@@ -158,3 +151,37 @@ class TestRecipeCompression:
         size_off, recipe_off = run(False)
         assert size_on < size_off
         assert [e.fingerprint for e in recipe_on] == [e.fingerprint for e in recipe_off]
+
+    def test_server_rejects_recipe_of_unexpected_size(self):
+        """The file entry says how many entries the recipe has; a stored
+        recipe that decodes to any other length fails typed, whether it
+        is compressed or raw."""
+        from repro.cloud.network import Link
+        from repro.cloud.provider import CloudProvider
+        from repro.crypto.hashing import fingerprint
+        from repro.server.index import FileEntry
+        from repro.server.messages import FileManifest, ShareMeta, ShareUpload
+        from repro.server.server import CDStoreServer
+
+        for compression in (True, False):
+            server = CDStoreServer(
+                0, CloudProvider("c", Link(10), Link(10)),
+                recipe_compression=compression,
+            )
+            data = b"share-payload" * 50
+            meta = ShareMeta(fingerprint(data, "client"), len(data), 0, len(data))
+            server.upload_shares("alice", [ShareUpload(meta=meta, data=data)])
+            metas = [
+                ShareMeta(meta.fingerprint, len(data), i, len(data)) for i in range(50)
+            ]
+            server.finalize_file(
+                "alice", FileManifest(b"k", b"p", 50 * len(data), 50), metas
+            )
+            assert len(server.get_recipe("alice", b"k")) == 50
+            key = server._file_key("alice", b"k")
+            entry = FileEntry.unpack(server.index.get(key))
+            entry.secret_count = 49
+            server.index.put(key, entry.pack())
+            with pytest.raises(ProtocolError):
+                server.get_recipe("alice", b"k")
+

@@ -21,6 +21,24 @@ class TestDeterminism:
         whole = DRBG("s").random_bytes(20)
         assert first + second == whole
 
+    def test_stream_is_pinned(self):
+        """The linear-time draw emits the very bytes the block-by-block
+        (quadratic) one did: digests taken from that implementation, for
+        one 1 MiB draw and for the same MiB drawn in uneven pieces."""
+        import hashlib
+
+        pinned = "d4d9dfd3a11700e634fcfeb7925caaf3a735389e99ceaed9bcd19ad64f5a76eb"
+        total = 1 << 20
+        whole = DRBG("drbg-linear-pin").random_bytes(total)
+        assert hashlib.sha256(whole).hexdigest() == pinned
+        pieces, drawn = DRBG("drbg-linear-pin"), hashlib.sha256()
+        sizes, done, turn = [1, 31, 32, 33, 0, 4097, 65521, 7], 0, 0
+        while done < total:
+            size = min(sizes[turn % len(sizes)], total - done)
+            drawn.update(pieces.random_bytes(size))
+            done, turn = done + size, turn + 1
+        assert drawn.hexdigest() == pinned
+
     def test_seed_types(self):
         assert DRBG(b"x").random_bytes(8) == DRBG(b"x").random_bytes(8)
         DRBG("str-seed")

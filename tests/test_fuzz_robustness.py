@@ -90,24 +90,42 @@ class TestDeserialisationFuzz:
 
     @settings(max_examples=60)
     @given(st.binary(max_size=300))
-    def test_lzss_decompress(self, blob):
-        from repro.compress.lzss import lzss_decompress
-
-        _fuzz(lzss_decompress, blob)
-
-    @settings(max_examples=60)
-    @given(st.binary(max_size=300))
-    def test_huffman_decode(self, blob):
-        from repro.compress.huffman import huffman_decode
-
-        _fuzz(huffman_decode, blob)
-
-    @settings(max_examples=60)
-    @given(st.binary(max_size=300))
     def test_composed_decompress(self, blob):
         from repro.compress.codec import decompress
 
         _fuzz(decompress, blob)
+
+    @settings(max_examples=60)
+    @given(
+        st.binary(max_size=300),
+        st.sampled_from([b"", b"RCPZ", b"RCPZ\x00", b"RCPZ\x03"]),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=400)),
+    )
+    def test_decompress_recipe(self, blob, prefix, expected_size):
+        """Framed or not, sized or not: typed failure, and a successful
+        sized decode is exactly the size asked for."""
+        from repro.compress.codec import decompress_recipe
+
+        try:
+            out = decompress_recipe(prefix + blob, expected_size)
+        except ReproError:
+            return
+        assert expected_size is None or len(out) == expected_size
+
+    @settings(max_examples=60)
+    @given(st.binary(max_size=300), st.integers(min_value=0, max_value=299))
+    def test_mutated_zlib_body(self, data, pos):
+        """A valid compressed blob with one byte flipped decodes to typed
+        failure or to bytes of the expected size, never a raw zlib.error."""
+        from repro.compress.codec import compress, decompress
+
+        blob = bytearray(compress(data * 8))
+        blob[pos % len(blob)] ^= 0xFF
+        try:
+            out = decompress(bytes(blob), expected_size=len(data) * 8)
+        except ReproError:
+            return
+        assert len(out) == len(data) * 8
 
 
 class TestMutationFuzz:
