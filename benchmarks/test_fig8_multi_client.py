@@ -137,7 +137,7 @@ def test_fig8_socket_leg():
 
 
 # ---------------------------------------------------------------------------
-# mux scaling curve: 1 -> 64 concurrent clients against one cloud server
+# front-end scaling curve: 1 -> 64 concurrent clients against one cloud server
 # ---------------------------------------------------------------------------
 
 import threading
@@ -210,20 +210,20 @@ def _run_clients(workers) -> float:
     return elapsed
 
 
-def _serial_aggregate_mbps(clients: int, per_client_bytes: int) -> float:
-    """Thread-per-connection server, one serial (v1) connection per client,
-    one round-trip per batch — the pre-mux deployment shape."""
+def _thread_aggregate_mbps(clients: int, per_client_bytes: int) -> float:
+    """Thread-per-connection front-end, one connection per client, one
+    blocking round-trip per batch (64 clients = 64 server threads)."""
     server = CDStoreServer(
         server_id=0, cloud=CloudProvider("cloud-0", Link(1000.0), Link(1000.0))
     )
     all_batches = [
-        _client_batches("serial", i, per_client_bytes) for i in range(clients)
+        _client_batches("thread", i, per_client_bytes) for i in range(clients)
     ]
     total = sum(u.wire_size for bs in all_batches for b in bs for u in b)
     with CDStoreTCPServer(server) as tcp:
         host, port = tcp.address
         proxies = [
-            RemoteServerProxy(f"tcp://{host}:{port}", server_id=0, mux=False)
+            RemoteServerProxy(f"tcp://{host}:{port}", server_id=0)
             for _ in range(clients)
         ]
         try:
@@ -243,14 +243,14 @@ def _serial_aggregate_mbps(clients: int, per_client_bytes: int) -> float:
     return total / MB / elapsed
 
 
-def _mux_aggregate_mbps(clients: int, per_client_bytes: int) -> float:
-    """Async mux server, clients sharing a few multiplexed connections,
+def _async_aggregate_mbps(clients: int, per_client_bytes: int) -> float:
+    """Async front-end, clients sharing a few multiplexed connections,
     each keeping a window of pipelined unacked batches in flight."""
     server = CDStoreServer(
         server_id=0, cloud=CloudProvider("cloud-0", Link(1000.0), Link(1000.0))
     )
     all_batches = [
-        _client_batches("mux", i, per_client_bytes) for i in range(clients)
+        _client_batches("async", i, per_client_bytes) for i in range(clients)
     ]
     total = sum(u.wire_size for bs in all_batches for b in bs for u in b)
     sockets = max(1, (clients + _CLIENTS_PER_MUX_SOCKET - 1)
@@ -295,9 +295,9 @@ def _mux_aggregate_mbps(clients: int, per_client_bytes: int) -> float:
 def _modeled_mux_speedup(window: int = UPLOAD_ACK_WINDOW) -> float:
     """Per-stream speedup the mux ack window buys a dedup-heavy backup.
 
-    The quantity the mux protocol changes is round trips: a serial (v1)
-    connection pays one link round trip per RPC, lock-step, while a mux
-    connection keeps ``window`` requests in flight so only every
+    The quantity the ack window changes is round trips: a lock-step
+    caller pays one link round trip per RPC, while a pipelining
+    caller keeps ``window`` requests in flight so only every
     ``window``-th round trip lands on the critical path.  On a
     dedup-heavy (second-backup) upload the wire carries metadata, not
     shares, so those round trips *are* the transfer time — the regime
@@ -326,54 +326,53 @@ def _modeled_mux_speedup(window: int = UPLOAD_ACK_WINDOW) -> float:
 def test_fig8_mux_scaling_curve():
     """Aggregate RPC-level upload throughput, 1 -> 64 concurrent clients.
 
-    Serial leg: the thread-per-connection server with one v1 connection
-    per client, lock-step round trips (64 clients = 64 server threads).
-    Mux leg: the asyncio front-end with clients multiplexed over
-    ``clients/16`` shared connections, each keeping a pipelined ack
-    window in flight (8 executor threads total, per-source admission
-    control active).
+    Both legs drive the same (only) proxy.  Thread leg: the
+    thread-per-connection front-end with one connection per client and
+    lock-step round trips (64 clients = 64 server threads).  Async leg:
+    the asyncio front-end with clients multiplexed over ``clients/16``
+    shared connections, each keeping a pipelined ack window in flight
+    (8 executor threads total, per-source admission control active).
 
     Two claims, two instruments — matching the fig7/fig8 convention of
     gating deterministic model ratios while printing machine wall-clock
     as context:
 
-    * the **measured loopback curve** (emitted table) shows the async
-      front-end sustaining 64 concurrent clients on a bounded thread
-      budget at aggregate parity with 64 dedicated threads — on loopback
-      both legs saturate the same serialized storage stack, so parity at
-      1/8th the threads is the scaling result;
+    * the **measured loopback curve** (emitted table) is the front-end
+      parity measurement ROADMAP item 3 waits on: ``async/thread`` >= 1
+      across the curve is the condition for deleting the thread
+      front-end;
     * the **gated ratio** (``fig8.mux_over_serial``) is the modeled
-      per-stream speedup of the pipelined-window protocol over lock-step
-      v1 on the cloud testbed, where the 25 ms per-RPC round trip the mux
-      window amortises is the dominant cost of dedup-heavy uploads.  The
-      acceptance bar is >= 2x.
+      per-stream speedup of ``UPLOAD_ACK_WINDOW`` pipelined batches over
+      lock-step round trips on the cloud testbed, where the 25 ms
+      per-RPC round trip the window amortises is the dominant cost of
+      dedup-heavy uploads.  The acceptance bar is >= 2x.
     """
     per_client_bytes = scaled(1 << 20, floor=256 << 10)
     counts = [1, 4, 16, 64]
     rows = []
     ratios = {}
     for clients in counts:
-        serial = _serial_aggregate_mbps(clients, per_client_bytes)
-        mux = _mux_aggregate_mbps(clients, per_client_bytes)
-        ratios[clients] = mux / serial
-        rows.append([clients, serial, mux, mux / serial])
+        thread = _thread_aggregate_mbps(clients, per_client_bytes)
+        asynced = _async_aggregate_mbps(clients, per_client_bytes)
+        ratios[clients] = asynced / thread
+        rows.append([clients, thread, asynced, asynced / thread])
 
     modeled = _modeled_mux_speedup()
     table = format_table(
-        ["clients", "serial MB/s", "mux MB/s", "mux/serial"],
+        ["clients", "thread MB/s", "async MB/s", "async/thread"],
         rows,
-        title="Figure 8 (mux leg): measured loopback aggregate upload MB/s "
+        title="Figure 8 (front-end leg): measured loopback aggregate upload MB/s "
               f"vs #clients, {per_client_bytes / MB:.2f} MB/client "
               f"(modeled WAN per-stream mux speedup: {modeled:.2f}x)",
     )
     emit("fig8_mux_scaling", table)
     emit_metrics({"fig8.mux_over_serial": modeled})
 
-    # Acceptance gate: the mux window must at least double dedup-heavy
-    # upload throughput over the lock-step serial protocol.
+    # Acceptance gate: the ack window must at least double dedup-heavy
+    # upload throughput over lock-step round trips.
     assert modeled >= 2.0, f"modeled mux/serial = {modeled:.2f}"
     # Measured sanity: every point on the curve moved real bytes, and the
-    # 64-client mux leg holds aggregate parity (within scheduler noise)
-    # with thread-per-connection while using an 8-thread executor.
+    # 64-client async leg does not collapse against thread-per-connection
+    # while using an 8-thread executor.
     assert all(row[1] > 0 and row[2] > 0 for row in rows)
-    assert ratios[64] > 0.25, f"mux collapsed at 64 clients: {ratios[64]:.2f}"
+    assert ratios[64] > 0.25, f"async collapsed at 64 clients: {ratios[64]:.2f}"

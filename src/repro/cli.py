@@ -592,7 +592,6 @@ def build_gateway(
             str(spec),
             server_id=index,
             credentials=credentials,
-            mux=config.mux,
         )
         for index, spec in replica_specs
     ]

@@ -189,7 +189,7 @@ class CDStoreClient:
         #: Client-side tracer: entry points open *root* spans here, so
         #: the trace id a whole upload/restore shares is minted exactly
         #: once, then rides thread-local context into the comm engine and
-        #: the wire's v2 trace extension.
+        #: the wire's trace extension.
         self.tracer = Tracer(
             "client",
             recorder=SpanRecorder(span_ring),

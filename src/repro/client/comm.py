@@ -248,9 +248,9 @@ class CloudUploader:
         # buffer holds *unique* shares and is uploaded only when full).
         self._batch: list[ShareUpload] = []
         self._batch_bytes = 0
-        # Pipelined-ack capability: the mux proxy exposes
-        # upload_shares_async; in-process servers and serial proxies do
-        # not, and keep the one-round-trip-per-batch path.
+        # Pipelined-ack capability: the remote proxy exposes
+        # upload_shares_async; in-process servers do not, and keep the
+        # one-call-per-batch path.
         self._upload_async = getattr(server, "upload_shares_async", None)
         self._inflight: deque = deque()
 

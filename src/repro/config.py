@@ -225,7 +225,7 @@ class ObsSpec:
 
     #: Master switch: ``False`` disables metric recording and tracing.
     enabled: bool = True
-    #: Offer/accept the wire v2 trace extension and record spans.
+    #: Offer/accept the wire trace extension and record spans.
     trace: bool = True
     #: Spans at or above this many seconds emit a structured
     #: ``slow_request`` event; ``None``/``0`` disables the log.
@@ -305,11 +305,6 @@ class ReproConfig:
     threads: int = 1
     workers: str = "thread"
     pipeline_depth: int | str = 1
-    #: Multiplex remote-cloud connections: advertise wire v2 so one
-    #: socket per cloud carries concurrent request windows (falls back to
-    #: serial framing against v1 servers).  ``False`` pins every proxy to
-    #: the one-request-in-flight v1 protocol.
-    mux: bool = True
     #: Optional read gateway (:class:`GatewaySpec` or its mapping form);
     #: ``None`` means clients restore directly from the cloud quorum.
     gateway: GatewaySpec | None = None
@@ -352,8 +347,6 @@ class ReproConfig:
                 f"pipeline_depth must be a positive integer or 'auto', "
                 f"got {self.pipeline_depth!r}"
             )
-        if not isinstance(self.mux, bool):
-            raise ParameterError(f"mux must be a boolean, got {self.mux!r}")
         if self.gateway is not None and not isinstance(self.gateway, GatewaySpec):
             object.__setattr__(
                 self, "gateway", GatewaySpec.from_mapping(self.gateway)
@@ -392,9 +385,11 @@ class ReproConfig:
             )
         known = {
             "n", "k", "salt", "chunker", "cloud_specs", "scheme",
-            "threads", "workers", "pipeline_depth", "mux", "gateway", "obs",
+            "threads", "workers", "pipeline_depth", "gateway", "obs",
         }
-        unknown = set(raw) - known
+        # "mux" chose between two proxy modes until the serial one was
+        # retired; files written back then still carry the key.
+        unknown = set(raw) - known - {"mux"}
         if unknown:
             raise ParameterError(
                 f"unknown config keys: {', '.join(sorted(unknown))}"
@@ -419,7 +414,6 @@ class ReproConfig:
             "threads": self.threads,
             "workers": self.workers,
             "pipeline_depth": self.pipeline_depth,
-            "mux": self.mux,
             "gateway": (
                 self.gateway.to_mapping() if self.gateway is not None else None
             ),

@@ -9,8 +9,8 @@ Wire-visible errors
 
 Every class carries a **stable wire code** (``wire_code``) used by the
 ``R_ERROR`` frame in :mod:`repro.net.wire`.  Codes are part of the wire
-protocol: they never change meaning and are never reused, so a v1 client
-can decode a v1 server's errors regardless of which side is newer.  New
+protocol: they never change meaning and are never reused, so a client
+can decode a server's errors regardless of which side is newer.  New
 classes append new codes; :data:`WIRE_ERROR_CODES` is the decode registry.
 """
 

@@ -94,6 +94,11 @@ class LSMStore:
     # startup / recovery
     # ------------------------------------------------------------------
     def _load_tables(self) -> None:
+        # A table is published by rename (SSTable.write); a leftover temp
+        # is a flush or compaction that crashed before publishing, whose
+        # data is still in the WAL or the tables it was merging.
+        for stray in self.directory.glob("sst-*.db.tmp"):
+            stray.unlink()
         paths = sorted(self.directory.glob("sst-*.db"))
         for path in paths:
             self._tables.append(SSTable(path))

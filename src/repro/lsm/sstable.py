@@ -82,13 +82,21 @@ class SSTable:
         block_size: int = DEFAULT_BLOCK_SIZE,
         fp_rate: float = 0.01,
     ) -> "SSTable":
-        """Write sorted ``(key, value-or-TOMBSTONE)`` items to a new file."""
+        """Write sorted ``(key, value-or-TOMBSTONE)`` items to a new file.
+
+        Temp-write, fsync, rename, fsync the directory: the table is
+        either absent or whole under its final name, and on return it
+        survives a power cut — callers may drop the data's other copy
+        (the WAL, the merged tables).  A crash leaves at most a
+        ``<name>.tmp`` that :class:`~repro.lsm.db.LSMStore` reaps at open.
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(path.name + ".tmp")
         materialised = list(items)
         bloom = BloomFilter(max(1, len(materialised)), fp_rate)
         index_parts: list[bytes] = []
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             block = bytearray()
             block_first: bytes | None = None
 
@@ -125,10 +133,15 @@ class SSTable:
             fh.write(
                 _FOOTER.pack(idx_off, len(index_blob), bloom_off, len(bloom_blob), _MAGIC)
             )
-            # The WAL is truncated right after this table lands; without
-            # the fsync a crash could lose both copies of the memtable.
             fh.flush()
             os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        # The rename lives in the directory entry; fsync that too.
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         return cls(path)
 
     # ------------------------------------------------------------------

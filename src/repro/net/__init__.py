@@ -3,10 +3,10 @@
 These pieces turn the in-process client↔server calls into a distributed
 system without changing a byte of what travels:
 
-* :mod:`repro.net.wire` — the length-prefixed binary frame protocol
-  covering the full :class:`~repro.server.server.CDStoreServer` surface,
-  with typed error frames, hard frame-size caps and a version-negotiated
-  request-id-tagged (mux) framing (see ``docs/PROTOCOL.md`` for the
+* :mod:`repro.net.wire` — the length-prefixed, request-id-tagged binary
+  frame protocol covering the full
+  :class:`~repro.server.server.CDStoreServer` surface, with typed error
+  frames and hard frame-size caps (see ``docs/PROTOCOL.md`` for the
   normative spec);
 * :mod:`repro.net.dispatch` — the transport-agnostic frame dispatcher
   both front-ends share: auth handshake, tenancy scoping, rate limits
@@ -19,8 +19,8 @@ system without changing a byte of what travels:
 * :mod:`repro.net.client` — :class:`~repro.net.client.RemoteServerProxy`,
   a reconnecting stand-in that duck-types the server surface so the comm
   engine, client and system treat ``tcp://host:port`` like any other
-  cloud; in mux mode it shares one socket between concurrent requests
-  and pipelines upload acks.
+  cloud; it shares one socket between concurrent requests and pipelines
+  upload acks.
 """
 
 from repro.net.async_server import AsyncCDStoreTCPServer

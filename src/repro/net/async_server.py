@@ -18,9 +18,8 @@ tenancy, rate limits, streamed fetches, typed errors) is identical.
 Concurrency & fairness
 ----------------------
 
-A v2 (mux) connection may have many requests in flight; v1 connections
-are served strictly serially (the read loop awaits each job) because v1
-correlation is by arrival order.  Admission control is two-tier:
+A connection may have many requests in flight, correlated by request
+id.  Admission control is two-tier:
 
 * **per source** — at most ``source_inflight_cap`` requests in flight per
   authenticated tenant (or per connection in open mode), so one greedy
@@ -134,7 +133,7 @@ class AsyncCDStoreTCPServer:
     trace, span_ring, slow_threshold:
         Observability plumbing forwarded to the
         :class:`~repro.net.dispatch.FrameDispatcher`: whether to offer
-        the v2 trace extension in PONG, the span ring capacity, and the
+        the trace extension in PONG, the span ring capacity, and the
         slow-request log threshold in seconds (``None`` disables).
     """
 
@@ -329,15 +328,12 @@ class AsyncCDStoreTCPServer:
     ) -> None:
         if len(self._connections) >= self.max_connections:
             _SHEDS.inc(reason="connection_cap", server=self.server_id)
-            # Shed with a typed answer: the peer has not negotiated yet, so
-            # v1 framing is the one framing it is guaranteed to understand.
+            # Shed with a typed, connection-level answer (request id 0):
+            # the proxy's handshake read surfaces it as the PING's reply.
             with contextlib.suppress(ConnectionError, OSError):
                 writer.write(
-                    wire.encode_frame(
-                        wire.R_ERROR,
-                        wire.encode_error(
-                            ServerOverloadedError("connection limit reached")
-                        ),
+                    wire.encode_error_frame(
+                        0, ServerOverloadedError("connection limit reached")
                     )
                 )
                 writer.close()
@@ -401,18 +397,11 @@ class AsyncCDStoreTCPServer:
                 state, frame_type, payload
             ):
                 conn.send_from_worker(
-                    wire.encode_frame_v(state.version, reply_type, request_id, reply)
+                    wire.encode_mux_frame(reply_type, request_id, reply)
                 )
         except ReproError as exc:
             with contextlib.suppress(ConnectionError, OSError):
-                conn.send_from_worker(
-                    wire.encode_frame_v(
-                        state.version,
-                        wire.R_ERROR,
-                        request_id,
-                        wire.encode_error(exc),
-                    )
-                )
+                conn.send_from_worker(wire.encode_error_frame(request_id, exc))
         except (ConnectionError, OSError):
             pass  # peer went away or was evicted mid-stream
         except Exception:  # noqa: BLE001 - server bug: drop the connection
@@ -451,7 +440,7 @@ class _AsyncConnection:
         self._space.set()
         #: Loop-side writer wakeup: set while the queue has frames.
         self._wake = asyncio.Event()
-        #: v2 request ids currently in flight (loop-affine; reuse guard).
+        #: Request ids currently in flight (loop-affine; reuse guard).
         self._inflight_ids: set[int] = set()
         self._jobs = 0
 
@@ -463,48 +452,32 @@ class _AsyncConnection:
         try:
             while True:
                 try:
-                    frame_type, request_id, payload = await self._read_frame(
-                        state.version
-                    )
+                    frame_type, request_id, payload = await self._read_frame()
                 except (asyncio.IncompleteReadError, ConnectionError, OSError):
                     return  # client went away between frames
                 except ReproError as exc:
                     # Bad magic / oversized length: unrecoverable desync —
-                    # answer typed, then hang up.
-                    self._write_inline_error(state.version, 0, exc)
+                    # answer typed (connection-level: id 0), then hang up.
+                    self._write_inline_error(0, exc)
                     return
                 try:
-                    await self._handle_frame(state, frame_type, request_id, payload)
+                    self._handle_frame(state, frame_type, request_id, payload)
                 except ReproError as exc:
                     # Framing-layer violation (e.g. request-id reuse):
                     # answer typed, then hang up — in-flight ids cannot be
                     # disambiguated any more.
-                    self._write_inline_error(state.version, request_id, exc)
+                    self._write_inline_error(request_id, exc)
                     return
         finally:
             await self._finish(writer_task)
 
-    async def _read_frame(self, version: int) -> tuple[int, int, bytes]:
-        if version >= 2:
-            header = wire.MUX_FRAME_HEADER
-            raw = await self.reader.readexactly(header.size)
-            magic, frame_type, request_id, length = header.unpack(raw)
-        else:
-            header = wire.FRAME_HEADER
-            raw = await self.reader.readexactly(header.size)
-            magic, frame_type, length = header.unpack(raw)
-            request_id = 0
-        if magic != wire._FRAME_MAGIC:
-            raise ProtocolError(f"bad frame magic 0x{magic:04x} (desynchronised?)")
-        if length > self.srv.max_frame:
-            raise ProtocolError(
-                f"incoming frame of {length} bytes exceeds the "
-                f"{self.srv.max_frame}-byte cap"
-            )
+    async def _read_frame(self) -> tuple[int, int, bytes]:
+        raw = await self.reader.readexactly(wire.MUX_FRAME_HEADER.size)
+        frame_type, request_id, length = wire.decode_header(raw, self.srv.max_frame)
         payload = await self.reader.readexactly(length) if length else b""
         return frame_type, request_id, payload
 
-    async def _handle_frame(
+    def _handle_frame(
         self, state: ConnState, frame_type: int, request_id: int, payload: bytes
     ) -> None:
         srv = self.srv
@@ -517,24 +490,20 @@ class _AsyncConnection:
                     state, frame_type, payload
                 ):
                     self._write_inline(
-                        wire.encode_frame_v(state.version, reply_type, request_id, reply)
+                        wire.encode_mux_frame(reply_type, request_id, reply)
                     )
             except ReproError as exc:
-                self._write_inline_error(state.version, request_id, exc)
-                return
-            state.apply_negotiation()
+                self._write_inline_error(request_id, exc)
             return
-        if state.version >= 2:
-            if request_id in self._inflight_ids:
-                raise ProtocolError(
-                    f"request id {request_id} reused while still in flight"
-                )
-            self._inflight_ids.add(request_id)
+        if request_id in self._inflight_ids:
+            raise ProtocolError(
+                f"request id {request_id} reused while still in flight"
+            )
+        self._inflight_ids.add(request_id)
         key = srv._admit(self, state)
         if key is None:
             self._inflight_ids.discard(request_id)
             self._write_inline_error(
-                state.version,
                 request_id,
                 ServerOverloadedError(
                     f"server {srv.server_id} shed request under load"
@@ -549,9 +518,6 @@ class _AsyncConnection:
         future.add_done_callback(
             lambda f, key=key, rid=request_id: self._job_done(key, rid, f)
         )
-        if state.version < 2:
-            # v1 correlation is by order: strictly one request in flight.
-            await asyncio.shield(future)
 
     def _job_done(self, key: object, request_id: int, future) -> None:
         self.srv._release(key)
@@ -576,12 +542,8 @@ class _AsyncConnection:
         with contextlib.suppress(ConnectionError, OSError):
             self.writer.write(buf)
 
-    def _write_inline_error(
-        self, version: int, request_id: int, exc: ReproError
-    ) -> None:
-        self._write_inline(
-            wire.encode_frame_v(version, wire.R_ERROR, request_id, wire.encode_error(exc))
-        )
+    def _write_inline_error(self, request_id: int, exc: ReproError) -> None:
+        self._write_inline(wire.encode_error_frame(request_id, exc))
 
     async def _write_loop(self) -> None:
         """Drain the worker-reply queue through real socket backpressure."""

@@ -22,17 +22,13 @@ Connection discipline:
   re-raises the server's exception class locally and leaves the
   connection usable (the server answered; nothing is desynchronised).
 
-Mux mode (default): the proxy advertises wire version 2 in the PING
-handshake.  Against a v2 server the connection switches to
-request-id-tagged framing and the proxy becomes **fully concurrent**:
-many threads share the one socket, each request gets a fresh correlation
-id, a dedicated reader thread routes reply frames to per-request queues,
-and streaming fetches interleave freely with other requests.  Pipelined
-uploads (:meth:`RemoteServerProxy.upload_shares_async`) return an ack
-handle instead of blocking a round-trip per batch — this is what lets a
-comm-engine streaming window keep the socket full.  Against a v1-only
-server (or with ``mux=False``) the proxy degrades to the original serial
-one-request-in-flight discipline, byte-identical on the wire.
+The proxy is **fully concurrent**: many threads share the one socket,
+each request gets a fresh correlation id, a dedicated reader thread
+routes reply frames to per-request queues, and streaming fetches
+interleave freely with other requests.  Pipelined uploads
+(:meth:`RemoteServerProxy.upload_shares_async`) return an ack handle
+instead of blocking a round-trip per batch — this is what lets a
+comm-engine streaming window keep the socket full.
 
 When the connection drops — transport error, reconnect, or explicit
 :meth:`close` — **every in-flight request fails fast** with
@@ -65,7 +61,6 @@ from repro.errors import (
     ProtocolError,
 )
 from repro.net import wire
-from repro.net.server import recv_exact
 from repro.obs.trace import current_context
 from repro.server.index import FileEntry
 from repro.server.messages import FileManifest, RecipeEntry, ShareMeta, ShareUpload
@@ -112,7 +107,7 @@ class RemoteCloud:
 
 
 class _PendingReply:
-    """Reply mailbox for one in-flight mux request.
+    """Reply mailbox for one in-flight request.
 
     The reader thread pushes ``(frame_type, payload)`` tuples (several,
     for a streamed fetch) or an exception instance when the connection
@@ -140,15 +135,6 @@ class _PendingReply:
         if isinstance(item, Exception):
             raise item
         return item
-
-
-class _CompletedAck:
-    """Ack handle for the serial path: the upload already happened."""
-
-    __slots__ = ()
-
-    def result(self) -> None:
-        return None
 
 
 class _MuxAck:
@@ -198,28 +184,22 @@ class RemoteServerProxy:
         (re)connect runs the challenge-response handshake right after the
         PING — so a dropped-and-redialled connection is re-authenticated
         before the request that triggered the reconnect is sent.
-    mux:
-        Advertise wire version 2 and multiplex requests over the shared
-        socket when the server agrees (see the module docstring).
-        ``False`` pins the proxy to the serial v1 framing.
     trace:
-        Offer the v2 trace extension in the PING handshake.  When the
+        Offer the trace extension in the PING handshake.  When the
         server accepts, every non-control request frame carries a
         fixed-size trace trailer (the calling thread's context, or
-        zeroes when untraced) — see ``docs/PROTOCOL.md`` §3.1.  Ignored
-        on serial (v1) connections, which never negotiate it.
+        zeroes when untraced) — see ``docs/PROTOCOL.md`` §3.1.
     """
 
     #: Lock discipline (``repro analyze``, LOCK-001): connection identity
-    #: (the socket, the handshake-learned server id, the negotiated wire
-    #: version) and the in-flight request tables are only touched under
+    #: (the socket, the handshake-learned server id, the negotiated trace
+    #: extension) and the in-flight request tables are only touched under
     #: ``_lock`` — the comm engine drives one proxy from several threads,
     #: the reader thread routes replies concurrently, and reconnects must
     #: never interleave with either.
     GUARDED_BY = guarded_by(
         _sock="_lock",
         _server_id="_lock",
-        _version="_lock",
         _trace="_lock",
         _pending="_lock",
         _discard="_lock",
@@ -235,7 +215,6 @@ class RemoteServerProxy:
         timeout: float = 30.0,
         max_frame: int = wire.MAX_FRAME_BYTES,
         credentials: Credentials | None = None,
-        mux: bool = True,
         trace: bool = True,
     ) -> None:
         if isinstance(address, str):
@@ -246,30 +225,22 @@ class RemoteServerProxy:
         self.timeout = timeout
         self.max_frame = max_frame
         self.credentials = credentials
-        self.mux = bool(mux)
-        #: Version advertised in T_PING: mux proxies offer v2, pinned
-        #: proxies offer v1 so the server never upgrades the framing.
-        self._advertise = wire.WIRE_VERSION if self.mux else 1
-        #: Whether to *offer* the trace extension (only meaningful on a
-        #: mux handshake — v1 framing has no room for the trailer).
-        self.trace_enabled = bool(trace) and self.mux
+        #: Whether to *offer* the trace extension in the handshake.
+        self.trace_enabled = bool(trace)
         #: Role granted by the last successful auth handshake (None when
         #: unauthenticated / running against an open server).
         self.role: str | None = None
         self._sock: socket.socket | None = None
         self._lock = threading.RLock()
-        #: Negotiated framing for the current connection (1 until the
-        #: PONG of a mux handshake says otherwise).
-        self._version = 1
         #: Whether the current connection negotiated the trace extension
         #: (the PONG echoed :data:`~repro.net.wire.FLAG_TRACE`).
         self._trace = False
-        #: In-flight mux requests by correlation id.
+        #: In-flight requests by correlation id.
         self._pending: dict[int, _PendingReply] = {}
         #: Abandoned stream ids whose late frames must be swallowed.
         self._discard: set[int] = set()
         self._next_id = 1
-        #: Serialises mux sends so concurrent frames never interleave.
+        #: Serialises sends so concurrent frames never interleave.
         self._send_lock = threading.Lock()
         self._reader: threading.Thread | None = None
         self.cloud = RemoteCloud(
@@ -314,7 +285,6 @@ class RemoteServerProxy:
                 sock.close()
             except OSError:  # pragma: no cover
                 pass
-        self._version = 1
         self._trace = False
         self._discard.clear()
         pending, self._pending = self._pending, {}
@@ -352,7 +322,7 @@ class RemoteServerProxy:
         offered = wire.FLAG_TRACE if self.trace_enabled else 0
         try:
             frame_type, payload = self._roundtrip(
-                wire.T_PING, wire.encode_ping(self._advertise, offered)
+                wire.T_PING, wire.encode_ping(flags=offered)
             )
         except (ConnectionError, socket.timeout, OSError) as exc:
             # A server that accepts then dies before answering the
@@ -376,11 +346,11 @@ class RemoteServerProxy:
                 f"0x{frame_type:02x}"
             )
         version, server_id, accepted = wire.decode_pong(payload)
-        if not 1 <= version <= self._advertise:
+        if version != wire.WIRE_VERSION:
             self._drop()
             raise ProtocolError(
-                f"{self.address_spec} negotiated unsupported wire version "
-                f"{version} (client offered {self._advertise})"
+                f"{self.address_spec} speaks unsupported wire version "
+                f"{version} (this client speaks {wire.WIRE_VERSION})"
             )
         if self._server_id is not None and server_id != self._server_id:
             self._drop()
@@ -389,26 +359,20 @@ class RemoteServerProxy:
                 f"expected {self._server_id}"
             )
         self._server_id = server_id
-        # Both sides switch framing on the PONG boundary (wire.py): every
-        # frame after this point — including the auth exchange — uses the
-        # negotiated framing.  Same boundary for the trace extension: the
-        # server only echoes FLAG_TRACE when it will strip trailers.
-        self._version = version
-        self._trace = (
-            version >= 2 and bool(accepted & offered & wire.FLAG_TRACE)
-        )
+        # The trace extension switches on at the PONG boundary: the server
+        # only echoes FLAG_TRACE when it will strip trailers from here on.
+        self._trace = bool(accepted & offered & wire.FLAG_TRACE)
         if self.credentials is not None:
             self._authenticate()
-        if self._version >= 2:
-            # Handshake + auth ran with direct serial reads; from here the
-            # reader thread owns the receive side of the socket.
-            self._reader = threading.Thread(
-                target=self._reader_loop,
-                args=(self._sock,),
-                name=f"cdstore-mux-reader-{self.host}:{self.port}",
-                daemon=True,
-            )
-            self._reader.start()
+        # Handshake + auth ran with direct serial reads; from here the
+        # reader thread owns the receive side of the socket.
+        self._reader = threading.Thread(
+            target=self._reader_loop,
+            args=(self._sock,),
+            name=f"cdstore-mux-reader-{self.host}:{self.port}",
+            daemon=True,
+        )
+        self._reader.start()
         return self._sock
 
     @requires_lock("_lock")
@@ -467,7 +431,7 @@ class RemoteServerProxy:
     def close(self) -> None:
         """Drop the connection (the next call reconnects) — idempotent.
 
-        In-flight mux requests fail fast with
+        In-flight requests fail fast with
         :class:`~repro.errors.CloudUnavailableError`.
         """
         with self._lock:
@@ -481,61 +445,47 @@ class RemoteServerProxy:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "connected" if self._sock is not None else "idle"
-        mode = f"v{self._version}" if self._sock is not None else "mux" if self.mux else "serial"
-        return f"RemoteServerProxy({self.address_spec!r}, {state}, {mode})"
+        return f"RemoteServerProxy({self.address_spec!r}, {state})"
 
     # ------------------------------------------------------------------
-    # serial request plumbing (v1 connections + the handshake phase)
+    # handshake plumbing (before the reader thread owns the socket)
     # ------------------------------------------------------------------
     @requires_lock("_lock")
     def _roundtrip(self, frame_type: int, payload: bytes) -> tuple[int, bytes]:
-        """Send one request frame, read one reply frame (lock held).
+        """Send one handshake frame, read its reply directly (lock held).
 
-        Only legal while the connection is served serially: v1 framing,
-        or the v2 handshake phase before the reader thread starts.  On a
-        v2 connection each exchange burns a fresh correlation id and
-        checks the echo.
+        Only legal before the reader thread starts.  Each exchange burns
+        a fresh correlation id and checks the echo; id 0 is accepted for
+        an :data:`~repro.net.wire.R_ERROR` only — that is how the server
+        sheds a connection it never served (``max_connections``).
         """
         sock = self._sock
         assert sock is not None
-        payload = self._wrap_trace(frame_type, payload)
-        if self._version >= 2:
-            request_id = self._alloc_id()
-            sock.sendall(
-                wire.encode_mux_frame(frame_type, request_id, payload, self.max_frame)
+        request_id = self._alloc_id()
+        sock.sendall(
+            wire.encode_mux_frame(frame_type, request_id, payload, self.max_frame)
+        )
+        reply_type, reply_id, reply = wire.read_frame_mux(
+            lambda n: wire.recv_exact(sock, n), self.max_frame
+        )
+        self._count_frame(reply)
+        if reply_id != request_id and not (
+            reply_id == 0 and reply_type == wire.R_ERROR
+        ):
+            raise ProtocolError(
+                f"{self.address_spec} answered handshake frame with "
+                f"correlation id {reply_id}, expected {request_id}"
             )
-            reply_type, reply_id, reply = self._read_reply_mux(sock)
-            if reply_id != request_id:
-                raise ProtocolError(
-                    f"{self.address_spec} answered handshake frame with "
-                    f"correlation id {reply_id}, expected {request_id}"
-                )
-            return reply_type, reply
-        sock.sendall(wire.encode_frame(frame_type, payload, self.max_frame))
-        return self._read_reply(sock)
+        return reply_type, reply
 
-    def _read_reply(self, sock: socket.socket) -> tuple[int, bytes]:
-        frame_type, payload = wire.read_frame(
-            lambda n: recv_exact(sock, n), self.max_frame
-        )
-        self.frames_received += 1
-        self.max_reply_frame_bytes = max(
-            self.max_reply_frame_bytes, wire.FRAME_HEADER.size + len(payload)
-        )
-        return frame_type, payload
-
-    def _read_reply_mux(self, sock: socket.socket) -> tuple[int, int, bytes]:
-        frame_type, request_id, payload = wire.read_frame_mux(
-            lambda n: recv_exact(sock, n), self.max_frame
-        )
+    def _count_frame(self, payload: bytes) -> None:
         self.frames_received += 1
         self.max_reply_frame_bytes = max(
             self.max_reply_frame_bytes, wire.MUX_FRAME_HEADER.size + len(payload)
         )
-        return frame_type, request_id, payload
 
     # ------------------------------------------------------------------
-    # mux request plumbing
+    # request plumbing
     # ------------------------------------------------------------------
     @requires_lock("_lock")
     def _wrap_trace(self, frame_type: int, payload: bytes) -> bytes:
@@ -561,8 +511,8 @@ class RemoteServerProxy:
         self._next_id = rid % wire.REQUEST_ID_MAX + 1
         return rid
 
-    def _submit(self, frame_type: int, payload: bytes) -> _PendingReply | None:
-        """Register + send one mux request; ``None`` means use the serial path.
+    def _submit(self, frame_type: int, payload: bytes) -> _PendingReply:
+        """Register + send one request; replies arrive on the handle.
 
         The connection lock covers connect/registration only — the send
         happens under the dedicated send lock so a slow ``sendall`` never
@@ -571,8 +521,6 @@ class RemoteServerProxy:
         """
         with self._lock:
             self._ensure_connected()
-            if self._version < 2:
-                return None
             payload = self._wrap_trace(frame_type, payload)
             handle = _PendingReply(self._alloc_id())
             self._pending[handle.request_id] = handle
@@ -675,7 +623,7 @@ class RemoteServerProxy:
                     self._drop(reason=exc)
 
     def _read_routed_frame(self, sock: socket.socket):
-        """One v2 frame, tolerating idle-timeout ticks with nothing pending.
+        """One frame, tolerating idle-timeout ticks with nothing pending.
 
         Returns ``None`` when the connection was dropped while idle; lets
         the timeout propagate when requests are waiting (that is a real
@@ -707,10 +655,7 @@ class RemoteServerProxy:
             return b"".join(parts)
 
         frame_type, request_id, payload = wire.read_frame_mux(recv, self.max_frame)
-        self.frames_received += 1
-        self.max_reply_frame_bytes = max(
-            self.max_reply_frame_bytes, wire.MUX_FRAME_HEADER.size + len(payload)
-        )
+        self._count_frame(payload)
         return frame_type, request_id, payload
 
     # ------------------------------------------------------------------
@@ -718,29 +663,7 @@ class RemoteServerProxy:
     # ------------------------------------------------------------------
     def _call(self, frame_type: int, payload: bytes, expect: int) -> bytes:
         """One request/reply exchange with typed-error and outage mapping."""
-        handle = self._submit(frame_type, payload)
-        if handle is not None:
-            return self._finish_single(handle, expect)
-        with self._lock:
-            self._ensure_connected()
-            try:
-                reply_type, reply = self._roundtrip(frame_type, payload)
-            except (ConnectionError, socket.timeout, OSError) as exc:
-                # The connection died mid-request: reconnect on the *next*
-                # call; this one reports an outage so failover runs.
-                self._drop(reason=exc)
-                raise CloudUnavailableError(
-                    f"connection to {self.address_spec} dropped: {exc}"
-                ) from exc
-            if reply_type == wire.R_ERROR:
-                raise wire.decode_error(reply)
-            if reply_type != expect:
-                self._drop()
-                raise ProtocolError(
-                    f"{self.address_spec} answered 0x{frame_type:02x} with "
-                    f"unexpected frame 0x{reply_type:02x}"
-                )
-            return reply
+        return self._finish_single(self._submit(frame_type, payload), expect)
 
     def ping(self) -> bool:
         """Cheap liveness probe (connects if needed).
@@ -750,27 +673,13 @@ class RemoteServerProxy:
         credentials DO raise :class:`~repro.errors.AuthError`: the server
         is up and answering, and reporting it as unreachable would send
         the operator debugging the network instead of their secret.
+
+        The probe flows through the reader thread like any other request
+        (no lock is held while waiting, so concurrent requests keep
+        moving).
         """
         try:
-            with self._lock:
-                self._ensure_connected()
-                mux_live = self._version >= 2
-                if not mux_live:
-                    reply_type, payload = self._roundtrip(
-                        wire.T_PING, wire.encode_ping(self._advertise)
-                    )
-                    if reply_type != wire.R_PONG:
-                        self._drop()
-                        return False
-                    wire.decode_pong(payload)
-                    return True
-            # Mux connection: the probe flows through the reader thread
-            # like any other request (the connection lock is not held
-            # while waiting, so concurrent requests keep moving).
-            reply = self._call(
-                wire.T_PING, wire.encode_ping(self._advertise), wire.R_PONG
-            )
-            wire.decode_pong(reply)
+            wire.decode_pong(self._call(wire.T_PING, wire.encode_ping(), wire.R_PONG))
             return True
         except AuthError:
             with self._lock:
@@ -808,26 +717,15 @@ class RemoteServerProxy:
     def upload_shares_async(self, user_id: str, uploads: list[ShareUpload]):
         """Pipelined upload: send now, return an ack handle to wait on.
 
-        On a mux connection the batch goes on the wire immediately and
-        ``handle.result()`` blocks until the server's :data:`~repro.net.
-        wire.R_OK` (re-raising any typed error, mapping transport death
-        to :class:`~repro.errors.CloudUnavailableError`).  Keeping a
-        small window of unacked batches in flight removes the
-        round-trip-per-batch stall from streaming upload windows.  On a
-        serial connection this degrades to a synchronous upload that has
-        already completed by the time the handle is returned.
+        The batch goes on the wire immediately and ``handle.result()``
+        blocks until the server's :data:`~repro.net.wire.R_OK`
+        (re-raising any typed error, mapping transport death to
+        :class:`~repro.errors.CloudUnavailableError`).  Keeping a small
+        window of unacked batches in flight removes the
+        round-trip-per-batch stall from streaming upload windows.
         """
         payload = wire.encode_upload_shares(user_id, uploads)
-        handle = self._submit(wire.T_UPLOAD_SHARES, payload)
-        if handle is None:
-            self._call_serial_ok(wire.T_UPLOAD_SHARES, payload)
-            return _CompletedAck()
-        return _MuxAck(self, handle)
-
-    def _call_serial_ok(self, frame_type: int, payload: bytes) -> None:
-        # _submit already proved the connection is serial; _call will take
-        # the serial branch (mux connections never downgrade mid-life).
-        self._call(frame_type, payload, wire.R_OK)
+        return _MuxAck(self, self._submit(wire.T_UPLOAD_SHARES, payload))
 
     def finalize_file(
         self,
@@ -905,12 +803,10 @@ class RemoteServerProxy:
         prices shares against its own frame budget, so ``budget_bytes``
         and ``cost`` are rejected here rather than silently ignored.
 
-        Mux connections interleave this stream with other requests (its
-        frames are routed by correlation id); abandoning the generator
-        early just parks the id on a discard list so the tail of the
-        stream is swallowed — the connection stays usable.  Serial
-        connections hold the lock across yields, and abandonment drops
-        the connection (unread batches would desynchronise it).
+        The stream interleaves with other requests (its frames are
+        routed by correlation id); abandoning the generator early just
+        parks the id on a discard list so the tail of the stream is
+        swallowed — the connection stays usable.
         """
         if budget_bytes is not None or cost is not None:
             raise ParameterError(
@@ -918,48 +814,61 @@ class RemoteServerProxy:
                 "budget; budget_bytes/cost cannot be set through a proxy"
             )
         self._reject_local_owner(owner)
-        request = wire.encode_fetch_shares(fingerprints)
-        handle = self._submit(wire.T_FETCH_SHARES, request)
-        if handle is None:
-            yield from self._iter_share_batches_serial(request)
-            return
+        return self._stream(
+            wire.T_FETCH_SHARES,
+            wire.encode_fetch_shares(fingerprints),
+            wire.R_SHARE_BATCH,
+            wire.decode_share_batch,
+            wire.R_SHARES_END,
+            wire.decode_shares_end,
+            weigh=len,
+        )
+
+    def _stream(
+        self, frame_type, request, mid_type, decode_mid, end_type, decode_end, weigh
+    ):
+        """Yield the decoded mid-stream frames of one streamed request.
+
+        The server answers ``frame_type`` with zero or more ``mid_type``
+        frames and one ``end_type`` frame whose count must equal the sum
+        of ``weigh(item)`` over what was streamed.
+        """
+        handle = self._submit(frame_type, request)
         streamed = 0
         terminal = False
         try:
             while True:
                 reply_type, payload = self._await_reply(handle)
-                if reply_type == wire.R_SHARE_BATCH:
+                if reply_type == mid_type:
                     try:
-                        batch = wire.decode_share_batch(payload)
+                        item = decode_mid(payload)
                     except ProtocolError:
                         # Malformed frame: the server-side stream state is
                         # unknowable — kill the connection, not just the
                         # request.
                         terminal = True
                         with self._lock:
-                            self._drop(reason="malformed share batch")
+                            self._drop(reason="malformed stream frame")
                         raise
-                    streamed += len(batch)
-                    yield batch
+                    streamed += weigh(item)
+                    yield item
                     continue
-                if reply_type == wire.R_SHARES_END:
-                    terminal = True
-                    total = wire.decode_shares_end(payload)
+                terminal = True
+                if reply_type == end_type:
+                    total = decode_end(payload)
                     if total != streamed:
                         raise ProtocolError(
                             f"{self.address_spec} streamed {streamed} "
-                            f"shares but announced {total}"
+                            f"items but announced {total}"
                         )
                     return
                 if reply_type == wire.R_ERROR:
-                    terminal = True  # in sync: the server answered
-                    raise wire.decode_error(payload)
-                terminal = True
+                    raise wire.decode_error(payload)  # in sync: it answered
                 with self._lock:
                     self._drop(reason=f"unexpected frame 0x{reply_type:02x}")
                 raise ProtocolError(
                     f"{self.address_spec} sent unexpected frame "
-                    f"0x{reply_type:02x} inside a share stream"
+                    f"0x{reply_type:02x} inside a reply stream"
                 )
         except CloudUnavailableError:
             terminal = True  # the connection is already gone
@@ -973,53 +882,6 @@ class RemoteServerProxy:
                     # Abandoned mid-stream: remaining frames for this id
                     # must be swallowed, not treated as unsolicited.
                     self._discard.add(handle.request_id)
-
-    def _iter_share_batches_serial(self, request: bytes):
-        """The v1 path: stream under the connection lock, drop on abandon."""
-        with self._lock:
-            self._ensure_connected()
-            sock = self._sock
-            finished = False
-            try:
-                sock.sendall(
-                    wire.encode_frame(wire.T_FETCH_SHARES, request, self.max_frame)
-                )
-                streamed = 0
-                while True:
-                    reply_type, payload = self._read_reply(sock)
-                    if reply_type == wire.R_SHARE_BATCH:
-                        batch = wire.decode_share_batch(payload)
-                        streamed += len(batch)
-                        yield batch
-                        continue
-                    if reply_type == wire.R_SHARES_END:
-                        total = wire.decode_shares_end(payload)
-                        if total != streamed:
-                            raise ProtocolError(
-                                f"{self.address_spec} streamed {streamed} "
-                                f"shares but announced {total}"
-                            )
-                        finished = True
-                        return
-                    if reply_type == wire.R_ERROR:
-                        finished = True  # in sync: the server answered
-                        raise wire.decode_error(payload)
-                    raise ProtocolError(
-                        f"{self.address_spec} sent unexpected frame "
-                        f"0x{reply_type:02x} inside a share stream"
-                    )
-            except (ConnectionError, socket.timeout, OSError) as exc:
-                finished = True
-                self._drop(reason=exc)
-                raise CloudUnavailableError(
-                    f"connection to {self.address_spec} dropped mid-fetch: {exc}"
-                ) from exc
-            finally:
-                # Early abandonment (GeneratorExit) or a mid-stream decode
-                # error leaves reply frames buffered on the socket; drop it
-                # so the next request cannot read them as its own reply.
-                if not finished:
-                    self._drop()
 
     def delete_file(self, user_id: str, lookup_key: bytes) -> int:
         reply = self._call(
@@ -1086,102 +948,17 @@ class RemoteServerProxy:
         Yields ``(server_id, shares)`` with the shares in sequence order;
         the gateway terminates the stream with a shard count that must
         match what was streamed.  Same interleaving/abandonment rules as
-        :meth:`iter_share_batches`: mux connections park an abandoned
-        stream's id on the discard list, serial connections drop.
+        :meth:`iter_share_batches`.
         """
-        request = wire.encode_gw_window(user_id, lookup_key, window_index)
-        handle = self._submit(wire.T_GW_WINDOW, request)
-        if handle is None:
-            yield from self._iter_window_shards_serial(request)
-            return
-        streamed = 0
-        terminal = False
-        try:
-            while True:
-                reply_type, payload = self._await_reply(handle)
-                if reply_type == wire.R_GW_SHARD:
-                    try:
-                        shard = wire.decode_gw_shard(payload)
-                    except ProtocolError:
-                        terminal = True
-                        with self._lock:
-                            self._drop(reason="malformed gateway shard")
-                        raise
-                    streamed += 1
-                    yield shard
-                    continue
-                if reply_type == wire.R_GW_WINDOW_END:
-                    terminal = True
-                    total = wire.decode_gw_window_end(payload)
-                    if total != streamed:
-                        raise ProtocolError(
-                            f"{self.address_spec} streamed {streamed} "
-                            f"shards but announced {total}"
-                        )
-                    return
-                if reply_type == wire.R_ERROR:
-                    terminal = True  # in sync: the gateway answered
-                    raise wire.decode_error(payload)
-                terminal = True
-                with self._lock:
-                    self._drop(reason=f"unexpected frame 0x{reply_type:02x}")
-                raise ProtocolError(
-                    f"{self.address_spec} sent unexpected frame "
-                    f"0x{reply_type:02x} inside a shard stream"
-                )
-        except CloudUnavailableError:
-            terminal = True  # the connection is already gone
-            raise
-        finally:
-            with self._lock:
-                still_registered = (
-                    self._pending.pop(handle.request_id, None) is not None
-                )
-                if still_registered and not terminal and self._sock is not None:
-                    self._discard.add(handle.request_id)
-
-    def _iter_window_shards_serial(self, request: bytes):
-        """The v1 path: stream under the connection lock, drop on abandon."""
-        with self._lock:
-            self._ensure_connected()
-            sock = self._sock
-            finished = False
-            try:
-                sock.sendall(
-                    wire.encode_frame(wire.T_GW_WINDOW, request, self.max_frame)
-                )
-                streamed = 0
-                while True:
-                    reply_type, payload = self._read_reply(sock)
-                    if reply_type == wire.R_GW_SHARD:
-                        streamed += 1
-                        yield wire.decode_gw_shard(payload)
-                        continue
-                    if reply_type == wire.R_GW_WINDOW_END:
-                        total = wire.decode_gw_window_end(payload)
-                        if total != streamed:
-                            raise ProtocolError(
-                                f"{self.address_spec} streamed {streamed} "
-                                f"shards but announced {total}"
-                            )
-                        finished = True
-                        return
-                    if reply_type == wire.R_ERROR:
-                        finished = True  # in sync: the gateway answered
-                        raise wire.decode_error(payload)
-                    raise ProtocolError(
-                        f"{self.address_spec} sent unexpected frame "
-                        f"0x{reply_type:02x} inside a shard stream"
-                    )
-            except (ConnectionError, socket.timeout, OSError) as exc:
-                finished = True
-                self._drop(reason=exc)
-                raise CloudUnavailableError(
-                    f"connection to {self.address_spec} dropped mid-fetch: {exc}"
-                ) from exc
-            finally:
-                if not finished:
-                    self._drop()
+        return self._stream(
+            wire.T_GW_WINDOW,
+            wire.encode_gw_window(user_id, lookup_key, window_index),
+            wire.R_GW_SHARD,
+            wire.decode_gw_shard,
+            wire.R_GW_WINDOW_END,
+            wire.decode_gw_window_end,
+            weigh=lambda shard: 1,
+        )
 
     @property
     def stats(self) -> DedupStats:

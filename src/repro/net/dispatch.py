@@ -6,15 +6,14 @@ Both network front-ends — the thread-per-connection
 frames with the same auth, tenancy, rate-limit and streaming rules.  That
 shared core lives here: a :class:`FrameDispatcher` turns one decoded
 request frame into reply ``(frame_type, payload)`` tuples, leaving the
-*framing* (v1 vs request-id-tagged v2 headers) and the I/O model to the
-front-end that owns the socket.
+frame headers (request-id echo) and the I/O model to the front-end that
+owns the socket.
 
-Version negotiation also happens here because it is a protocol rule, not
-a transport detail: :data:`~repro.net.wire.T_PING` carries the client's
-highest version, the dispatcher records ``negotiate_version(...)`` on the
-:class:`ConnState`, and the front-end calls
-:meth:`ConnState.apply_negotiation` *after* the PONG is on the wire so
-both sides switch framing on the same frame boundary.
+The version check also happens here because it is a protocol rule, not a
+transport detail: :data:`~repro.net.wire.T_PING` carries the client's
+wire version, and any value other than
+:data:`~repro.net.wire.WIRE_VERSION` is answered with a typed
+:class:`~repro.errors.ProtocolError`.
 
 ``fetch_shares`` replies are **streamed**: the dispatcher walks
 :meth:`~repro.server.server.CDStoreServer.iter_share_batches` and emits
@@ -89,51 +88,27 @@ _RATE_LIMITED = REGISTRY.counter(
 
 
 class ConnState:
-    """Per-connection protocol state (auth progress + negotiated version).
+    """Per-connection protocol state (auth progress + trace extension).
 
     Owned by whichever execution context serves the connection serially
     for control frames (a handler thread, or the event loop); API-frame
     workers only *read* the auth fields after the handshake settled.
     """
 
-    __slots__ = (
-        "tenant", "role", "pending", "version", "trace",
-        "_negotiated", "_trace_pending",
-    )
+    __slots__ = ("tenant", "role", "pending", "trace")
 
     def __init__(self) -> None:
         self.tenant: str | None = None
         self.role: str | None = None
         #: In-flight handshake: ``(tenant_id, client_nonce, server_nonce)``.
         self.pending: tuple[str, bytes, bytes] | None = None
-        #: Framing currently in force.  Every connection starts v1; the
-        #: PING/PONG negotiation may upgrade it (never downgrade).
-        self.version: int = 1
         #: Trace extension in force: every non-control request frame
         #: carries a :data:`~repro.net.wire.TRACE_CONTEXT_SIZE`-byte
-        #: trailer.  Negotiated via :data:`~repro.net.wire.FLAG_TRACE`
-        #: on the same PONG boundary as the framing upgrade.
+        #: trailer.  Switched on by the PING that negotiated
+        #: :data:`~repro.net.wire.FLAG_TRACE` (so from the PONG onwards)
+        #: and never off again — a later flagless PING must not
+        #: desynchronise trailers already in flight.
         self.trace: bool = False
-        self._negotiated: int | None = None
-        self._trace_pending: bool = False
-
-    def apply_negotiation(self) -> None:
-        """Switch framing to the negotiated version (post-PONG, once).
-
-        Called by the front-end after the PONG frame is written out: the
-        reply to the PING itself is always framed in the version the PING
-        arrived under, and only *subsequent* frames use the upgrade.
-        A later PING on an already-upgraded connection cannot downgrade
-        it — that would desynchronise frames already in flight.  The
-        trace extension switches on at the same boundary (and, once on,
-        never off — same no-downgrade rule).
-        """
-        if self._negotiated is not None:
-            self.version = max(self.version, self._negotiated)
-            self._negotiated = None
-            if self._trace_pending:
-                self.trace = True
-                self._trace_pending = False
 
 
 class FrameDispatcher:
@@ -316,8 +291,7 @@ class FrameDispatcher:
 
         A generator so the streaming ``fetch_shares`` reply materialises
         one bounded frame at a time; every other request yields exactly
-        one tuple.  The caller frames each tuple for the connection's
-        negotiated version (and, on v2, echoes the request id).
+        one tuple.  The caller frames each tuple, echoing the request id.
 
         Observability wrapper: on trace-negotiated connections the
         :data:`~repro.net.wire.TRACE_CONTEXT_SIZE`-byte trailer is
@@ -344,24 +318,23 @@ class FrameDispatcher:
         server = self.server
         if frame_type == wire.T_PING:
             # Liveness stays unauthenticated: failover probes must work
-            # before (and without) credentials.  The PONG answers with the
-            # negotiated version; the framing upgrade is applied by the
-            # front-end once the PONG is out (ConnState.apply_negotiation).
+            # before (and without) credentials.
             advertised, ping_flags = wire.decode_ping(payload)
-            negotiated = wire.negotiate_version(advertised)
-            state._negotiated = negotiated
+            if advertised != wire.WIRE_VERSION:
+                raise ProtocolError(
+                    f"unsupported wire version {advertised} "
+                    f"(this server speaks {wire.WIRE_VERSION})"
+                )
             accepted = 0
-            if (
-                self.trace_enabled
-                and negotiated >= 2
-                and ping_flags & wire.FLAG_TRACE
-            ):
+            if self.trace_enabled and ping_flags & wire.FLAG_TRACE:
                 accepted |= wire.FLAG_TRACE
-            state._trace_pending = bool(accepted & wire.FLAG_TRACE)
+                # PING is a control frame and never carries the trailer,
+                # so the first frame affected is the one after the PONG.
+                state.trace = True
             server_id = (
                 server.server_id if server is not None else wire.GATEWAY_SERVER_ID
             )
-            yield wire.R_PONG, wire.encode_pong(server_id, negotiated, accepted)
+            yield wire.R_PONG, wire.encode_pong(server_id, wire.WIRE_VERSION, accepted)
         elif frame_type == wire.T_AUTH:
             yield from self._handle_auth(state, payload)
         elif frame_type == wire.T_AUTH_PROOF:
@@ -436,9 +409,8 @@ class FrameDispatcher:
             self._authorize(state, frame_type)
             total = 0
             # Price each share at its full wire cost and leave room for the
-            # largest frame header + count word, so a maximally-packed batch
-            # still serialises to a frame of at most frame_budget bytes in
-            # either framing.
+            # frame header + count word, so a maximally-packed batch still
+            # serialises to a frame of at most frame_budget bytes.
             batch_budget = max(
                 1, self.frame_budget - wire.MUX_FRAME_HEADER.size - 4
             )

@@ -16,12 +16,12 @@ executor.  Both front-ends answer frames through the same
 :class:`~repro.net.dispatch.FrameDispatcher`, so protocol behaviour —
 auth, tenancy, rate limits, streamed fetches — is identical.
 
-This server speaks both wire framings: connections start in v1 and may
-negotiate the request-id-tagged v2 framing via PING/PONG (see
-:mod:`repro.net.wire`).  Requests are still served strictly in order —
-one request in flight per connection — which is a degenerate but valid
-mux schedule: every reply simply echoes the id of the request it answers,
-so a mux-mode client works unchanged against this server.
+Requests are served strictly in order — one request in flight per
+connection — which is a degenerate but valid schedule of the
+request-id-tagged framing (see :mod:`repro.net.wire`): every reply simply
+echoes the id of the request it answers, so the multiplexing
+:class:`~repro.net.client.RemoteServerProxy` works unchanged against this
+server.
 
 Error discipline: a :class:`~repro.errors.ReproError` is a *protocol
 answer* (typed :data:`~repro.net.wire.R_ERROR` frame, connection stays
@@ -44,7 +44,7 @@ from repro.obs.registry import REGISTRY
 from repro.server.server import CDStoreServer, FETCH_BATCH_BYTES
 from repro.tenants import TenantRegistry
 
-__all__ = ["ADMIN_FRAMES", "CDStoreTCPServer", "recv_exact"]
+__all__ = ["ADMIN_FRAMES", "CDStoreTCPServer"]
 
 logger = logging.getLogger(__name__)
 
@@ -54,19 +54,6 @@ logger = logging.getLogger(__name__)
 _TCP_CONNECTIONS = REGISTRY.gauge(
     "net_tcp_connections", "Open connections per threaded front-end"
 )
-
-
-def recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise :class:`ConnectionError` on EOF."""
-    parts = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            raise ConnectionError("peer closed the connection mid-frame")
-        parts.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(parts)
 
 
 class CDStoreTCPServer:
@@ -265,32 +252,28 @@ class CDStoreTCPServer:
         try:
             while not self._stopped.is_set():
                 try:
-                    frame_type, request_id, payload = wire.read_frame_v(
-                        lambda n: recv_exact(conn, n), state.version, self.max_frame
+                    frame_type, request_id, payload = wire.read_frame_mux(
+                        lambda n: wire.recv_exact(conn, n), self.max_frame
                     )
                 except (ConnectionError, OSError):
                     return  # client went away between requests
                 except ReproError as exc:
                     # Bad magic / oversized length: the stream cannot be
-                    # resynchronised — answer typed, then hang up.
-                    conn.sendall(self._error_frame(state, 0, exc))
+                    # resynchronised — answer typed (connection-level, so
+                    # request id 0), then hang up.
+                    conn.sendall(wire.encode_error_frame(0, exc))
                     return
                 try:
                     for reply_type, reply in self._dispatcher.dispatch(
                         state, frame_type, payload
                     ):
                         conn.sendall(
-                            wire.encode_frame_v(
-                                state.version, reply_type, request_id, reply
-                            )
+                            wire.encode_mux_frame(reply_type, request_id, reply)
                         )
-                    # The framing upgrade (if the frame was a PING that
-                    # negotiated v2) applies only after the PONG is out.
-                    state.apply_negotiation()
                 except ReproError as exc:
                     # A typed, *answerable* failure: report it in-band and
                     # keep serving this connection.
-                    conn.sendall(self._error_frame(state, request_id, exc))
+                    conn.sendall(wire.encode_error_frame(request_id, exc))
                 except (ConnectionError, OSError):
                     return
         except Exception:  # noqa: BLE001 - server bug: drop the connection
@@ -313,8 +296,3 @@ class CDStoreTCPServer:
                 conn.close()
             except OSError:  # pragma: no cover
                 pass
-
-    def _error_frame(self, state: ConnState, request_id: int, exc: ReproError) -> bytes:
-        return wire.encode_frame_v(
-            state.version, wire.R_ERROR, request_id, wire.encode_error(exc)
-        )

@@ -2,11 +2,10 @@
 
 Everything crossing a socket between a :class:`~repro.net.client.
 RemoteServerProxy` and a :class:`~repro.net.server.CDStoreTCPServer` (or
-:class:`~repro.net.async_server.AsyncCDStoreTCPServer`) is a **frame**.
-Two framings exist, selected per connection by version negotiation:
+:class:`~repro.net.async_server.AsyncCDStoreTCPServer`) is a **frame**,
+in one framing from the connection's first byte:
 
-    v1:  u16 magic | u8 type | u32 length | length bytes of payload
-    v2:  u16 magic | u8 type | u32 request_id | u32 length | payload
+    u16 magic | u8 type | u32 request_id | u32 length | length bytes of payload
 
 The magic word catches stream desynchronisation immediately (a frame read
 mid-payload fails loudly instead of interpreting share bytes as headers),
@@ -14,15 +13,14 @@ the type selects one codec below, and the length is bounded by
 ``max_frame`` on both ends — a malicious or corrupted peer cannot make the
 receiver allocate an arbitrary buffer.
 
-The v2 ``request_id`` is a correlation id: the server echoes a request's
-id on every frame it emits for that request, so one socket can carry many
-concurrent in-flight requests (mux mode) and the client routes replies by
-id instead of by arrival order.  A connection always *starts* in v1
-framing; the client advertises the highest version it speaks in
-:data:`T_PING` and the server answers :data:`R_PONG` carrying
-``negotiate_version(client_version)``.  Both sides switch to v2 framing
-immediately after the PONG iff the negotiated version is ≥ 2 — an old v1
-peer on either end simply keeps the v1 framing forever.
+The ``request_id`` is a correlation id: the server echoes a request's
+id on every frame it emits for that request, so one socket carries many
+concurrent in-flight requests and the client routes replies by id
+instead of by arrival order.  Id 0 is the server's for connection-level
+errors that answer no particular request.  The first exchange is
+:data:`T_PING` / :data:`R_PONG`; both carry :data:`WIRE_VERSION`, and a
+peer advertising any other version is answered with a typed
+:class:`~repro.errors.ProtocolError`.
 
 Payload codecs cover the full :class:`~repro.server.server.CDStoreServer`
 surface and reuse the ``pack``/``unpack`` structs of
@@ -43,6 +41,7 @@ is a one-place change and the numbers never shift.
 from __future__ import annotations
 
 import json
+import socket
 import struct
 from typing import Callable
 
@@ -61,7 +60,6 @@ __all__ = [
     "AUTH_PROOF_SIZE",
     "CONTROL_FRAMES",
     "FLAG_TRACE",
-    "FRAME_HEADER",
     "GATEWAY_FRAMES",
     "GATEWAY_SERVER_ID",
     "LOCAL_ONLY_METHODS",
@@ -74,31 +72,24 @@ __all__ = [
     "TRACE_CONTEXT_SIZE",
     "WIRE_VERSION",
     "decode_error",
-    "decode_frames",
+    "decode_header",
     "encode_error",
-    "encode_frame",
-    "encode_frame_v",
+    "encode_error_frame",
     "encode_mux_frame",
     "encode_trace_context",
     "frame_name",
-    "negotiate_version",
-    "read_frame",
     "read_frame_mux",
-    "read_frame_v",
+    "recv_exact",
     "split_trace_context",
 ]
 
-#: Highest protocol revision this build speaks.  Version 1 is the serial
-#: length-prefixed framing; version 2 adds the ``u32 request_id`` word so
-#: one socket multiplexes concurrent requests.  The version actually used
-#: by a connection is negotiated in the PING/PONG handshake
-#: (:func:`negotiate_version`), never assumed.
+#: The one protocol revision this build speaks (version 1, a serial
+#: framing without the ``u32 request_id`` word, is retired).  Both
+#: handshake frames carry it and each side checks the other's.
 WIRE_VERSION = 2
 
 _FRAME_MAGIC = 0xCD5E
-#: v1 frame header: magic | frame type | payload length.
-FRAME_HEADER = struct.Struct(">HBI")
-#: v2 frame header: magic | frame type | request id | payload length.
+#: Frame header: magic | frame type | request id | payload length.
 MUX_FRAME_HEADER = struct.Struct(">HBII")
 
 #: Request ids are u32; the client allocator wraps at this bound.
@@ -276,132 +267,77 @@ def decode_error(payload: bytes) -> ReproError:
 # ---------------------------------------------------------------------------
 
 
-def negotiate_version(peer_version: int) -> int:
-    """The version a connection runs after the peer advertised ``peer_version``.
-
-    Both directions degrade gracefully: a newer peer is capped at our
-    :data:`WIRE_VERSION`, an older (or nonsense-zero) peer keeps v1.
-    """
-    return max(1, min(int(peer_version), WIRE_VERSION))
-
-
-def _check_payload(payload: bytes, max_frame: int) -> bytes:
-    if len(payload) > max_frame:
-        raise ProtocolError(
-            f"frame payload of {len(payload)} bytes exceeds the "
-            f"{max_frame}-byte cap"
-        )
-    return payload
-
-
-def encode_frame(
-    frame_type: int, payload: bytes = b"", max_frame: int = MAX_FRAME_BYTES
-) -> bytes:
-    """One complete v1 frame, ready for the socket."""
-    _check_payload(payload, max_frame)
-    return FRAME_HEADER.pack(_FRAME_MAGIC, frame_type, len(payload)) + payload
-
-
 def encode_mux_frame(
     frame_type: int,
     request_id: int,
     payload: bytes = b"",
     max_frame: int = MAX_FRAME_BYTES,
 ) -> bytes:
-    """One complete v2 (request-id-tagged) frame, ready for the socket."""
+    """One complete request-id-tagged frame, ready for the socket."""
     if not 0 <= request_id <= REQUEST_ID_MAX:
         raise ProtocolError(f"request id {request_id} outside u32 range")
-    _check_payload(payload, max_frame)
+    if len(payload) > max_frame:
+        raise ProtocolError(
+            f"frame payload of {len(payload)} bytes exceeds the "
+            f"{max_frame}-byte cap"
+        )
     return (
         MUX_FRAME_HEADER.pack(_FRAME_MAGIC, frame_type, request_id, len(payload))
         + payload
     )
 
 
-def encode_frame_v(
-    version: int,
-    frame_type: int,
-    request_id: int,
-    payload: bytes = b"",
-    max_frame: int = MAX_FRAME_BYTES,
-) -> bytes:
-    """Frame ``payload`` in the negotiated ``version``'s framing.
+def encode_error_frame(request_id: int, exc: ReproError) -> bytes:
+    """One complete :data:`R_ERROR` frame answering ``request_id``.
 
-    v1 framing has no request-id word, so ``request_id`` is dropped there
-    (v1 connections are strictly serial — correlation is by order).
+    ``request_id`` 0 marks a connection-level error (connection cap,
+    bad magic, oversized length) that answers no particular request.
     """
-    if version >= 2:
-        return encode_mux_frame(frame_type, request_id, payload, max_frame)
-    return encode_frame(frame_type, payload, max_frame)
+    return encode_mux_frame(R_ERROR, request_id, encode_error(exc))
 
 
-def read_frame(
-    recv_exact: Callable[[int], bytes], max_frame: int = MAX_FRAME_BYTES
-) -> tuple[int, bytes]:
-    """Read one v1 frame via ``recv_exact(n) -> exactly n bytes``.
+def decode_header(raw: bytes, max_frame: int = MAX_FRAME_BYTES) -> tuple[int, int, int]:
+    """Parse one frame header; returns ``(type, request_id, length)``.
 
-    ``recv_exact`` raises :class:`ConnectionError` on EOF; this function
-    raises :class:`ProtocolError` on a bad magic word or an oversized
-    length *before* reading the payload, so a hostile length field never
+    Raises :class:`ProtocolError` on a bad magic word or an oversized
+    length *before* the payload is read, so a hostile length field never
     drives an allocation.
     """
-    magic, frame_type, length = FRAME_HEADER.unpack(recv_exact(FRAME_HEADER.size))
-    _check_header(magic, length, max_frame)
-    return frame_type, recv_exact(length) if length else b""
-
-
-def read_frame_mux(
-    recv_exact: Callable[[int], bytes], max_frame: int = MAX_FRAME_BYTES
-) -> tuple[int, int, bytes]:
-    """Read one v2 frame; returns ``(type, request_id, payload)``."""
-    magic, frame_type, request_id, length = MUX_FRAME_HEADER.unpack(
-        recv_exact(MUX_FRAME_HEADER.size)
-    )
-    _check_header(magic, length, max_frame)
-    return frame_type, request_id, recv_exact(length) if length else b""
-
-
-def read_frame_v(
-    recv_exact: Callable[[int], bytes],
-    version: int,
-    max_frame: int = MAX_FRAME_BYTES,
-) -> tuple[int, int, bytes]:
-    """Read one frame in the negotiated ``version``'s framing.
-
-    Returns ``(type, request_id, payload)``; v1 frames carry no id and
-    report ``request_id == 0``.
-    """
-    if version >= 2:
-        return read_frame_mux(recv_exact, max_frame)
-    frame_type, payload = read_frame(recv_exact, max_frame)
-    return frame_type, 0, payload
-
-
-def _check_header(magic: int, length: int, max_frame: int) -> None:
+    magic, frame_type, request_id, length = MUX_FRAME_HEADER.unpack(raw)
     if magic != _FRAME_MAGIC:
         raise ProtocolError(f"bad frame magic 0x{magic:04x} (desynchronised?)")
     if length > max_frame:
         raise ProtocolError(
             f"incoming frame of {length} bytes exceeds the {max_frame}-byte cap"
         )
+    return frame_type, request_id, length
 
 
-def decode_frames(blob: bytes, max_frame: int = MAX_FRAME_BYTES) -> list[tuple[int, bytes]]:
-    """Split a byte string into ``(type, payload)`` frames (tests, buffers)."""
-    frames = []
-    pos = 0
+def read_frame_mux(
+    recv: Callable[[int], bytes], max_frame: int = MAX_FRAME_BYTES
+) -> tuple[int, int, bytes]:
+    """Read one frame via ``recv(n) -> exactly n bytes``.
 
-    def recv_exact(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise ProtocolError("frame stream truncated")
-        out = blob[pos : pos + n]
-        pos += n
-        return out
+    Returns ``(type, request_id, payload)``; ``recv`` raises
+    :class:`ConnectionError` on EOF (see :func:`recv_exact`).
+    """
+    frame_type, request_id, length = decode_header(
+        recv(MUX_FRAME_HEADER.size), max_frame
+    )
+    return frame_type, request_id, recv(length) if length else b""
 
-    while pos < len(blob):
-        frames.append(read_frame(recv_exact, max_frame))
-    return frames
+
+def recv_exact(sock: socket.socket, n: int) -> bytes:
+    """Read exactly ``n`` bytes or raise :class:`ConnectionError` on EOF."""
+    parts = []
+    remaining = n
+    while remaining:
+        chunk = sock.recv(min(remaining, 1 << 20))
+        if not chunk:
+            raise ConnectionError("peer closed the connection mid-frame")
+        parts.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -476,17 +412,16 @@ def _check_fp(fp: bytes) -> bytes:
 #: PING/PONG capability flag: the sender supports the per-request trace
 #: extension (:data:`TRACE_CONTEXT_SIZE`-byte trailer on request frames).
 #: Carried in the optional trailing flags byte of both handshake frames;
-#: a peer that omits the byte — every v1 and older-v2 build — advertises
-#: nothing, so negotiation degrades to "no trace" with no special case.
+#: a peer that omits the byte advertises nothing, so negotiation degrades
+#: to "no trace" with no special case.
 FLAG_TRACE = 0x01
 
 
 def encode_ping(version: int = WIRE_VERSION, flags: int = 0) -> bytes:
-    """T_PING carries the highest wire version the client speaks.
+    """T_PING carries the wire version the client speaks.
 
     ``flags`` (capability bits, :data:`FLAG_TRACE`) ride in an optional
-    trailing byte appended only when nonzero, so a client with nothing
-    to advertise emits the byte-identical legacy payload.
+    trailing byte appended only when nonzero.
     """
     blob = struct.pack(">H", version)
     if flags:
@@ -495,7 +430,7 @@ def encode_ping(version: int = WIRE_VERSION, flags: int = 0) -> bytes:
 
 
 def decode_ping(payload: bytes) -> tuple[int, int]:
-    """Returns ``(version, flags)``; a legacy 2-byte PING has flags 0."""
+    """Returns ``(version, flags)``; a 2-byte PING has flags 0."""
     reader = _Reader(payload)
     version = struct.unpack(">H", reader.take(2))[0]
     flags = reader.u8() if len(payload) > 2 else 0
@@ -504,7 +439,7 @@ def decode_ping(payload: bytes) -> tuple[int, int]:
 
 
 def encode_pong(server_id: int, version: int = WIRE_VERSION, flags: int = 0) -> bytes:
-    """R_PONG answers with the *negotiated* version for this connection.
+    """R_PONG answers with the server's wire version and cloud index.
 
     ``flags`` echoes the capabilities the server *accepted* (a subset of
     the PING's), in the same optional-trailing-byte shape.
@@ -516,7 +451,7 @@ def encode_pong(server_id: int, version: int = WIRE_VERSION, flags: int = 0) -> 
 
 
 def decode_pong(payload: bytes) -> tuple[int, int, int]:
-    """Returns ``(version, server_id, flags)``; legacy PONGs have flags 0."""
+    """Returns ``(version, server_id, flags)``; a 6-byte PONG has flags 0."""
     reader = _Reader(payload)
     version, server_id = struct.unpack(">HI", reader.take(6))
     flags = reader.u8() if len(payload) > 6 else 0
@@ -525,7 +460,7 @@ def decode_pong(payload: bytes) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# trace extension (wire v2, negotiated via FLAG_TRACE)
+# trace extension (negotiated via FLAG_TRACE)
 # ---------------------------------------------------------------------------
 
 #: Bytes of the per-request trace trailer: 16-byte trace id + u64 parent

@@ -12,7 +12,7 @@ nothing from the serving layers, so every layer can import them):
   :data:`~repro.obs.registry.REGISTRY`.
 * :mod:`repro.obs.trace` — request tracing: trace ids minted at
   :class:`~repro.client.client.CDStoreClient` entry points, carried in
-  the wire v2 trace extension, recorded as :class:`~repro.obs.trace.
+  the wire trace extension, recorded as :class:`~repro.obs.trace.
   Span` rows in bounded per-component ring buffers, with a structured
   slow-request log above a configurable threshold.
 * :mod:`repro.obs.log` — structured event logging (human one-liners by

@@ -9,7 +9,7 @@ model is deliberately small:
 * each unit of work along the way records a :class:`Span` — component,
   name, start time, duration, the trace id, and its parent span id —
   into the component's bounded :class:`SpanRecorder` ring;
-* across the wire the ``(trace id, span id)`` pair rides the v2 trace
+* across the wire the ``(trace id, span id)`` pair rides the trace
   extension (see ``docs/PROTOCOL.md``): the client proxy appends it to
   request frames, the dispatcher strips it and activates it for the
   handler — so a gateway calling replicas in the same thread propagates

@@ -78,11 +78,6 @@ class CDStoreSystem:
         ``threads=1``, and ``"auto"`` derives the depth from measured
         encode/wire rates at the first upload.  Individual :meth:`client`
         calls may override it.
-    mux:
-        Multiplex remote-cloud connections (wire v2): one socket per
-        cloud carries concurrent requests and pipelined upload acks.
-        Ignored for local clouds; proxies degrade to serial framing
-        against v1 servers.  ``False`` pins proxies to the v1 protocol.
     clock:
         Optional simulated clock shared by all clients.  Each operation
         adds its own span (per-cloud makespan when the client is
@@ -117,7 +112,6 @@ class CDStoreSystem:
         pipeline_depth: int | str = 1,
         clock: SimClock | None = None,
         credentials: Credentials | None = None,
-        mux: bool = True,
         gateway=None,
         obs: ObsSpec | None = None,
     ) -> None:
@@ -133,7 +127,6 @@ class CDStoreSystem:
         self.threads = threads
         self.workers = workers
         self.pipeline_depth = pipeline_depth
-        self.mux = bool(mux)
         #: Observability shape every client and proxy this system
         #: builds inherits (tracing on by default).
         self.obs = obs if obs is not None else ObsSpec()
@@ -163,7 +156,6 @@ class CDStoreSystem:
                     spec,
                     server_id=i,
                     credentials=credentials,
-                    mux=self.mux,
                     trace=self.obs.enabled and self.obs.trace,
                 )
                 self.remote_indices.add(i)
@@ -189,7 +181,6 @@ class CDStoreSystem:
                 endpoint,
                 server_id=wire.GATEWAY_SERVER_ID,
                 credentials=credentials,
-                mux=self.mux,
                 trace=self.obs.enabled and self.obs.trace,
             )
         self._clients: dict[str, CDStoreClient] = {}
@@ -250,7 +241,6 @@ class CDStoreSystem:
             pipeline_depth=config.pipeline_depth,
             clock=clock,
             credentials=credentials,
-            mux=config.mux,
             gateway=config.gateway,
             obs=config.obs,
         )

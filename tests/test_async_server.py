@@ -11,6 +11,7 @@ in-flight requests when the connection dies mid-mux.
 from __future__ import annotations
 
 import socket
+import struct
 import threading
 import time
 
@@ -27,7 +28,12 @@ from repro.errors import (
     ProtocolError,
     ServerOverloadedError,
 )
-from repro.net import AsyncCDStoreTCPServer, RemoteServerProxy, wire
+from repro.net import (
+    AsyncCDStoreTCPServer,
+    CDStoreTCPServer,
+    RemoteServerProxy,
+    wire,
+)
 from repro.server.messages import ShareMeta, ShareUpload
 from repro.server.server import CDStoreServer
 
@@ -144,27 +150,86 @@ def seed_shares(server, count: int, size: int, user="alice") -> list[bytes]:
 # ---------------------------------------------------------------------------
 
 
-def connect_raw(tcp, advertise: int = wire.WIRE_VERSION, timeout: float = 10.0):
-    """Dial the server, run the PING handshake, return (sock, version)."""
+def connect_raw(tcp, timeout: float = 10.0):
+    """Dial the server, run the PING handshake, return the socket."""
     sock = socket.create_connection(tcp.address, timeout=timeout)
-    sock.sendall(wire.encode_frame(wire.T_PING, wire.encode_ping(advertise)))
-    frame_type, _rid, pong = read_raw_frame(sock, version=1)
-    assert frame_type == wire.R_PONG
+    sock.sendall(wire.encode_mux_frame(wire.T_PING, 1, wire.encode_ping()))
+    frame_type, rid, pong = read_raw_frame(sock)
+    assert (frame_type, rid) == (wire.R_PONG, 1)
     version, _server_id, _flags = wire.decode_pong(pong)
-    return sock, version
+    assert version == wire.WIRE_VERSION
+    return sock
 
 
-def read_raw_frame(sock, version: int):
-    def recv_exact(n: int) -> bytes:
-        buf = b""
-        while len(buf) < n:
-            chunk = sock.recv(n - len(buf))
-            if not chunk:
-                raise ConnectionError("EOF")
-            buf += chunk
-        return buf
+def read_raw_frame(sock):
+    return wire.read_frame_mux(lambda n: wire.recv_exact(sock, n))
 
-    return wire.read_frame_v(recv_exact, version)
+
+def drain_until_close(sock) -> bytes:
+    """Everything the server still sends; a socket timeout fails the test."""
+    chunks = []
+    while True:
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:
+            chunk = b""
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+# ---------------------------------------------------------------------------
+# the retired 7-byte framing and version 1 (both front-ends)
+# ---------------------------------------------------------------------------
+
+#: Wire v1 as it was: ``magic:u16 type:u8 length:u32``, no request id.
+V1_HEADER = struct.Struct(">HBI")
+
+
+def v1_frame(frame_type: int, payload: bytes = b"") -> bytes:
+    return V1_HEADER.pack(0xCD5E, frame_type, len(payload)) + payload
+
+
+@pytest.fixture(params=[CDStoreTCPServer, AsyncCDStoreTCPServer],
+                ids=["thread", "async"])
+def front_end(request):
+    with request.param(make_servers(1)[0]) as tcp:
+        yield tcp
+
+
+class TestRetiredFraming:
+    """A peer still speaking wire v1 gets a typed error or a clean close
+    within the socket timeout — never a reply in the old framing."""
+
+    @pytest.mark.parametrize("sent", [
+        v1_frame(wire.T_PING, wire.encode_ping()),
+        v1_frame(wire.T_PING, wire.encode_ping()) + v1_frame(wire.T_STATS),
+        wire.encode_mux_frame(wire.T_PING, 1, wire.encode_ping())[:5],
+    ], ids=["v1-ping", "v1-ping-then-request", "truncated-header"])
+    def test_old_or_cut_off_first_frame_never_gets_an_old_reply(
+        self, front_end, sent
+    ):
+        with socket.create_connection(front_end.address, timeout=5) as sock:
+            sock.sendall(sent)
+            sock.shutdown(socket.SHUT_WR)
+            answer = drain_until_close(sock)
+        # Whatever came back parses as 11-byte-header R_ERROR frames.
+        pos = 0
+        while pos < len(answer):
+            header = answer[pos:pos + wire.MUX_FRAME_HEADER.size]
+            frame_type, _rid, length = wire.decode_header(header)
+            pos += len(header) + length
+            assert frame_type == wire.R_ERROR
+        assert pos == len(answer)
+
+    def test_ping_advertising_version_1_is_a_typed_error(self, front_end):
+        with socket.create_connection(front_end.address, timeout=5) as sock:
+            sock.sendall(wire.encode_mux_frame(wire.T_PING, 9, wire.encode_ping(1)))
+            frame_type, rid, body = read_raw_frame(sock)
+        assert (frame_type, rid) == (wire.R_ERROR, 9)
+        exc = wire.decode_error(body)
+        assert isinstance(exc, ProtocolError)
+        assert "version 1" in str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +251,6 @@ class TestAsyncCrossTransport:
         local = make_client(servers)
         assert local.download("/backup/blob") == data
         local.close()
-
-    def test_serial_v1_proxy_interoperates(self, aserved):
-        """A mux=False proxy speaks classic v1 framing; the async server
-        serves it strictly serially but otherwise identically."""
-        _servers, tcps, _proxies = aserved
-        proxies = [proxy_for(t, server_id=i, mux=False)
-                   for i, t in enumerate(tcps)]
-        try:
-            data = payload(60_000, seed=11)
-            client = make_client(proxies, user="bob")
-            client.upload("/f", data)
-            client.flush()
-            assert client.download("/f") == data
-            client.close()
-        finally:
-            for proxy in proxies:
-                proxy.close()
 
     def test_typed_errors_cross_the_wire(self, aserved):
         from repro.errors import NotFoundError
@@ -293,8 +341,7 @@ class TestMuxSemantics:
         violation: typed R_ERROR, then the server hangs up."""
         server = GatedServer(make_servers(1)[0])
         with AsyncCDStoreTCPServer(server, executor_size=4) as tcp:
-            sock, version = connect_raw(tcp)
-            assert version == 2
+            sock = connect_raw(tcp)
             request = wire.encode_user("alice")
             try:
                 sock.sendall(
@@ -303,7 +350,7 @@ class TestMuxSemantics:
                 sock.sendall(
                     wire.encode_mux_frame(wire.T_LIST_FILES, 7, request))
                 while True:
-                    frame_type, rid, body = read_raw_frame(sock, version=2)
+                    frame_type, rid, body = read_raw_frame(sock)
                     if frame_type == wire.R_ERROR:
                         break
                 assert rid == 7
@@ -315,7 +362,7 @@ class TestMuxSemantics:
                 sock.settimeout(10)
                 with pytest.raises(ConnectionError):
                     while True:
-                        read_raw_frame(sock, version=2)
+                        read_raw_frame(sock)
             finally:
                 server.gate.set()
                 sock.close()
@@ -323,12 +370,11 @@ class TestMuxSemantics:
     def test_distinct_request_ids_are_fine_back_to_back(self):
         server = make_servers(1)[0]
         with AsyncCDStoreTCPServer(server) as tcp:
-            sock, version = connect_raw(tcp)
-            assert version == 2
+            sock = connect_raw(tcp)
             try:
                 for rid in (1, 2, 1):  # reuse *after* completion is legal
                     sock.sendall(wire.encode_mux_frame(wire.T_STATS, rid))
-                    frame_type, got_rid, body = read_raw_frame(sock, version=2)
+                    frame_type, got_rid, body = read_raw_frame(sock)
                     assert frame_type == wire.R_STATS
                     assert got_rid == rid
             finally:
@@ -380,6 +426,22 @@ class TestOverloadAndBackpressure:
                 server.gate.set()
                 proxy.close()
 
+    def test_connection_over_the_cap_is_shed_typed_through_a_proxy(self):
+        """The shed frame carries request id 0 (it answers no request);
+        the proxy's handshake must surface it as ServerOverloadedError,
+        not as a correlation-id mismatch."""
+        server = make_servers(1)[0]
+        with AsyncCDStoreTCPServer(server, max_connections=1) as tcp:
+            first, second = proxy_for(tcp), proxy_for(tcp)
+            try:
+                assert first.ping()
+                with pytest.raises(ServerOverloadedError, match="connection limit"):
+                    second.list_files("alice")
+                assert first.list_files("alice") == []  # unaffected
+            finally:
+                first.close()
+                second.close()
+
     def test_slow_reader_is_evicted(self):
         """A client that stops reading a streamed fetch past the grace
         period is disconnected instead of pinning an executor slot."""
@@ -391,12 +453,11 @@ class TestOverloadAndBackpressure:
             write_queue_cap=65_536,
             slow_reader_grace=0.5,
         ) as tcp:
-            sock, version = connect_raw(tcp)
+            sock = connect_raw(tcp)
             try:
                 sock.sendall(
-                    wire.encode_frame_v(
-                        version, wire.T_FETCH_SHARES, 1,
-                        wire.encode_fetch_shares(fps),
+                    wire.encode_mux_frame(
+                        wire.T_FETCH_SHARES, 1, wire.encode_fetch_shares(fps)
                     )
                 )
                 # Read nothing: the write queue and kernel buffers fill and
@@ -408,7 +469,7 @@ class TestOverloadAndBackpressure:
                 frames = 0
                 with pytest.raises((ConnectionError, OSError)) as excinfo:
                     while True:
-                        read_raw_frame(sock, version=version)
+                        read_raw_frame(sock)
                         frames += 1
                 assert not isinstance(excinfo.value, TimeoutError)
                 assert frames < 256  # the stream was cut short

@@ -21,7 +21,6 @@ from repro.cloud.provider import CloudProvider
 from repro.crypto.hashing import fingerprint
 from repro.errors import AuthError, NotFoundError, QuotaExceededError
 from repro.net import CDStoreTCPServer, RemoteServerProxy, wire
-from repro.net.server import recv_exact
 from repro.server.messages import FileManifest, ShareMeta, ShareUpload
 from repro.server.server import CDStoreServer
 from repro.tenants import (
@@ -116,8 +115,12 @@ def store_file(proxy, user: str, name: bytes, data: bytes) -> bytes:
 
 
 def _call(sock: socket.socket, frame_type: int, payload: bytes = b""):
-    sock.sendall(wire.encode_frame(frame_type, payload))
-    return wire.read_frame(lambda n: recv_exact(sock, n), wire.MAX_FRAME_BYTES)
+    sock.sendall(wire.encode_mux_frame(frame_type, 1, payload))
+    reply_type, request_id, reply = wire.read_frame_mux(
+        lambda n: wire.recv_exact(sock, n)
+    )
+    assert request_id == 1
+    return reply_type, reply
 
 
 def _connect(tcp) -> socket.socket:

@@ -1,6 +1,9 @@
 """Command-line interface: a persistent deployment across invocations."""
 
+import json
 import os
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -256,8 +259,6 @@ class TestNetworkModeValidation:
         assert "--cloud-spec" in capsys.readouterr().err
 
     def test_init_persists_cloud_specs(self, tmp_path):
-        import json
-
         root = tmp_path / "s"
         assert main(["init", "--root", str(root), "--n", "2", "--k", "1",
                      "--cloud-spec", "local",
@@ -269,41 +270,61 @@ class TestNetworkModeValidation:
         assert not (root / "cloud-1").exists()
 
 
+@contextmanager
+def served_deployment(tmp_path):
+    """Four `repro serve` clouds and a client root whose specs name them."""
+    from repro.cli import build_cloud_server
+
+    server_root = tmp_path / "srv"
+    assert main(["init", "--root", str(server_root), "--n", "4",
+                 "--k", "3", "--salt", "org"]) == 0
+    tcps = [build_cloud_server(server_root, i).start() for i in range(4)]
+    try:
+        init_args = ["init", "--root", str(tmp_path / "cli"), "--n", "4",
+                     "--k", "3", "--salt", "org"]
+        for tcp in tcps:
+            host, port = tcp.address
+            init_args += ["--cloud-spec", f"tcp://{host}:{port}"]
+        assert main(init_args) == 0
+        yield tmp_path / "cli"
+    finally:
+        for tcp in tcps:
+            tcp.shutdown()
+            tcp.server.close()
+
+
 class TestNetworkModeEndToEnd:
     def test_backup_restore_through_served_clouds(self, tmp_path, capsys):
         """A deployment whose clouds all live behind `repro serve`
         processes backs up and restores through real loopback sockets."""
-        from pathlib import Path
-
-        from repro.cli import build_cloud_server
-
-        server_root = tmp_path / "srv"
-        assert main(["init", "--root", str(server_root), "--n", "4",
-                     "--k", "3", "--salt", "org"]) == 0
-        tcps = [build_cloud_server(server_root, i).start() for i in range(4)]
-        try:
-            init_args = ["init", "--root", str(tmp_path / "cli"), "--n", "4",
-                         "--k", "3", "--salt", "org"]
-            for tcp in tcps:
-                host, port = tcp.address
-                init_args += ["--cloud-spec", f"tcp://{host}:{port}"]
-            assert main(init_args) == 0
-
+        with served_deployment(tmp_path) as root:
             src = write_file(tmp_path, "data.bin", 40_000)
-            assert main(["backup", "--root", str(tmp_path / "cli"),
+            assert main(["backup", "--root", str(root),
                          "--user", "alice", src, "--name", "/f"]) == 0
             out = capsys.readouterr().out
             assert "pipeline depth" in out and "(adaptive)" in out
             dest = tmp_path / "out.bin"
-            assert main(["restore", "--root", str(tmp_path / "cli"),
+            assert main(["restore", "--root", str(root),
                          "--user", "alice", "/f", "-o", str(dest)]) == 0
             assert dest.read_bytes() == Path(src).read_bytes()
-            assert main(["stats", "--root", str(tmp_path / "cli")]) == 0
+            assert main(["stats", "--root", str(root)]) == 0
             assert "tcp://" in capsys.readouterr().out
-        finally:
-            for tcp in tcps:
-                tcp.shutdown()
-                tcp.server.close()
+
+    def test_root_whose_config_says_mux_false_still_works(self, tmp_path):
+        """`"mux": false` used to pin proxies to the retired serial
+        protocol; such a cdstore.json must keep loading and serving."""
+        with served_deployment(tmp_path) as root:
+            config_path = root / "cdstore.json"
+            raw = json.loads(config_path.read_text())
+            config_path.write_text(json.dumps({**raw, "mux": False}))
+
+            src = write_file(tmp_path, "data.bin", 40_000)
+            assert main(["backup", "--root", str(root),
+                         "--user", "alice", src, "--name", "/f"]) == 0
+            dest = tmp_path / "out.bin"
+            assert main(["restore", "--root", str(root),
+                         "--user", "alice", "/f", "-o", str(dest)]) == 0
+            assert dest.read_bytes() == Path(src).read_bytes()
 
     def test_stats_degrades_when_remote_cloud_unreachable(self, tmp_path, capsys):
         """Stats is a diagnostic: a dead remote cloud is reported, not
@@ -353,8 +374,6 @@ class TestObsStatsSurface:
         assert "spans in ring:" in out
 
     def test_stats_endpoint_json_is_versioned(self, served_cloud, capsys):
-        import json
-
         assert main(["stats", served_cloud, "--json"]) == 0
         snapshot = json.loads(capsys.readouterr().out)
         assert snapshot["version"] == 1

@@ -176,6 +176,16 @@ def test_unknown_keys_are_rejected_with_names(tmp_path):
         ReproConfig.from_file(tmp_path)
 
 
+def test_retired_mux_key_loads_and_is_not_written_back(tmp_path):
+    # Written when "mux" still chose between two proxy modes.
+    old = {**ReproConfig(n=2, k=1).to_mapping(), "mux": False}
+    (tmp_path / CONFIG_FILE_NAME).write_text(json.dumps(old))
+    config = ReproConfig.from_file(tmp_path)
+    assert config == ReproConfig(n=2, k=1)
+    assert "mux" not in config.to_mapping()
+    assert not hasattr(config, "mux")
+
+
 def test_pre_config_object_schema_still_loads(tmp_path):
     # Files written before ReproConfig existed carried only these keys.
     (tmp_path / CONFIG_FILE_NAME).write_text(

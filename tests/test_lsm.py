@@ -141,6 +141,46 @@ class TestLSMStore:
         assert recovered.get(b"durable") == b"yes"
         recovered.close()
 
+    def test_torn_table_temp_is_reaped_and_wal_still_serves(self, tmp_path):
+        """A flush that dies before its rename leaves ``sst-*.db.tmp``:
+        boot removes it, never loads it, and the WAL has every key."""
+        db = LSMStore(tmp_path)
+        for i in range(50):
+            db.put(f"k{i}".encode(), f"v{i}".encode())
+        db.sync()
+        db._wal.close()  # crash
+        torn = tmp_path / "sst-00000000.db.tmp"
+        torn.write_bytes(b"half a block, no footer")
+
+        recovered = LSMStore(tmp_path)
+        assert not torn.exists()
+        assert recovered.table_count == 0
+        for i in range(50):
+            assert recovered.get(f"k{i}".encode()) == f"v{i}".encode()
+        recovered.flush()  # the reaped id is free to publish under
+        assert [p.name for p in tmp_path.glob("sst-*")] == ["sst-00000000.db"]
+        recovered.close()
+
+    def test_flush_that_fails_to_publish_keeps_the_wal(self, tmp_path, monkeypatch):
+        db = LSMStore(tmp_path)
+        db.put(b"durable", b"yes")
+        db.sync()
+
+        def no_rename(src, dst):
+            raise OSError("injected crash at the rename")
+
+        monkeypatch.setattr("repro.lsm.sstable.os.replace", no_rename)
+        with pytest.raises(OSError, match="injected"):
+            db.flush()
+        monkeypatch.undo()
+        db._wal.close()  # crash
+        assert not list(tmp_path.glob("sst-*.db"))  # nothing half-published
+
+        recovered = LSMStore(tmp_path)
+        assert recovered.get(b"durable") == b"yes"
+        assert not list(tmp_path.glob("*.tmp"))
+        recovered.close()
+
     def test_snapshot(self, tmp_path):
         with LSMStore(tmp_path / "db") as db:
             db.put(b"a", b"1")

@@ -482,7 +482,8 @@ class TestTraceE2E:
 
 
 class TestTraceInterop:
-    """Old peers keep working and simply record no server-side spans."""
+    """A peer that does not offer the trace flag keeps working and simply
+    records no server-side spans."""
 
     def run_backup_restore(self, **proxy_kwargs):
         servers = make_servers(4)
@@ -512,12 +513,7 @@ class TestTraceInterop:
             for server in servers:
                 server.close()
 
-    def test_v1_serial_peer_has_no_trace_extension(self):
-        client, rings = self.run_backup_restore(mux=False)
-        assert len(client.spans) > 0  # client-side tracing still works
-        assert all(len(ring) == 0 for ring in rings)
-
     def test_v2_peer_without_trace_flag_negotiates_it_off(self):
         client, rings = self.run_backup_restore(trace=False)
-        assert len(client.spans) > 0
+        assert len(client.spans) > 0  # client-side tracing still works
         assert all(len(ring) == 0 for ring in rings)

@@ -253,36 +253,63 @@ class TestErrorFrames:
 # ---------------------------------------------------------------------------
 
 
+def exact_reader(blob: bytes):
+    """A ``recv_exact``-shaped reader over an in-memory byte string."""
+    pos = 0
+
+    def recv_exact(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(blob):
+            raise ConnectionError("EOF mid-frame")
+        out = blob[pos:pos + n]
+        pos += n
+        return out
+
+    return recv_exact
+
+
+def read_stream(blob: bytes, count: int) -> list[tuple[int, int, bytes]]:
+    """The first ``count`` frames of a back-to-back frame stream."""
+    recv = exact_reader(blob)
+    return [wire.read_frame_mux(recv) for _ in range(count)]
+
+
+#: One well-formed frame; the stream tests put the damage *behind* it.
+GOOD = wire.encode_mux_frame(wire.R_OK, 5, b"ok")
+
+
 class TestFraming:
     @given(frame_type=st.integers(0, 255), payload=st.binary(max_size=512))
     def test_frame_round_trip(self, frame_type, payload):
-        blob = wire.encode_frame(frame_type, payload)
-        assert wire.decode_frames(blob) == [(frame_type, payload)]
+        blob = wire.encode_mux_frame(frame_type, 0, payload)
+        assert read_stream(blob, 1) == [(frame_type, 0, payload)]
 
     @given(frames=st.lists(
-        st.tuples(st.integers(0, 255), st.binary(max_size=64)), max_size=5))
+        st.tuples(st.integers(0, 255), st.integers(0, wire.REQUEST_ID_MAX),
+                  st.binary(max_size=64)),
+        max_size=5))
     def test_frame_stream_round_trip(self, frames):
-        blob = b"".join(wire.encode_frame(t, p) for t, p in frames)
-        assert wire.decode_frames(blob) == frames
+        blob = b"".join(wire.encode_mux_frame(t, rid, p) for t, rid, p in frames)
+        assert read_stream(blob, len(frames)) == frames
 
     def test_truncated_stream_rejected(self):
-        blob = wire.encode_frame(wire.T_PING, wire.encode_ping())
-        with pytest.raises(ProtocolError):
-            wire.decode_frames(blob[:-1])
+        blob = GOOD + wire.encode_mux_frame(wire.T_PING, 1, wire.encode_ping())
+        with pytest.raises(ConnectionError):
+            read_stream(blob[:-1], 2)
 
     def test_bad_magic_rejected(self):
-        blob = wire.encode_frame(wire.T_PING, b"")
+        blob = wire.encode_mux_frame(wire.T_PING, 1, b"")
         with pytest.raises(ProtocolError, match="magic"):
-            wire.decode_frames(b"\x00\x00" + blob[2:])
+            read_stream(GOOD + b"\x00\x00" + blob[2:], 2)
 
     def test_oversized_incoming_frame_rejected_before_allocation(self):
-        header = wire.FRAME_HEADER.pack(0xCD5E, wire.T_PING, 2**31)
+        header = wire.MUX_FRAME_HEADER.pack(0xCD5E, wire.T_PING, 1, 2**31)
         with pytest.raises(ProtocolError, match="cap"):
-            wire.decode_frames(header + b"x" * 16)
+            read_stream(GOOD + header + b"x" * 16, 2)
 
     def test_oversized_outgoing_frame_rejected(self):
         with pytest.raises(ProtocolError, match="cap"):
-            wire.encode_frame(wire.R_OK, b"x" * 32, max_frame=16)
+            wire.encode_mux_frame(wire.R_OK, 1, b"x" * 32, max_frame=16)
 
     @given(garbage=st.binary(min_size=1, max_size=64))
     @settings(max_examples=50)
@@ -323,30 +350,15 @@ class TestFraming:
 
 
 # ---------------------------------------------------------------------------
-# v2 (mux) framing + version negotiation
+# request ids + the handshake payloads
 # ---------------------------------------------------------------------------
-
-
-def exact_reader(blob: bytes):
-    """A ``recv_exact``-shaped reader over an in-memory byte string."""
-    pos = 0
-
-    def recv_exact(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise ConnectionError("EOF mid-frame")
-        out = blob[pos:pos + n]
-        pos += n
-        return out
-
-    return recv_exact
 
 
 class TestMuxFraming:
     def test_header_sizes(self):
-        # v2 inserts exactly one u32 request-id word after the type byte.
-        assert wire.FRAME_HEADER.size == 7
+        # magic:u16 type:u8 request_id:u32 length:u32 — the one header.
         assert wire.MUX_FRAME_HEADER.size == 11
+        assert wire.MUX_FRAME_HEADER.format == ">HBII"
 
     @given(
         frame_type=st.integers(0, 255),
@@ -357,17 +369,6 @@ class TestMuxFraming:
         blob = wire.encode_mux_frame(frame_type, request_id, payload)
         assert wire.read_frame_mux(exact_reader(blob)) == (
             frame_type, request_id, payload,
-        )
-
-    @given(request_id=st.integers(0, wire.REQUEST_ID_MAX))
-    def test_versioned_encode_matches_plain_encoders(self, request_id):
-        v1 = wire.encode_frame_v(1, wire.R_OK, request_id, b"x")
-        v2 = wire.encode_frame_v(2, wire.R_OK, request_id, b"x")
-        assert v1 == wire.encode_frame(wire.R_OK, b"x")  # id dropped on v1
-        assert v2 == wire.encode_mux_frame(wire.R_OK, request_id, b"x")
-        assert wire.read_frame_v(exact_reader(v1), 1) == (wire.R_OK, 0, b"x")
-        assert wire.read_frame_v(exact_reader(v2), 2) == (
-            wire.R_OK, request_id, b"x",
         )
 
     @pytest.mark.parametrize("request_id", [-1, wire.REQUEST_ID_MAX + 1])
@@ -390,16 +391,7 @@ class TestMuxFraming:
         with pytest.raises(ConnectionError):
             wire.read_frame_mux(exact_reader(blob[:-1]))
 
-    @given(peer=st.integers(0, 2**16 - 1))
-    def test_negotiation_clamps_both_directions(self, peer):
-        agreed = wire.negotiate_version(peer)
-        assert 1 <= agreed <= wire.WIRE_VERSION
-        if peer <= 1:
-            assert agreed == 1  # old (or nonsense-zero) peers keep v1
-        if peer >= wire.WIRE_VERSION:
-            assert agreed == wire.WIRE_VERSION
-
     def test_ping_pong_carry_versions(self):
-        assert wire.decode_ping(wire.encode_ping(1)) == (1, 0)
-        version, server_id, flags = wire.decode_pong(wire.encode_pong(9, version=1))
-        assert (version, server_id, flags) == (1, 9, 0)
+        assert wire.decode_ping(wire.encode_ping()) == (wire.WIRE_VERSION, 0)
+        version, server_id, flags = wire.decode_pong(wire.encode_pong(9))
+        assert (version, server_id, flags) == (wire.WIRE_VERSION, 9, 0)
