@@ -14,7 +14,6 @@ from repro.analysis.checkers.lifecycle import check_lifecycle
 from repro.analysis.checkers.locks import check_lock_discipline
 from repro.analysis.checkers.obs_docs import check_obs_docs
 from repro.analysis.checkers.picklable import check_picklable
-from repro.analysis.checkers.wire_surface import check_wire_surface
 
 __all__ = [
     "FILE_CHECKERS",
@@ -24,7 +23,6 @@ __all__ = [
     "check_lock_discipline",
     "check_obs_docs",
     "check_picklable",
-    "check_wire_surface",
 ]
 
 FILE_CHECKERS = [
@@ -35,6 +33,5 @@ FILE_CHECKERS = [
 ]
 
 PROJECT_CHECKERS = [
-    check_wire_surface,
     check_obs_docs,
 ]

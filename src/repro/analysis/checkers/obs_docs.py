@@ -5,8 +5,7 @@ hands out counters, gauges and histograms by *name string* — nothing in
 the type system forces a new ``REGISTRY.counter("x_total")`` call site to
 show up in ``docs/OBSERVABILITY.md``, yet that catalogue is what
 operators read to interpret a ``repro stats`` snapshot.  This checker
-closes the loop the same way WIRE-003/006 do for wire frames: adding a
-metric forces you to visit the doc.
+closes the loop: adding a metric forces you to visit the doc.
 
 For every analysed file it collects the first-argument string literal of
 each ``<anything>.counter("...")`` / ``.gauge("...")`` /
@@ -21,10 +20,9 @@ as a whole word.
 * OBS-001 — a registered metric name missing from the catalogue, or
   metrics registered with no catalogue document at all.
 
-Whole-word textual matching is the right strength (as with the WIRE
-rules): the doc mentioning the name in a table row, heading or prose all
-count — the point is that the catalogue was visited, not that it has a
-particular shape.  Files that register no metrics contribute nothing,
+Whole-word textual matching is the right strength: the doc mentioning
+the name in a table row, heading or prose all count — the point is that
+the catalogue was visited, not that it has a particular shape.  Files that register no metrics contribute nothing,
 so fixtures and scoped runs stay exercisable.
 """
 

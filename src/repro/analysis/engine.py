@@ -3,9 +3,9 @@
 A small AST-walking analysis engine purpose-built for this codebase: it
 knows nothing about Python semantics in general, only about the handful
 of invariants PRs 1–5 established by hand — lock discipline, durability
-ordering, wire-surface exhaustiveness, resource lifecycle, spec
-picklability — and mechanically re-checks them on every run so a later
-refactor cannot silently regress one.
+ordering, resource lifecycle, spec picklability, the metric catalogue —
+and mechanically re-checks them on every run so a later refactor cannot
+silently regress one.
 
 Vocabulary:
 
@@ -17,8 +17,8 @@ Vocabulary:
   silenced rule carries its reviewable excuse in the diff.
 
 Checkers come in two shapes: *file checkers* run once per parsed file,
-*project checkers* run once over the whole file set (the wire-surface
-cross-check needs ``wire.py``, the dispatch, the proxy and the README in
+*project checkers* run once over the whole file set (the metric-catalogue
+cross-check needs every registering module and the catalogue document in
 one view).  Both return plain :class:`Finding` lists; the engine owns
 file collection, parsing, suppression filtering and ordering.
 """
@@ -61,32 +61,6 @@ RULE_DOCS: dict[str, str] = {
     "DUR-002": (
         "an ack (sendall) is reachable after a file write with no "
         "intervening os.fsync barrier (acks non-durable state)"
-    ),
-    "WIRE-001": (
-        "a frame-type constant in net/wire.py is never referenced by any "
-        "server-side module (net/server.py, net/dispatch.py, "
-        "net/async_server.py)"
-    ),
-    "WIRE-002": (
-        "a frame-type constant in net/wire.py is never referenced by the "
-        "client proxy in net/client.py"
-    ),
-    "WIRE-003": (
-        "a frame-type constant in net/wire.py is missing from the README "
-        "frame table"
-    ),
-    "WIRE-004": "two frame-type constants share the same wire byte value",
-    "WIRE-005": (
-        "the wire surface drifted from the declared server API: a "
-        "CDStoreServerAPI Protocol method without a METHOD_FRAMES mapping "
-        "(and not in LOCAL_ONLY_METHODS), a mapping for an undeclared "
-        "method, or a T_* request frame that is neither control machinery "
-        "nor mapped to any method"
-    ),
-    "WIRE-006": (
-        "the normative wire spec (docs/PROTOCOL.md) drifted from the "
-        "code: a frame constant or errors.py wire_code with no spec line "
-        "carrying both its name and value, or no spec document at all"
     ),
     "OBS-001": (
         "a metric registered on the obs registry (REGISTRY.counter/gauge/"

@@ -1288,9 +1288,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the invariant checkers over the source tree",
         description="Static analysis purpose-built for this codebase: lock "
                     "discipline (LOCK-001), durability ordering (DUR-00x), "
-                    "wire-frame exhaustiveness (WIRE-00x), resource "
-                    "lifecycle (LIFE-001) and worker-spec picklability "
-                    "(PICKLE-001). Prints `path:line: RULE-NNN message` per "
+                    "resource lifecycle (LIFE-001), worker-spec "
+                    "picklability (PICKLE-001) and the metric catalogue "
+                    "(OBS-001). Prints `path:line: RULE-NNN message` per "
                     "finding and exits 1 if any survive suppression "
                     "(`# analysis: ignore[RULE-NNN] -- why`).",
     )

@@ -72,7 +72,9 @@ __all__ = ["RemoteCloud", "RemoteServerProxy"]
 #: request id): share batches from ``fetch_shares`` and per-replica
 #: shard frames from a gateway window fetch.  Everything else is the
 #: terminal frame of its request.
-_MIDSTREAM_FRAMES = frozenset({wire.R_SHARE_BATCH, wire.R_GW_SHARD})
+_MIDSTREAM_FRAMES = frozenset(
+    row.mid for row in wire.FRAMES.values() if row.mid is not None
+)
 
 
 class RemoteCloud:
@@ -154,7 +156,7 @@ class _MuxAck:
                 raise self._outcome
             return None
         try:
-            self._proxy._finish_single(self._handle, wire.R_OK)
+            self._proxy._finish_single(self._handle, wire.T_UPLOAD_SHARES.reply)
         except Exception as exc:
             self._outcome = exc
             raise
@@ -321,9 +323,19 @@ class RemoteServerProxy:
         self._sock = sock
         offered = wire.FLAG_TRACE if self.trace_enabled else 0
         try:
-            frame_type, payload = self._roundtrip(
-                wire.T_PING, wire.encode_ping(flags=offered)
+            version, server_id, accepted = self._handshake(
+                wire.T_PING, wire.WIRE_VERSION, offered
             )
+            if version != wire.WIRE_VERSION:
+                raise ProtocolError(
+                    f"{self.address_spec} speaks unsupported wire version "
+                    f"{version} (this client speaks {wire.WIRE_VERSION})"
+                )
+            if self._server_id is not None and server_id != self._server_id:
+                raise ProtocolError(
+                    f"{self.address_spec} claims server id {server_id}, "
+                    f"expected {self._server_id}"
+                )
         except (ConnectionError, socket.timeout, OSError) as exc:
             # A server that accepts then dies before answering the
             # handshake is an outage, not a crash: map it into the same
@@ -333,31 +345,10 @@ class RemoteServerProxy:
                 f"handshake with {self.address_spec} failed: {exc}"
             ) from exc
         except BaseException:
+            # Includes a typed R_ERROR answer, e.g. the server shed the
+            # connection at its connection cap.
             self._drop()
             raise
-        if frame_type == wire.R_ERROR:
-            # e.g. the server shed the connection at its connection cap.
-            self._drop()
-            raise wire.decode_error(payload)
-        if frame_type != wire.R_PONG:
-            self._drop()
-            raise ProtocolError(
-                f"{self.address_spec} answered PING with frame "
-                f"0x{frame_type:02x}"
-            )
-        version, server_id, accepted = wire.decode_pong(payload)
-        if version != wire.WIRE_VERSION:
-            self._drop()
-            raise ProtocolError(
-                f"{self.address_spec} speaks unsupported wire version "
-                f"{version} (this client speaks {wire.WIRE_VERSION})"
-            )
-        if self._server_id is not None and server_id != self._server_id:
-            self._drop()
-            raise ProtocolError(
-                f"{self.address_spec} claims server id {server_id}, "
-                f"expected {self._server_id}"
-            )
         self._server_id = server_id
         # The trace extension switches on at the PONG boundary: the server
         # only echoes FLAG_TRACE when it will strip trailers from here on.
@@ -388,43 +379,20 @@ class RemoteServerProxy:
         assert creds is not None
         client_nonce = os.urandom(wire.AUTH_NONCE_SIZE)
         try:
-            frame_type, payload = self._roundtrip(
-                wire.T_AUTH, wire.encode_auth(creds.tenant_id, client_nonce)
-            )
-            if frame_type == wire.R_ERROR:
-                raise wire.decode_error(payload)
-            if frame_type != wire.R_AUTH_CHALLENGE:
-                raise ProtocolError(
-                    f"{self.address_spec} answered AUTH with frame "
-                    f"0x{frame_type:02x}"
-                )
-            server_nonce = wire.decode_auth_challenge(payload)
+            (server_nonce,) = self._handshake(wire.T_AUTH, creds.tenant_id, client_nonce)
             proof = auth_proof(
                 creds.secret, creds.tenant_id, client_nonce, server_nonce
             )
-            frame_type, payload = self._roundtrip(
-                wire.T_AUTH_PROOF, wire.encode_auth_proof(proof)
-            )
-            if frame_type == wire.R_ERROR:
-                raise wire.decode_error(payload)
-            if frame_type != wire.R_AUTH_OK:
-                raise ProtocolError(
-                    f"{self.address_spec} answered AUTH_PROOF with frame "
-                    f"0x{frame_type:02x}"
-                )
-            self.role = wire.decode_auth_ok(payload)
+            (self.role,) = self._handshake(wire.T_AUTH_PROOF, proof)
         except (ConnectionError, socket.timeout, OSError) as exc:
             self._drop()
             raise CloudUnavailableError(
                 f"auth handshake with {self.address_spec} failed: {exc}"
             ) from exc
-        except AuthError:
-            # The server answered; the connection is in sync but useless
-            # without credentials it accepts — drop it so the proxy does
-            # not cache a half-authenticated socket.
-            self._drop()
-            raise
         except BaseException:
+            # Includes an AuthError answer: the connection is in sync but
+            # useless without credentials the server accepts — drop it so
+            # the proxy does not cache a half-authenticated socket.
             self._drop()
             raise
 
@@ -451,8 +419,8 @@ class RemoteServerProxy:
     # handshake plumbing (before the reader thread owns the socket)
     # ------------------------------------------------------------------
     @requires_lock("_lock")
-    def _roundtrip(self, frame_type: int, payload: bytes) -> tuple[int, bytes]:
-        """Send one handshake frame, read its reply directly (lock held).
+    def _handshake(self, row: wire.Frame, *fields) -> tuple:
+        """Send one handshake request, read and decode its reply (lock held).
 
         Only legal before the reader thread starts.  Each exchange burns
         a fresh correlation id and checks the echo; id 0 is accepted for
@@ -463,7 +431,7 @@ class RemoteServerProxy:
         assert sock is not None
         request_id = self._alloc_id()
         sock.sendall(
-            wire.encode_mux_frame(frame_type, request_id, payload, self.max_frame)
+            wire.encode_mux_frame(row, request_id, row.encode(*fields), self.max_frame)
         )
         reply_type, reply_id, reply = wire.read_frame_mux(
             lambda n: wire.recv_exact(sock, n), self.max_frame
@@ -476,7 +444,14 @@ class RemoteServerProxy:
                 f"{self.address_spec} answered handshake frame with "
                 f"correlation id {reply_id}, expected {request_id}"
             )
-        return reply_type, reply
+        if reply_type == wire.R_ERROR:
+            raise wire.decode_error(reply)
+        if reply_type != row.reply:
+            raise ProtocolError(
+                f"{self.address_spec} answered {row.name[2:]} with frame "
+                f"0x{reply_type:02x}"
+            )
+        return row.reply.decode(reply)
 
     def _count_frame(self, payload: bytes) -> None:
         self.frames_received += 1
@@ -661,9 +636,12 @@ class RemoteServerProxy:
     # ------------------------------------------------------------------
     # request execution
     # ------------------------------------------------------------------
-    def _call(self, frame_type: int, payload: bytes, expect: int) -> bytes:
-        """One request/reply exchange with typed-error and outage mapping."""
-        return self._finish_single(self._submit(frame_type, payload), expect)
+    def _call(self, row: wire.Frame, *fields):
+        """One request/reply exchange through ``row``: encode the fields,
+        expect the row's reply frame, return what it decodes to (with
+        typed-error and outage mapping)."""
+        reply = self._finish_single(self._submit(row, row.encode(*fields)), row.reply)
+        return row.reply.decode_result(reply)
 
     def ping(self) -> bool:
         """Cheap liveness probe (connects if needed).
@@ -679,7 +657,7 @@ class RemoteServerProxy:
         moving).
         """
         try:
-            wire.decode_pong(self._call(wire.T_PING, wire.encode_ping(), wire.R_PONG))
+            self._call(wire.T_PING, wire.WIRE_VERSION, 0)
             return True
         except AuthError:
             with self._lock:
@@ -694,12 +672,7 @@ class RemoteServerProxy:
     # the CDStoreServer surface
     # ------------------------------------------------------------------
     def query_duplicates(self, user_id: str, fingerprints: list[bytes]) -> list[bool]:
-        reply = self._call(
-            wire.T_QUERY_DUPLICATES,
-            wire.encode_query_duplicates(user_id, fingerprints),
-            wire.R_BOOLS,
-        )
-        known = wire.decode_bools(reply)
+        known = self._call(wire.T_QUERY_DUPLICATES, user_id, fingerprints)
         if len(known) != len(fingerprints):
             raise ProtocolError(
                 f"{self.address_spec} answered {len(known)} bools for "
@@ -708,11 +681,7 @@ class RemoteServerProxy:
         return known
 
     def upload_shares(self, user_id: str, uploads: list[ShareUpload]) -> None:
-        self._call(
-            wire.T_UPLOAD_SHARES,
-            wire.encode_upload_shares(user_id, uploads),
-            wire.R_OK,
-        )
+        self._call(wire.T_UPLOAD_SHARES, user_id, uploads)
 
     def upload_shares_async(self, user_id: str, uploads: list[ShareUpload]):
         """Pipelined upload: send now, return an ack handle to wait on.
@@ -724,8 +693,8 @@ class RemoteServerProxy:
         window of unacked batches in flight removes the
         round-trip-per-batch stall from streaming upload windows.
         """
-        payload = wire.encode_upload_shares(user_id, uploads)
-        return _MuxAck(self, self._submit(wire.T_UPLOAD_SHARES, payload))
+        row = wire.T_UPLOAD_SHARES
+        return _MuxAck(self, self._submit(row, row.encode(user_id, uploads)))
 
     def finalize_file(
         self,
@@ -733,35 +702,18 @@ class RemoteServerProxy:
         manifest: FileManifest,
         share_metas: list[ShareMeta],
     ) -> None:
-        self._call(
-            wire.T_FINALIZE_FILE,
-            wire.encode_finalize_file(user_id, manifest, share_metas),
-            wire.R_OK,
-        )
+        self._call(wire.T_FINALIZE_FILE, user_id, manifest, share_metas)
 
     def get_file_entry(self, user_id: str, lookup_key: bytes) -> FileEntry:
-        reply = self._call(
-            wire.T_GET_FILE_ENTRY,
-            wire.encode_user_key(user_id, lookup_key),
-            wire.R_FILE_ENTRY,
-        )
-        return wire.decode_file_entry(reply)
+        return self._call(wire.T_GET_FILE_ENTRY, user_id, lookup_key)
 
     def get_recipe(
         self, user_id: str, lookup_key: bytes, bypass_cache: bool = False
     ) -> list[RecipeEntry]:
-        reply = self._call(
-            wire.T_GET_RECIPE,
-            wire.encode_get_recipe(user_id, lookup_key, bypass_cache),
-            wire.R_RECIPE,
-        )
-        return wire.decode_recipe(reply)
+        return self._call(wire.T_GET_RECIPE, user_id, lookup_key, bypass_cache)
 
     def list_files(self, user_id: str) -> list[tuple[bytes, FileEntry]]:
-        reply = self._call(
-            wire.T_LIST_FILES, wire.encode_user(user_id), wire.R_FILE_LIST
-        )
-        return wire.decode_file_list(reply)
+        return self._call(wire.T_LIST_FILES, user_id)
 
     def fetch_shares(
         self, fingerprints: list[bytes], owner: str | None = None
@@ -814,34 +766,25 @@ class RemoteServerProxy:
                 "budget; budget_bytes/cost cannot be set through a proxy"
             )
         self._reject_local_owner(owner)
-        return self._stream(
-            wire.T_FETCH_SHARES,
-            wire.encode_fetch_shares(fingerprints),
-            wire.R_SHARE_BATCH,
-            wire.decode_share_batch,
-            wire.R_SHARES_END,
-            wire.decode_shares_end,
-            weigh=len,
-        )
+        row = wire.T_FETCH_SHARES
+        return self._stream(row, row.encode(fingerprints), weigh=len)
 
-    def _stream(
-        self, frame_type, request, mid_type, decode_mid, end_type, decode_end, weigh
-    ):
+    def _stream(self, row: wire.Frame, request: bytes, weigh):
         """Yield the decoded mid-stream frames of one streamed request.
 
-        The server answers ``frame_type`` with zero or more ``mid_type``
-        frames and one ``end_type`` frame whose count must equal the sum
-        of ``weigh(item)`` over what was streamed.
+        The server answers ``row`` with zero or more ``row.mid`` frames
+        and one ``row.reply`` frame whose count must equal the sum of
+        ``weigh(item)`` over what was streamed.
         """
-        handle = self._submit(frame_type, request)
+        handle = self._submit(row, request)
         streamed = 0
         terminal = False
         try:
             while True:
                 reply_type, payload = self._await_reply(handle)
-                if reply_type == mid_type:
+                if reply_type == row.mid:
                     try:
-                        item = decode_mid(payload)
+                        item = row.mid.decode_result(payload)
                     except ProtocolError:
                         # Malformed frame: the server-side stream state is
                         # unknowable — kill the connection, not just the
@@ -854,8 +797,8 @@ class RemoteServerProxy:
                     yield item
                     continue
                 terminal = True
-                if reply_type == end_type:
-                    total = decode_end(payload)
+                if reply_type == row.reply:
+                    total = row.reply.decode_result(payload)
                     if total != streamed:
                         raise ProtocolError(
                             f"{self.address_spec} streamed {streamed} "
@@ -884,42 +827,27 @@ class RemoteServerProxy:
                     self._discard.add(handle.request_id)
 
     def delete_file(self, user_id: str, lookup_key: bytes) -> int:
-        reply = self._call(
-            wire.T_DELETE_FILE,
-            wire.encode_user_key(user_id, lookup_key),
-            wire.R_INT,
-        )
-        return wire.decode_int(reply)
+        return self._call(wire.T_DELETE_FILE, user_id, lookup_key)
 
     def collect_garbage(self) -> int:
-        return wire.decode_int(self._call(wire.T_COLLECT_GARBAGE, b"", wire.R_INT))
+        return self._call(wire.T_COLLECT_GARBAGE)
 
     def scrub(self) -> list[bytes]:
-        return wire.decode_fp_list(self._call(wire.T_SCRUB, b"", wire.R_FP_LIST))
+        return self._call(wire.T_SCRUB)
 
     def flush(self) -> None:
-        self._call(wire.T_FLUSH, b"", wire.R_OK)
+        self._call(wire.T_FLUSH)
 
     def replace_share(self, server_fp: bytes, data: bytes) -> None:
-        self._call(
-            wire.T_REPLACE_SHARE,
-            wire.encode_replace_share(server_fp, data),
-            wire.R_OK,
-        )
+        self._call(wire.T_REPLACE_SHARE, server_fp, data)
 
     def rebuild_recipe(
         self, user_id: str, lookup_key: bytes, entries: list[RecipeEntry]
     ) -> None:
-        self._call(
-            wire.T_REBUILD_RECIPE,
-            wire.encode_rebuild_recipe(user_id, lookup_key, entries),
-            wire.R_OK,
-        )
+        self._call(wire.T_REBUILD_RECIPE, user_id, lookup_key, entries)
 
     def list_backups(self) -> list[tuple[str, bytes]]:
-        return wire.decode_backup_list(
-            self._call(wire.T_LIST_BACKUPS, b"", wire.R_BACKUP_LIST)
-        )
+        return self._call(wire.T_LIST_BACKUPS)
 
     # ------------------------------------------------------------------
     # gateway surface (only answered by a `repro gateway` front-end)
@@ -933,12 +861,7 @@ class RemoteServerProxy:
         cross-checked :class:`~repro.client.read.RestorePlan` material.
         A plain cloud front-end answers with ``ProtocolError``.
         """
-        reply = self._call(
-            wire.T_GW_RESOLVE,
-            wire.encode_gw_resolve(user_id, lookup_key),
-            wire.R_GW_BACKUP,
-        )
-        return wire.decode_gw_backup(reply)
+        return self._call(wire.T_GW_RESOLVE, user_id, lookup_key)
 
     def iter_window_shards(
         self, user_id: str, lookup_key: bytes, window_index: int
@@ -950,20 +873,15 @@ class RemoteServerProxy:
         match what was streamed.  Same interleaving/abandonment rules as
         :meth:`iter_share_batches`.
         """
+        row = wire.T_GW_WINDOW
         return self._stream(
-            wire.T_GW_WINDOW,
-            wire.encode_gw_window(user_id, lookup_key, window_index),
-            wire.R_GW_SHARD,
-            wire.decode_gw_shard,
-            wire.R_GW_WINDOW_END,
-            wire.decode_gw_window_end,
-            weigh=lambda shard: 1,
+            row, row.encode(user_id, lookup_key, window_index), weigh=lambda shard: 1
         )
 
     @property
     def stats(self) -> DedupStats:
         """The remote server's dedup counters (one RPC per access)."""
-        return wire.decode_stats(self._call(wire.T_STATS, b"", wire.R_STATS))
+        return self._call(wire.T_STATS)
 
     def obs_stats(self) -> dict:
         """The remote front-end's observability snapshot (admin-gated).
@@ -974,10 +892,8 @@ class RemoteServerProxy:
         authenticated with a non-admin tenant answers with
         :class:`~repro.errors.AuthError`.
         """
-        return wire.decode_obs_stats(
-            self._call(wire.T_OBS_STATS, b"", wire.R_OBS_STATS)
-        )
+        return self._call(wire.T_OBS_STATS)
 
     @property
     def stored_bytes(self) -> int:
-        return wire.decode_int(self._call(wire.T_STORED_BYTES, b"", wire.R_INT))
+        return self._call(wire.T_STORED_BYTES)

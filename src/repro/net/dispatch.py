@@ -56,19 +56,8 @@ __all__ = ["ADMIN_FRAMES", "ConnState", "FrameDispatcher"]
 #: Maintenance/observability frames reserved to the ``admin`` role when a
 #: tenant registry is active: they either touch other tenants' data
 #: (scrub, GC, repair) or aggregate across tenants (stats, backup list,
-#: the T_OBS_STATS metrics/span snapshot).
-ADMIN_FRAMES = frozenset(
-    {
-        wire.T_SCRUB,
-        wire.T_COLLECT_GARBAGE,
-        wire.T_REPLACE_SHARE,
-        wire.T_REBUILD_RECIPE,
-        wire.T_LIST_BACKUPS,
-        wire.T_STATS,
-        wire.T_STORED_BYTES,
-        wire.T_OBS_STATS,
-    }
-)
+#: the T_OBS_STATS metrics/span snapshot).  A view of the rows' flag.
+ADMIN_FRAMES = frozenset(row for row in wire.FRAMES.values() if row.admin)
 
 #: Wall-clock cost of answering one request frame, by frame short name.
 #: Observed around the *full* reply generation — for streamed fetches
@@ -180,21 +169,21 @@ class FrameDispatcher:
     # ------------------------------------------------------------------
     # authentication & tenant enforcement
     # ------------------------------------------------------------------
-    def _handle_auth(self, state: ConnState, payload: bytes):
+    def _handle_auth(self, state: ConnState, row: wire.Frame, payload: bytes):
         """T_AUTH: remember the claim, answer with a fresh challenge.
 
         The server nonce is minted per attempt, so a recorded proof from
         an earlier connection verifies against nothing — replay defence
         lives here, not in any nonce bookkeeping.
         """
-        tenant_id, client_nonce = wire.decode_auth(payload)
+        tenant_id, client_nonce = row.decode(payload)
         server_nonce = os.urandom(wire.AUTH_NONCE_SIZE)
         state.pending = (tenant_id, client_nonce, server_nonce)
-        yield wire.R_AUTH_CHALLENGE, wire.encode_auth_challenge(server_nonce)
+        yield row.reply, row.reply.encode(server_nonce)
 
-    def _handle_auth_proof(self, state: ConnState, payload: bytes):
+    def _handle_auth_proof(self, state: ConnState, row: wire.Frame, payload: bytes):
         """T_AUTH_PROOF: verify the HMAC against the pending challenge."""
-        proof = wire.decode_auth_proof(payload)
+        (proof,) = row.decode(payload)
         # One challenge, one attempt: clear the pending state before
         # verifying so a failed proof cannot be retried against the same
         # server nonce (the client must restart the handshake).
@@ -212,18 +201,17 @@ class FrameDispatcher:
             raise AuthError("authentication failed")
         state.tenant = tenant_id
         state.role = record.role
-        yield wire.R_AUTH_OK, wire.encode_auth_ok(record.role)
+        yield row.reply, row.reply.encode(record.role)
 
-    def _authorize(
-        self, state: ConnState, frame_type: int, user_id: str | None = None
-    ) -> None:
-        """Gate one request frame against the connection's auth state.
+    def _authorize(self, state: ConnState, row: wire.Frame, fields: tuple = ()) -> None:
+        """Gate one decoded request against the connection's auth state.
 
         No-op without a registry.  Otherwise: the connection must have
         completed the handshake; the request rate is charged to the
         tenant's shared token bucket; admins may do anything, while
-        tenants are barred from :data:`ADMIN_FRAMES` and from naming any
-        ``user_id`` other than their own.
+        tenants are barred from admin rows (:data:`ADMIN_FRAMES`) and,
+        on a row that pins its user field, from naming any ``user_id``
+        other than their own.
         """
         if self.tenants is None:
             return
@@ -232,9 +220,9 @@ class FrameDispatcher:
         self._check_rate(state.tenant)
         if state.role == ROLE_ADMIN:
             return
-        if frame_type in ADMIN_FRAMES:
+        if row.admin:
             raise AuthError("administrator role required")
-        if user_id is not None and user_id != state.tenant:
+        if row.pins_user and fields[0] != state.tenant:
             raise AuthError(
                 f"user id does not match authenticated tenant {state.tenant!r}"
             )
@@ -315,163 +303,102 @@ class FrameDispatcher:
             _DISPATCH_SECONDS.observe(time.perf_counter() - clock, frame=name)
 
     def _dispatch(self, state: ConnState, frame_type: int, payload: bytes):
-        server = self.server
-        if frame_type == wire.T_PING:
-            # Liveness stays unauthenticated: failover probes must work
-            # before (and without) credentials.
-            advertised, ping_flags = wire.decode_ping(payload)
-            if advertised != wire.WIRE_VERSION:
-                raise ProtocolError(
-                    f"unsupported wire version {advertised} "
-                    f"(this server speaks {wire.WIRE_VERSION})"
-                )
-            accepted = 0
-            if self.trace_enabled and ping_flags & wire.FLAG_TRACE:
-                accepted |= wire.FLAG_TRACE
-                # PING is a control frame and never carries the trailer,
-                # so the first frame affected is the one after the PONG.
-                state.trace = True
-            server_id = (
-                server.server_id if server is not None else wire.GATEWAY_SERVER_ID
-            )
-            yield wire.R_PONG, wire.encode_pong(server_id, wire.WIRE_VERSION, accepted)
-        elif frame_type == wire.T_AUTH:
-            yield from self._handle_auth(state, payload)
-        elif frame_type == wire.T_AUTH_PROOF:
-            yield from self._handle_auth_proof(state, payload)
-        elif frame_type == wire.T_GW_RESOLVE:
-            user_id, lookup_key = wire.decode_gw_resolve(payload)
-            self._authorize(state, frame_type, user_id)
-            if self.gateway is None:
-                raise ProtocolError("this front-end serves no read gateway")
-            file_size, secret_sizes, windows = self.gateway.resolve_backup(
-                user_id, lookup_key
-            )
-            yield (
-                wire.R_GW_BACKUP,
-                wire.encode_gw_backup(file_size, secret_sizes, windows),
-            )
-        elif frame_type == wire.T_GW_WINDOW:
-            user_id, lookup_key, window_index = wire.decode_gw_window(payload)
-            self._authorize(state, frame_type, user_id)
-            if self.gateway is None:
-                raise ProtocolError("this front-end serves no read gateway")
-            shard_count = 0
-            for server_id, shares in self.gateway.iter_window_shards(
-                user_id, lookup_key, window_index
-            ):
-                shard_count += 1
-                yield wire.R_GW_SHARD, wire.encode_gw_shard(server_id, shares)
-            yield wire.R_GW_WINDOW_END, wire.encode_gw_window_end(shard_count)
-        elif frame_type == wire.T_OBS_STATS:
-            # Served by every front-end (server or gateway): the metrics
-            # registry is process-wide, the span ring is this front-end's.
-            _expect_empty(payload)
-            self._authorize(state, frame_type)
-            yield wire.R_OBS_STATS, wire.encode_obs_stats(self.obs_snapshot())
-        elif server is None:
-            # A pure gateway front-end: API frames have no backing server.
-            raise ProtocolError(
-                f"gateway front-end cannot serve frame 0x{frame_type:02x}"
-            )
-        elif frame_type == wire.T_QUERY_DUPLICATES:
-            user_id, fingerprints = wire.decode_query_duplicates(payload)
-            self._authorize(state, frame_type, user_id)
-            known = server.query_duplicates(user_id, fingerprints)
-            yield wire.R_BOOLS, wire.encode_bools(known)
-        elif frame_type == wire.T_UPLOAD_SHARES:
-            user_id, uploads = wire.decode_upload_shares(payload)
-            self._authorize(state, frame_type, user_id)
-            server.upload_shares(user_id, uploads)
-            yield wire.R_OK, b""
-        elif frame_type == wire.T_FINALIZE_FILE:
-            user_id, manifest, metas = wire.decode_finalize_file(payload)
-            self._authorize(state, frame_type, user_id)
-            server.finalize_file(user_id, manifest, metas)
-            yield wire.R_OK, b""
-        elif frame_type == wire.T_GET_FILE_ENTRY:
-            user_id, lookup_key = wire.decode_user_key(payload)
-            self._authorize(state, frame_type, user_id)
-            entry = server.get_file_entry(user_id, lookup_key)
-            yield wire.R_FILE_ENTRY, wire.encode_file_entry(entry)
-        elif frame_type == wire.T_GET_RECIPE:
-            user_id, lookup_key, bypass = wire.decode_get_recipe(payload)
-            self._authorize(state, frame_type, user_id)
-            recipe = server.get_recipe(user_id, lookup_key, bypass_cache=bypass)
-            yield wire.R_RECIPE, wire.encode_recipe(recipe)
-        elif frame_type == wire.T_LIST_FILES:
-            user_id = wire.decode_user(payload)
-            self._authorize(state, frame_type, user_id)
-            listing = server.list_files(user_id)
-            yield wire.R_FILE_LIST, wire.encode_file_list(listing)
-        elif frame_type == wire.T_FETCH_SHARES:
-            fingerprints = wire.decode_fetch_shares(payload)
-            self._authorize(state, frame_type)
-            total = 0
-            # Price each share at its full wire cost and leave room for the
-            # frame header + count word, so a maximally-packed batch still
-            # serialises to a frame of at most frame_budget bytes.
-            batch_budget = max(
-                1, self.frame_budget - wire.MUX_FRAME_HEADER.size - 4
-            )
-            for batch in server.iter_share_batches(
-                fingerprints,
-                budget_bytes=batch_budget,
-                cost=lambda fp, data: wire.SHARE_WIRE_OVERHEAD + len(data),
-                owner=self._fetch_owner(state),
-            ):
-                total += len(batch)
-                yield wire.R_SHARE_BATCH, wire.encode_share_batch(batch)
-            yield wire.R_SHARES_END, wire.encode_shares_end(total)
-        elif frame_type == wire.T_DELETE_FILE:
-            user_id, lookup_key = wire.decode_user_key(payload)
-            self._authorize(state, frame_type, user_id)
-            orphaned = server.delete_file(user_id, lookup_key)
-            yield wire.R_INT, wire.encode_int(orphaned)
-        elif frame_type == wire.T_COLLECT_GARBAGE:
-            _expect_empty(payload)
-            self._authorize(state, frame_type)
-            freed = server.collect_garbage()
-            yield wire.R_INT, wire.encode_int(freed)
-        elif frame_type == wire.T_SCRUB:
-            _expect_empty(payload)
-            self._authorize(state, frame_type)
-            corrupt = server.scrub()
-            yield wire.R_FP_LIST, wire.encode_fp_list(corrupt)
-        elif frame_type == wire.T_FLUSH:
-            _expect_empty(payload)
-            # Any authenticated tenant may flush: it only makes their own
-            # (and everyone's) buffered writes durable, revealing nothing.
-            self._authorize(state, frame_type)
-            server.flush()
-            yield wire.R_OK, b""
-        elif frame_type == wire.T_STATS:
-            _expect_empty(payload)
-            self._authorize(state, frame_type)
-            yield wire.R_STATS, wire.encode_stats(server.stats)
-        elif frame_type == wire.T_STORED_BYTES:
-            _expect_empty(payload)
-            self._authorize(state, frame_type)
-            yield wire.R_INT, wire.encode_int(server.stored_bytes)
-        elif frame_type == wire.T_REPLACE_SHARE:
-            server_fp, data = wire.decode_replace_share(payload)
-            self._authorize(state, frame_type)
-            server.replace_share(server_fp, data)
-            yield wire.R_OK, b""
-        elif frame_type == wire.T_REBUILD_RECIPE:
-            user_id, lookup_key, entries = wire.decode_rebuild_recipe(payload)
-            self._authorize(state, frame_type, user_id)
-            server.rebuild_recipe(user_id, lookup_key, entries)
-            yield wire.R_OK, b""
-        elif frame_type == wire.T_LIST_BACKUPS:
-            _expect_empty(payload)
-            self._authorize(state, frame_type)
-            backups = server.list_backups()
-            yield wire.R_BACKUP_LIST, wire.encode_backup_list(backups)
-        else:
+        row = wire.FRAMES.get(frame_type)
+        if row is None or row.reply is None:
             raise ProtocolError(f"unknown request frame type 0x{frame_type:02x}")
+        handler = self._HANDLERS.get(row)
+        if handler is not None:
+            yield from handler(self, state, row, payload)
+            return
+        # Every other row carries one server method: decode, authorize
+        # from the row's flags, call it by name, encode the row's reply.
+        server = self._api_server(row)
+        fields = row.decode(payload)
+        self._authorize(state, row, fields)
+        result = getattr(server, row.methods[0])
+        if callable(result):  # a method; stats / stored_bytes are plain attributes
+            result = result(**{name: value for (name, _), value in zip(row.fields, fields)})
+        yield row.reply, row.reply.encode_result(result)
 
+    def _api_server(self, row: wire.Frame) -> CDStoreServer:
+        if self.server is None:
+            # A pure gateway front-end: API frames have no backing server.
+            raise ProtocolError(f"gateway front-end cannot serve frame 0x{row:02x}")
+        return self.server
 
-def _expect_empty(payload: bytes) -> None:
-    if payload:
-        raise ProtocolError(f"{len(payload)} unexpected payload bytes")
+    def _handle_ping(self, state: ConnState, row: wire.Frame, payload: bytes):
+        # Liveness stays unauthenticated: failover probes must work
+        # before (and without) credentials.
+        advertised, ping_flags = row.decode(payload)
+        if advertised != wire.WIRE_VERSION:
+            raise ProtocolError(
+                f"unsupported wire version {advertised} "
+                f"(this server speaks {wire.WIRE_VERSION})"
+            )
+        accepted = 0
+        if self.trace_enabled and ping_flags & wire.FLAG_TRACE:
+            accepted |= wire.FLAG_TRACE
+            # PING is a control frame and never carries the trailer,
+            # so the first frame affected is the one after the PONG.
+            state.trace = True
+        server_id = self.server.server_id if self.server is not None else wire.GATEWAY_SERVER_ID
+        yield row.reply, row.reply.encode(wire.WIRE_VERSION, server_id, accepted)
+
+    def _gateway_for(self, state: ConnState, row: wire.Frame, payload: bytes):
+        """Decode + authorize a gateway row; the service and its arguments."""
+        fields = row.decode(payload)
+        self._authorize(state, row, fields)
+        if self.gateway is None:
+            raise ProtocolError("this front-end serves no read gateway")
+        return self.gateway, fields
+
+    def _handle_gw_resolve(self, state: ConnState, row: wire.Frame, payload: bytes):
+        gateway, fields = self._gateway_for(state, row, payload)
+        yield row.reply, row.reply.encode(*gateway.resolve_backup(*fields))
+
+    def _handle_gw_window(self, state: ConnState, row: wire.Frame, payload: bytes):
+        gateway, fields = self._gateway_for(state, row, payload)
+        shard_count = 0
+        for server_id, shares in gateway.iter_window_shards(*fields):
+            shard_count += 1
+            yield row.mid, row.mid.encode(server_id, shares)
+        yield row.reply, row.reply.encode(shard_count)
+
+    def _handle_obs_stats(self, state: ConnState, row: wire.Frame, payload: bytes):
+        # Served by every front-end (server or gateway): the metrics
+        # registry is process-wide, the span ring is this front-end's.
+        row.decode(payload)
+        self._authorize(state, row)
+        yield row.reply, row.reply.encode(self.obs_snapshot())
+
+    def _handle_fetch_shares(self, state: ConnState, row: wire.Frame, payload: bytes):
+        server = self._api_server(row)
+        (fingerprints,) = row.decode(payload)
+        self._authorize(state, row)
+        total = 0
+        # Price each share at its full wire cost and leave room for the
+        # frame header + count word, so a maximally-packed batch still
+        # serialises to a frame of at most frame_budget bytes.
+        batch_budget = max(1, self.frame_budget - wire.MUX_FRAME_HEADER.size - 4)
+        for batch in server.iter_share_batches(
+            fingerprints,
+            budget_bytes=batch_budget,
+            cost=lambda fp, data: wire.SHARE_WIRE_OVERHEAD + len(data),
+            owner=self._fetch_owner(state),
+        ):
+            total += len(batch)
+            yield row.mid, row.mid.encode(batch)
+        yield row.reply, row.reply.encode(total)
+
+    #: The rows that are not "call the method the row names": connection
+    #: machinery, the two streamed replies, and the frames answered by the
+    #: gateway or the dispatcher itself.
+    _HANDLERS = {
+        wire.T_PING: _handle_ping,
+        wire.T_AUTH: _handle_auth,
+        wire.T_AUTH_PROOF: _handle_auth_proof,
+        wire.T_FETCH_SHARES: _handle_fetch_shares,
+        wire.T_GW_RESOLVE: _handle_gw_resolve,
+        wire.T_GW_WINDOW: _handle_gw_window,
+        wire.T_OBS_STATS: _handle_obs_stats,
+    }

@@ -9,9 +9,9 @@ in one framing from the connection's first byte:
 
 The magic word catches stream desynchronisation immediately (a frame read
 mid-payload fails loudly instead of interpreting share bytes as headers),
-the type selects one codec below, and the length is bounded by
-``max_frame`` on both ends — a malicious or corrupted peer cannot make the
-receiver allocate an arbitrary buffer.
+the type selects one row of the frame table below, and the length is
+bounded by ``max_frame`` on both ends — a malicious or corrupted peer
+cannot make the receiver allocate an arbitrary buffer.
 
 The ``request_id`` is a correlation id: the server echoes a request's
 id on every frame it emits for that request, so one socket carries many
@@ -22,12 +22,18 @@ errors that answer no particular request.  The first exchange is
 peer advertising any other version is answered with a typed
 :class:`~repro.errors.ProtocolError`.
 
-Payload codecs cover the full :class:`~repro.server.server.CDStoreServer`
-surface and reuse the ``pack``/``unpack`` structs of
-:mod:`repro.server.messages` and :mod:`repro.server.index`, so the bytes a
-share travels in are identical whether the transport is a method call or a
-socket.  Every decoder consumes its payload exactly: truncation *and*
-trailing garbage raise :class:`~repro.errors.ProtocolError`.
+**The frame table below is the one declaration of the wire surface.**
+Each ``T_*``/``R_*`` name is a :class:`Frame` — the frame-type byte
+itself, carrying its payload layout and, for a request, its reply, the
+server method it carries (or its tier) and its admin mark.  The codecs
+are built from the layout, the dispatcher routes, authorizes and replies
+from the row, the proxy calls through it, and §4–§6 of
+``docs/PROTOCOL.md`` are rendered from it (``python -m repro.net.wire``).
+The packed records reuse the ``pack``/``unpack`` structs of
+:mod:`repro.server.messages` and :mod:`repro.server.index`, so the bytes
+a share travels in are identical whether the transport is a method call
+or a socket.  Every decode consumes its payload exactly: truncation
+*and* trailing garbage raise :class:`~repro.errors.ProtocolError`.
 
 Errors are first-class frames: a server-side :class:`~repro.errors.
 ReproError` is encoded as :data:`R_ERROR` with a stable numeric code and
@@ -43,6 +49,8 @@ from __future__ import annotations
 import json
 import socket
 import struct
+from itertools import chain
+from operator import attrgetter
 from typing import Callable
 
 from repro.dedup.stats import DedupStats
@@ -60,6 +68,9 @@ __all__ = [
     "AUTH_PROOF_SIZE",
     "CONTROL_FRAMES",
     "FLAG_TRACE",
+    "FRAMES",
+    "Frame",
+    "FrameTable",
     "GATEWAY_FRAMES",
     "GATEWAY_SERVER_ID",
     "LOCAL_ONLY_METHODS",
@@ -80,6 +91,7 @@ __all__ = [
     "frame_name",
     "read_frame_mux",
     "recv_exact",
+    "render_spec",
     "split_trace_context",
 ]
 
@@ -102,56 +114,542 @@ MAX_FRAME_BYTES = 16 << 20
 
 _FP_SIZE = 32
 
+#: Wire bytes one share adds to a :data:`R_SHARE_BATCH` beyond its payload
+#: (fingerprint + length prefix).  The TCP server prices shares with this
+#: so whole reply frames respect its frame budget.
+SHARE_WIRE_OVERHEAD = _FP_SIZE + 4
+
+#: PING/PONG capability flag: the sender supports the per-request trace
+#: extension (:data:`TRACE_CONTEXT_SIZE`-byte trailer on request frames).
+#: Carried in the optional trailing flags byte of both handshake frames;
+#: a peer that omits the byte advertises nothing, so negotiation degrades
+#: to "no trace" with no special case.
+FLAG_TRACE = 0x01
+
+#: Client/server nonces in the auth exchange are exactly this long.
+AUTH_NONCE_SIZE = 16
+#: HMAC-SHA256 digest length of the T_AUTH_PROOF payload.
+AUTH_PROOF_SIZE = 32
+
+#: ``server_id`` a gateway front-end reports in :data:`R_PONG` — a
+#: gateway is not a cloud, so it answers with a value no cloud index can
+#: take (the u32 maximum) instead of claiming slot 0.
+GATEWAY_SERVER_ID = 0xFFFFFFFF
+
+#: Protocol methods that never cross the wire (local lifecycle/recovery).
+LOCAL_ONLY_METHODS: frozenset[str] = frozenset({"close", "recover"})
+
 # ---------------------------------------------------------------------------
-# frame types
+# field vocabulary
 # ---------------------------------------------------------------------------
 
-# Requests (client -> server).
-T_PING = 0x01
-T_QUERY_DUPLICATES = 0x02
-T_UPLOAD_SHARES = 0x03
-T_FINALIZE_FILE = 0x04
-T_GET_FILE_ENTRY = 0x05
-T_GET_RECIPE = 0x06
-T_LIST_FILES = 0x07
-T_FETCH_SHARES = 0x08
-T_DELETE_FILE = 0x09
-T_COLLECT_GARBAGE = 0x0A
-T_SCRUB = 0x0B
-T_FLUSH = 0x0C
-T_STATS = 0x0D
-T_STORED_BYTES = 0x0E
-T_REPLACE_SHARE = 0x0F
-T_REBUILD_RECIPE = 0x10
-T_LIST_BACKUPS = 0x11
-T_AUTH = 0x12
-T_AUTH_PROOF = 0x13
-# Gateway requests (client -> repro gateway; see repro.gateway).
-T_GW_RESOLVE = 0x14
-T_GW_WINDOW = 0x15
-# Observability: fetch the versioned metrics/span snapshot (admin-gated).
-T_OBS_STATS = 0x16
+_U32 = struct.Struct(">I")
+
+
+def _truncated() -> ProtocolError:
+    return ProtocolError("frame payload truncated")
+
+
+def _spell(fields) -> str:
+    """A ``(name, kind)`` sequence as the spec prints it."""
+    return " ".join(f"{name}:{kind.doc}" if name else kind.doc for name, kind in fields)
+
+
+class Field:
+    """One kind of payload field.
+
+    ``doc`` is the token the spec prints for the kind.
+    ``columns(values)`` is the wire form of a run of values as parallel
+    iterables of byte strings (a ``sized`` is two: lengths and bodies),
+    so a list packs column by column rather than value by value;
+    ``unpack(blob, pos)`` reads one value and returns it with the
+    position behind it, raising :class:`ProtocolError` when the bytes run
+    out.  ``dump``/``load`` convert between the value callers see and the
+    raw form the kind carries (a ``str`` and its UTF-8 bytes, a record
+    and its packing).
+    """
+
+    def __init__(self, doc: str, dump=None, load=None) -> None:
+        self.doc, self.dump, self.load = doc, dump, load
+
+    def pack(self, value, out: list[bytes]) -> None:
+        """Append the wire bytes of one value to ``out``."""
+        for column in self.columns((value,)):
+            out.extend(column)
+
+
+class Fixed(Field):
+    """A fixed-width kind: one ``struct`` item of format ``fmt``.
+
+    The ``dump`` of a byte-string item (``"32s"``) must return exactly
+    the item's bytes, so packing it is no more than that call.
+    """
+
+    def __init__(self, doc: str, fmt: str, dump=None, load=None) -> None:
+        super().__init__(doc, dump, load)
+        self.struct = struct.Struct(">" + fmt)
+        if fmt.endswith("s"):
+            self.tobytes = dump
+        elif dump is None:
+            self.tobytes = self.struct.pack
+        else:
+            self.tobytes = lambda value: self.struct.pack(dump(value))
+
+    def columns(self, values):
+        return [map(self.tobytes, values)]
+
+    def unpack(self, blob, pos):
+        try:
+            (value,) = self.struct.unpack_from(blob, pos)
+        except struct.error:
+            raise _truncated() from None
+        return (self.load(value) if self.load else value), pos + self.struct.size
+
+
+class Sized(Field):
+    """A ``u32`` length, then that many bytes."""
+
+    def columns(self, values):
+        if self.dump:
+            values = list(map(self.dump, values))
+        return [map(_U32.pack, map(len, values)), values]
+
+    def unpack(self, blob, pos):
+        try:
+            (length,) = _U32.unpack_from(blob, pos)
+        except struct.error:
+            raise _truncated() from None
+        pos += 4
+        end = pos + length
+        if end > len(blob):
+            raise _truncated()
+        return (self.load(blob[pos:end]) if self.load else blob[pos:end]), end
+
+
+class Rest(Field):
+    """Every remaining payload byte — only legal as a row's last field."""
+
+    def columns(self, values):
+        return [map(self.dump, values)]
+
+    def unpack(self, blob, pos):
+        return self.load(blob[pos:]), len(blob)
+
+
+class ListOf(Field):
+    """A ``u32`` count, then that many elements.
+
+    One bare item kind makes the elements bare values; several
+    ``(name, kind)`` items make them tuples, or ``into(*items)`` objects
+    whose attributes carry the item names.
+    """
+
+    def __init__(self, *items, into=None) -> None:
+        self.bare = isinstance(items[0], Field)
+        self.items = (("", items[0]),) if self.bare else items
+        self.into = into
+        super().__init__(f"list({_spell(self.items)})")
+
+    def pack(self, values, out):
+        out.append(_U32.pack(len(values)))
+        if not values:
+            return
+        if self.bare:
+            columns = self.items[0][1].columns(values)
+        else:
+            if self.into is not None:
+                values = map(attrgetter(*(name for name, _ in self.items)), values)
+            columns = [
+                column
+                for (_, kind), run in zip(self.items, zip(*values, strict=True), strict=True)
+                for column in kind.columns(run)
+            ]
+        out.extend(columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns)))
+
+    def unpack(self, blob, pos):
+        count, pos = u32.unpack(blob, pos)
+        kinds = [kind for _, kind in self.items]
+        if self.bare and isinstance(kinds[0], Fixed):
+            # Fixed-width elements: bound the whole list once, unpack in bulk.
+            (kind,) = kinds
+            end = pos + count * kind.struct.size
+            if end > len(blob):
+                raise _truncated()
+            raws = kind.struct.iter_unpack(memoryview(blob)[pos:end])
+            if kind.load is None:
+                return [raw for (raw,) in raws], end
+            return [kind.load(raw) for (raw,) in raws], end
+        elements = []
+        for _ in range(count):
+            element = []
+            for kind in kinds:
+                value, pos = kind.unpack(blob, pos)
+                element.append(value)
+            if self.bare:
+                elements.append(element[0])
+            elif self.into is not None:
+                elements.append(self.into(*element))
+            else:
+                elements.append(tuple(element))
+        return elements, pos
+
+
+def _utf8(blob: bytes) -> str:
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"bad UTF-8 in frame: {exc}") from exc
+
+
+def _load_bool(byte: int) -> bool:
+    if byte > 1:
+        raise ProtocolError(f"bool field holds {byte}, not 0 or 1")
+    return byte == 1
+
+
+def _load_flags(blob: bytes) -> int:
+    if len(blob) > 1:
+        raise ProtocolError(f"{len(blob) - 1} trailing bytes after frame payload")
+    return blob[0] if blob else 0
+
+
+def raw(size: int, doc: str | None = None) -> Fixed:
+    """Exactly ``size`` raw bytes (``doc`` names a kind the spec defines)."""
+    doc = doc or f"raw({size})"
+
+    def exactly(blob: bytes) -> bytes:
+        if len(blob) != size:
+            raise ProtocolError(f"{doc} must be {size} bytes, got {len(blob)}")
+        return blob
+
+    return Fixed(doc, f"{size}s", dump=exactly)
+
+
+def packed(record, prefixed: bool = False) -> Field:
+    """A record that packs itself (``pack()`` / ``unpack(blob)``).
+
+    One with a ``packed_size()`` is fixed-width; a variable one travels
+    length-``prefixed`` or, bare, as the rest of the payload.
+    """
+    if hasattr(record, "packed_size"):
+        return Fixed(record.__name__, f"{record.packed_size()}s", record.pack, record.unpack)
+    if prefixed:
+        return Sized(f"sized({record.__name__})", record.pack, record.unpack)
+    return Rest(record.__name__, record.pack, record.unpack)
+
+
+u8 = Fixed("u8", "B")
+u16 = Fixed("u16", "H")
+u32 = Fixed("u32", "I")
+u64 = Fixed("u64", "Q")
+i64 = Fixed("i64", "q")
+boolean = Fixed("bool", "B", dump=bool, load=_load_bool)
+fingerprint = raw(_FP_SIZE, "fingerprint")
+sized = Sized("sized")
+string = Sized("string", dump=str.encode, load=_utf8)
+#: A ``string`` that, leading a request, is the user id the dispatcher
+#: pins to the authenticated tenant.
+user = Sized("string", dump=str.encode, load=_utf8)
+#: One optional trailing byte, appended only when nonzero (PING/PONG).
+flags = Rest("[u8]", lambda value: bytes([value]) if value else b"", _load_flags)
+listof = ListOf
+
+_STATS_FIELDS = (
+    "logical_data",
+    "logical_shares",
+    "transferred_shares",
+    "physical_shares",
+    "secrets_total",
+    "shares_total",
+    "shares_transferred",
+    "shares_stored",
+)
+_STATS_STRUCT = struct.Struct(f">{len(_STATS_FIELDS)}q")
+
+#: The server's dedup counters as one struct of :data:`_STATS_FIELDS`.
+dedup_stats = Fixed(
+    f"{len(_STATS_FIELDS)}×i64 ({', '.join(_STATS_FIELDS)})",
+    f"{_STATS_STRUCT.size}s",
+    dump=lambda stats: _STATS_STRUCT.pack(*(getattr(stats, name) for name in _STATS_FIELDS)),
+    load=lambda blob: DedupStats(**dict(zip(_STATS_FIELDS, _STATS_STRUCT.unpack(blob)))),
+)
+
+
+def _dump_snapshot(snapshot: dict) -> bytes:
+    if "version" not in snapshot:
+        raise ProtocolError("obs snapshot must carry a 'version' key")
+    return json.dumps(snapshot, sort_keys=True).encode("utf-8")
+
+
+def _load_snapshot(blob: bytes) -> dict:
+    try:
+        snapshot = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"bad obs stats payload: {exc}") from exc
+    if not isinstance(snapshot, dict) or "version" not in snapshot:
+        raise ProtocolError("obs stats payload is not a versioned snapshot")
+    return snapshot
+
+
+#: The observability snapshot is a JSON document, not packed structs: its
+#: schema evolves with the metric catalogue (every release adds
+#: metrics), and the frame is an admin/ops surface where flexibility
+#: beats the few KB a binary encoding would save.  The embedded
+#: ``version`` key (repro.obs.registry.SNAPSHOT_VERSION) is the
+#: compatibility contract.
+obs_snapshot = Rest("json", _dump_snapshot, _load_snapshot)
+
+# ---------------------------------------------------------------------------
+# the frame table
+# ---------------------------------------------------------------------------
+
+
+class Frame(int):
+    """One row of the frame table: a frame-type byte that knows its frame.
+
+    It *is* the byte — ``wire.T_PING == 0x01``, usable wherever an int is
+    — so whatever names a frame holds its row.  ``fields`` is the payload
+    layout, ``(name, kind)`` pairs in wire order; a row whose first kind
+    is :data:`user` has that field pinned to the authenticated tenant.  A
+    request also names its ``reply`` frame (or the ``(mid, end)`` pair of
+    a streamed reply), the :class:`~repro.server.protocol.
+    CDStoreServerAPI` ``method`` (or methods) it carries — its field
+    names are then the method's parameter names, because the dispatcher
+    calls by keyword — or else its ``tier`` (``"control"``: connection
+    machinery, legal before authentication; ``"gateway"``; ``"obs"``),
+    and whether it is reserved to the ``admin`` role when a tenant
+    registry is active.  ``note`` is free text for the spec table.
+    """
+
+    def __new__(
+        cls, byte: int, *fields: tuple[str, Field], reply=None,
+        method: str | tuple[str, ...] = (), tier: str | None = None,
+        admin: bool = False, note: str = "",
+    ):
+        self = super().__new__(cls, byte)
+        self.name = f"0x{byte:02X}"  # FrameTable.register gives the real one
+        self.fields = fields
+        self.mid, self.reply = reply if isinstance(reply, tuple) else (None, reply)
+        self.methods = (method,) if isinstance(method, str) else method
+        self.tier = "api" if self.methods else tier
+        self.admin = admin
+        self.pins_user = bool(fields) and fields[0][1] is user
+        self.note = note
+        if (self.reply is None) != (self.tier is None):
+            raise ValueError("a request names its reply and a method or tier")
+        return self
+
+    def encode(self, *values) -> bytes:
+        """The payload carrying ``values``, one per field."""
+        out: list[bytes] = []
+        try:
+            for (_, kind), value in zip(self.fields, values, strict=True):
+                kind.pack(value, out)
+        except struct.error as exc:
+            raise ProtocolError(f"{self.name} cannot carry these fields: {exc}") from exc
+        return b"".join(out)
+
+    def decode(self, payload: bytes) -> tuple:
+        """The field values of ``payload``, which must hold nothing else."""
+        pos = 0
+        values = []
+        for _, kind in self.fields:
+            value, pos = kind.unpack(payload, pos)
+            values.append(value)
+        if pos != len(payload):
+            raise ProtocolError(f"{len(payload) - pos} trailing bytes after frame payload")
+        return tuple(values)
+
+    def encode_result(self, result) -> bytes:
+        """Encode what a server method returned: ``None`` for an empty
+        layout, the value itself for one field, a tuple for several."""
+        if len(self.fields) == 1:
+            return self.encode(result)
+        return self.encode(*(result or ()))
+
+    def decode_result(self, payload: bytes):
+        """Inverse of :meth:`encode_result`."""
+        values = self.decode(payload)
+        return values[0] if len(values) == 1 else values or None
+
+
+class FrameTable(dict):
+    """Frame byte -> :class:`Frame`, refusing to map one byte twice."""
+
+    def register(self, name: str, frame: Frame) -> None:
+        if frame in self:
+            raise ValueError(f"frame byte 0x{frame:02X} is both {self[frame].name} and {name}")
+        for answer in (frame.mid, frame.reply):
+            if answer is not None and self.get(answer) is not answer:
+                raise ValueError(f"{name} is answered by an unregistered frame")
+        frame.name = name
+        self[int(frame)] = frame
+
 
 # Responses (server -> client).
-R_OK = 0x80
-R_PONG = 0x81
-R_BOOLS = 0x82
-R_FILE_ENTRY = 0x83
-R_RECIPE = 0x84
-R_FILE_LIST = 0x85
-R_SHARE_BATCH = 0x86
-R_SHARES_END = 0x87
-R_INT = 0x88
-R_FP_LIST = 0x89
-R_STATS = 0x8A
-R_BACKUP_LIST = 0x8B
-R_AUTH_CHALLENGE = 0x8C
-R_AUTH_OK = 0x8D
-R_GW_BACKUP = 0x8E
-R_GW_SHARD = 0x8F
-R_GW_WINDOW_END = 0x90
-R_OBS_STATS = 0x91
-R_ERROR = 0xFF
+R_OK = Frame(0x80)
+R_PONG = Frame(0x81, ("version", u16), ("server_id", u32), ("flags", flags))
+R_BOOLS = Frame(0x82, ("known", listof(boolean)), note="one per queried fingerprint, in order")
+R_FILE_ENTRY = Frame(0x83, ("entry", packed(FileEntry)))
+R_RECIPE = Frame(0x84, ("entries", listof(packed(RecipeEntry))))
+R_FILE_LIST = Frame(
+    0x85, ("files", listof(("lookup_key", sized), ("entry", packed(FileEntry, prefixed=True))))
+)
+R_SHARE_BATCH = Frame(
+    0x86,
+    ("shares", listof(("fingerprint", fingerprint), ("data", sized))),
+    note="one bounded batch of a fetch stream",
+)
+R_SHARES_END = Frame(
+    0x87,
+    ("total", u32),
+    note="terminal frame of a fetch stream; total shares streamed (client cross-checks)",
+)
+R_INT = Frame(0x88, ("value", i64))
+R_FP_LIST = Frame(0x89, ("fingerprints", listof(fingerprint)))
+R_STATS = Frame(0x8A, ("stats", dedup_stats))
+R_BACKUP_LIST = Frame(0x8B, ("backups", listof(("user_id", string), ("lookup_key", sized))))
+R_AUTH_CHALLENGE = Frame(0x8C, ("server_nonce", raw(AUTH_NONCE_SIZE)), note="fresh per attempt")
+R_AUTH_OK = Frame(0x8D, ("role", string), note='`"user"` or `"admin"`')
+R_GW_BACKUP = Frame(
+    0x8E,
+    ("file_size", u64),
+    ("secret_sizes", listof(u32)),
+    ("windows", listof(("start", u32), ("end", u32))),
+    note="the gateway's resolved restore plan (§8)",
+)
+R_GW_SHARD = Frame(
+    0x8F,
+    ("server_id", u32),
+    ("shares", listof(sized)),
+    note="one replica's shares for the requested window, in sequence order",
+)
+R_GW_WINDOW_END = Frame(
+    0x90,
+    ("shard_count", u32),
+    note="terminal frame of a shard stream; shards streamed (client cross-checks)",
+)
+R_OBS_STATS = Frame(
+    0x91,
+    ("snapshot", obs_snapshot),
+    note='observability snapshot with a mandatory top-level `"version"` key (§9)',
+)
+R_ERROR = Frame(0xFF, ("code", u8), ("message", sized), note="§6; the message is UTF-8 text")
+
+_USER = ("user_id", user)
+_USER_KEY = (_USER, ("lookup_key", sized))
+
+# Requests (client -> server).
+T_PING = Frame(0x01, ("version", u16), ("flags", flags), reply=R_PONG, tier="control")
+T_QUERY_DUPLICATES = Frame(
+    0x02, _USER, ("fingerprints", listof(fingerprint)), reply=R_BOOLS, method="query_duplicates"
+)
+T_UPLOAD_SHARES = Frame(
+    0x03,
+    _USER,
+    ("uploads", listof(("meta", packed(ShareMeta)), ("data", sized), into=ShareUpload)),
+    reply=R_OK,
+    method="upload_shares",
+)
+T_FINALIZE_FILE = Frame(
+    0x04,
+    _USER,
+    ("manifest", packed(FileManifest, prefixed=True)),
+    ("share_metas", listof(packed(ShareMeta))),
+    reply=R_OK,
+    method="finalize_file",
+)
+T_GET_FILE_ENTRY = Frame(0x05, *_USER_KEY, reply=R_FILE_ENTRY, method="get_file_entry")
+T_GET_RECIPE = Frame(
+    0x06, *_USER_KEY, ("bypass_cache", boolean), reply=R_RECIPE, method="get_recipe"
+)
+T_LIST_FILES = Frame(0x07, _USER, reply=R_FILE_LIST, method="list_files")
+T_FETCH_SHARES = Frame(
+    0x08,
+    ("fingerprints", listof(fingerprint)),
+    reply=(R_SHARE_BATCH, R_SHARES_END),
+    method=("fetch_shares", "iter_share_batches"),
+)
+T_DELETE_FILE = Frame(0x09, *_USER_KEY, reply=R_INT, method="delete_file")
+T_COLLECT_GARBAGE = Frame(0x0A, reply=R_INT, method="collect_garbage", admin=True)
+T_SCRUB = Frame(0x0B, reply=R_FP_LIST, method="scrub", admin=True)
+# Any authenticated tenant may flush: it only makes their own (and
+# everyone's) buffered writes durable, revealing nothing.
+T_FLUSH = Frame(0x0C, reply=R_OK, method="flush")
+T_STATS = Frame(0x0D, reply=R_STATS, method="stats", admin=True)
+T_STORED_BYTES = Frame(0x0E, reply=R_INT, method="stored_bytes", admin=True)
+T_REPLACE_SHARE = Frame(
+    0x0F,
+    ("server_fp", fingerprint),
+    ("data", sized),
+    reply=R_OK,
+    method="replace_share",
+    admin=True,
+)
+T_REBUILD_RECIPE = Frame(
+    0x10,
+    *_USER_KEY,
+    ("entries", listof(packed(RecipeEntry))),
+    reply=R_OK,
+    method="rebuild_recipe",
+    admin=True,
+)
+T_LIST_BACKUPS = Frame(0x11, reply=R_BACKUP_LIST, method="list_backups", admin=True)
+T_AUTH = Frame(
+    0x12,
+    ("tenant_id", string),
+    ("client_nonce", raw(AUTH_NONCE_SIZE)),
+    reply=R_AUTH_CHALLENGE,
+    tier="control",
+)
+T_AUTH_PROOF = Frame(0x13, ("proof", raw(AUTH_PROOF_SIZE)), reply=R_AUTH_OK, tier="control")
+# Gateway requests (client -> repro gateway; see repro.gateway).
+T_GW_RESOLVE = Frame(0x14, *_USER_KEY, reply=R_GW_BACKUP, tier="gateway")
+T_GW_WINDOW = Frame(
+    0x15,
+    *_USER_KEY,
+    ("window_index", u32),
+    reply=(R_GW_SHARD, R_GW_WINDOW_END),
+    tier="gateway",
+)
+# Observability: the versioned metrics/span snapshot of any front-end.
+T_OBS_STATS = Frame(0x16, reply=R_OBS_STATS, tier="obs", admin=True)
+
+
+def _collect_frames(namespace: dict) -> FrameTable:
+    table = FrameTable()
+    for name, value in namespace.items():
+        if isinstance(value, Frame):
+            table.register(name, value)
+    return table
+
+
+#: The frame table: every ``T_*``/``R_*`` row above, by frame byte.  A
+#: byte declared twice fails the import.
+FRAMES = _collect_frames(globals())
+
+_REQUESTS = [row for row in FRAMES.values() if row.reply is not None]
+
+#: Server-surface method -> request frame that carries it.  With
+#: :data:`LOCAL_ONLY_METHODS` this is exactly the public surface of
+#: :class:`repro.server.protocol.CDStoreServerAPI` (held by test).
+METHOD_FRAMES: dict[str, int] = {method: row for row in _REQUESTS for method in row.methods}
+
+#: Request frames that are connection machinery, not server-API methods:
+#: the version handshake and the tenant authentication exchange.
+CONTROL_FRAMES: frozenset[int] = frozenset(row for row in _REQUESTS if row.tier == "control")
+
+#: Request frames carried by the read-gateway surface
+#: (:class:`repro.gateway.service.GatewayService`), not the
+#: :class:`~repro.server.protocol.CDStoreServerAPI`.  A front-end
+#: without a gateway answers them with ``ProtocolError``.
+GATEWAY_FRAMES: frozenset[int] = frozenset(row for row in _REQUESTS if row.tier == "gateway")
+
+#: Observability request frames: served by *every* front-end (server or
+#: gateway) from its own dispatcher, not from the
+#: :class:`~repro.server.protocol.CDStoreServerAPI` surface.
+OBS_FRAMES: frozenset[int] = frozenset(row for row in _REQUESTS if row.tier == "obs")
+
 
 def frame_name(frame_type: int) -> str:
     """Human label for a frame byte (``"PING"``, ``"GW_WINDOW"``, …).
@@ -160,76 +658,9 @@ def frame_name(frame_type: int) -> str:
     span names, so exposition stays readable without a byte/name lookup
     table at the consumer.  Unknown bytes render as hex.
     """
-    name = _FRAME_NAMES.get(frame_type)
-    return name if name is not None else f"0x{frame_type:02x}"
+    row = FRAMES.get(frame_type)
+    return row.name[2:] if row is not None else f"0x{frame_type:02x}"
 
-
-def _build_frame_names() -> dict[int, str]:
-    names: dict[int, str] = {}
-    for name, value in globals().items():
-        if isinstance(value, int) and (
-            name.startswith("T_") or name.startswith("R_")
-        ):
-            names.setdefault(value, name[2:])
-    return names
-
-
-#: Server-surface method -> request frame that carries it.  This is the
-#: single source of truth the WIRE-005 checker cross-checks against
-#: :class:`repro.server.protocol.CDStoreServerAPI`: a method added to the
-#: Protocol without a frame here (or vice versa) is a finding, so the
-#: wire surface cannot silently drift from the API surface.
-METHOD_FRAMES: dict[str, int] = {
-    "query_duplicates": T_QUERY_DUPLICATES,
-    "upload_shares": T_UPLOAD_SHARES,
-    "finalize_file": T_FINALIZE_FILE,
-    "get_file_entry": T_GET_FILE_ENTRY,
-    "get_recipe": T_GET_RECIPE,
-    "list_files": T_LIST_FILES,
-    "fetch_shares": T_FETCH_SHARES,
-    "iter_share_batches": T_FETCH_SHARES,
-    "delete_file": T_DELETE_FILE,
-    "collect_garbage": T_COLLECT_GARBAGE,
-    "scrub": T_SCRUB,
-    "flush": T_FLUSH,
-    "stats": T_STATS,
-    "stored_bytes": T_STORED_BYTES,
-    "replace_share": T_REPLACE_SHARE,
-    "rebuild_recipe": T_REBUILD_RECIPE,
-    "list_backups": T_LIST_BACKUPS,
-}
-
-#: Request frames that are connection machinery, not server-API methods:
-#: the version handshake and the tenant authentication exchange.
-CONTROL_FRAMES: frozenset[int] = frozenset({T_PING, T_AUTH, T_AUTH_PROOF})
-
-#: Request frames carried by the read-gateway surface
-#: (:class:`repro.gateway.service.GatewayService`), not the
-#: :class:`~repro.server.protocol.CDStoreServerAPI` — the WIRE-005
-#: checker exempts these from METHOD_FRAMES exactly like control frames.
-#: A front-end without a gateway answers them with ``ProtocolError``.
-GATEWAY_FRAMES: frozenset[int] = frozenset({T_GW_RESOLVE, T_GW_WINDOW})
-
-#: ``server_id`` a gateway front-end reports in :data:`R_PONG` — a
-#: gateway is not a cloud, so it answers with a value no cloud index can
-#: take (the u32 maximum) instead of claiming slot 0.
-GATEWAY_SERVER_ID = 0xFFFFFFFF
-
-#: Observability request frames: served by *every* front-end (server or
-#: gateway) from its own dispatcher, not from the
-#: :class:`~repro.server.protocol.CDStoreServerAPI` surface — the
-#: WIRE-005 checker exempts these from METHOD_FRAMES exactly like
-#: control and gateway frames.  Admin-gated when a tenant registry is
-#: active (see :data:`repro.net.dispatch.ADMIN_FRAMES`).
-OBS_FRAMES: frozenset[int] = frozenset({T_OBS_STATS})
-
-#: Protocol methods that never cross the wire (local lifecycle/recovery).
-LOCAL_ONLY_METHODS: frozenset[str] = frozenset({"close", "recover"})
-
-#: Wire bytes one share adds to a :data:`R_SHARE_BATCH` beyond its payload
-#: (fingerprint + length prefix).  The TCP server prices shares with this
-#: so whole reply frames respect its frame budget.
-SHARE_WIRE_OVERHEAD = _FP_SIZE + 4
 
 # ---------------------------------------------------------------------------
 # typed error frames
@@ -243,19 +674,15 @@ def encode_error(exc: ReproError) -> bytes:
     subclass inherits its nearest registered ancestor's), so the peer
     re-raises the same class — or the closest family an older peer knows.
     """
-    code = wire_code_for(exc)
     # NotFoundError inherits KeyError, whose str() quotes the message.
     message = exc.args[0] if exc.args else str(exc)
-    blob = str(message).encode("utf-8")
-    return struct.pack(">BI", code, len(blob)) + blob
+    return R_ERROR.encode(wire_code_for(exc), str(message).encode("utf-8"))
 
 
 def decode_error(payload: bytes) -> ReproError:
     """Rebuild the typed exception an :data:`R_ERROR` payload carries."""
-    reader = _Reader(payload)
-    code = reader.u8()
-    message = reader.sized_bytes().decode("utf-8", errors="replace")
-    reader.done()
+    code, blob = R_ERROR.decode(payload)
+    message = blob.decode("utf-8", errors="replace")
     cls = WIRE_ERROR_CODES.get(code)
     if cls is None:
         return ProtocolError(f"peer error with unknown code {code}: {message}")
@@ -341,125 +768,6 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# payload reader
-# ---------------------------------------------------------------------------
-
-
-class _Reader:
-    """Bounds-checked cursor over one frame payload."""
-
-    def __init__(self, blob: bytes) -> None:
-        self._blob = blob
-        self._pos = 0
-
-    def take(self, n: int) -> bytes:
-        if n < 0 or self._pos + n > len(self._blob):
-            raise ProtocolError("frame payload truncated")
-        out = self._blob[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def i64(self) -> int:
-        return struct.unpack(">q", self.take(8))[0]
-
-    def sized_bytes(self) -> bytes:
-        return self.take(self.u32())
-
-    def string(self) -> str:
-        try:
-            return self.sized_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"bad UTF-8 in frame: {exc}") from exc
-
-    def fingerprint(self) -> bytes:
-        return self.take(_FP_SIZE)
-
-    def done(self) -> None:
-        if self._pos != len(self._blob):
-            raise ProtocolError(
-                f"{len(self._blob) - self._pos} trailing bytes after frame payload"
-            )
-
-
-def _sized(blob: bytes) -> bytes:
-    return struct.pack(">I", len(blob)) + blob
-
-
-def _string(text: str) -> bytes:
-    return _sized(text.encode("utf-8"))
-
-
-def _check_fp(fp: bytes) -> bytes:
-    if len(fp) != _FP_SIZE:
-        raise ProtocolError(f"fingerprint must be {_FP_SIZE} bytes, got {len(fp)}")
-    return fp
-
-
-# ---------------------------------------------------------------------------
-# request codecs
-# ---------------------------------------------------------------------------
-
-
-#: PING/PONG capability flag: the sender supports the per-request trace
-#: extension (:data:`TRACE_CONTEXT_SIZE`-byte trailer on request frames).
-#: Carried in the optional trailing flags byte of both handshake frames;
-#: a peer that omits the byte advertises nothing, so negotiation degrades
-#: to "no trace" with no special case.
-FLAG_TRACE = 0x01
-
-
-def encode_ping(version: int = WIRE_VERSION, flags: int = 0) -> bytes:
-    """T_PING carries the wire version the client speaks.
-
-    ``flags`` (capability bits, :data:`FLAG_TRACE`) ride in an optional
-    trailing byte appended only when nonzero.
-    """
-    blob = struct.pack(">H", version)
-    if flags:
-        blob += struct.pack(">B", flags)
-    return blob
-
-
-def decode_ping(payload: bytes) -> tuple[int, int]:
-    """Returns ``(version, flags)``; a 2-byte PING has flags 0."""
-    reader = _Reader(payload)
-    version = struct.unpack(">H", reader.take(2))[0]
-    flags = reader.u8() if len(payload) > 2 else 0
-    reader.done()
-    return version, flags
-
-
-def encode_pong(server_id: int, version: int = WIRE_VERSION, flags: int = 0) -> bytes:
-    """R_PONG answers with the server's wire version and cloud index.
-
-    ``flags`` echoes the capabilities the server *accepted* (a subset of
-    the PING's), in the same optional-trailing-byte shape.
-    """
-    blob = struct.pack(">HI", version, server_id)
-    if flags:
-        blob += struct.pack(">B", flags)
-    return blob
-
-
-def decode_pong(payload: bytes) -> tuple[int, int, int]:
-    """Returns ``(version, server_id, flags)``; a 6-byte PONG has flags 0."""
-    reader = _Reader(payload)
-    version, server_id = struct.unpack(">HI", reader.take(6))
-    flags = reader.u8() if len(payload) > 6 else 0
-    reader.done()
-    return version, server_id, flags
-
-
-# ---------------------------------------------------------------------------
 # trace extension (negotiated via FLAG_TRACE)
 # ---------------------------------------------------------------------------
 
@@ -501,458 +809,53 @@ def split_trace_context(payload: bytes) -> tuple[bytes, int, bytes]:
     return trace_id, span_id, payload[:-TRACE_CONTEXT_SIZE]
 
 
-#: Client/server nonces in the auth exchange are exactly this long.
-AUTH_NONCE_SIZE = 16
-#: HMAC-SHA256 digest length of the T_AUTH_PROOF payload.
-AUTH_PROOF_SIZE = 32
+# ---------------------------------------------------------------------------
+# the spec tables (docs/PROTOCOL.md §4-§6 are generated from the code)
+# ---------------------------------------------------------------------------
 
 
-def _check_nonce(nonce: bytes) -> bytes:
-    if len(nonce) != AUTH_NONCE_SIZE:
-        raise ProtocolError(
-            f"auth nonce must be {AUTH_NONCE_SIZE} bytes, got {len(nonce)}"
+def render_spec() -> dict[str, str]:
+    """The generated blocks of ``docs/PROTOCOL.md``, by marker name.
+
+    ``request-frames`` (§4) and ``reply-frames`` (§5) come from
+    :data:`FRAMES`, ``error-codes`` (§6) from
+    :data:`~repro.errors.WIRE_ERROR_CODES` and the first docstring line
+    of each class.  A test holds the document to this output;
+    ``python -m repro.net.wire`` prints it.
+    """
+
+    def payload(row: Frame) -> str:
+        text = f"`{_spell(row.fields)}`" if row.fields else "empty"
+        return f"{text} — {row.note}" if row.note else text
+
+    requests = [
+        "| Frame | Byte | Carries | Request payload | Success reply |",
+        "|---|---|---|---|---|",
+    ]
+    replies = ["| Frame | Byte | Payload |", "|---|---|---|"]
+    for row in sorted(FRAMES.values()):
+        if row.reply is None:
+            replies.append(f"| `{row.name}` | `0x{row:02X}` | {payload(row)} |")
+            continue
+        carries = " / ".join(f"`{m}`" for m in row.methods) or f"— ({row.tier})"
+        answer = f"`{row.reply.name}`"
+        if row.mid is not None:
+            answer = f"`{row.mid.name}`* then {answer}"
+        requests.append(
+            f"| `{row.name}`{' ⚑' if row.admin else ''} | `0x{row:02X}` "
+            f"| {carries} | {payload(row)} | {answer} |"
         )
-    return nonce
-
-
-def encode_auth(tenant_id: str, client_nonce: bytes) -> bytes:
-    """T_AUTH: open the challenge-response exchange for ``tenant_id``."""
-    return _string(tenant_id) + _check_nonce(client_nonce)
-
-
-def decode_auth(payload: bytes) -> tuple[str, bytes]:
-    reader = _Reader(payload)
-    tenant_id = reader.string()
-    client_nonce = reader.take(AUTH_NONCE_SIZE)
-    reader.done()
-    return tenant_id, client_nonce
-
-
-def encode_auth_challenge(server_nonce: bytes) -> bytes:
-    """R_AUTH_CHALLENGE: fresh per-connection nonce the proof must cover."""
-    return _check_nonce(server_nonce)
-
-
-def decode_auth_challenge(payload: bytes) -> bytes:
-    reader = _Reader(payload)
-    server_nonce = reader.take(AUTH_NONCE_SIZE)
-    reader.done()
-    return server_nonce
-
-
-def encode_auth_proof(proof: bytes) -> bytes:
-    """T_AUTH_PROOF: HMAC over both nonces + tenant id (see repro.tenants)."""
-    if len(proof) != AUTH_PROOF_SIZE:
-        raise ProtocolError(
-            f"auth proof must be {AUTH_PROOF_SIZE} bytes, got {len(proof)}"
-        )
-    return proof
-
-
-def decode_auth_proof(payload: bytes) -> bytes:
-    reader = _Reader(payload)
-    proof = reader.take(AUTH_PROOF_SIZE)
-    reader.done()
-    return proof
-
-
-def encode_auth_ok(role: str) -> bytes:
-    """R_AUTH_OK: handshake accepted; tells the client its granted role."""
-    return _string(role)
-
-
-def decode_auth_ok(payload: bytes) -> str:
-    reader = _Reader(payload)
-    role = reader.string()
-    reader.done()
-    return role
-
-
-def encode_query_duplicates(user_id: str, fingerprints: list[bytes]) -> bytes:
-    parts = [_string(user_id), struct.pack(">I", len(fingerprints))]
-    parts.extend(_check_fp(fp) for fp in fingerprints)
-    return b"".join(parts)
-
-
-def decode_query_duplicates(payload: bytes) -> tuple[str, list[bytes]]:
-    reader = _Reader(payload)
-    user_id = reader.string()
-    fingerprints = [reader.fingerprint() for _ in range(reader.u32())]
-    reader.done()
-    return user_id, fingerprints
-
-
-def encode_upload_shares(user_id: str, uploads: list[ShareUpload]) -> bytes:
-    parts = [_string(user_id), struct.pack(">I", len(uploads))]
-    for upload in uploads:
-        parts.append(upload.meta.pack())
-        parts.append(_sized(upload.data))
-    return b"".join(parts)
-
-
-def decode_upload_shares(payload: bytes) -> tuple[str, list[ShareUpload]]:
-    reader = _Reader(payload)
-    user_id = reader.string()
-    uploads = []
-    for _ in range(reader.u32()):
-        meta = ShareMeta.unpack(reader.take(ShareMeta.packed_size()))
-        uploads.append(ShareUpload(meta=meta, data=reader.sized_bytes()))
-    reader.done()
-    return user_id, uploads
-
-
-def encode_finalize_file(
-    user_id: str, manifest: FileManifest, share_metas: list[ShareMeta]
-) -> bytes:
-    parts = [
-        _string(user_id),
-        _sized(manifest.pack()),
-        struct.pack(">I", len(share_metas)),
-    ]
-    parts.extend(meta.pack() for meta in share_metas)
-    return b"".join(parts)
-
-
-def decode_finalize_file(payload: bytes) -> tuple[str, FileManifest, list[ShareMeta]]:
-    reader = _Reader(payload)
-    user_id = reader.string()
-    manifest = FileManifest.unpack(reader.sized_bytes())
-    metas = [
-        ShareMeta.unpack(reader.take(ShareMeta.packed_size()))
-        for _ in range(reader.u32())
-    ]
-    reader.done()
-    return user_id, manifest, metas
-
-
-def encode_user_key(user_id: str, lookup_key: bytes) -> bytes:
-    """Shared request shape: get_file_entry / delete_file."""
-    return _string(user_id) + _sized(lookup_key)
-
-
-def decode_user_key(payload: bytes) -> tuple[str, bytes]:
-    reader = _Reader(payload)
-    user_id = reader.string()
-    lookup_key = reader.sized_bytes()
-    reader.done()
-    return user_id, lookup_key
-
-
-def encode_get_recipe(user_id: str, lookup_key: bytes, bypass_cache: bool) -> bytes:
-    return _string(user_id) + _sized(lookup_key) + struct.pack(">B", int(bypass_cache))
-
-
-def decode_get_recipe(payload: bytes) -> tuple[str, bytes, bool]:
-    reader = _Reader(payload)
-    user_id = reader.string()
-    lookup_key = reader.sized_bytes()
-    bypass = reader.u8()
-    reader.done()
-    if bypass not in (0, 1):
-        raise ProtocolError(f"bad bypass_cache flag {bypass}")
-    return user_id, lookup_key, bool(bypass)
-
-
-def encode_user(user_id: str) -> bytes:
-    return _string(user_id)
-
-
-def decode_user(payload: bytes) -> str:
-    reader = _Reader(payload)
-    user_id = reader.string()
-    reader.done()
-    return user_id
-
-
-def encode_fp_list(fingerprints: list[bytes]) -> bytes:
-    parts = [struct.pack(">I", len(fingerprints))]
-    parts.extend(_check_fp(fp) for fp in fingerprints)
-    return b"".join(parts)
-
-
-def decode_fp_list(payload: bytes) -> list[bytes]:
-    reader = _Reader(payload)
-    fingerprints = [reader.fingerprint() for _ in range(reader.u32())]
-    reader.done()
-    return fingerprints
-
-
-#: A fetch request body is exactly a fingerprint list (so is the scrub
-#: reply, below) — one codec, two names at the call sites.
-encode_fetch_shares = encode_fp_list
-decode_fetch_shares = decode_fp_list
-
-
-def encode_replace_share(server_fp: bytes, data: bytes) -> bytes:
-    return _check_fp(server_fp) + _sized(data)
-
-
-def decode_replace_share(payload: bytes) -> tuple[bytes, bytes]:
-    reader = _Reader(payload)
-    server_fp = reader.fingerprint()
-    data = reader.sized_bytes()
-    reader.done()
-    return server_fp, data
-
-
-def encode_rebuild_recipe(
-    user_id: str, lookup_key: bytes, entries: list[RecipeEntry]
-) -> bytes:
-    parts = [_string(user_id), _sized(lookup_key), struct.pack(">I", len(entries))]
-    parts.extend(entry.pack() for entry in entries)
-    return b"".join(parts)
-
-
-def decode_rebuild_recipe(payload: bytes) -> tuple[str, bytes, list[RecipeEntry]]:
-    reader = _Reader(payload)
-    user_id = reader.string()
-    lookup_key = reader.sized_bytes()
-    entries = [
-        RecipeEntry.unpack(reader.take(RecipeEntry.packed_size()))
-        for _ in range(reader.u32())
-    ]
-    reader.done()
-    return user_id, lookup_key, entries
-
-
-# ---------------------------------------------------------------------------
-# response codecs
-# ---------------------------------------------------------------------------
-
-
-def encode_bools(values: list[bool]) -> bytes:
-    return struct.pack(">I", len(values)) + bytes(int(bool(v)) for v in values)
-
-
-def decode_bools(payload: bytes) -> list[bool]:
-    reader = _Reader(payload)
-    count = reader.u32()
-    flags = reader.take(count)
-    reader.done()
-    if any(flag not in (0, 1) for flag in flags):
-        raise ProtocolError("bool frame contains non-0/1 byte")
-    return [bool(flag) for flag in flags]
-
-
-def encode_file_entry(entry: FileEntry) -> bytes:
-    return entry.pack()
-
-
-def decode_file_entry(payload: bytes) -> FileEntry:
-    return FileEntry.unpack(payload)
-
-
-def encode_recipe(entries: list[RecipeEntry]) -> bytes:
-    return struct.pack(">I", len(entries)) + b"".join(e.pack() for e in entries)
-
-
-def decode_recipe(payload: bytes) -> list[RecipeEntry]:
-    reader = _Reader(payload)
-    entries = [
-        RecipeEntry.unpack(reader.take(RecipeEntry.packed_size()))
-        for _ in range(reader.u32())
-    ]
-    reader.done()
-    return entries
-
-
-def encode_file_list(listing: list[tuple[bytes, FileEntry]]) -> bytes:
-    parts = [struct.pack(">I", len(listing))]
-    for lookup_key, entry in listing:
-        parts.append(_sized(lookup_key))
-        parts.append(_sized(entry.pack()))
-    return b"".join(parts)
-
-
-def decode_file_list(payload: bytes) -> list[tuple[bytes, FileEntry]]:
-    reader = _Reader(payload)
-    out = []
-    for _ in range(reader.u32()):
-        lookup_key = reader.sized_bytes()
-        out.append((lookup_key, FileEntry.unpack(reader.sized_bytes())))
-    reader.done()
-    return out
-
-
-def encode_share_batch(batch: list[tuple[bytes, bytes]]) -> bytes:
-    parts = [struct.pack(">I", len(batch))]
-    for fp, payload in batch:
-        parts.append(_check_fp(fp))
-        parts.append(_sized(payload))
-    return b"".join(parts)
-
-
-def decode_share_batch(payload: bytes) -> list[tuple[bytes, bytes]]:
-    reader = _Reader(payload)
-    out = []
-    for _ in range(reader.u32()):
-        fp = reader.fingerprint()
-        out.append((fp, reader.sized_bytes()))
-    reader.done()
-    return out
-
-
-def encode_shares_end(total: int) -> bytes:
-    return struct.pack(">I", total)
-
-
-def decode_shares_end(payload: bytes) -> int:
-    reader = _Reader(payload)
-    total = reader.u32()
-    reader.done()
-    return total
-
-
-def encode_int(value: int) -> bytes:
-    return struct.pack(">q", value)
-
-
-def decode_int(payload: bytes) -> int:
-    reader = _Reader(payload)
-    value = reader.i64()
-    reader.done()
-    return value
-
-
-_STATS_FIELDS = (
-    "logical_data",
-    "logical_shares",
-    "transferred_shares",
-    "physical_shares",
-    "secrets_total",
-    "shares_total",
-    "shares_transferred",
-    "shares_stored",
-)
-_STATS_STRUCT = struct.Struct(f">{len(_STATS_FIELDS)}q")
-
-
-def encode_stats(stats: DedupStats) -> bytes:
-    return _STATS_STRUCT.pack(*(getattr(stats, field) for field in _STATS_FIELDS))
-
-
-def decode_stats(payload: bytes) -> DedupStats:
-    reader = _Reader(payload)
-    values = _STATS_STRUCT.unpack(reader.take(_STATS_STRUCT.size))
-    reader.done()
-    return DedupStats(**dict(zip(_STATS_FIELDS, values)))
-
-
-# T_OBS_STATS carries no request body; its reply is a JSON document, not
-# packed structs: the snapshot schema evolves with the metric catalogue
-# (every release adds metrics), and the frame is an admin/ops surface
-# where flexibility beats the few KB a binary encoding would save.  The
-# embedded ``version`` key (repro.obs.registry.SNAPSHOT_VERSION) is the
-# compatibility contract.
-
-
-def encode_obs_stats(snapshot: dict) -> bytes:
-    """R_OBS_STATS: one versioned observability snapshot, JSON-encoded."""
-    if "version" not in snapshot:
-        raise ProtocolError("obs snapshot must carry a 'version' key")
-    return json.dumps(snapshot, sort_keys=True).encode("utf-8")
-
-
-def decode_obs_stats(payload: bytes) -> dict:
-    try:
-        snapshot = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"bad obs stats payload: {exc}") from exc
-    if not isinstance(snapshot, dict) or "version" not in snapshot:
-        raise ProtocolError("obs stats payload is not a versioned snapshot")
-    return snapshot
-
-
-def encode_backup_list(backups: list[tuple[str, bytes]]) -> bytes:
-    parts = [struct.pack(">I", len(backups))]
-    for user_id, lookup_key in backups:
-        parts.append(_string(user_id))
-        parts.append(_sized(lookup_key))
-    return b"".join(parts)
-
-
-def decode_backup_list(payload: bytes) -> list[tuple[str, bytes]]:
-    reader = _Reader(payload)
-    out = []
-    for _ in range(reader.u32()):
-        user_id = reader.string()
-        out.append((user_id, reader.sized_bytes()))
-    reader.done()
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Gateway codecs (repro gateway read tier; see repro.gateway)
-# ---------------------------------------------------------------------------
-
-#: A resolve request body is exactly the shared user/key shape.
-encode_gw_resolve = encode_user_key
-decode_gw_resolve = decode_user_key
-
-
-def encode_gw_backup(
-    file_size: int,
-    secret_sizes: list[int],
-    windows: list[tuple[int, int]],
-) -> bytes:
-    """R_GW_BACKUP: the gateway's resolved restore plan for one backup."""
-    parts = [struct.pack(">QI", file_size, len(secret_sizes))]
-    parts.extend(struct.pack(">I", size) for size in secret_sizes)
-    parts.append(struct.pack(">I", len(windows)))
-    parts.extend(struct.pack(">II", start, end) for start, end in windows)
-    return b"".join(parts)
-
-
-def decode_gw_backup(payload: bytes) -> tuple[int, list[int], list[tuple[int, int]]]:
-    reader = _Reader(payload)
-    file_size = reader.u64()
-    secret_sizes = [reader.u32() for _ in range(reader.u32())]
-    windows = [(reader.u32(), reader.u32()) for _ in range(reader.u32())]
-    reader.done()
-    return file_size, secret_sizes, windows
-
-
-def encode_gw_window(user_id: str, lookup_key: bytes, window_index: int) -> bytes:
-    """T_GW_WINDOW: fetch one resolved window's shards from the gateway."""
-    return _string(user_id) + _sized(lookup_key) + struct.pack(">I", window_index)
-
-
-def decode_gw_window(payload: bytes) -> tuple[str, bytes, int]:
-    reader = _Reader(payload)
-    user_id = reader.string()
-    lookup_key = reader.sized_bytes()
-    window_index = reader.u32()
-    reader.done()
-    return user_id, lookup_key, window_index
-
-
-def encode_gw_shard(server_id: int, shares: list[bytes]) -> bytes:
-    """R_GW_SHARD: one replica's shares for the window, in sequence order."""
-    parts = [struct.pack(">II", server_id, len(shares))]
-    parts.extend(_sized(share) for share in shares)
-    return b"".join(parts)
-
-
-def decode_gw_shard(payload: bytes) -> tuple[int, list[bytes]]:
-    reader = _Reader(payload)
-    server_id = reader.u32()
-    shares = [reader.sized_bytes() for _ in range(reader.u32())]
-    reader.done()
-    return server_id, shares
-
-
-def encode_gw_window_end(shard_count: int) -> bytes:
-    """R_GW_WINDOW_END: terminates a shard stream; echoes the shard count."""
-    return struct.pack(">I", shard_count)
-
-
-def decode_gw_window_end(payload: bytes) -> int:
-    reader = _Reader(payload)
-    count = reader.u32()
-    reader.done()
-    return count
-
-
-#: Frame byte -> short name ("PING", "OBS_STATS", …); built once all
-#: constants above exist.
-_FRAME_NAMES = _build_frame_names()
+    errors = ["| Code | Class | Meaning |", "|---|---|---|"]
+    for code, cls in sorted(WIRE_ERROR_CODES.items()):
+        meaning = (cls.__doc__ or "").strip().splitlines()[0].replace("``", "`")
+        errors.append(f"| {code} | `{cls.__name__}` | {meaning} |")
+    return {
+        "request-frames": "\n".join(requests),
+        "reply-frames": "\n".join(replies),
+        "error-codes": "\n".join(errors),
+    }
+
+
+if __name__ == "__main__":
+    for marker, block in render_spec().items():
+        print(f"<!-- generated:{marker} -->\n{block}\n<!-- /generated:{marker} -->\n")

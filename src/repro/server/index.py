@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import abc
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -222,20 +223,14 @@ class ShareEntry:
         return cls(ref=ref, share_size=share_size, owners=owners)
 
 
+@dataclass
 class FileEntry:
     """File-index entry: a reference to the file recipe (§4.4)."""
 
-    def __init__(
-        self,
-        recipe_ref: ContainerRef,
-        path_share: bytes,
-        file_size: int,
-        secret_count: int,
-    ) -> None:
-        self.recipe_ref = recipe_ref
-        self.path_share = path_share
-        self.file_size = file_size
-        self.secret_count = secret_count
+    recipe_ref: ContainerRef
+    path_share: bytes
+    file_size: int
+    secret_count: int
 
     def pack(self) -> bytes:
         ref_blob = self.recipe_ref.pack()
@@ -263,4 +258,6 @@ class FileEntry:
             file_size, secret_count = struct.unpack_from(">QQ", blob, pos)
         except (struct.error, StorageError) as exc:
             raise ProtocolError(f"bad FileEntry: {exc}") from exc
+        if pos + 16 != len(blob):
+            raise ProtocolError(f"{len(blob) - pos - 16} trailing bytes after FileEntry")
         return cls(ref, path_share, file_size, secret_count)

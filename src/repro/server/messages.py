@@ -125,4 +125,6 @@ class FileManifest:
             file_size, count = struct.unpack_from(">QQ", blob, pos)
         except struct.error as exc:
             raise ProtocolError(f"bad FileManifest: {exc}") from exc
+        if pos + 16 != len(blob):
+            raise ProtocolError(f"{len(blob) - pos - 16} trailing bytes after FileManifest")
         return cls(key, share, file_size, count)

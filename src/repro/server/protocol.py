@@ -2,17 +2,18 @@
 
 Before this existed, :class:`repro.net.client.RemoteServerProxy` merely
 duck-typed :class:`repro.server.server.CDStoreServer` — nothing stopped
-one surface from drifting from the other, and the wire checkers had to
-enumerate frames by hand.  :class:`CDStoreServerAPI` is now the single
-declared contract:
+one surface from drifting from the other.  :class:`CDStoreServerAPI` is
+now the single declared contract:
 
 * both implementations are checked against it in the test suite
   (``isinstance`` via ``runtime_checkable``);
-* the WIRE-005 analysis rule cross-checks every method declared here
-  against ``METHOD_FRAMES`` in :mod:`repro.net.wire` (minus
-  ``LOCAL_ONLY_METHODS``), so adding a server method without deciding
-  its wire mapping — or a frame without a method — fails ``repro
-  analyze``.  Adding an auth/quota frame is a one-place change each.
+* every method declared here is carried by a row of the frame table in
+  :mod:`repro.net.wire` (``METHOD_FRAMES``) or named in
+  ``LOCAL_ONLY_METHODS``, and no row carries a method this class does
+  not declare — a test holds the two sets equal, so adding a server
+  method without deciding its wire mapping fails tier-1.  A row's field
+  names are the method's parameter names: the dispatcher calls by
+  keyword.
 """
 
 from __future__ import annotations

@@ -89,98 +89,6 @@ def test_lifecycle_suppression_is_honoured():
 
 
 # ---------------------------------------------------------------------------
-# WIRE-001..004
-
-
-def test_wire_checker_cross_checks_every_surface():
-    wire = FIXTURES / "wiring" / "net" / "wire.py"
-    findings = findings_for("wiring")
-    orphan_line = line_of(wire, "T_ORPHAN")
-    by_rule = {f.rule: f for f in findings}
-
-    # T_ORPHAN is missing from all three surfaces.
-    for rule in ("WIRE-001", "WIRE-002", "WIRE-003"):
-        assert by_rule[rule].line == orphan_line, rule
-    assert "T_ORPHAN" in by_rule["WIRE-001"].message
-    assert "ORPHAN" in by_rule["WIRE-003"].message
-
-    # T_SHADOW reuses T_PING's byte.
-    assert by_rule["WIRE-004"].line == line_of(wire, "T_SHADOW")
-    assert "0x01" in by_rule["WIRE-004"].message
-
-    # T_DEBUG_DUMP's missing proxy coverage is suppressed with a reason;
-    # nothing else fires.
-    assert len(findings) == 4
-
-
-# ---------------------------------------------------------------------------
-# WIRE-005
-
-
-def test_protocol_surface_drift_fires_in_both_directions():
-    wire = FIXTURES / "protocol_surface" / "net" / "wire.py"
-    protocol = FIXTURES / "protocol_surface" / "server" / "protocol.py"
-    findings = findings_for("protocol_surface")
-    assert rules(findings) == {"WIRE-005"}
-    by_line = {(Path(f.path).name, f.line): f for f in findings}
-
-    unmapped_frame = by_line[("wire.py", line_of(wire, "T_UNMAPPED"))]
-    assert "T_UNMAPPED" in unmapped_frame.message
-    assert "CONTROL_FRAMES" in unmapped_frame.message
-
-    ghost = by_line[("wire.py", line_of(wire, "ghost_method"))]
-    assert "'ghost_method'" in ghost.message
-    assert "FixtureServerAPI" in ghost.message
-
-    undeclared = by_line[("protocol.py", line_of(protocol, "unmapped_method"))]
-    assert "unmapped_method" in undeclared.message
-    assert "LOCAL_ONLY_METHODS" in undeclared.message
-
-    # close (local-only), upload (mapped) and the suppressed debug_probe
-    # mapping stay silent.
-    assert len(findings) == 3
-
-
-# ---------------------------------------------------------------------------
-# WIRE-006
-
-
-def test_protocol_doc_drift_flags_frames_and_error_codes():
-    wire = FIXTURES / "protocol_doc" / "net" / "wire.py"
-    errors = FIXTURES / "protocol_doc" / "errors.py"
-    findings = findings_for("protocol_doc")
-    assert rules(findings) == {"WIRE-006"}
-    by_line = {(Path(f.path).name, f.line): f for f in findings}
-
-    # T_GHOST's name+byte pair is absent from the spec.
-    ghost = by_line[("wire.py", line_of(wire, "T_GHOST"))]
-    assert "T_GHOST" in ghost.message
-    assert "0x02" in ghost.message
-
-    # ForgottenError's wire code is absent from the error registry.
-    forgotten = by_line[("errors.py", line_of(errors, "wire_code = 2"))]
-    assert "ForgottenError" in forgotten.message
-    assert "wire code 2" in forgotten.message
-
-    # R_SECRET and InternalOnlyError are suppressed with reasons;
-    # T_PING and DocumentedError are documented.  Nothing else fires.
-    assert len(findings) == 2
-
-
-def test_missing_protocol_doc_is_flagged(tmp_path):
-    (tmp_path / "wire.py").write_text(
-        "T_PING = 0x01\n"
-        "METHOD_FRAMES: dict[str, int] = {}\n"
-        "CONTROL_FRAMES: frozenset[int] = frozenset({T_PING})\n"
-    )
-    findings = run_analysis([tmp_path])
-    assert any(
-        f.rule == "WIRE-006" and "no normative spec" in f.message
-        for f in findings
-    )
-
-
-# ---------------------------------------------------------------------------
 # OBS-001
 
 

@@ -153,10 +153,10 @@ def seed_shares(server, count: int, size: int, user="alice") -> list[bytes]:
 def connect_raw(tcp, timeout: float = 10.0):
     """Dial the server, run the PING handshake, return the socket."""
     sock = socket.create_connection(tcp.address, timeout=timeout)
-    sock.sendall(wire.encode_mux_frame(wire.T_PING, 1, wire.encode_ping()))
+    sock.sendall(wire.encode_mux_frame(wire.T_PING, 1, wire.T_PING.encode(wire.WIRE_VERSION, 0)))
     frame_type, rid, pong = read_raw_frame(sock)
     assert (frame_type, rid) == (wire.R_PONG, 1)
-    version, _server_id, _flags = wire.decode_pong(pong)
+    version, _server_id, _flags = wire.R_PONG.decode(pong)
     assert version == wire.WIRE_VERSION
     return sock
 
@@ -202,9 +202,9 @@ class TestRetiredFraming:
     within the socket timeout — never a reply in the old framing."""
 
     @pytest.mark.parametrize("sent", [
-        v1_frame(wire.T_PING, wire.encode_ping()),
-        v1_frame(wire.T_PING, wire.encode_ping()) + v1_frame(wire.T_STATS),
-        wire.encode_mux_frame(wire.T_PING, 1, wire.encode_ping())[:5],
+        v1_frame(wire.T_PING, wire.T_PING.encode(wire.WIRE_VERSION, 0)),
+        v1_frame(wire.T_PING, wire.T_PING.encode(wire.WIRE_VERSION, 0)) + v1_frame(wire.T_STATS),
+        wire.encode_mux_frame(wire.T_PING, 1, wire.T_PING.encode(wire.WIRE_VERSION, 0))[:5],
     ], ids=["v1-ping", "v1-ping-then-request", "truncated-header"])
     def test_old_or_cut_off_first_frame_never_gets_an_old_reply(
         self, front_end, sent
@@ -224,7 +224,7 @@ class TestRetiredFraming:
 
     def test_ping_advertising_version_1_is_a_typed_error(self, front_end):
         with socket.create_connection(front_end.address, timeout=5) as sock:
-            sock.sendall(wire.encode_mux_frame(wire.T_PING, 9, wire.encode_ping(1)))
+            sock.sendall(wire.encode_mux_frame(wire.T_PING, 9, wire.T_PING.encode(1, 0)))
             frame_type, rid, body = read_raw_frame(sock)
         assert (frame_type, rid) == (wire.R_ERROR, 9)
         exc = wire.decode_error(body)
@@ -342,7 +342,7 @@ class TestMuxSemantics:
         server = GatedServer(make_servers(1)[0])
         with AsyncCDStoreTCPServer(server, executor_size=4) as tcp:
             sock = connect_raw(tcp)
-            request = wire.encode_user("alice")
+            request = wire.T_LIST_FILES.encode("alice")
             try:
                 sock.sendall(
                     wire.encode_mux_frame(wire.T_LIST_FILES, 7, request))
@@ -457,7 +457,7 @@ class TestOverloadAndBackpressure:
             try:
                 sock.sendall(
                     wire.encode_mux_frame(
-                        wire.T_FETCH_SHARES, 1, wire.encode_fetch_shares(fps)
+                        wire.T_FETCH_SHARES, 1, wire.T_FETCH_SHARES.encode(fps)
                     )
                 )
                 # Read nothing: the write queue and kernel buffers fill and

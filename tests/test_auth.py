@@ -195,24 +195,24 @@ class TestHandshake:
         client_nonce = os.urandom(wire.AUTH_NONCE_SIZE)
         with closing(_connect(tcp)) as s1:
             frame_type, payload = _call(
-                s1, wire.T_AUTH, wire.encode_auth("alice", client_nonce)
+                s1, wire.T_AUTH, wire.T_AUTH.encode("alice", client_nonce)
             )
             assert frame_type == wire.R_AUTH_CHALLENGE
-            nonce1 = wire.decode_auth_challenge(payload)
+            nonce1 = wire.R_AUTH_CHALLENGE.decode_result(payload)
             proof = auth_proof(SECRETS["alice"], "alice", client_nonce, nonce1)
             frame_type, _ = _call(
-                s1, wire.T_AUTH_PROOF, wire.encode_auth_proof(proof)
+                s1, wire.T_AUTH_PROOF, wire.T_AUTH_PROOF.encode(proof)
             )
             assert frame_type == wire.R_AUTH_OK
 
         with closing(_connect(tcp)) as s2:
             frame_type, payload = _call(
-                s2, wire.T_AUTH, wire.encode_auth("alice", client_nonce)
+                s2, wire.T_AUTH, wire.T_AUTH.encode("alice", client_nonce)
             )
-            nonce2 = wire.decode_auth_challenge(payload)
+            nonce2 = wire.R_AUTH_CHALLENGE.decode_result(payload)
             assert nonce2 != nonce1
             frame_type, payload = _call(
-                s2, wire.T_AUTH_PROOF, wire.encode_auth_proof(proof)
+                s2, wire.T_AUTH_PROOF, wire.T_AUTH_PROOF.encode(proof)
             )
             assert frame_type == wire.R_ERROR
             assert isinstance(wire.decode_error(payload), AuthError)
@@ -224,18 +224,18 @@ class TestHandshake:
         client_nonce = os.urandom(wire.AUTH_NONCE_SIZE)
         with closing(_connect(tcp)) as sock:
             _, payload = _call(
-                sock, wire.T_AUTH, wire.encode_auth("alice", client_nonce)
+                sock, wire.T_AUTH, wire.T_AUTH.encode("alice", client_nonce)
             )
-            server_nonce = wire.decode_auth_challenge(payload)
+            server_nonce = wire.R_AUTH_CHALLENGE.decode_result(payload)
             frame_type, _ = _call(
-                sock, wire.T_AUTH_PROOF, wire.encode_auth_proof(b"\x00" * 32)
+                sock, wire.T_AUTH_PROOF, wire.T_AUTH_PROOF.encode(b"\x00" * 32)
             )
             assert frame_type == wire.R_ERROR
             correct = auth_proof(
                 SECRETS["alice"], "alice", client_nonce, server_nonce
             )
             frame_type, payload = _call(
-                sock, wire.T_AUTH_PROOF, wire.encode_auth_proof(correct)
+                sock, wire.T_AUTH_PROOF, wire.T_AUTH_PROOF.encode(correct)
             )
             assert frame_type == wire.R_ERROR
             assert isinstance(wire.decode_error(payload), AuthError)
@@ -246,14 +246,14 @@ class TestHandshake:
         client_nonce = os.urandom(wire.AUTH_NONCE_SIZE)
         with closing(_connect(tcp)) as sock:
             _, payload = _call(
-                sock, wire.T_AUTH, wire.encode_auth("alice", client_nonce)
+                sock, wire.T_AUTH, wire.T_AUTH.encode("alice", client_nonce)
             )
-            server_nonce = wire.decode_auth_challenge(payload)
+            server_nonce = wire.R_AUTH_CHALLENGE.decode_result(payload)
             forged = auth_proof(
                 SECRETS["bob"], "alice", client_nonce, server_nonce
             )
             frame_type, payload = _call(
-                sock, wire.T_AUTH_PROOF, wire.encode_auth_proof(forged)
+                sock, wire.T_AUTH_PROOF, wire.T_AUTH_PROOF.encode(forged)
             )
             assert frame_type == wire.R_ERROR
             assert isinstance(wire.decode_error(payload), AuthError)

@@ -60,6 +60,14 @@ class TestFileManifest:
         with pytest.raises(ProtocolError):
             FileManifest.unpack(b"\x00")
 
+    def test_unpack_is_exact_length(self):
+        good = FileManifest(b"key", b"path-share", 7, 1).pack()
+        with pytest.raises(ProtocolError, match="2 trailing bytes"):
+            FileManifest.unpack(good + b"XX")
+        for cut in range(len(good)):
+            with pytest.raises(ProtocolError):
+                FileManifest.unpack(good[:cut])
+
 
 class TestShareEntry:
     def test_pack_roundtrip_with_owners(self):
@@ -112,3 +120,13 @@ class TestFileEntry:
     def test_bad_blob_raises(self):
         with pytest.raises(ProtocolError):
             FileEntry.unpack(b"")
+
+    def test_unpack_is_exact_length(self):
+        entry = FileEntry(ContainerRef("container-0000000009", 2), b"\x01\x02", 5, 1)
+        good = entry.pack()
+        assert FileEntry.unpack(good) == entry
+        with pytest.raises(ProtocolError, match="4 trailing bytes"):
+            FileEntry.unpack(good + b"JUNK")
+        for cut in range(len(good)):
+            with pytest.raises(ProtocolError):
+                FileEntry.unpack(good[:cut])

@@ -321,19 +321,19 @@ class TestTracer:
 class TestObsStatsCodec:
     def test_round_trip(self):
         snap = {"version": 1, "counters": {"x_total": {"": 2}}}
-        assert wire.decode_obs_stats(wire.encode_obs_stats(snap)) == snap
+        assert wire.R_OBS_STATS.decode(wire.R_OBS_STATS.encode(snap)) == (snap,)
 
     def test_encode_requires_version(self):
         with pytest.raises(ProtocolError, match="version"):
-            wire.encode_obs_stats({"counters": {}})
+            wire.R_OBS_STATS.encode({"counters": {}})
 
     def test_decode_rejects_garbage_and_unversioned(self):
         with pytest.raises(ProtocolError):
-            wire.decode_obs_stats(b"\xff\xfe not json")
+            wire.R_OBS_STATS.decode(b"\xff\xfe not json")
         with pytest.raises(ProtocolError, match="versioned"):
-            wire.decode_obs_stats(b'{"counters": {}}')
+            wire.R_OBS_STATS.decode(b'{"counters": {}}')
         with pytest.raises(ProtocolError, match="versioned"):
-            wire.decode_obs_stats(b'[1, 2]')
+            wire.R_OBS_STATS.decode(b'[1, 2]')
 
 
 # ---------------------------------------------------------------------------
