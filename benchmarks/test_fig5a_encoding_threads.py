@@ -13,7 +13,7 @@ are reported per configuration (see :mod:`repro.bench.encoding`):
   onto the worker count.  On a host with enough free cores this equals
   wall clock; on starved CI/container hosts it is the hardware-independent
   rendering of the paper's scaling claim (the same makespan accounting the
-  transfer experiments use via SimClock).
+  transfer experiments' model uses).
 * ``wall MB/s`` — the measured wall clock of this very run, printed so
   core starvation is visible rather than hidden.
 

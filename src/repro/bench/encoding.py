@@ -27,9 +27,9 @@ with at least as many free cores as workers the two coincide (the OS *is*
 the greedy scheduler and the workers never contend); on the small
 CI/container hosts this repo is typically benchmarked in, the measured
 wall clock reflects core starvation rather than the codec, exactly the
-situation the transfer experiments already handle with
-:class:`~repro.cloud.network.SimClock` makespan accounting.  The table
-prints both columns so nothing is hidden.
+situation the transfer experiments already handle with the
+:func:`~repro.cloud.network.makespan` model.  The table prints both
+columns so nothing is hidden.
 """
 
 from __future__ import annotations

@@ -56,8 +56,9 @@ def client_upload_walltime(
     the wall-clock is the *makespan* over per-cloud transfer times; a
     single-threaded client visits the clouds one after another, so it pays
     their sum.  Each cloud's bytes move in 4 MB units (§4.1) over its
-    uplink.  This mirrors the accounting the
-    :class:`~repro.client.comm.CommEngine` charges to its clock.
+    uplink.  This is *the* transfer-time accounting for a client upload:
+    feed it an :class:`~repro.client.client.UploadReceipt`'s
+    ``wire_bytes_per_cloud``.
     """
     times = [
         cloud.uplink.transfer_time(int(nbytes), batches=batch_count(nbytes))

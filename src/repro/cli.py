@@ -35,9 +35,10 @@ import time
 from pathlib import Path
 
 from repro.chunking import DEFAULT_CHUNKER, ChunkerSpec, chunker_names
+from repro.client.comm import PIPELINE_DEPTH
 from repro.cloud.network import Link
 from repro.cloud.provider import CloudProvider
-from repro.config import CONFIG_FILE_NAME, CloudSpec, ReproConfig
+from repro.config import CONFIG_FILE_NAME, CloudSpec, GatewaySpec, ReproConfig
 from repro.errors import ReproError
 from repro.obs.log import StructuredLog
 from repro.storage.backend import LocalDirBackend
@@ -239,21 +240,20 @@ def cmd_init(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    gateway = None
+    # Only what was passed: GatewaySpec owns the defaults.
+    gateway = {
+        key: value
+        for key, value in (
+            ("cache_bytes", args.gateway_cache_bytes),
+            ("recipe_ttl", args.gateway_recipe_ttl),
+            ("shard_count", args.gateway_shard_count),
+            ("replicas", args.gateway_replica),
+        )
+        if value is not None
+    }
     if args.gateway is not None:
-        gateway = {
-            "endpoint": args.gateway,
-            "cache_bytes": args.gateway_cache_bytes,
-            "recipe_ttl": args.gateway_recipe_ttl,
-            "shard_count": args.gateway_shard_count,
-            "replicas": tuple(args.gateway_replica or ()),
-        }
-    elif (
-        args.gateway_replica
-        or args.gateway_cache_bytes != 256 << 20
-        or args.gateway_recipe_ttl != 30.0
-        or args.gateway_shard_count != 64
-    ):
+        gateway["endpoint"] = args.gateway
+    elif gateway:
         print(
             "error: --gateway-* options require --gateway tcp://host:port",
             file=sys.stderr,
@@ -266,7 +266,7 @@ def cmd_init(args: argparse.Namespace) -> int:
             salt=args.salt,
             chunker=args.chunker,
             cloud_specs=tuple(args.cloud_spec) if args.cloud_spec else (),
-            gateway=gateway,
+            gateway=gateway or None,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -303,17 +303,14 @@ def cmd_backup(args: argparse.Namespace) -> int:
         receipt = client.upload(name, data)
         client.flush()
         trace_id = _client_trace_id(client)
-        depth_note = (
-            f", pipeline depth {receipt.pipeline_depth}"
-            f"{' (adaptive)' if args.pipeline_depth is None else ''}"
-        )
         _emit_summary(
             args,
             "backup_complete",
             f"backed up {receipt.file_size} bytes as {name!r}: "
             f"{receipt.secret_count} secrets, "
             f"{receipt.transferred_share_bytes} share bytes transferred "
-            f"(intra-user saving {receipt.intra_user_saving:.1%}{depth_note}) "
+            f"(intra-user saving {receipt.intra_user_saving:.1%}, "
+            f"pipeline depth {receipt.pipeline_depth}) "
             f"[trace {trace_id}]",
             user=args.user,
             tenant=args.tenant or args.user,
@@ -336,7 +333,6 @@ def cmd_restore(args: argparse.Namespace) -> int:
         client = system.client(
             args.user,
             threads=args.threads,
-            workers=args.workers,
             pipeline_depth=(
                 "auto" if args.pipeline_depth is None else args.pipeline_depth
             ),
@@ -972,22 +968,24 @@ def build_parser() -> argparse.ArgumentParser:
              "with automatic direct-quorum fallback",
     )
     p.add_argument(
-        "--gateway-cache-bytes", type=_positive_int, default=256 << 20,
+        "--gateway-cache-bytes", type=_positive_int, default=None,
         dest="gateway_cache_bytes", metavar="BYTES",
         help="gateway hot-container cache bound in bytes of cached share "
-             "payload (default 256 MB; requires --gateway)",
+             f"payload (default {GatewaySpec.cache_bytes >> 20} MB; requires "
+             "--gateway)",
     )
     p.add_argument(
-        "--gateway-recipe-ttl", type=_nonneg_float, default=30.0,
+        "--gateway-recipe-ttl", type=_nonneg_float, default=None,
         dest="gateway_recipe_ttl", metavar="SECONDS",
         help="gateway resolution-cache TTL; 0 revalidates recipes on "
-             "every resolve (default 30; requires --gateway)",
+             f"every resolve (default {GatewaySpec.recipe_ttl:g}; requires "
+             "--gateway)",
     )
     p.add_argument(
-        "--gateway-shard-count", type=_positive_int, default=64,
+        "--gateway-shard-count", type=_positive_int, default=None,
         dest="gateway_shard_count", metavar="N",
         help="virtual nodes per replica on the gateway's consistent-hash "
-             "ring (default 64; requires --gateway)",
+             f"ring (default {GatewaySpec.shard_count}; requires --gateway)",
     )
     p.add_argument(
         "--gateway-replica", type=_remote_spec_arg, action="append",
@@ -1129,11 +1127,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--pipeline-depth", type=_positive_int, default=None, dest="pipeline_depth",
-        help="streaming transfer-stage depth: max encode slabs in flight "
-             "between encoding and the per-cloud upload queues; 1 runs the "
-             "stages serially (encode everything, then upload); unset "
-             "derives the depth from the measured encode/wire rates and "
-             "records it in the backup summary",
+        help="transfer-pipeline depth: encode slabs in flight between "
+             "encoding and the per-cloud upload queues (at least --threads "
+             "are kept in flight); with --threads 1, 1 encodes and uploads "
+             "one slab at a time on the calling thread; unset uses "
+             f"{PIPELINE_DEPTH} (one slab encoding while one is on the wire)",
     )
     p.add_argument(
         "--log-json", action="store_true", dest="log_json",
@@ -1149,18 +1147,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument(
         "--threads", type=_positive_int, default=1,
-        help="transfer threads; >1 fetches from the k clouds concurrently",
-    )
-    p.add_argument(
-        "--workers", choices=["thread", "process"], default="thread",
-        help="encode-pool flavour for re-encoding paths (see backup)",
+        help="transfer threads; >1 (or --pipeline-depth >1, the default) "
+             "fetches from the k clouds concurrently",
     )
     p.add_argument(
         "--pipeline-depth", type=_positive_int, default=None, dest="pipeline_depth",
-        help="streaming restore depth: max 4 MB share windows in flight "
-             "between the per-cloud fetch queues and decoding; 1 fetches "
-             "the whole file before the first decode; unset picks the "
-             "adaptive default",
+        help="restore depth: 4 MB share windows fetched ahead of the one "
+             "being decoded; with --threads 1, 1 fetches and decodes one "
+             f"window at a time on the calling thread; unset uses {PIPELINE_DEPTH}",
     )
     p.add_argument(
         "--log-json", action="store_true", dest="log_json",

@@ -18,9 +18,10 @@ Upload pipeline (Figure 4a):
 Download reverses the pipeline from any ``k`` reachable clouds — fetched
 concurrently, with automatic failover to spare reachable clouds on
 mid-restore failures — plus the brute-force subset retry of §3.2 on
-integrity failure.  With ``pipeline_depth > 1`` the restore is *windowed*:
-per-window share maps stream through a bounded queue so decoding starts
-before the last share arrives, and failover happens at window granularity.
+integrity failure.  The restore is *windowed*: per-window share maps are
+fetched and decoded one window at a time (``pipeline_depth`` windows ahead
+when pipelined), so decoding starts before the last share arrives, and
+failover happens at window granularity.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from repro.client.read import (
     GatewayReadSession,
     ReadSession,
 )
-from repro.cloud.network import SimClock
 from repro.core.convergent import ConvergentDispersal
 from repro.crypto.hashing import sha256
 from repro.dedup.stats import DedupStats
@@ -62,17 +62,11 @@ class UploadReceipt:
     secret_count: int
     logical_share_bytes: int
     transferred_share_bytes: int
-    #: Wire bytes sent to each cloud (drives the simulated transfer times).
+    #: Wire bytes sent to each cloud (what
+    #: :func:`repro.bench.transfer.client_upload_walltime` prices).
     wire_bytes_per_cloud: list[int] = field(default_factory=list)
-    #: Simulated transfer time per cloud connection (seconds).
-    seconds_per_cloud: list[float] = field(default_factory=list)
-    #: Simulated wall-clock transfer span: makespan over the per-cloud
-    #: times when the client is multi-threaded (§4.6), their sum when not.
-    sim_seconds: float = 0.0
-    #: Streaming pipeline depth the upload actually used — the configured
-    #: constant, or the probed value when the engine runs adaptively
-    #: (``pipeline_depth="auto"``).
-    pipeline_depth: int | str = 1
+    #: Pipeline depth the upload ran with (``"auto"`` already resolved).
+    pipeline_depth: int = 1
 
     @property
     def intra_user_saving(self) -> float:
@@ -109,15 +103,12 @@ class CDStoreClient:
     workers:
         Encode-pool flavour, ``"thread"`` (default) or ``"process"``; see
         :mod:`repro.client.comm` for the trade-off.
-    clock:
-        Optional :class:`~repro.cloud.network.SimClock` accumulating
-        simulated transfer wall-clock time.
     pipeline_depth:
-        Streaming transfer-stage depth (§4.6 pipelining): maximum encode
-        slabs / restore windows in flight between stages.  ``1`` (default)
-        keeps the serial-phase behaviour; ``"auto"`` derives the depth
-        from the measured encode-rate/wire-rate ratio at the first upload
-        (recorded in the :class:`UploadReceipt`).  See
+        Transfer-pipeline depth (§4.6 pipelining): encode slabs / restore
+        windows in flight between stages.  With ``threads == 1``, ``1``
+        (default) is the inline reference schedule; ``"auto"`` is
+        :data:`~repro.client.comm.PIPELINE_DEPTH`.  The resolved integer
+        is recorded in the :class:`UploadReceipt`.  See
         :mod:`repro.client.comm`.
     gateway:
         Optional read-gateway handle (see :mod:`repro.client.read` and
@@ -144,7 +135,6 @@ class CDStoreClient:
         threads: int = 1,
         workers: str = "thread",
         codec=None,
-        clock: SimClock | None = None,
         pipeline_depth: int | str = 1,
         gateway=None,
         trace: bool = True,
@@ -167,9 +157,9 @@ class CDStoreClient:
         self.chunker = create_chunker(chunker)
         self._path_sharer = SSSS(self.n, k)
         self.stats = DedupStats()
-        #: Per-cloud share bytes per restore window (streaming restores
-        #: fetch and decode one window at a time); tests shrink it to
-        #: exercise multi-window restores on small payloads.
+        #: Per-cloud share bytes per restore window (restores fetch and
+        #: decode one window at a time); tests shrink it to exercise
+        #: multi-window restores on small payloads.
         self.restore_window_bytes = UPLOAD_BATCH_BYTES
         #: Optional read gateway: any object with the gateway read
         #: surface (``resolve_backup`` + ``iter_window_shards``), usually
@@ -183,7 +173,6 @@ class CDStoreClient:
             self.servers,
             threads=threads,
             workers=workers,
-            clock=clock,
             pipeline_depth=pipeline_depth,
         )
         #: Client-side tracer: entry points open *root* spans here, so
@@ -236,7 +225,7 @@ class CDStoreClient:
             server.cloud.check_available()
         chunks = list(self.chunker.chunk_bytes(data))
 
-        results, span = self.comm.upload_file(self.user_id, self.dispersal, chunks)
+        results = self.comm.upload_file(self.user_id, self.dispersal, chunks)
 
         self.stats.logical_data += len(data)
         self.stats.secrets_total += len(chunks)
@@ -281,9 +270,7 @@ class CDStoreClient:
             ),
             transferred_share_bytes=transferred_total,
             wire_bytes_per_cloud=[result.wire_bytes for result in results],
-            seconds_per_cloud=[result.seconds for result in results],
-            sim_seconds=span,
-            pipeline_depth=self.comm.effective_depth,
+            pipeline_depth=self.comm.pipeline_depth,
         )
 
     # ------------------------------------------------------------------
@@ -323,12 +310,11 @@ class CDStoreClient:
         a server failing mid-restore is replaced by a spare reachable
         cloud at window granularity (§3.1 availability, §3.2 widening).
 
-        With ``pipeline_depth > 1`` the direct path streams shares in
-        per-window maps (``restore_window_bytes`` of per-cloud shares
-        each): decoding of window ``i`` overlaps the fetch of windows
-        ``i+1 .. i+pipeline_depth-1``.  ``pipeline_depth == 1`` fetches
-        the whole file as a single window — the pre-streaming behaviour,
-        byte-for-byte.
+        The direct path fetches shares in per-window maps
+        (``restore_window_bytes`` of per-cloud shares each), so the
+        shares held are bounded by the window, not the file; a pipelined
+        engine overlaps the decoding of window ``i`` with the fetch of
+        the next ``pipeline_depth`` windows.
         """
         with self.tracer.span("download", root=True, path=path):
             if self.gateway is not None:

@@ -11,30 +11,29 @@ module gives the client that concurrency:
   that encodes *slabs* of secrets with the batched codec kernels while
   earlier slabs are already in flight — encoding overlaps transfer within
   one upload, the pipelining of Figure 4(a);
-* a **streaming transfer stage** (``pipeline_depth > 1``): encode slabs
-  flow into a bounded per-cloud upload queue the moment they finish, so
-  wire time hides behind encoding even with a single encode thread, and
-  at most ``pipeline_depth`` slabs of shares are ever materialised — a
-  slow cloud applies backpressure to the encode stage instead of letting
+* a **bounded slab queue** between the two: encode slabs flow into the
+  per-cloud upload workers the moment they finish, so wire time hides
+  behind encoding even with a single encode thread, and at most
+  ``max(pipeline_depth, threads)`` slabs of shares are ever materialised —
+  a slow cloud applies backpressure to the encode stage instead of letting
   shares pile up unboundedly;
 * a windowed upload path per cloud: shares accumulate into 4 MB windows
   (§4.1 batching), each window is intra-user-dedup-queried (§3.3 stage 1)
   and its unique shares uploaded, while later secrets are still encoding;
 * a **windowed restore path**: per-window share maps stream through the
-  same bounded queue (:meth:`stream_share_windows`), so the client's
-  batched decode starts before the last share arrives, with failover to a
-  spare reachable cloud at *per-window* granularity — a cloud that stalls
-  or corrupts mid-restore costs one window's retry, not the whole file;
-* simulated wall-clock accounting: with an attached
-  :class:`~repro.cloud.network.SimClock`, a parallel engine advances by the
-  makespan over per-cloud transfer times and a serial engine by their sum.
-  Streaming does not double-charge the clock: windows on one cloud
-  serialise on that cloud's link (their canonical 4 MB-unit sum equals the
-  whole-file charge), while the clouds overlap.
+  per-cloud workers (:meth:`stream_share_windows`), ``pipeline_depth``
+  windows ahead of the one being decoded, so the client's batched decode
+  starts before the last share arrives, with failover to a spare
+  reachable cloud at *per-window* granularity — a cloud that stalls or
+  corrupts mid-restore costs one window's retry, not the whole file.
 
-With ``threads == 1`` and ``pipeline_depth == 1`` every operation runs
-inline on the caller's thread with byte-identical wire behaviour, so
-single-threaded uses stay deterministic and pool-free.
+That pipelined schedule is the only one beside the **inline** reference:
+with ``threads == 1`` and ``pipeline_depth == 1`` every operation runs on
+the caller's thread, one slab or window at a time, with byte-identical
+wire behaviour, so single-threaded uses stay deterministic and pool-free.
+Transfer *time* is not this module's business: the link model lives in
+:mod:`repro.cloud.network` and :func:`repro.bench.transfer.
+client_upload_walltime` prices a receipt's ``wire_bytes_per_cloud``.
 
 Thread pool vs process pool
 ---------------------------
@@ -85,7 +84,6 @@ from repro.client.workers import (
     shared_slabs_available,
     slab_spans,
 )
-from repro.cloud.network import MB, SimClock, batch_count, makespan
 from repro.core.convergent import ConvergentDispersal
 from repro.crypto.hashing import fingerprint
 from repro.errors import (
@@ -106,11 +104,10 @@ __all__ = [
     "CloudUploader",
     "FETCH_ERRORS",
     "FileSource",
-    "PIPELINE_DEPTH_AUTO",
+    "PIPELINE_DEPTH",
     "SlotShares",
     "UPLOAD_BATCH_BYTES",
     "WindowShares",
-    "choose_pipeline_depth",
 ]
 
 #: Client-side upload batch size (§4.1: "batch the shares ... in a 4MB
@@ -123,20 +120,11 @@ UPLOAD_BATCH_BYTES = 4 << 20
 #: removing the round-trip stall between consecutive batches.
 UPLOAD_ACK_WINDOW = 4
 
-#: Sentinel ``pipeline_depth`` value: derive the depth from the measured
-#: encode-rate/wire-rate ratio at the first upload (see
-#: :func:`choose_pipeline_depth`).  The CLI passes this when
-#: ``--pipeline-depth`` is unset; an explicit integer always wins.
-PIPELINE_DEPTH_AUTO = "auto"
-
-#: Depth used by an adaptive engine before any upload has measured the
-#: rates (e.g. a download-only client): the old CLI default.
-_AUTO_FALLBACK_DEPTH = 4
-
-#: Secrets encoded by the adaptive-depth probe (re-encoded by the real
-#: pipeline moments later — convergent encoding is deterministic, so the
-#: probe costs a few chunks of CPU and changes nothing on the wire).
-_PROBE_SECRETS = 4
+#: What ``pipeline_depth="auto"`` resolves to (the CLI passes ``"auto"``
+#: when ``--pipeline-depth`` is unset; an explicit integer always wins).
+#: One slab encoding while one is on the wire gives full overlap whichever
+#: stage is slower; more depth only absorbs jitter, at linear memory.
+PIPELINE_DEPTH = 2
 
 # Comm-pipeline stage timings (docs/OBSERVABILITY.md): one observation
 # per encode slab / upload batch / restore-window slot fetch, so the
@@ -179,26 +167,6 @@ def _carry_context(fn: Callable[..., T]) -> Callable[..., T]:
     return run
 
 
-def choose_pipeline_depth(
-    encode_rate: float, wire_rate: float, floor: int = 2, ceiling: int = 8
-) -> int:
-    """Pick a streaming depth from measured encode and wire rates.
-
-    When encoding outruns the wire by a factor ``r``, up to ``~r`` encoded
-    windows pile up behind the slowest cloud for every window it drains,
-    so a budget of ``round(r) + 1`` in-flight slabs keeps the encode stage
-    busy without letting shares accumulate unboundedly; when the wire
-    outruns encoding (``r < 1``) two slots already give full overlap (one
-    encoding, one on the wire).  The result is clamped to
-    ``[floor, ceiling]`` — depth buys diminishing overlap and linear
-    memory, so the ceiling caps the window the same way the CLI's old
-    fixed default did.
-    """
-    if encode_rate <= 0 or wire_rate <= 0:
-        raise ParameterError("rates must be positive to choose a depth")
-    ratio = encode_rate / wire_rate
-    return max(floor, min(ceiling, int(round(ratio)) + 1))
-
 #: Errors meaning "this server cannot currently supply usable data" — an
 #: outage, missing objects (NotFoundError is a StorageError), a corrupt
 #: container, or a malformed recipe.  The restore path fails over to a
@@ -218,11 +186,8 @@ class CloudUploadResult:
     wire_bytes: int = 0
     #: Number of shares transferred (non-duplicates).
     transferred: int = 0
-    #: Upload RPCs actually issued (diagnostic; the simulated clock
-    #: charges the canonical 4 MB-unit count from ``batch_count``).
+    #: Upload RPCs actually issued (diagnostic).
     batches: int = 0
-    #: Simulated seconds on this cloud's uplink.
-    seconds: float = 0.0
 
 
 class CloudUploader:
@@ -233,7 +198,7 @@ class CloudUploader:
     query windows and the persistent §4.1 upload buffer exactly as the
     pre-streaming whole-file pass did — the wire traffic is byte-identical
     regardless of how the feed is sliced into slabs.  :meth:`finish`
-    flushes the tails and charges the canonical simulated transfer time.
+    flushes the tails and waits for the last acks.
     """
 
     def __init__(self, server: CDStoreServer, cloud_idx: int, user_id: str) -> None:
@@ -315,18 +280,10 @@ class CloudUploader:
             self._flush_window()
 
     def finish(self) -> CloudUploadResult:
-        """Flush tails and charge simulated time for the whole upload.
-
-        The clock is charged with the canonical 4 MB-unit batch count so it
-        matches :func:`repro.bench.transfer.client_upload_walltime` exactly,
-        including for heavily-deduplicated multi-window files.
-        """
+        """Flush the tails and wait for every outstanding ack."""
         self._flush_window()
         self._send_batch()
         self._drain_acks()
-        self.result.seconds = self.server.cloud.uplink.transfer_time(
-            self.result.wire_bytes, batches=batch_count(self.result.wire_bytes)
-        )
         return self.result
 
 
@@ -381,21 +338,14 @@ class CommEngine:
     workers:
         Encode-pool flavour: ``"thread"`` (default) or ``"process"``.  See
         the module docstring for when each wins.
-    clock:
-        Optional simulated clock advanced by transfer times (makespan when
-        parallel, sum when serial).
     pipeline_depth:
-        Maximum pipeline windows (encode slabs on upload, share windows on
-        restore) in flight between stages.  ``1`` (default) reproduces the
-        pre-streaming serial-phase behaviour byte-for-byte; values above 1
-        enable the streaming transfer stage — per-cloud workers overlap
-        wire time with encoding/decoding even at ``threads == 1``, with
-        memory bounded to ``pipeline_depth`` windows.
-        :data:`PIPELINE_DEPTH_AUTO` (``"auto"``) derives the depth from a
-        timed encode probe against the slowest uplink's modelled rate at
-        the first upload (see :func:`choose_pipeline_depth`); the chosen
-        value is reported through :attr:`effective_depth` and recorded in
-        the upload receipt.
+        Pipeline windows (encode slabs on upload, share windows on
+        restore) in flight between stages: a positive integer, or
+        ``"auto"`` for :data:`PIPELINE_DEPTH`.  Resolved here, once, to
+        the ``int`` kept in :attr:`pipeline_depth` and recorded in the
+        upload receipt.  The per-cloud workers overlap wire time with
+        encoding/decoding even at ``threads == 1``, and the shares held
+        in flight are bounded by the window budget, not the file size.
     """
 
     #: Lock discipline (``repro analyze``, LOCK-001): pool construction
@@ -412,17 +362,15 @@ class CommEngine:
         servers: list[CDStoreServer],
         threads: int = 1,
         workers: str = "thread",
-        clock: SimClock | None = None,
         pipeline_depth: int | str = 1,
     ) -> None:
         if threads < 1:
             raise ParameterError(f"threads must be >= 1, got {threads}")
-        if pipeline_depth != PIPELINE_DEPTH_AUTO and (
-            not isinstance(pipeline_depth, int) or pipeline_depth < 1
-        ):
+        if pipeline_depth == "auto":
+            pipeline_depth = PIPELINE_DEPTH
+        if not isinstance(pipeline_depth, int) or pipeline_depth < 1:
             raise ParameterError(
-                f"pipeline_depth must be >= 1 or {PIPELINE_DEPTH_AUTO!r}, "
-                f"got {pipeline_depth!r}"
+                f"pipeline_depth must be >= 1 or 'auto', got {pipeline_depth!r}"
             )
         if workers not in WORKER_MODES:
             raise ParameterError(
@@ -431,13 +379,7 @@ class CommEngine:
         self.servers = servers
         self.threads = threads
         self.workers = workers
-        self.clock = clock
-        self.pipeline_depth = pipeline_depth
-        #: Depth an adaptive engine settled on (None until the first
-        #: upload's probe runs); fixed-depth engines resolve immediately.
-        self._resolved_depth: int | None = (
-            pipeline_depth if pipeline_depth != PIPELINE_DEPTH_AUTO else None
-        )
+        self.pipeline_depth: int = pipeline_depth
         self._encode_pool: ThreadPoolExecutor | None = None
         self._process_pool: ProcessEncodePool | None = None
         self._cloud_workers: list[ThreadPoolExecutor] | None = None
@@ -447,55 +389,10 @@ class CommEngine:
     # lifecycle
     # ------------------------------------------------------------------
     @property
-    def adaptive(self) -> bool:
-        """Whether the streaming depth is derived from measured rates."""
-        return self.pipeline_depth == PIPELINE_DEPTH_AUTO
-
-    @property
     def parallel(self) -> bool:
-        """Whether per-cloud workers drive transfers concurrently."""
-        return self.threads > 1 or self.adaptive or self.pipeline_depth > 1
-
-    @property
-    def streaming(self) -> bool:
-        """Whether the bounded streaming transfer stage is active."""
-        return self.adaptive or self.pipeline_depth > 1
-
-    @property
-    def effective_depth(self) -> int:
-        """The streaming depth in force: the configured integer, or — for
-        an adaptive engine — the probed value (falling back to the old
-        fixed CLI default until an upload has measured the rates)."""
-        if self._resolved_depth is not None:
-            return self._resolved_depth
-        return _AUTO_FALLBACK_DEPTH
-
-    def _resolve_depth(
-        self, dispersal: ConvergentDispersal, chunks: list[Chunk]
-    ) -> int:
-        """Resolve the adaptive depth once, from a timed encode probe.
-
-        Encodes the first few chunks to measure the encode rate, takes the
-        slowest uplink's modelled bandwidth as the wire rate, and caches
-        :func:`choose_pipeline_depth`'s answer for the engine's lifetime
-        (rates are a property of codec + link, not of one file).
-        """
-        if self._resolved_depth is not None:
-            return self._resolved_depth
-        sample = chunks[: min(len(chunks), _PROBE_SECRETS)]
-        sample_bytes = sum(chunk.size for chunk in sample)
-        if not sample or not sample_bytes:
-            self._resolved_depth = _AUTO_FALLBACK_DEPTH
-            return self._resolved_depth
-        started = time.perf_counter()
-        dispersal.encode_batch([chunk.data for chunk in sample])
-        elapsed = max(time.perf_counter() - started, 1e-9)
-        encode_rate = sample_bytes / elapsed
-        wire_rate = min(
-            server.cloud.uplink.bandwidth_mbps * MB for server in self.servers
-        )
-        self._resolved_depth = choose_pipeline_depth(encode_rate, wire_rate)
-        return self._resolved_depth
+        """Whether the pipelined schedule (per-cloud workers) is in force;
+        False is the inline reference."""
+        return self.threads > 1 or self.pipeline_depth > 1
 
     def _ensure_workers(self) -> None:
         with self._init_lock:  # engines may be shared across caller threads
@@ -601,13 +498,6 @@ class CommEngine:
         futures = [self._pool_for(server).submit(task, server) for server in servers]
         return self._gather(futures)
 
-    def _advance_clock(self, durations: list[float]) -> float:
-        """Charge transfer times to the clock; returns the elapsed span."""
-        span = makespan(durations) if self.parallel else sum(durations)
-        if self.clock is not None:
-            self.clock.advance(span)
-        return span
-
     # ------------------------------------------------------------------
     # upload path (backup)
     # ------------------------------------------------------------------
@@ -631,9 +521,10 @@ class CommEngine:
         caller must :meth:`~SharedSlabTransport.close` the transport after
         the upload to sweep error paths.
 
-        When streaming, slabs are submitted lazily: at most
-        ``pipeline_depth`` beyond the slowest cloud worker, each dropped
-        from memory once every cloud has drained it.
+        Slabs are submitted lazily: at most ``max(pipeline_depth,
+        threads)`` beyond the slowest cloud worker (a pool of ``threads``
+        encoders cannot be kept busy by fewer), each dropped from memory
+        once every cloud has drained it.
         """
         assert self._encode_pool is not None
         spans = slab_spans([chunk.size for chunk in chunks], self.threads)
@@ -663,30 +554,13 @@ class CommEngine:
             name, layout = transport.publish(slab_of[start], secrets)
             return pool.submit_shared(dispersal, name, layout)
 
-        release = transport.release if transport is not None else None
-        try:
-            if self.streaming:
-                view = SlabbedShareSets(
-                    spans=spans,
-                    submit=submit,
-                    depth=self.effective_depth,
-                    consumers=len(self.servers),
-                    release=release,
-                )
-            else:
-                view = SlabbedShareSets(
-                    [submit(s, e) for s, e in spans],
-                    spans,
-                    consumers=len(self.servers),
-                    release=release,
-                )
-        except BaseException:
-            # An eager submit raised before the caller could own the
-            # transport: sweep the segments already published, or they
-            # stay linked until interpreter exit.
-            if transport is not None:
-                transport.close()
-            raise
+        view = SlabbedShareSets(
+            spans,
+            submit,
+            depth=max(self.pipeline_depth, self.threads),
+            consumers=len(self.servers),
+            release=transport.release if transport is not None else None,
+        )
         return view, transport
 
     def upload_file(
@@ -694,15 +568,12 @@ class CommEngine:
         user_id: str,
         dispersal: ConvergentDispersal,
         chunks: list[Chunk],
-    ) -> tuple[list[CloudUploadResult], float]:
+    ) -> list[CloudUploadResult]:
         """Pipeline one file's shares onto every cloud.
 
-        Returns per-cloud results (index ``i`` ↔ cloud ``i``) plus the
-        simulated wall-clock span of the transfer stage.
+        Returns the per-cloud results (index ``i`` ↔ cloud ``i``).
         """
         n = len(self.servers)
-        if self.adaptive and chunks:
-            self._resolve_depth(dispersal, chunks)
         if self.parallel and len(chunks) > 1:
             self._ensure_workers()
             assert self._cloud_workers is not None
@@ -745,8 +616,7 @@ class CommEngine:
                             share_sets[seq - start].shares[uploader.cloud_idx],
                         )
             results = [uploader.finish() for uploader in uploaders]
-        span = self._advance_clock([result.seconds for result in results])
-        return results, span
+        return results
 
     def _upload_to_cloud(
         self,
@@ -759,9 +629,9 @@ class CommEngine:
 
         Consuming through :meth:`SlabbedShareSets.stream` blocks only on
         the slab being encoded right now — transfer of already-encoded
-        windows overlaps the encoding of later ones, and (when streaming)
-        draining a slab releases its memory and admits the next slab into
-        the bounded pipeline window.
+        windows overlaps the encoding of later ones, and draining a slab
+        releases its memory and admits the next slab into the bounded
+        pipeline window.
         """
         uploader = CloudUploader(self.servers[cloud_idx], cloud_idx, user_id)
         with share_sets.stream() as stream:
@@ -855,25 +725,23 @@ class CommEngine:
         lookup_key: bytes,
         source: FileSource,
         start: int,
-        end: int | None,
+        end: int,
         spares: list[CDStoreServer],
         pool_lock: threading.Lock,
         expect: tuple[int, int] | None,
     ) -> SlotShares:
         """One slot's shares for secrets ``[start, end)`` (with failover).
 
-        ``end=None`` means the slot's whole recipe.  On a fetch error the
-        slot's server is replaced by a promoted spare and the *same window*
-        retried against the spare's own recipe — per-window granularity:
-        windows already decoded are unaffected, later windows go straight
-        to the replacement.
+        On a fetch error the slot's server is replaced by a promoted spare
+        and the *same window* retried against the spare's own recipe —
+        per-window granularity: windows already decoded are unaffected,
+        later windows go straight to the replacement.
         """
         while True:
             with pool_lock:  # consistent (server, recipe) snapshot
                 server, recipe = source.server, source.recipe
-            stop = len(recipe) if end is None else end
             try:
-                fingerprints = [recipe[i].fingerprint for i in range(start, stop)]
+                fingerprints = [recipe[i].fingerprint for i in range(start, end)]
                 shares = server.fetch_shares(fingerprints)
             except (*FETCH_ERRORS, IndexError):
                 # IndexError: the recipe is shorter than the agreed window —
@@ -901,41 +769,21 @@ class CommEngine:
         restore mirror of the upload pipelining; otherwise windows are
         fetched inline one at a time.  ``spares`` is shared, mutable state:
         per-window failover consumes from it (see :meth:`fetch_sources`).
-
-        On exhaustion the engine charges its clock the canonical per-slot
-        transfer times (makespan when parallel, sum when serial) — the same
-        total a whole-file fetch would charge, because each slot's windows
-        serialise on that cloud's downlink.
         """
         pool_lock = threading.Lock()
-        totals = [0] * len(sources)
 
-        def fetch(source: FileSource, slot: int, start: int, end: int) -> SlotShares:
+        def fetch(source: FileSource, start: int, end: int) -> SlotShares:
             clock = time.perf_counter()
             got = self._fetch_window_shares(
                 user_id, lookup_key, source, start, end, spares, pool_lock, expect
             )
             _WINDOW_RESTORE_SECONDS.observe(time.perf_counter() - clock)
-            totals[slot] += sum(len(payload) for payload in got.shares.values())
             return got
-
-        def charge() -> None:
-            durations = [
-                source.server.cloud.downlink.transfer_time(
-                    totals[slot], batches=batch_count(totals[slot])
-                )
-                for slot, source in enumerate(sources)
-            ]
-            self._advance_clock(durations)
 
         if not self.parallel:
             for start, end in windows:
-                slots = [
-                    fetch(source, slot, start, end)
-                    for slot, source in enumerate(sources)
-                ]
+                slots = [fetch(source, start, end) for source in sources]
                 yield WindowShares(start=start, end=end, slots=slots)
-            charge()
             return
 
         self._ensure_workers()
@@ -945,14 +793,14 @@ class CommEngine:
         def submit(window_idx: int) -> list[Future]:
             start, end = windows[window_idx]
             return [
-                self._pool_for(source.server).submit(task, source, slot, start, end)
-                for slot, source in enumerate(sources)
+                self._pool_for(source.server).submit(task, source, start, end)
+                for source in sources
             ]
 
         pending: deque[list[Future]] = deque()
         next_window = 0
         try:
-            while next_window < min(self.effective_depth, len(windows)):
+            while next_window < min(self.pipeline_depth, len(windows)):
                 pending.append(submit(next_window))
                 next_window += 1
             for start, end in windows:
@@ -961,7 +809,6 @@ class CommEngine:
                     pending.append(submit(next_window))
                     next_window += 1
                 yield WindowShares(start=start, end=end, slots=slots)
-            charge()
         finally:
             # On error or early abandonment, drain in-flight fetches so no
             # worker is left mutating shared state and no sibling exception

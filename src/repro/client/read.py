@@ -133,11 +133,10 @@ class DirectReadSession(ReadSession):
     a spare pool), fetch and cross-check all ``k`` file entries and
     recipes — a lying minority cannot spoof the file size or secret
     count unnoticed — and plan the windows.  :meth:`read` then streams
-    the windows through the comm engine: with ``pipeline_depth > 1``
-    decoding of window ``i`` overlaps the fetch of windows ``i+1 ..
-    i+depth-1``, and a cloud failing in window ``i`` is replaced by a
-    spare for that window onward only.  A non-streaming engine fetches
-    everything as a single window (the serial-phase degenerate case).
+    the windows through the comm engine: decoding of window ``i``
+    overlaps the fetch of the next ``pipeline_depth`` windows (an inline
+    engine fetches and decodes them one at a time), and a cloud failing
+    in window ``i`` is replaced by a spare for that window onward only.
     """
 
     def __init__(self, client: "CDStoreClient", path: str) -> None:
@@ -173,16 +172,10 @@ class DirectReadSession(ReadSession):
             raise IntegrityError("servers disagree on recipe length")
 
         reference = self._sources[0].recipe
-        if client.comm.streaming:
-            windows = plan_windows(
-                [
-                    client.dispersal.share_size(entry.secret_size)
-                    for entry in reference
-                ],
-                client.restore_window_bytes,
-            )
-        else:
-            windows = [(0, secret_count)] if secret_count else []
+        windows = plan_windows(
+            [client.dispersal.share_size(entry.secret_size) for entry in reference],
+            client.restore_window_bytes,
+        )
         self.plan = RestorePlan(
             path=path,
             lookup_key=lookup_key,

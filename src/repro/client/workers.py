@@ -329,16 +329,10 @@ class SlabStream:
 class SlabbedShareSets:
     """Ordered, bounded view over the ShareSets of in-flight encode slabs.
 
-    Two construction modes:
-
-    * **eager** — ``SlabbedShareSets(futures, spans)``: every slab is
-      already submitted (the pre-streaming behaviour; also what
-      ``pipeline_depth == 1`` degenerates to).
-    * **lazy** — ``SlabbedShareSets(spans=spans, submit=fn, depth=d,
-      consumers=c)``: ``submit(start, end) -> Future`` is called for at
-      most ``depth`` slabs beyond the slowest consumer; when all ``c``
-      consumers have drained a slab its share sets are dropped and the
-      next pending slab is submitted.
+    ``submit(start, end) -> Future`` is called for at most ``depth`` slabs
+    beyond the slowest consumer; when all ``consumers`` have drained a
+    slab its share sets are dropped and the next pending slab is
+    submitted.
 
     Indexing by global secret sequence (``view[seq]``) blocks only on the
     slab that holds that secret, so each cloud worker drains slabs in
@@ -362,20 +356,14 @@ class SlabbedShareSets:
 
     def __init__(
         self,
-        futures: Sequence[Future] | None = None,
-        spans: Sequence[tuple[int, int]] = (),
-        *,
-        submit: Callable[[int, int], Future] | None = None,
-        depth: int = 0,
+        spans: Sequence[tuple[int, int]],
+        submit: Callable[[int, int], Future],
+        depth: int,
         consumers: int = 1,
         release: Callable[[int], None] | None = None,
     ) -> None:
-        if (futures is None) == (submit is None):
-            raise ParameterError("pass exactly one of futures= or submit=")
-        if futures is not None and len(futures) != len(spans):
-            raise ParameterError(
-                f"got {len(futures)} futures for {len(spans)} spans"
-            )
+        if depth < 1:
+            raise ParameterError(f"depth must be >= 1, got {depth}")
         if consumers < 1:
             raise ParameterError(f"consumers must be >= 1, got {consumers}")
         self._spans = list(spans)
@@ -384,19 +372,16 @@ class SlabbedShareSets:
         self._consumers = consumers
         self._submit = submit
         self._release_hook = release
-        self._depth = depth if depth > 0 else len(self._spans)
+        self._depth = depth
         self._cond = threading.Condition()
-        self._futures: list[Future | None] = (
-            list(futures) if futures is not None else [None] * len(self._spans)
-        )
+        self._futures: list[Future | None] = [None] * len(self._spans)
         #: Per-slab count of consumers that have fully drained it.
         self._drained = [0] * len(self._spans)
         #: Number of slabs fully released by every consumer (prefix).
         self._freed = 0
-        self._submitted = len(self._spans) if futures is not None else 0
-        if submit is not None:
-            with self._cond:
-                self._pump_locked()
+        self._submitted = 0
+        with self._cond:
+            self._pump_locked()
 
     def __len__(self) -> int:
         return self._count
@@ -416,8 +401,7 @@ class SlabbedShareSets:
         forever on a slot that would otherwise stay None.
         """
         while (
-            self._submit is not None
-            and self._submitted < len(self._spans)
+            self._submitted < len(self._spans)
             and self._submitted - self._freed < self._depth
         ):
             start, end = self._spans[self._submitted]
@@ -452,7 +436,7 @@ class SlabbedShareSets:
             self._pump_locked()
 
     def _result(self, slab: int) -> list[ShareSet]:
-        """Share sets of ``slab``, waiting for its submission if lazy."""
+        """Share sets of ``slab``, waiting for its submission."""
         with self._cond:
             while self._futures[slab] is None:
                 if slab < self._freed:

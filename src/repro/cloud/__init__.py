@@ -12,15 +12,16 @@ testbed is available to a reproduction, so this package simulates them:
   configurations calibrated to §5.1/Table 2, plus the performance model
   used by the transfer-speed experiments (Figures 7-8).
 
-Transfers run in *simulated time*: real data flows through the real client,
-server, dedup and container code, while the clock charges network, disk and
-compute costs from the calibrated models.  Absolute MB/s therefore land in
-the paper's range even though pure Python is orders of magnitude slower
-than the authors' C++ prototype; the shape claims (who is bottlenecked by
-what) carry over unchanged.
+Transfer times are *modelled*, never charged to a real transfer: real data
+flows through the real client, server, dedup and container code, which
+report byte counts, and the calibrated models price those bytes (network,
+disk, compute).  Absolute MB/s therefore land in the paper's range even
+though pure Python is orders of magnitude slower than the authors' C++
+prototype; the shape claims (who is bottlenecked by what) carry over
+unchanged.
 """
 
-from repro.cloud.network import Link, SimClock
+from repro.cloud.network import Link
 from repro.cloud.provider import CloudProvider
 from repro.cloud.testbed import (
     CLOUD_LINKS,
@@ -35,7 +36,6 @@ __all__ = [
     "CloudProvider",
     "Link",
     "PerformanceModel",
-    "SimClock",
     "Testbed",
     "cloud_testbed",
     "lan_testbed",

@@ -1,20 +1,21 @@
-"""Network link models and the simulated clock.
+"""Network link models and the makespan arithmetic over them.
 
 Transfer-speed experiments need only two ingredients: per-connection links
-with bandwidth and latency, and a clock that understands parallel transfers
+with bandwidth and latency, and the rule for combining per-cloud times
 (CDStore's client uploads to all clouds concurrently via multi-threading,
 §4.6, so wall-clock time is the *maximum* over per-cloud times, further
-bounded by the client's shared physical uplink).
+bounded by the client's shared physical uplink).  This is a *model*: the
+testbed and bench helpers price byte counts with it; no real transfer in
+``repro.client`` or ``repro.net`` is charged a simulated second.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.errors import ParameterError
 
-__all__ = ["Link", "SimClock", "batch_count", "makespan", "pipeline_makespan"]
+__all__ = ["Link", "batch_count", "makespan", "pipeline_makespan"]
 
 MB = 1_000_000.0
 
@@ -60,9 +61,9 @@ def pipeline_makespan(stage_times: list[list[float]]) -> float:
 def batch_count(nbytes: float, unit: int = 4 << 20) -> int:
     """Number of 4 MB transfer units for ``nbytes`` (§4.1 batching).
 
-    The single source of truth for batch-latency accounting: the comm
-    engine, the testbed model and the bench helpers all charge one link
-    round trip per unit returned here.
+    The single source of truth for batch-latency accounting: the testbed
+    model and the bench helpers charge one link round trip per unit
+    returned here.
     """
     return max(1, int(-(-nbytes // unit)))
 
@@ -97,36 +98,3 @@ class Link:
         if nbytes < 0:
             raise ParameterError(f"negative byte count {nbytes}")
         return nbytes / (self.bandwidth_mbps * MB) + self.latency_s * max(batches, 1)
-
-
-class SimClock:
-    """Accumulates simulated seconds, with a parallel-section helper.
-
-    Thread-safe: advances from concurrent callers are serialised so none
-    is lost.  Note the accounting is *additive* — a clock shared by
-    clients whose operations overlap in real time records the sum of
-    their spans (total transfer work), not their combined makespan; model
-    cross-client concurrency with :meth:`advance_parallel` instead.
-    """
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self._lock = threading.Lock()
-
-    def advance(self, seconds: float) -> None:
-        """Advance the clock by a serial cost."""
-        if seconds < 0:
-            raise ParameterError(f"cannot advance clock by {seconds}")
-        with self._lock:
-            self.now += seconds
-
-    def advance_parallel(self, durations: list[float], shared_floor: float = 0.0) -> float:
-        """Advance by the makespan of concurrent activities.
-
-        ``durations`` are per-connection times; ``shared_floor`` is a lower
-        bound imposed by a shared resource (e.g. total bytes over the
-        client's physical uplink).  Returns the elapsed span.
-        """
-        span = makespan(durations, shared_floor)
-        self.advance(span)
-        return span

@@ -38,9 +38,7 @@ re-dials and re-authenticates from scratch.
 
 The :class:`RemoteCloud` companion stands in for the
 :class:`~repro.cloud.provider.CloudProvider` attribute: ``available`` /
-``check_available`` probe the server with a PING, and the uplink/downlink
-:class:`~repro.cloud.network.Link` models let the simulated clock charge
-remote clouds exactly like local ones.
+``check_available`` probe the server with a PING.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ import socket
 import threading
 
 from repro.analysis.annotations import guarded_by, requires_lock
-from repro.cloud.network import Link
 from repro.config import CloudSpec
 from repro.dedup.stats import DedupStats
 from repro.errors import (
@@ -78,12 +75,10 @@ _MIDSTREAM_FRAMES = frozenset(
 
 
 class RemoteCloud:
-    """Client-side view of a remote cloud: availability probe + links."""
+    """Client-side view of a remote cloud: the availability probe."""
 
-    def __init__(self, proxy: "RemoteServerProxy", uplink: Link, downlink: Link) -> None:
+    def __init__(self, proxy: "RemoteServerProxy") -> None:
         self._proxy = proxy
-        self.uplink = uplink
-        self.downlink = downlink
 
     @property
     def name(self) -> str:
@@ -175,9 +170,6 @@ class RemoteServerProxy:
         Expected cloud index.  When given, the PONG handshake must agree
         (catching a mis-wired deployment); when None, the first handshake
         adopts the server's own id.
-    uplink, downlink:
-        Link models for simulated-clock charging (defaults match the
-        in-process 100 MB/s provider defaults).
     timeout:
         Per-socket-operation timeout in seconds; an expiry is treated as
         an outage (the per-window failover path), never a hang.
@@ -212,8 +204,6 @@ class RemoteServerProxy:
         self,
         address: str | tuple[str, int],
         server_id: int | None = None,
-        uplink: Link | None = None,
-        downlink: Link | None = None,
         timeout: float = 30.0,
         max_frame: int = wire.MAX_FRAME_BYTES,
         credentials: Credentials | None = None,
@@ -245,11 +235,7 @@ class RemoteServerProxy:
         #: Serialises sends so concurrent frames never interleave.
         self._send_lock = threading.Lock()
         self._reader: threading.Thread | None = None
-        self.cloud = RemoteCloud(
-            self,
-            uplink=uplink if uplink is not None else Link(100.0),
-            downlink=downlink if downlink is not None else Link(100.0),
-        )
+        self.cloud = RemoteCloud(self)
         #: Reply-frame observability: total frames seen and the largest
         #: frame (header + payload) this proxy ever received — the
         #: frame-budget tests read these.

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.chunking.base import Chunker
 from repro.chunking.registry import ChunkerSpec
-from repro.cloud.network import Link, SimClock
+from repro.cloud.network import Link
 from repro.cloud.provider import CloudProvider
 from repro.client.client import CDStoreClient
 from repro.config import ObsSpec, ReproConfig
@@ -71,18 +71,12 @@ class CDStoreSystem:
         ``"process"`` (see :mod:`repro.client.comm` for when each wins);
         individual :meth:`client` calls may override it.
     pipeline_depth:
-        Default streaming transfer-stage depth for clients (§4.6
-        pipelining): maximum encode slabs / restore windows in flight
-        between stages.  ``1`` keeps the serial-phase behaviour; values
-        above 1 overlap wire time with encoding/decoding even at
-        ``threads=1``, and ``"auto"`` derives the depth from measured
-        encode/wire rates at the first upload.  Individual :meth:`client`
-        calls may override it.
-    clock:
-        Optional simulated clock shared by all clients.  Each operation
-        adds its own span (per-cloud makespan when the client is
-        parallel); overlapping operations from different clients
-        accumulate additively, i.e. total transfer work.
+        Default transfer-pipeline depth for clients (§4.6 pipelining):
+        encode slabs / restore windows in flight between stages.  With
+        ``threads=1``, ``1`` is the inline reference schedule; values
+        above 1 overlap wire time with encoding/decoding, and ``"auto"``
+        is :data:`repro.client.comm.PIPELINE_DEPTH`.  Individual
+        :meth:`client` calls may override it.
     credentials:
         Optional :class:`~repro.tenants.Credentials` handed to every
         remote proxy this system builds, so multi-tenant ``repro serve``
@@ -110,7 +104,6 @@ class CDStoreSystem:
         threads: int = 1,
         workers: str = "thread",
         pipeline_depth: int | str = 1,
-        clock: SimClock | None = None,
         credentials: Credentials | None = None,
         gateway=None,
         obs: ObsSpec | None = None,
@@ -130,7 +123,6 @@ class CDStoreSystem:
         #: Observability shape every client and proxy this system
         #: builds inherits (tracing on by default).
         self.obs = obs if obs is not None else ObsSpec()
-        self.clock = clock
         #: Optional DupLESS-style key server (§3.2 remarks): when set,
         #: clients encode with server-aided CAONT-RS instead of plain
         #: hash keys, hardening small-message-space data against offline
@@ -194,7 +186,6 @@ class CDStoreSystem:
         config: ReproConfig,
         root: str | Path | None = None,
         credentials: Credentials | None = None,
-        clock: SimClock | None = None,
         key_server=None,
     ) -> "CDStoreSystem":
         """Build a system from a validated :class:`~repro.config.ReproConfig`.
@@ -239,7 +230,6 @@ class CDStoreSystem:
             threads=config.threads,
             workers=config.workers,
             pipeline_depth=config.pipeline_depth,
-            clock=clock,
             credentials=credentials,
             gateway=config.gateway,
             obs=config.obs,
@@ -287,7 +277,6 @@ class CDStoreSystem:
                     self.pipeline_depth if pipeline_depth is None else pipeline_depth
                 ),
                 codec=codec,
-                clock=self.clock,
                 gateway=self.gateway,
                 trace=self.obs.enabled and self.obs.trace,
                 span_ring=self.obs.span_ring_size,

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.client.comm import PIPELINE_DEPTH
 
 
 @pytest.fixture
@@ -258,6 +259,31 @@ class TestNetworkModeValidation:
                      "--cloud-spec", "tcp://h:1", "--cloud-spec", "local"]) == 1
         assert "--cloud-spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--gateway-cache-bytes", "268435456"),  # GatewaySpec's own default
+        ("--gateway-recipe-ttl", "30"),
+        ("--gateway-shard-count", "64"),
+        ("--gateway-replica", "tcp://127.0.0.1:9412"),
+    ])
+    def test_init_gateway_option_without_gateway_rejected(
+        self, tmp_path, flag, value, capsys
+    ):
+        root = tmp_path / "s"
+        assert main(["init", "--root", str(root), flag, value]) == 1
+        assert "--gateway" in capsys.readouterr().err
+        assert not root.exists()
+
+    def test_init_gateway_defaults_come_from_the_spec(self, tmp_path):
+        from repro.config import GatewaySpec
+
+        root = tmp_path / "s"
+        assert main(["init", "--root", str(root),
+                     "--gateway", "tcp://127.0.0.1:9411",
+                     "--gateway-shard-count", "8"]) == 0
+        persisted = json.loads((root / "cdstore.json").read_text())["gateway"]
+        want = GatewaySpec(endpoint="tcp://127.0.0.1:9411", shard_count=8)
+        assert persisted == want.to_mapping()
+
     def test_init_persists_cloud_specs(self, tmp_path):
         root = tmp_path / "s"
         assert main(["init", "--root", str(root), "--n", "2", "--k", "1",
@@ -302,7 +328,7 @@ class TestNetworkModeEndToEnd:
             assert main(["backup", "--root", str(root),
                          "--user", "alice", src, "--name", "/f"]) == 0
             out = capsys.readouterr().out
-            assert "pipeline depth" in out and "(adaptive)" in out
+            assert f"pipeline depth {PIPELINE_DEPTH})" in out
             dest = tmp_path / "out.bin"
             assert main(["restore", "--root", str(root),
                          "--user", "alice", "/f", "-o", str(dest)]) == 0

@@ -1,8 +1,8 @@
-"""Cloud simulation: links, providers, clock, testbed models."""
+"""Cloud simulation: links, providers, testbed models."""
 
 import pytest
 
-from repro.cloud.network import Link, SimClock
+from repro.cloud.network import Link
 from repro.cloud.provider import CloudProvider
 from repro.cloud.testbed import (
     CLOUD_LINKS,
@@ -31,25 +31,6 @@ class TestLink:
             Link(10, latency_s=-1)
         with pytest.raises(ParameterError):
             Link(10).transfer_time(-5)
-
-
-class TestSimClock:
-    def test_advance(self):
-        clock = SimClock()
-        clock.advance(1.5)
-        assert clock.now == 1.5
-        with pytest.raises(ParameterError):
-            clock.advance(-1)
-
-    def test_parallel_takes_makespan(self):
-        clock = SimClock()
-        span = clock.advance_parallel([1.0, 3.0, 2.0])
-        assert span == 3.0
-        assert clock.now == 3.0
-
-    def test_shared_floor(self):
-        clock = SimClock()
-        assert clock.advance_parallel([1.0], shared_floor=5.0) == 5.0
 
 
 class TestProvider:

@@ -1,9 +1,8 @@
 """Parallel comm engine + refcount/restore correctness regressions.
 
 Covers the multi-cloud transfer engine (§4.6): concurrent per-cloud
-uploads/downloads, simulated wall-clock accounting (makespan vs sum),
-mid-restore failover to spare clouds, and the refcount / file-entry /
-brute-force fixes that shipped with it.
+uploads/downloads, mid-restore failover to spare clouds, and the refcount /
+file-entry / brute-force fixes that shipped with it.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ import threading
 import pytest
 
 from repro.chunking.fixed import FixedChunker
-from repro.cloud.network import Link, SimClock
-from repro.cloud.provider import CloudProvider
 from repro.crypto.drbg import DRBG
 from repro.errors import (
     CloudUnavailableError,
@@ -385,59 +382,11 @@ class TestBruteForceSpareRecipeCache:
 
 
 # ---------------------------------------------------------------------------
-# simulated wall-clock: makespan (threads > 1) vs sum (threads == 1)
+# the thread count changes the schedule, never the bytes
 # ---------------------------------------------------------------------------
 
 
-def _asymmetric_system(threads: int, clock: SimClock) -> CDStoreSystem:
-    clouds = [
-        CloudProvider(name=f"cloud-{i}", uplink=Link(bw), downlink=Link(bw))
-        for i, bw in enumerate([10.0, 20.0, 40.0, 80.0])
-    ]
-    return CDStoreSystem(
-        n=4, k=3, salt=b"org", clouds=clouds, threads=threads, clock=clock
-    )
-
-
 class TestSimulatedWallClock:
-    def test_parallel_upload_is_per_cloud_maximum(self):
-        clock = SimClock()
-        system = _asymmetric_system(threads=4, clock=clock)
-        client = system.client("alice", chunker=FixedChunker(4096))
-        receipt = client.upload("/f", data_of(100_000))
-        assert receipt.sim_seconds == pytest.approx(
-            max(receipt.seconds_per_cloud)
-        )
-        assert clock.now == pytest.approx(receipt.sim_seconds)
-        # Sanity: the slowest cloud (10 MB/s) dominates the makespan.
-        wire = receipt.wire_bytes_per_cloud[0]
-        assert receipt.sim_seconds == pytest.approx(wire / 10e6)
-        system.close()
-
-    def test_serial_upload_is_per_cloud_sum(self):
-        clock = SimClock()
-        system = _asymmetric_system(threads=1, clock=clock)
-        client = system.client("alice", chunker=FixedChunker(4096))
-        receipt = client.upload("/f", data_of(100_000))
-        assert receipt.sim_seconds == pytest.approx(
-            sum(receipt.seconds_per_cloud)
-        )
-        assert receipt.sim_seconds > max(receipt.seconds_per_cloud) * 1.5
-        system.close()
-
-    def test_parallel_beats_serial(self):
-        parallel, serial = SimClock(), SimClock()
-        payload = data_of(100_000)
-        sys_p = _asymmetric_system(threads=4, clock=parallel)
-        sys_s = _asymmetric_system(threads=1, clock=serial)
-        sys_p.client("alice", chunker=FixedChunker(4096)).upload("/f", payload)
-        sys_s.client("alice", chunker=FixedChunker(4096)).upload("/f", payload)
-        # Bandwidths 10/20/40/80 MB/s: sum of per-cloud times is 1.875x
-        # the slowest cloud's time, and the makespan equals the latter.
-        assert parallel.now < serial.now / 1.5
-        sys_p.close()
-        sys_s.close()
-
     def test_wire_bytes_identical_across_thread_counts(self):
         payload = data_of(60_000)
         receipts = []
@@ -577,10 +526,12 @@ class TestProcessEncodePool:
 
         from repro.client.workers import SlabbedShareSets
 
-        futures = [Future(), Future()]
+        futures = {0: Future(), 2: Future()}
         futures[0].set_result(["a", "b"])
-        futures[1].set_result(["c"])
-        view = SlabbedShareSets(futures, [(0, 2), (2, 3)])
+        futures[2].set_result(["c"])
+        view = SlabbedShareSets(
+            [(0, 2), (2, 3)], lambda start, _end: futures[start], depth=2
+        )
         assert len(view) == 3
         assert [view[2], view[0], view[1]] == ["c", "a", "b"]
         with pytest.raises(IndexError):

@@ -126,20 +126,6 @@ class TestSlabReleaseHook:
         assert done.is_set()
         assert released == [0, 1, 2]
 
-    def test_eager_mode_fires_hook_too(self):
-        released: list[int] = []
-        futures = []
-        for start in (0, 1):
-            future: Future = Future()
-            future.set_result([f"s{start}"])
-            futures.append(future)
-        view = SlabbedShareSets(
-            futures, [(0, 1), (1, 2)], consumers=1, release=released.append
-        )
-        with view.stream() as stream:
-            list(stream)
-        assert released == [0, 1]
-
 
 @pytest.mark.slow
 class TestSharedSlabsEndToEnd:

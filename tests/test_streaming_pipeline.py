@@ -1,9 +1,10 @@
-"""Streaming transfer pipeline: bounded slab queue + windowed restore.
+"""Transfer pipeline: bounded slab queue + windowed restore.
 
-Covers the ``pipeline_depth`` knob end to end: byte-identical degeneration
-at depth 1, makespan clock accounting at one encode thread, per-window
-restore failover (a cloud stalling mid-window, a corrupt share healed by a
-spare), and the backpressure/release discipline of the lazy
+Covers the ``pipeline_depth`` knob end to end: byte identity of the
+pipelined schedule with the inline reference across the ``threads × depth``
+grid, the window and slab budgets at every depth, per-window restore
+failover (a cloud stalling mid-window, a corrupt share healed by a spare),
+and the backpressure/release discipline of
 :class:`~repro.client.workers.SlabbedShareSets`.
 """
 
@@ -18,7 +19,7 @@ import pytest
 
 from repro.chunking.fixed import FixedChunker
 from repro.client.workers import SlabbedShareSets, plan_windows
-from repro.cloud.network import SimClock, pipeline_makespan
+from repro.cloud.network import pipeline_makespan
 from repro.crypto.drbg import DRBG
 from repro.errors import CloudUnavailableError, ParameterError
 from repro.system.cdstore import CDStoreSystem
@@ -28,7 +29,7 @@ def data_of(size: int, seed: str = "stream") -> bytes:
     return DRBG(seed).random_bytes(size)
 
 
-def make_system(depth: int, threads: int = 1, n: int = 4, k: int = 3) -> CDStoreSystem:
+def make_system(depth, threads: int = 1, n: int = 4, k: int = 3) -> CDStoreSystem:
     return CDStoreSystem(n=n, k=k, salt=b"org", threads=threads, pipeline_depth=depth)
 
 
@@ -56,123 +57,61 @@ def corrupt_share_payloads(backend, count: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# depth=1 degenerates to the serial behaviour byte-identically
+# every schedule moves the bytes of the inline reference (threads=1, depth=1)
 # ---------------------------------------------------------------------------
 
 
+def _backup_and_restore(threads: int, depth, payload: bytes):
+    system = make_system(depth, threads=threads)
+    client = windowed_client(system)
+    receipt = client.upload("/f", payload)
+    restored = client.download("/f")
+    stored = system.stored_bytes()
+    system.close()
+    return receipt, restored, stored
+
+
 class TestDepthOneDegeneration:
-    def test_stored_and_wire_bytes_identical_across_depths(self):
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("depth", [1, 2, "auto"])
+    def test_stored_and_wire_bytes_identical_across_depths(self, threads, depth):
         payload = data_of(200_000)
-        receipts, stored, restored = {}, {}, {}
-        for depth in (1, 4):
-            system = make_system(depth)
-            client = windowed_client(system)
-            receipts[depth] = client.upload("/f", payload)
-            restored[depth] = client.download("/f")
-            system.flush()
-            stored[depth] = system.stored_bytes()
-            system.close()
-        assert restored[1] == restored[4] == payload
-        assert stored[1] == stored[4]
-        assert (
-            receipts[1].wire_bytes_per_cloud == receipts[4].wire_bytes_per_cloud
-        )
-        assert (
-            receipts[1].transferred_share_bytes
-            == receipts[4].transferred_share_bytes
-        )
+        want, want_restored, want_stored = _backup_and_restore(1, 1, payload)
+        got, restored, stored = _backup_and_restore(threads, depth, payload)
+        assert restored == want_restored == payload
+        assert stored == want_stored
+        assert got.wire_bytes_per_cloud == want.wire_bytes_per_cloud
+        assert got.transferred_share_bytes == want.transferred_share_bytes
 
-    def test_depth1_restore_is_single_window_rpc(self):
-        """depth=1 fetches the whole file in one fetch_shares RPC per
-        server; a streaming engine with a small window issues several."""
+    def test_depth1_restore_fetches_window_by_window(self):
+        """The inline client (threads=1, depth=1) restores a multi-window
+        file one planned window per fetch_shares call per server, never
+        asking for more fingerprints than the window holds."""
+        system = make_system(depth=1)
+        client = windowed_client(system, window_bytes=4096)
         payload = data_of(60_000)
-        calls = {}
-        for depth in (1, 3):
-            system = make_system(depth)
-            client = windowed_client(system, window_bytes=4096)
-            client.upload("/f", payload)
-            counters = []
-            for server in system.servers:
-                original = server.fetch_shares
-                counter = {"count": 0}
+        client.upload("/f", payload)
+        asked: list[list[int]] = []
+        for server in system.servers:
+            sizes: list[int] = []
 
-                def counting(fps, _orig=original, _c=counter):
-                    _c["count"] += 1
-                    return _orig(fps)
+            def recording(fps, _orig=server.fetch_shares, _sizes=sizes):
+                _sizes.append(len(fps))
+                return _orig(fps)
 
-                server.fetch_shares = counting
-                counters.append(counter)
-            assert client.download("/f") == payload
-            calls[depth] = [c["count"] for c in counters[: system.k]]
-            system.close()
-        assert all(count == 1 for count in calls[1])
-        assert all(count > 1 for count in calls[3])
+            server.fetch_shares = recording
+            asked.append(sizes)
+        with client.open_read("/f") as session:
+            windows = session.plan.windows
+            assert session.read() == payload
+        assert len(windows) > 1
+        want = [end - start for start, end in windows]
+        assert asked[: system.k] == [want] * system.k
+        system.close()
 
     def test_invalid_depth_rejected(self):
         with pytest.raises(ParameterError):
             make_system(0).client("alice")
-
-
-# ---------------------------------------------------------------------------
-# SimClock: streaming overlaps the clouds even at one encode thread
-# ---------------------------------------------------------------------------
-
-
-class TestStreamingClock:
-    @staticmethod
-    def _upload(depth: int):
-        from repro.cloud.network import Link
-        from repro.cloud.provider import CloudProvider
-
-        clock = SimClock()
-        clouds = [
-            CloudProvider(name=f"cloud-{i}", uplink=Link(bw), downlink=Link(bw))
-            for i, bw in enumerate([10.0, 20.0, 40.0, 80.0])
-        ]
-        system = CDStoreSystem(
-            n=4, k=3, salt=b"org", clouds=clouds, threads=1,
-            pipeline_depth=depth, clock=clock,
-        )
-        client = system.client("alice", chunker=FixedChunker(4096))
-        receipt = client.upload("/f", data_of(100_000))
-        system.close()
-        return receipt, clock
-
-    def test_streaming_upload_charges_makespan_at_one_thread(self):
-        """pipeline_depth>1 overlaps the per-cloud uploads (wire time hides
-        behind encoding) even with a single encode thread."""
-        receipt, clock = self._upload(depth=4)
-        assert receipt.sim_seconds == pytest.approx(
-            max(receipt.seconds_per_cloud)
-        )
-        assert clock.now == pytest.approx(receipt.sim_seconds)
-
-    def test_serial_upload_still_charges_sum(self):
-        receipt, clock = self._upload(depth=1)
-        assert receipt.sim_seconds == pytest.approx(
-            sum(receipt.seconds_per_cloud)
-        )
-
-    def test_streaming_restore_clock_matches_whole_file_charge(self):
-        """Windowed fetches must not double-charge the clock: per-slot
-        window times sum to the canonical whole-file transfer time."""
-        clocks = {}
-        for depth in (1, 3):
-            clock = SimClock()
-            system = CDStoreSystem(
-                n=4, k=3, salt=b"org", threads=1, pipeline_depth=depth,
-                clock=clock,
-            )
-            client = windowed_client(system, window_bytes=8192)
-            client.upload("/f", data_of(80_000))
-            upload_now = clock.now
-            assert client.download("/f")
-            clocks[depth] = clock.now - upload_now
-            system.close()
-        # Serial charges the per-slot sum, streaming the makespan — and the
-        # streamed restore must never charge more than the serial one.
-        assert clocks[3] <= clocks[1]
-        assert clocks[3] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +340,106 @@ class TestBoundedSlabQueue:
         )
         assert not partials
 
-    def test_mixed_constructor_arguments_rejected(self):
-        with pytest.raises(ParameterError):
-            SlabbedShareSets(None, [])
-        future: Future = Future()
-        future.set_result(["x"])
-        with pytest.raises(ParameterError):
-            SlabbedShareSets([future], [(0, 1)], submit=lambda s, e: future)
+
+# ---------------------------------------------------------------------------
+# the slab budget feeds every encoder and never exceeds max(depth, threads)
+# ---------------------------------------------------------------------------
+
+
+class _WatchedChunk:
+    """A chunk that tells a ledger what the engine does with it: reading
+    ``.data`` is its slab being submitted (the engine materialises a
+    slab's secrets at submit time), reading ``.seq`` is one cloud worker
+    being fed its share (each cloud has its own worker thread)."""
+
+    def __init__(self, chunk, ledger: "_SlabLedger") -> None:
+        self._chunk = chunk
+        self._ledger = ledger
+        self.size = chunk.size
+
+    @property
+    def data(self) -> bytes:
+        self._ledger.submitted(self._chunk.seq)
+        return self._chunk.data
+
+    @property
+    def seq(self) -> int:
+        self._ledger.fed(self._chunk.seq)
+        return self._chunk.seq
+
+
+class _SlabLedger:
+    def __init__(self, spans, clouds: int) -> None:
+        self._lock = threading.Lock()
+        self._starts = {start for start, _end in spans}
+        self._lasts = [end - 1 for _start, end in spans]
+        self._clouds = clouds
+        self._submitted = 0
+        self._fed_by: dict[int, set[int]] = {last: set() for last in self._lasts}
+        #: Most slabs ever submitted but not yet drained by every cloud.
+        self.peak_outstanding = 0
+
+    def submitted(self, seq: int) -> None:
+        with self._lock:
+            if seq in self._starts:
+                self._submitted += 1
+                drained = sum(
+                    len(self._fed_by[last]) == self._clouds for last in self._lasts
+                )
+                self.peak_outstanding = max(
+                    self.peak_outstanding, self._submitted - drained
+                )
+
+    def fed(self, seq: int) -> None:
+        with self._lock:
+            if seq in self._fed_by:
+                self._fed_by[seq].add(threading.get_ident())
+
+
+class TestEncodePoolIsFed:
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_four_encoders_get_four_slabs_and_no_more(self, depth):
+        """threads=4 keeps four slabs in flight at any depth <= 4: every
+        encoder has work, and a file of 8 slabs is never submitted whole."""
+        from repro.client.workers import slab_spans
+
+        system = make_system(depth, threads=4)
+        client = windowed_client(system)
+        chunks = list(client.chunker.chunk_bytes(data_of(16 * 4096)))
+        spans = slab_spans([chunk.size for chunk in chunks], 4)
+        assert len(spans) == 8
+        ledger = _SlabLedger(spans, clouds=system.n)
+
+        # Hold encode_batch's callers until four are inside at once (or,
+        # on a starved pool, until the first one gives up waiting).
+        real_encode = client.dispersal.encode_batch
+        gate = threading.Lock()
+        inside = peak_inside = 0
+        four_inside = threading.Event()
+
+        def held_encode(secrets):
+            nonlocal inside, peak_inside
+            with gate:
+                inside += 1
+                peak_inside = max(peak_inside, inside)
+                if inside == 4:
+                    four_inside.set()
+            if not four_inside.wait(timeout=2.0):
+                four_inside.set()
+            try:
+                return real_encode(secrets)
+            finally:
+                with gate:
+                    inside -= 1
+
+        client.dispersal.encode_batch = held_encode
+        results = client.comm.upload_file(
+            "alice", client.dispersal, [_WatchedChunk(c, ledger) for c in chunks]
+        )
+        system.close()
+        assert [len(result.metas) for result in results] == [16] * system.n
+        assert peak_inside == 4
+        assert ledger.peak_outstanding == 4
 
 
 # ---------------------------------------------------------------------------
@@ -443,43 +475,30 @@ class TestPipelineHelpers:
 
 
 # ---------------------------------------------------------------------------
-# adaptive pipeline depth (pipeline_depth="auto")
+# pipeline_depth="auto" is a named constant
 # ---------------------------------------------------------------------------
 
 
 class TestAdaptiveDepth:
-    def test_choose_depth_formula_and_clamps(self):
-        from repro.client.comm import choose_pipeline_depth
-
-        # Wire-bound encoding: two slots give full overlap.
-        assert choose_pipeline_depth(1.0, 1000.0) == 2
-        # Encode outruns wire 2.4x: one extra slab per surplus window.
-        assert choose_pipeline_depth(240.0, 100.0) == 3
-        # Encode vastly faster: clamped at the ceiling.
-        assert choose_pipeline_depth(10_000.0, 1.0) == 8
-        # Custom clamp bounds are honoured.
-        assert choose_pipeline_depth(10_000.0, 1.0, ceiling=4) == 4
-        with pytest.raises(ParameterError):
-            choose_pipeline_depth(0.0, 1.0)
-
     def test_auto_engine_probes_and_records_depth(self):
+        from repro.client.comm import PIPELINE_DEPTH
+
         system = make_system(depth="auto")
         client = windowed_client(system)
+        # Resolved at construction: the same integer before any upload
+        # (a restore-only client) as in every receipt after.
+        assert client.comm.pipeline_depth == PIPELINE_DEPTH
         receipt = client.upload("/f", data_of(40_000))
-        assert isinstance(receipt.pipeline_depth, int)
-        assert 2 <= receipt.pipeline_depth <= 8
-        # The probe runs once; later uploads reuse the resolved depth.
-        assert client.comm.effective_depth == receipt.pipeline_depth
+        assert receipt.pipeline_depth == PIPELINE_DEPTH
         again = client.upload("/g", data_of(8_000, seed="other"))
-        assert again.pipeline_depth == receipt.pipeline_depth
+        assert again.pipeline_depth == PIPELINE_DEPTH
         assert client.download("/f") == data_of(40_000)
         system.close()
 
     def test_auto_engine_is_streaming_and_parallel(self):
         system = make_system(depth="auto")
         client = windowed_client(system)
-        assert client.comm.adaptive
-        assert client.comm.streaming
+        assert client.comm.pipeline_depth > 1
         assert client.comm.parallel
         system.close()
 
@@ -488,21 +507,7 @@ class TestAdaptiveDepth:
         client = system.client("bob", pipeline_depth=5, chunker=FixedChunker(4096))
         receipt = client.upload("/f", data_of(30_000))
         assert receipt.pipeline_depth == 5
-        assert client.comm.effective_depth == 5
-        system.close()
-
-    def test_download_only_auto_engine_uses_fallback_depth(self):
-        from repro.client.comm import _AUTO_FALLBACK_DEPTH
-
-        system = make_system(depth=1)
-        uploader = windowed_client(system)
-        payload = data_of(30_000)
-        uploader.upload("/f", payload)
-        uploader.flush()
-        restorer = system.client(
-            "restorer", pipeline_depth="auto", chunker=FixedChunker(4096)
-        )
-        assert restorer.comm.effective_depth == _AUTO_FALLBACK_DEPTH
+        assert client.comm.pipeline_depth == 5
         system.close()
 
     def test_bogus_depth_values_rejected(self):

@@ -135,32 +135,3 @@ class TestClientUploadWalltime:
         assert serial == pytest.approx(sum(per_cloud))
         assert parallel == pytest.approx(max(per_cloud))
         assert parallel < serial
-
-    def test_matches_comm_engine_accounting(self):
-        """The model helper and the live engine charge identical time."""
-        from repro.bench.transfer import client_upload_walltime
-        from repro.chunking.fixed import FixedChunker
-        from repro.cloud.network import Link, SimClock
-        from repro.cloud.provider import CloudProvider
-        from repro.system.cdstore import CDStoreSystem
-
-        clouds = [
-            CloudProvider(name=f"c{i}", uplink=Link(bw), downlink=Link(bw))
-            for i, bw in enumerate([5.0, 10.0, 20.0, 40.0])
-        ]
-        clock = SimClock()
-        system = CDStoreSystem(
-            n=4, k=3, salt=b"org", clouds=clouds, threads=4, clock=clock
-        )
-        client = system.client("alice", chunker=FixedChunker(4096))
-        receipt = client.upload("/f", b"x" * 120_000)
-        assert receipt.sim_seconds == pytest.approx(
-            client_upload_walltime(clouds, receipt.wire_bytes_per_cloud, threads=4)
-        )
-        # A fully-deduplicated re-upload (zero wire bytes) must agree too.
-        dup = client.upload("/f-again", b"x" * 120_000)
-        assert dup.transferred_share_bytes == 0
-        assert dup.sim_seconds == pytest.approx(
-            client_upload_walltime(clouds, dup.wire_bytes_per_cloud, threads=4)
-        )
-        system.close()
