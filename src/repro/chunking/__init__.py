@@ -12,9 +12,9 @@ Three chunkers are registered (see :mod:`repro.chunking.registry` for the
 
 * ``rabin`` (default) — the paper's Rabin-fingerprint chunker [49];
 * ``gear`` — FastCDC-style gear chunker: the boundary robustness of
-  ``rabin`` at several times the ingest throughput (normalized masks,
-  min-size cut-point skipping, two-level vectorised kernel), for under one
-  percentage point of dedup saving;
+  ``rabin`` at about three times the ingest throughput (normalized masks,
+  a 16-byte window on the :mod:`~repro.chunking.scan` kernel both share),
+  for under one percentage point of dedup saving;
 * ``fixed`` — fixed-size chunks (§4.2's simpler alternative, used by the
   VM dataset).
 """

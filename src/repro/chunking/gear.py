@@ -21,29 +21,23 @@ throughput and chunk-size shape:
   distribution around the average instead of the open-ended exponential a
   single mask produces.
 
-Vectorised two-level scan kernel
---------------------------------
+Vectorised scan kernel
+----------------------
 
 The deviation from the C-oriented original: scanning byte-at-a-time is
-exactly what pure Python cannot afford, so the kernel evaluates all
-positions with numpy gathers, like the vectorised Rabin path — but much
-cheaper.  Because the gear recurrence is carry-less (XOR, not the
-original's addition), bit ``p`` of the hash only sees bytes at distances
-``<= p``: the mask bits live in the low 16 bits of the word, so the masked
-decision depends on just the trailing :data:`GEAR_WINDOW` = 16 bytes, and
-AND distributes over XOR, so pair tables can be pre-masked to single
-bytes.  The scan then runs in two levels:
-
-1. **dense prescreen** — the low hash byte (a function of the trailing 8
-   bytes only) is computed for every position with 4 byte-pair-table
-   gathers of ``uint8`` entries — an order of magnitude less table traffic
-   than Rabin's 24 ``uint64`` gathers; positions whose low byte misses the
-   easy mask (all but ~2^-min(8, mask bits)) are discarded;
-2. **sparse confirm** — only surviving candidates (well under 1 %) gather
-   the high hash byte from all 8 pair tables and test the full masks.
-
-A byte-at-a-time rolling implementation (:meth:`GearChunker.rolling_hashes`)
-is kept as the reference; property tests pin the kernel to it.
+exactly what pure Python cannot afford, so all positions are evaluated
+with numpy gathers.  Because the gear recurrence is carry-less (XOR, not
+the original's addition), bit ``p`` of the hash only sees bytes at
+distances ``<= p``: the mask bits live in the low 16 bits of the word, so
+the masked decision is an XOR of per-offset terms over just the trailing
+:data:`GEAR_WINDOW` = 16 bytes — the form the blocked two-level scan of
+:mod:`repro.chunking.scan` takes (shared with the Rabin chunker, which
+runs it on 24 dense pair tables).  Here only the trailing 8 bytes can
+reach the low hash byte, so the dense prescreen is 4 ``uint8`` pair-table
+gathers per position; the ~1/256 survivors gather the 16 per-offset terms
+and are tested against both masks.  The property tests pin the kernel to
+the dense :meth:`GearChunker.window_hashes` (slow but simple) and that to
+the byte-at-a-time reference :meth:`GearChunker.rolling_hashes`.
 """
 
 from __future__ import annotations
@@ -54,6 +48,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.chunking.base import Chunk, Chunker
+from repro.chunking.scan import PairScan
 from repro.crypto.drbg import DRBG
 from repro.errors import ParameterError
 
@@ -78,27 +73,11 @@ def _gear_table() -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint64).copy()
 
 
-@lru_cache(maxsize=1)
-def _pair_tables() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Pre-masked byte-pair gather tables ``(low, high)``.
-
-    ``high[j][b1*256 + b2]`` holds bits 8-15 of
-    ``(GEAR[b1] << d1) ^ (GEAR[b2] << d0)`` for the pair of window offsets
-    with shifts ``(d1, d0)``; ``low`` holds bits 0-7 and exists only for
-    the trailing 8 bytes (larger shifts cannot reach the low byte).  All
-    entries are ``uint8``: 12 tables x 64 Ki = 768 KB, L2-resident.
-    """
-    gear = _gear_table()
-    low: list[np.ndarray] = []
-    high: list[np.ndarray] = []
-    for j in range(0, GEAR_WINDOW, 2):
-        d1 = np.uint64(GEAR_WINDOW - 1 - j)
-        d0 = np.uint64(GEAR_WINDOW - 2 - j)
-        pair = ((gear << d1)[:, None] ^ (gear << d0)[None, :]).reshape(-1)
-        high.append(((pair >> np.uint64(8)) & np.uint64(0xFF)).astype(np.uint8))
-        if int(d1) < 8:
-            low.append((pair & np.uint64(0xFF)).astype(np.uint8))
-    return tuple(low), tuple(high)
+def _offset_tables() -> np.ndarray:
+    """``T[j][v]``: the low 16 bits of byte ``v``'s hash term at window
+    offset ``j``, ``GEAR[v] << (GEAR_WINDOW - 1 - j)``; shape ``(16, 256)``."""
+    shifts = np.arange(GEAR_WINDOW - 1, -1, -1, dtype=np.uint64)[:, None]
+    return ((_gear_table()[None, :] << shifts) & np.uint64(0xFFFF)).astype(np.uint16)
 
 
 class GearChunker(Chunker):
@@ -152,9 +131,8 @@ class GearChunker(Chunker):
         #: a hard-mask match is always an easy-mask match too.
         self.mask_hard = np.uint16((1 << (bits + norm)) - 1)
         self.mask_easy = np.uint16((1 << (bits - norm)) - 1)
-        #: Prescreen mask: the easy mask's low byte.  Both full masks imply
-        #: it, so the dense pass can discard on the low hash byte alone.
-        self._pre_mask = np.uint8(int(self.mask_easy) & 0xFF)
+        #: Prescreens on the easy mask's low byte: both full masks imply it.
+        self._kernel = PairScan(_offset_tables(), int(self.mask_easy), 0)
 
     # ------------------------------------------------------------------
     # hash computation
@@ -181,62 +159,28 @@ class GearChunker(Chunker):
 
         Entry ``i`` covers ``data[i : i + GEAR_WINDOW]``; the result has
         ``len(data) - GEAR_WINDOW + 1`` entries.  This is the slow-but-
-        simple rendering of the kernel (every table gathered densely),
+        simple rendering of the kernel (every offset gathered densely),
         used by tests to pin the two-level fast path.
         """
-        low_tabs, high_tabs = _pair_tables()
         buf = np.frombuffer(data, dtype=np.uint8)
-        count = buf.size - GEAR_WINDOW + 1
-        if count <= 0:
-            return np.zeros(0, dtype=np.uint16)
-        low = np.zeros(count, dtype=np.uint8)
-        high = np.zeros(count, dtype=np.uint8)
-        idx = np.empty(count, dtype=np.uint16)
-        for pair, table in enumerate(high_tabs):
-            j = 2 * pair
-            np.left_shift(buf[j : j + count].astype(np.uint16), 8, out=idx)
-            np.bitwise_or(idx, buf[j + 1 : j + 1 + count], out=idx)
-            np.bitwise_xor(high, table[idx], out=high)
-            if j >= 8:
-                np.bitwise_xor(low, low_tabs[(j - 8) // 2][idx], out=low)
-        return (high.astype(np.uint16) << np.uint16(8)) | low
+        count = max(buf.size - GEAR_WINDOW + 1, 0)
+        out = np.zeros(count, dtype=np.uint16)
+        for j, table in enumerate(self._kernel.tables):
+            out ^= table[buf[j : j + count]]
+        return out
 
     def _scan(self, data: bytes) -> tuple[np.ndarray, np.ndarray]:
         """Candidate cut positions ``(hard_cuts, easy_cuts)`` of ``data``.
 
-        The two-level kernel: a dense uint8 prescreen over the trailing-8-
-        byte low hash, then the full 16-bit hash only at prescreen
-        survivors.  Cut position ``c`` means a boundary after byte
+        The shared two-level kernel's prescreen survivors, tested against
+        both masks.  Cut position ``c`` means a boundary after byte
         ``c - 1`` (window ``[c - GEAR_WINDOW, c)`` matched).
         """
-        low_tabs, high_tabs = _pair_tables()
-        buf = np.frombuffer(data, dtype=np.uint8)
-        count = buf.size - GEAR_WINDOW + 1
-        empty = np.zeros(0, dtype=np.int64)
-        if count <= 0:
-            return empty, empty
-        low = np.zeros(count, dtype=np.uint8)
-        idx = np.empty(count, dtype=np.uint16)
-        for pair, table in enumerate(low_tabs):
-            j = 8 + 2 * pair
-            np.left_shift(buf[j : j + count].astype(np.uint16), 8, out=idx)
-            np.bitwise_or(idx, buf[j + 1 : j + 1 + count], out=idx)
-            np.bitwise_xor(low, table[idx], out=low)
-        cand = np.nonzero((low & self._pre_mask) == 0)[0]
-        if cand.size == 0:
-            return empty, empty
-        high = np.zeros(cand.size, dtype=np.uint8)
-        for pair, table in enumerate(high_tabs):
-            j = 2 * pair
-            sparse = (buf[j + cand].astype(np.uint16) << np.uint16(8)) | buf[
-                j + 1 + cand
-            ]
-            high ^= table[sparse]
-        full = (high.astype(np.uint16) << np.uint16(8)) | low[cand]
-        cuts = cand + GEAR_WINDOW
-        hard = cuts[(full & self.mask_hard) == 0]
-        easy = cuts[(full & self.mask_easy) == 0]
-        return hard.astype(np.int64), easy.astype(np.int64)
+        hard, easy = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for cuts, hashes in self._kernel.candidates(data):
+            hard.append(cuts[(hashes & self.mask_hard) == 0])
+            easy.append(cuts[(hashes & self.mask_easy) == 0])
+        return np.concatenate(hard), np.concatenate(easy)
 
     # ------------------------------------------------------------------
     # chunking

@@ -7,25 +7,30 @@ polynomial ``P`` of degree 63.  A chunk boundary is declared after byte
 value in its low ``log2(average)`` bits; minimum and maximum chunk sizes
 (2 KB / 16 KB around the 8 KB average, per the paper) bound the result.
 
-Because the fingerprint is GF(2)-linear in the window bytes,
+The fingerprint is GF(2)-linear in the window bytes,
 
     F(window) = XOR_j  T_j[b_j],   T_j[v] = v · x^(8·(w-1-j)) mod P,
 
-the fingerprints of *all* positions can be computed as ``w`` shifted
-numpy table-gathers — this vectorised path makes content-defined chunking
-usable at benchmark scale in pure Python.  A byte-at-a-time rolling
-implementation (:meth:`RabinChunker.rolling_fingerprints`) is kept as the
-reference; a property test pins the two together.
+and only ``F & (average - 1)`` decides a cut.  AND distributes over XOR,
+so ``F & m = XOR_j (T_j[b_j] & m)``: the ingest path never computes the 64
+fingerprint bits, it hands the ``T_j`` to the blocked two-level scan of
+:mod:`repro.chunking.scan` (pre-masked ``uint8`` pair tables densely, the
+full-width ``T_j`` only at the ~1/256 prescreen survivors), the same
+kernel the gear chunker runs on its own tables.  Two full-fingerprint
+renderings stay for the tests that pin the kernel's cuts:
+:meth:`RabinChunker.window_fingerprints` (dense, one gather per offset —
+slow but simple) and the byte-at-a-time rolling reference
+:meth:`RabinChunker.rolling_fingerprints`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from repro.chunking.base import Chunk, Chunker
+from repro.chunking.scan import PairScan
 from repro.errors import ParameterError
 
 __all__ = ["RabinChunker"]
@@ -35,6 +40,7 @@ __all__ = ["RabinChunker"]
 #: irreducible polynomial used by LBFS-style chunkers.
 _POLY = 0xBFE6B8A5BF378D83
 _DEGREE = 63
+_LOW_BITS = np.uint64((1 << _DEGREE) - 1)
 
 
 def _mod_poly(value: int) -> int:
@@ -48,30 +54,21 @@ def _mod_poly(value: int) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
-def _shift_table(shift_bits: int) -> np.ndarray:
-    """Table ``T[v] = v · x^shift_bits mod P`` for all byte values v."""
-    table = np.zeros(256, dtype=np.uint64)
-    for v in range(256):
-        table[v] = _mod_poly(v << shift_bits)
-    return table
+def _offset_tables(window: int) -> np.ndarray:
+    """``T[j][v] = v · x^(8·(window-1-j)) mod P``, shape ``(window, 256)``.
 
-
-@lru_cache(maxsize=8)
-def _pair_tables(window: int) -> tuple[np.ndarray, ...]:
-    """Byte-pair tables ``T2_j[b1 * 256 + b2] = T_j[b1] ^ T_{j+1}[b2]``.
-
-    XOR-linearity lets two adjacent window offsets collapse into one
-    gather, halving the passes of the vectorised kernel (the classic
-    slicing-by-N trade of table memory for passes).  ~512 KB per table,
-    so the set is built once per window width and shared by every
-    chunker instance (read-only).
+    Built by recurrence from the last offset (``T[window-1][v] = v``):
+    each step multiplies a row by ``x^8`` — shift, then fold the 8 bits
+    pushed past the degree back in through a 256-entry reduction table —
+    so construction is linear in the window (~100 KB at 48 bytes).
     """
-    tables = [_shift_table(8 * (window - 1 - j)) for j in range(window)]
-    return tuple(
-        (tables[j][:, None] ^ tables[j + 1][None, :]).reshape(-1)
-        for j in range(0, window - 1, 2)
-    )
+    fold = np.array([_mod_poly(v << _DEGREE) for v in range(256)], dtype=np.uint64)
+    tables = np.empty((window, 256), dtype=np.uint64)
+    row = np.arange(256, dtype=np.uint64)
+    for j in reversed(range(window)):
+        tables[j] = row
+        row = ((row << np.uint64(8)) & _LOW_BITS) ^ fold[row >> np.uint64(_DEGREE - 8)]
+    return tables
 
 
 class RabinChunker(Chunker):
@@ -115,12 +112,10 @@ class RabinChunker(Chunker):
         #: Boundary magic in the masked bits; any constant works, but zero
         #: would fire on zero-filled regions, so pick a non-trivial value.
         self._magic = np.uint64((avg_size - 1) & 0x78F5)
-        # Per-window-offset tables for the vectorised fingerprint, and the
-        # "pop" table (outgoing byte) for the rolling reference.
-        self._tables = [_shift_table(8 * (window - 1 - j)) for j in range(window)]
-        self._pop_table = self._tables[0]
-        self._push_shift = _shift_table(8)
-        self._pair_tables = _pair_tables(window)
+        #: Per-window-offset tables; row 0 doubles as the rolling
+        #: reference's "pop" table (the outgoing byte's term).
+        self._tables = _offset_tables(window)
+        self._kernel = PairScan(self._tables, avg_size - 1, int(self._magic))
 
     # ------------------------------------------------------------------
     # fingerprint computation
@@ -130,39 +125,29 @@ class RabinChunker(Chunker):
 
         Entry ``i`` is the fingerprint of ``data[i : i + window]``; the
         result has ``len(data) - window + 1`` entries (empty if the input
-        is shorter than the window).  Vectorised: one table gather per
-        *pair* of window offsets — adjacent offsets share a 16-bit-indexed
-        table (see ``_pair_tables``), so a 48-byte window costs 24 gathers
-        plus one cheap uint16 index build each, not 48 uint64 gathers.
+        is shorter than the window).  The slow-but-simple dense rendering
+        (one full-width gather per window offset) that tests hold the
+        ingest kernel to; nothing on the backup path calls it.
         """
         buf = np.frombuffer(data, dtype=np.uint8)
-        count = buf.size - self.window + 1
-        if count <= 0:
-            return np.zeros(0, dtype=np.uint64)
+        count = max(buf.size - self.window + 1, 0)
         out = np.zeros(count, dtype=np.uint64)
-        idx = np.empty(count, dtype=np.uint16)
-        for pair, table in enumerate(self._pair_tables):
-            j = 2 * pair
-            np.left_shift(buf[j : j + count].astype(np.uint16), 8, out=idx)
-            np.bitwise_or(idx, buf[j + 1 : j + 1 + count], out=idx)
-            np.bitwise_xor(out, table[idx], out=out)
-        if self.window % 2:  # odd windows: last offset has no pair partner
-            j = self.window - 1
-            np.bitwise_xor(out, self._tables[j][buf[j : j + count]], out=out)
+        for j, table in enumerate(self._tables):
+            out ^= table[buf[j : j + count]]
         return out
 
     def rolling_fingerprints(self, data: bytes) -> np.ndarray:
         """Reference rolling implementation (byte-at-a-time push/pop).
 
         Produces exactly :meth:`window_fingerprints`; kept for the property
-        test that certifies the vectorised path, and as executable
+        tests that certify the vectorised paths, and as executable
         documentation of the classic recurrence
         ``F' = ((F ^ POP[out]) · x^8 ^ in) mod P``.
         """
         w = self.window
         if len(data) < w:
             return np.zeros(0, dtype=np.uint64)
-        pop = self._pop_table
+        pop = self._tables[0]
         out = np.zeros(len(data) - w + 1, dtype=np.uint64)
         fp = 0
         for j in range(w):
@@ -177,15 +162,22 @@ class RabinChunker(Chunker):
     # ------------------------------------------------------------------
     # chunking
     # ------------------------------------------------------------------
+    def _scan(self, data: bytes) -> np.ndarray:
+        """Candidate cut positions of ``data``, ascending.
+
+        Cut ``c`` means a boundary after byte ``c - 1``: the fingerprint of
+        the window ``[c - window, c)`` matched the magic in its masked bits.
+        """
+        hits = [
+            cuts[(fps & self._mask) == self._magic]
+            for cuts, fps in self._kernel.candidates(data)
+        ]
+        return np.concatenate([np.zeros(0, dtype=np.int64), *hits])
+
     def chunk_bytes(self, data: bytes) -> Iterator[Chunk]:
         if not data:
             return
-        fps = self.window_fingerprints(data)
-        # Candidate cut points: a boundary *after* byte i means the window
-        # ending at i matched; window ending at byte i starts at i-w+1, so
-        # fps index (i - w + 1) corresponds to cut position i + 1.
-        matches = np.nonzero((fps & self._mask) == self._magic)[0]
-        cuts = matches + self.window  # cut positions (exclusive end)
+        cuts = self._scan(data)
         start = 0
         seq = 0
         size = len(data)

@@ -26,6 +26,7 @@ failover happens at window granularity.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro.chunking.base import Chunker
@@ -45,12 +46,20 @@ from repro.errors import (
     InsufficientCloudsError,
     ParameterError,
 )
+from repro.obs.registry import REGISTRY
 from repro.obs.trace import SpanRecorder, Tracer
 from repro.server.messages import FileManifest
 from repro.server.server import CDStoreServer
 from repro.sharing.ssss import SSSS
 
 __all__ = ["CDStoreClient", "UploadReceipt", "UPLOAD_BATCH_BYTES"]
+
+# The first stage of every backup (docs/OBSERVABILITY.md): one observation
+# per file, beside the comm engine's per-window encode/upload histograms.
+_CHUNKING_SECONDS = REGISTRY.histogram(
+    "client_chunking_seconds",
+    "Wall time cutting one file into secrets",
+)
 
 
 @dataclass
@@ -223,7 +232,11 @@ class CDStoreClient:
     def _upload(self, path: str, data: bytes) -> UploadReceipt:
         for server in self.servers:
             server.cloud.check_available()
-        chunks = list(self.chunker.chunk_bytes(data))
+        clock = time.perf_counter()
+        spec = self.chunker.spec() or type(self.chunker).__name__
+        with self.tracer.span("chunk", bytes=len(data), chunker=str(spec)):
+            chunks = list(self.chunker.chunk_bytes(data))
+        _CHUNKING_SECONDS.observe(time.perf_counter() - clock)
 
         results = self.comm.upload_file(self.user_id, self.dispersal, chunks)
 

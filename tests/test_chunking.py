@@ -1,7 +1,10 @@
 """Chunkers: fixed-size, Rabin and gear content-defined, plus the registry."""
 
+import hashlib
 import pickle
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +18,10 @@ from repro.chunking import (
     chunker_names,
     create_chunker,
 )
+from repro.chunking import scan
 from repro.chunking.fixed import FixedChunker
 from repro.chunking.gear import GearChunker
-from repro.chunking.rabin import RabinChunker
+from repro.chunking.rabin import RabinChunker, _mod_poly
 from repro.crypto.drbg import DRBG
 from repro.errors import ParameterError
 
@@ -79,6 +83,16 @@ class TestRabinFingerprints:
     def test_short_input_has_no_fingerprints(self):
         chunker = RabinChunker()
         assert chunker.window_fingerprints(b"short").size == 0
+
+    @pytest.mark.parametrize("spec", ["rabin", "rabin:window=47", "rabin:window=512,min=2048"])
+    def test_tables_built_by_recurrence_match_direct_reduction(self, spec):
+        """``T[j][v] = v * x^(8*(w-1-j)) mod P``, whatever the window (wide
+        ones used to cost seconds: one reduction step per shifted bit)."""
+        chunker = create_chunker(spec)
+        w = chunker.window
+        assert chunker._tables.shape == (w, 256)
+        for v, j in [(1, 0), (255, 0), (0x35, w // 2), (0x80, w - 9), (200, w - 1)]:
+            assert int(chunker._tables[j][v]) == _mod_poly(v << (8 * (w - 1 - j)))
 
 
 class TestRabinChunking:
@@ -306,6 +320,174 @@ class TestGearProperties:
         shifted = list(chunker.chunk_bytes(prefix + payload))
         shared = sum(1 for c in shifted if c.data in original)
         assert shared / len(shifted) > 0.5
+
+
+# ---------------------------------------------------------------------------
+# the shared scan kernel (repro.chunking.scan) under both CDC chunkers
+# ---------------------------------------------------------------------------
+
+
+def _scan_cuts(chunker, data: bytes) -> tuple[np.ndarray, ...]:
+    """``chunker._scan(data)`` as a tuple, loosest mask last (Rabin has one)."""
+    cuts = chunker._scan(data)
+    return cuts if isinstance(cuts, tuple) else (cuts,)
+
+
+def _dense_cuts(chunker, data: bytes) -> tuple[np.ndarray, ...]:
+    """What :func:`_scan_cuts` must return, from the dense rendering."""
+    if isinstance(chunker, RabinChunker):
+        fps = chunker.window_fingerprints(data)
+        return (np.flatnonzero((fps & chunker._mask) == chunker._magic) + chunker.window,)
+    dense = chunker.window_hashes(data)
+    cuts = np.arange(dense.size, dtype=np.int64) + GEAR_WINDOW
+    return cuts[(dense & chunker.mask_hard) == 0], cuts[(dense & chunker.mask_easy) == 0]
+
+
+def _assert_scan_is_dense(chunker, data: bytes) -> None:
+    for got, want in zip(_scan_cuts(chunker, data), _dense_cuts(chunker, data), strict=True):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def _constant_byte(chunker, survivors_are_cuts: bool) -> int:
+    """A byte whose constant run survives the prescreen at *every* position
+    (the low hash byte matches) and then passes / fails the full mask."""
+    run_length = 1024
+    windows = run_length - chunker._kernel.window + 1
+    for b in range(256):
+        run = bytes([b]) * run_length
+        survivors = sum(c.size for c, _ in chunker._kernel.candidates(run))
+        cuts = _scan_cuts(chunker, run)[-1].size
+        if survivors == windows and cuts == (windows if survivors_are_cuts else 0):
+            return b
+    raise AssertionError("no degenerate byte for this configuration")
+
+
+#: ``(offset, size)`` lists of a 3 MiB DRBG payload, hashed — captured from
+#: the pre-kernel implementations (full uint64 pair-table Rabin pass, gear's
+#: own two-level scan at PR 18).  Cut points are a persistent format in
+#: effect: a root only keeps deduplicating while these do not move.
+_GOLDEN_CUTS = {
+    "rabin": (350, "87de0b69637bbab7bf23aa187debe859958240e86bbe169fa0ba4fa96dbb640c"),
+    "rabin:avg=4096,min=1024,max=16384,window=47": (
+        619, "b6f3632c30802875813065ebdbc0be73902a17f318495b6e9e56f7ede6362aa2",
+    ),
+    "gear": (345, "3b918e3fc7961377fda26ac45c6f73c22d03df14f27aeba855e4051bea0a9443"),
+    "gear:norm=0": (374, "1d9f509bfdd0e79da4fe9dc5d0912e02e0c92911ed9caef5ec8562c803c73ea5"),
+}
+
+
+class TestScanKernel:
+    @pytest.mark.parametrize("spec", sorted(_GOLDEN_CUTS))
+    def test_cut_points_match_the_vectors_captured_before_the_kernel(self, spec):
+        data = DRBG("chunking-golden").random_bytes(3 << 20)
+        cuts = [(c.offset, c.size) for c in create_chunker(spec).chunk_bytes(data)]
+        digest = hashlib.sha256(repr(cuts).encode()).hexdigest()
+        assert (len(cuts), digest) == _GOLDEN_CUTS[spec]
+
+    @pytest.mark.slow
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.binary(min_size=0, max_size=3000),
+        bits=st.integers(min_value=6, max_value=17),
+        window=st.integers(min_value=2, max_value=64),
+        block=st.integers(min_value=1, max_value=700),
+        confirm=st.integers(min_value=1, max_value=8),
+    )
+    def test_rabin_kernel_equals_rolling_reference(self, data, bits, window, block, confirm):
+        """Random legal parameters (odd and even windows, masks narrower and
+        wider than the prescreen byte), blocks small enough that windows
+        straddle them: the kernel keeps exactly the positions whose rolling
+        fingerprint matches in the low byte, hands back their full
+        fingerprints, and so cuts where the reference cuts."""
+        avg = 1 << bits
+        chunker = RabinChunker(avg_size=avg, min_size=avg, max_size=avg, window=window)
+        rolling = chunker.rolling_fingerprints(data)
+        with mock.patch.object(scan, "BLOCK", block), mock.patch.object(scan, "_CONFIRM", confirm):
+            yields = list(chunker._kernel.candidates(data))
+            cuts = chunker._scan(data)
+        ends = np.concatenate([np.zeros(0, dtype=np.int64)] + [c for c, _ in yields])
+        fps = np.concatenate([np.zeros(0, dtype=np.uint64)] + [f for _, f in yields])
+        low = np.uint64((avg - 1) & 0xFF)
+        assert np.array_equal(
+            ends, np.flatnonzero((rolling & low) == (chunker._magic & low)) + window
+        )
+        assert np.array_equal(fps, rolling[ends - window])
+        assert np.array_equal(
+            cuts, np.flatnonzero((rolling & chunker._mask) == chunker._magic) + window
+        )
+
+    @pytest.mark.parametrize(
+        "chunker",
+        [
+            RabinChunker(),
+            RabinChunker(avg_size=1024, min_size=64, max_size=4096, window=47),
+            RabinChunker(avg_size=1 << 17, min_size=64, max_size=1 << 18, window=3),
+            GearChunker(),
+            GearChunker(**_SMALL_GEAR),
+        ],
+        ids=["rabin", "rabin-odd", "rabin-wide-mask", "gear", "gear-small"],
+    )
+    def test_block_edges_and_degenerate_inputs_equal_dense(self, chunker):
+        w = chunker._kernel.window
+        payload = DRBG("scan-edges").random_bytes(2 * scan.BLOCK + w + 1)
+        lengths = {0, 1, w - 1, w, w + 1, len(payload)}
+        for edge in (scan.BLOCK, scan.BLOCK + w, 2 * scan.BLOCK + w - 1):
+            lengths |= {edge - 1, edge, edge + 1}
+        for length in sorted(lengths):
+            _assert_scan_is_dense(chunker, payload[:length])
+        _assert_scan_is_dense(chunker, bytes(scan.BLOCK + 2 * w))
+        _assert_scan_is_dense(chunker, b"\x00\xffab" * (scan.BLOCK // 4 + w))
+
+    @pytest.mark.parametrize(
+        "chunker, survivors_are_cuts",
+        [
+            (RabinChunker(avg_size=64, min_size=64, max_size=256), True),  # 6-bit mask
+            (RabinChunker(avg_size=512, min_size=64, max_size=4096), False),
+            (GearChunker(avg_size=64, min_size=32, max_size=256, norm=0), True),
+            (GearChunker(), False),  # 11-bit easy mask
+        ],
+        ids=["rabin-cuts", "rabin-none", "gear-cuts", "gear-none"],
+    )
+    def test_input_where_every_position_survives_the_prescreen(
+        self, chunker, survivors_are_cuts
+    ):
+        """A constant run whose low hash byte matches everywhere: the confirm
+        stage degenerates to dense, its temporaries must stay per-block."""
+        run = bytes([_constant_byte(chunker, survivors_are_cuts)]) * (1 << 20)
+        tracemalloc.start()
+        try:
+            cuts = _scan_cuts(chunker, run)[-1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _assert_scan_is_dense(chunker, run[: scan.BLOCK + 100])
+        windows = len(run) - chunker._kernel.window + 1
+        assert cuts.size == (windows if survivors_are_cuts else 0)
+        if not survivors_are_cuts:
+            # Nothing is returned, so the peak is kernel scratch: the index
+            # and a full block of survivors at 8 bytes a position, the rows,
+            # one confirm batch.  Confirming the file at once needs > 400 MiB.
+            assert peak < 48 * scan.BLOCK
+
+    @pytest.mark.parametrize("chunker", [RabinChunker(), GearChunker()], ids=["rabin", "gear"])
+    def test_scan_memory_is_per_block_not_per_file(self, chunker):
+        """No clock: what the cut scan allocates is bounded by the block,
+        so 8 MiB of input peaks where 4 MiB does (the pre-kernel Rabin pass
+        held > 60 MiB of file-sized temporaries at 4 MiB)."""
+        data = np.random.default_rng(19).bytes(8 << 20)
+        peaks = []
+        for size in (4 << 20, 8 << 20):
+            view = data[:size]
+            tracemalloc.start()
+            try:
+                chunker._scan(view)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 4 << 20
+        # The returned cut arrays (8 bytes per ~avg_size of input) are the
+        # only thing allowed to grow.
+        assert peaks[1] - peaks[0] < 128 << 10
 
 
 def _chunk_via_spec(spec: ChunkerSpec, data: bytes) -> list[tuple[bytes, int, int]]:

@@ -481,6 +481,39 @@ class TestTraceE2E:
         )
 
 
+class TestUploadStages:
+    def test_upload_trace_has_one_chunk_stage_inside_it(self):
+        """Chunking is a stage an operator can see: one ``chunk`` child per
+        ``upload`` root (and one histogram observation per file, none per
+        chunk), its interval inside its parent's."""
+        from repro.obs.registry import REGISTRY
+
+        def observations() -> int:
+            series = REGISTRY.snapshot()["histograms"]["client_chunking_seconds"]
+            return sum(entry["count"] for entry in series.values())
+
+        servers = make_servers(4)
+        client = CDStoreClient(
+            user_id="alice", servers=servers, k=3, salt=b"org", chunker="rabin:avg=4096,min=1024"
+        )
+        before = observations()
+        try:
+            client.upload("f", payload(300_000))
+        finally:
+            client.close()
+            for server in servers:
+                server.close()
+        assert observations() == before + 1
+
+        (upload,) = [s for s in client.spans.spans() if s.name == "upload"]
+        (chunk,) = [s for s in client.spans.spans() if s.name == "chunk"]
+        assert (chunk.trace_id, chunk.parent_id) == (upload.trace_id, upload.span_id)
+        assert chunk.labels == {"bytes": 300_000, "chunker": "rabin:avg=4096,min=1024"}
+        assert upload.start <= chunk.start
+        assert chunk.start + chunk.duration <= upload.start + upload.duration
+        assert 0 < chunk.duration < upload.duration
+
+
 class TestTraceInterop:
     """A peer that does not offer the trace flag keeps working and simply
     records no server-side spans."""
