@@ -1,41 +1,28 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helper for the pinned paper reproductions.
 
-Every benchmark regenerates one table or figure of the paper (see the
-experiment index in DESIGN.md), prints the same rows/series the paper
-reports, and writes a copy under ``benchmarks/out/`` so results survive
-pytest's output capture.  Run with::
+Every module tier-1 collects here regenerates one deterministic table or
+figure of the paper from a model or a byte/op count (see "Paper
+reproductions" in docs/ARCHITECTURE.md), prints the rows the paper
+reports, and holds the rendering to the tracked copy under
+``benchmarks/out/`` with :func:`pin`.  Nothing here reads a clock or the
+environment, so a test run leaves ``git status`` clean unless a model
+changed.  Add ``-s`` to watch the tables print live.
 
-    pytest benchmarks/ --benchmark-only
-
-Add ``-s`` to watch the tables print live.
-
-Scaling knob
-------------
-
-``REPRO_BENCH_SCALE`` (float, default ``1``) multiplies the data sizes of
-the heavyweight benchmarks via :func:`scaled`.  CI's bench-smoke job sets
-it below 1 so every figure still regenerates (and uploads as an artifact)
-within a PR-feedback budget; the asserted claims are all relative
-orderings, which survive scaling.  Values above 1 work too, for
-higher-fidelity local runs.
+Whatever needs a stopwatch or a socket lives in ``benchmarks/measured/``,
+which tier-1 does not collect; run it by path
+(``python -m pytest benchmarks/measured -q``).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
 import pytest
 
-OUT_DIR = Path(__file__).parent / "out"
-
-#: Machine-readable results for the CI perf-regression gate (compared
-#: against ``benchmarks/baselines.json`` by ``benchmarks/check_regressions.py``).
-METRICS_PATH = OUT_DIR / "metrics.json"
-
-
 _BENCH_DIR = Path(__file__).parent
+OUT_DIR = _BENCH_DIR / "out"
+
+collect_ignore = ["measured"]
 
 
 def pytest_collection_modifyitems(items) -> None:
@@ -48,62 +35,23 @@ def pytest_collection_modifyitems(items) -> None:
         if _BENCH_DIR in Path(str(item.fspath)).parents:
             item.add_marker(pytest.mark.slow)
 
-#: Multiplier applied by :func:`scaled`; see the module docstring.
-BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1") or "1")
 
-#: Which chunker leg of the CI matrix this run is (``rabin`` | ``gear``).
-#: Benchmarks that chunk real bytes pass this registry spec to their
-#: chunker-selecting entry points (e.g. ``_make_secrets``); the perf gate
-#: skips baseline metrics tagged with the *other* leg (see
-#: ``check_regressions.py``).
-BENCH_CHUNKER = os.environ.get("REPRO_BENCH_CHUNKER", "rabin") or "rabin"
+def pin(name: str, text: str) -> None:
+    """Print a result table and hold it to ``benchmarks/out/<name>.txt``.
 
-#: Whether this pytest session has wiped the stale metrics file yet.
-#: The wipe happens lazily, on the first *actual* metric emission — not at
-#: collection time — so a fully-deselected run (``-m "not slow"``) leaves
-#: a previous run's valid metrics.json untouched, while any run that
-#: measures something starts from a clean slate (merging into stale
-#: metrics would let old values satisfy the perf gate for benchmarks that
-#: never ran, and would defeat its MISSING detection).
-_METRICS_RESET = False
-
-
-def scaled(nbytes: int, floor: int = 64 << 10) -> int:
-    """Scale a benchmark working-set size by ``REPRO_BENCH_SCALE``.
-
-    ``floor`` guards the statistical validity of tiny runs: below a few
-    chunker windows most figures degenerate to noise.
+    A rendering that differs from the tracked one (or has none yet)
+    replaces it on disk *and* fails the test, so accepting an intended
+    model change is re-running the test and committing the diff.
     """
-    return max(int(nbytes * BENCH_SCALE), floor)
-
-
-def emit(name: str, text: str) -> None:
-    """Print a result table and persist it to benchmarks/out/<name>.txt."""
     print()
     print(text)
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / f"{name}.txt").write_text(text + "\n")
-
-
-def emit_metrics(metrics: dict[str, float]) -> None:
-    """Merge tracked metrics into ``benchmarks/out/metrics.json``.
-
-    Every value is "higher is better" (a throughput or a speedup ratio);
-    the CI bench-smoke job fails when any tracked metric regresses more
-    than the gate tolerance against ``benchmarks/baselines.json``.  Prefer
-    deterministic model outputs and machine-relative *ratios* over raw
-    wall-clock throughputs — the baselines are committed from a different
-    machine than the CI runners, and absolute MB/s does not travel.
-    """
-    global _METRICS_RESET
-    OUT_DIR.mkdir(exist_ok=True)
-    data: dict = {"scale": BENCH_SCALE, "metrics": {}}
-    if _METRICS_RESET and METRICS_PATH.exists():
-        data = json.loads(METRICS_PATH.read_text())
-        data["scale"] = BENCH_SCALE
-    data["chunker"] = BENCH_CHUNKER
-    _METRICS_RESET = True
-    data.setdefault("metrics", {}).update(
-        {key: float(value) for key, value in metrics.items()}
+    golden = OUT_DIR / f"{name}.txt"
+    rendered = text + "\n"
+    if golden.exists() and golden.read_text() == rendered:
+        return
+    golden.write_text(rendered)
+    pytest.fail(
+        f"{golden.name} no longer matches its pinned rendering: review "
+        f"`git diff benchmarks/out`, commit if the model change is intended",
+        pytrace=False,
     )
-    METRICS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -1,28 +1,29 @@
 """Observability overhead — instrumented vs uninstrumented backup/restore.
 
 Not a paper figure: CDStore (LiQL15) reports no telemetry costs.  This
-experiment gates the design constraint the ``repro.obs`` registry was
-built around — metrics are incremented inside the WAL append loop, the
+table shows the design constraint the ``repro.obs`` registry was built
+around — metrics are incremented inside the WAL append loop, the
 dispatcher and the per-window restore path, so the per-thread-cell fast
-path must keep a fully instrumented ingest + restore within a few
+path should keep a fully instrumented ingest + restore within a few
 percent of the same run with the kill switch off:
 
-* ``micro.obs_enabled_over_disabled`` — **gated** throughput ratio of a
-  whole backup+restore cycle with ``REGISTRY.enabled = True`` (and
-  client tracing on) over the identical cycle with observability off.
-  Both legs run on one machine back to back, so the ratio travels to CI
-  while absolute MB/s does not.  1.0 means free; the committed baseline
-  allows the usual few percent.
+* the throughput ratio of a whole backup+restore cycle with
+  ``REGISTRY.enabled = True`` (and client tracing on) over the identical
+  cycle with observability off, both legs on one machine back to back
+  (1.0 means free);
 * instrument micro-costs (ns per counter ``inc`` / histogram
-  ``observe``, enabled vs disabled) print as context so a future
-  regression is attributable at a glance.
+  ``observe``, enabled vs disabled) as context, so a change in the ratio
+  is attributable at a glance.
+
+Nothing about speed is asserted; each cycle checks that it restored the
+bytes it backed up.
 """
 
 from __future__ import annotations
 
 import time
 
-from conftest import emit, emit_metrics, scaled
+from conftest import emit, scaled
 
 from repro.bench.reporting import format_table
 from repro.chunking.fixed import FixedChunker
@@ -112,7 +113,3 @@ def test_obs_overhead():
             ),
         ),
     )
-    emit_metrics({"micro.obs_enabled_over_disabled": ratio})
-    # Hard floor regardless of baselines: instrumentation may never cost
-    # a quarter of the pipeline.
-    assert ratio > 0.75, f"observability overhead too high (ratio {ratio:.3f})"

@@ -1,58 +1,21 @@
-"""Ablations — component-level design choices called out in DESIGN.md.
+"""Ablations — component-level design choices, counted in bytes and ops
+(see "Paper reproductions" in docs/ARCHITECTURE.md; the timed Vandermonde
+vs Cauchy ablation is ``measured/test_ablation_rs_matrix.py``).
 
-* Reed-Solomon generator construction: Vandermonde vs Cauchy (both MDS;
-  systematic encode cost should be indistinguishable, decode differs only
-  in matrix inversion, amortised by the decode-matrix cache);
 * recipe compression on/off: backend bytes for version-heavy backups;
 * container LRU cache: backend reads with and without cache hits;
 * Rabin vs fixed-size chunking: dedup savings under content shifting
   (the §4.2 rationale for variable-size chunking).
 """
 
-from conftest import emit
+from conftest import pin
 
 from repro.bench.reporting import format_table
 from repro.chunking import FixedChunker, RabinChunker
 from repro.crypto.drbg import DRBG
-from repro.erasure.reed_solomon import ReedSolomon
 
 
-def test_ablation_rs_matrix(benchmark):
-    """Vandermonde vs Cauchy generator matrices."""
-    import time
-
-    data = DRBG("rs").random_bytes(1 << 20)
-    chunks = [data[i : i + 8192] for i in range(0, len(data), 8192)]
-
-    def measure(matrix: str) -> float:
-        rs = ReedSolomon(4, 3, matrix=matrix)
-        start = time.perf_counter()
-        for chunk in chunks:
-            pieces = rs.encode(chunk)
-            rs.decode({0: pieces[0], 2: pieces[2], 3: pieces[3]}, len(chunk))
-        return len(data) / 1e6 / (time.perf_counter() - start)
-
-    results = benchmark.pedantic(
-        lambda: {m: measure(m) for m in ("vandermonde", "cauchy")},
-        rounds=1,
-        iterations=1,
-    )
-    table = format_table(
-        ["construction", "encode+decode MB/s"],
-        [[name, mbps] for name, mbps in results.items()],
-        title="Ablation: RS generator construction, (n, k)=(4, 3)",
-    )
-    emit("ablation_rs_matrix", table)
-    # Both are MDS and interchangeable on the wire; Vandermonde runs
-    # faster in our scalar-dispatch kernels because its systematised
-    # parity rows contain more 0/1 coefficients (which short-circuit to
-    # plain XOR) than a Cauchy matrix's dense coefficients.
-    fast, slow = max(results.values()), min(results.values())
-    assert fast / slow < 4.0
-    assert results["vandermonde"] >= results["cauchy"]
-
-
-def test_ablation_recipe_compression(benchmark):
+def test_ablation_recipe_compression():
     """Recipe compression against a version-heavy backup series."""
     from repro.chunking import FixedChunker
     from repro.config import ReproConfig
@@ -75,20 +38,17 @@ def test_ablation_recipe_compression(benchmark):
         system.flush()
         return system.stored_bytes()
 
-    results = benchmark.pedantic(
-        lambda: (run(True), run(False)), rounds=1, iterations=1
-    )
-    with_c, without_c = results
+    with_c, without_c = run(True), run(False)
     table = format_table(
         ["recipe compression", "stored bytes"],
         [["on", with_c], ["off", without_c]],
         title="Ablation: recipe compression, duplicate-heavy backup versions",
     )
-    emit("ablation_recipe_compression", table)
+    pin("ablation_recipe_compression", table)
     assert with_c < without_c
 
 
-def test_ablation_container_cache(benchmark):
+def test_ablation_container_cache():
     """Container LRU cache: repeated restores against backend reads."""
     from repro.chunking import FixedChunker
     from repro.config import ReproConfig
@@ -107,18 +67,18 @@ def test_ablation_container_cache(benchmark):
         hits = sum(s.containers.cache_stats[0] for s in system.servers)
         return after - before, hits
 
-    backend_reads, cache_hits = benchmark.pedantic(run, rounds=1, iterations=1)
+    backend_reads, cache_hits = run()
     table = format_table(
         ["metric", "count"],
         [["backend reads for 5 restores", backend_reads],
          ["container cache hits", cache_hits]],
         title="Ablation: container LRU cache",
     )
-    emit("ablation_container_cache", table)
+    pin("ablation_container_cache", table)
     assert cache_hits > backend_reads  # most reads served from cache
 
 
-def test_ablation_chunking(benchmark):
+def test_ablation_chunking():
     """Rabin vs fixed chunking under content shifting (§4.2)."""
 
     def dedup_saving(chunker) -> float:
@@ -136,12 +96,12 @@ def test_ablation_chunking(benchmark):
             "fixed": dedup_saving(FixedChunker(4096)),
         }
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
     table = format_table(
         ["chunker", "dedup saving after 97-byte insertion %"],
         [[name, 100 * saving] for name, saving in results.items()],
         title="Ablation: content-defined vs fixed chunking under shifting",
     )
-    emit("ablation_chunking", table)
+    pin("ablation_chunking", table)
     assert results["rabin"] > 0.6
     assert results["fixed"] < 0.1

@@ -8,7 +8,7 @@ qualitative claim: later generations touch more containers per restored
 byte than the first.
 """
 
-from conftest import emit
+from conftest import pin
 
 from repro.analysis import analyze_fragmentation
 from repro.bench.reporting import format_table
@@ -18,7 +18,7 @@ from repro.crypto.drbg import DRBG
 from repro.system import CDStoreSystem
 
 
-def test_ablation_fragmentation(benchmark):
+def test_ablation_fragmentation():
     def run():
         system = CDStoreSystem.from_config(
             ReproConfig(n=4, k=3, salt="org", chunker="fixed:size=4096")
@@ -42,7 +42,7 @@ def test_ablation_fragmentation(benchmark):
             assert client.download(f"/w{week}") == data
         return reports
 
-    reports = benchmark.pedantic(run, rounds=1, iterations=1)
+    reports = run()
 
     table = format_table(
         ["week", "containers accessed", "container switches", "frag score"],
@@ -52,7 +52,7 @@ def test_ablation_fragmentation(benchmark):
         ],
         title="Ablation: restore fragmentation across weekly backups",
     )
-    emit("ablation_fragmentation", table)
+    pin("ablation_fragmentation", table)
 
     first = reports[0][1]
     last = reports[-1][1]

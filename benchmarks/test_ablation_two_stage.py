@@ -9,7 +9,7 @@ two-stage design does not.  Storage is identical — inter-user dedup still
 happens, just server-side.
 """
 
-from conftest import emit
+from conftest import pin
 
 from repro.attacks import (
     NaiveGlobalDedupServer,
@@ -48,15 +48,11 @@ def _simulate(two_stage: bool, workload) -> tuple[int, int]:
     return transferred, stored
 
 
-def test_ablation_two_stage(benchmark):
+def test_ablation_two_stage():
     workload = VMWorkload(users=30, weeks=8, master_chunks=800)
 
-    def run():
-        return _simulate(True, workload), _simulate(False, workload)
-
-    (ts_xfer, ts_store), (gl_xfer, gl_store) = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    ts_xfer, ts_store = _simulate(True, workload)
+    gl_xfer, gl_store = _simulate(False, workload)
 
     conf_naive = run_confirmation_attack(NaiveGlobalDedupServer(), b"victim" * 50)
     conf_cd = run_confirmation_attack(
@@ -77,7 +73,7 @@ def test_ablation_two_stage(benchmark):
         ],
         title="Ablation: two-stage vs global dedup (VM workload, 30 users x 8 weeks)",
     )
-    emit("ablation_two_stage", table)
+    pin("ablation_two_stage", table)
 
     # Identical storage; bandwidth premium is the price of side-channel
     # safety and is bounded (cross-user dups transfer once per user).

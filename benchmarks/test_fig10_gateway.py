@@ -3,85 +3,30 @@
 Not a paper figure: CDStore (LiQL15) measures backup/restore against the
 cloud quorum directly.  This experiment characterises the repo's read
 gateway (`repro gateway`) on the workload such a tier exists for — many
-concurrent readers restoring a zipf-skewed catalog of backups — and
-follows the fig8 convention of **gating deterministic metrics** while
-printing machine wall-clock as context:
+concurrent readers restoring a zipf-skewed catalog of backups.  Two
+deterministic quantities are pinned:
 
-* ``fig10.cache_hit_ratio`` — hot-container hit ratio of a fixed-size,
-  seeded zipf replay against the gateway service.  Every input is
-  deterministic (DRBG payloads, fixed chunking, SHA-based ring, LRU
-  bytes), so the ratio is exact across machines and travels to CI as a
-  gated baseline.
-* ``fig10.gateway_over_direct`` — modeled aggregate restore speedup on
-  the commercial cloud testbed (Table 2 links): a cache hit is served at
-  LAN speed from the gateway's memory, a miss pays the cloud fetch it
-  would have paid anyway plus the LAN forward.  The measured hit ratio
-  above feeds the mix.
-* the **measured loopback leg** runs 8 concurrent readers against real
-  sockets both ways — direct quorum restores via per-cloud
-  ``RemoteServerProxy`` frames vs the same restores through an async
-  gateway front-end — and asserts the gateway's aggregate restore MB/s
-  wins: a warm gateway answers one resolve plus one window round-trip
-  per restore from memory, while the direct path pays per-cloud
-  entry/recipe/fetch round trips and server-side index lookups.
+* the hot-container **cache hit ratio** of a fixed-size, seeded zipf
+  replay against the gateway service.  Every input is deterministic (DRBG
+  payloads, fixed chunking, SHA-based ring, LRU bytes), so the ratio is
+  exact across machines;
+* the **modeled aggregate restore speedup** on the commercial cloud
+  testbed (Table 2 links): a cache hit is served at LAN speed from the
+  gateway's memory, a miss pays the cloud fetch it would have paid anyway
+  plus the LAN forward.  The replayed hit ratio above feeds the mix.
+
+The measured loopback leg (8 concurrent readers over real sockets, direct
+quorum vs gateway) is ``measured/test_fig10_aggregate.py``.
 """
 
 from __future__ import annotations
 
-import bisect
-import random
-import threading
-import time
-
-from conftest import emit, emit_metrics, scaled
+from conftest import pin
+from fig10_workload import K, N, make_client, make_servers, store_catalog, zipf_ranks
 
 from repro.bench.reporting import format_table
-from repro.chunking.fixed import FixedChunker
-from repro.client.client import CDStoreClient
-from repro.cloud.network import MB, Link
-from repro.cloud.provider import CloudProvider
 from repro.cloud.testbed import cloud_testbed, lan_testbed
-from repro.crypto.drbg import DRBG
 from repro.gateway import GatewayService
-from repro.net import (
-    AsyncCDStoreTCPServer,
-    CDStoreTCPServer,
-    RemoteServerProxy,
-    wire,
-)
-from repro.server.server import CDStoreServer
-
-N, K = 4, 3
-
-
-# ---------------------------------------------------------------------------
-# deterministic zipf workload
-# ---------------------------------------------------------------------------
-
-
-def zipf_ranks(
-    n_items: int, count: int, theta: float = 1.1, seed: int = 0
-) -> list[int]:
-    """``count`` catalog ranks drawn zipf(``theta``), deterministically.
-
-    Classic inverse-CDF sampling over the finite harmonic weights
-    ``(rank+1)**-theta`` with a seeded :class:`random.Random`: the same
-    ``(n_items, count, theta, seed)`` yields the same sequence on every
-    machine and Python build, which is what lets the cache-hit ratio be
-    a gated baseline rather than a noisy measurement.
-    """
-    weights = [1.0 / (rank + 1) ** theta for rank in range(n_items)]
-    total = sum(weights)
-    cdf: list[float] = []
-    acc = 0.0
-    for weight in weights:
-        acc += weight / total
-        cdf.append(acc)
-    rng = random.Random(seed)
-    return [
-        min(bisect.bisect_left(cdf, rng.random()), n_items - 1)
-        for _ in range(count)
-    ]
 
 
 def test_zipf_workload_is_deterministic():
@@ -94,50 +39,8 @@ def test_zipf_workload_is_deterministic():
     assert set(a) <= set(range(12))
 
 
-# ---------------------------------------------------------------------------
-# shared store plumbing
-# ---------------------------------------------------------------------------
-
-
-def _make_servers() -> list[CDStoreServer]:
-    return [
-        CDStoreServer(
-            server_id=i,
-            cloud=CloudProvider(f"cloud-{i}", Link(1000.0), Link(1000.0)),
-        )
-        for i in range(N)
-    ]
-
-
-def _make_client(servers, **kwargs) -> CDStoreClient:
-    return CDStoreClient(
-        user_id="reader",
-        servers=list(servers),
-        k=K,
-        salt=b"fig10",
-        chunker=FixedChunker(4096),
-        **kwargs,
-    )
-
-
-def _store_catalog(servers, files: int, file_bytes: int) -> dict[str, bytes]:
-    writer = _make_client(servers)
-    catalog = {}
-    for rank in range(files):
-        name = f"/fig10/rank-{rank}"
-        data = DRBG(f"fig10-{rank}").random_bytes(file_bytes)
-        writer.upload(name, data)
-        catalog[name] = data
-    writer.flush()
-    return catalog
-
-
-# ---------------------------------------------------------------------------
-# gated leg 1: deterministic cache-hit ratio
-# ---------------------------------------------------------------------------
-
-#: Fixed-size replay parameters — deliberately NOT scaled(): the gate's
-#: value must be identical on every machine and CI scale.
+#: Fixed-size replay parameters: the pinned values must be identical on
+#: every machine.
 _REPLAY_FILES = 12
 _REPLAY_FILE_BYTES = 96 << 10
 _REPLAY_DRAWS = 240
@@ -148,10 +51,10 @@ _REPLAY_WINDOW_BYTES = 32 << 10
 
 
 def _replayed_hit_ratio() -> float:
-    servers = _make_servers()
-    catalog = _store_catalog(servers, _REPLAY_FILES, _REPLAY_FILE_BYTES)
+    servers = make_servers()
+    catalog = store_catalog(servers, _REPLAY_FILES, _REPLAY_FILE_BYTES)
     names = sorted(catalog)
-    lookup = _make_client(servers)._lookup_key
+    lookup = make_client(servers)._lookup_key
     with GatewayService(
         servers,
         k=K,
@@ -178,8 +81,7 @@ def _modeled_gateway_over_direct(hit_ratio: float) -> float:
     slowest of them, one round trip each).  Through the gateway, a hit
     ships the window once over the LAN from cache memory; a miss pays
     the same cloud fetch *plus* the LAN forward.  Mixing by the measured
-    hit ratio gives the steady-state speedup — deterministic, so it
-    travels to CI the way fig8's mux model does.
+    hit ratio gives the steady-state speedup.
     """
     window = 4 << 20
     clouds = sorted(
@@ -205,141 +107,15 @@ def test_fig10_hit_ratio_and_modeled_speedup():
             ["catalog files", _REPLAY_FILES],
             ["cache/catalog bytes", _REPLAY_CACHE_BYTES
              / (_REPLAY_FILES * _REPLAY_FILE_BYTES)],
-            ["cache hit ratio", hit_ratio],
-            ["modeled gateway/direct", modeled],
+            ["cache hit ratio", f"{hit_ratio:.4f}"],
+            ["modeled gateway/direct", f"{modeled:.4f}"],
         ],
         title="Figure 10: deterministic zipf replay, "
               f"(n, k)=({N}, {K}), theta=1.1",
     )
-    emit("fig10_replay", table)
-    emit_metrics({
-        "fig10.cache_hit_ratio": hit_ratio,
-        "fig10.gateway_over_direct": modeled,
-    })
+    pin("fig10_replay", table)
     # A cache half the catalog's size must serve well over half the zipf
     # traffic from memory...
     assert hit_ratio > 0.5, f"hit ratio {hit_ratio:.2f}"
     # ...which on Table 2 links makes the gateway a clear aggregate win.
     assert modeled > 1.5, f"modeled gateway/direct {modeled:.2f}"
-
-
-# ---------------------------------------------------------------------------
-# measured leg: 8 concurrent readers over real sockets
-# ---------------------------------------------------------------------------
-
-_READERS = 8
-_RESTORES_PER_READER = 6
-
-
-def _run_readers(clients, sequences, names) -> float:
-    """All readers restore their zipf sequences concurrently; seconds."""
-    go = threading.Event()
-    failures: list[BaseException] = []
-
-    def reader(idx: int):
-        def run():
-            go.wait()
-            try:
-                for rank in sequences[idx]:
-                    clients[idx].download(names[rank])
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                failures.append(exc)
-        return run
-
-    threads = [
-        threading.Thread(target=reader(i)) for i in range(len(clients))
-    ]
-    for t in threads:
-        t.start()
-    started = time.perf_counter()
-    go.set()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - started
-    if failures:
-        raise failures[0]
-    return elapsed
-
-
-def test_fig10_aggregate_restore_8_readers():
-    file_bytes = scaled(256 << 10, floor=128 << 10)
-    files = 8
-    servers = _make_servers()
-    catalog = _store_catalog(servers, files, file_bytes)
-    names = sorted(catalog)
-    sequences = [
-        zipf_ranks(files, _RESTORES_PER_READER, seed=2000 + i)
-        for i in range(_READERS)
-    ]
-    restored = sum(
-        len(catalog[names[rank]]) for seq in sequences for rank in seq
-    )
-
-    tcps = [CDStoreTCPServer(server).start() for server in servers]
-    proxies = [
-        RemoteServerProxy(f"tcp://{t.address[0]}:{t.address[1]}", server_id=i)
-        for i, t in enumerate(tcps)
-    ]
-    service = GatewayService(
-        [
-            RemoteServerProxy(
-                f"tcp://{t.address[0]}:{t.address[1]}", server_id=i
-            )
-            for i, t in enumerate(tcps)
-        ],
-        k=K,
-        own_replicas=True,
-    )
-    front = AsyncCDStoreTCPServer(None, gateway=service).start()
-    gw_proxy = RemoteServerProxy(
-        f"tcp://{front.address[0]}:{front.address[1]}",
-        server_id=wire.GATEWAY_SERVER_ID,
-    )
-    try:
-        # Direct leg: every restore pays per-cloud entry/recipe/fetch
-        # round trips against the k quorum clouds.
-        direct_clients = [_make_client(proxies) for _ in range(_READERS)]
-        direct_s = _run_readers(direct_clients, sequences, names)
-
-        # Gateway leg (steady state): one warm pass, then the same
-        # concurrent workload through the gateway frames.
-        warm = _make_client(proxies, gateway=gw_proxy)
-        for name in names:
-            warm.download(name)
-        gateway_clients = [
-            _make_client(proxies, gateway=gw_proxy) for _ in range(_READERS)
-        ]
-        gateway_s = _run_readers(gateway_clients, sequences, names)
-    finally:
-        gw_proxy.close()
-        front.shutdown()
-        service.close()
-        for proxy in proxies:
-            proxy.close()
-        for tcp in tcps:
-            tcp.shutdown()
-
-    direct_mbps = restored / MB / direct_s
-    gateway_mbps = restored / MB / gateway_s
-    stats = service.stats()
-    table = format_table(
-        ["read path", "aggregate MB/s", "vs direct"],
-        [
-            ["direct quorum", direct_mbps, 1.0],
-            ["gateway (warm)", gateway_mbps, gateway_mbps / direct_mbps],
-        ],
-        title=f"Figure 10: {_READERS} concurrent readers x "
-              f"{_RESTORES_PER_READER} zipf restores, "
-              f"{file_bytes / MB:.2f} MB files, loopback TCP "
-              f"(gateway hit ratio {stats['cache_hit_ratio']:.0%})",
-    )
-    emit("fig10_aggregate", table)
-
-    # The acceptance bar: at 8 concurrent readers the warm gateway's
-    # aggregate restore throughput beats the direct quorum (wall-clock,
-    # so asserted with no margin; the gated ratio above carries the
-    # regression signal).
-    assert gateway_mbps > direct_mbps, (
-        f"gateway {gateway_mbps:.1f} MB/s vs direct {direct_mbps:.1f} MB/s"
-    )
-    assert stats["cache_hit_ratio"] > 0.5

@@ -1,4 +1,4 @@
-"""Figure 6 addendum — gear vs Rabin chunking ablation (dedup + ingest).
+"""Figure 6 addendum — gear vs Rabin chunking ablation (dedup savings).
 
 The Figure 6 dedup results replay *chunk traces*, so they are blind to the
 chunker; this ablation closes the loop at the byte level: each user-week
@@ -10,9 +10,10 @@ two-stage dedup accounting.
 
 Claim: switching chunkers moves the two-stage dedup savings by at most a
 few percentage points — boundaries differ, but both are content-defined
-with the same size targets, so unchanged byte ranges re-align either way —
-while gear ingests several times faster.  This is what makes ``--chunker
-gear`` a safe default for throughput-bound deployments.
+with the same size targets, so unchanged byte ranges re-align either way.
+(Gear ingests several times faster; both chunkers' ingest rates are rows
+of ``measured/test_microbenchmarks.py``.)  This is what makes ``--chunker
+gear`` a safe choice for throughput-bound deployments.
 
 One deviation from §5.5's reconstruction: chunks are filled with a
 *fingerprint-seeded random stream*, not the fingerprint repeated.  The
@@ -25,9 +26,7 @@ on realistic entropy, which is what a boundary-behaviour ablation must
 measure.
 """
 
-import time
-
-from conftest import emit, emit_metrics, scaled
+from conftest import pin
 
 from repro.bench.dedup import TwoStageSimulator
 from repro.bench.reporting import format_table
@@ -61,72 +60,54 @@ def _rechunk(snapshot: BackupSnapshot, chunker) -> BackupSnapshot:
     return BackupSnapshot(user=snapshot.user, week=snapshot.week, chunks=records)
 
 
-def _replay(workload, chunker) -> tuple[float, float, float]:
-    """Run the byte-level two-stage replay; returns (saving, MB/s, MB).
+def _replay(workload, chunker) -> tuple[float, float]:
+    """Run the byte-level two-stage replay; returns (saving, logical MB).
 
     ``saving`` is the end-state two-stage reduction
     ``1 - physical / logical`` — the Figure 6(b) headline number.
     """
     sim = TwoStageSimulator()
-    chunk_seconds = 0.0
     logical = 0
     for snapshot in workload.all_snapshots():
-        stream_len = snapshot.logical_bytes
-        logical += stream_len
-        start = time.perf_counter()
-        rechunked = _rechunk(snapshot, chunker)
-        chunk_seconds += time.perf_counter() - start
-        sim.ingest_snapshot(rechunked)
+        logical += snapshot.logical_bytes
+        sim.ingest_snapshot(_rechunk(snapshot, chunker))
     saving = 1.0 - sim.stats.physical_shares / max(sim.stats.logical_shares, 1)
-    mbps = logical / 1e6 / chunk_seconds if chunk_seconds else float("inf")
-    return saving, mbps, logical / 1e6
+    return saving, logical / 1e6
 
 
 def _workloads():
-    # Laptop-scale cuts of the §5.2 datasets: enough users/weeks for both
-    # dedup stages to matter, small enough that the Rabin leg stays inside
-    # the bench-smoke budget.
-    fsl_chunks = max(scaled(1 << 20, floor=256 << 10) // 8192, 24)
-    vm_chunks = max(scaled(1 << 20, floor=256 << 10) // 4096, 48)
+    # Laptop-scale cuts of the §5.2 datasets (1 MiB per FSL user and per
+    # VM master image): enough users/weeks for both dedup stages to
+    # matter, small enough that the Rabin leg takes about a second.
     return (
-        ("fsl", FSLWorkload(users=4, weeks=5, chunks_per_user=fsl_chunks)),
-        ("vm", VMWorkload(users=6, weeks=5, master_chunks=vm_chunks)),
+        ("fsl", FSLWorkload(users=4, weeks=5, chunks_per_user=(1 << 20) // 8192)),
+        ("vm", VMWorkload(users=6, weeks=5, master_chunks=(1 << 20) // 4096)),
     )
 
 
-def test_fig6_chunker_ablation(benchmark):
-    chunkers = (("rabin", RabinChunker()), ("gear", GearChunker()))
-
-    def run():
-        return [
-            (name, chunker_name) + _replay(workload, chunker)
-            for name, workload in _workloads()
-            for chunker_name, chunker in chunkers
-        ]
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    table = format_table(
-        ["workload", "chunker", "two-stage saving %", "ingest MB/s", "logical MB"],
-        [
-            [workload, chunker, 100 * saving, mbps, mb]
-            for workload, chunker, saving, mbps, mb in results
-        ],
-        title="Figure 6 addendum: gear vs Rabin byte-level dedup ablation",
-    )
-    emit("fig6_chunker_ablation", table)
-
-    savings = {(w, c): saving for w, c, saving, _, _ in results}
-    metrics = {}
-    for workload, _ in _workloads():
-        rabin_saving = savings[(workload, "rabin")]
-        gear_saving = savings[(workload, "gear")]
+def test_fig6_chunker_ablation():
+    rows = []
+    for name, workload in _workloads():
+        rabin_saving, logical_mb = _replay(workload, RabinChunker())
+        gear_saving, _ = _replay(workload, GearChunker())
+        rows.append(
+            [
+                name,
+                100 * rabin_saving,
+                100 * gear_saving,
+                f"{gear_saving / rabin_saving:.4f}",
+                logical_mb,
+            ]
+        )
         # Dedup parity: within 3 percentage points on both datasets.
         assert abs(gear_saving - rabin_saving) <= 0.03, (
-            f"{workload}: gear saving {gear_saving:.3f} vs rabin "
+            f"{name}: gear saving {gear_saving:.3f} vs rabin "
             f"{rabin_saving:.3f} diverges by more than 3pp"
         )
-        metrics[f"fig6.{workload}.gear_over_rabin_saving"] = (
-            gear_saving / rabin_saving
-        )
-    emit_metrics(metrics)
+
+    table = format_table(
+        ["workload", "rabin saving %", "gear saving %", "gear/rabin", "logical MB"],
+        rows,
+        title="Figure 6 addendum: gear vs Rabin byte-level two-stage dedup saving",
+    )
+    pin("fig6_chunker_ablation", table)

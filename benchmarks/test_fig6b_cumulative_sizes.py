@@ -6,7 +6,7 @@ more than offset by deduplication.  The four series are logical data,
 logical shares, transferred shares and physical shares.
 """
 
-from conftest import emit
+from conftest import pin
 
 from repro.bench.dedup import simulate_two_stage
 from repro.bench.reporting import format_table
@@ -30,11 +30,9 @@ def _table(rows, title):
     )
 
 
-def test_fig6b_fsl(benchmark):
-    rows = benchmark.pedantic(
-        simulate_two_stage, args=(FSLWorkload(chunks_per_user=800),), rounds=1, iterations=1
-    )
-    emit("fig6b_fsl", _table(rows, "Figure 6(b) FSL: cumulative sizes"))
+def test_fig6b_fsl():
+    rows = simulate_two_stage(FSLWorkload(chunks_per_user=800))
+    pin("fig6b_fsl", _table(rows, "Figure 6(b) FSL: cumulative sizes"))
 
     final = rows[-1]
     # Ordering of the four series (every week).
@@ -49,11 +47,9 @@ def test_fig6b_fsl(benchmark):
     assert 0.04 < ratio < 0.11  # paper: 6.3%
 
 
-def test_fig6b_vm(benchmark):
-    rows = benchmark.pedantic(
-        simulate_two_stage, args=(VMWorkload(users=60, master_chunks=1500),), rounds=1, iterations=1
-    )
-    emit("fig6b_vm", _table(rows, "Figure 6(b) VM: cumulative sizes"))
+def test_fig6b_vm():
+    rows = simulate_two_stage(VMWorkload(users=60, master_chunks=1500))
+    pin("fig6b_vm", _table(rows, "Figure 6(b) VM: cumulative sizes"))
 
     final = rows[-1]
     ratio = final.cumulative_physical_shares / final.cumulative_logical_data

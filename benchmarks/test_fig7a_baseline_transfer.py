@@ -11,7 +11,7 @@ windowed-pipeline makespan (4 MB encode windows flowing into the per-cloud
 upload queues, ``pipeline_depth > 1``) — the overlap must be a strict win.
 """
 
-from conftest import emit, emit_metrics
+from conftest import pin
 
 from repro.bench.reporting import format_table
 from repro.bench.transfer import baseline_transfer_speeds, upload_makespans
@@ -23,11 +23,8 @@ PAPER = {
 }
 
 
-def test_fig7a(benchmark):
-    def run():
-        return [baseline_transfer_speeds(tb) for tb in (lan_testbed(), cloud_testbed())]
-
-    results = benchmark(run)
+def test_fig7a():
+    results = [baseline_transfer_speeds(tb) for tb in (lan_testbed(), cloud_testbed())]
 
     table = format_table(
         ["testbed", "upload uniq", "upload dup", "download", "paper (u/d/dl)"],
@@ -43,38 +40,7 @@ def test_fig7a(benchmark):
         ],
         title="Figure 7(a): single-client baseline speeds (MB/s), (n, k)=(4, 3), 2 GB",
     )
-    emit("fig7a", table)
-
-    testbeds = (lan_testbed(), cloud_testbed())
-    comparisons = [upload_makespans(tb) for tb in testbeds]
-    pipeline_table = format_table(
-        ["testbed", "windows", "serial s", "overlapped s", "speedup"],
-        [
-            [c.testbed, c.windows, c.serial_s, c.overlapped_s, c.speedup]
-            for c in comparisons
-        ],
-        title="Figure 7(a) addendum: serial vs streamed upload schedule "
-        "(threads=1, unique data)",
-    )
-    emit("fig7a_pipeline", pipeline_table)
-
-    emit_metrics(
-        {
-            **{
-                f"fig7a.{s.testbed}.{field}": getattr(s, field)
-                for s in results
-                for field in (
-                    "upload_unique_mbps",
-                    "upload_duplicate_mbps",
-                    "download_mbps",
-                )
-            },
-            **{
-                f"fig7a.{c.testbed}.pipeline_speedup": c.speedup
-                for c in comparisons
-            },
-        }
-    )
+    pin("fig7a", table)
 
     for s in results:
         paper_uniq, paper_dup, paper_down = PAPER[s.testbed]
@@ -83,6 +49,22 @@ def test_fig7a(benchmark):
         assert abs(s.download_mbps - paper_down) / paper_down < 0.20
         # Structural claims.
         assert s.upload_duplicate_mbps > s.download_mbps > s.upload_unique_mbps
+
+
+def test_fig7a_pipeline():
+    testbeds = (lan_testbed(), cloud_testbed())
+    comparisons = [upload_makespans(tb) for tb in testbeds]
+    pipeline_table = format_table(
+        ["testbed", "windows", "serial s", "overlapped s", "speedup"],
+        [
+            [c.testbed, c.windows, c.serial_s, c.overlapped_s, f"{c.speedup:.4f}"]
+            for c in comparisons
+        ],
+        title="Figure 7(a) addendum: serial vs streamed upload schedule "
+        "(threads=1, unique data)",
+    )
+    pin("fig7a_pipeline", pipeline_table)
+
     for c, tb in zip(comparisons, testbeds):
         # The overlapped makespan must sit strictly below the serial
         # encode + upload sum — the streaming transfer stage's claim.

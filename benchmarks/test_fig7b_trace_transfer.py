@@ -11,7 +11,7 @@ the pipelined one, so the table shows what the streaming transfer stage
 saves across a whole backup campaign at one encode thread.
 """
 
-from conftest import emit, emit_metrics
+from conftest import pin
 
 from repro.bench.reporting import format_table
 from repro.bench.transfer import baseline_transfer_speeds, trace_transfer_speeds
@@ -19,17 +19,14 @@ from repro.cloud.testbed import cloud_testbed, lan_testbed
 from repro.workloads import FSLWorkload
 
 
-def test_fig7b(benchmark):
+def test_fig7b():
     # LAN: 7 weekly backups of 5 users; cloud: 2 weeks of 1 user (§5.5).
-    def run():
-        lan_wl = FSLWorkload(users=5, weeks=7, chunks_per_user=500)
-        cloud_wl = FSLWorkload(users=1, weeks=2, chunks_per_user=500)
-        return [
-            trace_transfer_speeds(lan_testbed(), lan_wl, users=5, weeks=7),
-            trace_transfer_speeds(cloud_testbed(), cloud_wl, users=1, weeks=2),
-        ]
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    lan_wl = FSLWorkload(users=5, weeks=7, chunks_per_user=500)
+    cloud_wl = FSLWorkload(users=1, weeks=2, chunks_per_user=500)
+    results = [
+        trace_transfer_speeds(lan_testbed(), lan_wl, users=5, weeks=7),
+        trace_transfer_speeds(cloud_testbed(), cloud_wl, users=1, weeks=2),
+    ]
 
     table = format_table(
         [
@@ -39,6 +36,7 @@ def test_fig7b(benchmark):
             "download",
             "overlap s",
             "serial s",
+            "speedup",
         ],
         [
             [
@@ -48,28 +46,13 @@ def test_fig7b(benchmark):
                 s.download_mbps,
                 s.upload_seconds_overlapped,
                 s.upload_seconds_serial,
+                f"{s.upload_seconds_serial / s.upload_seconds_overlapped:.4f}",
             ]
             for s in results
         ],
         title="Figure 7(b): trace-driven speeds (MB/s), FSL-like workload",
     )
-    emit("fig7b", table)
-
-    emit_metrics(
-        {
-            **{
-                f"fig7b.{s.testbed}.{field}": getattr(s, field)
-                for s in results
-                for field in ("upload_first_mbps", "upload_subsequent_mbps")
-            },
-            **{
-                f"fig7b.{s.testbed}.pipeline_speedup": (
-                    s.upload_seconds_serial / s.upload_seconds_overlapped
-                )
-                for s in results
-            },
-        }
-    )
+    pin("fig7b", table)
 
     for s in results:
         baseline = baseline_transfer_speeds(

@@ -6,7 +6,7 @@ Paper: savings grow with the weekly backup size and reach at least 70 % at
 the curves are jagged where the cheapest EC2 instance switches.
 """
 
-from conftest import emit
+from conftest import pin
 
 from repro.bench.reporting import format_table
 from repro.costs import sweep_weekly_size
@@ -14,8 +14,8 @@ from repro.costs import sweep_weekly_size
 TB = 1000**4
 
 
-def test_fig9a(benchmark):
-    rows = benchmark(sweep_weekly_size)
+def test_fig9a():
+    rows = sweep_weekly_size()
 
     table = format_table(
         ["weekly TB", "saving vs AONT-RS %", "saving vs single %", "CDStore $/mo", "instance"],
@@ -31,7 +31,7 @@ def test_fig9a(benchmark):
         ],
         title="Figure 9(a): cost savings vs weekly backup size (10x dedup, 26-week retention)",
     )
-    emit("fig9a", table)
+    pin("fig9a", table)
 
     by_tb = {r.weekly_bytes / TB: r for r in rows}
     # Headline: >= 70% saving at 16 TB/week.

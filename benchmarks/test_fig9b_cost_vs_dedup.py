@@ -4,14 +4,14 @@ Paper: the saving increases with the dedup ratio and is about 70-80 % for
 ratios between 10x and 50x.
 """
 
-from conftest import emit
+from conftest import pin
 
 from repro.bench.reporting import format_table
 from repro.costs import sweep_dedup_ratio
 
 
-def test_fig9b(benchmark):
-    rows = benchmark(sweep_dedup_ratio)
+def test_fig9b():
+    rows = sweep_dedup_ratio()
 
     table = format_table(
         ["dedup ratio", "saving vs AONT-RS %", "saving vs single %", "CDStore $/mo"],
@@ -26,7 +26,7 @@ def test_fig9b(benchmark):
         ],
         title="Figure 9(b): cost savings vs dedup ratio (16 TB weekly, 26-week retention)",
     )
-    emit("fig9b", table)
+    pin("fig9b", table)
 
     savings = [r.saving_vs_aont_rs for r in rows]
     assert savings == sorted(savings)  # monotone in the dedup ratio

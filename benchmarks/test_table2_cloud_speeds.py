@@ -7,7 +7,7 @@ unit keeps the observed numbers a few percent under the raw bandwidths,
 as a real measurement would be.
 """
 
-from conftest import emit
+from conftest import pin
 
 from repro.bench.reporting import format_table
 from repro.bench.transfer import cloud_speed_table
@@ -16,9 +16,8 @@ from repro.cloud.testbed import CLOUD_LINKS, cloud_testbed
 PAPER = {name: links for name, links in CLOUD_LINKS.items()}
 
 
-def test_table2(benchmark):
-    testbed = cloud_testbed()
-    rows = benchmark(cloud_speed_table, testbed)
+def test_table2():
+    rows = cloud_speed_table(cloud_testbed())
 
     table = format_table(
         ["cloud", "upload MB/s", "download MB/s", "paper up", "paper down"],
@@ -28,7 +27,7 @@ def test_table2(benchmark):
         ],
         title="Table 2: per-cloud speeds, 2 GB in 4 MB units",
     )
-    emit("table2", table)
+    pin("table2", table)
 
     for r in rows:
         paper_up, paper_down = PAPER[r.cloud]

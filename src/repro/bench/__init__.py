@@ -1,7 +1,7 @@
 """Experiment drivers shared by ``benchmarks/`` and ``examples/``.
 
-Each module regenerates one of the paper's tables/figures (see the
-experiment index in DESIGN.md):
+Each module regenerates one of the paper's tables/figures (see "Paper
+reproductions" in docs/ARCHITECTURE.md):
 
 * :mod:`repro.bench.table1` — secret-sharing comparison (Table 1);
 * :mod:`repro.bench.encoding` — encoding-speed sweeps (Figure 5);

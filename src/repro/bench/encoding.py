@@ -119,8 +119,8 @@ def _make_secrets(
 ) -> list[bytes]:
     """Variable-size chunks of random data (8 KB average, §5.3).
 
-    ``chunker`` is a registry spec (``"rabin"`` default, ``"gear"`` for
-    the FastCDC leg of the benchmark matrix).
+    ``chunker`` is a registry spec (``"rabin"`` default, or e.g.
+    ``"gear"``).
     """
     data = DRBG(seed).random_bytes(data_bytes)
     return [chunk.data for chunk in create_chunker(chunker).chunk_bytes(data)]

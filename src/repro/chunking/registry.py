@@ -1,12 +1,12 @@
 """Chunker registry: spec strings and picklable :class:`ChunkerSpec`.
 
-Chunking is a selectable subsystem (CLI ``--chunker``, the benchmark
-matrix's ``REPRO_BENCH_CHUNKER`` leg, ``CDStoreSystem(chunker=...)``), so
-chunkers are named and parameterised the same way the PR 2 codec specs
-name dispersals: a registry maps a short name to a factory plus the
-spec-string aliases of its constructor arguments, and a
-:class:`ChunkerSpec` — a frozen dataclass of builtins, hence picklable —
-travels to other processes and reconstructs an equivalent chunker there.
+Chunking is a selectable subsystem (CLI ``--chunker``,
+``CDStoreSystem(chunker=...)``), so chunkers are named and parameterised
+the same way the PR 2 codec specs name dispersals: a registry maps a short
+name to a factory plus the spec-string aliases of its constructor
+arguments, and a :class:`ChunkerSpec` — a frozen dataclass of builtins,
+hence picklable — travels to other processes and reconstructs an
+equivalent chunker there.
 
 Spec-string grammar::
 

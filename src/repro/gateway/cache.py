@@ -25,7 +25,7 @@ from repro.obs.registry import REGISTRY
 __all__ = ["HotContainerCache"]
 
 # Registry-backed cache accounting (docs/OBSERVABILITY.md): the counters
-# feed ``repro stats`` / the fig10 hit-ratio gate; the gauges track the
+# feed ``repro stats`` / the pinned fig10 hit ratio; the gauges track the
 # occupancy the byte bound is enforcing.
 _CACHE_HITS = REGISTRY.counter(
     "gateway_cache_hits_total", "Hot-container cache lookups served from memory"

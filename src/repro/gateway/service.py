@@ -303,8 +303,8 @@ class GatewayService:
     # lifecycle & observability
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Counters for the bench/CLI surface (hit ratio is the fig10
-        gate).
+        """Counters for the bench/CLI surface (the hit ratio is what
+        ``benchmarks/out/fig10_replay.txt`` pins).
 
         A thin view: the canonical counters live in the process metrics
         registry (``gateway_cache_*``, ``gateway_resolutions_total``);

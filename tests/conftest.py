@@ -1,7 +1,8 @@
 """Shared fixtures + runtime hardening for the CDStore test suite.
 
-Beyond the data fixtures, this conftest arms three safety nets for a
-deeply threaded codebase:
+Beyond the data fixtures, this conftest takes hypothesis's per-example
+deadline (a 200 ms wall-clock assertion by default) off every property
+test, and arms three safety nets for a deeply threaded codebase:
 
 * ``faulthandler.enable()`` — a hard hang or native crash dumps every
   thread's stack instead of dying silently;
@@ -24,12 +25,16 @@ import sys
 import threading
 
 import pytest
+from hypothesis import settings
 
 from repro.chunking.fixed import FixedChunker
 from repro.crypto.drbg import DRBG
 from repro.system.cdstore import CDStoreSystem
 
 faulthandler.enable()
+
+settings.register_profile("no-deadline", deadline=None)
+settings.load_profile("no-deadline")
 
 _WITNESS = None
 if os.environ.get("REPRO_LOCK_WITNESS") == "1":

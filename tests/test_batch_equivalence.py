@@ -58,7 +58,7 @@ secret_lists = st.lists(
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", ALL_SCHEMES)
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(data=st.data())
 def test_batch_equals_per_secret(name, data):
     secrets = data.draw(secret_lists)

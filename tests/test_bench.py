@@ -3,7 +3,13 @@
 import pytest
 
 from repro.bench.dedup import simulate_two_stage
-from repro.bench.encoding import encoding_speed, figure5b_k, sweep_n, sweep_threads
+from repro.bench.encoding import (
+    FIGURE5_SCHEMES,
+    encoding_speed,
+    figure5b_k,
+    sweep_n,
+    sweep_threads,
+)
 from repro.bench.reporting import format_table
 from repro.bench.table1 import scheme_comparison
 from repro.bench.transfer import (
@@ -43,9 +49,13 @@ class TestTable1Driver:
 
 class TestEncodingDriver:
     def test_single_measurement(self):
-        result = encoding_speed("caont-rs", data_bytes=128 << 10)
-        assert result.mbps > 0
-        assert result.scheme == "caont-rs"
+        # Which codec is fastest (Figure 5's headline) is a measured table,
+        # benchmarks/measured/test_fig5a_encoding_threads.py; here each
+        # codec only has to run through the driver.
+        for scheme in FIGURE5_SCHEMES:
+            result = encoding_speed(scheme, data_bytes=128 << 10)
+            assert result.mbps > 0
+            assert result.scheme == scheme
 
     def test_figure5b_k_rule(self):
         assert figure5b_k(4) == 3
@@ -60,16 +70,6 @@ class TestEncodingDriver:
     def test_sweep_n_shape(self):
         results = sweep_n(n_list=(4, 8), schemes=("caont-rs",), data_bytes=64 << 10)
         assert [(r.n, r.k) for r in results] == [(4, 3), (8, 6)]
-
-    def test_caont_rs_fastest(self):
-        """The paper's Figure 5 headline: OAEP-based CAONT-RS beats both
-        Rivest-AONT codecs."""
-        results = {
-            scheme: encoding_speed(scheme, data_bytes=256 << 10)
-            for scheme in ("caont-rs", "aont-rs", "caont-rs-rivest")
-        }
-        assert results["caont-rs"].mbps > results["aont-rs"].mbps
-        assert results["caont-rs"].mbps > results["caont-rs-rivest"].mbps
 
 
 class TestTransferDrivers:

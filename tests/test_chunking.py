@@ -72,7 +72,7 @@ class TestRabinParameters:
 
 class TestRabinFingerprints:
     @pytest.mark.slow
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(st.binary(min_size=0, max_size=400))
     def test_vectorised_equals_rolling(self, data):
         chunker = RabinChunker(avg_size=256, min_size=64, max_size=1024, window=48)
@@ -203,7 +203,7 @@ class TestGearParameters:
 
 class TestGearHashes:
     @pytest.mark.slow
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.binary(min_size=0, max_size=600))
     def test_dense_kernel_equals_rolling_reference(self, data):
         chunker = GearChunker(**_SMALL_GEAR)
@@ -216,7 +216,7 @@ class TestGearHashes:
         assert np.array_equal(dense, low16)
 
     @pytest.mark.slow
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.binary(min_size=0, max_size=2000))
     def test_two_level_scan_equals_dense_cuts(self, data):
         """The prescreen+confirm fast path must drop no candidate."""
@@ -280,7 +280,7 @@ class TestGearProperties:
     """Hypothesis suites for the FastCDC chunker's core contracts."""
 
     @pytest.mark.slow
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.binary(min_size=1, max_size=8000))
     def test_size_bounds_respected(self, data):
         chunker = GearChunker(**_SMALL_GEAR)
@@ -292,7 +292,7 @@ class TestGearProperties:
         assert all(s >= chunker.min_size for s in sizes[:-1])
 
     @pytest.mark.slow
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         st.binary(min_size=0, max_size=12000),
         st.lists(st.integers(min_value=0, max_value=12000), max_size=8),
@@ -309,7 +309,7 @@ class TestGearProperties:
         assert streamed == direct
 
     @pytest.mark.slow
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(st.binary(min_size=1, max_size=300))
     def test_boundary_stability_under_prefix_insertion(self, prefix):
         """Prepending arbitrary bytes must leave most boundaries of a fixed
@@ -385,7 +385,7 @@ class TestScanKernel:
         assert (len(cuts), digest) == _GOLDEN_CUTS[spec]
 
     @pytest.mark.slow
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         data=st.binary(min_size=0, max_size=3000),
         bits=st.integers(min_value=6, max_value=17),
@@ -585,7 +585,7 @@ class TestChunkerRegistry:
         assert clone.create().avg_size == 4096
 
     @pytest.mark.slow
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=5)
     @given(
         st.sampled_from(
             [

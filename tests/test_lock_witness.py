@@ -67,7 +67,7 @@ _CHAINS = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(chains=_CHAINS)
 def test_cycle_detection_matches_topological_oracle(chains):
     """Random nested-acquisition schedules: cycles reported iff not a DAG.

@@ -44,7 +44,7 @@ class TestLSMStore:
             assert db.get(b"k") is None
             assert b"k" not in db
 
-    @settings(max_examples=15, suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+    @settings(max_examples=15, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         st.lists(
             st.tuples(
