@@ -4,7 +4,8 @@ Not a paper table — these measure the building blocks so readers of the
 measured figures (see "Paper reproductions" in docs/ARCHITECTURE.md) can
 see *why* the absolute throughputs sit where they do in pure Python: the
 from-scratch AES vs the OpenSSL backend, GF(2^8) bulk kernels,
-Reed-Solomon encode, SHA-256 hashing, both chunkers, and the LSM store.
+Reed-Solomon encode, SHA-256 hashing, both chunkers, the LSM store and
+the server's ranged fetch of one restore window.
 Nothing about speed is asserted; what breaks when a kernel is wrong are
 the equivalence tests in tier-1 (``test_chunking.py`` golden cuts,
 ``test_batch_equivalence.py``, ``test_aes.py``).
@@ -126,6 +127,44 @@ def test_microbenchmarks():
             get_rate = 2000 / (time.perf_counter() - start)
     rows.append(["lsm puts/s", put_rate])
     rows.append(["lsm gets/s", get_rate])
+
+    # The restore read path below the wire: one 4 MiB window of 3 KB
+    # shares, asked for in the order backup wrote them, fetched through
+    # CDStoreServer.iter_share_batches off a LocalDirBackend with a cold
+    # container cache — one index get per share, one ranged read per
+    # contiguous container run.
+    from repro.cloud.network import Link
+    from repro.cloud.provider import CloudProvider
+    from repro.crypto.hashing import fingerprint
+    from repro.server.messages import ShareMeta, ShareUpload
+    from repro.server.server import CDStoreServer
+    from repro.storage.backend import LocalDirBackend
+
+    shares = [DRBG(f"share-{i}").random_bytes(3000) for i in range((4 << 20) // 3000)]
+    window = [fingerprint(share, "server") for share in shares]
+    with tempfile.TemporaryDirectory() as tmp:
+        cloud = CloudProvider("micro", Link(100.0), Link(100.0), backend=LocalDirBackend(tmp))
+        server = CDStoreServer(0, cloud)
+        server.upload_shares("u", [
+            ShareUpload(
+                ShareMeta(fingerprint(share, "client"), len(share), seq, len(share)), share
+            )
+            for seq, share in enumerate(shares)
+        ])
+        server.flush()
+        containers = len(cloud.backend.list_keys("container-"))
+        assert server.fetch_shares(window) == dict(zip(window, shares))  # tables cached
+        best = float("inf")
+        for _ in range(3):
+            server.containers._cache.clear()
+            before = cloud.backend.get_ops
+            start = time.perf_counter()
+            server.fetch_shares(window)
+            best = min(best, time.perf_counter() - start)
+            reads = cloud.backend.get_ops - before
+            assert reads == containers  # one read per container run, not per share
+    rows.append(["ranged fetch, 4 MiB window", _rate(sum(map(len, shares)), best)])
+    rows.append(["ranged fetch, backend reads per window", reads])
 
     table = format_table(
         ["substrate", "MB/s or ops/s"],

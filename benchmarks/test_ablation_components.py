@@ -49,7 +49,11 @@ def test_ablation_recipe_compression():
 
 
 def test_ablation_container_cache():
-    """Container LRU cache: repeated restores against backend reads."""
+    """Container LRU cache: repeated restores against backend reads.
+
+    A hit serves a whole run of a fetch batch's entries in that container,
+    not one share: the cache is looked up once per container per batch.
+    """
     from repro.chunking import FixedChunker
     from repro.config import ReproConfig
     from repro.system import CDStoreSystem

@@ -383,7 +383,7 @@ class FrameDispatcher:
         for batch in server.iter_share_batches(
             fingerprints,
             budget_bytes=batch_budget,
-            cost=lambda fp, data: wire.SHARE_WIRE_OVERHEAD + len(data),
+            cost=lambda fp, share_size: wire.SHARE_WIRE_OVERHEAD + share_size,
             owner=self._fetch_owner(state),
         ):
             total += len(batch)

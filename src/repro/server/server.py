@@ -40,6 +40,7 @@ from repro.errors import (
     ProtocolError,
     QuotaExceededError,
     ReproError,
+    StorageError,
 )
 from repro.server.index import (
     PREFIX_FILE,
@@ -57,7 +58,6 @@ from repro.storage.container import (
     KIND_RECIPE,
     KIND_SHARE,
     ContainerManager,
-    ContainerRef,
 )
 from repro.storage.journal import ContainerJournal
 from repro.tenants import TenantRegistry, TenantUsage
@@ -87,6 +87,16 @@ _STORAGE_WRITE_SECONDS = REGISTRY.histogram(
 _FINALIZE_SECONDS = REGISTRY.histogram(
     "server_finalize_seconds",
     "finalize_file latency, by stage (resolve | recipe | release | commit)",
+)
+# Where a restore window's server time went: index gets + owner checks,
+# or the coalesced container reads (and how many of those it took).
+_FETCH_SECONDS = REGISTRY.histogram(
+    "server_fetch_seconds",
+    "iter_share_batches latency per batch, by stage (resolve | read)",
+)
+_FETCH_READ_RUNS = REGISTRY.counter(
+    "server_fetch_read_runs_total",
+    "Ranged backend reads issued by fetches (one per contiguous container run)",
 )
 _RECOVERY_RUNS = REGISTRY.counter(
     "server_recovery_runs_total", "Boot-time recovery passes, by outcome"
@@ -655,10 +665,9 @@ class CDStoreServer:
     ) -> dict[bytes, bytes]:
         """Return share bytes for the given server fingerprints.
 
-        Groups fetches by container to exploit the spatial locality the
-        container layout preserves (§4.5), reading each share with a
-        *ranged* container read — the server-side working set stays
-        bounded by :data:`FETCH_BATCH_BYTES` regardless of how many
+        All or nothing: every requested share, or the first error
+        :meth:`iter_share_batches` raises.  The server-side working set
+        stays bounded by :data:`FETCH_BATCH_BYTES` regardless of how many
         containers the request spans (only the reply dict itself grows
         with the request, and the windowed restore client bounds that).
         """
@@ -677,17 +686,30 @@ class CDStoreServer:
         """Yield ``[(fingerprint, payload), ...]`` batches for a fetch.
 
         The single fetch path shared by the in-process :meth:`fetch_shares`
-        and the socket streaming layer (:mod:`repro.net`): fingerprints are
-        grouped by container (§4.5 locality) and served via ranged
-        :meth:`~repro.storage.container.ContainerManager.read_entry_ranged`
-        reads, with each yielded batch capped at ``budget_bytes`` (a single
-        oversized share gets a batch of its own).  Whole containers are
-        never materialised.  ``cost(fp, payload)`` prices one share against
-        the budget — the default counts payload bytes; the socket layer
-        passes its per-share wire cost so whole *reply frames* respect the
-        budget.  The server lock is held per entry, not across the
-        generator's lifetime, so a slow consumer (a socket draining
-        frames) does not starve other clients.
+        and the socket streaming layer (:mod:`repro.net`).  The request is
+        walked in order (duplicates served once) and each batch is resolved
+        and read **as a unit under one hold of the server lock**: every
+        share's index entry is fetched once (its ``share_size`` prices it,
+        so the batch is cut before anything is read), then
+        :meth:`~repro.storage.container.ContainerManager.read_entries`
+        reads the batch with one ranged read per contiguous container run
+        — a restore window comes back the way backup wrote it (§4.5
+        locality), and whole containers are never materialised.  Because
+        resolve and read share a hold, a concurrent GC or scrub repair
+        cannot move a share between the two.
+
+        Each yielded batch is capped at ``budget_bytes`` (a single
+        oversized share gets a batch of its own).  ``cost(fp, share_size)``
+        prices one share against the budget — the default is its payload
+        bytes; the socket layer passes its per-share wire cost so whole
+        *reply frames* respect the budget.  The share that closes a batch
+        by not fitting it is read in the same hold and leads the next
+        batch, so the working set is one batch plus one share.
+
+        The lock is **never held across a** ``yield``: a slow consumer (a
+        socket draining frames) must not stall other tenants.  A hold
+        covers one batch's resolve + read (at most ``budget_bytes``), not
+        the generator's lifetime.
 
         ``owner`` scopes the fetch to one tenant: a share the tenant does
         not reference (no entry in its per-user refcounts) raises the
@@ -695,64 +717,69 @@ class CDStoreServer:
         not exist — a tenant cannot even probe whether another tenant's
         fingerprints are stored (the cross-tenant dedup side channel).
         ``None`` (in-process callers, admin connections) fetches freely.
+        Shares are checked batch by batch, so a missing or foreign share
+        (or one whose ownership was revoked mid-fetch) may surface after
+        earlier batches were yielded.
         """
         if budget_bytes < 1:
             raise ProtocolError(f"batch budget must be >= 1, got {budget_bytes}")
         if cost is None:
-            def cost(fp, payload):
-                return len(payload)
-        with self._lock:
-            self.cloud.check_available()
-            wanted: dict[bytes, ContainerRef] = {}
-            for fp in fingerprints:
-                entry = self._get_share_entry(fp)
-                if entry is None or (
-                    owner is not None and owner not in entry.owners
-                ):
-                    raise NotFoundError(f"share {fp.hex()[:16]}… not on server")
-                wanted[fp] = entry.ref
-        by_container: dict[str, list[bytes]] = {}
-        for fp, ref in wanted.items():
-            by_container.setdefault(ref.container_id, []).append(fp)
+            def cost(fp, share_size):
+                return share_size
+        pending = list(dict.fromkeys(fingerprints))
+        done = 0
+        # Carried across holds: the share that closed the previous batch
+        # (already read) opens this one, with its cost already spent.
         batch: list[tuple[bytes, bytes]] = []
-        batch_bytes = 0
-        for container_id, fps in by_container.items():
-            for fp in fps:
-                with self._lock:
-                    self.cloud.check_available()
-                    # Re-resolve the ref under the lock: a concurrent GC or
-                    # scrub repair may have moved the share to a fresh
-                    # container since the snapshot above (the snapshot only
-                    # drives container grouping).
+        spent = 0
+        while True:
+            with self._lock:
+                self.cloud.check_available()
+                clock = time.perf_counter()
+                resolved: list[tuple[bytes, ShareEntry]] = []
+                overflow = 0
+                while done < len(pending) and not overflow:
+                    fp = pending[done]
                     entry = self._get_share_entry(fp)
-                    if (
-                        entry is not None
-                        and owner is not None
-                        and owner not in entry.owners
+                    if entry is None or (
+                        owner is not None and owner not in entry.owners
                     ):
-                        entry = None  # ownership revoked mid-fetch
-                    try:
-                        key, payload = (
-                            (None, b"")
-                            if entry is None
-                            else self.containers.read_entry_ranged(entry.ref)
+                        raise NotFoundError(f"share {fp.hex()[:16]}… not on server")
+                    share_cost = cost(fp, entry.share_size)
+                    if (batch or resolved) and spent + share_cost > budget_bytes:
+                        overflow = share_cost
+                    else:
+                        spent += share_cost
+                    resolved.append((fp, entry))
+                    done += 1
+                read_clock = time.perf_counter()
+                _FETCH_SECONDS.observe(read_clock - clock, stage="resolve")
+                runs = self.containers.range_reads
+                for (fp, entry), (key, payload) in zip(
+                    resolved,
+                    self.containers.read_entries([entry.ref for _, entry in resolved]),
+                ):
+                    if key != fp:
+                        raise NotFoundError(
+                            f"share {fp.hex()[:16]}… missing from container "
+                            f"{entry.ref.container_id}"
                         )
-                    except NotFoundError:
-                        key = None
-                if key != fp:
-                    raise NotFoundError(
-                        f"share {fp.hex()[:16]}… missing from container "
-                        f"{container_id}"
-                    )
-                share_cost = cost(fp, payload)
-                if batch and batch_bytes + share_cost > budget_bytes:
+                    if len(payload) != entry.share_size:
+                        # The batch was cut on the index's sizes.
+                        raise StorageError(
+                            f"share {fp.hex()[:16]}… is {len(payload)} bytes in "
+                            f"its container, {entry.share_size} in the index"
+                        )
+                    batch.append((fp, payload))
+                _FETCH_READ_RUNS.inc(self.containers.range_reads - runs)
+                _FETCH_SECONDS.observe(time.perf_counter() - read_clock, stage="read")
+            if not overflow:
+                if batch:
                     yield batch
-                    batch = []
-                    batch_bytes = 0
-                batch.append((fp, payload))
-                batch_bytes += share_cost
-        if batch:
+                return
+            closing = batch.pop()
             yield batch
+            batch, spent = [closing], overflow
 
     # ------------------------------------------------------------------
     # extensions: integrity scrubbing

@@ -67,8 +67,8 @@ class StorageBackend(abc.ABC):
         """Fetch ``length`` bytes of the object at ``key`` from ``offset``.
 
         The S3/GCS/Azure ranged-GET analogue: the restore path reads
-        individual container entries without materialising the whole 4 MB
-        container server-side.  Reading past the end of the object raises
+        runs of adjacent container entries without materialising the whole
+        4 MB container server-side.  Reading past the end of the object raises
         :class:`StorageError` (a short range means the caller's offset
         table is stale or corrupt — never silently truncate).
         """
@@ -207,24 +207,29 @@ class LocalDirBackend(StorageBackend):
         return sorted(reaped)
 
     def _get(self, key: str) -> bytes:
-        path = self._path(key)
-        if not path.exists():
-            raise NotFoundError(f"object {key!r} not found")
-        return path.read_bytes()
+        try:
+            return self._path(key).read_bytes()
+        except FileNotFoundError:
+            raise NotFoundError(f"object {key!r} not found") from None
 
     def _get_range(self, key: str, offset: int, length: int) -> bytes:
-        path = self._path(key)
-        if not path.exists():
-            raise NotFoundError(f"object {key!r} not found")
-        with path.open("rb") as handle:
-            handle.seek(offset)
-            return handle.read(length)
+        # One path walk and one positioned read: checking for the file
+        # first would let a concurrent delete_object turn the typed
+        # NotFoundError into a raw FileNotFoundError.
+        try:
+            fd = os.open(self._path(key), os.O_RDONLY)
+            try:
+                return os.pread(fd, length, offset)
+            finally:
+                os.close(fd)
+        except FileNotFoundError:
+            raise NotFoundError(f"object {key!r} not found") from None
 
     def _delete(self, key: str) -> None:
-        path = self._path(key)
-        if not path.exists():
-            raise NotFoundError(f"object {key!r} not found")
-        path.unlink()
+        try:
+            self._path(key).unlink()
+        except FileNotFoundError:
+            raise NotFoundError(f"object {key!r} not found") from None
 
     def _exists(self, key: str) -> bool:
         return self._path(key).exists()
@@ -237,7 +242,7 @@ class LocalDirBackend(StorageBackend):
         )
 
     def object_size(self, key: str) -> int:
-        path = self._path(key)
-        if not path.exists():
-            raise NotFoundError(f"object {key!r} not found")
-        return path.stat().st_size
+        try:
+            return self._path(key).stat().st_size
+        except FileNotFoundError:
+            raise NotFoundError(f"object {key!r} not found") from None

@@ -20,16 +20,18 @@ Container wire format::
     | count * u32 entry_offset | u32 entries_end | u32 count | u32 footer_magic
 
 The trailing **offset footer** (one ``u32`` per entry plus a 12-byte
-trailer) lets readers locate any entry with a single ranged backend read
-— the restore path serves individual shares without ever materialising a
-whole 4 MB container in server memory (see
-:meth:`ContainerManager.read_entry_ranged`).  Deserialisation accepts
+trailer) lets readers locate any entry, and any run of adjacent entries,
+with a single ranged backend read — the restore path serves a window of
+shares the way backup wrote it, one read per contiguous run, without ever
+materialising a whole 4 MB container in server memory (see
+:meth:`ContainerManager.read_entries`).  Deserialisation accepts
 footer-less blobs for compatibility with containers written before the
 footer existed.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -182,8 +184,50 @@ def parse_footer(
     return offsets
 
 
+def _pick(
+    container_id: str, entries: list[tuple[bytes, bytes]], indices: list[int]
+) -> list[tuple[bytes, bytes]]:
+    """Entries ``indices`` of a container already held as an entry list."""
+    for index in indices:
+        if not 0 <= index < len(entries):
+            raise NotFoundError(f"entry {index} not in container {container_id}")
+    return [entries[index] for index in indices]
+
+
+def _slice_entries(
+    container_id: str, span: bytes, base: int, bounds: list[int], indices: list[int]
+) -> list[tuple[bytes, bytes]]:
+    """Cut entries ``indices`` out of ``span``, which starts at container
+    offset ``base``; each payload is copied once, out of a memoryview.
+
+    An entry header that disagrees with its footer span is corruption:
+    fail loudly rather than slice at stale offsets.
+    """
+    view = memoryview(span)
+    out = []
+    for index in indices:
+        start, stop = bounds[index] - base, bounds[index + 1] - base
+        body = start + _ENTRY.size
+        # A span too short for its own header fails the same comparison.
+        keylen, paylen = _ENTRY.unpack_from(view, start) if body <= stop else (0, 0)
+        if body + keylen + paylen != stop:
+            raise StorageError(
+                f"entry {index} of {container_id} disagrees with its footer span"
+            )
+        key_end = body + keylen
+        out.append((bytes(view[body:key_end]), bytes(view[key_end:stop])))
+    return out
+
+
 class ContainerManager:
     """Buffers, writes, caches and reads containers at one backend.
+
+    Two ways to read: :meth:`read_container` / :meth:`read_entry`
+    materialise a whole container and keep it in the LRU cache (recipes,
+    scrub, GC); :meth:`read_entries` is the restore path — any set of
+    entries, one ranged backend read per run of adjacent ones, nothing
+    cached but the containers' offset tables.  The manager owns no lock:
+    the server serialises every call under its own.
 
     Parameters
     ----------
@@ -216,13 +260,16 @@ class ContainerManager:
         self.journal = journal
         self.on_seal = on_seal
         self._cache = LRUCache(cache_bytes, size_of=len)
-        # Offset tables for ranged entry reads: container id -> start
-        # offsets + entry-region end.  A table is ~4 bytes per entry, so
-        # 1 MB caches tables for hundreds of 4 MB containers.
-        self._footers = LRUCache(1 << 20, size_of=lambda t: 4 * len(t[0]) + 8)
+        # Offset tables for ranged entry reads: container id -> entry
+        # start offsets + entry-region end.  A table is ~4 bytes per
+        # entry, so 1 MB caches tables for hundreds of 4 MB containers.
+        self._footers = LRUCache(1 << 20, size_of=lambda bounds: 4 * len(bounds))
         # Per-(user, kind) open write buffers: single-user containers (§4.5).
         self._buffers: dict[tuple[str, int], Container] = {}
         self._buffer_ids: dict[tuple[str, int], str] = {}
+        #: Ranged entry reads issued to the backend by :meth:`read_entries`
+        #: — one per contiguous run, however many entries the run carries.
+        self.range_reads = 0
         self._next_id = 0
         self._restore_next_id()
         # Replay *before* the first append: journaled ids must be
@@ -371,6 +418,13 @@ class ContainerManager:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
+    def _open_buffer(self, container_id: str) -> Container | None:
+        """The unflushed write buffer that will become ``container_id``."""
+        for buf_key, cid in self._buffer_ids.items():
+            if cid == container_id:
+                return self._buffers[buf_key]
+        return None
+
     def _load(self, container_id: str) -> bytes:
         blob = self._cache.get(container_id)
         if blob is None:
@@ -378,10 +432,10 @@ class ContainerManager:
                 blob = self.backend.get_object(container_id)
             except NotFoundError:
                 # The entry may still sit in an unflushed buffer.
-                for buf_key, cid in self._buffer_ids.items():
-                    if cid == container_id:
-                        return self._buffers[buf_key].serialize()
-                raise
+                buffered = self._open_buffer(container_id)
+                if buffered is None:
+                    raise
+                return buffered.serialize()
             self._cache.put(container_id, blob)
         return blob
 
@@ -390,123 +444,114 @@ class ContainerManager:
     ) -> tuple[bytes, bytes]:
         """Fetch one ``(key, payload)`` entry by reference."""
         container = self.read_container(ref.container_id, bypass_cache=bypass_cache)
-        try:
-            return container.entries[ref.entry_index]
-        except IndexError:
-            raise NotFoundError(
-                f"entry {ref.entry_index} not in container {ref.container_id}"
-            ) from None
+        return _pick(ref.container_id, container.entries, [ref.entry_index])[0]
 
     # ------------------------------------------------------------------
     # ranged reading (bounded server memory)
     # ------------------------------------------------------------------
-    def _entry_offsets(self, container_id: str) -> tuple[list[int], int] | None:
-        """Offset table for ``container_id``: (entry starts, entries end).
+    def _entry_bounds(self, container_id: str, blob: bytes | None) -> list[int] | None:
+        """Offset table of ``container_id``: entry ``i`` spans
+        ``bounds[i]:bounds[i + 1]``.
 
-        Read via two ranged backend reads (trailer, then the table) and
-        cached — the table is ~4 bytes per entry, three orders of
-        magnitude smaller than the container it indexes.  Returns None for
-        a container written before the footer existed (no footer magic):
-        legacy blobs are readable, just not rangeable.  A *present but
-        inconsistent* footer still raises — that is corruption, not age.
+        Parsed from ``blob`` when the caller already holds the container
+        (a cache hit), else read via two ranged backend reads (trailer,
+        then the table); cached either way — the table is ~4 bytes per
+        entry, three orders of magnitude smaller than the container it
+        indexes.  Returns None for a container written before the footer
+        existed (no footer magic): legacy blobs are readable, just not
+        rangeable.  A *present but inconsistent* footer still raises —
+        that is corruption, not age.
         """
-        cached = self._footers.get(container_id)
-        if cached is not None:
-            return cached
-        size = self.backend.object_size(container_id)
+        bounds = self._footers.get(container_id)
+        if bounds is not None:
+            return bounds
+        if blob is not None:
+            size = len(blob)
+
+            def read(offset: int, length: int) -> bytes:
+                return blob[offset : offset + length]
+        else:
+            size = self.backend.object_size(container_id)
+            read = functools.partial(self.backend.get_range, container_id)
         if size < _HEADER.size + _TRAILER.size:
             return None  # too small to carry a footer: legacy or empty
-        end, count, magic = _TRAILER.unpack(
-            self.backend.get_range(container_id, size - _TRAILER.size, _TRAILER.size)
-        )
+        end, count, magic = _TRAILER.unpack(read(size - _TRAILER.size, _TRAILER.size))
         if magic != _FOOTER_MAGIC:
             return None  # pre-footer container
         footer_size = _TRAILER.size + 4 * count
         if end != size - footer_size:
             raise StorageError(f"container {container_id} footer inconsistent")
-        offsets = parse_footer(
-            self.backend.get_range(container_id, end, footer_size),
-            entries_end=end,
-            count=count,
-        )
-        table = (offsets, end)
-        self._footers.put(container_id, table)
-        return table
+        footer = read(end, footer_size)
+        bounds = parse_footer(footer, entries_end=end, count=count) + [end]
+        self._footers.put(container_id, bounds)
+        return bounds
 
-    def read_entry_ranged(self, ref: ContainerRef) -> tuple[bytes, bytes]:
-        """Fetch one entry *without* materialising its container.
+    def read_entries(self, refs: list[ContainerRef]) -> list[tuple[bytes, bytes]]:
+        """Fetch many ``(key, payload)`` entries, in the order of ``refs``,
+        *without* materialising their containers.
 
-        Served, in preference order, from the whole-container LRU cache
-        (already in memory), an unflushed write buffer, or a single ranged
-        backend read at the footer offset — the cold path holds only this
-        entry plus the container's offset table, never the 4 MB blob.
-        Never populates the whole-container cache.  A container written
-        before the offset footer existed falls back to the whole-container
-        :meth:`read_entry` path — old backups stay restorable.
+        The one ranged-read path.  Refs are grouped by container and
+        sorted by entry index; each container is then served, in
+        preference order, from the whole-container LRU cache (already in
+        memory; one lookup per container, not per entry), an unflushed
+        write buffer, or the backend — **one ranged read per run of
+        adjacent entries**, sliced apart at the footer offsets.  Only
+        adjacent entries merge (a gap splits a run), so no byte is read
+        that was not asked for, and the cold path holds one run plus the
+        container's offset table, never the 4 MB blob; the whole-container
+        cache is never populated.  Each entry's header must agree with
+        its footer span (:class:`StorageError` otherwise — never slice at
+        stale offsets); an index past the container's count raises
+        :class:`NotFoundError`; nothing partial is returned.  A container
+        written before the offset footer existed falls back to one
+        whole-container read — old backups stay restorable.
         """
-        blob = self._cache.get(ref.container_id)
+        out: list = [None] * len(refs)
+        slots_by_container: dict[str, list[int]] = {}
+        for slot, ref in enumerate(refs):
+            slots_by_container.setdefault(ref.container_id, []).append(slot)
+        for container_id, slots in slots_by_container.items():
+            slots.sort(key=lambda slot: refs[slot].entry_index)
+            entries = self._read_sorted(
+                container_id, [refs[slot].entry_index for slot in slots]
+            )
+            for slot, entry in zip(slots, entries):
+                out[slot] = entry
+        return out
+
+    def _read_sorted(
+        self, container_id: str, indices: list[int]
+    ) -> list[tuple[bytes, bytes]]:
+        """Entries ``indices`` (ascending) of one container."""
+        blob = self._cache.get(container_id)
         if blob is None:
-            for buf_key, cid in self._buffer_ids.items():
-                if cid == ref.container_id:
-                    try:
-                        return self._buffers[buf_key].entries[ref.entry_index]
-                    except IndexError:
-                        raise NotFoundError(
-                            f"entry {ref.entry_index} not in container "
-                            f"{ref.container_id}"
-                        ) from None
-        if blob is not None:
-            table = self._footer_from_blob(ref.container_id, blob)
-            span = blob
-        else:
-            table = self._entry_offsets(ref.container_id)
-            span = None
-        if table is None:  # legacy footer-less container
-            return self.read_entry(ref)
-        offsets, end = table
-        if not 0 <= ref.entry_index < len(offsets):
+            buffered = self._open_buffer(container_id)
+            if buffered is not None:
+                return _pick(container_id, buffered.entries, indices)
+        bounds = self._entry_bounds(container_id, blob)
+        if bounds is None:  # legacy footer-less container
+            return _pick(
+                container_id, self.read_container(container_id).entries, indices
+            )
+        if indices[0] < 0 or indices[-1] >= len(bounds) - 1:
             raise NotFoundError(
-                f"entry {ref.entry_index} not in container {ref.container_id}"
+                f"entry {indices[-1]} not in container {container_id}"
             )
-        start = offsets[ref.entry_index]
-        stop = (
-            offsets[ref.entry_index + 1]
-            if ref.entry_index + 1 < len(offsets)
-            else end
-        )
-        if span is None:
-            span = self.backend.get_range(ref.container_id, start, stop - start)
-            start, stop = 0, len(span)
-        keylen, paylen = _ENTRY.unpack_from(span, start)
-        if _ENTRY.size + keylen + paylen != stop - start:
-            raise StorageError(
-                f"entry {ref.entry_index} of {ref.container_id} disagrees "
-                "with its footer span"
+        if blob is not None:
+            return _slice_entries(container_id, blob, 0, bounds, indices)
+        out: list[tuple[bytes, bytes]] = []
+        first = 0
+        for last in range(len(indices)):
+            if last + 1 < len(indices) and indices[last + 1] <= indices[last] + 1:
+                continue  # the next entry is adjacent (or the same): extend the run
+            start, stop = bounds[indices[first]], bounds[indices[last] + 1]
+            span = self.backend.get_range(container_id, start, stop - start)
+            self.range_reads += 1
+            out += _slice_entries(
+                container_id, span, start, bounds, indices[first : last + 1]
             )
-        key_end = start + _ENTRY.size + keylen
-        return bytes(span[start + _ENTRY.size : key_end]), bytes(
-            span[key_end : key_end + paylen]
-        )
-
-    def _footer_from_blob(
-        self, container_id: str, blob: bytes
-    ) -> tuple[list[int], int] | None:
-        """Offset table parsed from an already-loaded blob (cache hits).
-
-        None means a legacy footer-less blob (see :meth:`_entry_offsets`).
-        """
-        cached = self._footers.get(container_id)
-        if cached is not None:
-            return cached
-        if len(blob) < _HEADER.size + _TRAILER.size:
-            return None
-        end, count, magic = _TRAILER.unpack_from(blob, len(blob) - _TRAILER.size)
-        if magic != _FOOTER_MAGIC:
-            return None
-        offsets = parse_footer(blob[end:], entries_end=end, count=count)
-        table = (offsets, end)
-        self._footers.put(container_id, table)
-        return table
+            first = last + 1
+        return out
 
     def read_container(self, container_id: str, bypass_cache: bool = False) -> Container:
         """Fetch a whole container (restore path: spatial locality).

@@ -99,3 +99,38 @@ class TestLocalDirExtras:
     def test_persistence_across_instances(self, tmp_path):
         LocalDirBackend(tmp_path).put_object("k", b"v")
         assert LocalDirBackend(tmp_path).get_object("k") == b"v"
+
+    def test_delete_between_check_and_read_stays_typed(self, tmp_path, monkeypatch):
+        """A GC ``delete_object`` racing a read must surface as the typed
+        ``NotFoundError`` — never a raw ``FileNotFoundError`` from an
+        open() that followed a stale existence check."""
+
+        class CheckedBeforeTheDelete(type(tmp_path)):
+            """A path whose existence check ran just before the delete
+            landed.  (Scoped to this backend's own paths: nothing global
+            is patched.)"""
+
+            def exists(self):
+                return True
+
+        backend = LocalDirBackend(tmp_path)
+        backend.put_object("container-1", b"0123456789")
+        assert backend.get_range("container-1", 2, 4) == b"2345"
+        backend.delete_object("container-1")
+        monkeypatch.setattr(
+            backend, "_path", lambda key: CheckedBeforeTheDelete(tmp_path / key)
+        )
+        for read in (
+            lambda: backend.get_range("container-1", 2, 4),
+            lambda: backend.get_object("container-1"),
+            lambda: backend.object_size("container-1"),
+            lambda: backend.delete_object("container-1"),
+        ):
+            with pytest.raises(NotFoundError):
+                read()
+
+    def test_ranged_read_past_the_end_is_a_storage_error(self, tmp_path):
+        backend = LocalDirBackend(tmp_path)
+        backend.put_object("k", b"0123456789")
+        with pytest.raises(StorageError):
+            backend.get_range("k", 8, 4)
