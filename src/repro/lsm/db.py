@@ -6,7 +6,9 @@ index module builds on (§4.4).  Semantics:
 * ``put``/``delete`` are logged to the WAL, applied to the memtable, and
   flushed to a new SSTable when the memtable exceeds ``memtable_bytes``;
 * ``get`` consults the memtable, then SSTables newest-first (each guarded
-  by its bloom filter and served through a shared LRU block cache);
+  by its bloom filter and served through a shared LRU block cache that
+  holds blocks decoded into dicts, charged at their Python footprint so
+  ``block_cache_bytes`` bounds bytes of memory);
 * compaction merges all SSTables into one, dropping tombstones and
   superseded versions;
 * ``snapshot`` writes a point-in-time copy of the store to a directory —
@@ -82,7 +84,8 @@ class LSMStore:
         self.memtable_bytes = memtable_bytes
         self.compact_at = compact_at
         self._mem = MemTable()
-        self._block_cache = LRUCache(block_cache_bytes, size_of=len)
+        # Holds decoded blocks (SSTable.get), charged their footprint.
+        self._block_cache = LRUCache(block_cache_bytes, size_of=lambda block: block.charge)
         self._tables: list[SSTable] = []  # oldest first
         self._next_table_id = 0
         self._closed = False

@@ -1,7 +1,7 @@
 """LSM store: dict-equivalence, flush/compaction, recovery, snapshots."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
@@ -55,8 +55,16 @@ class TestLSMStore:
             max_size=60,
         )
     )
+    # Three SSTables (and a memtable) deep: deletes and overwrites land in
+    # newer tables than the puts they mask.
+    @example(
+        [(b"put", b"key%05d" % i, b"v" * 16) for i in range(24)]
+        + [(b"del", b"key%05d" % i, b"") for i in range(0, 24, 3)]
+        + [(b"put", b"key%05d" % i, b"w" * 16) for i in range(1, 24, 4)]
+    )
     def test_dict_equivalence(self, tmp_path, ops):
-        """Random op sequences must match a plain dict, across flushes."""
+        """Random op sequences must match a plain dict, across flushes —
+        including gets of deleted and never-written keys."""
         import shutil, uuid
 
         directory = tmp_path / uuid.uuid4().hex
@@ -71,6 +79,12 @@ class TestLSMStore:
                     reference.pop(key, None)
             for key, value in reference.items():
                 assert db.get(key) == value
+            written = {key for _, key, _ in ops}
+            for key in written - reference.keys():
+                assert db.get(key) is None
+            for probe in {b"\xff" * 9} | {key + b"\x00" for key in written}:
+                if probe not in written:
+                    assert db.get(probe) is None
             assert dict(db.items()) == reference
         shutil.rmtree(directory)
 
@@ -204,6 +218,24 @@ class TestLSMStore:
             db.delete(b"a")
             assert len(db) == 1
 
+    def test_small_block_cache_never_holds_more_than_its_bytes(self, tmp_path):
+        """The cache holds decoded blocks charged at their footprint —
+        more than their raw bytes — and stays within ``block_cache_bytes``."""
+        cap = 64 << 10
+        value = lambda i: bytes([i % 256]) * 40  # noqa: E731
+        with LSMStore(tmp_path, memtable_bytes=1 << 30, block_cache_bytes=cap) as db:
+            for i in range(3000):
+                db.put(f"key{i:05d}".encode(), value(i))
+            db.flush()
+            table = db._tables[0]
+            cache = db.block_cache
+            for i in [*range(0, 3000, 7), *range(2999, 0, -11)]:
+                assert db.get(f"key{i:05d}".encode()) == value(i)
+                blocks = list(cache._data.values())
+                assert cache.size == sum(block.charge for block in blocks) <= cap
+            assert 1 < len(cache) < len(table._index)
+            assert all(block.charge > 4096 for block in blocks)  # raw ≈ 4 KiB
+
 
 class TestRangeScan:
     """Bounded items() scans: prefix bounds pushed into the LSM iterator."""
@@ -253,13 +285,13 @@ class TestRangeScan:
                 db.put(f"k{i:05d}".encode(), b"v" * 40)
             db.flush()
             reads = []
-            original = SSTable.read_block
+            original = SSTable.scan_block
 
-            def counting(self, off, length):
-                reads.append((off, length))
-                return original(self, off, length)
+            def counting(self, block, blob):
+                reads.append(block)
+                return original(self, block, blob)
 
-            monkeypatch.setattr(SSTable, "read_block", counting)
+            monkeypatch.setattr(SSTable, "scan_block", counting)
             list(db.items())
             full_reads = len(reads)
             reads.clear()
