@@ -9,7 +9,7 @@ test asserts the docs and the README stay in sync with the registry.
 
 from __future__ import annotations
 
-from repro.analysis.checkers.durability import check_durability
+from repro.analysis.checkers.durability import check_durability, check_log_order
 from repro.analysis.checkers.lifecycle import check_lifecycle
 from repro.analysis.checkers.locks import check_lock_discipline
 from repro.analysis.checkers.obs_docs import check_obs_docs
@@ -21,6 +21,7 @@ __all__ = [
     "check_durability",
     "check_lifecycle",
     "check_lock_discipline",
+    "check_log_order",
     "check_obs_docs",
     "check_picklable",
 ]
@@ -28,6 +29,7 @@ __all__ = [
 FILE_CHECKERS = [
     check_lock_discipline,
     check_durability,
+    check_log_order,
     check_lifecycle,
     check_picklable,
 ]

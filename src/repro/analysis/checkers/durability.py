@@ -1,4 +1,4 @@
-"""DUR-001/DUR-002: publishes and acks must sit behind an fsync barrier.
+"""DUR-001/002/003: publishes, acks and log records behind their barriers.
 
 Scope: modules under ``storage/`` or ``server/`` (plus any module whose
 stem is one of those names, e.g. ``net/server.py``) — the layers that own
@@ -21,6 +21,20 @@ object persists nothing.  The trace is per-function and line-ordered —
 deliberately naive about branches, which is the right trade for a
 codebase-specific checker: the durability-critical paths here are
 straight-line (temp write → flush → fsync → rename).
+
+DUR-003 covers the other half of the ordering: a record that names a
+location in another log may reach the OS only after that log's commit.
+The index WAL names container entries the container journal commits
+first, so in modules under ``lsm/``:
+
+* a **log** — a class with ``append_*`` methods and a ``sync()`` — may
+  ``write``/``flush`` its file only inside ``sync`` (the commit) or
+  ``reset``; a write anywhere else lets a record escape ahead of the
+  commit that makes it valid;
+* a **store** — a class with ``put``/``delete`` and a ``flush()`` — must
+  not reach ``flush`` from ``put`` or ``delete`` through ``self.*``
+  calls: a memtable flush inside a request publishes that request's
+  mutations before its commit.
 """
 
 from __future__ import annotations
@@ -30,7 +44,7 @@ from dataclasses import dataclass
 
 from repro.analysis.engine import FileContext, Finding
 
-__all__ = ["check_durability"]
+__all__ = ["check_durability", "check_log_order"]
 
 _BUFFERED_WRITES = frozenset({"write", "writelines"})
 _WHOLE_FILE_WRITES = frozenset({"write_bytes", "write_text"})
@@ -145,4 +159,93 @@ def check_durability(ctx: FileContext) -> list[Finding]:
     for node in ast.walk(ctx.tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             findings.extend(_check_function(ctx, node))
+    return findings
+
+
+_LOG_COMMITS = frozenset({"sync", "reset"})
+_STORE_MUTATORS = ("put", "delete")
+
+
+def _self_calls(fn: ast.AST) -> list[tuple[int, str]]:
+    """``(line, name)`` of every ``self.<name>(...)`` call in ``fn``."""
+    return [
+        (node.lineno, node.func.attr)
+        for node in walk_shallow(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "self"
+    ]
+
+
+def _path_to_flush(methods: dict[str, ast.AST], chain: list[str]) -> list[str] | None:
+    """The ``self.*`` call chain from ``chain`` to ``flush``, if any."""
+    if chain[-1] == "flush":
+        return chain
+    fn = methods.get(chain[-1])
+    if fn is None:
+        return None
+    for _, callee in _self_calls(fn):
+        if callee not in chain:
+            found = _path_to_flush(methods, chain + [callee])
+            if found is not None:
+                return found
+    return None
+
+
+def _check_log_class(ctx: FileContext, cls: ast.ClassDef) -> list[Finding]:
+    methods = {
+        node.name: node
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    findings: list[Finding] = []
+    if "sync" in methods and any(name.startswith("append_") for name in methods):
+        for name, fn in methods.items():
+            if name in _LOG_COMMITS:
+                continue
+            for node in walk_shallow(fn):
+                event = _classify(node) if isinstance(node, ast.Call) else None
+                if event is not None and event.kind in {"write-buffered", "flush"}:
+                    findings.append(
+                        ctx.finding(
+                            event.line,
+                            "DUR-003",
+                            (
+                                f"{cls.name}.{name} hands log bytes to the OS "
+                                f"({event.label}) outside sync()/reset() — a "
+                                f"record can reach disk before the commit it "
+                                f"depends on"
+                            ),
+                        )
+                    )
+    if "flush" in methods:
+        for entry in _STORE_MUTATORS:
+            if entry not in methods:
+                continue
+            for line, callee in _self_calls(methods[entry]):
+                chain = _path_to_flush(methods, [entry, callee])
+                if chain is not None:
+                    findings.append(
+                        ctx.finding(
+                            line,
+                            "DUR-003",
+                            (
+                                f"{cls.name}.{entry} reaches flush() "
+                                f"({' → '.join(chain)}) — a memtable flush "
+                                f"mid-request publishes mutations before "
+                                f"their commit; flush only at sync()"
+                            ),
+                        )
+                    )
+    return findings
+
+
+def check_log_order(ctx: FileContext) -> list[Finding]:
+    if not ctx.in_scope("lsm"):
+        return []
+    findings: list[Finding] = []
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.ClassDef):
+            findings.extend(_check_log_class(ctx, node))
     return findings

@@ -62,6 +62,11 @@ RULE_DOCS: dict[str, str] = {
         "an ack (sendall) is reachable after a file write with no "
         "intervening os.fsync barrier (acks non-durable state)"
     ),
+    "DUR-003": (
+        "a log record reaches the OS before its commit: a WAL write/flush "
+        "outside its sync()/reset(), or a store flush() reachable from "
+        "put()/delete() (index records ahead of the log they name)"
+    ),
     "OBS-001": (
         "a metric registered on the obs registry (REGISTRY.counter/gauge/"
         "histogram) is missing from the docs/OBSERVABILITY.md catalogue, "

@@ -3,8 +3,8 @@
 :class:`LSMStore` is the drop-in LevelDB replacement the CDStore server's
 index module builds on (§4.4).  Semantics:
 
-* ``put``/``delete`` are logged to the WAL, applied to the memtable, and
-  flushed to a new SSTable when the memtable exceeds ``memtable_bytes``;
+* ``put``/``delete`` are logged to the WAL's pending batch and applied
+  to the memtable; nothing reaches disk from inside either call;
 * ``get`` consults the memtable, then SSTables newest-first (each guarded
   by its bloom filter and served through a shared LRU block cache that
   holds blocks decoded into dicts, charged at their Python footprint so
@@ -15,11 +15,14 @@ index module builds on (§4.4).  Semantics:
   mirroring "the snapshot feature provided by LevelDB" the paper mentions
   for backing up indices to the cloud;
 * ``sync`` is the durability point: one ``sync`` per acknowledged batch
-  fsyncs the WAL (the same contract as
-  :class:`~repro.storage.journal.ContainerJournal`'s ``record``/``commit``);
+  writes the WAL's batch as one record and fsyncs it (the same contract
+  as :class:`~repro.storage.journal.ContainerJournal`'s
+  ``record``/``commit``), and only then flushes the memtable to a new
+  SSTable if it exceeds ``memtable_bytes`` — so a request's mutations
+  reach disk together, at its commit, or not at all;
 * reopen replays the WAL, recovering everything ``sync()``ed before a
   crash — mutations since the last ``sync`` were never acknowledged and
-  may be lost.
+  are lost.
 """
 
 from __future__ import annotations
@@ -128,7 +131,6 @@ class LSMStore:
         self._wal.append_put(key, value)
         _WAL_APPENDS.inc()
         self._mem.put(key, value)
-        self._maybe_flush()
 
     def delete(self, key: bytes) -> None:
         """Delete ``key`` (tombstoned until compaction)."""
@@ -136,19 +138,18 @@ class LSMStore:
         self._wal.append_delete(key)
         _WAL_APPENDS.inc()
         self._mem.delete(key)
-        self._maybe_flush()
-
-    def _maybe_flush(self) -> None:
-        if self._mem.approximate_bytes >= self.memtable_bytes:
-            self.flush()
 
     def sync(self) -> None:
-        """Group commit: fsync the WAL so every mutation so far survives
-        kill -9; nothing is durable before it.  One call per acknowledged
-        batch is the crash-only serving contract."""
+        """Group commit: log every mutation since the last sync as one WAL
+        record and fsync it, so they survive kill -9 together; nothing is
+        durable before it.  One call per acknowledged batch is the
+        crash-only serving contract.  The memtable flushes only here,
+        after the fsync, never from inside a request."""
         self._check_open()
         self._wal.sync()
         _WAL_SYNCS.inc()
+        if self._mem.approximate_bytes >= self.memtable_bytes:
+            self.flush()
 
     def flush(self) -> None:
         """Flush the memtable to a new SSTable and reset the WAL."""

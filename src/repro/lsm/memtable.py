@@ -1,8 +1,9 @@
 """In-memory sorted write buffer of the LSM tree.
 
 Inserts go to the memtable first (after the WAL); when it exceeds its size
-budget the store flushes it to an immutable SSTable.  Deletions are stored
-as tombstones so they mask older SSTable entries until compaction.
+budget at a ``sync()`` the store flushes it to an immutable SSTable.
+Deletions are stored as tombstones so they mask older SSTable entries
+until compaction.
 
 A plain dict plus sort-on-flush is used rather than a skiplist: point
 lookups are O(1), and sorting once at flush time is both simpler and faster

@@ -137,8 +137,9 @@ class LSMIndex(IndexBackend):
         yield from self._db.items(lower=prefix, upper=prefix_upper_bound(prefix))
 
     def sync(self) -> None:
-        # One WAL fsync covers every put/delete since the last sync —
-        # the group-commit half of the never-ack-before-durable rule.
+        # One WAL batch record + fsync covers every put/delete since the
+        # last sync — the group-commit half of the never-ack-before-durable
+        # rule; the memtable flushes here too, never mid-request.
         self._db.sync()
 
     def compact(self) -> None:

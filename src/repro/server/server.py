@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,8 +83,9 @@ _STORAGE_WRITE_SECONDS = REGISTRY.histogram(
     "server_storage_write_seconds",
     "Container append latency for one ingested share",
 )
-# Where a slow finalize went: resolving client fingerprints, writing the
-# recipe and refcounts, releasing the overwritten recipe, or the commit.
+# Where a slow finalize went: reading the old recipe and resolving client
+# fingerprints, the net refcount and usage writes, the recipe and file
+# entry, or the commit.
 _FINALIZE_SECONDS = REGISTRY.histogram(
     "server_finalize_seconds",
     "finalize_file latency, by stage (resolve | recipe | release | commit)",
@@ -252,10 +254,18 @@ class CDStoreServer:
         the socket layer may only send its reply frame) once the shares
         *and* the index mutations of the batch are on stable storage.
         Two fsyncs per batch — container journal, then index WAL — in
-        that order, so a crash between them leaves index entries whose
-        containers the journal can still rebuild, never the reverse.
+        that order.  The index WAL holds the whole request's mutations
+        until its ``sync()``, which writes them as one record, so an
+        index record never reaches the OS before the container entry it
+        names, and a request killed before this point leaves no index
+        effect at all.
+
+        A server without a journal still syncs its index: that is the
+        boundary at which an LSM index flushes its memtable (a no-op for
+        :class:`~repro.server.index.DictIndex`).
         """
         if not self.durable:
+            self.index.sync()
             return
         clock = time.perf_counter()
         self.containers.commit()
@@ -475,11 +485,12 @@ class CDStoreServer:
 
         Overwriting an existing path releases the old recipe's per-user
         references — without this, re-uploading a path leaks refcounts and
-        its shares can never be garbage-collected.  The release happens
-        *after* the new recipe is validated and written: a finalisation
-        that fails midway must leave the old entry's refcounts intact
-        (an unreleased ref only leaks bytes; a double release would let
-        GC reap shares the user's other files still need).
+        its shares can never be garbage-collected.  Everything is read and
+        validated before the first mutation, then each share's refcount
+        changes by its net delta (references in the new recipe minus those
+        in the old): only shares whose delta is non-zero are written, and
+        the tenant is charged once.  An incremental backup of a mostly
+        unchanged file therefore rewrites only the shares that changed.
         """
         self.cloud.check_available()
         started = time.perf_counter()
@@ -489,9 +500,16 @@ class CDStoreServer:
                 f"manifest names {manifest.secret_count} secrets, "
                 f"{len(share_metas)} share metas were sent"
             )
-        old_blob = self.index.get(self._file_key(user_id, manifest.lookup_key))
-        # Resolve and validate every new recipe entry before mutating any
-        # refcount, so validation errors leave the indices untouched.
+        file_key = self._file_key(user_id, manifest.lookup_key)
+        old_blob = self.index.get(file_key)
+        old_recipe: list[RecipeEntry] = []
+        if old_blob is not None:
+            try:
+                old_recipe = self._recipe_entries(FileEntry.unpack(old_blob))
+            except ReproError:
+                # Unreadable old recipe (corrupt container): nothing left
+                # to release; the overwrite below drops the stale entry.
+                pass
         resolved: list[tuple[bytes, int]] = []
         share_entries: dict[bytes, ShareEntry] = {}
         for meta in sorted(share_metas, key=lambda m: m.secret_seq):
@@ -510,7 +528,7 @@ class CDStoreServer:
                 share_entries[server_fp] = share_entry
             resolved.append((server_fp, meta.secret_size))
         # Quota: shares this tenant will own for the first time become
-        # durable charges; check before the first refcount mutation.
+        # durable charges; check before the first mutation.
         newly_owned_bytes = sum(
             entry.share_size
             for entry in share_entries.values()
@@ -524,16 +542,42 @@ class CDStoreServer:
                     f"tenant {user_id!r} would own {projected} stored bytes, "
                     f"quota is {quota.max_bytes}"
                 )
+        adds = Counter(server_fp for server_fp, _ in resolved)
+        drops = Counter(entry.fingerprint for entry in old_recipe)
         resolved_at = time.perf_counter()
-        entries: list[RecipeEntry] = []
-        for server_fp, secret_size in resolved:
-            share_entries[server_fp].add_owner(user_id)
-            entries.append(
-                RecipeEntry(fingerprint=server_fp, secret_size=secret_size)
-            )
-        for server_fp, share_entry in share_entries.items():
+        released_bytes = 0
+        for server_fp in {**adds, **drops}:
+            added, dropped = adds[server_fp], drops[server_fp]
+            share_entry = share_entries.get(server_fp)
+            if share_entry is None:
+                share_entry = self._get_share_entry(server_fp)
+                if share_entry is None:
+                    continue  # an old-recipe share already gone: nothing to drop
+            held = share_entry.owners.get(user_id, 0) + added
+            if 1 <= held <= dropped:
+                # The tenant's last reference goes with the old recipe.
+                released_bytes += share_entry.share_size
+            if added == dropped:
+                continue
+            if held > dropped:
+                share_entry.owners[user_id] = held - dropped
+            else:
+                share_entry.owners.pop(user_id, None)
             self._put_share_entry(server_fp, share_entry)
-        recipe_blob = b"".join(entry.pack() for entry in entries)
+        if self.tenants is not None and user_id in self.tenants:
+            # Release, clamp, then charge — one durable usage write.
+            usage = self.tenant_usage(user_id)
+            usage.bytes_stored = (
+                max(0, usage.bytes_stored - released_bytes) + newly_owned_bytes
+            )
+            self._put_usage(user_id, usage)
+            pending = self._pending_bytes.get(user_id, 0)
+            self._pending_bytes[user_id] = max(0, pending - newly_owned_bytes)
+        released_at = time.perf_counter()
+        recipe_blob = b"".join(
+            RecipeEntry(fingerprint=server_fp, secret_size=secret_size).pack()
+            for server_fp, secret_size in resolved
+        )
         if self.recipe_compression:
             recipe_blob = compress_recipe(recipe_blob)
         recipe_ref = self.containers.append(
@@ -545,26 +589,13 @@ class CDStoreServer:
             file_size=manifest.file_size,
             secret_count=manifest.secret_count,
         )
-        self.index.put(self._file_key(user_id, manifest.lookup_key), file_entry.pack())
+        self.index.put(file_key, file_entry.pack())
         recipe_at = time.perf_counter()
-        if old_blob is not None:
-            try:
-                old_recipe = self._recipe_entries(FileEntry.unpack(old_blob))
-            except ReproError:
-                # Unreadable old recipe (corrupt container): nothing left
-                # to release; the overwrite above dropped the stale entry.
-                old_recipe = []
-            self._release_recipe_refs(user_id, old_recipe)
-        if self.tenants is not None and user_id in self.tenants:
-            self._charge_owned_bytes(user_id, newly_owned_bytes)
-            pending = self._pending_bytes.get(user_id, 0)
-            self._pending_bytes[user_id] = max(0, pending - newly_owned_bytes)
-        released_at = time.perf_counter()
         self._commit_durable()
         _FINALIZE_SECONDS.observe(resolved_at - started, stage="resolve")
-        _FINALIZE_SECONDS.observe(recipe_at - resolved_at, stage="recipe")
-        _FINALIZE_SECONDS.observe(released_at - recipe_at, stage="release")
-        _FINALIZE_SECONDS.observe(time.perf_counter() - released_at, stage="commit")
+        _FINALIZE_SECONDS.observe(released_at - resolved_at, stage="release")
+        _FINALIZE_SECONDS.observe(recipe_at - released_at, stage="recipe")
+        _FINALIZE_SECONDS.observe(time.perf_counter() - recipe_at, stage="commit")
 
     @_locked
     def flush(self) -> None:

@@ -71,6 +71,29 @@ def test_durability_ack_suppression_is_honoured():
 
 
 # ---------------------------------------------------------------------------
+# DUR-003
+
+
+def test_log_order_checker_flags_records_ahead_of_their_commit():
+    sample = FIXTURES / "lsm" / "sample.py"
+    findings = findings_for("lsm")
+    assert rules(findings) == {"DUR-003"}
+    assert sorted(f.line for f in findings) == [
+        line_of(sample, "TRUE-POSITIVE: record written before sync()"),
+        line_of(sample, "TRUE-POSITIVE: memtable flush inside a request"),
+    ]
+    messages = " ".join(f.message for f in findings)
+    assert "WriteThroughLog.append_put" in messages
+    assert "put → _maybe_flush → flush" in messages
+
+
+def test_log_order_suppression_is_honoured():
+    sample = FIXTURES / "lsm" / "sample.py"
+    suppressed_line = line_of(sample, "analysis: ignore[DUR-003]")
+    assert all(f.line != suppressed_line for f in findings_for("lsm"))
+
+
+# ---------------------------------------------------------------------------
 # LIFE-001
 
 

@@ -222,6 +222,21 @@ class TestSystemConstruction:
         assert client.download("/f") == payload
         system.close()
 
+    def test_durable_indices_flush_at_the_request_boundary(self, tmp_path):
+        """Journal-less LSM servers still sync their index per request,
+        which is where a memtable past ``memtable_bytes`` flushes."""
+        system = CDStoreSystem(n=4, k=3, index_root=tmp_path)
+        for server in system.servers:
+            server.index.store.memtable_bytes = 2048
+        client = system.client("alice", chunker=FixedChunker(4096))
+        payload = data_of(60_000)
+        client.upload("/f", payload)
+        for i, server in enumerate(system.servers):
+            assert server.index.store.table_count >= 1
+            assert list((tmp_path / f"server-{i}").glob("sst-*.db"))
+        assert client.download("/f") == payload
+        system.close()
+
     def test_stored_bytes_accounting(self, system):
         client = system.client("alice", chunker=FixedChunker(4096))
         client.upload("/f", data_of(30_000))

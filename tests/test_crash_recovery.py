@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -159,6 +160,124 @@ class TestBootRecovery:
             assert not junk.exists()
         finally:
             server.close()
+
+
+# ---------------------------------------------------------------------------
+# death inside a request (fork + os._exit: deterministic, no signals)
+# ---------------------------------------------------------------------------
+
+DIED_IN_REQUEST = 17
+
+
+def die_in_request() -> None:
+    os._exit(DIED_IN_REQUEST)
+
+
+def run_in_child(body) -> int:
+    """Run ``body`` in a forked child and return its exit code.
+
+    ``body`` ends by calling :func:`die_in_request` from inside a server
+    call: ``os._exit`` skips every buffer flush and ``finally``, which is
+    what kill -9 does to a process.
+    """
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child never returns
+        try:
+            body()
+        finally:
+            os._exit(1)
+    # A child wedged on a lock some other thread held at fork time must
+    # fail the test, not hang it.
+    pidfd = os.pidfd_open(pid)
+    try:
+        exited, _, _ = select.select([pidfd], [], [], 120)
+    finally:
+        os.close(pidfd)
+    if not exited:
+        os.kill(pid, signal.SIGKILL)
+    _, status = os.waitpid(pid, 0)
+    assert exited, "forked request never finished"
+    return os.waitstatus_to_exitcode(status)
+
+
+def recount_owners(server) -> dict[bytes, dict[str, int]]:
+    """Per-share owner counts recomputed from the live recipes."""
+    counts: dict[bytes, dict[str, int]] = {}
+    for user, lookup_key in server.list_backups():
+        for entry in server.get_recipe(user, lookup_key):
+            owners = counts.setdefault(entry.fingerprint, {})
+            owners[user] = owners.get(user, 0) + 1
+    return counts
+
+
+class TestKilledInsideARequest:
+    def test_unacked_shares_in_an_acked_open_container_are_forgotten(self, tmp_path):
+        """An acked batch and an unacked one share an open container; the
+        process dies before the second batch's journal commit.  None of
+        its index records may survive: they would name container entries
+        the journal never recorded."""
+        root = init_deployment(tmp_path / "srv")
+        acked = [make_upload(os.urandom(3000)) for _ in range(2)]
+        unacked = [make_upload(os.urandom(500)) for _ in range(3)]
+
+        def body():
+            server = build_cloud_server(root, 0).server
+            server.upload_shares("u", acked)
+            server.containers.commit = die_in_request
+            server.upload_shares("u", unacked)
+
+        assert run_in_child(body) == DIED_IN_REQUEST
+        server = build_cloud_server(root, 0).server
+        try:
+            fps = [upload.meta.fingerprint for upload in acked + unacked]
+            assert server.query_duplicates("u", fps) == [True, True, False, False, False]
+            assert server.scrub() == []
+            for upload in acked:
+                fp = fingerprint(upload.data, domain="server")
+                assert server.fetch_shares([fp]) == {fp: upload.data}
+        finally:
+            server.close()
+
+    def test_death_inside_an_overwrite_keeps_the_acked_version(self, tmp_path):
+        """v1 is acked; the process dies inside v2's finalize_file, after
+        every index mutation and before the commit.  v1 must restore
+        byte-identically and every refcount must equal a recount."""
+        from repro.client.client import CDStoreClient
+
+        root = init_deployment(tmp_path / "srv")
+        v1 = os.urandom(40_000)
+        v2 = v1[:20_000] + os.urandom(4_000) + v1[24_000:]
+
+        def client_over(servers) -> CDStoreClient:
+            return CDStoreClient("u", servers, k=1, salt=b"e2e", chunker="fixed")
+
+        def body():
+            servers = [build_cloud_server(root, i).server for i in range(2)]
+            client = client_over(servers)
+            client.upload("/f", v1)
+            for server in servers:
+                finalize = server.finalize_file
+
+                def dying_finalize(*args, _server=server, _finalize=finalize):
+                    _server.containers.commit = die_in_request
+                    return _finalize(*args)
+
+                server.finalize_file = dying_finalize
+            client.upload("/f", v2)
+
+        assert run_in_child(body) == DIED_IN_REQUEST
+        servers = [build_cloud_server(root, i).server for i in range(2)]
+        try:
+            assert client_over(servers).download("/f") == v1
+            for server in servers:
+                recount = recount_owners(server)
+                for key, blob in server.index.items(PREFIX_SHARE):
+                    fp = key[len(PREFIX_SHARE):]
+                    assert ShareEntry.unpack(blob).owners == recount.get(fp, {})
+                assert server.scrub() == []
+        finally:
+            for server in servers:
+                server.close()
 
 
 # ---------------------------------------------------------------------------

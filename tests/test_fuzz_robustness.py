@@ -153,9 +153,10 @@ class TestMutationFuzz:
         # cleanly — but then the secret must be intact.
         assert out == secret
 
-    @settings(max_examples=20)
+    @settings(max_examples=40)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_wal_mutations_never_yield_bad_records(self, pos):
+        import shutil
         import tempfile
         from pathlib import Path
 
@@ -163,14 +164,30 @@ class TestMutationFuzz:
 
         tmp = tempfile.mkdtemp()
         path = Path(tmp) / "wal.log"
+        # A pre-batch log (seven single-mutation records; its torn tail is
+        # cut off) followed by two batch records.
+        golden = (Path(__file__).parent / "data" / "wal_golden.log").read_bytes()
+        path.write_bytes(golden[:949])
+        legacy = list(WriteAheadLog(path).replay())
+        first = [(1, b"key-one", b"value-one"), (2, b"key-gone", b"")]
+        second = [(1, b"key-two", b"value-two"), (1, b"key-three", b"")]
         with WriteAheadLog(path) as wal:
-            wal.append_put(b"key-one", b"value-one")
-            wal.append_put(b"key-two", b"value-two")
+            for batch in (first, second):
+                for op, key, value in batch:
+                    if op == 1:
+                        wal.append_put(key, value)
+                    else:
+                        wal.append_delete(key)
+                wal.sync()
         blob = bytearray(path.read_bytes())
         blob[pos % len(blob)] ^= 0xFF
         path.write_bytes(bytes(blob))
         # Replay must yield only records whose CRC verifies — a prefix of
-        # the original sequence.
+        # the original sequence that never ends inside a batch.
         records = list(WriteAheadLog(path).replay())
-        expected = [(1, b"key-one", b"value-one"), (1, b"key-two", b"value-two")]
+        shutil.rmtree(tmp)
+        expected = legacy + first + second
         assert records == expected[: len(records)]
+        boundaries = set(range(len(legacy) + 1))
+        boundaries |= {len(legacy) + len(first), len(expected)}
+        assert len(records) in boundaries

@@ -98,10 +98,14 @@ class TestLSMStore:
             assert db.get(b"k42") == b"v" * 10
 
     def test_automatic_flush_on_threshold(self, tmp_path):
+        """The memtable flushes at the sync() boundary, never inside put()."""
         with LSMStore(tmp_path, memtable_bytes=500) as db:
             for i in range(100):
                 db.put(f"key{i:04d}".encode(), b"x" * 20)
-            assert db.table_count >= 1
+            assert db.table_count == 0
+            db.sync()
+            assert db.table_count == 1
+            assert db.get(b"key0042") == b"x" * 20
 
     def test_newest_table_wins(self, tmp_path):
         with LSMStore(tmp_path) as db:
@@ -150,9 +154,12 @@ class TestLSMStore:
     def test_crash_recovery_via_wal(self, tmp_path):
         db = LSMStore(tmp_path)
         db.put(b"durable", b"yes")
+        db.sync()
+        db.put(b"unacked", b"lost")
         db._wal.close()  # crash before flush
         recovered = LSMStore(tmp_path)
         assert recovered.get(b"durable") == b"yes"
+        assert recovered.get(b"unacked") is None
         recovered.close()
 
     def test_torn_table_temp_is_reaped_and_wal_still_serves(self, tmp_path):

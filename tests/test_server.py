@@ -1,6 +1,8 @@
 """CDStore server: two-stage dedup semantics, indices, restore, GC."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.network import Link
 from repro.cloud.provider import CloudProvider
@@ -203,6 +205,196 @@ class TestDeletionAndGC:
         server.finalize_file("alice", manifest, [u.meta for u in uploads])
         server.flush()
         assert server.collect_garbage() == 0
+
+
+class TestRefcountEquivalence:
+    """``finalize_file`` applies one net refcount delta per share; the
+    result must equal a plain recount of the live recipes — per share,
+    ``ShareEntry.owners``; per tenant, the bytes of distinct owned shares."""
+
+    #: Shares of distinct sizes, so byte totals identify which are owned.
+    POOL = [bytes([65 + i]) * (90 + 17 * i) for i in range(6)]
+    USERS = ("alice", "bob")
+
+    @classmethod
+    def make(cls, quota=None) -> CDStoreServer:
+        from repro.tenants import TenantQuota, TenantRecord, TenantRegistry
+
+        records = [
+            TenantRecord(user, b"secret", quota=quota or TenantQuota())
+            for user in cls.USERS
+        ]
+        cloud = CloudProvider("test", Link(100.0), Link(100.0))
+        return CDStoreServer(
+            server_id=0, cloud=cloud, tenants=TenantRegistry(records)
+        )
+
+    @classmethod
+    def backup(cls, server, user, path, recipe, upload=True):
+        """Upload the recipe's distinct shares, then finalize ``path``."""
+        if upload:
+            distinct = sorted(set(recipe))
+            server.upload_shares(
+                user, [upload_of(cls.POOL[i], seq=n) for n, i in enumerate(distinct)]
+            )
+        metas = [
+            ShareMeta(
+                fingerprint(cls.POOL[i], "client"),
+                len(cls.POOL[i]),
+                seq,
+                len(cls.POOL[i]),
+            )
+            for seq, i in enumerate(recipe)
+        ]
+        manifest = FileManifest(
+            path, b"p", sum(len(cls.POOL[i]) for i in recipe), len(recipe)
+        )
+        server.finalize_file(user, manifest, metas)
+
+    @classmethod
+    def assert_matches(cls, server, live):
+        """``live``: ``{(user, path): [pool index, ...]}``."""
+        from collections import Counter
+
+        from repro.server.index import PREFIX_SHARE, ShareEntry
+
+        owners: dict[bytes, Counter] = {}
+        for (user, _), recipe in live.items():
+            for i in recipe:
+                fp = fingerprint(cls.POOL[i], "server")
+                owners.setdefault(fp, Counter())[user] += 1
+        stored = {
+            key[len(PREFIX_SHARE):]: ShareEntry.unpack(blob).owners
+            for key, blob in server.index.items(PREFIX_SHARE)
+        }
+        for fp, counts in owners.items():
+            assert stored[fp] == dict(counts)
+        for fp, held in stored.items():
+            if fp not in owners:
+                assert held == {}
+        for user in cls.USERS:
+            distinct = {i for (u, _), recipe in live.items() if u == user for i in recipe}
+            want = sum(len(cls.POOL[i]) for i in distinct)
+            assert server.tenant_usage(user).bytes_stored == want
+        for (user, path), recipe in live.items():
+            got = [e.fingerprint for e in server.get_recipe(user, path)]
+            assert got == [fingerprint(cls.POOL[i], "server") for i in recipe]
+
+    _recipes = st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=6)
+    _steps = st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("backup"),
+                st.sampled_from(USERS),
+                st.sampled_from([b"f1", b"f2"]),
+                _recipes,
+            ),
+            st.tuples(
+                st.just("delete"), st.sampled_from(USERS), st.sampled_from([b"f1", b"f2"])
+            ),
+            st.tuples(st.just("gc")),
+        ),
+        max_size=12,
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(_steps)
+    def test_refcounts_equal_a_recount_after_every_step(self, steps):
+        server = self.make()
+        live: dict[tuple[str, bytes], list[int]] = {}
+        for step in steps:
+            if step[0] == "backup":
+                _, user, path, recipe = step
+                self.backup(server, user, path, recipe)
+                live[(user, path)] = recipe
+            elif step[0] == "delete":
+                _, user, path = step
+                if (user, path) not in live:
+                    continue
+                server.delete_file(user, path)
+                del live[(user, path)]
+            else:
+                server.collect_garbage()
+            self.assert_matches(server, live)
+
+    def test_overwrite_repeating_a_fingerprint(self):
+        server = self.make()
+        self.backup(server, "alice", b"f", [0, 1, 1, 2])
+        self.backup(server, "alice", b"f", [1, 1, 1, 3, 0, 0])
+        self.assert_matches(server, {("alice", b"f"): [1, 1, 1, 3, 0, 0]})
+        self.backup(server, "alice", b"f", [3])
+        self.assert_matches(server, {("alice", b"f"): [3]})
+
+    def test_overwrite_skips_an_old_share_whose_entry_is_missing(self):
+        from repro.server.index import PREFIX_SHARE
+
+        server = self.make()
+        self.backup(server, "alice", b"f", [0, 1])
+        gone = fingerprint(self.POOL[1], "server")
+        with server._lock:
+            server.index.delete(PREFIX_SHARE + gone)
+        self.backup(server, "alice", b"f", [0, 2])
+        assert server._get_share_entry(gone) is None
+        kept = server._get_share_entry(fingerprint(self.POOL[0], "server"))
+        added = server._get_share_entry(fingerprint(self.POOL[2], "server"))
+        assert kept.owners == {"alice": 1}
+        assert added.owners == {"alice": 1}
+        # The vanished share cannot be released, so its charge stays.
+        sizes = sum(len(self.POOL[i]) for i in (0, 1, 2))
+        assert server.tenant_usage("alice").bytes_stored == sizes
+
+    def test_overwrite_of_an_unreadable_old_recipe(self):
+        server = self.make()
+        self.backup(server, "alice", b"f", [0, 1])
+        server.flush()
+        recipe_cid = server.get_file_entry("alice", b"f").recipe_ref.container_id
+        server.cloud.backend.delete_object(recipe_cid)
+        server.containers._cache.clear()
+        server.containers._footers.clear()
+        self.backup(server, "alice", b"f", [1, 2])
+        # Nothing of the old recipe can be released: its refs leak (never
+        # a double release), the new recipe's refs are added.
+        owners = {
+            i: server._get_share_entry(fingerprint(self.POOL[i], "server")).owners
+            for i in (0, 1, 2)
+        }
+        assert owners == {0: {"alice": 1}, 1: {"alice": 2}, 2: {"alice": 1}}
+        sizes = sum(len(self.POOL[i]) for i in (0, 1, 2))
+        assert server.tenant_usage("alice").bytes_stored == sizes
+        got = [e.fingerprint for e in server.get_recipe("alice", b"f")]
+        assert got == [fingerprint(self.POOL[i], "server") for i in (1, 2)]
+
+    def test_release_clamps_before_the_charge(self):
+        """A tenant registered after its first backup was never charged
+        for it; the overwrite's release clamps at zero *before* the new
+        shares are charged, so they are not netted against it."""
+        from repro.tenants import TenantRecord, TenantRegistry
+
+        registry = TenantRegistry([TenantRecord("bob", b"secret")])
+        cloud = CloudProvider("test", Link(100.0), Link(100.0))
+        server = CDStoreServer(server_id=0, cloud=cloud, tenants=registry)
+        self.backup(server, "alice", b"f", [0, 1])
+        registry.add(TenantRecord("alice", b"secret"))
+        self.backup(server, "alice", b"f", [0, 2])
+        assert server.tenant_usage("alice").bytes_stored == len(self.POOL[2])
+
+    def test_quota_rejected_finalize_leaves_the_index_untouched(self):
+        from repro.errors import QuotaExceededError
+        from repro.tenants import TenantQuota
+
+        server = self.make(quota=TenantQuota(max_bytes=len(self.POOL[5]) + 50))
+        # Alice's intra-user index still maps share 5 after the delete, so
+        # a later recipe can name it without uploading (pending stays 0).
+        self.backup(server, "alice", b"old", [5])
+        server.delete_file("alice", b"old")
+        self.backup(server, "alice", b"f", [0])
+        before = list(server.index.items())
+        usage = server.tenant_usage("alice")
+        with pytest.raises(QuotaExceededError):
+            self.backup(server, "alice", b"f", [0, 5], upload=False)
+        assert list(server.index.items()) == before
+        assert server.tenant_usage("alice") == usage
+        self.assert_matches(server, {("alice", b"f"): [0]})
 
 
 class TestLSMBackedIndex:

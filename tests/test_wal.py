@@ -1,9 +1,13 @@
-"""Write-ahead log: replay, torn-tail recovery, sync() as the durability point."""
+"""Write-ahead log: one batch record per sync(), all-or-nothing replay,
+torn-tail recovery, and the pre-batch log format."""
 
 import shutil
+from pathlib import Path
 
 from repro.lsm.db import LSMStore
-from repro.lsm.wal import OP_DELETE, OP_PUT, WriteAheadLog
+from repro.lsm.wal import OP_BATCH, OP_DELETE, OP_PUT, WriteAheadLog
+
+GOLDEN = Path(__file__).parent / "data" / "wal_golden.log"
 
 
 class TestWal:
@@ -13,6 +17,7 @@ class TestWal:
             wal.append_put(b"k1", b"v1")
             wal.append_delete(b"k2")
             wal.append_put(b"k3", b"v3" * 100)
+            wal.sync()
         records = list(WriteAheadLog(path).replay())
         assert records == [
             (OP_PUT, b"k1", b"v1"),
@@ -30,8 +35,10 @@ class TestWal:
         path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
             wal.append_put(b"good", b"1")
+            wal.sync()
             wal.append_put(b"torn", b"2")
-        # Truncate mid-record: crash during the second write.
+            wal.sync()
+        # Truncate mid-record: crash during the second commit's write.
         blob = path.read_bytes()
         path.write_bytes(blob[:-3])
         records = list(WriteAheadLog(path).replay())
@@ -41,7 +48,9 @@ class TestWal:
         path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
             wal.append_put(b"a", b"1")
+            wal.sync()
             wal.append_put(b"b", b"2")
+            wal.sync()
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF  # corrupt last record's payload
         path.write_bytes(bytes(blob))
@@ -52,8 +61,11 @@ class TestWal:
         path = tmp_path / "wal.log"
         wal = WriteAheadLog(path)
         wal.append_put(b"x", b"y")
+        wal.sync()
+        wal.append_put(b"unsynced", b"dropped-by-reset")
         wal.reset()
         wal.append_put(b"z", b"w")
+        wal.sync()
         wal.close()
         assert list(WriteAheadLog(path).replay()) == [(OP_PUT, b"z", b"w")]
 
@@ -65,6 +77,73 @@ class TestWal:
         wal.close()
         with pytest.raises(StorageError):
             wal.append_put(b"k", b"v")
+
+    def test_malformed_batch_stops_replay(self, tmp_path):
+        """A record whose CRC holds but whose batch does not parse is
+        treated like a torn tail: nothing from it, nothing after it."""
+        import struct
+        import zlib
+
+        path = tmp_path / "wal.log"
+        with WriteAheadLog(path) as wal:
+            wal.append_put(b"a", b"1")
+            wal.sync()
+        # Batch header claims two mutations, body holds one.
+        body = struct.pack(">BI", OP_BATCH, 2) + struct.pack(">BI", OP_PUT, 1) + b"b"
+        body += struct.pack(">I", 1) + b"2"
+        with open(path, "ab") as fh:
+            fh.write(struct.pack(">II", zlib.crc32(body), len(body)) + body)
+        with WriteAheadLog(path) as wal:
+            wal.append_put(b"c", b"3")
+            wal.sync()
+        assert list(WriteAheadLog(path).replay()) == [(OP_PUT, b"a", b"1")]
+
+
+class TestGoldenLog:
+    """``tests/data/wal_golden.log`` was written by the per-record WAL that
+    predates batching: seven op-1/op-2 records and an eighth cut 11 bytes
+    short (a torn tail).  Logs like it must replay exactly as they did."""
+
+    EXPECTED = [
+        (OP_PUT, b"s\x01share", b"entry-one"),
+        (OP_PUT, b"u\x02intra", b"\x00" * 32),
+        (OP_DELETE, b"f\x03gone", b""),
+        (OP_PUT, b"", b"empty-key"),
+        (OP_PUT, b"q\x04tenant", b""),
+        (OP_PUT, b"s\x05big", bytes(range(256)) * 3),
+        (OP_DELETE, b"s\x01share", b""),
+    ]
+    INTACT_BYTES = 949
+
+    def test_replay_matches_the_per_record_writer(self, tmp_path):
+        path = tmp_path / "wal.log"
+        shutil.copy(GOLDEN, path)
+        assert list(WriteAheadLog(path).replay()) == self.EXPECTED
+
+    def test_recover_truncates_the_torn_tail_then_batches_append(self, tmp_path):
+        path = tmp_path / "wal.log"
+        shutil.copy(GOLDEN, path)
+        wal = WriteAheadLog(path)
+        assert list(wal.recover()) == self.EXPECTED
+        assert path.stat().st_size == self.INTACT_BYTES
+        wal.append_put(b"after", b"upgrade")
+        wal.append_delete(b"s\x05big")
+        wal.sync()
+        wal.close()
+        assert list(WriteAheadLog(path).replay()) == self.EXPECTED + [
+            (OP_PUT, b"after", b"upgrade"),
+            (OP_DELETE, b"s\x05big", b""),
+        ]
+
+    def test_store_opens_a_pre_batch_log(self, tmp_path):
+        shutil.copy(GOLDEN, tmp_path / "wal.log")
+        with LSMStore(tmp_path) as db:
+            assert db.get(b"s\x01share") is None
+            assert db.get(b"u\x02intra") == b"\x00" * 32
+            assert db.get(b"") == b"empty-key"
+            assert db.get(b"q\x04tenant") == b""
+            assert db.get(b"s\x05big") == bytes(range(256)) * 3
+            assert db.get(b"torn") is None
 
 
 class TestSyncIsTheDurabilityPoint:
@@ -87,34 +166,67 @@ class TestSyncIsTheDurabilityPoint:
             assert list(WriteAheadLog(path).replay()) == expected
         wal.close()
 
-    def test_unsynced_appends_replay_as_a_record_prefix(self, tmp_path):
+    def test_unsynced_appends_are_invisible_to_a_second_reader(self, tmp_path):
+        """Nothing reaches the OS before sync(): not a record prefix, not
+        a buffer spill — 2000 appends (~70 KB, far past any stdio
+        buffer) leave the file empty."""
         path = tmp_path / "wal.log"
         wal = WriteAheadLog(path)
-        expected = []
+        wal.append_put(b"acked", b"1")
+        wal.sync()
+        synced_size = path.stat().st_size
         for i in range(2000):  # never synced
             wal.append_put(f"key-{i}".encode(), b"v" * 20)
-            expected.append((OP_PUT, f"key-{i}".encode(), b"v" * 20))
-        seen = list(WriteAheadLog(path).replay())
-        assert seen == expected[: len(seen)]
+        assert path.stat().st_size == synced_size
+        assert list(WriteAheadLog(path).replay()) == [(OP_PUT, b"acked", b"1")]
         wal.close()
+        assert list(WriteAheadLog(path).replay()) == [(OP_PUT, b"acked", b"1")]
 
     def test_truncation_at_every_offset_of_last_record(self, tmp_path):
+        """A batch torn at any byte replays none of its mutations."""
         path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
             wal.append_put(b"first", b"1" * 10)
             wal.append_delete(b"second")
+            wal.sync()
         intact = path.stat().st_size
+        batch = [
+            (OP_PUT, b"last", b"3" * 50),
+            (OP_DELETE, b"first", b""),
+            (OP_PUT, b"", b""),
+            (OP_PUT, b"tail", b"4"),
+        ]
         with WriteAheadLog(path) as wal:
-            wal.append_put(b"last", b"3" * 50)
+            for op, key, value in batch:
+                if op == OP_PUT:
+                    wal.append_put(key, value)
+                else:
+                    wal.append_delete(key)
+            wal.sync()
         blob = path.read_bytes()
         prefix = [(OP_PUT, b"first", b"1" * 10), (OP_DELETE, b"second", b"")]
         for cut in range(intact, len(blob)):
             path.write_bytes(blob[:cut])
             assert list(WriteAheadLog(path).replay()) == prefix, cut
         path.write_bytes(blob)
-        assert list(WriteAheadLog(path).replay()) == prefix + [
-            (OP_PUT, b"last", b"3" * 50)
-        ]
+        assert list(WriteAheadLog(path).replay()) == prefix + batch
+
+    def test_one_write_per_sync(self, tmp_path, monkeypatch):
+        """A commit hands the OS one buffer, however many mutations it holds."""
+        wal = WriteAheadLog(tmp_path / "wal.log")
+        writes = []
+        real_write = wal._fh.write
+        monkeypatch.setattr(
+            wal._fh, "write", lambda data: writes.append(len(data)) or real_write(data)
+        )
+        for i in range(500):
+            wal.append_put(f"k{i}".encode(), b"v" * 100)
+        assert writes == []
+        wal.sync()
+        assert len(writes) == 1
+        wal.sync()  # nothing pending: an fsync, no write
+        assert len(writes) == 1
+        wal.close()
 
     def test_store_copied_after_sync_has_every_key(self, tmp_path):
         """kill -9 stand-in: copy the directory while the store is open."""
@@ -136,6 +248,7 @@ class TestSyncIsTheDurabilityPoint:
         is not hidden behind it at the next crash."""
         db = LSMStore(tmp_path / "live")
         db.put(b"acked", b"1")
+        db.sync()
         db.put(b"torn", b"2" * 100)
         db.sync()
         shutil.copytree(tmp_path / "live", tmp_path / "crash1")
