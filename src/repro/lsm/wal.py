@@ -53,7 +53,9 @@ class WriteAheadLog:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # Long-lived handle owned by the WAL object, closed in close().
-        self._fh = open(self.path, "ab")  # noqa: SIM115
+        # Unbuffered: sync() is the only write, and a failed one must
+        # leave no bytes behind in a buffer.
+        self._fh = open(self.path, "ab", buffering=0)  # noqa: SIM115
         #: Mutations appended since the last sync, batch-encoded.
         self._batch = bytearray()
         self._count = 0
@@ -82,19 +84,33 @@ class WriteAheadLog:
 
         The only durability point, and the only place the log reaches the
         OS: a caller acks a batch only after this returns, and one write
-        plus one fsync covers the whole batch.
+        plus one fsync covers the whole batch.  If the write or fsync
+        fails (ENOSPC, EIO), the file is cut back to where the record
+        began and the batch stays pending: a torn record left in place
+        would end replay before any batch synced behind it.
         """
         if self._fh.closed:
             raise StorageError("WAL is closed")
-        if self._count:
-            head = _BATCH_HEAD.pack(OP_BATCH, self._count)
-            crc = zlib.crc32(self._batch, zlib.crc32(head))
-            record = _HEADER.pack(crc, len(head) + len(self._batch)) + head + self._batch
-            self._fh.write(record)
-            self._fh.flush()
-            self._batch.clear()
-            self._count = 0
-        os.fsync(self._fh.fileno())
+        fd = self._fh.fileno()
+        if not self._count:
+            os.fsync(fd)
+            return
+        head = _BATCH_HEAD.pack(OP_BATCH, self._count)
+        crc = zlib.crc32(self._batch, zlib.crc32(head))
+        record = memoryview(
+            _HEADER.pack(crc, len(head) + len(self._batch)) + head + self._batch
+        )
+        start = os.fstat(fd).st_size
+        try:
+            while record:
+                record = record[self._fh.write(record) :]
+            os.fsync(fd)
+        except BaseException:
+            self._fh.truncate(start)
+            self._fh.seek(start)
+            raise
+        self._batch.clear()
+        self._count = 0
 
     # ------------------------------------------------------------------
     def replay(self) -> Iterator[tuple[int, bytes, bytes]]:
@@ -145,7 +161,7 @@ class WriteAheadLog:
         self._batch.clear()
         self._count = 0
         self._fh.close()
-        self._fh = open(self.path, "wb")  # noqa: SIM115 -- long-lived, closed in close()
+        self._fh = open(self.path, "wb", buffering=0)  # noqa: SIM115 -- long-lived, closed in close()
 
     def close(self) -> None:
         """Release the file; unsynced appends are dropped, as a crash

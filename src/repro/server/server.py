@@ -378,15 +378,6 @@ class CDStoreServer:
                 )
 
     @requires_lock("_lock")
-    def _charge_owned_bytes(self, user_id: str, delta: int) -> None:
-        """Adjust the durable bytes-stored counter (finalize/delete)."""
-        if self.tenants is None or user_id not in self.tenants:
-            return
-        usage = self.tenant_usage(user_id)
-        usage.bytes_stored = max(0, usage.bytes_stored + delta)
-        self._put_usage(user_id, usage)
-
-    @requires_lock("_lock")
     def _on_seal(self, user_id: str, container_id: str, payload_bytes: int) -> None:
         """Container-seal accounting hook (normal operation and replay).
 
@@ -486,11 +477,14 @@ class CDStoreServer:
         Overwriting an existing path releases the old recipe's per-user
         references — without this, re-uploading a path leaks refcounts and
         its shares can never be garbage-collected.  Everything is read and
-        validated before the first mutation, then each share's refcount
-        changes by its net delta (references in the new recipe minus those
-        in the old): only shares whose delta is non-zero are written, and
-        the tenant is charged once.  An incremental backup of a mostly
-        unchanged file therefore rewrites only the shares that changed.
+        validated, and the new recipe appended, before the first index
+        mutation: releasing the old references while the old file entry
+        survives a failure would let GC reap shares that file still names.
+        Then each share's refcount changes by its net delta (references in
+        the new recipe minus those in the old): only shares whose delta is
+        non-zero are written, and the tenant is charged once.  An
+        incremental backup of a mostly unchanged file therefore rewrites
+        only the shares that changed.
         """
         self.cloud.check_available()
         started = time.perf_counter()
@@ -542,47 +536,30 @@ class CDStoreServer:
                     f"tenant {user_id!r} would own {projected} stored bytes, "
                     f"quota is {quota.max_bytes}"
                 )
-        adds = Counter(server_fp for server_fp, _ in resolved)
-        drops = Counter(entry.fingerprint for entry in old_recipe)
         resolved_at = time.perf_counter()
-        released_bytes = 0
-        for server_fp in {**adds, **drops}:
-            added, dropped = adds[server_fp], drops[server_fp]
-            share_entry = share_entries.get(server_fp)
-            if share_entry is None:
-                share_entry = self._get_share_entry(server_fp)
-                if share_entry is None:
-                    continue  # an old-recipe share already gone: nothing to drop
-            held = share_entry.owners.get(user_id, 0) + added
-            if 1 <= held <= dropped:
-                # The tenant's last reference goes with the old recipe.
-                released_bytes += share_entry.share_size
-            if added == dropped:
-                continue
-            if held > dropped:
-                share_entry.owners[user_id] = held - dropped
-            else:
-                share_entry.owners.pop(user_id, None)
-            self._put_share_entry(server_fp, share_entry)
-        if self.tenants is not None and user_id in self.tenants:
-            # Release, clamp, then charge — one durable usage write.
-            usage = self.tenant_usage(user_id)
-            usage.bytes_stored = (
-                max(0, usage.bytes_stored - released_bytes) + newly_owned_bytes
-            )
-            self._put_usage(user_id, usage)
-            pending = self._pending_bytes.get(user_id, 0)
-            self._pending_bytes[user_id] = max(0, pending - newly_owned_bytes)
-        released_at = time.perf_counter()
         recipe_blob = b"".join(
             RecipeEntry(fingerprint=server_fp, secret_size=secret_size).pack()
             for server_fp, secret_size in resolved
         )
         if self.recipe_compression:
             recipe_blob = compress_recipe(recipe_blob)
+        # The append is the last call that can fail (journal record, a
+        # sealed container's upload): it precedes every refcount change,
+        # so a failure leaves the old file entry's references intact.
         recipe_ref = self.containers.append(
             user_id, KIND_RECIPE, manifest.lookup_key, recipe_blob
         )
+        recipe_at = time.perf_counter()
+        self._apply_ref_delta(
+            user_id,
+            adds=Counter(server_fp for server_fp, _ in resolved),
+            drops=Counter(entry.fingerprint for entry in old_recipe),
+            share_entries=share_entries,
+            charged_bytes=newly_owned_bytes,
+        )
+        if self.tenants is not None and user_id in self.tenants:
+            pending = self._pending_bytes.get(user_id, 0)
+            self._pending_bytes[user_id] = max(0, pending - newly_owned_bytes)
         file_entry = FileEntry(
             recipe_ref=recipe_ref,
             path_share=manifest.path_share,
@@ -590,12 +567,12 @@ class CDStoreServer:
             secret_count=manifest.secret_count,
         )
         self.index.put(file_key, file_entry.pack())
-        recipe_at = time.perf_counter()
+        released_at = time.perf_counter()
         self._commit_durable()
         _FINALIZE_SECONDS.observe(resolved_at - started, stage="resolve")
-        _FINALIZE_SECONDS.observe(released_at - resolved_at, stage="release")
-        _FINALIZE_SECONDS.observe(recipe_at - released_at, stage="recipe")
-        _FINALIZE_SECONDS.observe(time.perf_counter() - recipe_at, stage="commit")
+        _FINALIZE_SECONDS.observe(recipe_at - resolved_at, stage="recipe")
+        _FINALIZE_SECONDS.observe(released_at - recipe_at, stage="release")
+        _FINALIZE_SECONDS.observe(time.perf_counter() - released_at, stage="commit")
 
     @_locked
     def flush(self) -> None:
@@ -885,32 +862,69 @@ class CDStoreServer:
     def delete_file(self, user_id: str, lookup_key: bytes) -> int:
         """Drop a file: decrement refcounts; returns orphaned share count."""
         recipe = self.get_recipe(user_id, lookup_key)
-        orphaned = self._release_recipe_refs(user_id, recipe)
+        orphaned = self._apply_ref_delta(
+            user_id,
+            adds=Counter(),
+            drops=Counter(entry.fingerprint for entry in recipe),
+            share_entries={},
+        )
         self.index.delete(self._file_key(user_id, lookup_key))
         # Recipes are small; reclaiming their container space is left to GC.
         self._commit_durable()
         return orphaned
 
     @requires_lock("_lock")
-    def _release_recipe_refs(
-        self, user_id: str, recipe: list[RecipeEntry]
+    def _apply_ref_delta(
+        self,
+        user_id: str,
+        adds: Counter,
+        drops: Counter,
+        share_entries: dict[bytes, ShareEntry],
+        charged_bytes: int = 0,
     ) -> int:
-        """Drop one per-user reference for each share a recipe names."""
-        orphaned = 0
+        """Move ``user_id``'s references by ``adds - drops`` per share.
+
+        The one place the last-reference rule lives (finalize and delete):
+        a share whose held count reaches zero releases its bytes from the
+        tenant's usage, which is clamped at zero *before* ``charged_bytes``
+        is added.  ``share_entries`` may already hold loaded entries; the
+        rest are read here, and every read precedes the first write, so
+        once the index is mutated nothing but in-memory puts follow.  A
+        share whose entry is gone has nothing left to drop.  Returns how
+        many dropped shares end up with no owner.
+        """
+        for server_fp in drops:
+            if server_fp not in share_entries:
+                share_entry = self._get_share_entry(server_fp)
+                if share_entry is not None:
+                    share_entries[server_fp] = share_entry
+        tenant = self.tenants is not None and user_id in self.tenants
+        usage = self.tenant_usage(user_id) if tenant else None
         released_bytes = 0
-        for entry in recipe:
-            share_entry = self._get_share_entry(entry.fingerprint)
+        orphaned = 0
+        for server_fp in {**adds, **drops}:
+            share_entry = share_entries.get(server_fp)
             if share_entry is None:
                 continue
-            last_ref = share_entry.owners.get(user_id, 0) == 1
-            share_entry.drop_owner(user_id)
-            if last_ref:
+            added, dropped = adds[server_fp], drops[server_fp]
+            held = share_entry.owners.get(user_id, 0) + added
+            if 1 <= held <= dropped:
+                # The tenant's last reference goes with the dropped recipe.
                 released_bytes += share_entry.share_size
-            if share_entry.orphaned:
+            if added == dropped:
+                continue
+            if held > dropped:
+                share_entry.owners[user_id] = held - dropped
+            else:
+                share_entry.owners.pop(user_id, None)
+            if dropped and share_entry.orphaned:
                 orphaned += 1
-            self._put_share_entry(entry.fingerprint, share_entry)
-        if released_bytes:
-            self._charge_owned_bytes(user_id, -released_bytes)
+            self._put_share_entry(server_fp, share_entry)
+        if usage is not None and (released_bytes or charged_bytes):
+            usage.bytes_stored = (
+                max(0, usage.bytes_stored - released_bytes) + charged_bytes
+            )
+            self._put_usage(user_id, usage)
         return orphaned
 
     @_locked

@@ -364,6 +364,35 @@ class TestRefcountEquivalence:
         got = [e.fingerprint for e in server.get_recipe("alice", b"f")]
         assert got == [fingerprint(self.POOL[i], "server") for i in (1, 2)]
 
+    def test_a_failed_recipe_write_releases_nothing(self, monkeypatch):
+        """The recipe append is finalize's last call that can fail: when
+        its upload fails, the surviving old file keeps every reference,
+        and GC afterwards keeps all of its shares."""
+        from repro.errors import StorageError
+        from repro.storage import container as container_mod
+
+        server = self.make()
+        self.backup(server, "alice", b"f", [0, 1])
+        server.flush()
+        server.upload_shares("alice", [upload_of(self.POOL[2], seq=0)])
+        before = list(server.index.items())
+
+        def failing_put(*args, **kwargs):
+            raise StorageError("cloud write failed")
+
+        # A cap of one byte sends the recipe down the solo path, which
+        # seals (uploads) it inside the append.
+        monkeypatch.setattr(container_mod, "CONTAINER_CAP", 1)
+        monkeypatch.setattr(server.cloud.backend, "put_object", failing_put)
+        with pytest.raises(StorageError):
+            self.backup(server, "alice", b"f", [0, 2], upload=False)
+        monkeypatch.undo()
+        assert list(server.index.items()) == before
+        self.assert_matches(server, {("alice", b"f"): [0, 1]})
+        server.collect_garbage()
+        old = [fingerprint(self.POOL[i], "server") for i in (0, 1)]
+        assert server.fetch_shares(old) == dict(zip(old, self.POOL[:2]))
+
     def test_release_clamps_before_the_charge(self):
         """A tenant registered after its first backup was never charged
         for it; the overwrite's release clamps at zero *before* the new

@@ -1,8 +1,11 @@
 """Write-ahead log: one batch record per sync(), all-or-nothing replay,
 torn-tail recovery, and the pre-batch log format."""
 
+import errno
 import shutil
 from pathlib import Path
+
+import pytest
 
 from repro.lsm.db import LSMStore
 from repro.lsm.wal import OP_BATCH, OP_DELETE, OP_PUT, WriteAheadLog
@@ -227,6 +230,37 @@ class TestSyncIsTheDurabilityPoint:
         wal.sync()  # nothing pending: an fsync, no write
         assert len(writes) == 1
         wal.close()
+
+    @pytest.mark.parametrize("after_reset", [False, True])
+    def test_a_write_failing_partway_leaves_no_torn_record(
+        self, tmp_path, monkeypatch, after_reset
+    ):
+        """ENOSPC mid-record: the file is cut back and the batch stays
+        pending, so the retried commit — and every later one — replays."""
+        path = tmp_path / "wal.log"
+        wal = WriteAheadLog(path)
+        if after_reset:
+            wal.reset()  # reopened without O_APPEND: the offset must follow
+        wal.append_put(b"a", b"1")
+        wal.sync()
+        synced = path.stat().st_size
+        real_write = wal._fh.write
+
+        def torn_write(data):
+            real_write(bytes(data[: len(data) // 2]))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(wal._fh, "write", torn_write)
+        wal.append_put(b"b", b"2")
+        with pytest.raises(OSError):
+            wal.sync()
+        assert path.stat().st_size == synced
+        monkeypatch.setattr(wal._fh, "write", real_write)
+        wal.sync()
+        wal.append_put(b"c", b"3")
+        wal.sync()
+        wal.close()
+        assert [key for _, key, _ in WriteAheadLog(path).replay()] == [b"a", b"b", b"c"]
 
     def test_store_copied_after_sync_has_every_key(self, tmp_path):
         """kill -9 stand-in: copy the directory while the store is open."""
