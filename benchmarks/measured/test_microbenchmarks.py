@@ -12,6 +12,7 @@ the equivalence tests in tier-1 (``test_chunking.py`` golden cuts,
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 from conftest import emit
@@ -110,6 +111,20 @@ def test_microbenchmarks():
             work(data[:size])
             best = min(best, time.perf_counter() - start)
         rows.append([label, _rate(size, best)])
+    # The same cut scan on one thread and on every CPU of the affinity
+    # mask (the caller plus helper threads, one segment each); 8 MiB, since
+    # 512 KiB is only two segments.
+    from repro.chunking import scan
+
+    big = np.random.default_rng(8).bytes(8 << 20)
+    for width in sorted({1, scan._WIDTH}):
+        best = float("inf")
+        with mock.patch.object(scan, "_WIDTH", width):
+            for _ in range(3):
+                start = time.perf_counter()
+                chunker._scan(big)
+                best = min(best, time.perf_counter() - start)
+        rows.append([f"rabin cut scan, 8 MiB (width {width})", _rate(len(big), best)])
     # LSM store put/get throughput.
     import tempfile
 

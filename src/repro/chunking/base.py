@@ -47,6 +47,12 @@ class Chunker(abc.ABC):
         the same contract as the codec specs of §4.6's process workers."""
         return getattr(self, "_spec", None)
 
+    def segments(self, size: int) -> int:
+        """How many segments the cut scan of a ``size``-byte input runs in
+        (:mod:`repro.chunking.scan` spreads them over the CPUs); 1 for a
+        chunker without a parallel scan."""
+        return 1
+
     @abc.abstractmethod
     def chunk_bytes(self, data: bytes) -> Iterator[Chunk]:
         """Yield the chunks of ``data`` in order."""

@@ -32,7 +32,7 @@ distances ``<= p``: the mask bits live in the low 16 bits of the word, so
 the masked decision is an XOR of per-offset terms over just the trailing
 :data:`GEAR_WINDOW` = 16 bytes — the form the blocked two-level scan of
 :mod:`repro.chunking.scan` takes (shared with the Rabin chunker, which
-runs it on 24 dense pair tables).  Here only the trailing 8 bytes can
+runs it on 22 dense pair tables).  Here only the trailing 8 bytes can
 reach the low hash byte, so the dense prescreen is 4 ``uint8`` pair-table
 gathers per position; the ~1/256 survivors gather the 16 per-offset terms
 and are tested against both masks.  The property tests pin the kernel to
@@ -206,6 +206,9 @@ class GearChunker(Chunker):
         if j < easy.size and int(easy[j]) <= hi:
             return int(easy[j])
         return hi
+
+    def segments(self, size: int) -> int:
+        return self._kernel.segments(size)
 
     def chunk_bytes(self, data: bytes) -> Iterator[Chunk]:
         if not data:

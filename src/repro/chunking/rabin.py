@@ -174,6 +174,9 @@ class RabinChunker(Chunker):
         ]
         return np.concatenate([np.zeros(0, dtype=np.int64), *hits])
 
+    def segments(self, size: int) -> int:
+        return self._kernel.segments(size)
+
     def chunk_bytes(self, data: bytes) -> Iterator[Chunk]:
         if not data:
             return

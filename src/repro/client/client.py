@@ -234,7 +234,8 @@ class CDStoreClient:
             server.cloud.check_available()
         clock = time.perf_counter()
         spec = self.chunker.spec() or type(self.chunker).__name__
-        with self.tracer.span("chunk", bytes=len(data), chunker=str(spec)):
+        segments = self.chunker.segments(len(data))
+        with self.tracer.span("chunk", bytes=len(data), chunker=str(spec), segments=segments):
             chunks = list(self.chunker.chunk_bytes(data))
         _CHUNKING_SECONDS.observe(time.perf_counter() - clock)
 

@@ -1,7 +1,13 @@
 """Chunkers: fixed-size, Rabin and gear content-defined, plus the registry."""
 
 import hashlib
+import os
 import pickle
+import select
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
@@ -395,26 +401,32 @@ class TestScanKernel:
     )
     def test_rabin_kernel_equals_rolling_reference(self, data, bits, window, block, confirm):
         """Random legal parameters (odd and even windows, masks narrower and
-        wider than the prescreen byte), blocks small enough that windows
-        straddle them: the kernel keeps exactly the positions whose rolling
-        fingerprint matches in the low byte, hands back their full
-        fingerprints, and so cuts where the reference cuts."""
+        wider than the prescreen byte), segments small enough that windows
+        straddle them, scanned on one, two and three threads: the kernel
+        keeps exactly the positions whose rolling fingerprint matches in
+        the low byte, hands back their full fingerprints in order, and so
+        cuts where the reference cuts."""
         avg = 1 << bits
         chunker = RabinChunker(avg_size=avg, min_size=avg, max_size=avg, window=window)
         rolling = chunker.rolling_fingerprints(data)
-        with mock.patch.object(scan, "BLOCK", block), mock.patch.object(scan, "_CONFIRM", confirm):
-            yields = list(chunker._kernel.candidates(data))
-            cuts = chunker._scan(data)
-        ends = np.concatenate([np.zeros(0, dtype=np.int64)] + [c for c, _ in yields])
-        fps = np.concatenate([np.zeros(0, dtype=np.uint64)] + [f for _, f in yields])
         low = np.uint64((avg - 1) & 0xFF)
-        assert np.array_equal(
-            ends, np.flatnonzero((rolling & low) == (chunker._magic & low)) + window
-        )
-        assert np.array_equal(fps, rolling[ends - window])
-        assert np.array_equal(
-            cuts, np.flatnonzero((rolling & chunker._mask) == chunker._magic) + window
-        )
+        for width in (1, 2, 3):
+            with (
+                mock.patch.object(scan, "BLOCK", block),
+                mock.patch.object(scan, "_CONFIRM", confirm),
+                mock.patch.object(scan, "_WIDTH", width),
+            ):
+                yields = list(chunker._kernel.candidates(data))
+                cuts = chunker._scan(data)
+            ends = np.concatenate([np.zeros(0, dtype=np.int64)] + [c for c, _ in yields])
+            fps = np.concatenate([np.zeros(0, dtype=np.uint64)] + [f for _, f in yields])
+            assert np.array_equal(
+                ends, np.flatnonzero((rolling & low) == (chunker._magic & low)) + window
+            )
+            assert np.array_equal(fps, rolling[ends - window])
+            assert np.array_equal(
+                cuts, np.flatnonzero((rolling & chunker._mask) == chunker._magic) + window
+            )
 
     @pytest.mark.parametrize(
         "chunker",
@@ -427,7 +439,10 @@ class TestScanKernel:
         ],
         ids=["rabin", "rabin-odd", "rabin-wide-mask", "gear", "gear-small"],
     )
+    @mock.patch.object(scan, "_WIDTH", 2)
     def test_block_edges_and_degenerate_inputs_equal_dense(self, chunker):
+        """Two segments in flight: inputs up to a block split in halves,
+        longer ones at block edges, and windows straddle every edge."""
         w = chunker._kernel.window
         payload = DRBG("scan-edges").random_bytes(2 * scan.BLOCK + w + 1)
         lengths = {0, 1, w - 1, w, w + 1, len(payload)}
@@ -435,6 +450,8 @@ class TestScanKernel:
             lengths |= {edge - 1, edge, edge + 1}
         for length in sorted(lengths):
             _assert_scan_is_dense(chunker, payload[:length])
+        assert chunker._kernel.segments(scan.BLOCK) == 2
+        assert chunker._kernel.segments(len(payload)) == 3
         _assert_scan_is_dense(chunker, bytes(scan.BLOCK + 2 * w))
         _assert_scan_is_dense(chunker, b"\x00\xffab" * (scan.BLOCK // 4 + w))
 
@@ -448,11 +465,13 @@ class TestScanKernel:
         ],
         ids=["rabin-cuts", "rabin-none", "gear-cuts", "gear-none"],
     )
+    @mock.patch.object(scan, "_WIDTH", 2)
     def test_input_where_every_position_survives_the_prescreen(
         self, chunker, survivors_are_cuts
     ):
         """A constant run whose low hash byte matches everywhere: the confirm
-        stage degenerates to dense, its temporaries must stay per-block."""
+        stage degenerates to dense, its temporaries must stay per-segment,
+        one segment in flight per thread."""
         run = bytes([_constant_byte(chunker, survivors_are_cuts)]) * (1 << 20)
         tracemalloc.start()
         try:
@@ -464,30 +483,145 @@ class TestScanKernel:
         windows = len(run) - chunker._kernel.window + 1
         assert cuts.size == (windows if survivors_are_cuts else 0)
         if not survivors_are_cuts:
-            # Nothing is returned, so the peak is kernel scratch: the index
-            # and a full block of survivors at 8 bytes a position, the rows,
-            # one confirm batch.  Confirming the file at once needs > 400 MiB.
-            assert peak < 48 * scan.BLOCK
+            # Nothing is returned, so the peak is kernel scratch per thread:
+            # the index and a full block of survivors at 8 bytes a position,
+            # the rows, one confirm batch — and a helper's survivors, held
+            # until yielded.  Confirming the file at once needs > 400 MiB.
+            assert peak < 48 * scan.BLOCK * scan._WIDTH
 
     @pytest.mark.parametrize("chunker", [RabinChunker(), GearChunker()], ids=["rabin", "gear"])
     def test_scan_memory_is_per_block_not_per_file(self, chunker):
-        """No clock: what the cut scan allocates is bounded by the block,
-        so 8 MiB of input peaks where 4 MiB does (the pre-kernel Rabin pass
-        held > 60 MiB of file-sized temporaries at 4 MiB)."""
+        """No clock: what the cut scan allocates is bounded by the block
+        per segment in flight, so 8 MiB of input peaks where 4 MiB does
+        (the pre-kernel Rabin pass held > 60 MiB of file-sized temporaries
+        at 4 MiB).  On one thread the peaks repeat exactly; beside a
+        helper they move by up to one confirm batch with the interleaving,
+        so there both sizes meet the same per-width bound."""
         data = np.random.default_rng(19).bytes(8 << 20)
-        peaks = []
-        for size in (4 << 20, 8 << 20):
-            view = data[:size]
-            tracemalloc.start()
+        for width in (1, 2):
+            peaks = []
+            for size in (4 << 20, 8 << 20):
+                view = data[:size]
+                with mock.patch.object(scan, "_WIDTH", width):
+                    tracemalloc.start()
+                    try:
+                        chunker._scan(view)
+                        peaks.append(tracemalloc.get_traced_memory()[1])
+                    finally:
+                        tracemalloc.stop()
+            assert max(peaks) < (4 << 20) * width
+            if width == 1:
+                # The returned cut arrays (8 bytes per ~avg_size of input)
+                # are the only thing allowed to grow.
+                assert peaks[1] - peaks[0] < 128 << 10
+
+
+class TestScanThreads:
+    """Segments handed to helper threads: a forked child, a failing segment
+    and a consumer that stops early leave no helper behind."""
+
+    @staticmethod
+    def watched_segments(fail_at: int | None = None):
+        """A ``PairScan._segment`` stand-in recording which segments (by
+        base) started and which are running; helpers' segments linger so a
+        caller that did not wait for them would still see them run."""
+        real, started, running, lock = scan.PairScan._segment, set(), set(), threading.Lock()
+
+        def segment(self, buf, base, rows):
+            with lock:
+                started.add(base)
+                running.add(base)
             try:
-                chunker._scan(view)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                if base == fail_at:
+                    raise ValueError(f"segment {base} failed")
+                if base:
+                    time.sleep(0.2)
+                yield from real(self, buf, base, rows)
             finally:
-                tracemalloc.stop()
-        assert peaks[0] < 4 << 20
-        # The returned cut arrays (8 bytes per ~avg_size of input) are the
-        # only thing allowed to grow.
-        assert peaks[1] - peaks[0] < 128 << 10
+                with lock:
+                    running.discard(base)
+
+        return mock.patch.object(scan.PairScan, "_segment", segment), started, running
+
+    @mock.patch.object(scan, "_WIDTH", 3)
+    def test_concurrent_scans_share_the_helpers(self):
+        """More callers than CPUs, switching threads every 10 us, hand their
+        segments to one pool: every caller still gets its own cuts."""
+        chunker = RabinChunker()
+        payloads = [DRBG(f"scan-share-{i}").random_bytes(600_000) for i in range(4)]
+        with mock.patch.object(scan, "_WIDTH", 1):
+            want = [chunker._scan(payload) for payload in payloads]
+        got = [[] for _ in payloads]
+
+        def caller(i):
+            for _ in range(3):
+                got[i].append(chunker._scan(payloads[i]))
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(payloads))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for cuts, expected in zip(got, want, strict=True):
+            assert len(cuts) == 3 and all(np.array_equal(c, expected) for c in cuts)
+
+    @mock.patch.object(scan, "_WIDTH", 2)
+    def test_a_child_forked_after_the_pool_exists_cuts_like_its_parent(self):
+        chunker = RabinChunker()
+        data = DRBG("scan-fork").random_bytes(1 << 20)
+        assert chunker._kernel.segments(len(data)) == 4
+        want = chunker._scan(data)
+        assert scan._pool is not None
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child never returns
+            try:
+                os.write(write_end, chunker._scan(data).tobytes())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        # A child handing segments to the parent's helper (no thread of
+        # its own) would wait forever: fail the test, do not hang it.
+        pidfd = os.pidfd_open(pid)
+        try:
+            exited, _, _ = select.select([pidfd], [], [], 120)
+        finally:
+            os.close(pidfd)
+        if not exited:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        with os.fdopen(read_end, "rb") as pipe:
+            got = np.frombuffer(pipe.read(), dtype=np.int64)
+        assert exited, "the forked child never finished its scan"
+        assert want.size > 0 and np.array_equal(got, want)
+
+    @mock.patch.object(scan, "_WIDTH", 3)
+    def test_a_failing_segment_raises_in_the_caller_after_its_helpers_stop(self):
+        data = DRBG("scan-error").random_bytes(1 << 20)
+        patch, started, running = self.watched_segments(fail_at=scan.BLOCK)
+        with patch, pytest.raises(ValueError, match=f"segment {scan.BLOCK} failed"):
+            RabinChunker()._scan(data)
+        assert running == set()
+        # The first round (the caller's segment, two helpers') ran; the
+        # segment after it was never submitted.
+        assert started == {0, scan.BLOCK, 2 * scan.BLOCK}
+
+    @mock.patch.object(scan, "_WIDTH", 2)
+    def test_closing_the_scan_early_waits_for_the_segments_in_flight(self):
+        data = DRBG("scan-close").random_bytes(1 << 20)
+        patch, started, running = self.watched_segments()
+        with patch:
+            candidates = RabinChunker()._kernel.candidates(data)
+            next(candidates)  # the caller's first batch; a helper has the next segment
+            candidates.close()
+            assert running == set()
+        assert started == {0, scan.BLOCK}
 
 
 def _chunk_via_spec(spec: ChunkerSpec, data: bytes) -> list[tuple[bytes, int, int]]:

@@ -15,9 +15,11 @@ from __future__ import annotations
 import io
 import json
 import threading
+from unittest import mock
 
 import pytest
 
+from repro.chunking import scan
 from repro.chunking.fixed import FixedChunker
 from repro.client.client import CDStoreClient
 from repro.cloud.network import Link
@@ -482,10 +484,12 @@ class TestTraceE2E:
 
 
 class TestUploadStages:
+    @mock.patch.object(scan, "_WIDTH", 2)
     def test_upload_trace_has_one_chunk_stage_inside_it(self):
         """Chunking is a stage an operator can see: one ``chunk`` child per
         ``upload`` root (and one histogram observation per file, none per
-        chunk), its interval inside its parent's."""
+        chunk), its interval inside its parent's, labelled with the
+        segments its cut scan ran in (300 KB splits in two at width 2)."""
         from repro.obs.registry import REGISTRY
 
         def observations() -> int:
@@ -508,7 +512,9 @@ class TestUploadStages:
         (upload,) = [s for s in client.spans.spans() if s.name == "upload"]
         (chunk,) = [s for s in client.spans.spans() if s.name == "chunk"]
         assert (chunk.trace_id, chunk.parent_id) == (upload.trace_id, upload.span_id)
-        assert chunk.labels == {"bytes": 300_000, "chunker": "rabin:avg=4096,min=1024"}
+        assert chunk.labels == {
+            "bytes": 300_000, "chunker": "rabin:avg=4096,min=1024", "segments": 2,
+        }
         assert upload.start <= chunk.start
         assert chunk.start + chunk.duration <= upload.start + upload.duration
         assert 0 < chunk.duration < upload.duration
