@@ -14,9 +14,11 @@ Gives the library the operational surface a downstream user expects:
     python -m repro serve   --root ./store --cloud 0 --port 9300
 
 The deployment persists under ``--root``: one :class:`LocalDirBackend`
-directory per simulated cloud and one LSM index directory per server, so
-separate invocations see the same state (including deduplication against
-earlier backups).
+directory per simulated cloud, one LSM index directory and one crash-only
+state directory per server, so separate invocations see the same state
+(including deduplication against earlier backups).  Every command opens
+a root's local clouds with the servers ``repro serve`` runs, one process
+at a time.
 
 Network mode: ``repro serve`` hosts one cloud's server as a TCP service,
 and ``repro init --cloud-spec tcp://host:port`` records that a cloud
@@ -28,21 +30,32 @@ binary wire protocol, mixing local and remote clouds freely.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 from pathlib import Path
 
-from repro.chunking import DEFAULT_CHUNKER, ChunkerSpec, chunker_names
+from repro.chunking import DEFAULT_CHUNKER, chunker_names
 from repro.client.comm import PIPELINE_DEPTH
-from repro.cloud.network import Link
-from repro.cloud.provider import CloudProvider
-from repro.config import CONFIG_FILE_NAME, CloudSpec, GatewaySpec, ReproConfig
+from repro.config import (
+    CONFIG_FILE_NAME,
+    CloudSpec,
+    GatewaySpec,
+    ReproConfig,
+    chunker_spec,
+    cloud_index,
+    cloud_spec,
+    non_negative_seconds,
+    positive_int,
+    positive_number,
+    remote_spec,
+    tcp_port,
+)
 from repro.errors import ReproError
 from repro.obs.log import StructuredLog
-from repro.storage.backend import LocalDirBackend
-from repro.system.cdstore import CDStoreSystem
+from repro.system.cdstore import CDStoreSystem, open_root_server
 from repro.tenants import (
     TENANTS_FILE_NAME,
     Credentials,
@@ -59,101 +72,27 @@ __all__ = ["main", "build_parser"]
 SECRET_ENV = "REPRO_TENANT_SECRET"
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: a strictly positive integer.
+def _flag(check, parse=str):
+    """argparse ``type`` running one :mod:`repro.config` field check.
 
-    Validating here turns ``--pipeline-depth 0`` into a clear usage error
-    at parse time instead of a :class:`ParameterError` surfacing from deep
-    inside the comm engine mid-backup.
+    ``parse`` turns the flag's text into the value ``check`` validates.
+    Text it cannot parse, or a value the check rejects, is a usage error
+    (exit 2, naming the flag) at the prompt — before any cloud is
+    touched — by the same rule the config layer applies to the value
+    when it is persisted or loaded.
     """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
 
+    def convert(text: str):
+        try:
+            return check(parse(text))
+        except ReproError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {parse.__name__}, got {text!r}"
+            ) from None
 
-def _chunker_arg(text: str) -> str:
-    """argparse type: a chunker spec string, validated eagerly.
-
-    Parses the spec *and* constructs the chunker once, so an unknown name,
-    a bad parameter or an out-of-range value (``gear:avg=1000``) fails as
-    an argparse usage error before any cloud is touched.  Returns the
-    original string (the system re-resolves it).
-    """
-    try:
-        ChunkerSpec.parse(text).create()
-    except ReproError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
-
-
-def _port_arg(text: str) -> int:
-    """argparse type: a TCP port in 1-65535."""
-    try:
-        port = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a port number, got {text!r}") from None
-    if not 1 <= port <= 65535:
-        raise argparse.ArgumentTypeError(f"port {port} outside 1-65535")
-    return port
-
-
-def _nonneg_int(text: str) -> int:
-    """argparse type: an integer >= 0 (cloud indices)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
-
-
-def _cloud_spec_arg(text: str) -> str:
-    """argparse type: ``local`` or a validated ``tcp://host:port`` spec.
-
-    Parsed eagerly (matching the ``--chunker`` validation style) so a
-    malformed spec is a usage error at the prompt, not a
-    :class:`ParameterError` surfacing from the proxy mid-backup.
-    """
-    try:
-        CloudSpec.parse(text)
-    except ReproError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
-
-
-def _remote_spec_arg(text: str) -> str:
-    """argparse type: a ``tcp://host:port`` spec (gateway endpoints and
-    replicas are network services by definition — 'local' is rejected at
-    the prompt, not from deep inside proxy construction)."""
-    try:
-        spec = CloudSpec.parse(text)
-    except ReproError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not spec.is_remote:
-        raise argparse.ArgumentTypeError(
-            f"expected a tcp://host:port spec, got {text!r}"
-        )
-    return text
-
-
-def _nonneg_float(text: str) -> float:
-    """argparse type: a float >= 0 (cache TTLs)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {value}")
-    return value
-
-
-def _load_config(root: Path) -> ReproConfig:
-    return ReproConfig.from_file(root)
+    return convert
 
 
 def _apply_obs(config: ReproConfig) -> dict:
@@ -199,27 +138,44 @@ def _credentials_from(args: argparse.Namespace) -> Credentials | None:
     return Credentials(tenant_id=tenant, secret=secret)
 
 
-def _load_system(root: Path, args: argparse.Namespace | None = None) -> CDStoreSystem:
-    credentials = _credentials_from(args) if args is not None else None
+def _open_system(args: argparse.Namespace) -> CDStoreSystem:
+    """The system over ``--root``: its local clouds get the crash-only
+    servers ``repro serve`` runs, so opening the root recovers it."""
+    root = Path(args.root)
     return CDStoreSystem.from_config(
-        _load_config(root), root=root, credentials=credentials
+        ReproConfig.from_file(root), root=root, credentials=_credentials_from(args)
     )
 
 
-def _client_trace_id(client) -> str | None:
-    """The trace id of the client's most recent root span, if any."""
-    spans = client.spans.spans()
-    return spans[-1].trace_id if spans else None
+def _tenant_registry(root: Path, tenants_file: str | Path | None) -> TenantRegistry | None:
+    """The registry ``tenants_file`` names, else ``tenants.json`` under
+    ``root`` when present; ``None`` means open mode."""
+    if tenants_file is None and (root / TENANTS_FILE_NAME).exists():
+        tenants_file = root / TENANTS_FILE_NAME
+    return TenantRegistry.from_file(tenants_file) if tenants_file is not None else None
 
 
-def _emit_summary(args: argparse.Namespace, event: str, human: str, **fields) -> None:
+def _front_end_caps(executor_size, max_connections, write_queue_cap) -> dict:
+    """The async front-end caps that were set; unset ones keep its defaults."""
+    caps = dict(executor_size=executor_size, max_connections=max_connections,
+                write_queue_cap=write_queue_cap)
+    return {name: value for name, value in caps.items() if value is not None}
+
+
+def _emit_summary(args: argparse.Namespace, client, event: str, human: str, **fields) -> None:
     """One operation summary: a JSON event under ``--log-json``, prose
-    otherwise.  The JSON line carries every field (tenant and trace ids
+    otherwise, both naming the trace id of the client's most recent root
+    span.  The JSON line carries every field (tenant and trace ids
     included) so log shippers need no prose parsing."""
-    if getattr(args, "log_json", False):
-        StructuredLog(json_lines=True).event(event, **fields)
+    spans = client.spans.spans()
+    trace_id = spans[-1].trace_id if spans else None
+    if args.log_json:
+        StructuredLog(json_lines=True).event(
+            event, user=args.user, tenant=args.tenant or args.user,
+            trace_id=trace_id, **fields,
+        )
     else:
-        print(human)
+        print(f"{human} [trace {trace_id}]")
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +187,12 @@ def cmd_init(args: argparse.Namespace) -> int:
     root = Path(args.root)
     config_path = root / CONFIG_FILE_NAME
     if config_path.exists():
-        print(f"error: {root} already initialised", file=sys.stderr)
-        return 1
+        raise ReproError(f"{root} already initialised")
     if args.cloud_spec and len(args.cloud_spec) != args.n:
-        print(
-            f"error: got {len(args.cloud_spec)} --cloud-spec values for "
-            f"n={args.n} (pass one per cloud, 'local' or 'tcp://host:port')",
-            file=sys.stderr,
+        raise ReproError(
+            f"got {len(args.cloud_spec)} --cloud-spec values for "
+            f"n={args.n} (pass one per cloud, 'local' or 'tcp://host:port')"
         )
-        return 1
     # Only what was passed: GatewaySpec owns the defaults.
     gateway = {
         key: value
@@ -254,28 +207,20 @@ def cmd_init(args: argparse.Namespace) -> int:
     if args.gateway is not None:
         gateway["endpoint"] = args.gateway
     elif gateway:
-        print(
-            "error: --gateway-* options require --gateway tcp://host:port",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        config = ReproConfig(
-            n=args.n,
-            k=args.k,
-            salt=args.salt,
-            chunker=args.chunker,
-            cloud_specs=tuple(args.cloud_spec) if args.cloud_spec else (),
-            gateway=gateway or None,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ReproError("--gateway-* options require --gateway tcp://host:port")
+    config = ReproConfig(
+        n=args.n,
+        k=args.k,
+        salt=args.salt,
+        chunker=args.chunker,
+        cloud_specs=tuple(args.cloud_spec) if args.cloud_spec else (),
+        gateway=gateway or None,
+    )
     root.mkdir(parents=True, exist_ok=True)
     config.to_file(config_path)
     for i, spec in enumerate(config.cloud_specs):
         if not spec.is_remote:
-            (root / f"cloud-{i}").mkdir(exist_ok=True)
+            open_root_server(root, i).close()
     gateway_note = (
         f", gateway at {config.gateway.endpoint}" if config.gateway is not None else ""
     )
@@ -286,8 +231,7 @@ def cmd_init(args: argparse.Namespace) -> int:
 
 
 def cmd_backup(args: argparse.Namespace) -> int:
-    system = _load_system(Path(args.root), args)
-    try:
+    with _open_system(args) as system:
         source = Path(args.path)
         data = source.read_bytes()
         name = args.name or str(source)
@@ -302,19 +246,15 @@ def cmd_backup(args: argparse.Namespace) -> int:
         )
         receipt = client.upload(name, data)
         client.flush()
-        trace_id = _client_trace_id(client)
         _emit_summary(
             args,
+            client,
             "backup_complete",
             f"backed up {receipt.file_size} bytes as {name!r}: "
             f"{receipt.secret_count} secrets, "
             f"{receipt.transferred_share_bytes} share bytes transferred "
             f"(intra-user saving {receipt.intra_user_saving:.1%}, "
-            f"pipeline depth {receipt.pipeline_depth}) "
-            f"[trace {trace_id}]",
-            user=args.user,
-            tenant=args.tenant or args.user,
-            trace_id=trace_id,
+            f"pipeline depth {receipt.pipeline_depth})",
             path=name,
             file_size=receipt.file_size,
             secret_count=receipt.secret_count,
@@ -323,13 +263,10 @@ def cmd_backup(args: argparse.Namespace) -> int:
             pipeline_depth=receipt.pipeline_depth,
         )
         return 0
-    finally:
-        system.close()
 
 
 def cmd_restore(args: argparse.Namespace) -> int:
-    system = _load_system(Path(args.root), args)
-    try:
+    with _open_system(args) as system:
         client = system.client(
             args.user,
             threads=args.threads,
@@ -339,36 +276,27 @@ def cmd_restore(args: argparse.Namespace) -> int:
         )
         data = client.download(args.name)
         Path(args.output).write_bytes(data)
-        trace_id = _client_trace_id(client)
         _emit_summary(
             args,
+            client,
             "restore_complete",
-            f"restored {len(data)} bytes to {args.output} [trace {trace_id}]",
-            user=args.user,
-            tenant=args.tenant or args.user,
-            trace_id=trace_id,
+            f"restored {len(data)} bytes to {args.output}",
             path=args.name,
             output=str(args.output),
             file_size=len(data),
         )
         return 0
-    finally:
-        system.close()
 
 
 def cmd_ls(args: argparse.Namespace) -> int:
-    system = _load_system(Path(args.root), args)
-    try:
+    with _open_system(args) as system:
         for path in system.client(args.user).list_files():
             print(path)
         return 0
-    finally:
-        system.close()
 
 
 def cmd_delete(args: argparse.Namespace) -> int:
-    system = _load_system(Path(args.root), args)
-    try:
+    with _open_system(args) as system:
         system.client(args.user).delete(args.name)
         if args.gc:
             freed = sum(server.collect_garbage() for server in system.servers)
@@ -376,8 +304,6 @@ def cmd_delete(args: argparse.Namespace) -> int:
         else:
             print(f"deleted {args.name!r}")
         return 0
-    finally:
-        system.close()
 
 
 def build_cloud_server(
@@ -406,21 +332,22 @@ def build_cloud_server(
     outbound queues capped at ``write_queue_cap`` bytes and admission
     capped at ``max_connections``.  The remaining knobs only apply there.
 
-    The serving process is **crash-only**: the server runs with a
-    durable root (container journal + fsynced index commits before every
-    ack), and construction *is* recovery — half-written temporaries are
-    reaped, journaled containers republished and dangling index entries
-    dropped before the port opens.  When ``tenants_file`` is given — or
-    ``tenants.json`` exists under ``root`` — the connection handshake
-    and per-tenant quotas are enforced.
+    The server is :func:`~repro.system.cdstore.open_root_server`'s, the
+    one every command on the root gets: **crash-only**, with a durable
+    root (container journal + fsynced index commits before every ack),
+    locked against a second opener, and construction *is* recovery —
+    half-written temporaries are reaped, journaled containers
+    republished and dangling index entries dropped before the port
+    opens.  When ``tenants_file`` is given — or ``tenants.json`` exists
+    under ``root`` — the connection handshake and per-tenant quotas are
+    enforced.
     """
     from repro.net import AsyncCDStoreTCPServer, CDStoreTCPServer
-    from repro.server.index import LSMIndex
-    from repro.server.server import CDStoreServer, FETCH_BATCH_BYTES
+    from repro.server.server import FETCH_BATCH_BYTES
 
     root = Path(root)
 
-    config = _load_config(root)
+    config = ReproConfig.from_file(root)
     if not 0 <= cloud_index < config.n:
         raise ReproError(
             f"cloud index {cloud_index} outside this deployment's range "
@@ -432,68 +359,63 @@ def build_cloud_server(
             f"cloud {cloud_index} of this deployment is remote "
             f"({spec}); serve it from the deployment that holds its data"
         )
-    registry = None
-    if tenants_file is not None:
-        registry = TenantRegistry.from_file(tenants_file)
-    elif (root / TENANTS_FILE_NAME).exists():
-        registry = TenantRegistry.from_file(root / TENANTS_FILE_NAME)
-    obs = _apply_obs(config)
-    cloud = CloudProvider(
-        name=f"cloud-{cloud_index}",
-        uplink=Link(100.0),
-        downlink=Link(100.0),
-        backend=LocalDirBackend(root / f"cloud-{cloud_index}"),
-    )
-    durable_root = root / "state" / f"server-{cloud_index}"
-    durable_root.mkdir(parents=True, exist_ok=True)
-    server = CDStoreServer(
-        server_id=cloud_index,
-        cloud=cloud,
-        index=LSMIndex(root / "indices" / f"server-{cloud_index}"),
-        durable_root=durable_root,
-        tenants=registry,
-    )
+    registry = _tenant_registry(root, tenants_file)
+    front_end = {
+        "host": host,
+        "port": port,
+        "frame_budget": frame_budget if frame_budget is not None else FETCH_BATCH_BYTES,
+        "tenants": registry,
+        **_apply_obs(config),
+    }
+    server = open_root_server(root, cloud_index, tenants=registry)
     if use_async:
-        extra = {}
-        if executor_size is not None:
-            extra["executor_size"] = executor_size
-        if max_connections is not None:
-            extra["max_connections"] = max_connections
-        if write_queue_cap is not None:
-            extra["write_queue_cap"] = write_queue_cap
         return AsyncCDStoreTCPServer(
             server,
-            host=host,
-            port=port,
-            frame_budget=(
-                frame_budget if frame_budget is not None else FETCH_BATCH_BYTES
-            ),
-            tenants=registry,
-            **extra,
-            **obs,
+            **front_end,
+            **_front_end_caps(executor_size, max_connections, write_queue_cap),
         )
-    return CDStoreTCPServer(
-        server,
-        host=host,
-        port=port,
-        frame_budget=frame_budget if frame_budget is not None else FETCH_BATCH_BYTES,
-        tenants=registry,
-        **obs,
-    )
+    return CDStoreTCPServer(server, **front_end)
+
+
+def _front_end_args(args: argparse.Namespace) -> dict:
+    """The flags ``serve`` and ``gateway`` share, as builder kwargs."""
+    return {
+        "host": args.host,
+        "port": args.port,
+        "tenants_file": args.tenants,
+        "executor_size": args.executor_size,
+        "max_connections": args.max_connections,
+        "write_queue_cap": args.write_queue_cap,
+    }
+
+
+def _serve_until_interrupted(tcp, what: str, details: str, backend, on_interrupt=None) -> int:
+    """Start ``tcp``, print its banner and serve until Ctrl-C, then close
+    the front-end and ``backend`` (the server or gateway behind it)."""
+    try:
+        tcp.start()
+        host, port = tcp.address
+        mode = "authenticated" if tcp.tenants is not None else "open"
+        print(f"serving {what} at tcp://{host}:{port} "
+              f"({mode} mode, {details}; Ctrl-C to stop)")
+        tcp.serve_forever()
+    except KeyboardInterrupt:
+        print("shutting down")
+        if on_interrupt is not None:
+            on_interrupt()
+    finally:
+        tcp.close()
+        backend.close()
+    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     tcp = build_cloud_server(
         Path(args.root),
         args.cloud,
-        host=args.host,
-        port=args.port,
         frame_budget=args.frame_budget,
-        tenants_file=args.tenants,
         use_async=args.use_async,
-        executor_size=args.executor_size,
-        max_connections=args.max_connections,
-        write_queue_cap=args.write_queue_cap,
+        **_front_end_args(args),
     )
     recovery = tcp.server.last_recovery
     if recovery is not None and not recovery.clean:
@@ -502,21 +424,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"{len(recovery.republished_containers)} container(s) republished, "
               f"{recovery.dangling_share_entries + recovery.dangling_file_entries + recovery.dangling_intra_mappings} "
               f"dangling index entrie(s) dropped")
-    tcp.start()
-    host, port = tcp.address
-    mode = "authenticated" if tcp.tenants is not None else "open"
     front_end = "async mux" if args.use_async else "thread-per-connection"
-    print(f"serving cloud {args.cloud} at tcp://{host}:{port} "
-          f"({mode} mode, {front_end} front-end, "
-          f"frame budget {tcp.frame_budget} bytes; Ctrl-C to stop)")
-    try:
-        tcp.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        tcp.close()
-        tcp.server.close()
-    return 0
+    return _serve_until_interrupted(
+        tcp,
+        f"cloud {args.cloud}",
+        f"{front_end} front-end, frame budget {tcp.frame_budget} bytes",
+        tcp.server,
+    )
 
 
 def build_gateway(
@@ -552,13 +466,15 @@ def build_gateway(
     from repro.server.server import FETCH_BATCH_BYTES
 
     root = Path(root)
-    config = _load_config(root)
+    config = ReproConfig.from_file(root)
     gw = config.gateway
     if gw is None:
         raise ReproError(
             f"deployment {root} has no gateway configured "
             "(re-run `repro init` with --gateway, or edit cdstore.json)"
         )
+    # GatewaySpec only admits tcp:// replicas, and only remote cloud
+    # specs stand in for them.
     if gw.replicas:
         replica_specs = list(enumerate(gw.replicas))
     else:
@@ -567,22 +483,13 @@ def build_gateway(
             for index, spec in enumerate(config.cloud_specs)
             if spec.is_remote
         ]
-    bad = [str(spec) for _, spec in replica_specs if not spec.is_remote]
-    if bad:
-        raise ReproError(
-            f"gateway replicas must be tcp://host:port specs, got {bad}"
-        )
     if len(replica_specs) < config.k:
         raise ReproError(
             f"gateway needs at least k={config.k} serving replicas, "
             f"got {len(replica_specs)} (configure gateway.replicas or "
             "serve more clouds remotely)"
         )
-    registry = None
-    if tenants_file is not None:
-        registry = TenantRegistry.from_file(tenants_file)
-    elif (root / TENANTS_FILE_NAME).exists():
-        registry = TenantRegistry.from_file(root / TENANTS_FILE_NAME)
+    registry = _tenant_registry(root, tenants_file)
     replicas = [
         RemoteServerProxy(
             str(spec),
@@ -599,13 +506,6 @@ def build_gateway(
         shard_count=gw.shard_count,
         own_replicas=True,
     )
-    extra = {}
-    if executor_size is not None:
-        extra["executor_size"] = executor_size
-    if max_connections is not None:
-        extra["max_connections"] = max_connections
-    if write_queue_cap is not None:
-        extra["write_queue_cap"] = write_queue_cap
     return AsyncCDStoreTCPServer(
         None,
         host=host,
@@ -613,48 +513,38 @@ def build_gateway(
         frame_budget=FETCH_BATCH_BYTES,
         tenants=registry,
         gateway=service,
-        **extra,
+        **_front_end_caps(executor_size, max_connections, write_queue_cap),
         **_apply_obs(config),
     )
 
 
 def cmd_gateway(args: argparse.Namespace) -> int:
     tcp = build_gateway(
-        Path(args.root),
-        host=args.host,
-        port=args.port,
-        tenants_file=args.tenants,
-        credentials=_credentials_from(args),
-        executor_size=args.executor_size,
-        max_connections=args.max_connections,
-        write_queue_cap=args.write_queue_cap,
+        Path(args.root), credentials=_credentials_from(args), **_front_end_args(args)
     )
     service = tcp.gateway
-    tcp.start()
-    host, port = tcp.address
-    mode = "authenticated" if tcp.tenants is not None else "open"
-    print(f"serving read gateway at tcp://{host}:{port} "
-          f"({mode} mode, {len(service.ring.node_ids)} replica(s), "
-          f"cache {service.cache.capacity_bytes} bytes; Ctrl-C to stop)")
-    try:
-        tcp.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
+
+    def report_cache() -> None:
         stats = service.stats()
         print(f"cache: {stats['cache_hits']} hits, "
               f"{stats['cache_misses']} misses "
               f"({stats['cache_hit_ratio']:.1%} hit ratio)")
-    finally:
-        tcp.close()
-        service.close()
-    return 0
+
+    return _serve_until_interrupted(
+        tcp,
+        "read gateway",
+        f"{len(service.ring.node_ids)} replica(s), "
+        f"cache {service.cache.capacity_bytes} bytes",
+        service,
+        on_interrupt=report_cache,
+    )
 
 
 def cmd_tenant_add(args: argparse.Namespace) -> int:
     root = Path(args.root)
-    _load_config(root)  # must be a deployment
+    ReproConfig.from_file(root)  # must be a deployment
+    registry = _tenant_registry(root, None) or TenantRegistry()
     path = root / TENANTS_FILE_NAME
-    registry = TenantRegistry.from_file(path) if path.exists() else TenantRegistry()
     secret = (
         Path(args.secret_file).read_bytes().strip()
         if args.secret_file is not None
@@ -665,10 +555,9 @@ def cmd_tenant_add(args: argparse.Namespace) -> int:
             tenant_id=args.id,
             secret=secret,
             role=args.role,
+            # The quota flags' dests are TenantQuota's field names.
             quota=TenantQuota(
-                max_bytes=args.max_bytes,
-                max_containers=args.max_containers,
-                max_requests_per_sec=args.max_requests_per_sec,
+                **{f.name: getattr(args, f.name) for f in dataclasses.fields(TenantQuota)}
             ),
         )
     )
@@ -679,28 +568,28 @@ def cmd_tenant_add(args: argparse.Namespace) -> int:
 
 
 def cmd_tenant_list(args: argparse.Namespace) -> int:
-    path = Path(args.root) / TENANTS_FILE_NAME
-    if not path.exists():
+    registry = _tenant_registry(Path(args.root), None)
+    if registry is None:
         print("no tenant registry (open mode)")
         return 0
-    for record in TenantRegistry.from_file(path).records():
+    for record in registry.records():
         quota = record.quota
         limits = ", ".join(
-            f"{name}={getattr(quota, name)}"
-            for name in ("max_bytes", "max_containers", "max_requests_per_sec")
-            if getattr(quota, name) is not None
+            f"{limit.name}={getattr(quota, limit.name)}"
+            for limit in dataclasses.fields(quota)
+            if getattr(quota, limit.name) is not None
         )
         print(f"{record.tenant_id}  role={record.role}"
               f"{'  ' + limits if limits else ''}")
     return 0
 
 
-def _fetch_obs_snapshot(endpoint: str, args: argparse.Namespace) -> dict:
+def _fetch_obs_snapshot(endpoint: CloudSpec, args: argparse.Namespace) -> dict:
     """Dial a front-end and pull one versioned metrics snapshot."""
     from repro.net.client import RemoteServerProxy
 
     proxy = RemoteServerProxy(
-        endpoint, server_id=0, credentials=_credentials_from(args)
+        endpoint.address, server_id=0, credentials=_credentials_from(args)
     )
     try:
         return proxy.obs_stats()
@@ -712,6 +601,14 @@ def _histogram_stats(series: dict) -> tuple[int, float]:
     return int(series.get("count", 0)), float(series.get("sum", 0.0))
 
 
+def _series(metrics: dict):
+    """``(name{labels}, value)`` for every series of a snapshot's metric
+    family (``{name: {labels: value}}``), sorted."""
+    for name in sorted(metrics):
+        for key, value in sorted(metrics[name].items()):
+            yield name + (f"{{{key}}}" if key else ""), value
+
+
 def _render_obs_table(snapshot: dict) -> list[str]:
     """Human rendering of one obs snapshot (the ``repro stats`` table)."""
     lines = [
@@ -719,31 +616,17 @@ def _render_obs_table(snapshot: dict) -> list[str]:
         f"(server id {snapshot.get('server_id', '?')}, "
         f"snapshot v{snapshot.get('version', '?')})"
     ]
-    counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
-    histograms = snapshot.get("histograms", {})
-    if counters:
-        lines.append("counters:")
-        for name in sorted(counters):
-            for key, value in sorted(counters[name].items()):
-                label = f"{{{key}}}" if key else ""
-                lines.append(f"  {name}{label}  {value}")
-    if gauges:
-        lines.append("gauges:")
-        for name in sorted(gauges):
-            for key, value in sorted(gauges[name].items()):
-                label = f"{{{key}}}" if key else ""
-                lines.append(f"  {name}{label}  {value}")
-    if histograms:
+    for family in ("counters", "gauges"):
+        if snapshot.get(family):
+            lines.append(f"{family}:")
+            for label, value in _series(snapshot[family]):
+                lines.append(f"  {label}  {value}")
+    if snapshot.get("histograms"):
         lines.append("histograms (count / total s / mean s):")
-        for name in sorted(histograms):
-            for key, series in sorted(histograms[name].items()):
-                label = f"{{{key}}}" if key else ""
-                count, total = _histogram_stats(series)
-                mean = total / count if count else 0.0
-                lines.append(
-                    f"  {name}{label}  {count} / {total:.4f} / {mean:.6f}"
-                )
+        for label, series in _series(snapshot["histograms"]):
+            count, total = _histogram_stats(series)
+            mean = total / count if count else 0.0
+            lines.append(f"  {label}  {count} / {total:.4f} / {mean:.6f}")
     spans = snapshot.get("spans", [])
     lines.append(f"spans in ring: {len(spans)}")
     return lines
@@ -763,14 +646,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 print(line)
         return 0
     if args.root is None:
-        print(
-            "error: pass --root for storage stats, or a tcp://host:port "
-            "endpoint for a live server's metrics",
-            file=sys.stderr,
+        raise ReproError(
+            "pass --root for storage stats, or a tcp://host:port "
+            "endpoint for a live server's metrics"
         )
-        return 1
-    system = _load_system(Path(args.root), args)
-    try:
+    with _open_system(args) as system:
         print(f"clouds: {system.n} (k = {system.k})")
         # Per-cloud accounting degrades gracefully: stats is a read-only
         # diagnostic, so one unreachable remote cloud must not hide the
@@ -795,8 +675,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         for line in lines:
             print(line)
         return 0
-    finally:
-        system.close()
 
 
 def cmd_top(args: argparse.Namespace) -> int:
@@ -819,10 +697,8 @@ def cmd_top(args: argparse.Namespace) -> int:
             now = time.monotonic()
             print(f"--- {args.endpoint} "
                   f"({snapshot.get('component', '?')}, round {rounds + 1}) ---")
-            for name in sorted(snapshot.get("gauges", {})):
-                for key, value in sorted(snapshot["gauges"][name].items()):
-                    label = f"{{{key}}}" if key else ""
-                    print(f"  {name}{label}  {value}")
+            for label, value in _series(snapshot.get("gauges", {})):
+                print(f"  {label}  {value}")
             frames = snapshot.get("histograms", {}).get("net_dispatch_seconds", {})
             if frames:
                 print("  frame rates (req/s, mean ms):")
@@ -853,14 +729,12 @@ def cmd_tenant_stats(args: argparse.Namespace) -> int:
     from repro.obs.registry import REGISTRY
 
     root = Path(args.root)
-    _load_config(root)  # must be a deployment
-    path = root / TENANTS_FILE_NAME
-    if not path.exists():
+    ReproConfig.from_file(root)  # must be a deployment
+    registry = _tenant_registry(root, None)
+    if registry is None:
         print("no tenant registry (open mode)")
         return 0
-    registry = TenantRegistry.from_file(path)
-    system = _load_system(root, args)
-    try:
+    with _open_system(args) as system:
         limited = REGISTRY.snapshot()["counters"].get(
             "dispatch_rate_limited_total", {}
         )
@@ -870,9 +744,10 @@ def cmd_tenant_stats(args: argparse.Namespace) -> int:
             total_bytes = containers = 0
             skipped = 0
             for server in system.servers:
-                # Remote proxies expose no tenant-usage frame; their rows
-                # come from running tenant-stats next to the serving
-                # process (the usage ledger is per-server state).
+                # Remote proxies expose no tenant-usage frame, and the
+                # usage ledger is per-server state: a cloud's rows come
+                # from opening its root, which fails while `repro serve`
+                # holds it (one process per root) — stop the server first.
                 usage_fn = getattr(server, "tenant_usage", None)
                 if usage_fn is None:
                     skipped += 1
@@ -885,8 +760,6 @@ def cmd_tenant_stats(args: argparse.Namespace) -> int:
             print(f"{record.tenant_id:<20} {record.role:<7} {total_bytes:>14} "
                   f"{containers:>11} {hits:>13}{note}")
         return 0
-    finally:
-        system.close()
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -944,51 +817,52 @@ def build_parser() -> argparse.ArgumentParser:
         "backups made with the same chunker, so an existing root keeps the "
         "one its config file records"
     )
+    positive = _flag(positive_int, int)
+    remote = _flag(remote_spec)
 
     p = sub.add_parser("init", help="create a deployment directory")
-    p.add_argument("--root", required=True)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--salt", default="")
     p.add_argument(
-        "--chunker", type=_chunker_arg, default=DEFAULT_CHUNKER,
+        "--chunker", type=_flag(chunker_spec), default=DEFAULT_CHUNKER,
         help=f"deployment-wide default {chunker_help}",
     )
     p.add_argument(
-        "--cloud-spec", type=_cloud_spec_arg, action="append", default=None,
+        "--cloud-spec", type=_flag(cloud_spec), action="append", default=None,
         metavar="SPEC",
         help="where each cloud lives: 'local' (a directory under --root) "
              "or 'tcp://host:port' (a `repro serve` process); repeat once "
              "per cloud, in cloud order — persisted deployment-wide",
     )
     p.add_argument(
-        "--gateway", type=_remote_spec_arg, default=None, metavar="SPEC",
+        "--gateway", type=remote, default=None, metavar="SPEC",
         help="tcp://host:port of the deployment's read gateway (`repro "
              "gateway` serves it there); clients then restore through it "
              "with automatic direct-quorum fallback",
     )
     p.add_argument(
-        "--gateway-cache-bytes", type=_positive_int, default=None,
+        "--gateway-cache-bytes", type=positive, default=None,
         dest="gateway_cache_bytes", metavar="BYTES",
         help="gateway hot-container cache bound in bytes of cached share "
              f"payload (default {GatewaySpec.cache_bytes >> 20} MB; requires "
              "--gateway)",
     )
     p.add_argument(
-        "--gateway-recipe-ttl", type=_nonneg_float, default=None,
-        dest="gateway_recipe_ttl", metavar="SECONDS",
+        "--gateway-recipe-ttl", type=_flag(non_negative_seconds, float),
+        default=None, dest="gateway_recipe_ttl", metavar="SECONDS",
         help="gateway resolution-cache TTL; 0 revalidates recipes on "
              f"every resolve (default {GatewaySpec.recipe_ttl:g}; requires "
              "--gateway)",
     )
     p.add_argument(
-        "--gateway-shard-count", type=_positive_int, default=None,
+        "--gateway-shard-count", type=positive, default=None,
         dest="gateway_shard_count", metavar="N",
         help="virtual nodes per replica on the gateway's consistent-hash "
              f"ring (default {GatewaySpec.shard_count}; requires --gateway)",
     )
     p.add_argument(
-        "--gateway-replica", type=_remote_spec_arg, action="append",
+        "--gateway-replica", type=remote, action="append",
         default=None, dest="gateway_replica", metavar="SPEC",
         help="serving replica the gateway fetches from; repeat in cloud "
              "order (defaults to the deployment's remote cloud specs; "
@@ -1004,52 +878,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "tcp:// cloud spec talk to it over the binary wire "
                     "protocol. Runs until interrupted.",
     )
-    p.add_argument("--root", required=True)
     p.add_argument(
-        "--cloud", type=_nonneg_int, required=True,
+        "--cloud", type=_flag(cloud_index, int), required=True,
         help="cloud index to serve (0-based)",
     )
     p.add_argument(
-        "--port", type=_port_arg, required=True,
-        help="TCP port to listen on (1-65535)",
-    )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument(
-        "--frame-budget", type=_positive_int, default=None, dest="frame_budget",
+        "--frame-budget", type=positive, default=None, dest="frame_budget",
         help="cap (bytes) on one fetch-shares reply frame and on the "
              "server-side working set of a streamed fetch (default 4 MB)",
-    )
-    p.add_argument(
-        "--tenants", default=None, metavar="PATH",
-        help="tenant registry JSON enabling authenticated multi-tenant "
-             f"mode (defaults to {TENANTS_FILE_NAME} under --root when "
-             "present; omit both for open mode)",
     )
     p.add_argument(
         "--async", dest="use_async", action="store_true",
         help="use the multiplexed event-loop front-end: thousands of "
              "connections share one loop and a bounded worker pool "
              "instead of one thread per connection",
-    )
-    p.add_argument(
-        "--executor-size", type=_positive_int, default=None,
-        dest="executor_size", metavar="N",
-        help="worker threads executing requests behind the async "
-             "front-end (default 8; only with --async)",
-    )
-    p.add_argument(
-        "--max-connections", type=_positive_int, default=None,
-        dest="max_connections", metavar="N",
-        help="connection cap for the async front-end; excess connects "
-             "are refused with a typed overload error (default 1000; "
-             "only with --async)",
-    )
-    p.add_argument(
-        "--write-queue-cap", type=_positive_int, default=None,
-        dest="write_queue_cap", metavar="BYTES",
-        help="per-connection outbound queue cap; clients that stop "
-             "reading past this backlog are evicted (default 16 MB; "
-             "only with --async)",
     )
     p.set_defaults(func=cmd_serve)
 
@@ -1063,114 +905,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "byte-bounded hot-container cache. Runs until "
                     "interrupted.",
     )
-    p.add_argument("--root", required=True)
-    p.add_argument(
-        "--port", type=_port_arg, required=True,
-        help="TCP port to listen on (1-65535)",
-    )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument(
-        "--tenants", default=None, metavar="PATH",
-        help="tenant registry JSON enabling authenticated multi-tenant "
-             f"mode (defaults to {TENANTS_FILE_NAME} under --root when "
-             "present; omit both for open mode)",
-    )
-    p.add_argument(
-        "--tenant", default=None,
-        help="admin tenant id the gateway authenticates as against "
-             "multi-tenant replicas (owner scoping would refuse a "
-             "plain tenant's cross-tenant fetches)",
-    )
-    p.add_argument(
-        "--secret-file", default=None, dest="secret_file", metavar="PATH",
-        help="file holding the gateway's tenant shared secret "
-             f"(alternatively set ${SECRET_ENV}); omit against open-mode "
-             "replicas",
-    )
-    p.add_argument(
-        "--executor-size", type=_positive_int, default=None,
-        dest="executor_size", metavar="N",
-        help="worker threads executing gateway requests (default 8)",
-    )
-    p.add_argument(
-        "--max-connections", type=_positive_int, default=None,
-        dest="max_connections", metavar="N",
-        help="connection cap; excess connects are refused with a typed "
-             "overload error (default 1000)",
-    )
-    p.add_argument(
-        "--write-queue-cap", type=_positive_int, default=None,
-        dest="write_queue_cap", metavar="BYTES",
-        help="per-connection outbound queue cap; clients that stop "
-             "reading past this backlog are evicted (default 16 MB)",
-    )
     p.set_defaults(func=cmd_gateway)
 
     p = sub.add_parser("backup", help="back up a file")
-    p.add_argument("--root", required=True)
-    p.add_argument("--user", required=True)
     p.add_argument("path")
     p.add_argument("--name", help="stored name (defaults to the path)")
     p.add_argument(
-        "--chunker", type=_chunker_arg, default=None,
+        "--chunker", type=_flag(chunker_spec), default=None,
         help=f"override the deployment's {chunker_help}",
-    )
-    p.add_argument(
-        "--threads", type=_positive_int, default=1,
-        help="encode/transfer threads; >1 uploads to all clouds "
-             "concurrently (§4.6)",
     )
     p.add_argument(
         "--workers", choices=["thread", "process"], default="thread",
         help="encode-pool flavour: 'process' escapes the GIL and scales "
              "encoding with cores; 'thread' avoids fork/pickling overhead",
     )
-    p.add_argument(
-        "--pipeline-depth", type=_positive_int, default=None, dest="pipeline_depth",
-        help="transfer-pipeline depth: encode slabs in flight between "
-             "encoding and the per-cloud upload queues (at least --threads "
-             "are kept in flight); with --threads 1, 1 encodes and uploads "
-             "one slab at a time on the calling thread; unset uses "
-             f"{PIPELINE_DEPTH} (one slab encoding while one is on the wire)",
-    )
-    p.add_argument(
-        "--log-json", action="store_true", dest="log_json",
-        help="emit the operation summary as one structured JSON line "
-             "(tenant and trace ids included) instead of prose",
-    )
     p.set_defaults(func=cmd_backup)
 
     p = sub.add_parser("restore", help="restore a file")
-    p.add_argument("--root", required=True)
-    p.add_argument("--user", required=True)
     p.add_argument("name")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument(
-        "--threads", type=_positive_int, default=1,
-        help="transfer threads; >1 (or --pipeline-depth >1, the default) "
-             "fetches from the k clouds concurrently",
-    )
-    p.add_argument(
-        "--pipeline-depth", type=_positive_int, default=None, dest="pipeline_depth",
-        help="restore depth: 4 MB share windows fetched ahead of the one "
-             "being decoded; with --threads 1, 1 fetches and decodes one "
-             f"window at a time on the calling thread; unset uses {PIPELINE_DEPTH}",
-    )
-    p.add_argument(
-        "--log-json", action="store_true", dest="log_json",
-        help="emit the operation summary as one structured JSON line "
-             "(tenant and trace ids included) instead of prose",
-    )
     p.set_defaults(func=cmd_restore)
 
     p = sub.add_parser("ls", help="list a user's backups")
-    p.add_argument("--root", required=True)
-    p.add_argument("--user", required=True)
     p.set_defaults(func=cmd_ls)
 
     p = sub.add_parser("delete", help="delete a backup")
-    p.add_argument("--root", required=True)
-    p.add_argument("--user", required=True)
     p.add_argument("name")
     p.add_argument("--gc", action="store_true", help="run garbage collection")
     p.set_defaults(func=cmd_delete)
@@ -1185,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "admin-gated stats frame.",
     )
     p.add_argument(
-        "endpoint", nargs="?", type=_remote_spec_arg, default=None,
+        "endpoint", nargs="?", type=remote, default=None,
         help="tcp://host:port of a `repro serve`/`repro gateway` "
              "front-end to query for live metrics",
     )
@@ -1208,13 +967,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "rates (counter deltas between rounds). Runs until "
                     "Ctrl-C, or for --iterations rounds.",
     )
-    p.add_argument("endpoint", type=_remote_spec_arg)
+    p.add_argument("endpoint", type=remote)
     p.add_argument(
-        "--interval", type=_nonneg_float, default=2.0,
+        "--interval", type=_flag(non_negative_seconds, float), default=2.0,
         help="seconds between refreshes (default 2)",
     )
     p.add_argument(
-        "--iterations", type=_positive_int, default=None,
+        "--iterations", type=positive, default=None,
         help="stop after this many rounds (default: run until Ctrl-C)",
     )
     p.set_defaults(func=cmd_top)
@@ -1227,24 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "server keeps) plus rate-limited request counts from "
                     "the metrics registry.",
     )
-    p.add_argument("--root", required=True)
     p.set_defaults(func=cmd_tenant_stats)
-
-    # Every command that drives remote clouds accepts tenant credentials;
-    # adding the flags in one loop keeps the surfaces identical.
-    for cmd_parser in (sub.choices[name]
-                       for name in ("backup", "restore", "ls", "delete",
-                                    "stats", "top", "tenant-stats")):
-        cmd_parser.add_argument(
-            "--tenant", default=None,
-            help="tenant id to authenticate as against multi-tenant "
-                 "`repro serve` clouds (defaults to --user)",
-        )
-        cmd_parser.add_argument(
-            "--secret-file", default=None, dest="secret_file", metavar="PATH",
-            help="file holding the tenant shared secret (alternatively set "
-                 f"${SECRET_ENV}); omit against open-mode servers",
-        )
 
     p = sub.add_parser(
         "tenant",
@@ -1255,26 +997,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tenant_sub = p.add_subparsers(dest="tenant_command", required=True)
     tp = tenant_sub.add_parser("add", help="add a tenant to the registry")
-    tp.add_argument("--root", required=True)
     tp.add_argument("--id", required=True, help="tenant id")
-    tp.add_argument(
-        "--secret-file", default=None, dest="secret_file", metavar="PATH",
-        help=f"file holding the shared secret (or set ${SECRET_ENV})",
-    )
     tp.add_argument(
         "--role", choices=["tenant", "admin"], default="tenant",
         help="admin tenants may run maintenance (scrub, GC, repair) and "
              "read cross-tenant aggregates",
     )
-    tp.add_argument("--max-bytes", type=_positive_int, default=None,
+    # TenantQuota's own checks: a bad limit is a usage error at the prompt.
+    tp.add_argument("--max-bytes", type=positive, default=None,
                     dest="max_bytes", help="storage quota in bytes")
-    tp.add_argument("--max-containers", type=_positive_int, default=None,
+    tp.add_argument("--max-containers", type=positive, default=None,
                     dest="max_containers", help="sealed-container quota")
-    tp.add_argument("--max-requests-per-sec", type=float, default=None,
-                    dest="max_requests_per_sec", help="request rate limit")
+    tp.add_argument("--max-requests-per-sec", type=_flag(positive_number, float),
+                    default=None, dest="max_requests_per_sec",
+                    help="request rate limit")
     tp.set_defaults(func=cmd_tenant_add)
     tp = tenant_sub.add_parser("list", help="list registered tenants")
-    tp.add_argument("--root", required=True)
     tp.set_defaults(func=cmd_tenant_list)
 
     p = sub.add_parser(
@@ -1302,6 +1040,87 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weekly-tb", type=float, default=16.0)
     p.add_argument("--dedup", type=float, default=10.0)
     p.set_defaults(func=cmd_cost)
+
+    # Flags several subcommands share are declared once each, so their
+    # surfaces cannot drift apart.
+    commands = {
+        **sub.choices,
+        **{f"tenant {name}": child for name, child in tenant_sub.choices.items()},
+    }
+
+    def shared(names: str, *flags: str, **kwargs) -> None:
+        for name in names.split(","):
+            commands[name].add_argument(*flags, **kwargs)
+
+    shared("init,serve,gateway,backup,restore,ls,delete,tenant-stats,"
+           "tenant add,tenant list", "--root", required=True)
+    shared("backup,restore,ls,delete", "--user", required=True)
+    shared("serve,gateway", "--port", type=_flag(tcp_port, int), required=True,
+           help="TCP port to listen on (1-65535)")
+    shared("serve,gateway", "--host", default="127.0.0.1", help="bind address")
+    shared(
+        "serve,gateway", "--tenants", default=None, metavar="PATH",
+        help="tenant registry JSON enabling authenticated multi-tenant "
+             f"mode (defaults to {TENANTS_FILE_NAME} under --root when "
+             "present; omit both for open mode)",
+    )
+    shared(
+        "serve,gateway", "--executor-size", type=positive, default=None,
+        dest="executor_size", metavar="N",
+        help="worker threads executing requests behind the async "
+             "front-end (default 8; `serve` runs it only with --async)",
+    )
+    shared(
+        "serve,gateway", "--max-connections", type=positive, default=None,
+        dest="max_connections", metavar="N",
+        help="connection cap for the async front-end; excess connects "
+             "are refused with a typed overload error (default 1000; "
+             "`serve` runs it only with --async)",
+    )
+    shared(
+        "serve,gateway", "--write-queue-cap", type=positive, default=None,
+        dest="write_queue_cap", metavar="BYTES",
+        help="per-connection outbound queue cap; clients that stop "
+             "reading past this backlog are evicted (default 16 MB; "
+             "`serve` runs it only with --async)",
+    )
+    shared(
+        "backup,restore", "--threads", type=positive, default=1,
+        help="encode/transfer threads; >1 moves shares to or from all "
+             "clouds concurrently (§4.6), as a restore also does at its "
+             "default --pipeline-depth",
+    )
+    shared(
+        "backup,restore", "--pipeline-depth", type=positive, default=None,
+        dest="pipeline_depth",
+        help="pipeline depth: encode slabs (backup) or 4 MB share windows "
+             "(restore) in flight between the codec and the wire; a backup "
+             "keeps at least --threads slabs in flight; with --threads 1, "
+             "1 encodes and uploads (or fetches and decodes) one at a time "
+             f"on the calling thread; unset uses {PIPELINE_DEPTH} (one "
+             "encoding or decoding while one is on the wire)",
+    )
+    shared(
+        "backup,restore", "--log-json", action="store_true", dest="log_json",
+        help="emit the operation summary as one structured JSON line "
+             "(tenant and trace ids included) instead of prose",
+    )
+    # Every command that drives remote clouds accepts tenant credentials.
+    drives_clouds = "gateway,backup,restore,ls,delete,stats,top,tenant-stats"
+    shared(
+        drives_clouds, "--tenant", default=None,
+        help="tenant id to authenticate as against multi-tenant "
+             "`repro serve` clouds (defaults to --user; the gateway needs "
+             "an admin tenant, as owner scoping would refuse a plain "
+             "tenant's cross-tenant fetches)",
+    )
+    shared(
+        drives_clouds + ",tenant add", "--secret-file", default=None,
+        dest="secret_file", metavar="PATH",
+        help="file holding the tenant shared secret (alternatively set "
+             f"${SECRET_ENV}); `tenant add` registers it, the other "
+             "commands authenticate with it; omit against open-mode servers",
+    )
 
     return parser
 

@@ -12,7 +12,13 @@ network client.  This module is now the single place those settings are
 * :class:`ReproConfig` — every deployment-wide knob, validated once at
   construction; ``repro init`` writes it, every other command loads it,
   and :meth:`~repro.system.cdstore.CDStoreSystem.from_config` builds a
-  system straight from it.
+  system straight from it;
+* the field checks (:func:`positive_int`, :func:`tcp_port`,
+  :func:`chunker_spec`, …) — each kind of setting is validated by one
+  small function.  The dataclasses here and
+  :class:`~repro.tenants.TenantQuota` call them from ``__post_init__``,
+  and the CLI wraps the same functions as argparse types, so a bad value
+  breaks one rule everywhere.
 
 Secrets are deliberately *not* part of the config: tenant credentials
 (:class:`~repro.tenants.Credentials`) are passed separately so the
@@ -21,17 +27,84 @@ config file stays safe to commit and copy around.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
-from repro.chunking.registry import DEFAULT_CHUNKER
+from repro.chunking.registry import DEFAULT_CHUNKER, ChunkerSpec
 from repro.errors import ParameterError, ReproError
 
-__all__ = ["CloudSpec", "GatewaySpec", "ObsSpec", "ReproConfig", "CONFIG_FILE_NAME"]
+__all__ = [
+    "CloudSpec", "GatewaySpec", "ObsSpec", "ReproConfig", "CONFIG_FILE_NAME",
+    "chunker_spec", "cloud_index", "cloud_spec", "non_negative_seconds",
+    "positive_int", "positive_number", "remote_spec", "tcp_port",
+]
 
 #: Conventional config file name under a deployment root.
 CONFIG_FILE_NAME = "cdstore.json"
+
+
+# ---------------------------------------------------------------------------
+# field checks: each returns the validated value or raises ParameterError
+# ---------------------------------------------------------------------------
+
+
+def _require(ok: bool, value, name: str, what: str):
+    if not ok:
+        raise ParameterError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def positive_int(value, name: str = "value") -> int:
+    """An integer >= 1 (counts, byte caps, thread and pipeline depths)."""
+    return _require(_is_int(value) and value >= 1, value, name, "a positive integer")
+
+
+def cloud_index(value, name: str = "value") -> int:
+    """An integer >= 0 (which cloud of a deployment)."""
+    return _require(_is_int(value) and value >= 0, value, name, "a non-negative integer")
+
+
+def positive_number(value, name: str = "value") -> int | float:
+    """A number > 0 (rates)."""
+    return _require(_is_number(value) and value > 0, value, name, "a positive number")
+
+
+def non_negative_seconds(value, name: str = "value") -> float:
+    """A duration in seconds, >= 0 (TTLs, thresholds, intervals)."""
+    return float(_require(_is_number(value) and value >= 0, value, name, ">= 0 seconds"))
+
+
+def tcp_port(value, name: str = "value") -> int:
+    """A TCP port in 1-65535."""
+    return _require(
+        _is_int(value) and 1 <= value <= 65535, value, name, "a TCP port in 1-65535"
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _build_chunker(text: str) -> None:
+    # Constructing a Rabin chunker costs milliseconds; a spec that built
+    # once always builds, so each distinct string is checked once.
+    ChunkerSpec.parse(text).create()
+
+
+def chunker_spec(value, name: str = "chunker") -> str:
+    """A chunker spec string (``gear:avg=8192``), parsed *and* built once
+    so an unknown name, a bad parameter or an out-of-range value
+    (``gear:avg=1000``) fails here, before any cloud is touched."""
+    _require(isinstance(value, str), value, name, "a chunker spec string")
+    _build_chunker(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -54,10 +127,7 @@ class CloudSpec:
         elif self.kind == "tcp":
             if not self.host:
                 raise ParameterError("a tcp cloud spec needs a host")
-            if not isinstance(self.port, int) or not 1 <= self.port <= 65535:
-                raise ParameterError(
-                    f"tcp cloud spec port {self.port!r} outside 1-65535"
-                )
+            tcp_port(self.port, "tcp cloud spec port")
         else:
             raise ParameterError(
                 f"cloud spec kind must be 'local' or 'tcp', got {self.kind!r}"
@@ -88,9 +158,10 @@ class CloudSpec:
     def parse(cls, text: str) -> "CloudSpec":
         """Parse ``"local"`` or ``"tcp://host:port"``.
 
-        The one canonical parser: the CLI's argparse types and the
-        system façade all route here, so a malformed spec produces the
-        same :class:`~repro.errors.ParameterError` everywhere.
+        The one canonical parser: :func:`cloud_spec` (and so the CLI's
+        argparse types) and the system façade all route here, so a
+        malformed spec produces the same
+        :class:`~repro.errors.ParameterError` everywhere.
         """
         if not isinstance(text, str):
             raise ParameterError(
@@ -114,8 +185,6 @@ class CloudSpec:
             raise ParameterError(
                 f"cloud spec {text!r} has a non-numeric port {port_text!r}"
             ) from None
-        if not 1 <= port <= 65535:
-            raise ParameterError(f"cloud spec {text!r} port out of range 1-65535")
         return cls.tcp(host, port)
 
     def __str__(self) -> str:
@@ -124,10 +193,50 @@ class CloudSpec:
         return f"tcp://{self.host}:{self.port}"
 
 
-def _coerce_spec(value: "CloudSpec | str") -> CloudSpec:
+def cloud_spec(value: "CloudSpec | str") -> CloudSpec:
+    """A :class:`CloudSpec`, or its string form parsed by :meth:`CloudSpec.parse`."""
     if isinstance(value, CloudSpec):
         return value
     return CloudSpec.parse(value)
+
+
+def remote_spec(value: "CloudSpec | str", name: str = "value") -> CloudSpec:
+    """A ``tcp://host:port`` spec: gateway endpoints, replicas and the
+    endpoints ``repro stats``/``top`` dial are network services, so
+    ``local`` is rejected."""
+    spec = cloud_spec(value)
+    if not spec.is_remote:
+        raise ParameterError(f"{name} must be a tcp://host:port spec, got {str(spec)!r}")
+    return spec
+
+
+# ---------------------------------------------------------------------------
+# the JSON form shared by every spec below
+# ---------------------------------------------------------------------------
+
+
+def _to_json(value):
+    """A spec's JSON form: one key per field, in field order, with cloud
+    specs as their strings and nested specs as mappings."""
+    if isinstance(value, CloudSpec):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def _fields_of(cls, raw, what: str, retired: frozenset = frozenset()) -> dict:
+    """``raw`` as keyword arguments for ``cls``: a JSON object whose keys
+    are fields of ``cls``; ``retired`` keys are accepted and dropped."""
+    if not isinstance(raw, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    known = {f.name for f in fields(cls)}
+    unknown = set(raw) - known - retired
+    if unknown:
+        raise ParameterError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+    return {key: value for key, value in raw.items() if key in known}
 
 
 @dataclass(frozen=True)
@@ -155,62 +264,29 @@ class GatewaySpec:
     replicas: tuple[CloudSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        endpoint = _coerce_spec(self.endpoint)
-        if not endpoint.is_remote:
-            raise ParameterError(
-                "gateway endpoint must be a tcp://host:port spec"
-            )
-        object.__setattr__(self, "endpoint", endpoint)
-        if not isinstance(self.cache_bytes, int) or self.cache_bytes < 1:
-            raise ParameterError(
-                f"gateway cache_bytes must be a positive integer, "
-                f"got {self.cache_bytes!r}"
-            )
-        if (
-            not isinstance(self.recipe_ttl, (int, float))
-            or isinstance(self.recipe_ttl, bool)
-            or self.recipe_ttl < 0
-        ):
-            raise ParameterError(
-                f"gateway recipe_ttl must be >= 0 seconds, "
-                f"got {self.recipe_ttl!r}"
-            )
-        object.__setattr__(self, "recipe_ttl", float(self.recipe_ttl))
-        if not isinstance(self.shard_count, int) or self.shard_count < 1:
-            raise ParameterError(
-                f"gateway shard_count must be a positive integer, "
-                f"got {self.shard_count!r}"
-            )
         object.__setattr__(
-            self, "replicas", tuple(_coerce_spec(s) for s in self.replicas)
+            self, "endpoint", remote_spec(self.endpoint, "gateway endpoint")
+        )
+        positive_int(self.cache_bytes, "gateway cache_bytes")
+        object.__setattr__(
+            self, "recipe_ttl", non_negative_seconds(self.recipe_ttl, "gateway recipe_ttl")
+        )
+        positive_int(self.shard_count, "gateway shard_count")
+        object.__setattr__(
+            self,
+            "replicas",
+            tuple(remote_spec(s, "gateway replica") for s in self.replicas or ()),
         )
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "GatewaySpec":
-        if not isinstance(raw, dict):
-            raise ParameterError(
-                f"gateway config must be a JSON object, got {type(raw).__name__}"
-            )
-        known = {"endpoint", "cache_bytes", "recipe_ttl", "shard_count", "replicas"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ParameterError(
-                f"unknown gateway config keys: {', '.join(sorted(unknown))}"
-            )
-        if "endpoint" not in raw:
+        kwargs = _fields_of(cls, raw, "gateway config")
+        if "endpoint" not in kwargs:
             raise ParameterError("gateway config needs an 'endpoint' key")
-        kwargs = dict(raw)
-        kwargs["replicas"] = tuple(kwargs.get("replicas") or ())
         return cls(**kwargs)
 
     def to_mapping(self) -> dict:
-        return {
-            "endpoint": str(self.endpoint),
-            "cache_bytes": self.cache_bytes,
-            "recipe_ttl": self.recipe_ttl,
-            "shard_count": self.shard_count,
-            "replicas": [str(spec) for spec in self.replicas],
-        }
+        return _to_json(self)
 
 
 @dataclass(frozen=True)
@@ -244,46 +320,20 @@ class ObsSpec:
             )
         threshold = self.slow_request_seconds
         if threshold is not None:
-            if (
-                not isinstance(threshold, (int, float))
-                or isinstance(threshold, bool)
-                or threshold < 0
-            ):
-                raise ParameterError(
-                    f"obs slow_request_seconds must be >= 0 or null, "
-                    f"got {threshold!r}"
-                )
             # 0 and null both mean "no slow-request log", normalised to
             # one spelling so configs round-trip canonically.
-            threshold = float(threshold) or None
-        object.__setattr__(self, "slow_request_seconds", threshold)
-        if not isinstance(self.span_ring_size, int) or self.span_ring_size < 1:
-            raise ParameterError(
-                f"obs span_ring_size must be a positive integer, "
-                f"got {self.span_ring_size!r}"
+            threshold = (
+                non_negative_seconds(threshold, "obs slow_request_seconds") or None
             )
+        object.__setattr__(self, "slow_request_seconds", threshold)
+        positive_int(self.span_ring_size, "obs span_ring_size")
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ObsSpec":
-        if not isinstance(raw, dict):
-            raise ParameterError(
-                f"obs config must be a JSON object, got {type(raw).__name__}"
-            )
-        known = {"enabled", "trace", "slow_request_seconds", "span_ring_size"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ParameterError(
-                f"unknown obs config keys: {', '.join(sorted(unknown))}"
-            )
-        return cls(**raw)
+        return cls(**_fields_of(cls, raw, "obs config"))
 
     def to_mapping(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "trace": self.trace,
-            "slow_request_seconds": self.slow_request_seconds,
-            "span_ring_size": self.span_ring_size,
-        }
+        return _to_json(self)
 
 
 @dataclass(frozen=True)
@@ -313,13 +363,13 @@ class ReproConfig:
     obs: ObsSpec = ObsSpec()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
+        positive_int(self.n, "n")
         if not isinstance(self.k, int) or not 0 < self.k <= self.n:
             raise ParameterError(
                 f"require 0 < k <= n, got (n={self.n}, k={self.k})"
             )
-        specs = tuple(_coerce_spec(s) for s in self.cloud_specs)
+        chunker_spec(self.chunker)
+        specs = tuple(cloud_spec(s) for s in self.cloud_specs)
         if not specs:
             specs = tuple(CloudSpec.local() for _ in range(self.n))
         if len(specs) != self.n:
@@ -332,21 +382,9 @@ class ReproConfig:
             raise ParameterError(
                 f"workers must be 'thread' or 'process', got {self.workers!r}"
             )
-        if not isinstance(self.threads, int) or self.threads < 1:
-            raise ParameterError(
-                f"threads must be a positive integer, got {self.threads!r}"
-            )
-        if isinstance(self.pipeline_depth, str):
-            if self.pipeline_depth != "auto":
-                raise ParameterError(
-                    f"pipeline_depth must be a positive integer or 'auto', "
-                    f"got {self.pipeline_depth!r}"
-                )
-        elif not isinstance(self.pipeline_depth, int) or self.pipeline_depth < 1:
-            raise ParameterError(
-                f"pipeline_depth must be a positive integer or 'auto', "
-                f"got {self.pipeline_depth!r}"
-            )
+        positive_int(self.threads, "threads")
+        if self.pipeline_depth != "auto":
+            positive_int(self.pipeline_depth, "pipeline_depth (or 'auto')")
         if self.gateway is not None and not isinstance(self.gateway, GatewaySpec):
             object.__setattr__(
                 self, "gateway", GatewaySpec.from_mapping(self.gateway)
@@ -379,46 +417,16 @@ class ReproConfig:
         shim that lets deployments initialised by earlier releases keep
         working unchanged.
         """
-        if not isinstance(raw, dict):
-            raise ParameterError(
-                f"config must be a JSON object, got {type(raw).__name__}"
-            )
-        known = {
-            "n", "k", "salt", "chunker", "cloud_specs", "scheme",
-            "threads", "workers", "pipeline_depth", "gateway", "obs",
-        }
         # "mux" chose between two proxy modes until the serial one was
         # retired; files written back then still carry the key.
-        unknown = set(raw) - known - {"mux"}
-        if unknown:
-            raise ParameterError(
-                f"unknown config keys: {', '.join(sorted(unknown))}"
-            )
-        kwargs = {key: raw[key] for key in known & set(raw)}
-        if kwargs.get("cloud_specs") is None:
-            kwargs.pop("cloud_specs", None)
-        if kwargs.get("gateway") is None:
-            kwargs.pop("gateway", None)
-        if kwargs.get("obs") is None:
-            kwargs.pop("obs", None)
+        kwargs = _fields_of(cls, raw, "config", retired=frozenset({"mux"}))
+        for key in ("cloud_specs", "gateway", "obs"):
+            if kwargs.get(key) is None:
+                kwargs.pop(key, None)
         return cls(**kwargs)
 
     def to_mapping(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "salt": self.salt,
-            "chunker": self.chunker,
-            "cloud_specs": [str(spec) for spec in self.cloud_specs],
-            "scheme": self.scheme,
-            "threads": self.threads,
-            "workers": self.workers,
-            "pipeline_depth": self.pipeline_depth,
-            "gateway": (
-                self.gateway.to_mapping() if self.gateway is not None else None
-            ),
-            "obs": self.obs.to_mapping(),
-        }
+        return _to_json(self)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReproConfig":

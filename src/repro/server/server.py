@@ -23,7 +23,9 @@ collection reclaiming orphaned shares.
 
 from __future__ import annotations
 
+import fcntl
 import functools
+import os
 import threading
 import time
 from collections import Counter
@@ -51,6 +53,7 @@ from repro.server.index import (
     DictIndex,
     FileEntry,
     IndexBackend,
+    LSMIndex,
     ShareEntry,
 )
 from repro.obs.registry import REGISTRY
@@ -108,6 +111,30 @@ _RECOVERY_REPAIRS = REGISTRY.counter(
     "Items repaired by boot-time recovery, by kind",
 )
 
+#: The lock file a durable server holds in its ``durable_root``.
+LOCK_FILE_NAME = "LOCK"
+
+
+def _lock_durable_root(durable_root: Path) -> int:
+    """Take the exclusive lock on ``durable_root``; return its fd.
+
+    Recovery replays the journal, compacts the index (deleting SSTables a
+    live server still reads by path) and truncates the WAL, so a second
+    server over the same state must fail before touching anything, as
+    LevelDB's ``LOCK`` file makes it.  The lock dies with its holder.
+    """
+    durable_root.mkdir(parents=True, exist_ok=True)
+    fd = os.open(durable_root / LOCK_FILE_NAME, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        raise StorageError(
+            f"{durable_root} is held by another open server: a deployment "
+            "root is opened by one process at a time (stop its `repro serve`)"
+        ) from None
+    return fd
+
 
 def _locked(method):
     """Run ``method`` under the server's re-entrant lock."""
@@ -154,15 +181,17 @@ class CDStoreServer:
     index:
         Index backend; defaults to an in-memory :class:`DictIndex`.  Pass
         an :class:`~repro.server.index.LSMIndex` for the durable LevelDB
-        equivalent.
+        equivalent, or the directory of one: the server then opens it
+        itself, after taking the ``durable_root`` lock.
     durable_root:
         Directory for crash-only state (the container journal).  When
         set the server runs **crash-only**: every mutating call
         group-commits (journal + index WAL fsync) before returning — and
-        the return *is* the wire ack — and construction runs a full
-        :meth:`recover` pass (kill -9 is the only shutdown; every
-        startup is recovery).  ``None`` (default) keeps the original
-        buffer-until-flush behaviour for in-process systems and tests.
+        the return *is* the wire ack — and construction locks the
+        directory (one server per root until :meth:`close` or death) and
+        runs a full :meth:`recover` pass (kill -9 is the only shutdown;
+        every startup is recovery).  ``None`` (default) keeps the original
+        buffer-until-flush behaviour for in-memory systems and tests.
     tenants:
         Optional :class:`~repro.tenants.TenantRegistry`.  When present
         the server meters per-tenant usage (bytes stored, containers)
@@ -181,14 +210,13 @@ class CDStoreServer:
         self,
         server_id: int,
         cloud: CloudProvider,
-        index: IndexBackend | None = None,
+        index: IndexBackend | str | Path | None = None,
         recipe_compression: bool = True,
         durable_root: str | Path | None = None,
         tenants: TenantRegistry | None = None,
     ) -> None:
         self.server_id = server_id
         self.cloud = cloud
-        self.index = index if index is not None else DictIndex()
         self.stats = DedupStats()
         self.recipe_compression = recipe_compression
         self.tenants = tenants
@@ -205,20 +233,31 @@ class CDStoreServer:
         #: ownerless orphans that GC reclaims, so the charge evaporates
         #: with the data.
         self._pending_bytes: dict[str, int] = {}
-        journal = (
-            ContainerJournal(Path(durable_root) / "container-journal.log")
-            if durable_root is not None
-            else None
-        )
-        # Constructing the manager replays the journal (republishing
-        # containers acked before a crash); the on_seal hook keeps the
-        # per-tenant container counts honest, replay included.
-        self.containers = ContainerManager(
-            cloud.backend, journal=journal, on_seal=self._on_seal
-        )
         self.last_recovery: RecoveryReport | None = None
-        if self.durable:
-            self.recover()
+        #: The ``durable_root`` lock's fd, held until :meth:`close`.
+        self._root_lock = (
+            _lock_durable_root(Path(durable_root)) if self.durable else None
+        )
+        try:
+            if isinstance(index, (str, Path)):
+                index = LSMIndex(index)
+            self.index = index if index is not None else DictIndex()
+            journal = (
+                ContainerJournal(Path(durable_root) / "container-journal.log")
+                if durable_root is not None
+                else None
+            )
+            # Constructing the manager replays the journal (republishing
+            # containers acked before a crash); the on_seal hook keeps the
+            # per-tenant container counts honest, replay included.
+            self.containers = ContainerManager(
+                cloud.backend, journal=journal, on_seal=self._on_seal
+            )
+            if self.durable:
+                self.recover()
+        except BaseException:
+            self._unlock_root()
+            raise
 
     # ------------------------------------------------------------------
     # index helpers
@@ -582,10 +621,20 @@ class CDStoreServer:
 
     @_locked
     def close(self) -> None:
-        """Release server resources (idempotent; safe to call twice)."""
-        self.index.close()
-        if self.containers.journal is not None:
-            self.containers.journal.close()
+        """Release server resources and the root lock (idempotent; safe
+        to call twice)."""
+        try:
+            self.index.close()
+            if self.containers.journal is not None:
+                self.containers.journal.close()
+        finally:
+            self._unlock_root()
+
+    def _unlock_root(self) -> None:
+        if self._root_lock is not None:
+            fcntl.flock(self._root_lock, fcntl.LOCK_UN)
+            os.close(self._root_lock)
+            self._root_lock = None
 
     def __enter__(self) -> "CDStoreServer":
         return self

@@ -24,12 +24,39 @@ from repro.config import ObsSpec, ReproConfig
 from repro.crypto.hashing import fingerprint
 from repro.dedup.stats import DedupStats
 from repro.errors import InsufficientCloudsError, ParameterError
-from repro.server.index import LSMIndex
 from repro.server.messages import ShareMeta, ShareUpload
 from repro.server.server import CDStoreServer
-from repro.tenants import Credentials
+from repro.storage.backend import LocalDirBackend
+from repro.tenants import Credentials, TenantRegistry
 
-__all__ = ["CDStoreSystem"]
+__all__ = ["CDStoreSystem", "open_root_server"]
+
+
+def open_root_server(
+    root: str | Path, cloud_index: int, tenants: TenantRegistry | None = None
+) -> CDStoreServer:
+    """The server of local cloud ``cloud_index`` of the deployment at ``root``.
+
+    The one place a root's layout is spelled — objects in ``cloud-<i>``,
+    LSM index in ``indices/server-<i>``, crash-only state in
+    ``state/server-<i>`` — and so the one way a root is opened: every
+    server is crash-only, locks its state (one process per root) and
+    recovers as it is built.  ``tenants`` turns on quota metering.
+    """
+    root = Path(root)
+    cloud = CloudProvider(
+        name=f"cloud-{cloud_index}",
+        uplink=Link(100.0),
+        downlink=Link(100.0),
+        backend=LocalDirBackend(root / f"cloud-{cloud_index}"),
+    )
+    return CDStoreServer(
+        server_id=cloud_index,
+        cloud=cloud,
+        index=root / "indices" / f"server-{cloud_index}",
+        durable_root=root / "state" / f"server-{cloud_index}",
+        tenants=tenants,
+    )
 
 
 class CDStoreSystem:
@@ -51,10 +78,10 @@ class CDStoreSystem:
         :class:`~repro.net.client.RemoteServerProxy` takes the server
         slot and drives a :class:`~repro.net.server.CDStoreTCPServer`
         over the wire, while local and remote clouds mix freely in one
-        deployment.
-    index_root:
-        If given, servers use durable LSM indices under this directory;
-        otherwise in-memory indices.
+        deployment.  An entry may also be a built
+        :class:`~repro.server.server.CDStoreServer` (the durable ones of
+        :func:`open_root_server`): the system takes it over and closes it
+        in :meth:`close`.
     chunker:
         Default chunker for clients this system creates: a live
         :class:`~repro.chunking.base.Chunker`, a
@@ -96,8 +123,7 @@ class CDStoreSystem:
         n: int = 4,
         k: int = 3,
         salt: bytes = b"",
-        clouds: list[CloudProvider] | None = None,
-        index_root: str | Path | None = None,
+        clouds: list[CloudProvider | CDStoreServer | str] | None = None,
         scheme: str = "caont-rs",
         key_server=None,
         chunker: Chunker | ChunkerSpec | str | None = None,
@@ -154,13 +180,13 @@ class CDStoreSystem:
                 self.clouds.append(proxy.cloud)
                 self.servers.append(proxy)
                 continue
-            index = (
-                LSMIndex(Path(index_root) / f"server-{i}")
-                if index_root is not None
-                else None
+            server = (
+                spec
+                if isinstance(spec, CDStoreServer)
+                else CDStoreServer(server_id=i, cloud=spec)
             )
-            self.clouds.append(spec)
-            self.servers.append(CDStoreServer(server_id=i, cloud=spec, index=index))
+            self.clouds.append(server.cloud)
+            self.servers.append(server)
         #: The shared gateway proxy (None without a gateway).  Owned by
         #: the system: clients borrow it, ``close()`` closes it.
         self.gateway = None
@@ -190,50 +216,45 @@ class CDStoreSystem:
     ) -> "CDStoreSystem":
         """Build a system from a validated :class:`~repro.config.ReproConfig`.
 
-        ``root`` is the deployment directory: local cloud specs get a
-        :class:`~repro.storage.backend.LocalDirBackend` under
-        ``root/cloud-<i>`` and servers get durable LSM indices under
-        ``root/indices`` (omit it for fully in-memory systems — tests,
-        simulations).  Remote specs become authenticated proxies when
-        ``credentials`` is given.  This replaces the old pattern of
-        re-deriving constructor kwargs from a loose config dict at every
-        call site.
+        ``root`` is the deployment directory: each local cloud gets the
+        crash-only server :func:`open_root_server` builds — the same one
+        ``repro serve`` runs — so opening a root locks it and recovers it
+        (omit ``root`` for fully in-memory systems — tests, simulations).
+        Remote specs become authenticated proxies when ``credentials`` is
+        given.  This replaces the old pattern of re-deriving constructor
+        kwargs from a loose config dict at every call site.
         """
-        from repro.storage.backend import LocalDirBackend
-
-        root = Path(root) if root is not None else None
         clouds: list = []
-        for i, spec in enumerate(config.cloud_specs):
-            if spec.is_remote:
-                clouds.append(str(spec))
-                continue
-            backend = (
-                LocalDirBackend(root / f"cloud-{i}") if root is not None else None
+        try:
+            for i, spec in enumerate(config.cloud_specs):
+                if spec.is_remote:
+                    clouds.append(str(spec))
+                elif root is not None:
+                    clouds.append(open_root_server(root, i))
+                else:
+                    clouds.append(CloudProvider(f"cloud-{i}", Link(100.0), Link(100.0)))
+            return cls(
+                n=config.n,
+                k=config.k,
+                salt=config.salt_bytes,
+                clouds=clouds,
+                scheme=config.scheme,
+                key_server=key_server,
+                chunker=config.chunker,
+                threads=config.threads,
+                workers=config.workers,
+                pipeline_depth=config.pipeline_depth,
+                credentials=credentials,
+                gateway=config.gateway,
+                obs=config.obs,
             )
-            clouds.append(
-                CloudProvider(
-                    name=f"cloud-{i}",
-                    uplink=Link(100.0),
-                    downlink=Link(100.0),
-                    backend=backend,
-                )
-            )
-        return cls(
-            n=config.n,
-            k=config.k,
-            salt=config.salt_bytes,
-            clouds=clouds,
-            index_root=root / "indices" if root is not None else None,
-            scheme=config.scheme,
-            key_server=key_server,
-            chunker=config.chunker,
-            threads=config.threads,
-            workers=config.workers,
-            pipeline_depth=config.pipeline_depth,
-            credentials=credentials,
-            gateway=config.gateway,
-            obs=config.obs,
-        )
+        except BaseException:
+            # A later cloud's lock was taken (or its proxy failed): release
+            # the roots already opened, or this process keeps them locked.
+            for server in clouds:
+                if isinstance(server, CDStoreServer):
+                    server.close()
+            raise
 
     # ------------------------------------------------------------------
     # clients
@@ -314,6 +335,7 @@ class CDStoreSystem:
         """
         self._require_local(index, "wipe")
         self.clouds[index].wipe()
+        self.servers[index].close()
         self.servers[index] = CDStoreServer(
             server_id=index, cloud=self.clouds[index]
         )

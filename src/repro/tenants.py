@@ -26,9 +26,10 @@ import hashlib
 import hmac
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from repro.config import positive_int, positive_number
 from repro.errors import ParameterError, StorageError
 
 __all__ = [
@@ -94,10 +95,11 @@ class TenantQuota:
     max_requests_per_sec: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("max_bytes", "max_containers", "max_requests_per_sec"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ParameterError(f"{name} must be positive, got {value}")
+        checks = {"max_bytes": positive_int, "max_containers": positive_int,
+                  "max_requests_per_sec": positive_number}
+        for name, check in checks.items():
+            if getattr(self, name) is not None:
+                check(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,12 @@ class TenantRecord:
             raise ParameterError("tenant_id must be non-empty")
         if not self.secret:
             raise ParameterError(f"tenant {self.tenant_id!r} needs a secret")
+        # The registry file stores the secret as text and clients send the
+        # raw bytes, so a secret that is not UTF-8 could never authenticate.
+        try:
+            self.secret.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParameterError(f"tenant {self.tenant_id!r}: secret is not UTF-8") from None
         if self.role not in (ROLE_TENANT, ROLE_ADMIN):
             raise ParameterError(
                 f"tenant {self.tenant_id!r} has unknown role {self.role!r}"
@@ -173,11 +181,7 @@ class TenantRegistry:
             if not isinstance(row, dict):
                 raise ParameterError(f"tenant registry {path}: rows must be objects")
             try:
-                quota = TenantQuota(
-                    max_bytes=row.get("max_bytes"),
-                    max_containers=row.get("max_containers"),
-                    max_requests_per_sec=row.get("max_requests_per_sec"),
-                )
+                quota = TenantQuota(**{f.name: row.get(f.name) for f in fields(TenantQuota)})
                 registry.add(
                     TenantRecord(
                         tenant_id=str(row.get("tenant_id", "")),
@@ -196,13 +200,13 @@ class TenantRegistry:
         for record in self.records():
             row: dict[str, object] = {
                 "tenant_id": record.tenant_id,
-                "secret": record.secret.decode("utf-8", errors="replace"),
+                "secret": record.secret.decode("utf-8"),
                 "role": record.role,
             }
-            for name in ("max_bytes", "max_containers", "max_requests_per_sec"):
-                value = getattr(record.quota, name)
+            for limit in fields(TenantQuota):
+                value = getattr(record.quota, limit.name)
                 if value is not None:
-                    row[name] = value
+                    row[limit.name] = value
             rows.append(row)
         path.write_text(
             json.dumps({"tenants": rows}, indent=2) + "\n", encoding="utf-8"

@@ -420,3 +420,28 @@ def test_open_mode_stays_open():
             assert proxy.query_duplicates("anyone", []) == []
             assert proxy.scrub() == []
             assert proxy.role is None
+
+
+# ---------------------------------------------------------------------------
+# the registry file stores secrets as text
+# ---------------------------------------------------------------------------
+
+
+def test_non_utf8_secret_is_rejected_not_mangled(tmp_path, capsys):
+    """Clients send a secret file's raw bytes; the registry stores text.
+    A secret that is not UTF-8 would be stored as replacement characters
+    and never authenticate, so ``tenant add`` refuses it and writes
+    nothing."""
+    from repro.cli import main
+    from repro.errors import ParameterError
+
+    with pytest.raises(ParameterError, match="UTF-8"):
+        TenantRecord("t", b"\xff\xfe\x80A")
+    root = tmp_path / "store"
+    assert main(["init", "--root", str(root)]) == 0
+    key = tmp_path / "key.bin"
+    key.write_bytes(b"\xff\xfe\x80A")
+    assert main(["tenant", "add", "--root", str(root), "--id", "t",
+                 "--secret-file", str(key)]) == 1
+    assert "UTF-8" in capsys.readouterr().err
+    assert not (root / "tenants.json").exists()

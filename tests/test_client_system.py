@@ -11,6 +11,7 @@ from repro.errors import (
     NotFoundError,
     ParameterError,
 )
+from repro.config import ReproConfig
 from repro.system.cdstore import CDStoreSystem
 
 
@@ -215,7 +216,7 @@ class TestSystemConstruction:
         assert system.client("alice") is system.client("alice")
 
     def test_durable_indices(self, tmp_path):
-        system = CDStoreSystem(n=4, k=3, index_root=tmp_path)
+        system = CDStoreSystem.from_config(ReproConfig(n=4, k=3), root=tmp_path)
         client = system.client("alice", chunker=FixedChunker(4096))
         payload = data_of(15_000)
         client.upload("/f", payload)
@@ -223,9 +224,9 @@ class TestSystemConstruction:
         system.close()
 
     def test_durable_indices_flush_at_the_request_boundary(self, tmp_path):
-        """Journal-less LSM servers still sync their index per request,
-        which is where a memtable past ``memtable_bytes`` flushes."""
-        system = CDStoreSystem(n=4, k=3, index_root=tmp_path)
+        """Servers over a root sync their index per request, which is
+        where a memtable past ``memtable_bytes`` flushes."""
+        system = CDStoreSystem.from_config(ReproConfig(n=4, k=3), root=tmp_path)
         for server in system.servers:
             server.index.store.memtable_bytes = 2048
         client = system.client("alice", chunker=FixedChunker(4096))
@@ -233,7 +234,7 @@ class TestSystemConstruction:
         client.upload("/f", payload)
         for i, server in enumerate(system.servers):
             assert server.index.store.table_count >= 1
-            assert list((tmp_path / f"server-{i}").glob("sst-*.db"))
+            assert list((tmp_path / "indices" / f"server-{i}").glob("sst-*.db"))
         assert client.download("/f") == payload
         system.close()
 

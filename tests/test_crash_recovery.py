@@ -12,6 +12,12 @@ SIGKILLs it mid-backup, restarts the clouds in-process and proves that
 everything acked before the kill restores byte-identically — and that a
 second tenant's data is untouched and unreadable with the first
 tenant's credentials.
+
+The local-root tests hold every other command to the same contract: a
+`repro backup` that opens the root itself (``from_config(root=…)``)
+runs the same crash-only servers, so its death loses nothing acked and
+leaves nothing unacked behind; and a root is opened by one process at a
+time.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -30,7 +37,7 @@ import pytest
 from repro.cli import build_cloud_server, main
 from repro.config import ReproConfig
 from repro.crypto.hashing import fingerprint
-from repro.errors import AuthError, NotFoundError
+from repro.errors import AuthError, NotFoundError, StorageError
 from repro.net.client import RemoteServerProxy
 from repro.server.index import (
     PREFIX_FILE,
@@ -278,6 +285,206 @@ class TestKilledInsideARequest:
         finally:
             for server in servers:
                 server.close()
+
+
+# ---------------------------------------------------------------------------
+# death of a process that opened the root itself (repro backup, restore, ...)
+# ---------------------------------------------------------------------------
+
+
+def open_local(root: Path) -> CDStoreSystem:
+    """The system a local ``repro backup`` builds over ``root``."""
+    return CDStoreSystem.from_config(ReproConfig.from_file(root), root=root)
+
+
+def run_cli(capsys, *argv) -> tuple[int, str]:
+    capsys.readouterr()
+    code = main([str(arg) for arg in argv])
+    return code, capsys.readouterr().out
+
+
+class TestLocalRootDeath:
+    @pytest.fixture
+    def small_batches(self, monkeypatch):
+        import repro.client.comm as comm
+
+        # Several upload requests per cloud for a few hundred KB.
+        monkeypatch.setattr(comm, "UPLOAD_BATCH_BYTES", 32 * 1024)
+
+    def test_backup_killed_before_its_flush_restores(self, tmp_path, small_batches, capsys):
+        """The upload returned — every request acked — and the process
+        died before sealing its containers.  The acked file is listed,
+        restores byte-identically, and the root is self-consistent."""
+        root = init_deployment(tmp_path / "srv", n=4, k=3)
+        data = os.urandom(300_000)
+
+        def body():
+            open_local(root).client("alice").upload("/big", data)
+            die_in_request()  # where `repro backup` would flush and close
+
+        assert run_in_child(body) == DIED_IN_REQUEST
+        code, out = run_cli(capsys, "ls", "--root", root, "--user", "alice")
+        assert code == 0 and "/big" in out.split()
+        restored = tmp_path / "restored.bin"
+        code, _ = run_cli(capsys, "restore", "--root", root, "--user", "alice",
+                          "/big", "-o", restored)
+        assert code == 0 and restored.read_bytes() == data
+        servers = [build_cloud_server(root, i).server for i in range(4)]
+        try:
+            for server in servers:
+                assert server.scrub() == []
+                second = server.recover()
+                assert second.dangling_share_entries == 0
+                assert second.dangling_file_entries == 0
+                assert second.dangling_intra_mappings == 0
+                assert second.reaped_temporaries == []
+        finally:
+            for server in servers:
+                server.close()
+
+    def test_backup_killed_inside_a_request_leaves_no_unacked_trace(
+        self, tmp_path, small_batches, capsys
+    ):
+        """The process dies inside an upload request after at least one
+        acked batch.  Nothing unacked is listed or answers *duplicate*,
+        so the next backup of the same file sends what was lost."""
+        root = init_deployment(tmp_path / "srv", n=4, k=3)
+        source = tmp_path / "big.bin"
+        source.write_bytes(os.urandom(300_000))
+        unacked_file = tmp_path / "unacked.fps"
+
+        def body():
+            system = open_local(root)
+            server = system.servers[0]
+            upload = server.upload_shares
+            acked: list[bytes] = []
+
+            def dies_in_the_second_request(user_id, uploads):
+                if acked:
+                    unacked_file.write_bytes(
+                        b"".join(u.meta.fingerprint for u in uploads)
+                    )
+                    server.containers.commit = die_in_request
+                result = upload(user_id, uploads)
+                acked.extend(u.meta.fingerprint for u in uploads)
+                return result
+
+            server.upload_shares = dies_in_the_second_request
+            system.client("alice").upload("/big", source.read_bytes())
+            die_in_request()
+
+        assert run_in_child(body) == DIED_IN_REQUEST
+        code, out = run_cli(capsys, "ls", "--root", root, "--user", "alice")
+        assert code == 0 and "/big" not in out.split()
+        unacked = unacked_file.read_bytes()
+        fps = [unacked[i:i + 32] for i in range(0, len(unacked), 32)]
+        assert fps
+        server = build_cloud_server(root, 0).server
+        try:
+            assert server.query_duplicates("alice", fps) == [False] * len(fps)
+            assert server.scrub() == []
+        finally:
+            server.close()
+        code, _ = run_cli(capsys, "backup", "--root", root, "--user", "alice",
+                          source, "--name", "/big")
+        assert code == 0
+        restored = tmp_path / "restored.bin"
+        code, _ = run_cli(capsys, "restore", "--root", root, "--user", "alice",
+                          "/big", "-o", restored)
+        assert code == 0 and restored.read_bytes() == source.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# one process per root
+# ---------------------------------------------------------------------------
+
+
+def tree_state(root: Path) -> dict[str, tuple[int, bytes]]:
+    """Every file under ``root`` with its mtime and contents."""
+    return {
+        str(path.relative_to(root)): (path.stat().st_mtime_ns, path.read_bytes())
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestOneProcessPerRoot:
+    def test_second_open_in_process_fails_until_close(self, tmp_path):
+        root = init_deployment(tmp_path / "srv")
+        holder = build_cloud_server(root, 0).server
+        try:
+            with pytest.raises(StorageError, match=str(root)):
+                build_cloud_server(root, 0)
+            with pytest.raises(StorageError, match=str(root)):
+                open_local(root)
+            # Another cloud of the same root is another server's state.
+            build_cloud_server(root, 1).server.close()
+        finally:
+            holder.close()
+        build_cloud_server(root, 0).server.close()
+
+    def test_cli_against_a_held_root_fails_typed_and_touches_nothing(
+        self, tmp_path, capsys
+    ):
+        root = init_deployment(tmp_path / "srv", n=4, k=3)
+        source = tmp_path / "f.bin"
+        source.write_bytes(os.urandom(50_000))
+        assert main(["backup", "--root", str(root), "--user", "alice", str(source)]) == 0
+        holder = build_cloud_server(root, 0).server
+        try:
+            # The holder's flush in flight: a second opener that opened the
+            # index before failing on the lock would reap it.
+            (root / "indices" / "server-0" / "sst-99999999.db.tmp").write_bytes(b"flushing")
+            before = tree_state(root)
+            capsys.readouterr()
+            assert main(["ls", "--root", str(root), "--user", "alice"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and str(root) in err
+            assert tree_state(root) == before
+        finally:
+            holder.close()
+        assert main(["ls", "--root", str(root), "--user", "alice"]) == 0
+
+    def test_a_failed_open_releases_the_clouds_it_opened(self, tmp_path):
+        root = init_deployment(tmp_path / "srv", n=4, k=3)
+        holder = build_cloud_server(root, 3).server
+        try:
+            with pytest.raises(StorageError):
+                open_local(root)
+            build_cloud_server(root, 0).server.close()
+        finally:
+            holder.close()
+
+    def test_wiping_a_cloud_releases_its_server(self, tmp_path):
+        """``wipe_cloud`` swaps in a fresh server; the one it replaces
+        must not keep holding the root's lock."""
+        root = init_deployment(tmp_path / "srv")
+        with open_local(root) as system:
+            system.wipe_cloud(0)
+            build_cloud_server(root, 0).server.close()
+
+    def test_the_lock_dies_with_its_holder(self, tmp_path):
+        root = init_deployment(tmp_path / "srv")
+        ready_r, ready_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child never returns
+            try:
+                build_cloud_server(root, 0)
+                os.write(ready_w, b"held")
+                time.sleep(120)
+            finally:
+                os._exit(1)
+        os.close(ready_w)
+        try:
+            readable, _, _ = select.select([ready_r], [], [], 60)
+            assert readable and os.read(ready_r, 4) == b"held"
+            with pytest.raises(StorageError):
+                build_cloud_server(root, 0)
+        finally:
+            os.close(ready_r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        build_cloud_server(root, 0).server.close()
 
 
 # ---------------------------------------------------------------------------

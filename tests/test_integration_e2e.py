@@ -5,10 +5,8 @@ import os
 import pytest
 
 from repro.chunking import FixedChunker, RabinChunker
-from repro.cloud.network import Link
-from repro.cloud.provider import CloudProvider
+from repro.config import ReproConfig
 from repro.crypto.drbg import DRBG
-from repro.storage.backend import LocalDirBackend
 from repro.system.cdstore import CDStoreSystem
 from repro.workloads import FSLWorkload, VMWorkload, materialize
 
@@ -20,17 +18,8 @@ class TestDurableDeployment:
 
     def test_full_lifecycle_on_disk(self, tmp_path):
         def make_system():
-            clouds = [
-                CloudProvider(
-                    name=f"cloud-{i}",
-                    uplink=Link(100.0),
-                    downlink=Link(100.0),
-                    backend=LocalDirBackend(tmp_path / f"cloud-{i}"),
-                )
-                for i in range(4)
-            ]
-            return CDStoreSystem(
-                n=4, k=3, salt=b"org", clouds=clouds, index_root=tmp_path / "idx"
+            return CDStoreSystem.from_config(
+                ReproConfig(n=4, k=3, salt="org"), root=tmp_path
             )
 
         data = DRBG("durable").random_bytes(80_000)
