@@ -4,18 +4,17 @@ Paper: all three codecs speed up near-linearly to 4 threads; CAONT-RS
 (OAEP-based AONT) is the fastest, beating CAONT-RS-Rivest by 40-61 % and
 AONT-RS by 12-35 % on the authors' machines.
 
-This harness drives the same process pool the client's comm engine uses
-(``workers="process"``, §4.6): slabs of secrets encode in worker processes
-with the batched codec kernels, so encoding escapes the GIL.  Two columns
-are reported per configuration (see :mod:`repro.bench.encoding`):
+This harness encodes the way the client's comm engine does (§4.6): slabs
+of secrets encode on a thread pool with the batched codec kernels.  Two
+columns are reported per configuration (see :mod:`repro.bench.encoding`):
 
-* ``MB/s`` — the scheduled-makespan figure: slab CPU times list-scheduled
-  onto the worker count.  On a host with enough free cores this equals
-  wall clock; on starved CI/container hosts it is the hardware-independent
-  rendering of the paper's scaling claim (the same makespan accounting the
-  transfer experiments' model uses).
+* ``MB/s`` — a model, the scheduled makespan: each slab's CPU time in its
+  pool thread, list-scheduled onto the worker count.  It is what the pool
+  would take with a free core per thread and no GIL — the hardware- and
+  interpreter-independent rendering of the paper's scaling claim (the same
+  makespan accounting the transfer experiments' model uses).
 * ``wall MB/s`` — the measured wall clock of this very run, printed so
-  core starvation is visible rather than hidden.
+  the GIL and core starvation are visible rather than hidden.
 
 Nothing about speed is asserted (see "Paper reproductions" in
 docs/ARCHITECTURE.md): the paper's claims to read off the table are that
@@ -39,9 +38,7 @@ WORKERS = (1, 2, 3, 4)
 def test_fig5a():
     secrets = _make_secrets(DATA_BYTES)
     results = [
-        encoding_speed(
-            scheme, threads=w, secrets=secrets, workers="process", repeats=3
-        )
+        encoding_speed(scheme, threads=w, secrets=secrets, repeats=3)
         for scheme in FIGURE5_SCHEMES
         for w in WORKERS
     ]
@@ -49,7 +46,7 @@ def test_fig5a():
     table = format_table(
         ["scheme", "workers", "MB/s", "wall MB/s"],
         [[r.scheme, r.threads, r.mbps, r.wall_mbps] for r in results],
-        title="Figure 5(a): encoding speed vs #workers (process pool), (n, k)=(4, 3)",
+        title="Figure 5(a): encoding speed vs #workers (thread pool), (n, k)=(4, 3)",
     )
     emit("fig5a", table)
 

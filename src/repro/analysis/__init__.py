@@ -11,9 +11,9 @@ The rest of the package is the ``repro analyze`` invariant checker suite
 (:mod:`repro.analysis.engine` + :mod:`repro.analysis.checkers`): AST
 checkers that enforce this codebase's concurrency and durability
 discipline — lock guards (LOCK-001), fsync ordering (DUR-00x), resource
-lifecycle (LIFE-001), worker-spec picklability (PICKLE-001), the metric
-catalogue (OBS-001) — plus the opt-in runtime lock-order witness
-(:mod:`repro.analysis.witness`, ``REPRO_LOCK_WITNESS=1``).
+lifecycle (LIFE-001), the metric catalogue (OBS-001) — plus the opt-in
+runtime lock-order witness (:mod:`repro.analysis.witness`,
+``REPRO_LOCK_WITNESS=1``).
 """
 
 from repro.analysis.annotations import EXTERNAL, guarded_by, requires_lock

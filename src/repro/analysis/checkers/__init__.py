@@ -13,7 +13,6 @@ from repro.analysis.checkers.durability import check_durability, check_log_order
 from repro.analysis.checkers.lifecycle import check_lifecycle
 from repro.analysis.checkers.locks import check_lock_discipline
 from repro.analysis.checkers.obs_docs import check_obs_docs
-from repro.analysis.checkers.picklable import check_picklable
 
 __all__ = [
     "FILE_CHECKERS",
@@ -23,7 +22,6 @@ __all__ = [
     "check_lock_discipline",
     "check_log_order",
     "check_obs_docs",
-    "check_picklable",
 ]
 
 FILE_CHECKERS = [
@@ -31,7 +29,6 @@ FILE_CHECKERS = [
     check_durability,
     check_log_order,
     check_lifecycle,
-    check_picklable,
 ]
 
 PROJECT_CHECKERS = [

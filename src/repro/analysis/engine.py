@@ -3,9 +3,9 @@
 A small AST-walking analysis engine purpose-built for this codebase: it
 knows nothing about Python semantics in general, only about the handful
 of invariants PRs 1–5 established by hand — lock discipline, durability
-ordering, resource lifecycle, spec picklability, the metric catalogue —
-and mechanically re-checks them on every run so a later refactor cannot
-silently regress one.
+ordering, resource lifecycle, the metric catalogue — and mechanically
+re-checks them on every run so a later refactor cannot silently regress
+one.
 
 Vocabulary:
 
@@ -76,10 +76,6 @@ RULE_DOCS: dict[str, str] = {
         "a socket/file/shared-memory resource acquired in a function is "
         "not released on all paths (no with/try-finally/ownership handoff "
         "before fallible calls)"
-    ),
-    "PICKLE-001": (
-        "a *Spec dataclass shipped to process workers declares a field "
-        "whose type is not on the known-picklable allowlist"
     ),
     "SUP-001": (
         "an `# analysis: ignore[...]` suppression carries no justification "

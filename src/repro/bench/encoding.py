@@ -6,42 +6,33 @@ variable-size chunker, encodes every secret into shares, and reports
 configurable data size (pure Python needs smaller defaults; the *relative*
 ordering CAONT-RS > {AONT-RS, CAONT-RS-Rivest} is the reproduced claim).
 
-Worker modes
-------------
+Two speeds per row
+------------------
 
-``workers="thread"`` drives the historical thread pool.  CPython cannot
-reproduce the paper's near-linear thread scaling there: although hashlib
-and the OpenSSL-backed cipher release the GIL, the Python-level share
-bookkeeping between those calls is serialised, so the sweep is printed
-faithfully (the deviation stays visible) but only the hardware-independent
-codec ordering is asserted.
-
-``workers="process"`` drives the same process pool the client's comm
-engine uses (§4.6 realised with ``ProcessPoolExecutor``): secrets are
-grouped into slabs, each slab is encoded in a worker process with the
-batched codec kernels, and each worker reports the slab's *CPU seconds*
-(``time.process_time``).  Alongside the measured wall clock, the harness
-reports the **scheduled makespan** — greedy list scheduling of the slab
-CPU times onto the worker count — as the throughput figure.  On a host
-with at least as many free cores as workers the two coincide (the OS *is*
-the greedy scheduler and the workers never contend); on the small
-CI/container hosts this repo is typically benchmarked in, the measured
-wall clock reflects core starvation rather than the codec, exactly the
-situation the transfer experiments already handle with the
-:func:`~repro.cloud.network.makespan` model.  The table prints both
-columns so nothing is hidden.
+Secrets are grouped into slabs and each slab encodes on a thread pool
+with the batched codec kernels, the same way the client's comm engine
+encodes (§4.6).  CPython cannot reproduce the paper's near-linear thread
+scaling in wall-clock time: although hashlib and the OpenSSL-backed cipher
+release the GIL, the Python-level share bookkeeping between those calls is
+serialised.  So each slab also records the CPU seconds its pool thread
+spent on it (``time.thread_time``), and :attr:`EncodingResult.mbps`
+reports the **scheduled makespan**: greedy list scheduling of those slab
+CPU times onto the pool width — what the pool would take with one free
+core per thread and no GIL, the same makespan accounting the transfer
+experiments use (:func:`~repro.cloud.network.makespan`).  That figure is a
+model; :attr:`EncodingResult.wall_mbps` is the measured wall clock of the
+same run, and tables print both so nothing is hidden.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.chunking.registry import create_chunker
-from repro.client.workers import WORKER_MODES, slab_spans
+from repro.client.workers import slab_spans
 from repro.crypto.drbg import DRBG
-from repro.errors import ParameterError
 from repro.sharing.base import SecretSharingScheme
 from repro.sharing.registry import create_scheme
 
@@ -50,35 +41,10 @@ __all__ = [
     "encoding_speed",
     "sweep_threads",
     "sweep_n",
-    "WORKER_MODES",
 ]
 
 #: The three codecs Figure 5 compares.
 FIGURE5_SCHEMES = ("caont-rs", "aont-rs", "caont-rs-rivest")
-
-#: Per-(bench)worker codec cache: one codec per (scheme, n, k) per process.
-_BENCH_CODECS: dict[tuple[str, int, int], SecretSharingScheme] = {}
-
-
-def _bench_codec(spec: tuple[str, int, int]) -> SecretSharingScheme:
-    codec = _BENCH_CODECS.get(spec)
-    if codec is None:
-        codec = create_scheme(*spec)
-        _BENCH_CODECS[spec] = codec
-    return codec
-
-
-def _encode_slab_timed(spec: tuple[str, int, int], secrets: list[bytes]) -> float:
-    """Encode one slab; return its CPU seconds (top level, so picklable).
-
-    ``process_time`` counts only CPU actually consumed by this process, so
-    the figure is immune to timeslicing against sibling workers on
-    oversubscribed hosts — the property the makespan accounting relies on.
-    """
-    codec = _bench_codec(spec)
-    start = time.process_time()
-    codec.encode_batch(secrets)
-    return time.process_time() - start
 
 
 @dataclass(frozen=True)
@@ -92,26 +58,24 @@ class EncodingResult:
     data_bytes: int
     #: Measured wall-clock seconds of the whole sweep step.
     seconds: float
-    #: Encode-pool flavour this row was measured with.
-    workers: str = "thread"
     #: Greedy-makespan seconds of the slab CPU times over ``threads``
-    #: workers (process mode only); None when wall clock is authoritative.
-    sched_seconds: float | None = None
+    #: pool threads (see the module docstring).
+    sched_seconds: float
 
     @property
     def mbps(self) -> float:
-        """Encoding speed in MB/s of original data (the Figure 5 metric).
-
-        Process-mode rows report the scheduled-makespan figure (see the
-        module docstring); thread/inline rows report measured wall clock.
-        """
-        seconds = self.sched_seconds if self.sched_seconds is not None else self.seconds
-        return self.data_bytes / 1e6 / seconds if seconds else float("inf")
+        """Modelled encoding speed in MB/s of original data (the Figure 5
+        metric): the scheduled makespan, see the module docstring."""
+        return _mbps(self.data_bytes, self.sched_seconds)
 
     @property
     def wall_mbps(self) -> float:
-        """Measured wall-clock speed (always available)."""
-        return self.data_bytes / 1e6 / self.seconds if self.seconds else float("inf")
+        """Measured wall-clock speed."""
+        return _mbps(self.data_bytes, self.seconds)
+
+
+def _mbps(data_bytes: int, seconds: float) -> float:
+    return data_bytes / 1e6 / seconds if seconds else float("inf")
 
 
 def _make_secrets(
@@ -134,35 +98,32 @@ def _greedy_makespan(durations: list[float], width: int) -> float:
     return max(loads)
 
 
-def _encode_all_threads(
+def _encode_slab_timed(codec: SecretSharingScheme, slab: list[bytes]) -> float:
+    """Encode one slab; return the CPU seconds of the thread that ran it.
+
+    ``thread_time`` counts only CPU this thread consumed, not time spent
+    waiting for the GIL or a core, so the figure is immune to contention
+    with sibling pool threads — the property the makespan relies on.
+    """
+    start = time.thread_time()
+    codec.encode_batch(slab)
+    return time.thread_time() - start
+
+
+def _encode_all(
     codec: SecretSharingScheme, secrets: list[bytes], threads: int
-) -> tuple[float, None]:
-    """Thread/inline sweep step: batched slabs, measured wall clock."""
+) -> tuple[float, float]:
+    """One sweep step: returns (wall seconds, scheduled makespan)."""
     spans = slab_spans([len(s) for s in secrets], threads)
     slabs = [secrets[start:end] for start, end in spans]
     start_t = time.perf_counter()
     if threads == 1:
-        for slab in slabs:
-            codec.encode_batch(slab)
+        cpu_times = [_encode_slab_timed(codec, slab) for slab in slabs]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(codec.encode_batch, slabs))
-    return time.perf_counter() - start_t, None
-
-
-def _encode_all_processes(
-    spec: tuple[str, int, int],
-    secrets: list[bytes],
-    threads: int,
-    pool: ProcessPoolExecutor,
-) -> tuple[float, float]:
-    """Process sweep step: returns (wall seconds, scheduled makespan)."""
-    spans = slab_spans([len(s) for s in secrets], threads)
-    slabs = [secrets[start:end] for start, end in spans]
-    start_t = time.perf_counter()
-    cpu_times = list(
-        pool.map(_encode_slab_timed, [spec] * len(slabs), slabs)
-    )
+            cpu_times = list(
+                pool.map(_encode_slab_timed, [codec] * len(slabs), slabs)
+            )
     wall = time.perf_counter() - start_t
     return wall, _greedy_makespan(cpu_times, threads)
 
@@ -175,39 +136,23 @@ def encoding_speed(
     data_bytes: int = 2 << 20,
     secrets: list[bytes] | None = None,
     repeats: int = 1,
-    workers: str = "thread",
     chunker: str | None = None,
 ) -> EncodingResult:
-    """Measure one scheme's encoding speed (best of ``repeats`` runs)."""
-    if workers not in WORKER_MODES:
-        raise ParameterError(
-            f"unknown workers mode {workers!r}; expected one of {WORKER_MODES}"
-        )
+    """Measure one scheme's encoding speed (best makespan of ``repeats``)."""
     if secrets is None:
         secrets = _make_secrets(data_bytes, chunker=chunker)
-    total = sum(len(s) for s in secrets)
-    spec = (scheme, n, k)
-    if workers == "process":
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            # Warm-up: fork the workers and build their cached codecs
-            # outside the measured region (steady-state throughput).
-            list(pool.map(_encode_slab_timed, [spec] * threads, [[b"x"]] * threads))
-            runs = [
-                _encode_all_processes(spec, secrets, threads, pool)
-                for _ in range(repeats)
-            ]
-    else:
-        codec = create_scheme(scheme, n, k)
-        runs = [_encode_all_threads(codec, secrets, threads) for _ in range(repeats)]
-    seconds, sched = min(runs, key=lambda run: run[1] if run[1] is not None else run[0])
+    codec = create_scheme(scheme, n, k)
+    seconds, sched = min(
+        (_encode_all(codec, secrets, threads) for _ in range(repeats)),
+        key=lambda run: run[1],
+    )
     return EncodingResult(
         scheme=scheme,
         n=n,
         k=k,
         threads=threads,
-        data_bytes=total,
+        data_bytes=sum(len(s) for s in secrets),
         seconds=seconds,
-        workers=workers,
         sched_seconds=sched,
     )
 
@@ -218,7 +163,6 @@ def sweep_threads(
     n: int = 4,
     k: int = 3,
     data_bytes: int = 2 << 20,
-    workers: str = "thread",
     repeats: int = 1,
     chunker: str | None = None,
 ) -> list[EncodingResult]:
@@ -226,8 +170,7 @@ def sweep_threads(
     secrets = _make_secrets(data_bytes, chunker=chunker)
     return [
         encoding_speed(
-            scheme, n=n, k=k, threads=t, secrets=secrets, workers=workers,
-            repeats=repeats,
+            scheme, n=n, k=k, threads=t, secrets=secrets, repeats=repeats
         )
         for scheme in schemes
         for t in threads_list
@@ -244,15 +187,13 @@ def sweep_n(
     schemes: tuple[str, ...] = FIGURE5_SCHEMES,
     threads: int = 2,
     data_bytes: int = 2 << 20,
-    workers: str = "thread",
     chunker: str | None = None,
 ) -> list[EncodingResult]:
     """Figure 5(b): encoding speed vs n with k = floor(3n/4), 2 threads."""
     secrets = _make_secrets(data_bytes, chunker=chunker)
     return [
         encoding_speed(
-            scheme, n=n, k=figure5b_k(n), threads=threads, secrets=secrets,
-            workers=workers,
+            scheme, n=n, k=figure5b_k(n), threads=threads, secrets=secrets
         )
         for scheme in schemes
         for n in n_list

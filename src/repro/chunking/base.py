@@ -42,9 +42,8 @@ class Chunker(abc.ABC):
     """
 
     def spec(self):
-        """The picklable :class:`~repro.chunking.registry.ChunkerSpec` this
-        chunker was built from, or None for hand-constructed instances —
-        the same contract as the codec specs of §4.6's process workers."""
+        """The :class:`~repro.chunking.registry.ChunkerSpec` this chunker
+        was built from, or None for hand-constructed instances."""
         return getattr(self, "_spec", None)
 
     def segments(self, size: int) -> int:

@@ -1,12 +1,13 @@
-"""Chunker registry: spec strings and picklable :class:`ChunkerSpec`.
+"""Chunker registry: spec strings and :class:`ChunkerSpec`.
 
 Chunking is a selectable subsystem (CLI ``--chunker``,
-``CDStoreSystem(chunker=...)``), so chunkers are named and parameterised
-the same way the PR 2 codec specs name dispersals: a registry maps a short
-name to a factory plus the spec-string aliases of its constructor
-arguments, and a :class:`ChunkerSpec` — a frozen dataclass of builtins,
-hence picklable — travels to other processes and reconstructs an
-equivalent chunker there.
+``CDStoreSystem(chunker=...)``, a root's ``cdstore.json``), so chunkers
+are named and parameterised by text: a registry maps a short name to a
+factory plus the spec-string aliases of its constructor arguments, and a
+:class:`ChunkerSpec` — a frozen dataclass of builtins — renders to a spec
+string (``str(spec)``) that parses back (:meth:`ChunkerSpec.parse`) into
+an equivalent chunker, which is how a root keeps the chunker it was
+initialised with.
 
 Spec-string grammar::
 
@@ -75,11 +76,10 @@ register_chunker(
 
 @dataclass(frozen=True)
 class ChunkerSpec:
-    """Picklable description of a chunker configuration.
+    """Description of a chunker configuration.
 
-    Mirrors the codec spec of PR 2: plain builtins in, an equivalent live
-    object out (:meth:`create`), so process workers and CLI flags share
-    one vocabulary.
+    Plain builtins in, an equivalent live object out (:meth:`create`), so
+    CLI flags and ``cdstore.json`` share one vocabulary.
     """
 
     name: str

@@ -239,7 +239,6 @@ def cmd_backup(args: argparse.Namespace) -> int:
             args.user,
             chunker=args.chunker,
             threads=args.threads,
-            workers=args.workers,
             pipeline_depth=(
                 "auto" if args.pipeline_depth is None else args.pipeline_depth
             ),
@@ -914,11 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunker", type=_flag(chunker_spec), default=None,
         help=f"override the deployment's {chunker_help}",
     )
-    p.add_argument(
-        "--workers", choices=["thread", "process"], default="thread",
-        help="encode-pool flavour: 'process' escapes the GIL and scales "
-             "encoding with cores; 'thread' avoids fork/pickling overhead",
-    )
     p.set_defaults(func=cmd_backup)
 
     p = sub.add_parser("restore", help="restore a file")
@@ -1020,8 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the invariant checkers over the source tree",
         description="Static analysis purpose-built for this codebase: lock "
                     "discipline (LOCK-001), durability ordering (DUR-00x), "
-                    "resource lifecycle (LIFE-001), worker-spec "
-                    "picklability (PICKLE-001) and the metric catalogue "
+                    "resource lifecycle (LIFE-001) and the metric catalogue "
                     "(OBS-001). Prints `path:line: RULE-NNN message` per "
                     "finding and exits 1 if any survive suppression "
                     "(`# analysis: ignore[RULE-NNN] -- why`).",

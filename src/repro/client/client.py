@@ -99,7 +99,7 @@ class CDStoreClient:
         Organisation-wide convergent salt (shared by all clients of the
         organisation so their data deduplicates against each other).
     chunker:
-        A live :class:`~repro.chunking.base.Chunker`, a picklable
+        A live :class:`~repro.chunking.base.Chunker`, a
         :class:`~repro.chunking.registry.ChunkerSpec`, or a spec string
         like ``"gear:avg=8192"`` (see :mod:`repro.chunking.registry`).
         Defaults to the paper's 8 KB-average Rabin chunker.  Clients only
@@ -109,9 +109,6 @@ class CDStoreClient:
     threads:
         Encoding/comm thread count (§4.6); 1 disables all pools and the
         client talks to the clouds sequentially.
-    workers:
-        Encode-pool flavour, ``"thread"`` (default) or ``"process"``; see
-        :mod:`repro.client.comm` for the trade-off.
     pipeline_depth:
         Transfer-pipeline depth (§4.6 pipelining): encode slabs / restore
         windows in flight between stages.  With ``threads == 1``, ``1``
@@ -142,7 +139,6 @@ class CDStoreClient:
         chunker: Chunker | ChunkerSpec | str | None = None,
         scheme: str = "caont-rs",
         threads: int = 1,
-        workers: str = "thread",
         codec=None,
         pipeline_depth: int | str = 1,
         gateway=None,
@@ -159,7 +155,6 @@ class CDStoreClient:
         self.n = len(servers)
         self.k = k
         self.threads = threads
-        self.workers = workers
         self.dispersal = ConvergentDispersal(
             self.n, k, scheme=scheme, salt=salt, codec=codec
         )
@@ -179,10 +174,7 @@ class CDStoreClient:
         #: The parallel multi-cloud comm engine; shares ``self.servers`` so
         #: server replacements (cloud repair) are picked up live.
         self.comm = CommEngine(
-            self.servers,
-            threads=threads,
-            workers=workers,
-            pipeline_depth=pipeline_depth,
+            self.servers, threads=threads, pipeline_depth=pipeline_depth
         )
         #: Client-side tracer: entry points open *root* spans here, so
         #: the trace id a whole upload/restore shares is minted exactly

@@ -7,10 +7,10 @@ module gives the client that concurrency:
 * a persistent **per-cloud worker** (one thread per cloud connection) that
   owns all traffic to its server, so operations against different clouds
   overlap while traffic to one cloud stays ordered;
-* a pluggable **encode pool** (``threads`` workers, ``workers`` flavour)
-  that encodes *slabs* of secrets with the batched codec kernels while
-  earlier slabs are already in flight — encoding overlaps transfer within
-  one upload, the pipelining of Figure 4(a);
+* an **encode pool** of ``threads`` threads that encodes *slabs* of
+  secrets with the batched codec kernels while earlier slabs are already
+  in flight — encoding overlaps transfer within one upload, the
+  pipelining of Figure 4(a);
 * a **bounded slab queue** between the two: encode slabs flow into the
   per-cloud upload workers the moment they finish, so wire time hides
   behind encoding even with a single encode thread, and at most
@@ -34,35 +34,6 @@ wire behaviour, so single-threaded uses stay deterministic and pool-free.
 Transfer *time* is not this module's business: the link model lives in
 :mod:`repro.cloud.network` and :func:`repro.bench.transfer.
 client_upload_walltime` prices a receipt's ``wire_bytes_per_cloud``.
-
-Thread pool vs process pool
----------------------------
-
-``workers="thread"`` (default) encodes slabs on a
-:class:`~concurrent.futures.ThreadPoolExecutor`.  Threads share the
-client's address space, so there is no pickling cost and pre-built codecs
-(e.g. the server-aided CAONT-RS bound to a live key server) work
-unchanged — but CPython's GIL serialises the Python-level bookkeeping
-between the GIL-releasing hashlib/OpenSSL calls, so throughput plateaus
-near single-thread speed.  Threads win for small uploads, for codecs
-without a picklable spec, and when encoding merely needs to overlap
-*transfer* (the §4.6 pipelining) rather than scale with cores.
-
-``workers="process"`` encodes slabs on a
-:class:`~repro.client.workers.ProcessEncodePool`: each worker process
-rebuilds the codec once from the dispersal's picklable spec, caches it,
-and encodes whole slabs with the vectorised batch kernels, so encoding
-escapes the GIL and scales with cores like the paper's C++ prototype
-(Figure 5a).  The price is one fork per worker and one pickling
-round-trip per slab — and on platforms with
-``multiprocessing.shared_memory`` only the *reply* (shares back) is
-pickled: slab payloads are written once into per-slab shared segments
-that workers read in place, unlinked by the slab-release hook the moment
-every cloud drained the slab.  Noise for multi-megabyte backups, overhead
-for tiny ones.  Processes win for bulk encoding on
-multi-core hosts.  A dispersal whose ``spec()`` is None (pre-built codec
-objects) silently falls back to the thread pool, keeping behaviour
-correct everywhere.
 """
 
 from __future__ import annotations
@@ -76,14 +47,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from repro.analysis.annotations import guarded_by
 from repro.chunking.base import Chunk
-from repro.client.workers import (
-    ProcessEncodePool,
-    SharedSlabTransport,
-    SlabbedShareSets,
-    WORKER_MODES,
-    shared_slabs_available,
-    slab_spans,
-)
+from repro.client.workers import SlabbedShareSets, slab_spans
 from repro.core.convergent import ConvergentDispersal
 from repro.crypto.hashing import fingerprint
 from repro.errors import (
@@ -335,9 +299,6 @@ class CommEngine:
     threads:
         Encode-pool width; with ``pipeline_depth == 1``, ``threads == 1``
         disables all pools and runs inline.
-    workers:
-        Encode-pool flavour: ``"thread"`` (default) or ``"process"``.  See
-        the module docstring for when each wins.
     pipeline_depth:
         Pipeline windows (encode slabs on upload, share windows on
         restore) in flight between stages: a positive integer, or
@@ -352,16 +313,13 @@ class CommEngine:
     #: and teardown race when an engine is shared across caller threads,
     #: so the pool handles are only swapped under ``_init_lock``.
     GUARDED_BY = guarded_by(
-        _encode_pool="_init_lock",
-        _process_pool="_init_lock",
-        _cloud_workers="_init_lock",
+        _encode_pool="_init_lock", _cloud_workers="_init_lock"
     )
 
     def __init__(
         self,
         servers: list[CDStoreServer],
         threads: int = 1,
-        workers: str = "thread",
         pipeline_depth: int | str = 1,
     ) -> None:
         if threads < 1:
@@ -372,16 +330,10 @@ class CommEngine:
             raise ParameterError(
                 f"pipeline_depth must be >= 1 or 'auto', got {pipeline_depth!r}"
             )
-        if workers not in WORKER_MODES:
-            raise ParameterError(
-                f"unknown workers mode {workers!r}; expected one of {WORKER_MODES}"
-            )
         self.servers = servers
         self.threads = threads
-        self.workers = workers
         self.pipeline_depth: int = pipeline_depth
         self._encode_pool: ThreadPoolExecutor | None = None
-        self._process_pool: ProcessEncodePool | None = None
         self._cloud_workers: list[ThreadPoolExecutor] | None = None
         self._init_lock = threading.Lock()
 
@@ -407,31 +359,12 @@ class CommEngine:
                     for i in range(len(self.servers))
                 ]
 
-    def _ensure_process_pool(self) -> ProcessEncodePool:
-        """Create (and eagerly fork) the encode processes on first use.
-
-        Deferred to the first process-encoded upload so download-only and
-        metadata traffic never pays the forks; the pool is warmed before
-        this upload's cloud-worker submissions go out, while the engine
-        threads are idle.  Lazy slab submissions from cloud-worker threads
-        are safe afterwards: submitting to a warm pool never forks.
-        """
-        with self._init_lock:
-            if self._process_pool is None:
-                pool = ProcessEncodePool(self.threads)
-                pool.warm()
-                self._process_pool = pool
-            return self._process_pool
-
     def close(self) -> None:
         """Shut the worker pools down (idempotent)."""
         with self._init_lock:  # must not race a concurrent _ensure_workers
             if self._encode_pool is not None:
                 self._encode_pool.shutdown(wait=True)
                 self._encode_pool = None
-            if self._process_pool is not None:
-                self._process_pool.close()
-                self._process_pool = None
             if self._cloud_workers is not None:
                 for pool in self._cloud_workers:
                     pool.shutdown(wait=True)
@@ -503,38 +436,17 @@ class CommEngine:
     # ------------------------------------------------------------------
     def _submit_encode_slabs(
         self, dispersal: ConvergentDispersal, chunks: list[Chunk]
-    ) -> tuple[SlabbedShareSets, SharedSlabTransport | None]:
-        """Fan chunker output into encode slabs on the configured pool.
+    ) -> SlabbedShareSets:
+        """Fan chunker output into encode slabs on the encode pool.
 
         Chunks are grouped into contiguous slabs sized for the pool (see
         :func:`repro.client.workers.slab_spans`); each slab encodes with
-        the batched codec kernels.  Process workers are used when
-        configured *and* the dispersal has a picklable spec; otherwise the
-        slab runs on the thread pool.
-
-        Process-encoded slabs ship their payload through shared memory
-        when the platform allows: the secrets are written once into a
-        per-slab segment and the worker addresses ``(offset, length)``
-        spans, so the task pickle stays tiny.  The returned transport (or
-        None) owns those segments; the slab queue's release hook unlinks
-        each segment as soon as every cloud has drained its slab, and the
-        caller must :meth:`~SharedSlabTransport.close` the transport after
-        the upload to sweep error paths.
-
-        Slabs are submitted lazily: at most ``max(pipeline_depth,
-        threads)`` beyond the slowest cloud worker (a pool of ``threads``
-        encoders cannot be kept busy by fewer), each dropped from memory
-        once every cloud has drained it.
+        the batched codec kernels.  Slabs are submitted lazily: at most
+        ``max(pipeline_depth, threads)`` beyond the slowest cloud worker
+        (a pool of ``threads`` encoders cannot be kept busy by fewer), each
+        dropped from memory once every cloud has drained it.
         """
         assert self._encode_pool is not None
-        spans = slab_spans([chunk.size for chunk in chunks], self.threads)
-        slab_of = {start: idx for idx, (start, _end) in enumerate(spans)}
-        pool = None
-        transport = None
-        if self.workers == "process" and dispersal.spec() is not None:
-            pool = self._ensure_process_pool()
-            if shared_slabs_available():
-                transport = SharedSlabTransport()
 
         def encode_slab(secrets: list[bytes]):
             clock = time.perf_counter()
@@ -542,26 +454,19 @@ class CommEngine:
             _WINDOW_ENCODE_SECONDS.observe(time.perf_counter() - clock)
             return share_sets
 
-        def submit(start: int, end: int) -> Future:
-            secrets = [chunk.data for chunk in chunks[start:end]]
-            if pool is None:
-                # Thread-pool slabs time the encode in-worker; process
-                # slabs run out-of-process where the registry's cells
-                # are not ours, so they go unobserved.
-                return self._encode_pool.submit(_carry_context(encode_slab), secrets)
-            if transport is None:
-                return pool.submit(dispersal, secrets)
-            name, layout = transport.publish(slab_of[start], secrets)
-            return pool.submit_shared(dispersal, name, layout)
+        task = _carry_context(encode_slab)
 
-        view = SlabbedShareSets(
-            spans,
+        def submit(start: int, end: int) -> Future:
+            return self._encode_pool.submit(
+                task, [chunk.data for chunk in chunks[start:end]]
+            )
+
+        return SlabbedShareSets(
+            slab_spans([chunk.size for chunk in chunks], self.threads),
             submit,
             depth=max(self.pipeline_depth, self.threads),
             consumers=len(self.servers),
-            release=transport.release if transport is not None else None,
         )
-        return view, transport
 
     def upload_file(
         self,
@@ -577,22 +482,13 @@ class CommEngine:
         if self.parallel and len(chunks) > 1:
             self._ensure_workers()
             assert self._cloud_workers is not None
-            encoded, transport = self._submit_encode_slabs(dispersal, chunks)
-            try:
-                task = _carry_context(self._upload_to_cloud)
-                futures = [
-                    self._cloud_workers[idx].submit(
-                        task, idx, user_id, chunks, encoded
-                    )
-                    for idx in range(n)
-                ]
-                results = self._gather(futures)
-            finally:
-                # Normally every segment was already unlinked by the
-                # release hook; on error paths this sweeps the stragglers
-                # (their encodes were abandoned with the upload).
-                if transport is not None:
-                    transport.close()
+            encoded = self._submit_encode_slabs(dispersal, chunks)
+            task = _carry_context(self._upload_to_cloud)
+            futures = [
+                self._cloud_workers[idx].submit(task, idx, user_id, chunks, encoded)
+                for idx in range(n)
+            ]
+            results = self._gather(futures)
         else:
             uploaders = [
                 CloudUploader(self.servers[idx], idx, user_id) for idx in range(n)

@@ -353,7 +353,6 @@ class ReproConfig:
     cloud_specs: tuple[CloudSpec, ...] = ()
     scheme: str = "caont-rs"
     threads: int = 1
-    workers: str = "thread"
     pipeline_depth: int | str = 1
     #: Optional read gateway (:class:`GatewaySpec` or its mapping form);
     #: ``None`` means clients restore directly from the cloud quorum.
@@ -378,10 +377,6 @@ class ReproConfig:
                 "(one per cloud, 'local' or 'tcp://host:port')"
             )
         object.__setattr__(self, "cloud_specs", specs)
-        if self.workers not in ("thread", "process"):
-            raise ParameterError(
-                f"workers must be 'thread' or 'process', got {self.workers!r}"
-            )
         positive_int(self.threads, "threads")
         if self.pipeline_depth != "auto":
             positive_int(self.pipeline_depth, "pipeline_depth (or 'auto')")
@@ -418,8 +413,12 @@ class ReproConfig:
         working unchanged.
         """
         # "mux" chose between two proxy modes until the serial one was
-        # retired; files written back then still carry the key.
-        kwargs = _fields_of(cls, raw, "config", retired=frozenset({"mux"}))
+        # retired, "workers" between thread and process encode pools
+        # (which wrote the same bytes); files written back then still
+        # carry the keys.
+        kwargs = _fields_of(
+            cls, raw, "config", retired=frozenset({"mux", "workers"})
+        )
         for key in ("cloud_specs", "gateway", "obs"):
             if kwargs.get(key) is None:
                 kwargs.pop(key, None)

@@ -67,10 +67,6 @@ class ConvergentDispersal:
             self.k = k
             self.scheme = codec.name
             self.codec = codec
-            #: Pre-built codecs (e.g. bound to a live key-server client)
-            #: cannot be shipped to worker processes; spec() returns None
-            #: and the comm engine falls back to in-process encoding.
-            self._spec = None
             return
         if scheme not in _CONVERGENT_SCHEMES:
             raise ParameterError(
@@ -80,25 +76,6 @@ class ConvergentDispersal:
         self.k = k
         self.scheme = scheme
         self.codec = create_codec(scheme, n, k, salt=salt, **kwargs)
-        # Registry-built codecs can be reconstructed in another process
-        # from this picklable description (process-pool encoding).
-        self._spec = (scheme, n, k, bytes(salt), tuple(sorted(kwargs.items())))
-
-    # ------------------------------------------------------------------
-    def spec(self) -> tuple | None:
-        """Picklable ``(scheme, n, k, salt, kwargs)`` description, or None.
-
-        A non-None spec reconstructs an equivalent dispersal in another
-        process via :meth:`from_spec` — how the process-pool encode workers
-        build (and cache) their own codec without pickling live objects.
-        """
-        return self._spec
-
-    @classmethod
-    def from_spec(cls, spec: tuple) -> "ConvergentDispersal":
-        """Rebuild a dispersal from a :meth:`spec` tuple."""
-        scheme, n, k, salt, kwargs = spec
-        return cls(n, k, scheme=scheme, salt=salt, **dict(kwargs))
 
     # ------------------------------------------------------------------
     def encode(self, secret: bytes) -> ShareSet:

@@ -981,8 +981,11 @@ class CDStoreServer:
         """Rewrite containers to drop orphaned shares; returns bytes freed.
 
         Offline mark-and-sweep: live shares are re-packed into fresh
-        containers (their index entries updated), orphaned shares and the
-        old containers are deleted.
+        containers (their index entries updated), orphaned shares, the
+        intra-user mappings that name them and the old containers are
+        deleted.  The index commits before the first old container goes,
+        so a crash in between leaves only unreferenced containers, which
+        the next pass sweeps.
         """
         self.flush()
         # Containers holding live recipes must never be swept: they are
@@ -992,15 +995,22 @@ class CDStoreServer:
             for _, blob in self.index.items(PREFIX_FILE)
         }
         live: dict[bytes, ShareEntry] = {}
+        reaped: set[bytes] = set()
         for key, blob in self.index.items(PREFIX_SHARE):
             entry = ShareEntry.unpack(blob)
             fp = key[len(PREFIX_SHARE):]
             if entry.orphaned:
                 self.index.delete(key)
+                reaped.add(fp)
                 self.stats.physical_shares -= entry.share_size
                 self.stats.shares_stored -= 1
             else:
                 live[fp] = entry
+        # A mapping to a reaped share would answer "duplicate" for a
+        # share that no longer exists.
+        for key, server_fp in list(self.index.items(PREFIX_INTRA)):
+            if server_fp in reaped:
+                self.index.delete(key)
         freed = 0
         rewritten: set[str] = set()
         # Identify containers that contain at least one dead share.
@@ -1042,9 +1052,9 @@ class CDStoreServer:
             )
             rewritten.add(container_id)
         self.containers.flush()
+        self._commit_durable()
         for container_id in rewritten:
             self.cloud.backend.delete_object(container_id)
-        self._commit_durable()
         return freed
 
     @property

@@ -93,10 +93,6 @@ class CDStoreSystem:
     threads:
         Default comm/encode thread count for clients this system creates
         (§4.6); individual :meth:`client` calls may override it.
-    workers:
-        Default encode-pool flavour for clients, ``"thread"`` or
-        ``"process"`` (see :mod:`repro.client.comm` for when each wins);
-        individual :meth:`client` calls may override it.
     pipeline_depth:
         Default transfer-pipeline depth for clients (§4.6 pipelining):
         encode slabs / restore windows in flight between stages.  With
@@ -128,7 +124,6 @@ class CDStoreSystem:
         key_server=None,
         chunker: Chunker | ChunkerSpec | str | None = None,
         threads: int = 1,
-        workers: str = "thread",
         pipeline_depth: int | str = 1,
         credentials: Credentials | None = None,
         gateway=None,
@@ -144,7 +139,6 @@ class CDStoreSystem:
         self.scheme = scheme
         self.chunker = chunker
         self.threads = threads
-        self.workers = workers
         self.pipeline_depth = pipeline_depth
         #: Observability shape every client and proxy this system
         #: builds inherits (tracing on by default).
@@ -242,7 +236,6 @@ class CDStoreSystem:
                 key_server=key_server,
                 chunker=config.chunker,
                 threads=config.threads,
-                workers=config.workers,
                 pipeline_depth=config.pipeline_depth,
                 credentials=credentials,
                 gateway=config.gateway,
@@ -264,15 +257,13 @@ class CDStoreSystem:
         user_id: str,
         chunker: Chunker | ChunkerSpec | str | None = None,
         threads: int | None = None,
-        workers: str | None = None,
         pipeline_depth: int | str | None = None,
     ) -> CDStoreClient:
         """Get (or create) the CDStore client for ``user_id``.
 
-        ``chunker``, ``threads``, ``workers`` and ``pipeline_depth``
-        default to the system-wide settings; pass explicit values to
-        override for this client (first call wins — clients are cached
-        per user).
+        ``chunker``, ``threads`` and ``pipeline_depth`` default to the
+        system-wide settings; pass explicit values to override for this
+        client (first call wins — clients are cached per user).
         """
         if user_id not in self._clients:
             codec = None
@@ -293,7 +284,6 @@ class CDStoreSystem:
                 chunker=self.chunker if chunker is None else chunker,
                 scheme=self.scheme,
                 threads=self.threads if threads is None else threads,
-                workers=self.workers if workers is None else workers,
                 pipeline_depth=(
                     self.pipeline_depth if pipeline_depth is None else pipeline_depth
                 ),

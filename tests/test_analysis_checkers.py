@@ -143,25 +143,6 @@ def test_obs_checker_flags_missing_catalogue(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# PICKLE-001
-
-
-def test_picklable_checker_flags_bad_annotation():
-    sample = FIXTURES / "picklable" / "sample.py"
-    findings = findings_for("picklable")
-    assert rules(findings) == {"PICKLE-001"}
-    assert [f.line for f in findings] == [line_of(sample, "TRUE-POSITIVE")]
-    assert "BadSpec.handle" in findings[0].message
-    assert "'Any'" in findings[0].message
-
-
-def test_picklable_suppression_is_honoured():
-    sample = FIXTURES / "picklable" / "sample.py"
-    suppressed_line = line_of(sample, "analysis: ignore[PICKLE-001]")
-    assert all(f.line != suppressed_line for f in findings_for("picklable"))
-
-
-# ---------------------------------------------------------------------------
 # SUP-001
 
 

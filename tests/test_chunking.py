@@ -9,7 +9,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -625,8 +624,6 @@ class TestScanThreads:
 
 
 def _chunk_via_spec(spec: ChunkerSpec, data: bytes) -> list[tuple[bytes, int, int]]:
-    """Worker-side half of the registry round-trip test (top level, so
-    picklable by the process pool)."""
     chunker = create_chunker(spec)
     return [(c.data, c.offset, c.seq) for c in chunker.chunk_bytes(data)]
 
@@ -732,16 +729,11 @@ class TestChunkerRegistry:
         ),
         st.binary(min_size=0, max_size=4000),
     )
-    def test_round_trip_through_process_worker(self, text, data):
-        """A spec built here must produce the identical chunking when
-        reconstructed inside a worker process — the contract the CLI and
-        the encode pool rely on."""
+    def test_round_trip_through_spec_string(self, text, data):
+        """A spec must produce the identical chunking when rebuilt from its
+        rendered string — the ``cdstore.json`` round trip by which every
+        later CLI command on a root chunks the way ``repro init`` chose."""
         spec = ChunkerSpec.parse(text)
         local = _chunk_via_spec(spec, data)
-        remote = _WORKER_POOL.submit(_chunk_via_spec, spec, data).result()
+        remote = _chunk_via_spec(ChunkerSpec.parse(str(spec)), data)
         assert remote == local
-
-
-#: One worker, forked lazily at module import and shared by every example
-#: (forking per hypothesis example would dominate the suite's runtime).
-_WORKER_POOL = ProcessPoolExecutor(max_workers=1)

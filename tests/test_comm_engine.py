@@ -469,47 +469,11 @@ class TestConcurrentClients:
 
 
 # ---------------------------------------------------------------------------
-# process-parallel encode pool (workers="process")
+# encode slabs
 # ---------------------------------------------------------------------------
 
 
-class TestProcessEncodePool:
-    @pytest.mark.slow
-    def test_upload_restore_roundtrip(self):
-        """Process workers produce byte-identical wire state to threads."""
-        payload = data_of(300_000, "proc")
-        systems = {
-            mode: CDStoreSystem(n=4, k=3, salt=b"org", threads=3, workers=mode)
-            for mode in ("thread", "process")
-        }
-        stored = {}
-        for mode, system in systems.items():
-            client = system.client("alice", chunker=FixedChunker(4096))
-            client.upload("/f", payload)
-            assert client.download("/f") == payload
-            system.flush()
-            stored[mode] = system.stored_bytes()
-            system.close()
-        # Convergent encoding: identical bytes stored either way.
-        assert stored["thread"] == stored["process"]
-
-    @pytest.mark.slow
-    def test_dedup_unaffected_by_worker_mode(self):
-        """Second upload of the same payload transfers ~nothing."""
-        system = CDStoreSystem(n=4, k=3, salt=b"org", threads=2, workers="process")
-        client = system.client("alice", chunker=FixedChunker(4096))
-        payload = data_of(200_000, "dedup-proc")
-        client.upload("/one", payload)
-        receipt = client.upload("/two", payload)
-        assert receipt.transferred_share_bytes == 0
-        system.close()
-
-    def test_invalid_workers_mode_rejected(self):
-        from repro.errors import ParameterError
-
-        with pytest.raises(ParameterError):
-            CDStoreSystem(n=2, k=2, workers="fork").client("alice")
-
+class TestEncodeSlabs:
     def test_slab_spans_cover_in_order(self):
         from repro.client.workers import slab_spans
 
@@ -537,15 +501,14 @@ class TestProcessEncodePool:
         with pytest.raises(IndexError):
             view[3]
 
-    def test_spec_less_codec_falls_back_to_threads(self):
-        """A dispersal without a picklable spec still uploads correctly."""
+    def test_prebuilt_codec_uploads_and_restores(self):
+        """A dispersal over a pre-built codec encodes on the thread pool."""
         from repro.core.caont_rs import CAONTRS
         from repro.core.convergent import ConvergentDispersal
 
-        system = CDStoreSystem(n=4, k=3, salt=b"org", threads=3, workers="process")
+        system = CDStoreSystem(n=4, k=3, salt=b"org", threads=3)
         client = system.client("alice", chunker=FixedChunker(4096))
         client.dispersal = ConvergentDispersal(4, 3, codec=CAONTRS(4, 3, salt=b"org"))
-        assert client.dispersal.spec() is None
         payload = data_of(150_000, "fallback")
         client.upload("/f", payload)
         assert client.download("/f") == payload

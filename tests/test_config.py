@@ -106,7 +106,6 @@ def test_spec_count_must_match_n():
         {"n": 0},
         {"n": 2, "k": 0},
         {"n": 2, "k": 3},  # k > n
-        {"workers": "fiber"},
         {"threads": 0},
         {"pipeline_depth": 0},
         {"pipeline_depth": "turbo"},
@@ -144,7 +143,6 @@ def test_mapping_roundtrip():
         chunker="fixed",
         cloud_specs=["tcp://a:1", "local"],
         threads=3,
-        workers="process",
         pipeline_depth="auto",
     )
     assert ReproConfig.from_mapping(config.to_mapping()) == config
@@ -176,14 +174,18 @@ def test_unknown_keys_are_rejected_with_names(tmp_path):
         ReproConfig.from_file(tmp_path)
 
 
-def test_retired_mux_key_loads_and_is_not_written_back(tmp_path):
-    # Written when "mux" still chose between two proxy modes.
-    old = {**ReproConfig(n=2, k=1).to_mapping(), "mux": False}
+@pytest.mark.parametrize(
+    "key, value", [("mux", False), ("workers", "thread"), ("workers", "process")]
+)
+def test_retired_key_loads_and_is_not_written_back(tmp_path, key, value):
+    # Written when "mux" still chose between two proxy modes, or "workers"
+    # between thread and process encode pools (which wrote the same bytes).
+    old = {**ReproConfig(n=2, k=1).to_mapping(), key: value}
     (tmp_path / CONFIG_FILE_NAME).write_text(json.dumps(old))
     config = ReproConfig.from_file(tmp_path)
     assert config == ReproConfig(n=2, k=1)
-    assert "mux" not in config.to_mapping()
-    assert not hasattr(config, "mux")
+    assert key not in config.to_mapping()
+    assert not hasattr(config, key)
 
 
 def test_pre_config_object_schema_still_loads(tmp_path):

@@ -395,6 +395,101 @@ class TestLocalRootDeath:
 
 
 # ---------------------------------------------------------------------------
+# garbage collection: commit before delete, and no mapping outlives its share
+# ---------------------------------------------------------------------------
+
+
+class TestCollectGarbage:
+    @staticmethod
+    def client_over(servers):
+        from repro.client.client import CDStoreClient
+
+        return CDStoreClient("u", servers, k=1, salt=b"e2e", chunker="fixed")
+
+    def test_death_inside_the_sweep_loses_nothing_live(self, tmp_path):
+        """Two containers each hold live shares and deleted ones, so GC
+        re-packs the live shares and deletes both old containers.  The
+        process dies right after the first delete: the committed index
+        already names the re-packed copies, so nothing dangles, the live
+        files restore from the swept cloud alone, and the next pass
+        sweeps the old container that survived."""
+        root = init_deployment(tmp_path / "srv")
+        live = {f"/live{i}": os.urandom(40_000) for i in range(2)}
+        servers = [build_cloud_server(root, i).server for i in range(2)]
+        client = self.client_over(servers)
+        for i, (path, data) in enumerate(live.items()):
+            client.upload(path, data)
+            client.upload(f"/dead{i}", os.urandom(40_000))
+            client.flush()  # one share container per round
+        client.delete("/dead0")
+        client.delete("/dead1")
+        for server in servers:
+            server.close()
+
+        def body():
+            server = build_cloud_server(root, 0).server
+            backend = server.cloud.backend
+            delete = backend.delete_object
+
+            def dies_after_the_first_delete(cid):
+                delete(cid)
+                die_in_request()
+
+            backend.delete_object = dies_after_the_first_delete
+            server.collect_garbage()
+
+        assert run_in_child(body) == DIED_IN_REQUEST
+        servers = [build_cloud_server(root, i).server for i in range(2)]
+        try:
+            report = servers[0].last_recovery
+            assert report.dangling_share_entries == 0
+            assert report.dangling_file_entries == 0
+            servers[1].cloud.fail()  # restore from the swept cloud only
+            for path, data in live.items():
+                assert self.client_over(servers).download(path) == data
+            servers[1].cloud.recover()
+            assert servers[0].scrub() == []
+            assert servers[0].collect_garbage() > 0  # the surviving old container
+        finally:
+            for server in servers:
+                server.close()
+
+    def test_reaped_shares_no_longer_answer_duplicate(self, tmp_path):
+        """Back up, delete, collect: the user's intra-user mappings to the
+        reaped shares go in the same commit, so the same content is sent
+        again rather than finalized against shares that no longer exist."""
+        root = init_deployment(tmp_path / "srv")
+        data = os.urandom(40_000)
+        servers = [build_cloud_server(root, i).server for i in range(2)]
+        try:
+            client = self.client_over(servers)
+            client.upload("/f", data)
+            fps = [
+                key[len(PREFIX_INTRA) + 2:]
+                for key, _ in servers[0].index.items(PREFIX_INTRA + b"u\x00")
+            ]
+            assert fps
+            client.delete("/f")
+            for server in servers:
+                assert server.collect_garbage() > 0
+            assert servers[0].query_duplicates("u", fps) == [False] * len(fps)
+            client.upload("/f", data)
+            client.flush()
+            assert client.download("/f") == data
+        finally:
+            for server in servers:
+                server.close()
+        servers = [build_cloud_server(root, i).server for i in range(2)]
+        try:
+            for server in servers:
+                assert server.last_recovery.dangling_intra_mappings == 0
+            assert self.client_over(servers).download("/f") == data
+        finally:
+            for server in servers:
+                server.close()
+
+
+# ---------------------------------------------------------------------------
 # one process per root
 # ---------------------------------------------------------------------------
 

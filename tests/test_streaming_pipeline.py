@@ -259,6 +259,25 @@ class TestBoundedSlabQueue:
             list(stream)
         assert view._futures == [None, None]  # all slabs dropped
 
+    def test_slab_is_freed_only_after_every_consumer(self):
+        """A slab leaves the window — its shares dropped, the next slab
+        submitted — only once every consumer has drained it, in slab
+        order; an abandoned consumer counts as having drained the rest."""
+        log: list[tuple[int, int]] = []
+        spans = [(0, 1), (1, 2), (2, 3)]
+        view = self._lazy_view(spans, depth=2, consumers=2, log=log)
+        first, second = view.stream(), view.stream()
+        a, b = iter(first), iter(second)
+        assert next(a) == (0, 0) and next(a) == (1, 1)  # a drained slab 0
+        assert log == spans[:2] and view._futures[0] is not None
+        assert next(b) == (0, 0) and next(b) == (1, 1)  # so did b
+        assert log == spans and view._futures[0] is None
+        first.close()  # a is abandoned holding slab 1
+        assert view._futures[1] is not None
+        assert list(b) == [(2, 2)]
+        second.close()
+        assert view._futures == [None, None, None]
+
     def test_abandoned_consumer_unblocks_siblings(self):
         """A consumer dying mid-stream must release its claims so the
         other consumer can still pull every slab through the window."""
@@ -299,7 +318,7 @@ class TestBoundedSlabQueue:
         assert submitted == spans
 
     def test_failing_submit_poisons_slab_instead_of_deadlocking(self):
-        """A submit that raises (broken pool, full /dev/shm) must surface
+        """A submit that raises (e.g. a pool already shut down) must surface
         as the slab's error on every consumer — not leave the slot empty
         with the other cloud workers blocked on it forever."""
         spans = [(0, 1), (1, 2), (2, 3)]
