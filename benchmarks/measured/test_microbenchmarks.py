@@ -89,6 +89,31 @@ def test_microbenchmarks():
     for off in range(0, len(data), 8192):
         rs.encode(data[off : off + 8192])
     rows.append(["reed-solomon encode (4,3)", _rate(len(data), time.perf_counter() - start)])
+    # CAONT-RS (4,3) decode of real Rabin chunks (≈ 8 KiB, nearly every
+    # length distinct), from the systematic subset and from one that
+    # needs the inverse matrix: the restore window's batched decode
+    # (runs of ~1 MiB of packages, one mask buffer and one XOR per run)
+    # against looping the per-secret recover.
+    from repro.chunking import RabinChunker
+    from repro.core.caont_rs import CAONTRS
+
+    codec = CAONTRS(4, 3, salt=b"micro")
+    chunks = [chunk.data for chunk in RabinChunker().chunk_bytes(DRBG("decode").random_bytes(4 << 20))]
+    share_sets = codec.encode_batch(chunks)
+    for subset in ((0, 1, 2), (1, 2, 3)):
+        requests = [(share_set.subset(list(subset)), len(chunk)) for chunk, share_set in zip(chunks, share_sets)]
+        batched = looped = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            assert codec.decode_batch(requests) == chunks
+            batched = min(batched, time.perf_counter() - start)
+            start = time.perf_counter()
+            for request in requests:
+                codec.recover(*request)
+            looped = min(looped, time.perf_counter() - start)
+        label = "{" + ",".join(map(str, subset)) + "}"
+        rows.append([f"caont-rs decode, rabin chunks {label} (batched)", _rate(4 << 20, batched)])
+        rows.append([f"caont-rs decode, rabin chunks {label} (per-secret recover)", _rate(4 << 20, looped)])
     # Chunkers: the cut scan the Rabin ingest path runs (the blocked
     # two-level kernel of repro.chunking.scan on Rabin's tables), its
     # byte-at-a-time rolling reference (kept only as executable
@@ -197,3 +222,44 @@ def test_microbenchmarks():
         title="Substrate microbenchmarks (1 MB working set)",
     )
     emit("microbenchmarks", table)
+
+
+def test_lsm_get_past_the_block_cache():
+    """Point-get latency of a compacted LSM store as it outgrows the
+    default 8 MiB block cache: 33-byte keys, 70-byte values, warm random
+    gets of present keys and of absent keys (the latter answered by a
+    cached block or, for an uncached block, by the bloom filter)."""
+    import random
+    import tempfile
+
+    from repro.lsm.db import LSMStore
+
+    rows = []
+    for entries in (20_000, 100_000, 400_000):
+        rng = random.Random(entries)
+        keys = [b"s" + rng.randbytes(32) for _ in range(entries)]
+        with tempfile.TemporaryDirectory() as tmp, LSMStore(tmp) as db:
+            for i, key in enumerate(keys):
+                db.put(key, rng.randbytes(70))
+                if i % 20_000 == 19_999:
+                    db.sync()
+            db.sync()
+            db.flush()
+            db.compact()
+            present = rng.sample(keys, 20_000)
+            absent = [b"s" + rng.randbytes(32) for _ in range(20_000)]
+            for label, probes in (("present", present), ("absent", absent)):
+                for key in probes:  # warm the cache as far as it holds
+                    db.get(key)
+                start = time.perf_counter()
+                for key in probes:
+                    db.get(key)
+                micros = (time.perf_counter() - start) / len(probes) * 1e6
+                rows.append([f"{entries:,}", label, micros])
+        del keys
+    table = format_table(
+        ["entries", "keys", "µs per get"],
+        rows,
+        title="LSM point get, compacted store, default 8 MiB block cache",
+    )
+    emit("lsm_get_scale", table)

@@ -1,4 +1,5 @@
-"""DUR-001/002/003: publishes, acks and log records behind their barriers.
+"""DUR-001/002/003/004: publishes, acks, log records and deletes behind
+their barriers.
 
 Scope: modules under ``storage/`` or ``server/`` (plus any module whose
 stem is one of those names, e.g. ``net/server.py``) — the layers that own
@@ -12,7 +13,9 @@ a line-ordered event trace:
 * **publish** — ``os.rename``/``os.replace`` or the one-argument
   ``<path>.rename(...)``/``<path>.replace(...)`` Path form (the
   one-argument requirement keeps ``str.replace(old, new)`` out);
-* **ack** — ``.sendall(...)``.
+* **ack** — ``.sendall(...)``;
+* **commit** — ``._commit_durable()`` or ``.commit()``;
+* **delete** — ``.delete_object(...)``.
 
 A publish (DUR-001) or ack (DUR-002) that appears after a write with no
 ``os.fsync`` in between is flagged; a buffered write additionally needs a
@@ -35,6 +38,13 @@ first, so in modules under ``lsm/``:
   not reach ``flush`` from ``put`` or ``delete`` through ``self.*``
   calls: a memtable flush inside a request publishes that request's
   mutations before its commit.
+
+DUR-004 puts deletes behind the commit, in the per-function trace of
+``storage/`` and ``server/`` modules: a ``delete_object`` with no commit
+earlier in its function is flagged.  An object may go only once the
+index that stops naming it is durable; deleted first, a crash before
+the commit reboots an index whose entries name an object that is gone
+(``collect_garbage`` had exactly this order until it was fixed).
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ from repro.analysis.engine import FileContext, Finding
 __all__ = ["check_durability", "check_log_order"]
 
 _BUFFERED_WRITES = frozenset({"write", "writelines"})
+_COMMITS = frozenset({"_commit_durable", "commit"})
 _WHOLE_FILE_WRITES = frozenset({"write_bytes", "write_text"})
 
 
@@ -69,7 +80,8 @@ def walk_shallow(fn: ast.AST):
 @dataclass(frozen=True)
 class _Event:
     line: int
-    kind: str  # write-buffered | write-whole | flush | fsync | publish | ack
+    # write-buffered | write-whole | flush | fsync | publish | ack | commit | delete
+    kind: str
     label: str
 
 
@@ -95,6 +107,10 @@ def _classify(call: ast.Call) -> _Event | None:
             return _Event(call.lineno, "publish", f".{attr}()")
     if attr == "sendall":
         return _Event(call.lineno, "ack", "sendall")
+    if attr in _COMMITS and not call.args:
+        return _Event(call.lineno, "commit", f"{attr}()")
+    if attr == "delete_object":
+        return _Event(call.lineno, "delete", attr)
     return None
 
 
@@ -110,7 +126,20 @@ def _check_function(
         key=lambda e: e.line,
     )
     findings: list[Finding] = []
+    first_commit = min((e.line for e in events if e.kind == "commit"), default=None)
     for sink in events:
+        if sink.kind == "delete" and (first_commit is None or first_commit > sink.line):
+            findings.append(
+                ctx.finding(
+                    sink.line,
+                    "DUR-004",
+                    (
+                        f"{sink.label} runs before this function's commit "
+                        f"(_commit_durable()/commit()) — a crash in between "
+                        f"reboots an index naming an object that is gone"
+                    ),
+                )
+            )
         if sink.kind not in {"publish", "ack"}:
             continue
         writes = [e for e in events if e.kind.startswith("write") and e.line < sink.line]

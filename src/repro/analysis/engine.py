@@ -67,6 +67,11 @@ RULE_DOCS: dict[str, str] = {
         "outside its sync()/reset(), or a store flush() reachable from "
         "put()/delete() (index records ahead of the log they name)"
     ),
+    "DUR-004": (
+        "a storage/server delete_object() runs before its function's "
+        "_commit_durable()/commit() (a crash in between leaves index "
+        "entries naming a deleted object)"
+    ),
     "OBS-001": (
         "a metric registered on the obs registry (REGISTRY.counter/gauge/"
         "histogram) is missing from the docs/OBSERVABILITY.md catalogue, "

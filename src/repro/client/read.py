@@ -33,6 +33,7 @@ Two sessions implement the surface:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -43,6 +44,7 @@ from repro.errors import (
     InsufficientCloudsError,
     IntegrityError,
 )
+from repro.obs.registry import REGISTRY
 from repro.server.messages import RecipeEntry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
@@ -55,6 +57,13 @@ __all__ = [
     "ReadSession",
     "RestorePlan",
 ]
+
+# The decode stage of a restore (docs/OBSERVABILITY.md), beside the
+# per-cloud fetch timings of client/comm.py: one observation per window.
+_WINDOW_DECODE_SECONDS = REGISTRY.histogram(
+    "client_window_decode_seconds",
+    "Wall time decoding one restore window's secrets from their shares",
+)
 
 #: Errors on the gateway read path that mean "this path failed, the
 #: direct quorum may still succeed": transport/storage failures
@@ -275,11 +284,13 @@ class DirectReadSession(ReadSession):
                 # share one inverse-matrix multiply; on integrity failure the
                 # dispersal retries per secret and widens only the ones that
                 # still fail.
+                clock = time.perf_counter()
                 parts.extend(
                     client.dispersal.decode_batch(
                         requests, fallback=widen_with_spares
                     )
                 )
+                _WINDOW_DECODE_SECONDS.observe(time.perf_counter() - clock)
         finally:
             stream.close()
         return self._finish(parts)
@@ -341,5 +352,7 @@ class GatewayReadSession(ReadSession):
         parts: list[bytes] = []
         for index, (start, end) in enumerate(self.plan.windows):
             requests = list(self._window_requests(index, start, end))
+            clock = time.perf_counter()
             parts.extend(self.client.dispersal.decode_batch(requests))
+            _WINDOW_DECODE_SECONDS.observe(time.perf_counter() - clock)
         return self._finish(parts)

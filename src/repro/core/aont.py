@@ -57,11 +57,13 @@ _WORD = 16  # AES block size; Rivest's AONT masks word-by-word
 
 
 def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings (numpy for bulk sizes)."""
+    """XOR two equal-length byte strings (big ints when short, numpy for bulk)."""
     if len(a) != len(b):
         raise CryptoError(f"xor length mismatch: {len(a)} vs {len(b)}")
     if len(a) <= 64:
-        return bytes(x ^ y for x, y in zip(a, b))
+        return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
+            len(a), "big"
+        )
     return (
         np.frombuffer(a, dtype=np.uint8) ^ np.frombuffer(b, dtype=np.uint8)
     ).tobytes()

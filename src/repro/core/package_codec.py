@@ -24,6 +24,12 @@ from repro.sharing.base import SecretSharingScheme, ShareSet
 
 __all__ = ["PackageRSCodec"]
 
+#: Bytes of packages :meth:`PackageRSCodec.decode_batch` rebuilds and opens
+#: at a time.  A run's joined shares, its mask buffer and its plaintext are
+#: the batched decode's extra working set, so it is bounded by a run, not by
+#: the restore window.
+_RUN_BYTES = 1 << 20
+
 
 class PackageRSCodec(SecretSharingScheme):
     """Base class: AONT package + systematic RS dispersal.
@@ -128,15 +134,18 @@ class PackageRSCodec(SecretSharingScheme):
     ) -> list[bytes]:
         """Recover a whole slab of secrets with batched kernels.
 
-        Requests recovered from the same ``k``-subset at the same share
-        size decode with one inverse-matrix multiply; the AONT is opened
-        (and integrity-checked) per secret.  Element-wise identical to
-        :meth:`recover`, including which shares win when extras are given
-        (lowest ``k`` indices).
+        Requests are grouped by the ``k``-subset they decode from (the
+        lowest ``k`` share indices given, as :meth:`recover` chooses), and
+        each group is opened in runs of about :data:`_RUN_BYTES` of
+        packages: one join (or, off the systematic subset, one
+        inverse-matrix multiply over the run's pieces laid side by side)
+        and one :meth:`_open_packages` call per run, so the working set is
+        one run whatever the slab's size.  Element-wise identical to
+        :meth:`recover`; an integrity failure anywhere raises.
         """
         requests = list(requests)
         out: list[bytes | None] = [None] * len(requests)
-        groups: dict[tuple[tuple[int, ...], int], list[int]] = {}
+        groups: dict[tuple[int, ...], list[int]] = {}
         for i, (shares, secret_size) in enumerate(requests):
             self._check_recover_args(shares, secret_size)
             chosen = tuple(sorted(shares)[: self.k])
@@ -145,25 +154,83 @@ class PackageRSCodec(SecretSharingScheme):
                 raise CodingError(
                     f"shares have inconsistent sizes: {sorted(sizes)}"
                 )
-            groups.setdefault((chosen, sizes.pop()), []).append(i)
-        for (chosen, share_size), members in groups.items():
-            stack = np.empty((len(members), self.k, share_size), dtype=np.uint8)
-            for row, i in enumerate(members):
-                shares = requests[i][0]
-                for j, idx in enumerate(chosen):
-                    stack[row, j] = np.frombuffer(shares[idx], dtype=np.uint8)
-            data = self._rs.decode_stack(chosen, stack)
-            for row, i in enumerate(members):
-                secret_size = requests[i][1]
-                package_size = self._package_size(secret_size)
-                if package_size > data.shape[1]:
-                    raise CodingError(
-                        f"package size {package_size} exceeds decoded "
-                        f"size {data.shape[1]}"
-                    )
-                package = data[row, :package_size].tobytes()
-                out[i] = self._open_package(package, secret_size)
+            package_size = self._package_size(secret_size)
+            decoded_size = self.k * sizes.pop()
+            if package_size > decoded_size:
+                raise CodingError(
+                    f"package size {package_size} exceeds decoded "
+                    f"size {decoded_size}"
+                )
+            groups.setdefault(chosen, []).append(i)
+        for chosen, members in groups.items():
+            run: list[int] = []
+            run_bytes = 0
+            for i in members:
+                run.append(i)
+                run_bytes += self.k * len(requests[i][0][chosen[0]])
+                if run_bytes >= _RUN_BYTES:
+                    self._decode_run(chosen, run, requests, out)
+                    run, run_bytes = [], 0
+            if run:
+                self._decode_run(chosen, run, requests, out)
         return out  # type: ignore[return-value]
+
+    def _decode_run(
+        self,
+        chosen: tuple[int, ...],
+        run: list[int],
+        requests: list[tuple[dict[int, bytes], int]],
+        out: list[bytes | None],
+    ) -> None:
+        """Rebuild one run's packages end to end and open them."""
+        k = self.k
+        sizes = [len(requests[i][0][chosen[0]]) for i in run]
+        spans = []
+        offset = 0
+        for i, size in zip(run, sizes):
+            spans.append((offset, requests[i][1]))
+            offset += k * size
+        if chosen == tuple(range(k)):
+            # Systematic: a package is its k data shares joined.
+            packages: bytes | np.ndarray = b"".join(
+                [requests[i][0][idx] for i in run for idx in chosen]
+            )
+        else:
+            # RS is column-independent, so row j holds piece j of every
+            # secret side by side and one multiply decodes the run.
+            pieces = np.frombuffer(
+                b"".join([requests[i][0][idx] for idx in chosen for i in run]),
+                dtype=np.uint8,
+            ).reshape(1, k, -1)
+            decoded = self._rs.decode_stack(chosen, pieces).reshape(k, -1)
+            packages = np.empty(offset, dtype=np.uint8)
+            column = 0
+            for (start, _), size in zip(spans, sizes):
+                packages[start : start + k * size].reshape(k, size)[...] = (
+                    decoded[:, column : column + size]
+                )
+                column += size
+        for i, secret in zip(run, self._open_packages(packages, spans)):
+            out[i] = secret
+
+    def _open_packages(
+        self, packages: bytes | np.ndarray, spans: list[tuple[int, int]]
+    ) -> list[bytes]:
+        """Open a run of packages laid end to end in ``packages``.
+
+        ``spans[b] = (offset, secret_size)`` places package ``b`` (of
+        :meth:`_package_size` bytes) in the run.  The default opens each
+        package with :meth:`_open_package`; vectorised subclasses
+        override to mask the whole run in bulk (the decode mirror of
+        :meth:`_make_packages`).
+        """
+        view = memoryview(packages)
+        return [
+            self._open_package(
+                bytes(view[offset : offset + self._package_size(size)]), size
+            )
+            for offset, size in spans
+        ]
 
     def share_size(self, secret_size: int) -> int:
         """Size in bytes of each share for a ``secret_size``-byte secret."""

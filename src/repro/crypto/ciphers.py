@@ -36,10 +36,11 @@ around it is not.  The OpenSSL path therefore realises CTR as a
 **one-shot AES-ECB-of-counters kernel**: counter blocks are precomputed
 once and cached (they are key-independent), a single shared mode object
 serves every cipher, each :class:`AesCtr` keeps one reusable encryptor
-for its lifetime, and the batch kernel :func:`mask_stack` writes an
-entire slab's masks straight into a NumPy block via ``update_into`` —
-no per-secret zero buffers, IV packing, or output copies.  ECB of the
-counter block sequence is bit-identical to CTR keystream by definition.
+for its lifetime, and the batch kernel :func:`mask_spans` (with its
+equal-length view :func:`mask_stack`) writes a whole run's masks straight
+into one NumPy buffer via ``update_into`` — no per-secret zero buffers,
+IV packing, or output copies.  ECB of the counter block sequence is
+bit-identical to CTR keystream by definition.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "AesCtr",
     "ctr_keystream",
     "mask_block",
+    "mask_spans",
     "mask_stack",
     "set_aes_backend",
     "aes_backend_name",
@@ -68,9 +70,12 @@ try:  # pragma: no cover - availability depends on host environment
     #: Shared stateless mode object: ECB holds no per-cipher state, so one
     #: instance serves every cipher and its construction cost is paid once.
     _ECB = modes.ECB()
+    #: The AES class, bound once: ``algorithms`` is a module proxy whose
+    #: every attribute read runs Python (≈ 4 µs), once per secret's key.
+    _AES = algorithms.AES
 except Exception:  # pragma: no cover
     _HAVE_OPENSSL = False
-    _ECB = None
+    _ECB = _AES = None
 
 _BACKEND_NAMES = ["pure"] + (["openssl"] if _HAVE_OPENSSL else [])
 _active_backend = "openssl" if _HAVE_OPENSSL else "pure"
@@ -167,7 +172,7 @@ class AesCtr:
         mask-generation ceiling).
         """
         if self._ecb_encryptor is None:
-            self._ecb_encryptor = Cipher(algorithms.AES(self.key), _ECB).encryptor()
+            self._ecb_encryptor = Cipher(_AES(self.key), _ECB).encryptor()
         return self._ecb_encryptor
 
     @staticmethod
@@ -199,7 +204,7 @@ class AesCtr:
             # Bulk requests: hardware CTR over a zero buffer beats
             # materialising megabytes of counter plaintext.
             iv = int(block_offset).to_bytes(16, "big")
-            enc = Cipher(algorithms.AES(self.key), modes.CTR(iv)).encryptor()
+            enc = Cipher(_AES(self.key), modes.CTR(iv)).encryptor()
             return enc.update(bytes(nblocks * 16))[:length]
         stream = self._pure().encrypt_blocks(
             self._counter_blocks(block_offset, nblocks)
@@ -225,9 +230,7 @@ class AesCtr:
             # the faithful per-word cost model, and hardware CTR stepping a
             # zero word is the cheapest honest rendering of "one encryption
             # call per word" (mirroring what the pre-kernel code did).
-            enc = Cipher(
-                algorithms.AES(self.key), modes.CTR(b"\0" * 16)
-            ).encryptor()
+            enc = Cipher(_AES(self.key), modes.CTR(b"\0" * 16)).encryptor()
             zero = b"\0" * 16
             for _ in range(count):
                 yield enc.update(zero)
@@ -257,39 +260,60 @@ def mask_stack(
 ) -> np.ndarray:
     """AONT masks ``G(key)`` for a slab of secrets, as a ``(B, length)`` stack.
 
-    Row ``b`` equals ``mask_block(keys[b], length)``.  The per-key EVP
-    setup is irreducible (each secret keys its own stream), but everything
-    around it is amortised over the batch: the counter plaintext is built
-    once, the shared ECB mode object is reused, and each mask is written
-    straight into its row of one NumPy block via ``update_into`` — the
-    one-shot AES-ECB-of-counters kernel that lifts the mask-generation
-    ceiling on the batched CAONT-RS encode path.
+    Row ``b`` equals ``mask_block(keys[b], length)``: the rows are
+    :func:`mask_spans` of equal length laid end to end, the kernel of the
+    batched CAONT-RS encode path.
     """
     if length < 0:
         raise ParameterError(f"negative mask length {length}")
-    batch = len(keys)
-    if batch == 0 or length == 0:
-        return np.zeros((batch, length), dtype=np.uint8)
-    nblocks = -(-length // 16)
-    padded = nblocks * 16
+    spans = [(row * length, length) for row in range(len(keys))]
+    masks = mask_spans(keys, spans, len(keys) * length, backend)
+    return masks.reshape(len(keys), length)
+
+
+def mask_spans(
+    keys: list[bytes],
+    spans: list[tuple[int, int]],
+    size: int,
+    backend: str | None = None,
+) -> np.ndarray:
+    """AONT masks for a run of secrets laid end to end in one buffer.
+
+    Returns a ``(size,)`` uint8 array in which ``[offset, offset + length)``
+    holds ``mask_block(keys[b], length)`` for each ``spans[b] = (offset,
+    length)``; bytes outside the spans are undefined.  Spans must ascend
+    and not overlap: the kernel writes whole 16-byte blocks in span order,
+    so a span's last partial block may spill up to 15 bytes past its end,
+    and the next span's mask then overwrites the spill.
+
+    The per-key EVP setup is irreducible (each secret keys its own
+    stream), but everything around it is amortised over the run: the
+    counter plaintext is built once, the shared ECB mode object is
+    reused, and each mask is written straight into the one buffer via
+    ``update_into`` — the one-shot AES-ECB-of-counters kernel that lifts
+    the mask-generation ceiling, for secrets of one length
+    (:func:`mask_stack`) or many (the batched CAONT-RS decode).
+    """
     name = backend or _active_backend
-    if name == "openssl" and nblocks <= _COUNTER_CACHE_BLOCKS:
-        counters = _counter_bytes(0, nblocks)
-        # ``update_into`` demands block_size - 1 slack beyond the payload.
-        out = np.empty((batch, padded + 15), dtype=np.uint8)
-        for row, key in enumerate(keys):
+    # update_into wants block_size - 1 bytes of slack beyond the payload,
+    # on top of the last span's spill.
+    out = np.empty(size + 32, dtype=np.uint8)
+    counters = memoryview(_counter_buffer())
+    for key, (offset, length) in zip(keys, spans):
+        if length == 0:
+            continue
+        nblocks = -(-length // 16)
+        if name == "openssl" and nblocks <= _COUNTER_CACHE_BLOCKS:
             if len(key) not in (16, 24, 32):
                 raise CryptoError(
                     f"AES key must be 16/24/32 bytes, got {len(key)}"
                 )
-            enc = Cipher(algorithms.AES(key), _ECB).encryptor()
-            enc.update_into(counters, out[row])
-        return out[:, :length]
-    # Pure backend, or masks too large for the counter cache: one
-    # keystream call per key (which itself picks the best bulk path).
-    out = np.empty((batch, length), dtype=np.uint8)
-    for row, key in enumerate(keys):
-        out[row] = np.frombuffer(
-            AesCtr(key, backend=name).keystream(length), dtype=np.uint8
-        )
-    return out
+            enc = Cipher(_AES(key), _ECB).encryptor()
+            enc.update_into(
+                counters[: nblocks * 16], out[offset : offset + nblocks * 16 + 15]
+            )
+        else:
+            out[offset : offset + length] = np.frombuffer(
+                AesCtr(key, backend=name).keystream(length), dtype=np.uint8
+            )
+    return out[:size]

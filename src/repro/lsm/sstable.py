@@ -3,13 +3,14 @@
 An SSTable holds a sorted run of key-value records flushed from the
 memtable, with three auxiliary structures that make lookups cheap:
 
-* a **bloom filter** over all keys (skip the file entirely on miss);
 * a **sparse block index** (first key of every block) loaded in memory
   and binary-searched with :mod:`bisect`;
 * fixed-size **data blocks** fetched on demand.  A point read decodes
   its block once into a :class:`DecodedBlock` dict, which the store's
   LRU block cache keeps and charges at its Python footprint, so a
-  cached get is one dict lookup.
+  cached get is one dict lookup;
+* a **bloom filter** over all keys, consulted only when the key's block
+  is not cached: it spares a miss the block read, never a cached get.
 
 File layout::
 
@@ -264,16 +265,19 @@ class SSTable:
 
         ``block_cache`` is an optional mapping-like cache keyed by
         ``(path, block number)`` that holds decoded blocks, so a hot
-        block is read and decoded once.
+        block is read and decoded once.  A cached block answers
+        directly, present or absent; the bloom filter guards only the
+        read of an uncached block, so a probe (one SHA-256 plus a few bit
+        tests) is never paid where a dict lookup already decides.
         """
-        if key not in self.bloom:
-            return None
         block = bisect_right(self._first_keys, key) - 1
         if block < 0:
             return None
         cache_key = (self._cache_tag, block)
         records = block_cache.get(cache_key) if block_cache is not None else None
         if records is None:
+            if key not in self.bloom:
+                return None
             records = self._decode(block)
             if block_cache is not None:
                 block_cache.put(cache_key, records)

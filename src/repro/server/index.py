@@ -47,6 +47,12 @@ PREFIX_INTRA = b"u"
 #: :class:`repro.tenants.TenantUsage` records keyed by tenant id.
 PREFIX_TENANT = b"q"
 
+# ShareEntry layout: share size, ref length, then the ContainerRef's own
+# id length and entry index; the owner count; one header per owner.
+_SHARE_HEAD = struct.Struct(">IHHI")
+_U32 = struct.Struct(">I")
+_OWNER = struct.Struct(">HI")
+
 
 class IndexBackend(abc.ABC):
     """Minimal key-value API the server index needs."""
@@ -204,24 +210,29 @@ class ShareEntry:
 
     @classmethod
     def unpack(cls, blob: bytes) -> "ShareEntry":
-        from repro.errors import StorageError
-
+        """Decode :meth:`pack`'s layout: ``>IH`` share size and ref length,
+        the :class:`ContainerRef` (``>HI`` id length and entry index, then
+        the ASCII id), ``>I`` owner count, then ``>HI`` name length and
+        count plus the UTF-8 name per owner.  Any malformed field raises
+        :class:`ProtocolError`."""
         try:
-            share_size, ref_len = struct.unpack_from(">IH", blob, 0)
-            pos = 6
-            ref = ContainerRef.unpack(blob[pos : pos + ref_len])
-            pos += ref_len
-            (count,) = struct.unpack_from(">I", blob, pos)
+            share_size, ref_len, cid_len, entry_index = _SHARE_HEAD.unpack_from(blob)
+            if 6 + cid_len > ref_len:
+                raise ProtocolError("ContainerRef id truncated")
+            container_id = blob[12 : 12 + cid_len].decode("ascii")
+            pos = 6 + ref_len
+            (count,) = _U32.unpack_from(blob, pos)
             pos += 4
             owners = {}
             for _ in range(count):
-                ulen, refcount = struct.unpack_from(">HI", blob, pos)
-                pos += 6
-                owners[blob[pos : pos + ulen].decode("utf-8")] = refcount
-                pos += ulen
-        except (struct.error, UnicodeDecodeError, StorageError) as exc:
+                ulen, refcount = _OWNER.unpack_from(blob, pos)
+                pos += 6 + ulen
+                if pos > len(blob):
+                    raise ProtocolError("owner name truncated")
+                owners[blob[pos - ulen : pos].decode("utf-8")] = refcount
+        except (struct.error, UnicodeDecodeError, ProtocolError) as exc:
             raise ProtocolError(f"bad ShareEntry: {exc}") from exc
-        return cls(ref=ref, share_size=share_size, owners=owners)
+        return cls(ContainerRef(container_id, entry_index), share_size, owners)
 
 
 @dataclass

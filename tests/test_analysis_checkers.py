@@ -94,6 +94,26 @@ def test_log_order_suppression_is_honoured():
 
 
 # ---------------------------------------------------------------------------
+# DUR-004
+
+
+def test_delete_order_checker_flags_a_delete_before_the_commit():
+    sample = FIXTURES / "server" / "sample.py"
+    findings = findings_for("server")
+    assert rules(findings) == {"DUR-004"}
+    assert [f.line for f in findings] == [
+        line_of(sample, "TRUE-POSITIVE: delete before commit")
+    ]
+    assert "delete_object" in findings[0].message
+
+
+def test_delete_order_suppression_is_honoured():
+    sample = FIXTURES / "server" / "sample.py"
+    suppressed_line = line_of(sample, "analysis: ignore[DUR-004]")
+    assert all(f.line != suppressed_line for f in findings_for("server"))
+
+
+# ---------------------------------------------------------------------------
 # LIFE-001
 
 

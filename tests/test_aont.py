@@ -105,3 +105,29 @@ class TestRivestAont:
         # Package body is always 16-byte aligned plus a 32-byte tail.
         for size in (0, 1, 15, 16, 17, 8192):
             assert (rivest_package_size(size) - HASH_SIZE) % 16 == 0
+
+
+class TestXorBytes:
+    def test_short_path_matches_numpy_at_every_length(self):
+        import numpy as np
+
+        from repro.core.aont import _xor_bytes
+        from repro.crypto.drbg import DRBG
+
+        rng = DRBG("xor-bytes")
+        for length in range(66):
+            a, b = rng.random_bytes(length), rng.random_bytes(length)
+            expected = (
+                np.frombuffer(a, dtype=np.uint8) ^ np.frombuffer(b, dtype=np.uint8)
+            ).tobytes()
+            assert _xor_bytes(a, b) == expected
+            assert _xor_bytes(a, bytes(length)) == a
+            # Leading zero bytes survive the int round trip.
+            assert _xor_bytes(a, a) == bytes(length)
+
+    @pytest.mark.parametrize("lengths", [(0, 1), (32, 31), (64, 65), (100, 99)])
+    def test_length_mismatch_raises(self, lengths):
+        from repro.core.aont import _xor_bytes
+
+        with pytest.raises(CryptoError):
+            _xor_bytes(bytes(lengths[0]), bytes(lengths[1]))

@@ -98,6 +98,29 @@ class TestShareEntry:
         entry.drop_owner("ghost")
         assert entry.orphaned
 
+    def test_every_truncation_raises_protocol_error(self):
+        blob = ShareEntry(
+            ContainerRef("container-0000000001", 5), 2731, {"alice": 3, "bob": 1}
+        ).pack()
+        for cut in range(len(blob)):
+            with pytest.raises(ProtocolError):
+                ShareEntry.unpack(blob[:cut])
+
+    def test_bad_utf8_owner_name_raises_protocol_error(self):
+        blob = ShareEntry(ContainerRef("c", 0), 100, {"al": 1}).pack()
+        assert blob.endswith(b"al")
+        with pytest.raises(ProtocolError, match="bad ShareEntry"):
+            ShareEntry.unpack(blob[:-2] + b"\xff\xfe")
+
+    def test_malformed_container_ref_raises_protocol_error(self):
+        blob = bytearray(ShareEntry(ContainerRef("cid", 7), 100, {"a": 1}).pack())
+        bad_ref_len = bytes(blob)
+        bad_ref_len = bad_ref_len[:4] + (5).to_bytes(2, "big") + bad_ref_len[6:]
+        blob[12] = 0xC3  # a non-ASCII container id byte
+        for bad in (bytes(blob), bad_ref_len):
+            with pytest.raises(ProtocolError):
+                ShareEntry.unpack(bad)
+
     def test_bad_blob_raises(self):
         with pytest.raises(ProtocolError):
             ShareEntry.unpack(b"xx")

@@ -520,6 +520,35 @@ class TestUploadStages:
         assert 0 < chunk.duration < upload.duration
 
 
+class TestRestoreStages:
+    def test_one_decode_observation_per_restore_window(self):
+        """Decode is a stage an operator can see: ``client_window_decode_seconds``
+        gains one observation per decoded restore window."""
+        from repro.obs.registry import REGISTRY
+
+        def observations() -> int:
+            series = REGISTRY.snapshot()["histograms"]["client_window_decode_seconds"]
+            return sum(entry["count"] for entry in series.values())
+
+        servers = make_servers(4)
+        client = CDStoreClient(user_id="alice", servers=servers, k=3, salt=b"org")
+        client.restore_window_bytes = 32 << 10
+        data = payload(300_000)
+        try:
+            client.upload("f", data)
+            client.flush()
+            session = client.open_read("f")
+            windows = len(session.plan.windows)
+            before = observations()
+            assert session.read() == data
+        finally:
+            client.close()
+            for server in servers:
+                server.close()
+        assert windows > 2
+        assert observations() == before + windows
+
+
 class TestTraceInterop:
     """A peer that does not offer the trace flag keeps working and simply
     records no server-side spans."""

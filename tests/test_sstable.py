@@ -242,3 +242,80 @@ class TestBlockReads:
         assert list(table.items()) == items
         assert list(table.items_range(b"key050", b"key150")) == items[50:150]
         assert len(opened) == 2 and len(table._index) > 10
+
+
+class TestCacheFirstGet:
+    """A point read asks the block cache before the bloom filter."""
+
+    @staticmethod
+    def bloom_first_get(table, key):
+        """The read order before the cache went first: bloom, bisect, block."""
+        from bisect import bisect_right
+
+        if key not in table.bloom:
+            return None
+        block = bisect_right(table._first_keys, key) - 1
+        return None if block < 0 else table._decode(block).get(key)
+
+    @staticmethod
+    def block_reads():
+        from repro.obs.registry import REGISTRY
+
+        return sum(REGISTRY.snapshot()["counters"].get("lsm_block_reads_total", {}).values())
+
+    def tables(self, tmp_path):
+        """Three overlapping tables: values, tombstones, keys only some hold."""
+        specs = [
+            [(b"k%05d" % i, b"old%d" % i) for i in range(0, 600, 2)],
+            [(b"k%05d" % i, TOMBSTONE if i % 3 == 0 else b"mid%d" % i) for i in range(1, 600, 5)],
+            [(b"k%05d" % i, b"new%d" % i) for i in range(300, 900, 7)],
+        ]
+        return [
+            SSTable.write(tmp_path / f"t{n}.db", iter(items), block_size=256)
+            for n, items in enumerate(specs)
+        ]
+
+    def test_returns_what_bloom_first_returned(self, tmp_path):
+        tables = self.tables(tmp_path)
+        probes = [b"k%05d" % i for i in range(-5, 905)] + [b"", b"k", b"k00001\x00", b"\xff"]
+        cache = LRUCache(1 << 20, size_of=lambda block: block.charge)
+        seen = []
+        for table in tables:
+            expected = [self.bloom_first_get(table, key) for key in probes]
+            cold = [table.get(key) for key in probes]
+            warm = [table.get(key, block_cache=cache) for key in probes]
+            warmer = [table.get(key, block_cache=cache) for key in probes]
+            assert cold == warm == warmer == expected
+            seen += expected
+        assert TOMBSTONE in seen and None in seen
+
+    def test_an_absent_key_in_an_uncached_block_reads_nothing(self, tmp_path):
+        tables = self.tables(tmp_path)
+        cache = LRUCache(1 << 20, size_of=lambda block: block.charge)
+        absent = [
+            (table, key)
+            for table in tables
+            for key in (b"k%05d" % i for i in range(900))
+            if key not in table.bloom
+        ]
+        assert len(absent) > 500
+        before = self.block_reads()
+        for table, key in absent:
+            assert table.get(key, block_cache=cache) is None
+        assert self.block_reads() == before
+        assert len(cache) == 0
+
+    def test_a_cached_block_answers_without_the_bloom_filter(self, tmp_path):
+        table = self.tables(tmp_path)[0]
+        cache = LRUCache(1 << 20, size_of=lambda block: block.charge)
+        keys = [b"k%05d" % i for i in range(600)]
+        expected = [table.get(key, block_cache=cache) for key in keys]
+
+        class Unreachable:
+            def __contains__(self, key):
+                raise AssertionError("bloom probed for a cached block")
+
+        table.bloom = Unreachable()
+        before = self.block_reads()
+        assert [table.get(key, block_cache=cache) for key in keys] == expected
+        assert self.block_reads() == before
