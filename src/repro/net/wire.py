@@ -96,9 +96,10 @@ __all__ = [
 ]
 
 #: The one protocol revision this build speaks (version 1, a serial
-#: framing without the ``u32 request_id`` word, is retired).  Both
+#: framing without the ``u32 request_id`` word, and version 2, whose
+#: ``T_GET_RECIPE`` carried a trailing bool, are retired).  Both
 #: handshake frames carry it and each side checks the other's.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 _FRAME_MAGIC = 0xCD5E
 #: Frame header: magic | frame type | request id | payload length.
@@ -560,9 +561,7 @@ T_FINALIZE_FILE = Frame(
     method="finalize_file",
 )
 T_GET_FILE_ENTRY = Frame(0x05, *_USER_KEY, reply=R_FILE_ENTRY, method="get_file_entry")
-T_GET_RECIPE = Frame(
-    0x06, *_USER_KEY, ("bypass_cache", boolean), reply=R_RECIPE, method="get_recipe"
-)
+T_GET_RECIPE = Frame(0x06, *_USER_KEY, reply=R_RECIPE, method="get_recipe")
 T_LIST_FILES = Frame(0x07, _USER, reply=R_FILE_LIST, method="list_files")
 T_FETCH_SHARES = Frame(
     0x08,

@@ -56,9 +56,7 @@ class CDStoreServerAPI(Protocol):
     # -- restore ----------------------------------------------------------
     def get_file_entry(self, user_id: str, lookup_key: bytes) -> FileEntry: ...
 
-    def get_recipe(
-        self, user_id: str, lookup_key: bytes, bypass_cache: bool = False
-    ) -> list[RecipeEntry]: ...
+    def get_recipe(self, user_id: str, lookup_key: bytes) -> list[RecipeEntry]: ...
 
     def list_files(self, user_id: str) -> list[tuple[bytes, FileEntry]]: ...
 

@@ -689,22 +689,13 @@ class CDStoreServer:
         return out
 
     @_locked
-    def get_recipe(
-        self, user_id: str, lookup_key: bytes, bypass_cache: bool = False
-    ) -> list[RecipeEntry]:
-        """Fetch and decode the file recipe (transparently decompressed).
+    def get_recipe(self, user_id: str, lookup_key: bytes) -> list[RecipeEntry]:
+        """Fetch and decode the file recipe (transparently decompressed)."""
+        return self._recipe_entries(self.get_file_entry(user_id, lookup_key))
 
-        ``bypass_cache=True`` forces a backend read — the scrub path must
-        observe actual stored bytes, not a cached pre-corruption copy.
-        """
-        entry = self.get_file_entry(user_id, lookup_key)
-        return self._recipe_entries(entry, bypass_cache=bypass_cache)
-
-    def _recipe_entries(
-        self, entry: FileEntry, bypass_cache: bool = False
-    ) -> list[RecipeEntry]:
+    def _recipe_entries(self, entry: FileEntry) -> list[RecipeEntry]:
         """Read and decode the recipe a file entry points at."""
-        _, blob = self.containers.read_entry(entry.recipe_ref, bypass_cache=bypass_cache)
+        [(_, blob)] = self.containers.read_entries([entry.recipe_ref])
         size = RecipeEntry.packed_size()
         try:
             # The file entry says how long the recipe is, so a hostile
@@ -860,11 +851,8 @@ class CDStoreServer:
             by_container.setdefault(entry.ref.container_id, []).append((fp, entry))
         for container_id, entries in by_container.items():
             try:
-                container = self.containers.read_container(
-                    container_id, bypass_cache=True
-                )
-                stored = {key: payload for key, payload in container.entries}
-            except Exception:
+                stored = dict(self.containers.read_container(container_id).entries)
+            except (StorageError, OSError):
                 # Whole container unreadable: everything in it is corrupt.
                 corrupt.extend(fp for fp, _ in entries)
                 continue
@@ -1022,10 +1010,8 @@ class CDStoreServer:
                 continue
             live_fps = set(container_live.get(container_id, []))
             try:
-                container = self.containers.read_container(
-                    container_id, bypass_cache=True
-                )
-            except Exception:
+                container = self.containers.read_container(container_id)
+            except (StorageError, OSError):
                 # Unreadable (corrupt) container: if nothing live points at
                 # it — e.g. scrubbing already relocated its shares — sweep
                 # it whole; otherwise leave it for scrub_and_repair.
@@ -1041,7 +1027,7 @@ class CDStoreServer:
                 continue
             for fp in container_live.get(container_id, []):
                 entry = live[fp]
-                _, payload = self.containers.read_entry(entry.ref)
+                [(_, payload)] = container.pick(container_id, [entry.ref.entry_index])
                 new_ref = self.containers.append("gc", KIND_SHARE, fp, payload)
                 entry.ref = new_ref
                 self._put_share_entry(fp, entry)

@@ -8,8 +8,8 @@ to the cloud's storage backend.  This package provides:
   (:class:`MemoryBackend` for tests and simulation,
   :class:`LocalDirBackend` for on-disk runs);
 * :mod:`repro.storage.container` — the container format and the
-  :class:`ContainerManager` with per-user write buffers and an LRU
-  container cache.
+  :class:`ContainerManager` with per-user write buffers and ranged
+  entry reads.
 """
 
 from repro.storage.backend import LocalDirBackend, MemoryBackend, StorageBackend

@@ -6,13 +6,15 @@ containers* holding file recipes.  Containers are capped at 4 MB — except
 that an oversized file recipe is kept whole in its own container rather
 than split, "to reduce I/Os".
 
-Two I/O optimisations from the paper are implemented:
+The paper's two I/O optimisations map onto this module as follows:
 
 * **per-user write buffers** — shares/recipes are buffered per user so
   "each container contains only the data of a single user", retaining the
   spatial locality deduplicated restores rely on [62];
-* an **LRU container cache** holding the most recently accessed containers
-  to cut backend reads.
+* the paper's **LRU container cache**, which cuts backend reads, is played
+  here by ranged reads (one per run of adjacent entries), a small LRU of
+  per-container offset tables, and the OS page cache under the backend —
+  no whole container is held in server memory.
 
 Container wire format::
 
@@ -127,6 +129,8 @@ class Container:
         magic, kind, count = _HEADER.unpack_from(blob)
         if magic != _MAGIC:
             raise StorageError("bad container magic")
+        if kind not in _KINDS:
+            raise StorageError(f"unknown container kind {kind}")
         container = cls(kind)
         pos = _HEADER.size
         for _ in range(count):
@@ -147,6 +151,13 @@ class Container:
         if pos != len(blob):
             parse_footer(blob[pos:], entries_end=pos, count=count)
         return container
+
+    def pick(self, container_id: str, indices: list[int]) -> list[tuple[bytes, bytes]]:
+        """Entries ``indices``; :class:`NotFoundError` past the count."""
+        for index in indices:
+            if not 0 <= index < len(self.entries):
+                raise NotFoundError(f"entry {index} not in container {container_id}")
+        return [self.entries[index] for index in indices]
 
 
 def parse_footer(
@@ -184,16 +195,6 @@ def parse_footer(
     return offsets
 
 
-def _pick(
-    container_id: str, entries: list[tuple[bytes, bytes]], indices: list[int]
-) -> list[tuple[bytes, bytes]]:
-    """Entries ``indices`` of a container already held as an entry list."""
-    for index in indices:
-        if not 0 <= index < len(entries):
-            raise NotFoundError(f"entry {index} not in container {container_id}")
-    return [entries[index] for index in indices]
-
-
 def _slice_entries(
     container_id: str, span: bytes, base: int, bounds: list[int], indices: list[int]
 ) -> list[tuple[bytes, bytes]]:
@@ -220,21 +221,19 @@ def _slice_entries(
 
 
 class ContainerManager:
-    """Buffers, writes, caches and reads containers at one backend.
+    """Buffers, writes and reads containers at one backend.
 
-    Two ways to read: :meth:`read_container` / :meth:`read_entry`
-    materialise a whole container and keep it in the LRU cache (recipes,
-    scrub, GC); :meth:`read_entries` is the restore path — any set of
-    entries, one ranged backend read per run of adjacent ones, nothing
-    cached but the containers' offset tables.  The manager owns no lock:
-    the server serialises every call under its own.
+    Entries — shares and recipes alike — are read by :meth:`read_entries`:
+    one ranged backend read per run of adjacent entries, nothing cached
+    but the containers' offset tables.  :meth:`read_container` parses a
+    whole stored container, uncached, for the maintenance walks (scrub,
+    GC) and footer-less legacy containers.  The manager owns no lock: the
+    server serialises every call under its own.
 
     Parameters
     ----------
     backend:
         The cloud's object store.
-    cache_bytes:
-        Capacity of the LRU container cache (default 32 MB).
     journal:
         Optional :class:`~repro.storage.journal.ContainerJournal`.  When
         present the manager runs in **crash-only** mode: every append is
@@ -252,14 +251,12 @@ class ContainerManager:
     def __init__(
         self,
         backend: StorageBackend,
-        cache_bytes: int = 32 << 20,
         journal: ContainerJournal | None = None,
         on_seal=None,
     ) -> None:
         self.backend = backend
         self.journal = journal
         self.on_seal = on_seal
-        self._cache = LRUCache(cache_bytes, size_of=len)
         # Offset tables for ranged entry reads: container id -> entry
         # start offsets + entry-region end.  A table is ~4 bytes per
         # entry, so 1 MB caches tables for hundreds of 4 MB containers.
@@ -353,9 +350,7 @@ class ContainerManager:
         self, container: Container, cid: str | None = None, user_id: str | None = None
     ) -> str:
         cid = cid or self._new_container_id()
-        blob = container.serialize()
-        self.backend.put_object(cid, blob)
-        self._cache.put(cid, blob)
+        self.backend.put_object(cid, container.serialize())
         if self.on_seal is not None and user_id is not None:
             self.on_seal(user_id, cid, container.payload_bytes)
         return cid
@@ -425,54 +420,23 @@ class ContainerManager:
                 return self._buffers[buf_key]
         return None
 
-    def _load(self, container_id: str) -> bytes:
-        blob = self._cache.get(container_id)
-        if blob is None:
-            try:
-                blob = self.backend.get_object(container_id)
-            except NotFoundError:
-                # The entry may still sit in an unflushed buffer.
-                buffered = self._open_buffer(container_id)
-                if buffered is None:
-                    raise
-                return buffered.serialize()
-            self._cache.put(container_id, blob)
-        return blob
-
-    def read_entry(
-        self, ref: ContainerRef, bypass_cache: bool = False
-    ) -> tuple[bytes, bytes]:
-        """Fetch one ``(key, payload)`` entry by reference."""
-        container = self.read_container(ref.container_id, bypass_cache=bypass_cache)
-        return _pick(ref.container_id, container.entries, [ref.entry_index])[0]
-
-    # ------------------------------------------------------------------
-    # ranged reading (bounded server memory)
-    # ------------------------------------------------------------------
-    def _entry_bounds(self, container_id: str, blob: bytes | None) -> list[int] | None:
+    def _entry_bounds(self, container_id: str) -> list[int] | None:
         """Offset table of ``container_id``: entry ``i`` spans
         ``bounds[i]:bounds[i + 1]``.
 
-        Parsed from ``blob`` when the caller already holds the container
-        (a cache hit), else read via two ranged backend reads (trailer,
-        then the table); cached either way — the table is ~4 bytes per
-        entry, three orders of magnitude smaller than the container it
-        indexes.  Returns None for a container written before the footer
-        existed (no footer magic): legacy blobs are readable, just not
-        rangeable.  A *present but inconsistent* footer still raises —
-        that is corruption, not age.
+        Read via two ranged backend reads (trailer, then the table) and
+        cached — the table is ~4 bytes per entry, three orders of
+        magnitude smaller than the container it indexes.  Returns None
+        for a container written before the footer existed (no footer
+        magic): legacy blobs are readable, just not rangeable.  A
+        *present but inconsistent* footer still raises — that is
+        corruption, not age.
         """
         bounds = self._footers.get(container_id)
         if bounds is not None:
             return bounds
-        if blob is not None:
-            size = len(blob)
-
-            def read(offset: int, length: int) -> bytes:
-                return blob[offset : offset + length]
-        else:
-            size = self.backend.object_size(container_id)
-            read = functools.partial(self.backend.get_range, container_id)
+        size = self.backend.object_size(container_id)
+        read = functools.partial(self.backend.get_range, container_id)
         if size < _HEADER.size + _TRAILER.size:
             return None  # too small to carry a footer: legacy or empty
         end, count, magic = _TRAILER.unpack(read(size - _TRAILER.size, _TRAILER.size))
@@ -490,21 +454,19 @@ class ContainerManager:
         """Fetch many ``(key, payload)`` entries, in the order of ``refs``,
         *without* materialising their containers.
 
-        The one ranged-read path.  Refs are grouped by container and
-        sorted by entry index; each container is then served, in
-        preference order, from the whole-container LRU cache (already in
-        memory; one lookup per container, not per entry), an unflushed
-        write buffer, or the backend — **one ranged read per run of
-        adjacent entries**, sliced apart at the footer offsets.  Only
+        The one entry-read path.  Refs are grouped by container and
+        sorted by entry index; each container is then served from an
+        unflushed write buffer or the backend — **one ranged read per run
+        of adjacent entries**, sliced apart at the footer offsets.  Only
         adjacent entries merge (a gap splits a run), so no byte is read
-        that was not asked for, and the cold path holds one run plus the
-        container's offset table, never the 4 MB blob; the whole-container
-        cache is never populated.  Each entry's header must agree with
-        its footer span (:class:`StorageError` otherwise — never slice at
-        stale offsets); an index past the container's count raises
-        :class:`NotFoundError`; nothing partial is returned.  A container
-        written before the offset footer existed falls back to one
-        whole-container read — old backups stay restorable.
+        that was not asked for, and a read holds one run plus the
+        container's offset table, never the 4 MB blob.  Each entry's
+        header must agree with its footer span (:class:`StorageError`
+        otherwise — never slice at stale offsets); an index past the
+        container's count raises :class:`NotFoundError`; nothing partial
+        is returned.  A container written before the offset footer
+        existed falls back to one whole-container read — old backups stay
+        restorable.
         """
         out: list = [None] * len(refs)
         slots_by_container: dict[str, list[int]] = {}
@@ -523,22 +485,16 @@ class ContainerManager:
         self, container_id: str, indices: list[int]
     ) -> list[tuple[bytes, bytes]]:
         """Entries ``indices`` (ascending) of one container."""
-        blob = self._cache.get(container_id)
-        if blob is None:
-            buffered = self._open_buffer(container_id)
-            if buffered is not None:
-                return _pick(container_id, buffered.entries, indices)
-        bounds = self._entry_bounds(container_id, blob)
+        buffered = self._open_buffer(container_id)
+        if buffered is not None:
+            return buffered.pick(container_id, indices)
+        bounds = self._entry_bounds(container_id)
         if bounds is None:  # legacy footer-less container
-            return _pick(
-                container_id, self.read_container(container_id).entries, indices
-            )
+            return self.read_container(container_id).pick(container_id, indices)
         if indices[0] < 0 or indices[-1] >= len(bounds) - 1:
             raise NotFoundError(
                 f"entry {indices[-1]} not in container {container_id}"
             )
-        if blob is not None:
-            return _slice_entries(container_id, blob, 0, bounds, indices)
         out: list[tuple[bytes, bytes]] = []
         first = 0
         for last in range(len(indices)):
@@ -553,20 +509,12 @@ class ContainerManager:
             first = last + 1
         return out
 
-    def read_container(self, container_id: str, bypass_cache: bool = False) -> Container:
-        """Fetch a whole container (restore path: spatial locality).
-
-        ``bypass_cache=True`` forces a backend read and refreshes the
-        cache — integrity scrubbing must see the bytes actually stored,
-        not a cached pre-corruption copy.
-        """
-        if bypass_cache:
-            blob = self.backend.get_object(container_id)
-            self._cache.put(container_id, blob)
-            return Container.deserialize(blob)
-        return Container.deserialize(self._load(container_id))
+    def read_container(self, container_id: str) -> Container:
+        """Parse a whole stored container, uncached: scrub and GC see the
+        bytes actually stored."""
+        return Container.deserialize(self.backend.get_object(container_id))
 
     @property
     def cache_stats(self) -> tuple[int, int]:
-        """(hits, misses) of the container cache."""
-        return self._cache.hits, self._cache.misses
+        """(hits, misses) of the offset-table cache, the manager's only one."""
+        return self._footers.hits, self._footers.misses

@@ -494,7 +494,7 @@ class CDStoreSystem:
                 return client.dispersal.encode(secret).shares[index], secret_size
 
             try:
-                target_recipe = target.get_recipe(user, lookup_key, bypass_cache=True)
+                target_recipe = target.get_recipe(user, lookup_key)
             except ReproError:
                 # The recipe container itself is corrupt: rebuild the whole
                 # recipe from donor data.

@@ -223,13 +223,17 @@ class TestRetiredFraming:
         assert pos == len(answer)
 
     def test_ping_advertising_version_1_is_a_typed_error(self, front_end):
-        with socket.create_connection(front_end.address, timeout=5) as sock:
-            sock.sendall(wire.encode_mux_frame(wire.T_PING, 9, wire.T_PING.encode(1, 0)))
-            frame_type, rid, body = read_raw_frame(sock)
-        assert (frame_type, rid) == (wire.R_ERROR, 9)
-        exc = wire.decode_error(body)
-        assert isinstance(exc, ProtocolError)
-        assert "version 1" in str(exc)
+        """Every retired revision (1, and 2 with its longer T_GET_RECIPE)
+        fails at the handshake, not at a later frame."""
+        for version in (1, 2):
+            with socket.create_connection(front_end.address, timeout=5) as sock:
+                ping = wire.T_PING.encode(version, 0)
+                sock.sendall(wire.encode_mux_frame(wire.T_PING, 9, ping))
+                frame_type, rid, body = read_raw_frame(sock)
+            assert (frame_type, rid) == (wire.R_ERROR, 9)
+            exc = wire.decode_error(body)
+            assert isinstance(exc, ProtocolError)
+            assert f"version {version}" in str(exc)
 
 
 # ---------------------------------------------------------------------------

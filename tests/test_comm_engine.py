@@ -222,7 +222,7 @@ class TestRestoreFailover:
         payload = data_of(30_000)
         client.upload("/f", payload)
 
-        def corrupt_recipe(user_id, lookup_key, bypass_cache=False):
+        def corrupt_recipe(user_id, lookup_key):
             raise ProtocolError("recipe blob corrupt (bad length)")
 
         system.servers[1].get_recipe = corrupt_recipe
@@ -247,9 +247,8 @@ class TestRestoreFailover:
         TestBruteForceSpareRecipeCache._corrupt_payloads(
             backend, container_id, count=2
         )
-        system.servers[0].containers._cache.clear()
 
-        def corrupt_recipe(user_id, lookup_key, bypass_cache=False):
+        def corrupt_recipe(user_id, lookup_key):
             raise ProtocolError("recipe blob corrupt (bad length)")
 
         system.servers[3].get_recipe = corrupt_recipe
@@ -339,7 +338,6 @@ class TestBruteForceSpareRecipeCache:
             if backend.get_object(cid)[4] == 1  # kind byte == KIND_SHARE
         )
         self._corrupt_payloads(backend, container_id, count=3)
-        system.servers[0].containers._cache.clear()
 
         def boom(fingerprints):
             raise NotFoundError("spare lost its shares")
@@ -361,9 +359,6 @@ class TestBruteForceSpareRecipeCache:
             if backend.get_object(cid)[4] == 1  # kind byte == KIND_SHARE
         )
         self._corrupt_payloads(backend, container_id, count=3)
-        # Drop the server's container cache so the restore reads the
-        # corrupted backend bytes (a cold server after the tampering).
-        system.servers[0].containers._cache.clear()
 
         spare = system.servers[3]
         calls = {"get_recipe": 0}

@@ -1,13 +1,14 @@
 """Container format and the ContainerManager (§4.5)."""
 
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NotFoundError, ParameterError, StorageError
-from repro.storage.backend import MemoryBackend
+from repro.storage.backend import LocalDirBackend, MemoryBackend
 from repro.storage.container import (
     CONTAINER_CAP,
     Container,
@@ -48,6 +49,16 @@ class TestContainerFormat:
         with pytest.raises(StorageError):
             Container.deserialize(b"\x00" * 64)
 
+    def test_unknown_stored_kind_is_a_storage_error(self):
+        """A stored kind byte no writer emits is corruption, not a bad
+        argument."""
+        container = Container(KIND_SHARE)
+        container.add(b"k", b"v")
+        blob = bytearray(container.serialize())
+        blob[4] = 9
+        with pytest.raises(StorageError):
+            Container.deserialize(bytes(blob))
+
     def test_full_flag(self):
         container = Container(KIND_SHARE)
         container.add(b"k", b"x" * CONTAINER_CAP)
@@ -68,7 +79,7 @@ class TestContainerManager:
     def test_append_and_read(self, manager):
         ref = manager.append("alice", KIND_SHARE, b"fp", b"share-bytes")
         manager.flush()
-        key, payload = manager.read_entry(ref)
+        [(key, payload)] = manager.read_entries([ref])
         assert key == b"fp"
         assert payload == b"share-bytes"
 
@@ -76,7 +87,7 @@ class TestContainerManager:
         """Entries still in write buffers must be readable (restore can
         race a backup session)."""
         ref = manager.append("alice", KIND_SHARE, b"fp", b"pending")
-        _, payload = manager.read_entry(ref)
+        [(_, payload)] = manager.read_entries([ref])
         assert payload == b"pending"
 
     def test_container_seals_at_cap(self, manager):
@@ -86,7 +97,7 @@ class TestContainerManager:
         assert manager.backend.list_keys("container-")
         manager.flush()
         for ref in refs:
-            _, payload = manager.read_entry(ref)
+            [(_, payload)] = manager.read_entries([ref])
             assert payload == chunk
 
     def test_per_user_isolation(self, manager):
@@ -104,7 +115,7 @@ class TestContainerManager:
         big = b"r" * (CONTAINER_CAP + 100)
         ref = manager.append("u", KIND_RECIPE, b"big", big)
         assert ref.entry_index == 0
-        _, payload = manager.read_entry(ref)
+        [(_, payload)] = manager.read_entries([ref])
         assert payload == big
 
     def test_bad_kind_raises(self, manager):
@@ -113,22 +124,13 @@ class TestContainerManager:
 
     def test_missing_container_raises(self, manager):
         with pytest.raises(NotFoundError):
-            manager.read_entry(ContainerRef("container-9999999999", 0))
+            manager.read_entries([ContainerRef("container-9999999999", 0)])
 
     def test_missing_entry_raises(self, manager):
         ref = manager.append("u", KIND_SHARE, b"k", b"v")
         manager.flush()
         with pytest.raises(NotFoundError):
-            manager.read_entry(ContainerRef(ref.container_id, 99))
-
-    def test_cache_hits_on_reread(self, manager):
-        ref = manager.append("u", KIND_SHARE, b"k", b"v")
-        manager.flush()
-        manager.read_entry(ref)
-        hits_before, _ = manager.cache_stats
-        manager.read_entry(ref)
-        hits_after, _ = manager.cache_stats
-        assert hits_after > hits_before
+            manager.read_entries([ContainerRef(ref.container_id, 99)])
 
     def test_ids_restored_after_reopen(self):
         backend = MemoryBackend()
@@ -141,6 +143,22 @@ class TestContainerManager:
         ids = backend.list_keys("container-")
         assert len(ids) == len(set(ids)) == 2
         assert ref2.container_id in ids
+
+    def test_sealed_containers_are_not_held_in_memory(self, tmp_path):
+        """Sealing writes a container out and lets it go: 12 MiB sealed
+        leaves less than one container's worth allocated."""
+        manager = ContainerManager(LocalDirBackend(tmp_path))
+        chunk = b"x" * (1 << 20)
+        tracemalloc.start()
+        try:
+            for i in range(12):
+                manager.append("u", KIND_SHARE, f"fp{i}".encode(), chunk)
+            manager.flush()
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(manager.backend.list_keys("container-")) >= 3
+        assert current < CONTAINER_CAP
 
 
 class TestRangedReads:
@@ -159,7 +177,7 @@ class TestRangedReads:
         cold = ContainerManager(backend)  # empty cache: ranged backend reads
         for ref, (key, payload) in zip(refs, entries):
             assert cold.read_entries([ref]) == [(key, payload)]
-            assert cold.read_entries([ref]) == [cold.read_entry(ref)]
+            assert cold.read_entries([ref]) == [_parsed(cold, ref)]
 
     def test_ranged_read_never_fetches_whole_object_cold(self):
         entries = [(f"k{i}".encode(), b"x" * 5000) for i in range(8)]
@@ -184,7 +202,7 @@ class TestRangedReads:
         manager = ContainerManager(backend)
         ref = ContainerRef("container-0000000000", 0)
         assert manager.read_entries([ref]) == [(b"old-key", b"old-payload" * 10)]
-        # Warm path (blob now cached) agrees.
+        # A re-read (nothing cached: legacy containers have no table) agrees.
         assert manager.read_entries([ref]) == [(b"old-key", b"old-payload" * 10)]
 
     def test_corrupt_footer_raises_not_misreads(self):
@@ -206,6 +224,15 @@ class TestRangedReads:
             Container.deserialize(blob[:-3])
 
 
+def _parsed(manager: ContainerManager, ref: ContainerRef) -> tuple[bytes, bytes]:
+    """``ref``'s entry by parsing its whole container: the open write
+    buffer, else the stored blob."""
+    container = manager._open_buffer(ref.container_id) or Container.deserialize(
+        manager.backend.get_object(ref.container_id)
+    )
+    return container.entries[ref.entry_index]
+
+
 def _strip_footer(blob: bytes) -> bytes:
     """The same container as written before the offset footer existed."""
     (entries_end,) = struct.unpack_from(">I", blob, len(blob) - 12)
@@ -215,11 +242,10 @@ def _strip_footer(blob: bytes) -> bytes:
 def _mixed_manager():
     """One manager over every kind of container ``read_entries`` serves.
 
-    Two sealed containers read cold, one sealed and sitting in the
-    whole-container cache, one legacy footer-less object and one unflushed
-    write buffer.  Returns ``(manager, backend, refs, cold_ids)`` with the
-    cold containers' offset tables already cached, so a read of them costs
-    exactly its runs.
+    Three sealed containers read cold, one legacy footer-less object and
+    one unflushed write buffer.  Returns ``(manager, backend, refs,
+    cold_ids)`` with the cold containers' offset tables already cached, so
+    a read of them costs exactly its runs.
     """
     backend = MemoryBackend()
     writer = ContainerManager(backend)
@@ -230,15 +256,13 @@ def _mixed_manager():
             for i in range(count)
         ]
         writer.flush()
-    cold_ids = sorted({ref.container_id for ref in refs})[:2]
-    cached_id = refs[-1].container_id
+    cold_ids = sorted({ref.container_id for ref in refs})
     legacy = Container(KIND_SHARE)
     for i in range(3):
         legacy.add(f"l{i}".encode(), bytes([0x40 + i]) * (30 + i))
     backend.put_object("container-0000000050", _strip_footer(legacy.serialize()))
     refs += [ContainerRef("container-0000000050", i) for i in range(3)]
     manager = ContainerManager(backend)
-    manager.read_container(cached_id)  # into the whole-container cache
     refs += [
         manager.append("u", KIND_SHARE, f"d{i}".encode(), bytes([0x80 + i]) * (10 + i))
         for i in range(4)
@@ -271,11 +295,10 @@ class TestReadEntries:
         got = manager.read_entries(wanted)
         runs = _contiguous_runs(wanted, cold_ids)
         assert manager.range_reads - ranged == runs
-        # Beyond the runs only a first touch of the legacy object costs
-        # anything: its trailer probe and one whole read; the cached blob
-        # and the open buffer cost nothing.
+        # Beyond the runs only the legacy object costs anything: its
+        # trailer probe and one whole read; the open buffer costs nothing.
         assert backend.get_ops - ops == runs + (2 if legacy_touched else 0)
-        assert got == [manager.read_entry(ref) for ref in wanted]
+        assert got == [_parsed(manager, ref) for ref in wanted]
 
     def test_a_gap_splits_a_run_and_no_unrequested_byte_is_read(self):
         manager, backend, refs, cold_ids = _mixed_manager()
@@ -311,15 +334,13 @@ class TestReadEntries:
         (offset,) = struct.unpack_from(">I", blob, slot)
         struct.pack_into(">I", blob, slot, offset + 1)
         backend.put_object(cid, bytes(blob))
-        cached = ContainerManager(backend)
-        cached.read_container(cid)  # same checks when served from the cache
-        for manager in (ContainerManager(backend), cached):
-            with pytest.raises(StorageError):
-                manager.read_entries([refs[0], refs[1]])  # entry 1 now runs long
-            with pytest.raises(StorageError):
-                manager.read_entries([refs[3], refs[2]])
-            assert manager.read_entries([refs[0]]) == [(b"k0", b"v" * 40)]
-            assert manager.read_entries([refs[3]]) == [(b"k3", b"v" * 40)]
+        manager = ContainerManager(backend)
+        with pytest.raises(StorageError):
+            manager.read_entries([refs[0], refs[1]])  # entry 1 now runs long
+        with pytest.raises(StorageError):
+            manager.read_entries([refs[3], refs[2]])
+        assert manager.read_entries([refs[0]]) == [(b"k0", b"v" * 40)]
+        assert manager.read_entries([refs[3]]) == [(b"k3", b"v" * 40)]
 
     def test_truncated_object_fails_typed_cold_and_with_a_cached_table(self):
         backend = MemoryBackend()

@@ -17,7 +17,6 @@ from repro.client.client import CDStoreClient
 from repro.cloud.network import Link
 from repro.cloud.provider import CloudProvider
 from repro.errors import CloudUnavailableError, NotFoundError
-from repro.lsm.cache import LRUCache
 from repro.config import CloudSpec
 from repro.net import CDStoreTCPServer, RemoteServerProxy
 from repro.server.server import CDStoreServer
@@ -278,16 +277,14 @@ class TestFrameBudget:
                     if server.cloud.backend.get_object(cid)[4] == KIND_SHARE
                 ]
                 assert len(share_containers) >= 2, "test needs >1 container"
-                # Force cold reads: the ranged path, not the blob cache.
-                server.containers._cache = LRUCache(1, size_of=len)
 
             # Spy on whole-container materialisation during the restore.
             whole_reads: list[str] = []
             original = container_mod.ContainerManager.read_container
 
-            def spying(self, container_id, bypass_cache=False):
+            def spying(self, container_id):
                 whole_reads.append(container_id)
-                return original(self, container_id, bypass_cache=bypass_cache)
+                return original(self, container_id)
 
             monkeypatch.setattr(
                 container_mod.ContainerManager, "read_container", spying
@@ -301,13 +298,9 @@ class TestFrameBudget:
             # 1. No reply frame exceeded the budget.
             for proxy in proxies:
                 assert 0 < proxy.max_reply_frame_bytes <= budget
-            # 2. No share container was ever materialised whole server-side
-            #    (recipe containers may be — recipes are small).
-            for server in servers:
-                backend = server.cloud.backend
-                for cid in whole_reads:
-                    if backend.exists(cid):
-                        assert backend.get_object(cid)[4] != KIND_SHARE
+            # 2. No container, share or recipe, was materialised whole
+            #    server-side.
+            assert whole_reads == []
             client.close()
         finally:
             for proxy in proxies:
@@ -327,23 +320,19 @@ class TestFrameBudget:
         data = payload(120_000, seed=8)
         client.upload("/f", data)
         client.flush()
-        for server in system.servers:
-            server.containers._cache = LRUCache(1, size_of=len)
 
-        whole_reads: list[tuple[object, str]] = []
+        whole_reads: list[str] = []
         original = container_mod.ContainerManager.read_container
 
-        def spying(self, container_id, bypass_cache=False):
-            whole_reads.append((self, container_id))
-            return original(self, container_id, bypass_cache=bypass_cache)
+        def spying(self, container_id):
+            whole_reads.append(container_id)
+            return original(self, container_id)
 
         monkeypatch.setattr(
             container_mod.ContainerManager, "read_container", spying
         )
         assert client.download("/f") == data
-        for manager, cid in whole_reads:
-            if manager.backend.exists(cid):
-                assert manager.backend.get_object(cid)[4] != KIND_SHARE
+        assert whole_reads == []
         system.close()
 
     def test_fetch_batches_respect_payload_budget(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.chunking import FixedChunker
 from repro.crypto.drbg import DRBG
 from repro.errors import NotFoundError, ProtocolError
+from repro.storage.container import KIND_SHARE, Container, ContainerManager
 from repro.system.cdstore import CDStoreSystem
 
 
@@ -60,6 +61,18 @@ class TestScrubAndRepair:
         system, _, _ = loaded_system
         assert system.scrub_and_repair(0) == 0
 
+    def test_rebuilds_an_unreadable_recipe(self, loaded_system):
+        """A cloud whose recipe container is gone gets the recipe rebuilt
+        from the donors, and then serves restores from its own quorum."""
+        system, client, data = loaded_system
+        assert client.download("/backup.tar") == data  # offset tables cached
+        target = system.servers[2]
+        entry = target.get_file_entry("alice", client._lookup_key("/backup.tar"))
+        system.clouds[2].backend.delete_object(entry.recipe_ref.container_id)
+        assert system.scrub_and_repair(2) == 1  # one recipe, no share
+        system.fail_cloud(0)
+        assert client.download("/backup.tar") == data
+
     def test_gc_reclaims_replaced_copies(self, loaded_system):
         system, client, data = loaded_system
         backend = system.clouds[3].backend
@@ -70,6 +83,68 @@ class TestScrubAndRepair:
         assert freed > 0  # the corrupted original copies are swept
         system.fail_cloud(1)
         assert client.download("/backup.tar") == data
+
+
+class TestMaintenanceReads:
+    """Scrub and GC parse what is stored, once, and fail typed only."""
+
+    @staticmethod
+    def _share_container(backend) -> str:
+        return next(
+            cid
+            for cid in backend.list_keys("container-")
+            if backend.get_object(cid)[4] == KIND_SHARE
+        )
+
+    def test_a_programming_error_in_a_read_propagates(self, loaded_system, monkeypatch):
+        """Only storage failures mean "container unreadable": a bug must
+        not report every share corrupt or let GC sweep the container."""
+        system, _, _ = loaded_system
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("bug in the read path")
+
+        monkeypatch.setattr(ContainerManager, "read_container", broken)
+        with pytest.raises(RuntimeError):
+            system.servers[0].scrub()
+        with pytest.raises(RuntimeError):
+            system.servers[0].collect_garbage()
+
+    def test_unknown_kind_byte_reads_as_corrupt(self, loaded_system):
+        system, _, _ = loaded_system
+        backend = system.clouds[1].backend
+        cid = self._share_container(backend)
+        blob = bytearray(backend.get_object(cid))
+        stored = {key for key, _ in Container.deserialize(bytes(blob)).entries}
+        blob[4] = 9
+        backend.put_object(cid, bytes(blob))
+        assert set(system.servers[1].scrub()) == stored
+
+    def test_gc_parses_each_container_once(self, monkeypatch):
+        """Live shares of a swept container are copied out of the parse
+        GC already made, not re-read one by one."""
+        system = CDStoreSystem(n=4, k=3, salt=b"org")
+        client = system.client("alice", chunker=FixedChunker(4096))
+        keep = DRBG("keep").random_bytes(20_000)
+        client.upload("/keep", keep)
+        client.upload("/drop", DRBG("drop").random_bytes(20_000))
+        client.flush()
+        client.delete("/drop")
+        server = system.servers[0]
+        parse = Container.deserialize
+        parsed: list[int] = []
+
+        def counting(blob):
+            parsed.append(len(blob))
+            return parse(blob)
+
+        monkeypatch.setattr(Container, "deserialize", staticmethod(counting))
+        reads = server.cloud.backend.get_ops
+        assert server.collect_garbage() > 0
+        assert len(parsed) == server.cloud.backend.get_ops - reads > 0
+        monkeypatch.undo()
+        system.fail_cloud(3)
+        assert client.download("/keep") == keep
 
 
 class TestReplaceShare:

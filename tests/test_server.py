@@ -349,7 +349,6 @@ class TestRefcountEquivalence:
         server.flush()
         recipe_cid = server.get_file_entry("alice", b"f").recipe_ref.container_id
         server.cloud.backend.delete_object(recipe_cid)
-        server.containers._cache.clear()
         server.containers._footers.clear()
         self.backup(server, "alice", b"f", [1, 2])
         # Nothing of the old recipe can be released: its refs leak (never
@@ -639,7 +638,6 @@ class TestFetchBatches:
             )
 
         server, fps, _ = self._server_with_file(monkeypatch)
-        server.containers._cache.clear()  # sealed containers read cold
         resolve, read, runs = totals()
         batches = list(server.iter_share_batches(fps, budget_bytes=8 * self.SHARE))
         assert len(batches) == 3

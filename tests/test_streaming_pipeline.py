@@ -174,9 +174,8 @@ class TestWindowedRestoreFailover:
         client.flush()
 
         # Corrupt two of server 0's stored shares (secrets land in early
-        # windows) and drop the container cache so restores see the rot.
+        # windows).
         corrupt_share_payloads(system.clouds[0].backend, count=2)
-        system.servers[0].containers._cache.clear()
 
         spare = system.servers[3]
         original = spare.fetch_shares

@@ -216,8 +216,9 @@ class TestRequestRoundTrips:
         assert not any(row.pins_user for row in REQUESTS if not row.fields)
 
     def test_user_key(self):
-        """get_file_entry, delete_file and gw_resolve share one request shape."""
-        rows = (wire.T_GET_FILE_ENTRY, wire.T_DELETE_FILE, wire.T_GW_RESOLVE)
+        """get_file_entry, get_recipe, delete_file and gw_resolve share one
+        request shape."""
+        rows = (wire.T_GET_FILE_ENTRY, wire.T_GET_RECIPE, wire.T_DELETE_FILE, wire.T_GW_RESOLVE)
         assert len({row.encode("alice", b"key") for row in rows}) == 1
         assert all(row.decode(rows[0].encode("alice", b"key")) == ("alice", b"key") for row in rows)
 
