@@ -34,6 +34,7 @@ from pathlib import Path
 
 from repro.chunking.registry import DEFAULT_CHUNKER, ChunkerSpec
 from repro.errors import ParameterError, ReproError
+from repro.storage.durable import publish
 
 __all__ = [
     "CloudSpec", "GatewaySpec", "ObsSpec", "ReproConfig", "CONFIG_FILE_NAME",
@@ -449,6 +450,5 @@ class ReproConfig:
         path = Path(path)
         if path.is_dir():
             path = path / CONFIG_FILE_NAME
-        path.write_text(
-            json.dumps(self.to_mapping(), indent=2) + "\n", encoding="utf-8"
-        )
+        with publish(path) as fh:
+            fh.write((json.dumps(self.to_mapping(), indent=2) + "\n").encode("utf-8"))

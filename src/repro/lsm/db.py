@@ -15,11 +15,11 @@ index module builds on (§4.4).  Semantics:
   mirroring "the snapshot feature provided by LevelDB" the paper mentions
   for backing up indices to the cloud;
 * ``sync`` is the durability point: one ``sync`` per acknowledged batch
-  writes the WAL's batch as one record and fsyncs it (the same contract
-  as :class:`~repro.storage.journal.ContainerJournal`'s
-  ``record``/``commit``), and only then flushes the memtable to a new
-  SSTable if it exceeds ``memtable_bytes`` — so a request's mutations
-  reach disk together, at its commit, or not at all;
+  writes the WAL's batch as one record and fsyncs it (the same
+  :class:`~repro.storage.durable.RecordLog` and ``append``/``sync``
+  contract as the container journal), and only then flushes the
+  memtable to a new SSTable if it exceeds ``memtable_bytes`` — so a
+  request's mutations reach disk together, at its commit, or not at all;
 * reopen replays the WAL, recovering everything ``sync()``ed before a
   crash — mutations since the last ``sync`` were never acknowledged and
   are lost.

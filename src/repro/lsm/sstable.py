@@ -29,7 +29,6 @@ otherwise.  A flipped value byte stays undetectable.
 
 from __future__ import annotations
 
-import os
 import struct
 import sys
 from bisect import bisect_left, bisect_right
@@ -40,6 +39,7 @@ from repro.errors import ParameterError, StorageError
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.memtable import TOMBSTONE
 from repro.obs.registry import REGISTRY
+from repro.storage.durable import publish
 
 __all__ = ["DecodedBlock", "SSTable"]
 
@@ -139,19 +139,19 @@ class SSTable:
     ) -> "SSTable":
         """Write sorted ``(key, value-or-TOMBSTONE)`` items to a new file.
 
-        Temp-write, fsync, rename, fsync the directory: the table is
-        either absent or whole under its final name, and on return it
-        survives a power cut — callers may drop the data's other copy
-        (the WAL, the merged tables).  A crash leaves at most a
+        Published by :func:`~repro.storage.durable.publish` (temp-write,
+        fsync, rename, fsync the directory): the table is either absent
+        or whole under its final name, and on return it survives a power
+        cut — callers may drop the data's other copy (the WAL, the
+        merged tables).  A crash leaves at most a
         ``<name>.tmp`` that :class:`~repro.lsm.db.LSMStore` reaps at open.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
         materialised = list(items)
         bloom = BloomFilter(max(1, len(materialised)), fp_rate)
         index_parts: list[bytes] = []
-        with open(tmp, "wb") as fh:
+        with publish(path) as fh:
             block = bytearray()
             block_first: bytes | None = None
 
@@ -187,15 +187,6 @@ class SSTable:
             fh.write(
                 _FOOTER.pack(idx_off, len(index_blob), bloom_off, len(bloom_blob), _MAGIC)
             )
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        # The rename lives in the directory entry; fsync that too.
-        fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
         return cls(path)
 
     # ------------------------------------------------------------------

@@ -63,7 +63,7 @@ from repro.storage.container import (
     KIND_SHARE,
     ContainerManager,
 )
-from repro.storage.journal import ContainerJournal
+from repro.storage.durable import RecordLog
 from repro.tenants import TenantRegistry, TenantUsage
 
 __all__ = ["CDStoreServer", "FETCH_BATCH_BYTES", "RecoveryReport"]
@@ -243,7 +243,7 @@ class CDStoreServer:
                 index = LSMIndex(index)
             self.index = index if index is not None else DictIndex()
             journal = (
-                ContainerJournal(Path(durable_root) / "container-journal.log")
+                RecordLog(Path(durable_root) / "container-journal.log")
                 if durable_root is not None
                 else None
             )

@@ -8,8 +8,10 @@ to the cloud's storage backend.  This package provides:
   (:class:`MemoryBackend` for tests and simulation,
   :class:`LocalDirBackend` for on-disk runs);
 * :mod:`repro.storage.container` — the container format and the
-  :class:`ContainerManager` with per-user write buffers and ranged
-  entry reads.
+  :class:`ContainerManager` with per-user write buffers, ranged entry
+  reads and the crash-only container journal;
+* :mod:`repro.storage.durable` — the crash-only file layer: the redo log
+  under the journal and the index WAL, and the one atomic ``publish``.
 """
 
 from repro.storage.backend import LocalDirBackend, MemoryBackend, StorageBackend

@@ -19,6 +19,7 @@ import os
 from pathlib import Path
 
 from repro.errors import NotFoundError, StorageError
+from repro.storage.durable import fsync_dir, publish
 
 __all__ = ["StorageBackend", "MemoryBackend", "LocalDirBackend"]
 
@@ -175,26 +176,10 @@ class LocalDirBackend(StorageBackend):
         return self.root / safe
 
     def _put(self, key: str, data: bytes) -> None:
-        # Temp-write, fsync, then rename: the publish must never be
-        # reachable with the payload still in user-space or page-cache
-        # buffers, or a crash can surface a torn object under the final
-        # key (checker rule DUR-001).
-        tmp = self._path(key).with_suffix(".tmp")
-        with tmp.open("wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        tmp.replace(self._path(key))
-        # The rename itself lives in the directory entry; fsync it so a
+        # A crash never surfaces a torn object under the final key, and a
         # power cut cannot forget the publish after the ack went out.
-        self._sync_dir()
-
-    def _sync_dir(self) -> None:
-        fd = os.open(self.root, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        with publish(self._path(key)) as handle:
+            handle.write(data)
 
     def reap_temporaries(self) -> list[str]:
         reaped = []
@@ -203,7 +188,7 @@ class LocalDirBackend(StorageBackend):
                 path.unlink()
                 reaped.append(path.name)
         if reaped:
-            self._sync_dir()
+            fsync_dir(self.root)
         return sorted(reaped)
 
     def _get(self, key: str) -> bytes:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from repro.errors import NotFoundError, ParameterError, StorageError
 from repro.lsm.cache import LRUCache
 from repro.storage.backend import StorageBackend
-from repro.storage.journal import ContainerJournal
+from repro.storage.durable import RecordLog
 
 __all__ = ["CONTAINER_CAP", "Container", "ContainerManager", "ContainerRef"]
 
@@ -53,6 +53,9 @@ _ENTRY = struct.Struct(">II")
 _FOOTER_MAGIC = 0xCD5700F7
 #: Footer trailer: entries_end | entry count | footer magic.
 _TRAILER = struct.Struct(">III")
+_U32 = struct.Struct(">I")
+#: Journal record, after the container id: entry_index | kind | user_len.
+_JOURNAL_ENTRY = struct.Struct(">IBI")
 
 KIND_SHARE = 1
 KIND_RECIPE = 2
@@ -220,6 +223,23 @@ def _slice_entries(
     return out
 
 
+def _decode_journal_record(body: bytes) -> tuple[str, int, int, str, bytes, bytes] | None:
+    """``(container_id, entry_index, kind, user_id, key, payload)`` of one
+    journal record, or None if it does not parse."""
+    try:
+        (size,) = _U32.unpack_from(body, 0)
+        cid, pos = body[4 : 4 + size], 4 + size
+        index, kind, size = _JOURNAL_ENTRY.unpack_from(body, pos)
+        user, pos = body[pos + 9 : pos + 9 + size], pos + 9 + size
+        (size,) = _U32.unpack_from(body, pos)
+        key, pos = body[pos + 4 : pos + 4 + size], pos + 4 + size
+        if pos > len(body):
+            return None  # the key ran past the end
+        return cid.decode("utf-8"), index, kind, user.decode("utf-8"), key, body[pos:]
+    except (struct.error, UnicodeDecodeError):
+        return None
+
+
 class ContainerManager:
     """Buffers, writes and reads containers at one backend.
 
@@ -235,13 +255,16 @@ class ContainerManager:
     backend:
         The cloud's object store.
     journal:
-        Optional :class:`~repro.storage.journal.ContainerJournal`.  When
-        present the manager runs in **crash-only** mode: every append is
-        journaled before it is buffered, :meth:`commit` makes a batch of
-        appends durable (the server calls it before each wire ack), and
+        Optional :class:`~repro.storage.durable.RecordLog`.  When present
+        the manager runs in **crash-only** mode: every append is journaled
+        before it is buffered, :meth:`commit` makes a batch of appends
+        durable (the server calls it before each wire ack), and
         construction replays the journal — republishing every journaled
         container under its original id, so acked ``ContainerRef``\\ s
-        stay valid across kill -9.
+        stay valid across kill -9.  One record per append (big-endian)::
+
+            u32 cid_len | cid | u32 entry_index | u8 kind
+            | u32 user_len | user | u32 key_len | key | payload
     on_seal:
         Optional callback ``(user_id, container_id, payload_bytes)``
         invoked whenever a user's container is sealed (accounting hook;
@@ -251,7 +274,7 @@ class ContainerManager:
     def __init__(
         self,
         backend: StorageBackend,
-        journal: ContainerJournal | None = None,
+        journal: RecordLog | None = None,
         on_seal=None,
     ) -> None:
         self.backend = backend
@@ -316,14 +339,18 @@ class ContainerManager:
             container = Container(kind)
             self._buffers[buf_key] = container
             self._buffer_ids[buf_key] = self._new_container_id()
-        entry = container.add(key, payload)
-        ref = ContainerRef(
-            container_id=self._buffer_ids[buf_key], entry_index=entry
-        )
+        ref = ContainerRef(self._buffer_ids[buf_key], entry_index=len(container.entries))
         if self.journal is not None:
-            self.journal.record(
-                ref.container_id, ref.entry_index, kind, user_id, key, payload
+            # Journal first: an append that fails leaves the buffer as it
+            # was, so no later acked entry sits behind an unjournaled one.
+            cid, user = ref.container_id.encode("utf-8"), user_id.encode("utf-8")
+            head = (
+                _U32.pack(len(cid)) + cid
+                + _JOURNAL_ENTRY.pack(ref.entry_index, kind, len(user)) + user
+                + _U32.pack(len(key))
             )
+            self.journal.append(head, key, payload)
+        container.add(key, payload)
         if container.full:
             self._seal(container, self._buffer_ids[buf_key], user_id=user_id)
             del self._buffers[buf_key]
@@ -332,7 +359,7 @@ class ContainerManager:
                 # Every journaled entry now lives in a published
                 # container; start the journal over instead of letting
                 # it shadow-copy the whole session.
-                self.journal.reset()
+                self.journal.truncate()
         return ref
 
     def commit(self) -> None:
@@ -344,7 +371,7 @@ class ContainerManager:
         their original buffer-until-flush behaviour).
         """
         if self.journal is not None:
-            self.journal.commit()
+            self.journal.sync()
 
     def _seal(
         self, container: Container, cid: str | None = None, user_id: str | None = None
@@ -363,7 +390,7 @@ class ContainerManager:
             del self._buffer_ids[buf_key]
         if self.journal is not None:
             # All journaled entries are now inside published containers.
-            self.journal.reset()
+            self.journal.truncate()
 
     # ------------------------------------------------------------------
     # crash recovery
@@ -375,18 +402,18 @@ class ContainerManager:
         Entries are regrouped by container id and written at their
         journaled indices, so every ``ContainerRef`` handed out before
         the crash resolves to identical bytes.  Containers that already
-        exist were sealed before the crash and are skipped.  Ends with a
-        journal reset: recovery leaves no half-state behind.
+        exist were sealed before the crash and are skipped.  Replay stops
+        at a torn or malformed record.  Ends with a journal truncation:
+        recovery leaves no half-state behind.
         """
         assert self.journal is not None
         pending: dict[str, dict[int, tuple[int, str, bytes, bytes]]] = {}
-        for rec in self.journal.replay():
-            pending.setdefault(rec.container_id, {})[rec.entry_index] = (
-                rec.kind,
-                rec.user_id,
-                rec.key,
-                rec.payload,
-            )
+        for _, record in self.journal.records():
+            entry = _decode_journal_record(record)
+            if entry is None:
+                break  # framed but malformed: treat as tail corruption
+            cid, index, *rest = entry
+            pending.setdefault(cid, {})[index] = tuple(rest)
         republished: list[str] = []
         for cid in sorted(pending):
             try:
@@ -407,7 +434,7 @@ class ContainerManager:
                 container.add(key, payload)
             self._seal(container, cid, user_id=entries[0][1])
             republished.append(cid)
-        self.journal.reset()
+        self.journal.truncate()
         return republished
 
     # ------------------------------------------------------------------

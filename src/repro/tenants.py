@@ -31,6 +31,7 @@ from pathlib import Path
 
 from repro.config import positive_int, positive_number
 from repro.errors import ParameterError, StorageError
+from repro.storage.durable import publish
 
 __all__ = [
     "Credentials",
@@ -208,9 +209,8 @@ class TenantRegistry:
                 if value is not None:
                     row[limit.name] = value
             rows.append(row)
-        path.write_text(
-            json.dumps({"tenants": rows}, indent=2) + "\n", encoding="utf-8"
-        )
+        with publish(path) as fh:
+            fh.write((json.dumps({"tenants": rows}, indent=2) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

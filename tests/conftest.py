@@ -19,8 +19,11 @@ test, and arms three safety nets for a deeply threaded codebase:
 
 from __future__ import annotations
 
+import contextlib
 import faulthandler
 import os
+import resource
+import signal
 import sys
 import threading
 
@@ -94,6 +97,27 @@ def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
             f"({len(_WITNESS.graph.edges)} lock sites, {edges} edges)",
             file=sys.stderr,
         )
+
+
+@pytest.fixture
+def file_size_limit():
+    """``file_size_limit(n)``: a context in which this process cannot grow
+    any file past ``n`` bytes — a write across the limit is cut short and
+    the next one fails with a real ``EFBIG`` (``RLIMIT_FSIZE``, with
+    ``SIGXFSZ`` ignored so the process is not killed for it)."""
+
+    @contextlib.contextmanager
+    def limit(size: int):
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (size, hard))
+        try:
+            yield
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+            signal.signal(signal.SIGXFSZ, handler)
+
+    return limit
 
 
 @pytest.fixture

@@ -245,6 +245,37 @@ class TestKilledInsideARequest:
         finally:
             server.close()
 
+    def test_a_journal_write_cut_short_loses_no_later_acked_share(
+        self, tmp_path, file_size_limit
+    ):
+        """The journal commit of a 20 000-byte share dies on a real EFBIG
+        partway through its write (unacked); the next batch commits and
+        is acked; then the process dies.  Every acked share restores: a
+        torn record left in the journal would end replay before the acked
+        one behind it."""
+        root = init_deployment(tmp_path / "srv")
+        first, big, after = (make_upload(os.urandom(size)) for size in (3000, 20_000, 3000))
+
+        def body():
+            server = build_cloud_server(root, 0).server
+            server.upload_shares("u", [first])
+            journal = server.containers.journal.path
+            with file_size_limit(journal.stat().st_size + 10_000):
+                with pytest.raises(OSError):
+                    server.upload_shares("u", [big])
+            server.upload_shares("u", [after])
+            die_in_request()  # acked, never flushed
+
+        assert run_in_child(body) == DIED_IN_REQUEST
+        server = build_cloud_server(root, 0).server
+        try:
+            for upload in (first, after):
+                fp = fingerprint(upload.data, domain="server")
+                assert server.fetch_shares([fp]) == {fp: upload.data}
+            assert server.scrub() == []
+        finally:
+            server.close()
+
     def test_death_inside_an_overwrite_keeps_the_acked_version(self, tmp_path):
         """v1 is acked; the process dies inside v2's finalize_file, after
         every index mutation and before the commit.  v1 must restore

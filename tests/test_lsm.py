@@ -190,7 +190,7 @@ class TestLSMStore:
         def no_rename(src, dst):
             raise OSError("injected crash at the rename")
 
-        monkeypatch.setattr("repro.lsm.sstable.os.replace", no_rename)
+        monkeypatch.setattr("repro.storage.durable.os.replace", no_rename)
         with pytest.raises(OSError, match="injected"):
             db.flush()
         monkeypatch.undo()

@@ -1,11 +1,8 @@
 """Write-ahead log: one batch record per sync(), all-or-nothing replay,
 torn-tail recovery, and the pre-batch log format."""
 
-import errno
 import shutil
 from pathlib import Path
-
-import pytest
 
 from repro.lsm.db import LSMStore
 from repro.lsm.wal import OP_BATCH, OP_DELETE, OP_PUT, WriteAheadLog
@@ -150,8 +147,10 @@ class TestGoldenLog:
 
 
 class TestSyncIsTheDurabilityPoint:
-    """Everything ``sync()``ed is on disk, nothing torn is ever replayed —
-    the ``ContainerJournal`` record/commit contract."""
+    """Everything ``sync()``ed is on disk, nothing torn is ever replayed.
+    The log-level cases of this contract (torn writes, one write per
+    sync, nothing visible before it) are ``tests/test_durable.py``'s:
+    the WAL and the container journal share that log."""
 
     def test_synced_records_visible_to_a_second_reader(self, tmp_path):
         path = tmp_path / "wal.log"
@@ -168,99 +167,6 @@ class TestSyncIsTheDurabilityPoint:
             # Writer still open: a crash now must find the whole batch.
             assert list(WriteAheadLog(path).replay()) == expected
         wal.close()
-
-    def test_unsynced_appends_are_invisible_to_a_second_reader(self, tmp_path):
-        """Nothing reaches the OS before sync(): not a record prefix, not
-        a buffer spill — 2000 appends (~70 KB, far past any stdio
-        buffer) leave the file empty."""
-        path = tmp_path / "wal.log"
-        wal = WriteAheadLog(path)
-        wal.append_put(b"acked", b"1")
-        wal.sync()
-        synced_size = path.stat().st_size
-        for i in range(2000):  # never synced
-            wal.append_put(f"key-{i}".encode(), b"v" * 20)
-        assert path.stat().st_size == synced_size
-        assert list(WriteAheadLog(path).replay()) == [(OP_PUT, b"acked", b"1")]
-        wal.close()
-        assert list(WriteAheadLog(path).replay()) == [(OP_PUT, b"acked", b"1")]
-
-    def test_truncation_at_every_offset_of_last_record(self, tmp_path):
-        """A batch torn at any byte replays none of its mutations."""
-        path = tmp_path / "wal.log"
-        with WriteAheadLog(path) as wal:
-            wal.append_put(b"first", b"1" * 10)
-            wal.append_delete(b"second")
-            wal.sync()
-        intact = path.stat().st_size
-        batch = [
-            (OP_PUT, b"last", b"3" * 50),
-            (OP_DELETE, b"first", b""),
-            (OP_PUT, b"", b""),
-            (OP_PUT, b"tail", b"4"),
-        ]
-        with WriteAheadLog(path) as wal:
-            for op, key, value in batch:
-                if op == OP_PUT:
-                    wal.append_put(key, value)
-                else:
-                    wal.append_delete(key)
-            wal.sync()
-        blob = path.read_bytes()
-        prefix = [(OP_PUT, b"first", b"1" * 10), (OP_DELETE, b"second", b"")]
-        for cut in range(intact, len(blob)):
-            path.write_bytes(blob[:cut])
-            assert list(WriteAheadLog(path).replay()) == prefix, cut
-        path.write_bytes(blob)
-        assert list(WriteAheadLog(path).replay()) == prefix + batch
-
-    def test_one_write_per_sync(self, tmp_path, monkeypatch):
-        """A commit hands the OS one buffer, however many mutations it holds."""
-        wal = WriteAheadLog(tmp_path / "wal.log")
-        writes = []
-        real_write = wal._fh.write
-        monkeypatch.setattr(
-            wal._fh, "write", lambda data: writes.append(len(data)) or real_write(data)
-        )
-        for i in range(500):
-            wal.append_put(f"k{i}".encode(), b"v" * 100)
-        assert writes == []
-        wal.sync()
-        assert len(writes) == 1
-        wal.sync()  # nothing pending: an fsync, no write
-        assert len(writes) == 1
-        wal.close()
-
-    @pytest.mark.parametrize("after_reset", [False, True])
-    def test_a_write_failing_partway_leaves_no_torn_record(
-        self, tmp_path, monkeypatch, after_reset
-    ):
-        """ENOSPC mid-record: the file is cut back and the batch stays
-        pending, so the retried commit — and every later one — replays."""
-        path = tmp_path / "wal.log"
-        wal = WriteAheadLog(path)
-        if after_reset:
-            wal.reset()  # reopened without O_APPEND: the offset must follow
-        wal.append_put(b"a", b"1")
-        wal.sync()
-        synced = path.stat().st_size
-        real_write = wal._fh.write
-
-        def torn_write(data):
-            real_write(bytes(data[: len(data) // 2]))
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(wal._fh, "write", torn_write)
-        wal.append_put(b"b", b"2")
-        with pytest.raises(OSError):
-            wal.sync()
-        assert path.stat().st_size == synced
-        monkeypatch.setattr(wal._fh, "write", real_write)
-        wal.sync()
-        wal.append_put(b"c", b"3")
-        wal.sync()
-        wal.close()
-        assert [key for _, key, _ in WriteAheadLog(path).replay()] == [b"a", b"b", b"c"]
 
     def test_store_copied_after_sync_has_every_key(self, tmp_path):
         """kill -9 stand-in: copy the directory while the store is open."""
