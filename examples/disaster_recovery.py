@@ -12,7 +12,7 @@ scenario walks that failure end-to-end:
 4. a replacement cloud is provisioned and repaired: every lost share is
    rebuilt from the survivors, Reed-Solomon style (§3.1);
 5. a *different* cloud then fails, proving the repaired cloud carries
-   real, usable shares;
+   real, usable shares — of the data and of the pathnames;
 6. a corrupted container on yet another cloud is routed around by the
    brute-force decoding fallback of §3.2.
 
@@ -60,8 +60,12 @@ def main() -> None:
     system.fail_cloud(0)
     for path, data in files.items():
         assert client.download(path) == data
+    # Pathnames are Shamir-shared too (§4.3): the repaired cloud holds
+    # its share of the same sharing, so listing works through it.
+    assert client.list_files() == sorted(files)
     system.recover_cloud(0)
-    print("a different cloud failed; restores used the repaired cloud")
+    print("a different cloud failed; restores and the listing used the "
+          "repaired cloud")
 
     # --- corruption: brute-force decode (§3.2) ---------------------------
     backend = system.clouds[1].backend

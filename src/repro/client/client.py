@@ -44,6 +44,7 @@ from repro.dedup.stats import DedupStats
 from repro.errors import (
     CloudUnavailableError,
     InsufficientCloudsError,
+    IntegrityError,
     ParameterError,
 )
 from repro.obs.registry import REGISTRY
@@ -301,9 +302,10 @@ class CDStoreClient:
             )
         if via == "gateway" and self.gateway is None:
             raise ParameterError("no gateway configured for this client")
+        lookup_key = self._lookup_key(path)
         if via != "direct" and self.gateway is not None:
-            return GatewayReadSession(self, path, self.gateway)
-        return DirectReadSession(self, path)
+            return GatewayReadSession(self, lookup_key, self.gateway)
+        return DirectReadSession(self, lookup_key, self._reachable_servers())
 
     def download(self, path: str) -> bytes:
         """Restore the file stored under ``path``.
@@ -371,9 +373,12 @@ class CDStoreClient:
                 for sid, listing in listings.items()
             }
             size = len(next(iter(shares.values())))
-            paths.append(
-                self._path_sharer.recover(shares, size).decode("utf-8")
-            )
+            try:
+                paths.append(self._path_sharer.recover(shares, size).decode("utf-8"))
+            except UnicodeDecodeError:
+                raise IntegrityError(
+                    f"pathname of backup {lookup_key.hex()[:16]}… is not UTF-8"
+                ) from None
         return sorted(paths)
 
     # ------------------------------------------------------------------

@@ -17,7 +17,8 @@ Two sessions implement the surface:
 * :class:`DirectReadSession` — the original quorum restore: ``k``
   concurrent per-cloud fetches through the
   :class:`~repro.client.comm.CommEngine`, window-granular spare
-  failover, and the §3.2 share-pool widening as the last resort.
+  failover, and the §3.2 share-pool widening as the last resort.  Cloud
+  repair (:mod:`repro.system.cdstore`) decodes through it too.
 * :class:`GatewayReadSession` — the same plan/read steps against a
   ``repro gateway`` (:mod:`repro.gateway`): resolution is one
   round-trip, windows arrive as per-replica shard frames served from
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.client.comm import FETCH_ERRORS
 from repro.client.workers import plan_windows
@@ -49,6 +50,7 @@ from repro.server.messages import RecipeEntry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.client.client import CDStoreClient
+    from repro.server.server import CDStoreServer
 
 __all__ = [
     "GATEWAY_FALLBACK_ERRORS",
@@ -82,8 +84,6 @@ class RestorePlan:
     exactly once per restore); ``read()`` only executes it.
     """
 
-    #: The user-facing pathname being restored.
-    path: str
     #: File-index key (``sha256(user_id \0 path)``, §4.4).
     lookup_key: bytes
     #: Cross-checked plaintext byte size of the file.
@@ -136,34 +136,36 @@ class ReadSession:
 
 
 class DirectReadSession(ReadSession):
-    """Quorum restore from any ``k`` reachable clouds.
+    """Quorum restore of one backup from any ``k`` of ``servers``.
 
-    Construction performs resolution: pick ``k`` reachable clouds (plus
-    a spare pool), fetch and cross-check all ``k`` file entries and
-    recipes — a lying minority cannot spoof the file size or secret
-    count unnoticed — and plan the windows.  :meth:`read` then streams
-    the windows through the comm engine: decoding of window ``i``
-    overlaps the fetch of the next ``pipeline_depth`` windows (an inline
-    engine fetches and decodes them one at a time), and a cloud failing
-    in window ``i`` is replaced by a spare for that window onward only.
+    Construction performs resolution over the caller's server list — the
+    reachable clouds for a restore, every available cloud but the one
+    being rebuilt for a repair: the first ``k`` are read, the rest are
+    the spare pool.  All ``k`` file entries and recipes are fetched and
+    cross-checked — a lying minority cannot spoof the file size or
+    secret count unnoticed — and the windows planned.
+    :meth:`decode_windows` then streams windows through the comm engine:
+    decoding of window ``i`` overlaps the fetch of the next
+    ``pipeline_depth`` windows (an inline engine fetches and decodes them
+    one at a time), and a cloud failing in window ``i`` is replaced by a
+    spare for that window onward only.
     """
 
-    def __init__(self, client: "CDStoreClient", path: str) -> None:
+    def __init__(
+        self, client: "CDStoreClient", lookup_key: bytes, servers: list["CDStoreServer"]
+    ) -> None:
         self.client = client
-        reachable = client._reachable_servers()
-        if len(reachable) < client.k:
+        if len(servers) < client.k:
             raise InsufficientCloudsError(
-                f"only {len(reachable)} of {client.n} clouds reachable; "
+                f"only {len(servers)} of {client.n} clouds reachable; "
                 f"need k={client.k}"
             )
-        lookup_key = client._lookup_key(path)
-        chosen = reachable[: client.k]
         # Shared, mutable failover pool: the comm engine pops spares it
         # promotes to chosen sources, so the §3.2 widening below never
         # treats a promoted spare as extra decode material.
-        self._spare_pool = list(reachable[client.k :])
+        self._spare_pool = list(servers[client.k :])
         self._sources = client.comm.fetch_sources(
-            client.user_id, lookup_key, chosen, self._spare_pool
+            client.user_id, lookup_key, servers[: client.k], self._spare_pool
         )
 
         # Cross-check the replicated (non-sensitive) metadata across all
@@ -186,7 +188,6 @@ class DirectReadSession(ReadSession):
             client.restore_window_bytes,
         )
         self.plan = RestorePlan(
-            path=path,
             lookup_key=lookup_key,
             file_size=file_size,
             secret_count=secret_count,
@@ -195,23 +196,35 @@ class DirectReadSession(ReadSession):
             via="direct",
         )
 
+    def path_shares(self) -> dict[int, bytes]:
+        """The read clouds' pathname shares (§4.3), by cloud index."""
+        return {
+            source.server.server_id: source.entry.path_share
+            for source in self._sources
+        }
+
     def read(self) -> bytes:
+        windows = self.decode_windows(self.plan.windows)
+        return self._finish([secret for secrets in windows for secret in secrets])
+
+    def decode_windows(self, windows: Sequence[tuple[int, int]]) -> Iterator[list[bytes]]:
+        """Fetch and decode ``windows`` (some of :attr:`plan`'s, in order),
+        yielding each window's secrets as it is decoded."""
         client = self.client
         plan = self.plan
         reference = self._sources[0].recipe
 
         #: §3.2 widening state, shared across windows: each spare's
-        #: recipe is fetched at most once per restore, and a spare that
+        #: recipe is fetched at most once per call, and a spare that
         #: fails is skipped for all later secrets in any window.
         spare_recipes: dict[int, list[RecipeEntry]] = {}
         dead_spares: set[int] = set()
 
-        parts: list[bytes] = []
         stream = client.comm.stream_share_windows(
             client.user_id,
             plan.lookup_key,
             self._sources,
-            list(plan.windows),
+            list(windows),
             self._spare_pool,
             expect=(plan.file_size, plan.secret_count),
         )
@@ -285,15 +298,13 @@ class DirectReadSession(ReadSession):
                 # dispersal retries per secret and widens only the ones that
                 # still fail.
                 clock = time.perf_counter()
-                parts.extend(
-                    client.dispersal.decode_batch(
-                        requests, fallback=widen_with_spares
-                    )
+                secrets = client.dispersal.decode_batch(
+                    requests, fallback=widen_with_spares
                 )
                 _WINDOW_DECODE_SECONDS.observe(time.perf_counter() - clock)
+                yield secrets
         finally:
             stream.close()
-        return self._finish(parts)
 
 
 class GatewayReadSession(ReadSession):
@@ -311,14 +322,12 @@ class GatewayReadSession(ReadSession):
     §3.2 widening — handles it.
     """
 
-    def __init__(self, client: "CDStoreClient", path: str, gateway) -> None:
+    def __init__(self, client: "CDStoreClient", lookup_key: bytes, gateway) -> None:
         self.client = client
         self.gateway = gateway
-        lookup_key = client._lookup_key(path)
         resolved = gateway.resolve_backup(client.user_id, lookup_key)
         file_size, secret_sizes, windows = resolved
         self.plan = RestorePlan(
-            path=path,
             lookup_key=lookup_key,
             file_size=file_size,
             secret_count=len(secret_sizes),

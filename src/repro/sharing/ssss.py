@@ -54,24 +54,32 @@ class SSSS(SecretSharingScheme):
 
     def recover(self, shares: dict[int, bytes], secret_size: int) -> bytes:
         self._check_recover_args(shares, secret_size)
+        return self.interpolate(shares, 0)[:secret_size]
+
+    def interpolate(self, shares: dict[int, bytes], x: int) -> bytes:
+        """Evaluate the sharing's polynomials at ``x`` from ``k`` of its shares.
+
+        ``x = 0`` is the secret; ``x = i + 1`` is share ``i`` of the *same*
+        sharing, which is how a rebuilt cloud gets back the share it lost.
+        """
+        self._check_recover_args(shares, 0)
         chosen = sorted(shares)[: self.k]
         xs = [idx + 1 for idx in chosen]
         sizes = {len(shares[idx]) for idx in chosen}
         if len(sizes) != 1:
             raise CodingError(f"shares have inconsistent sizes: {sorted(sizes)}")
-        width = sizes.pop()
-        # Lagrange interpolation at x = 0, vectorised over all byte positions:
-        # secret = XOR_i  L_i(0) * share_i,  L_i(0) = prod_{j != i} x_j / (x_j ^ x_i)
-        out = np.zeros(width, dtype=np.uint8)
+        # Lagrange interpolation, vectorised over all byte positions:
+        # f(x) = XOR_i  L_i(x) * share_i,  L_i(x) = prod_{j != i} (x ^ x_j) / (x_i ^ x_j)
+        out = np.zeros(sizes.pop(), dtype=np.uint8)
         for i, xi in enumerate(xs):
             li = 1
             for j, xj in enumerate(xs):
                 if i == j:
                     continue
-                li = gf_mul(li, gf_div(xj, xj ^ xi))
+                li = gf_mul(li, gf_div(x ^ xj, xi ^ xj))
             share = np.frombuffer(shares[chosen[i]], dtype=np.uint8)
             gf_mul_bytes_into(li, share, out)
-        return out.tobytes()[:secret_size]
+        return out.tobytes()
 
     def expected_blowup(self, secret_size: int) -> float:
         """Every share equals the secret size: blowup = n (Table 1)."""

@@ -14,17 +14,20 @@ Typical use::
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
-from repro.chunking.base import Chunker
+from repro.chunking.base import Chunk, Chunker
 from repro.chunking.registry import ChunkerSpec
 from repro.cloud.network import Link
 from repro.cloud.provider import CloudProvider
 from repro.client.client import CDStoreClient
+from repro.client.comm import CloudUploader
+from repro.client.read import DirectReadSession
 from repro.config import ObsSpec, ReproConfig
 from repro.crypto.hashing import fingerprint
 from repro.dedup.stats import DedupStats
-from repro.errors import InsufficientCloudsError, ParameterError
-from repro.server.messages import ShareMeta, ShareUpload
+from repro.errors import InsufficientCloudsError, ParameterError, ReproError
+from repro.server.messages import FileManifest, RecipeEntry
 from repro.server.server import CDStoreServer
 from repro.storage.backend import LocalDirBackend
 from repro.tenants import Credentials, TenantRegistry
@@ -333,190 +336,123 @@ class CDStoreSystem:
         for client in self._clients.values():
             client.servers[index] = self.servers[index]
 
+    def _donors(self, index: int) -> list:
+        """Every available cloud's server but ``index``'s (rebuild sources)."""
+        return [s for s in self.servers if s.server_id != index and s.cloud.available]
+
+    def _rebuild(
+        self,
+        index: int,
+        user: str,
+        lookup_key: bytes,
+        wanted: set[int] | None = None,
+    ) -> tuple[DirectReadSession, Iterator[tuple[Chunk, bytes]]]:
+        """Regenerate cloud ``index``'s shares of one backup (§3.1).
+
+        Opens ``user``'s read session over every available cloud but
+        ``index`` — ``k`` read, the rest spares for failover and §3.2
+        widening — and returns it with a generator that decodes the
+        planned windows holding a secret in ``wanted`` (all of them when
+        None), re-encodes each window in one batch and yields every
+        secret of those windows as a :class:`Chunk` with its share
+        ``index``.
+        """
+        client = self.client(user)
+        session = DirectReadSession(client, lookup_key, self._donors(index))
+        windows = [
+            (start, end)
+            for start, end in session.plan.windows
+            if wanted is None or not wanted.isdisjoint(range(start, end))
+        ]
+
+        def shares() -> Iterator[tuple[Chunk, bytes]]:
+            decoded = session.decode_windows(windows)
+            for (start, _), secrets in zip(windows, decoded):
+                offset = sum(session.plan.secret_sizes[:start])
+                share_sets = client.dispersal.encode_batch(secrets)
+                for seq, (secret, share_set) in enumerate(
+                    zip(secrets, share_sets), start
+                ):
+                    yield Chunk(secret, offset, seq), share_set.shares[index]
+                    offset += len(secret)
+
+        return session, shares()
+
     def repair_cloud(self, index: int) -> int:
         """Rebuild cloud ``index``'s shares from the surviving clouds.
 
         CDStore "reconstructs original secrets and then rebuilds the lost
-        shares as in Reed-Solomon codes" (§3.1).  Every user file is
-        re-read from ``k`` healthy clouds, each secret decoded, share
-        ``index`` regenerated and re-ingested at the repaired server.
-        Returns the number of shares rebuilt.
+        shares as in Reed-Solomon codes" (§3.1).  Every backup the first
+        surviving cloud lists is read window by window through the
+        client's restore session, each window re-encoded, and share
+        ``index`` streamed to the repaired server through the windowed
+        uploader — one dedup query and one upload per 4 MB, as a backup
+        does.  The pathname share is regenerated from the survivors' (the
+        same sharing, not a fresh one).  Returns the number of shares
+        rebuilt.
         """
         target = self.servers[index]
         target.cloud.check_available()
-        healthy = [
-            server
-            for server in self.servers
-            if server.server_id != index and server.cloud.available
-        ]
-        if len(healthy) < self.k:
+        donors = self._donors(index)
+        if len(donors) < self.k:
             raise InsufficientCloudsError(
-                f"repair needs k={self.k} healthy clouds, found {len(healthy)}"
+                f"repair needs k={self.k} surviving clouds, found {len(donors)}"
             )
-        donors = healthy[: self.k]
         rebuilt = 0
-        # Walk every (user, file) recorded on the first donor — through the
+        # Walk every (user, file) recorded on a survivor — through the
         # server surface, so a remote donor serves repairs over the wire.
         for user, lookup_key in donors[0].list_backups():
-            client = self.client(user)
-            # Donor reads go through the client's comm engine so recipe and
-            # share fetches overlap across the k donor clouds (§4.6).
-            recipes = {
-                server.server_id: recipe
-                for server, recipe in zip(
-                    donors,
-                    client.comm.map_servers(
-                        lambda server, _user=user, _key=lookup_key: (
-                            server.get_recipe(_user, _key)
-                        ),
-                        donors,
-                    ),
-                )
-            }
-            entry0 = donors[0].get_file_entry(user, lookup_key)
-            shares_by_server = {
-                server.server_id: shares
-                for server, shares in zip(
-                    donors,
-                    client.comm.map_servers(
-                        lambda server: server.fetch_shares(
-                            [e.fingerprint for e in recipes[server.server_id]]
-                        ),
-                        donors,
-                    ),
-                )
-            }
-            metas: list[ShareMeta] = []
-            for seq in range(entry0.secret_count):
-                secret_size = recipes[donors[0].server_id][seq].secret_size
-                shares = {
-                    server.server_id: shares_by_server[server.server_id][
-                        recipes[server.server_id][seq].fingerprint
-                    ]
-                    for server in donors
-                }
-                secret = client.dispersal.decode(shares, secret_size)
-                new_shares = client.dispersal.encode(secret)
-                lost = new_shares.shares[index]
-                meta = ShareMeta(
-                    fingerprint=fingerprint(lost, domain="client"),
-                    share_size=len(lost),
-                    secret_seq=seq,
-                    secret_size=secret_size,
-                )
-                known = target.query_duplicates(user, [meta.fingerprint])[0]
-                if not known:
-                    target.upload_shares(
-                        user, [ShareUpload(meta=meta, data=lost)]
-                    )
-                    rebuilt += 1
-                metas.append(meta)
-            manifest_entry = donors[0].get_file_entry(user, lookup_key)
-            from repro.server.messages import FileManifest
-
-            # The repaired server needs its own file entry + recipe; the
-            # pathname share for cloud `index` is regenerated from donors'
-            # shares via the client's path sharer.
-            path_shares = {
-                server.server_id: server.get_file_entry(user, lookup_key).path_share
-                for server in donors
-            }
-            path = client._path_sharer.recover(
-                path_shares, secret_size=self._path_len(path_shares)
+            session, shares = self._rebuild(index, user, lookup_key)
+            uploader = CloudUploader(target, index, user)
+            for chunk, share in shares:
+                uploader.feed(chunk, share)
+            result = uploader.finish()
+            path_share = session.client._path_sharer.interpolate(
+                session.path_shares(), index + 1
             )
-            new_path_shares = client._path_sharer.split(path)
-            manifest = FileManifest(
-                lookup_key=lookup_key,
-                path_share=new_path_shares.shares[index],
-                file_size=manifest_entry.file_size,
-                secret_count=manifest_entry.secret_count,
-            )
-            target.finalize_file(user, manifest, metas)
+            plan = session.plan
+            manifest = FileManifest(lookup_key, path_share, plan.file_size, plan.secret_count)
+            target.finalize_file(user, manifest, result.metas)
+            rebuilt += result.transferred
         target.flush()
         return rebuilt
-
-    @staticmethod
-    def _path_len(path_shares: dict[int, bytes]) -> int:
-        # Shamir shares are exactly as long as the secret.
-        return len(next(iter(path_shares.values())))
 
     def scrub_and_repair(self, index: int) -> int:
         """Audit cloud ``index`` for silent corruption and heal it.
 
-        Runs the server's scrub, then regenerates every corrupt share by
-        decoding its secret from the healthy clouds and re-encoding —
-        the same Reed-Solomon repair as :meth:`repair_cloud`, applied
-        surgically.  Returns the number of shares healed.
+        Runs the server's scrub, then regenerates the corrupt shares the
+        way :meth:`repair_cloud` does — reading only the restore windows
+        that hold one — and re-ingests each under its index entry.  A
+        backup whose recipe is unreadable gets every window regenerated
+        and its recipe rebuilt.  Returns the number of shares healed plus
+        recipes rebuilt.
         """
         target = self.servers[index]
         corrupt = set(target.scrub())
-        donors = [
-            server
-            for server in self.servers
-            if server.server_id != index and server.cloud.available
-        ][: self.k]
-        if len(donors) < self.k:
-            raise InsufficientCloudsError(
-                f"scrub repair needs k={self.k} healthy clouds"
-            )
-        from repro.crypto.hashing import fingerprint as _fingerprint
-        from repro.errors import ReproError
-        from repro.server.messages import RecipeEntry
-
         healed: set[bytes] = set()
         recipes_rebuilt = 0
         for user, lookup_key in target.list_backups():
-            client = self.client(user)
-            donor_recipes = {
-                server.server_id: recipe
-                for server, recipe in zip(
-                    donors,
-                    client.comm.map_servers(
-                        lambda server, _user=user, _key=lookup_key: (
-                            server.get_recipe(_user, _key)
-                        ),
-                        donors,
-                    ),
-                )
-            }
-            secret_count = len(donor_recipes[donors[0].server_id])
-
-            def _regenerate(seq: int) -> tuple[bytes, int]:
-                """Decode secret ``seq`` from donors; return (share, size)."""
-                shares = {
-                    server.server_id: server.fetch_shares(
-                        [donor_recipes[server.server_id][seq].fingerprint]
-                    )[donor_recipes[server.server_id][seq].fingerprint]
-                    for server in donors
-                }
-                secret_size = donor_recipes[donors[0].server_id][seq].secret_size
-                secret = client.dispersal.decode(shares, secret_size)
-                return client.dispersal.encode(secret).shares[index], secret_size
-
             try:
-                target_recipe = target.get_recipe(user, lookup_key)
+                recipe = target.get_recipe(user, lookup_key)
             except ReproError:
-                # The recipe container itself is corrupt: rebuild the whole
-                # recipe from donor data.
-                entries = []
-                for seq in range(secret_count):
-                    share, secret_size = _regenerate(seq)
-                    server_fp = _fingerprint(share, domain="server")
-                    if server_fp in corrupt and server_fp not in healed:
-                        target.replace_share(server_fp, share)
-                        healed.add(server_fp)
-                    entries.append(
-                        RecipeEntry(fingerprint=server_fp, secret_size=secret_size)
-                    )
+                recipe = None  # the recipe container itself is corrupt
+            wanted = None
+            if recipe is not None:
+                pending = corrupt - healed
+                wanted = {seq for seq, e in enumerate(recipe) if e.fingerprint in pending}
+                if not wanted:
+                    continue
+            entries = []
+            _, shares = self._rebuild(index, user, lookup_key, wanted)
+            for chunk, share in shares:
+                server_fp = fingerprint(share, domain="server")
+                if server_fp in corrupt and server_fp not in healed:
+                    target.replace_share(server_fp, share)
+                    healed.add(server_fp)
+                entries.append(RecipeEntry(server_fp, chunk.size))
+            if recipe is None:
                 target.rebuild_recipe(user, lookup_key, entries)
                 recipes_rebuilt += 1
-                continue
-
-            for seq, entry in enumerate(target_recipe):
-                if entry.fingerprint in corrupt and entry.fingerprint not in healed:
-                    share, _ = _regenerate(seq)
-                    target.replace_share(entry.fingerprint, share)
-                    healed.add(entry.fingerprint)
         target.flush()
         return len(healed) + recipes_rebuilt
 

@@ -174,6 +174,67 @@ class TestCrossTransportIdentity:
 
 
 # ---------------------------------------------------------------------------
+# cloud repair over the wire
+# ---------------------------------------------------------------------------
+
+
+class UploadCountingServer(_Wrapped):
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.upload_calls = 0
+
+    def upload_shares(self, user_id, uploads):
+        self.upload_calls += 1
+        return self._inner.upload_shares(user_id, uploads)
+
+
+class TestServedRepair:
+    def test_repair_streams_pipelined_uploads_to_an_emptied_target(self, served):
+        """Donors and the emptied target all behind TCP front-ends: the
+        repair's shares reach the target as pipelined upload batches, not
+        one synchronous call per share, and the repaired cloud serves."""
+        _servers, tcps, proxies = served
+        data = payload(120_000, seed=11)
+        client = make_client(proxies)
+        client.upload("/f", data)
+        client.flush()
+        client.close()
+        # Vendor termination of cloud 0: a fresh, empty server takes over
+        # its slot behind a new front-end.
+        tcps[0].shutdown()
+        target = UploadCountingServer(make_servers(1)[0])
+        tcps[0] = CDStoreTCPServer(target).start()
+        system = CDStoreSystem(
+            n=4,
+            k=3,
+            salt=b"org",
+            clouds=[f"tcp://{t.address[0]}:{t.address[1]}" for t in tcps],
+            chunker=FixedChunker(4096),
+        )
+        proxy = system.servers[0]
+        sent = {"sync": 0, "async": 0}
+        sync_upload, async_upload = proxy.upload_shares, proxy.upload_shares_async
+
+        def counted(kind, send):
+            def call(*args):
+                sent[kind] += 1
+                return send(*args)
+
+            return call
+
+        proxy.upload_shares = counted("sync", sync_upload)
+        proxy.upload_shares_async = counted("async", async_upload)
+        try:
+            assert system.repair_cloud(0) == 30
+            assert 1 <= target.upload_calls <= 2
+            assert sent == {"sync": 0, "async": target.upload_calls}
+            tcps[3].shutdown()  # the repaired cloud is now in every quorum
+            assert system.client("alice").download("/f") == data
+        finally:
+            system.close()
+
+
+# ---------------------------------------------------------------------------
 # mid-restore connection kill -> window-granular failover
 # ---------------------------------------------------------------------------
 

@@ -121,6 +121,14 @@ class TestShamirDetails:
         got = scheme.recover(share_set.subset(list(range(n - k, n))), len(secret))
         assert got == secret
 
+    def test_interpolate_regenerates_a_lost_share_of_the_same_sharing(self):
+        scheme = SSSS(5, 3)
+        shares = scheme.split(b"/backups/week1/system.tar").shares
+        for lost in range(5):
+            for donors in combinations([i for i in range(5) if i != lost], 3):
+                got = scheme.interpolate({i: shares[i] for i in donors}, lost + 1)
+                assert got == shares[lost]
+
     def test_share_size_equals_secret_size(self):
         share_set = SSSS(4, 3).split(b"z" * 777)
         assert all(len(s) == 777 for s in share_set.shares)
