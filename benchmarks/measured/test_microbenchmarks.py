@@ -114,12 +114,13 @@ def test_microbenchmarks():
         label = "{" + ",".join(map(str, subset)) + "}"
         rows.append([f"caont-rs decode, rabin chunks {label} (batched)", _rate(4 << 20, batched)])
         rows.append([f"caont-rs decode, rabin chunks {label} (per-secret recover)", _rate(4 << 20, looped)])
-    # Chunkers: the cut scan the Rabin ingest path runs (the blocked
-    # two-level kernel of repro.chunking.scan on Rabin's tables), its
-    # byte-at-a-time rolling reference (kept only as executable
-    # documentation / property-test anchor), gear's dense rendering
-    # (what its tests pin the same kernel to), and both end-to-end
-    # ingest paths.
+    # Chunkers: the cut scan the Rabin ingest path runs (the packed-lane
+    # kernel of repro.chunking.scan on Rabin's tables: three uint64 pair
+    # gathers and three folds per position, then the ~1/256 survivors
+    # confirmed), its byte-at-a-time rolling reference (kept only as
+    # executable documentation / property-test anchor), gear's dense
+    # rendering (what its tests pin the same kernel to), and both
+    # end-to-end ingest paths.
     from repro.chunking import GearChunker, RabinChunker
 
     chunker, gear = RabinChunker(), GearChunker()

@@ -30,12 +30,14 @@ with numpy gathers.  Because the gear recurrence is carry-less (XOR, not
 the original's addition), bit ``p`` of the hash only sees bytes at
 distances ``<= p``: the mask bits live in the low 16 bits of the word, so
 the masked decision is an XOR of per-offset terms over just the trailing
-:data:`GEAR_WINDOW` = 16 bytes — the form the blocked two-level scan of
+:data:`GEAR_WINDOW` = 16 bytes — the form the packed-lane scan of
 :mod:`repro.chunking.scan` takes (shared with the Rabin chunker, which
-runs it on 22 dense pair tables).  Here only the trailing 8 bytes can
-reach the low hash byte, so the dense prescreen is 4 ``uint8`` pair-table
-gathers per position; the ~1/256 survivors gather the 16 per-offset terms
-and are tested against both masks.  The property tests pin the kernel to
+packs its 48 offsets into three ``uint64`` gathers).  Here only the
+trailing 8 bytes can reach the low hash byte, so the dense prescreen is
+one gather per position from a ``uint32`` table holding their 4 byte
+pairs, one per lane, folded into the low byte in two shifts; the ~1/256
+survivors gather the 16 per-offset terms and are tested against both
+masks.  The property tests pin the kernel to
 the dense :meth:`GearChunker.window_hashes` (slow but simple) and that to
 the byte-at-a-time reference :meth:`GearChunker.rolling_hashes`.
 """
@@ -78,6 +80,13 @@ def _offset_tables() -> np.ndarray:
     offset ``j``, ``GEAR[v] << (GEAR_WINDOW - 1 - j)``; shape ``(16, 256)``."""
     shifts = np.arange(GEAR_WINDOW - 1, -1, -1, dtype=np.uint64)[:, None]
     return ((_gear_table()[None, :] << shifts) & np.uint64(0xFFFF)).astype(np.uint16)
+
+
+@lru_cache(maxsize=8)
+def _kernel(mask: int) -> PairScan:
+    """The scan prescreening on ``mask``'s low byte, shared by every chunker
+    that uses it."""
+    return PairScan(_offset_tables(), mask, 0)
 
 
 class GearChunker(Chunker):
@@ -132,7 +141,7 @@ class GearChunker(Chunker):
         self.mask_hard = np.uint16((1 << (bits + norm)) - 1)
         self.mask_easy = np.uint16((1 << (bits - norm)) - 1)
         #: Prescreens on the easy mask's low byte: both full masks imply it.
-        self._kernel = PairScan(_offset_tables(), int(self.mask_easy), 0)
+        self._kernel = _kernel(int(self.mask_easy))
 
     # ------------------------------------------------------------------
     # hash computation

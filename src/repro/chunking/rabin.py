@@ -13,10 +13,11 @@ The fingerprint is GF(2)-linear in the window bytes,
 
 and only ``F & (average - 1)`` decides a cut.  AND distributes over XOR,
 so ``F & m = XOR_j (T_j[b_j] & m)``: the ingest path never computes the 64
-fingerprint bits, it hands the ``T_j`` to the blocked two-level scan of
-:mod:`repro.chunking.scan` (pre-masked ``uint8`` pair tables densely, the
-full-width ``T_j`` only at the ~1/256 prescreen survivors), the same
-kernel the gear chunker runs on its own tables.  Two full-fingerprint
+fingerprint bits, it hands the ``T_j`` to the packed-lane scan of
+:mod:`repro.chunking.scan` (densely, the masked byte-pair terms eight to a
+``uint64`` gather, folded into the low byte; the full-width ``T_j`` only
+at the ~1/256 prescreen survivors), the same kernel the gear chunker runs
+on its own tables.  Two full-fingerprint
 renderings stay for the tests that pin the kernel's cuts:
 :meth:`RabinChunker.window_fingerprints` (dense, one gather per offset —
 slow but simple) and the byte-at-a-time rolling reference
@@ -25,6 +26,7 @@ slow but simple) and the byte-at-a-time rolling reference
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -71,6 +73,14 @@ def _offset_tables(window: int) -> np.ndarray:
     return tables
 
 
+@lru_cache(maxsize=8)
+def _kernel(window: int, mask: int, magic: int) -> PairScan:
+    """The scan of one parameter set, shared by every chunker that uses it
+    (its lane tables are ~1.5 MiB at the default window; a client is built
+    per backup or restore)."""
+    return PairScan(_offset_tables(window), mask, magic)
+
+
 class RabinChunker(Chunker):
     """Content-defined chunker with Rabin rolling fingerprints.
 
@@ -114,8 +124,8 @@ class RabinChunker(Chunker):
         self._magic = np.uint64((avg_size - 1) & 0x78F5)
         #: Per-window-offset tables; row 0 doubles as the rolling
         #: reference's "pop" table (the outgoing byte's term).
-        self._tables = _offset_tables(window)
-        self._kernel = PairScan(self._tables, avg_size - 1, int(self._magic))
+        self._kernel = _kernel(window, avg_size - 1, int(self._magic))
+        self._tables = self._kernel.tables
 
     # ------------------------------------------------------------------
     # fingerprint computation

@@ -462,16 +462,17 @@ class CDStoreServer:
         """
         self.cloud.check_available()
         incoming = sum(len(upload.data) for upload in uploads)
-        # Admission control happens before any mutation: a rejected
-        # batch must leave neither index entries nor container bytes.
+        # Admission control and validation happen before any mutation: a
+        # rejected batch must leave neither index entries nor container bytes.
         self._check_ingest_quota(user_id, incoming)
         for upload in uploads:
-            data = upload.data
-            if len(data) != upload.meta.share_size:
+            if len(upload.data) != upload.meta.share_size:
                 raise ProtocolError(
                     f"share size mismatch: meta {upload.meta.share_size}, "
-                    f"data {len(data)}"
+                    f"data {len(upload.data)}"
                 )
+        for upload in uploads:
+            data = upload.data
             self.stats.transferred_shares += len(data)
             self.stats.shares_transferred += 1
             server_fp = fingerprint(data, domain="server")

@@ -381,6 +381,42 @@ _GOLDEN_CUTS = {
 }
 
 
+#: Table sets of every shape the kernel packs: 8 lanes (Rabin, even and
+#: odd windows), 4 (gear) and 1 (a 3-byte window).
+_KERNEL_CHUNKERS = pytest.mark.parametrize(
+    "chunker",
+    [
+        RabinChunker(),
+        RabinChunker(avg_size=1024, min_size=64, max_size=4096, window=47),
+        RabinChunker(avg_size=1 << 17, min_size=64, max_size=1 << 18, window=3),
+        GearChunker(),
+        GearChunker(**_SMALL_GEAR),
+    ],
+    ids=["rabin", "rabin-odd", "rabin-wide-mask", "gear", "gear-small"],
+)
+
+
+def _prescreen_mask(chunker) -> int:
+    """The mask whose low byte the chunker's kernel prescreens on."""
+    return chunker.avg_size - 1 if isinstance(chunker, RabinChunker) else int(chunker.mask_easy)
+
+
+def _assert_survivors_are_dense(kernel, data: bytes, mask: int) -> None:
+    """The prescreen keeps exactly the windows whose dense ``H`` matches in
+    the masked low byte, and hands back their full ``H``."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    count = max(buf.size - kernel.window + 1, 0)
+    dense = np.zeros(count, dtype=kernel.tables.dtype)
+    for j, table in enumerate(kernel.tables):
+        dense ^= table[buf[j : j + count]]
+    yields = list(kernel.candidates(data))
+    ends = np.concatenate([np.zeros(0, dtype=np.int64)] + [c for c, _ in yields])
+    hashes = np.concatenate([np.zeros(0, dtype=dense.dtype)] + [h for _, h in yields])
+    low = mask & 0xFF
+    assert np.array_equal(ends, np.flatnonzero((dense & low) == kernel._want) + kernel.window)
+    assert np.array_equal(hashes, dense[ends - kernel.window])
+
+
 class TestScanKernel:
     @pytest.mark.parametrize("spec", sorted(_GOLDEN_CUTS))
     def test_cut_points_match_the_vectors_captured_before_the_kernel(self, spec):
@@ -427,17 +463,7 @@ class TestScanKernel:
                 cuts, np.flatnonzero((rolling & chunker._mask) == chunker._magic) + window
             )
 
-    @pytest.mark.parametrize(
-        "chunker",
-        [
-            RabinChunker(),
-            RabinChunker(avg_size=1024, min_size=64, max_size=4096, window=47),
-            RabinChunker(avg_size=1 << 17, min_size=64, max_size=1 << 18, window=3),
-            GearChunker(),
-            GearChunker(**_SMALL_GEAR),
-        ],
-        ids=["rabin", "rabin-odd", "rabin-wide-mask", "gear", "gear-small"],
-    )
+    @_KERNEL_CHUNKERS
     @mock.patch.object(scan, "_WIDTH", 2)
     def test_block_edges_and_degenerate_inputs_equal_dense(self, chunker):
         """Two segments in flight: inputs up to a block split in halves,
@@ -453,6 +479,62 @@ class TestScanKernel:
         assert chunker._kernel.segments(len(payload)) == 3
         _assert_scan_is_dense(chunker, bytes(scan.BLOCK + 2 * w))
         _assert_scan_is_dense(chunker, b"\x00\xffab" * (scan.BLOCK // 4 + w))
+
+    @_KERNEL_CHUNKERS
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_sub_block_edges_equal_dense(self, chunker, width):
+        """Inputs ending just before, at, after and a window past the
+        prescreen's sub-block edges: survivors and cuts are the dense ones
+        (the last sub-block is short, an odd window's reads one byte past
+        the input, and at width 2 segments split between edges)."""
+        w = chunker._kernel.window
+        payload = DRBG("scan-sub-blocks").random_bytes(4 * scan._SUB + 2 * w)
+        lengths = sorted(
+            {k * scan._SUB + w - 1 + d for k in (1, 2, 3, 4) for d in (-1, 0, 1, w)}
+        )
+        mask = _prescreen_mask(chunker)
+        with mock.patch.object(scan, "_WIDTH", width):
+            for length in lengths:
+                _assert_survivors_are_dense(chunker._kernel, payload[:length], mask)
+                _assert_scan_is_dense(chunker, payload[:length])
+
+    @_KERNEL_CHUNKERS
+    def test_lane_tables_hold_each_pair_in_its_value_lane(self, chunker):
+        """Lane ``m`` of a group at offset ``o`` — value bits ``8m .. 8m+7``,
+        whatever the byte order — is the masked pair term of window offsets
+        ``o + 2m, o + 2m + 1``: each live pair in exactly one group."""
+        kernel = chunker._kernel
+        low = (kernel.tables & kernel.tables.dtype.type(_prescreen_mask(chunker) & 0xFF))
+        low = np.vstack([low.astype(np.uint8), np.zeros((1, 256), dtype=np.uint8)])
+        index = np.arange(1 << 16)
+        lanes = kernel._lanes
+        held = np.zeros((-(-kernel.window // 2), 1 << 16), dtype=np.uint8)
+        for offset, table in kernel.lane_tables:
+            word = table.dtype.type
+            assert table.dtype == np.dtype(f"uint{8 * lanes}") and offset % 2 == 0
+            for m in range(lanes):
+                lane = ((table >> word(8 * m)) & word(0xFF)).astype(np.uint8)
+                if offset + 2 * m < kernel.window:
+                    held[offset // 2 + m] ^= lane
+                else:
+                    assert not lane.any()
+        for s, pair in enumerate(held):
+            first, second = low[2 * s], low[min(2 * s + 1, kernel.window)]
+            assert np.array_equal(pair, first[index >> 8] ^ second[index & 0xFF])
+
+    @pytest.mark.parametrize("lanes, live", [(1, (6, 8)), (2, (4, 8)), (4, (0, 8)), (8, (0, 16))])
+    @mock.patch.object(scan, "_WIDTH", 2)
+    def test_every_lane_width_equals_dense(self, lanes, live):
+        """Random 16-offset tables, live only on ``live`` offsets, pack into
+        one group of the fewest lanes that holds them; the prescreen then
+        still keeps exactly the dense low-byte matches."""
+        tables = np.random.default_rng(lanes).integers(0, 1 << 16, (16, 256), dtype=np.uint16)
+        tables[: live[0]] = tables[live[1] :] = 0
+        kernel = scan.PairScan(tables, 0x3F, 0x2A)
+        assert kernel._lanes == lanes and len(kernel.lane_tables) == 1
+        payload = DRBG("scan-lanes").random_bytes(3 * scan._SUB + 100)
+        for length in (0, 15, 16, 17, scan._SUB + 15, len(payload)):
+            _assert_survivors_are_dense(kernel, payload[:length], 0x3F)
 
     @pytest.mark.parametrize(
         "chunker, survivors_are_cuts",

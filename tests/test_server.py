@@ -11,6 +11,7 @@ from repro.errors import CloudUnavailableError, NotFoundError, ProtocolError
 from repro.server.index import DictIndex, LSMIndex
 from repro.server.messages import FileManifest, ShareMeta, ShareUpload
 from repro.server.server import CDStoreServer
+from repro.system.cdstore import open_root_server
 
 
 def make_server(index=None) -> CDStoreServer:
@@ -75,11 +76,22 @@ class TestInterUserDedup:
         server.upload_shares("alice", [upload_of(data_a)])
         assert server.stats.shares_stored == 2
 
-    def test_size_mismatch_rejected(self):
-        server = make_server()
+    def test_size_mismatch_rejected(self, tmp_path):
+        """A batch with one wrong-sized share applies none of its shares,
+        in memory and on a durable root across a reopen."""
+        good = upload_of(b"a well-formed share" * 8)
         bad = ShareUpload(meta=ShareMeta(b"f" * 32, 10, 0, 10), data=b"not ten!")
-        with pytest.raises(ProtocolError):
-            server.upload_shares("alice", [bad])
+        for server in (make_server(), open_root_server(tmp_path, 0)):
+            with server:
+                for batch in ([bad], [good, bad]):
+                    with pytest.raises(ProtocolError):
+                        server.upload_shares("alice", batch)
+                assert server.query_duplicates("alice", [good.meta.fingerprint]) == [False]
+                server.flush()
+                assert server.stored_bytes == 0
+        with open_root_server(tmp_path, 0) as reopened:
+            assert reopened.query_duplicates("alice", [good.meta.fingerprint]) == [False]
+            assert reopened.stored_bytes == 0
 
 
 class TestFinalizeAndRestore:
