@@ -20,6 +20,13 @@ module gives the client that concurrency:
 * a windowed upload path per cloud: shares accumulate into 4 MB windows
   (§4.1 batching), each window is intra-user-dedup-queried (§3.3 stage 1)
   and its unique shares uploaded, while later secrets are still encoding;
+* a **share cache** consulted before encoding: a secret whose hash key
+  ``h = H(salt || X)`` the dispersal's
+  :class:`~repro.core.convergent.ShareCache` holds is not encoded at all —
+  every cloud is queried with the fingerprint its share had last time, and
+  only a cloud that reports the share unknown (wiped, or the share was
+  collected) gets it re-encoded, one query window at a time.  Queries and
+  uploads are the same bytes, in the same order, whatever the cache holds;
 * a **windowed restore path**: per-window share maps stream through the
   per-cloud workers (:meth:`stream_share_windows`), ``pipeline_depth``
   windows ahead of the one being decoded, so the client's batched decode
@@ -49,9 +56,11 @@ from repro.analysis.annotations import guarded_by
 from repro.chunking.base import Chunk
 from repro.client.workers import SlabbedShareSets, slab_spans
 from repro.core.convergent import ConvergentDispersal
-from repro.crypto.hashing import fingerprint
+from repro.core.package_codec import KeyedSecrets
+from repro.crypto.hashing import HASH_SIZE, fingerprint
 from repro.errors import (
     CloudUnavailableError,
+    IntegrityError,
     ParameterError,
     ProtocolError,
     StorageError,
@@ -61,6 +70,7 @@ from repro.obs.trace import ZERO_TRACE_ID, current_context, use_context
 from repro.server.index import FileEntry
 from repro.server.messages import RecipeEntry, ShareMeta, ShareUpload
 from repro.server.server import CDStoreServer
+from repro.sharing.base import ShareSet
 
 __all__ = [
     "CommEngine",
@@ -108,6 +118,11 @@ _WINDOW_RESTORE_SECONDS = REGISTRY.histogram(
 _FAILOVERS = REGISTRY.counter(
     "client_failovers_total",
     "Restore slots that replaced a failed cloud with a promoted spare",
+)
+_SHARE_CACHE = REGISTRY.counter(
+    "client_share_cache_total",
+    "Secrets the share cache answered (hit), encoded (miss) or a cloud "
+    "needed re-encoded (reencode)",
 )
 
 
@@ -163,15 +178,27 @@ class CloudUploader:
     pre-streaming whole-file pass did — the wire traffic is byte-identical
     regardless of how the feed is sliced into slabs.  :meth:`finish`
     flushes the tails and waits for the last acks.
+
+    With a ``dispersal``, :meth:`feed_encoded` also takes a share-cache hit:
+    the fingerprint without the share, which is re-encoded (and checked
+    against that fingerprint) only if this cloud's query reports it unknown.
     """
 
-    def __init__(self, server: CDStoreServer, cloud_idx: int, user_id: str) -> None:
+    def __init__(
+        self,
+        server: CDStoreServer,
+        cloud_idx: int,
+        user_id: str,
+        dispersal: ConvergentDispersal | None = None,
+    ) -> None:
         self.server = server
         self.cloud_idx = cloud_idx
         self.user_id = user_id
+        self.dispersal = dispersal
         self.result = CloudUploadResult()
         self._seen: set[bytes] = set()
-        self._window: list[tuple[ShareMeta, bytes]] = []
+        #: (meta, share or None for a cache hit, chunk) per queued secret.
+        self._window: list[tuple[ShareMeta, bytes | None, Chunk]] = []
         self._window_bytes = 0
         # The 4 MB upload buffer persists across query windows (§4.1: the
         # buffer holds *unique* shares and is uploaded only when full).
@@ -210,13 +237,41 @@ class CloudUploader:
         while self._inflight:
             self._inflight.popleft().result()
 
+    def _reencode(self, wanted: list[int]) -> None:
+        """Re-encode the window's cache hits at ``wanted``: this cloud
+        needs their shares after all.  A share whose fingerprint is not
+        the cached one raises :class:`IntegrityError` (and leaves the
+        cache, so the next backup encodes the secret afresh)."""
+        assert self.dispersal is not None
+        secrets = [self._window[i][2].data for i in wanted]
+        keys = self.dispersal.hash_keys(secrets)
+        share_sets = self.dispersal.encode_batch(KeyedSecrets(secrets, keys))
+        _SHARE_CACHE.inc(len(wanted), outcome="reencode")
+        for i, key, share_set in zip(wanted, keys, share_sets):
+            meta, _, chunk = self._window[i]
+            share = share_set.shares[self.cloud_idx]
+            if fingerprint(share, domain="client") != meta.fingerprint:
+                self.dispersal.share_cache.discard(key)
+                raise IntegrityError(
+                    f"secret {meta.secret_seq} re-encoded to a share whose "
+                    f"fingerprint is not the cached one (cloud {self.cloud_idx})"
+                )
+            self._window[i] = (meta, share, chunk)
+
     def _flush_window(self) -> None:
         if not self._window:
             return
         known = self.server.query_duplicates(
-            self.user_id, [meta.fingerprint for meta, _ in self._window]
+            self.user_id, [meta.fingerprint for meta, _, _ in self._window]
         )
-        for (meta, payload), is_known in zip(self._window, known):
+        wanted = [
+            i
+            for i, ((meta, share, _), is_known) in enumerate(zip(self._window, known))
+            if share is None and not is_known and meta.fingerprint not in self._seen
+        ]
+        if wanted:
+            self._reencode(wanted)
+        for (meta, payload, _), is_known in zip(self._window, known):
             if is_known or meta.fingerprint in self._seen:
                 continue
             self._seen.add(meta.fingerprint)
@@ -229,19 +284,37 @@ class CloudUploader:
         self._window = []
         self._window_bytes = 0
 
-    def feed(self, chunk: Chunk, share: bytes) -> None:
-        """Accept the share of the next secret in sequence order."""
+    def _queue(self, chunk: Chunk, fp: bytes, share_size: int, share: bytes | None) -> None:
         meta = ShareMeta(
-            fingerprint=fingerprint(share, domain="client"),
-            share_size=len(share),
+            fingerprint=fp,
+            share_size=share_size,
             secret_seq=chunk.seq,
             secret_size=chunk.size,
         )
         self.result.metas.append(meta)
-        self._window.append((meta, share))
-        self._window_bytes += len(share)
+        self._window.append((meta, share, chunk))
+        self._window_bytes += share_size
         if self._window_bytes >= UPLOAD_BATCH_BYTES:
             self._flush_window()
+
+    def feed(self, chunk: Chunk, share: bytes) -> None:
+        """Accept the share of the next secret in sequence order."""
+        self._queue(chunk, fingerprint(share, domain="client"), len(share), share)
+
+    def feed_encoded(self, chunk: Chunk, encoded: ShareSet | bytes) -> None:
+        """Accept the next secret as an encode slab delivers it: its
+        share set, or a share-cache hit's ``n`` fingerprints."""
+        if isinstance(encoded, ShareSet):
+            self.feed(chunk, encoded.shares[self.cloud_idx])
+            return
+        assert self.dispersal is not None
+        at = self.cloud_idx * HASH_SIZE
+        self._queue(
+            chunk,
+            encoded[at : at + HASH_SIZE],
+            self.dispersal.share_size(chunk.size),
+            None,
+        )
 
     def finish(self) -> CloudUploadResult:
         """Flush the tails and wait for every outstanding ack."""
@@ -434,31 +507,85 @@ class CommEngine:
     # ------------------------------------------------------------------
     # upload path (backup)
     # ------------------------------------------------------------------
+    @staticmethod
+    def _encode_slab(
+        dispersal: ConvergentDispersal,
+        secrets: list[bytes],
+        start: int,
+        miss_keys: list[bytes | None],
+    ) -> list[ShareSet | bytes]:
+        """Encode the slab of secrets ``start, start + 1, ...``, answering
+        what the share cache can without encoding.
+
+        A hit comes back as the ``n`` cached fingerprints, a miss as its
+        :class:`ShareSet`, encoded in one batch with the other misses from
+        the hash keys already computed for the lookup; each miss's key is
+        recorded in ``miss_keys[seq]`` for :meth:`_remember`.
+        """
+        clock = time.perf_counter()
+        cache = dispersal.share_cache
+        if cache is None:
+            encoded: list = dispersal.encode_batch(secrets)
+        else:
+            keys = dispersal.hash_keys(secrets)
+            encoded = cache.get_many(keys)
+            misses = [i for i, hit in enumerate(encoded) if hit is None]
+            if misses:
+                share_sets = dispersal.encode_batch(
+                    KeyedSecrets([secrets[i] for i in misses], [keys[i] for i in misses])
+                )
+                for i, share_set in zip(misses, share_sets):
+                    encoded[i] = share_set
+                    miss_keys[start + i] = keys[i]
+            _SHARE_CACHE.inc(len(secrets) - len(misses), outcome="hit")
+            _SHARE_CACHE.inc(len(misses), outcome="miss")
+        _WINDOW_ENCODE_SECONDS.observe(time.perf_counter() - clock)
+        return encoded
+
+    @staticmethod
+    def _remember(
+        dispersal: ConvergentDispersal,
+        miss_keys: list[bytes | None],
+        results: list[CloudUploadResult],
+    ) -> None:
+        """Cache the fingerprints every cloud's upload computed for the
+        secrets that were encoded (after all of them succeeded)."""
+        if dispersal.share_cache is None:
+            return
+        dispersal.share_cache.put_many(
+            [
+                (key, b"".join([result.metas[seq].fingerprint for result in results]))
+                for seq, key in enumerate(miss_keys)
+                if key is not None
+            ]
+        )
+
     def _submit_encode_slabs(
-        self, dispersal: ConvergentDispersal, chunks: list[Chunk]
+        self,
+        dispersal: ConvergentDispersal,
+        chunks: list[Chunk],
+        miss_keys: list[bytes | None],
     ) -> SlabbedShareSets:
         """Fan chunker output into encode slabs on the encode pool.
 
         Chunks are grouped into contiguous slabs sized for the pool (see
         :func:`repro.client.workers.slab_spans`); each slab encodes with
-        the batched codec kernels.  Slabs are submitted lazily: at most
-        ``max(pipeline_depth, threads)`` beyond the slowest cloud worker
-        (a pool of ``threads`` encoders cannot be kept busy by fewer), each
-        dropped from memory once every cloud has drained it.
+        the batched codec kernels (:meth:`_encode_slab`).  Slabs are
+        submitted lazily: at most ``max(pipeline_depth, threads)`` beyond
+        the slowest cloud worker (a pool of ``threads`` encoders cannot be
+        kept busy by fewer), each dropped from memory once every cloud has
+        drained it.
         """
         assert self._encode_pool is not None
-
-        def encode_slab(secrets: list[bytes]):
-            clock = time.perf_counter()
-            share_sets = dispersal.encode_batch(secrets)
-            _WINDOW_ENCODE_SECONDS.observe(time.perf_counter() - clock)
-            return share_sets
-
-        task = _carry_context(encode_slab)
+        task = _carry_context(self._encode_slab)
 
         def submit(start: int, end: int) -> Future:
             return self._encode_pool.submit(
-                task, [chunk.data for chunk in chunks[start:end]]
+                task,
+                dispersal,
+                [chunk.data for chunk in chunks[start:end]],
+                start,
+                miss_keys,
             )
 
         return SlabbedShareSets(
@@ -476,50 +603,52 @@ class CommEngine:
     ) -> list[CloudUploadResult]:
         """Pipeline one file's shares onto every cloud.
 
-        Returns the per-cloud results (index ``i`` ↔ cloud ``i``).
+        Returns the per-cloud results (index ``i`` ↔ cloud ``i``).  Once
+        every cloud has its shares, the fingerprints of the secrets that
+        were encoded go into the dispersal's share cache.
         """
         n = len(self.servers)
+        miss_keys: list[bytes | None] = [None] * len(chunks)
         if self.parallel and len(chunks) > 1:
             self._ensure_workers()
             assert self._cloud_workers is not None
-            encoded = self._submit_encode_slabs(dispersal, chunks)
+            encoded = self._submit_encode_slabs(dispersal, chunks, miss_keys)
             task = _carry_context(self._upload_to_cloud)
             futures = [
-                self._cloud_workers[idx].submit(task, idx, user_id, chunks, encoded)
+                self._cloud_workers[idx].submit(
+                    task, idx, user_id, dispersal, chunks, encoded
+                )
                 for idx in range(n)
             ]
             results = self._gather(futures)
         else:
             uploaders = [
-                CloudUploader(self.servers[idx], idx, user_id) for idx in range(n)
+                CloudUploader(self.servers[idx], idx, user_id, dispersal)
+                for idx in range(n)
             ]
             # Inline path: encode one slab at a time and feed every cloud's
             # uploader before encoding the next, so even the serial client
             # holds at most one slab of shares (wire-identical to encoding
             # the whole file up front — the 4 MB windows accumulate the
             # same byte sequence either way).
-            spans = slab_spans([chunk.size for chunk in chunks], 1)
-            for start, end in spans:
-                clock = time.perf_counter()
-                share_sets = dispersal.encode_batch(
-                    [chunk.data for chunk in chunks[start:end]]
+            for start, end in slab_spans([chunk.size for chunk in chunks], 1):
+                slab = self._encode_slab(
+                    dispersal, [chunk.data for chunk in chunks[start:end]], start, miss_keys
                 )
-                _WINDOW_ENCODE_SECONDS.observe(time.perf_counter() - clock)
                 for uploader in uploaders:
                     for seq in range(start, end):
-                        uploader.feed(
-                            chunks[seq],
-                            share_sets[seq - start].shares[uploader.cloud_idx],
-                        )
+                        uploader.feed_encoded(chunks[seq], slab[seq - start])
             results = [uploader.finish() for uploader in uploaders]
+        self._remember(dispersal, miss_keys, results)
         return results
 
     def _upload_to_cloud(
         self,
         cloud_idx: int,
         user_id: str,
+        dispersal: ConvergentDispersal,
         chunks: list[Chunk],
-        share_sets: SlabbedShareSets,
+        encoded: SlabbedShareSets,
     ) -> CloudUploadResult:
         """One cloud worker's upload: drain the slab stream into the wire.
 
@@ -529,10 +658,10 @@ class CommEngine:
         releases its memory and admits the next slab into the bounded
         pipeline window.
         """
-        uploader = CloudUploader(self.servers[cloud_idx], cloud_idx, user_id)
-        with share_sets.stream() as stream:
-            for seq, share_set in stream:
-                uploader.feed(chunks[seq], share_set.shares[cloud_idx])
+        uploader = CloudUploader(self.servers[cloud_idx], cloud_idx, user_id, dispersal)
+        with encoded.stream() as stream:
+            for seq, entry in stream:
+                uploader.feed_encoded(chunks[seq], entry)
         return uploader.finish()
 
     # ------------------------------------------------------------------

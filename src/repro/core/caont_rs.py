@@ -71,6 +71,10 @@ class CAONTRS(PackageRSCodec):
         padded = secret + b"\0" * (self._padded_secret_size(len(secret)) - len(secret))
         return oaep_aont_encode(padded, key)
 
+    def _draw_keys(self, secrets: Sequence[bytes]) -> list[bytes] | None:
+        # Eq. 1's h, when the caller already computed it (KeyedSecrets).
+        return getattr(secrets, "hash_keys", None)
+
     def _make_packages(
         self, secrets: Sequence[bytes], keys: Sequence[bytes] | None = None
     ) -> np.ndarray:

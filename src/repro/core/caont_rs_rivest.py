@@ -52,16 +52,29 @@ class CAONTRSRivest(PackageRSCodec):
         key = hash_key(secret, self.salt)
         return rivest_aont_encode(secret, key, per_word=self._per_word)
 
+    def _draw_keys(self, secrets: Sequence[bytes]) -> list[bytes] | None:
+        # The convergent h, when the caller already computed it (KeyedSecrets).
+        return getattr(secrets, "hash_keys", None)
+
     def _make_packages(
         self, secrets: Sequence[bytes], keys: Sequence[bytes] | None = None
     ) -> np.ndarray:
         """Batch path: bulk masking only when the per-word cost model is off
-        (see :meth:`repro.core.aont_rs.AONTRS._make_packages`).  Keys are
-        convergent hashes, so no draw-order concern applies."""
+        (see :meth:`repro.core.aont_rs.AONTRS._make_packages`).  ``keys``
+        are the convergent hashes (computed here when None), so no
+        draw-order concern applies."""
+        if keys is None:
+            keys = [hash_key(secret, self.salt) for secret in secrets]
         if self._per_word:
-            return super()._make_packages(secrets)
-        hash_keys = [hash_key(secret, self.salt) for secret in secrets]
-        return rivest_aont_encode_batch(secrets, hash_keys)
+            return np.stack(
+                [
+                    np.frombuffer(
+                        rivest_aont_encode(secret, key, per_word=True), dtype=np.uint8
+                    )
+                    for secret, key in zip(secrets, keys)
+                ]
+            )
+        return rivest_aont_encode_batch(secrets, keys)
 
     def _package_size(self, secret_size: int) -> int:
         return rivest_package_size(secret_size)

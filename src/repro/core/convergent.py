@@ -4,19 +4,87 @@
 Figure 2 of the paper: a secret goes in, ``n`` deterministic shares come
 out, with the share-to-cloud pinning and brute-force decode fallback of
 §3.2 handled here so the client code stays simple.
+
+Because the shares are a fixed function of the secret and the dispersal's
+(salt, n, k, scheme), so are their fingerprints: each dispersal owns a
+:class:`ShareCache` from a secret's hash key ``h = H(salt || X)`` (Eq. 1)
+to what its shares were fingerprinted as, which lets an incremental backup
+skip encoding the secrets it already dispersed.
 """
 
 from __future__ import annotations
 
+import hashlib
+import threading
+from collections import OrderedDict
 from itertools import combinations
+from typing import Iterable, Sequence
 
+from repro.analysis.annotations import guarded_by
 from repro.errors import CodingError, IntegrityError, ParameterError
 from repro.sharing.base import SecretSharingScheme, ShareSet
 from repro.sharing.registry import create_scheme
 
-__all__ = ["ConvergentDispersal", "create_codec"]
+__all__ = ["SHARE_CACHE_ENTRIES", "ConvergentDispersal", "ShareCache", "create_codec"]
 
 _CONVERGENT_SCHEMES = ("caont-rs", "caont-rs-rivest", "crsss")
+
+#: Secrets a dispersal's :class:`ShareCache` remembers (least recently
+#: used first out).  One entry is a 32-byte key and ``n`` 32-byte
+#: fingerprints, about 0.3 KB with its dict slot at n = 4, so the bound
+#: is ~20 MB and covers 512 MiB of 8 KB-average chunks.
+SHARE_CACHE_ENTRIES = 1 << 16
+
+
+class ShareCache:
+    """Bounded LRU map: hash key ``h`` → the ``n`` shares' fingerprints.
+
+    A value is one ``bytes`` of ``n`` 32-byte fingerprints, share ``i``'s
+    at ``[32 i, 32 i + 32)``.  Thread-safe: the encode pool looks slabs up
+    while an upload inserts what it learned, each under one acquisition of
+    a lock that guards nothing else.
+    """
+
+    #: Lock discipline (``repro analyze``, LOCK-001).
+    GUARDED_BY = guarded_by(_entries="_lock")
+
+    def __init__(self, capacity: int = SHARE_CACHE_ENTRIES) -> None:
+        if capacity < 1:
+            raise ParameterError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._entries: OrderedDict[bytes, bytes] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def get_many(self, keys: Sequence[bytes]) -> list[bytes | None]:
+        """The cached value of each key (None where absent); hits become
+        the most recently used."""
+        out: list[bytes | None] = []
+        with self._lock:
+            for key in keys:
+                value = self._entries.get(key)
+                if value is not None:
+                    self._entries.move_to_end(key)
+                out.append(value)
+        return out
+
+    def put_many(self, items: Iterable[tuple[bytes, bytes]]) -> None:
+        """Insert or refresh ``(key, value)`` pairs, evicting past capacity."""
+        items = list(items)
+        with self._lock:
+            for key, value in items:
+                self._entries[key] = value
+                self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def discard(self, key: bytes) -> None:
+        """Forget ``key`` (an entry found not to match its secret)."""
+        with self._lock:
+            self._entries.pop(key, None)
 
 
 def create_codec(name: str, n: int, k: int, **kwargs) -> SecretSharingScheme:
@@ -67,6 +135,9 @@ class ConvergentDispersal:
             self.k = k
             self.scheme = codec.name
             self.codec = codec
+            # Its key is not H(salt || X) (a key server derives it), so
+            # there is no hash key to cache shares under.
+            self.share_cache: ShareCache | None = None
             return
         if scheme not in _CONVERGENT_SCHEMES:
             raise ParameterError(
@@ -76,6 +147,10 @@ class ConvergentDispersal:
         self.k = k
         self.scheme = scheme
         self.codec = create_codec(scheme, n, k, salt=salt, **kwargs)
+        self._salt = bytes(salt)
+        #: Hash key → share fingerprints for this (salt, n, k, scheme);
+        #: created with the dispersal so it cannot outlive its parameters.
+        self.share_cache = ShareCache()
 
     # ------------------------------------------------------------------
     def encode(self, secret: bytes) -> ShareSet:
@@ -87,8 +162,24 @@ class ConvergentDispersal:
 
         Delegates to the codec's vectorised batch path (one generator-matrix
         multiply and one bulk AONT XOR per group of same-length secrets).
+        A :class:`~repro.core.package_codec.KeyedSecrets` slab carries its
+        :meth:`hash_keys`, which saves the codec hashing each secret again.
         """
         return self.codec.encode_batch(secrets)
+
+    def hash_keys(self, secrets: Sequence[bytes]) -> list[bytes]:
+        """``h = H(salt || X)`` (Eq. 1) of each secret: the convergent key
+        the codec derives its shares from, and the :attr:`share_cache` key.
+
+        Only for dispersals that own a share cache (the registry schemes).
+        """
+        salted = hashlib.sha256(self._salt)
+        keys = []
+        for secret in secrets:
+            digest = salted.copy()
+            digest.update(secret)
+            keys.append(digest.digest())
+        return keys
 
     def decode(self, shares: dict[int, bytes], secret_size: int) -> bytes:
         """Reconstruct a secret from any ``k`` of its shares.

@@ -22,13 +22,33 @@ from repro.erasure.reed_solomon import ReedSolomon
 from repro.errors import CodingError
 from repro.sharing.base import SecretSharingScheme, ShareSet
 
-__all__ = ["PackageRSCodec"]
+__all__ = ["KeyedSecrets", "PackageRSCodec"]
 
 #: Bytes of packages :meth:`PackageRSCodec.decode_batch` rebuilds and opens
 #: at a time.  A run's joined shares, its mask buffer and its plaintext are
 #: the batched decode's extra working set, so it is bounded by a run, not by
 #: the restore window.
 _RUN_BYTES = 1 << 20
+
+
+class KeyedSecrets(list):
+    """A slab of secrets carrying their convergent hash keys ``h = H(salt || X)``.
+
+    :meth:`~repro.core.convergent.ConvergentDispersal.encode_batch` hands
+    a codec the keys it already computed (the client looks them up in its
+    share cache first) without widening the codec's ``encode_batch(secrets)``
+    call; a convergent codec's :meth:`PackageRSCodec._draw_keys` takes them
+    instead of hashing each secret again.  To everything else it is the
+    plain list of secrets.
+    """
+
+    def __init__(self, secrets: Sequence[bytes], hash_keys: Sequence[bytes]) -> None:
+        super().__init__(secrets)
+        if len(hash_keys) != len(self):
+            raise CodingError(
+                f"{len(hash_keys)} hash keys for {len(self)} secrets"
+            )
+        self.hash_keys = list(hash_keys)
 
 
 class PackageRSCodec(SecretSharingScheme):
@@ -63,7 +83,8 @@ class PackageRSCodec(SecretSharingScheme):
         Called once per batch before secrets are regrouped by length, so a
         seeded RNG produces the same key stream whether the caller loops
         :meth:`split` or calls :meth:`encode_batch` — even for ragged
-        batches.  Content-keyed (convergent) codecs return None.
+        batches.  Content-keyed (convergent) codecs return the hash keys a
+        :class:`KeyedSecrets` batch carries, or None to hash each secret.
         """
         return None
 
@@ -110,9 +131,9 @@ class PackageRSCodec(SecretSharingScheme):
         distinct length.  Output is element-wise identical to
         :meth:`split`.
         """
+        keys = self._draw_keys(secrets)
         secrets = list(secrets)
         out: list[ShareSet | None] = [None] * len(secrets)
-        keys = self._draw_keys(secrets)
         groups: dict[int, list[int]] = {}
         for i, secret in enumerate(secrets):
             groups.setdefault(len(secret), []).append(i)

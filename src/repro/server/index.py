@@ -208,31 +208,55 @@ class ShareEntry:
             parts.append(struct.pack(">HI", len(ub), count) + ub)
         return b"".join(parts)
 
+    @staticmethod
+    def _fields(blob: bytes) -> Iterator[tuple]:
+        """Walk :meth:`pack`'s layout: yield ``(share_size, container_id,
+        entry_index)``, then ``(owner, count)`` per owner.  ``>IH`` share
+        size and ref length, the :class:`ContainerRef` (``>HI`` id length
+        and entry index, then the ASCII id), ``>I`` owner count, then
+        ``>HI`` name length and count plus the UTF-8 name per owner."""
+        share_size, ref_len, cid_len, entry_index = _SHARE_HEAD.unpack_from(blob)
+        if 6 + cid_len > ref_len:
+            raise ProtocolError("ContainerRef id truncated")
+        yield share_size, blob[12 : 12 + cid_len].decode("ascii"), entry_index
+        pos = 6 + ref_len
+        (count,) = _U32.unpack_from(blob, pos)
+        pos += 4
+        for _ in range(count):
+            ulen, refcount = _OWNER.unpack_from(blob, pos)
+            pos += 6 + ulen
+            if pos > len(blob):
+                raise ProtocolError("owner name truncated")
+            yield blob[pos - ulen : pos].decode("utf-8"), refcount
+
     @classmethod
     def unpack(cls, blob: bytes) -> "ShareEntry":
-        """Decode :meth:`pack`'s layout: ``>IH`` share size and ref length,
-        the :class:`ContainerRef` (``>HI`` id length and entry index, then
-        the ASCII id), ``>I`` owner count, then ``>HI`` name length and
-        count plus the UTF-8 name per owner.  Any malformed field raises
+        """Decode :meth:`pack`'s layout; any malformed field raises
         :class:`ProtocolError`."""
         try:
-            share_size, ref_len, cid_len, entry_index = _SHARE_HEAD.unpack_from(blob)
-            if 6 + cid_len > ref_len:
-                raise ProtocolError("ContainerRef id truncated")
-            container_id = blob[12 : 12 + cid_len].decode("ascii")
-            pos = 6 + ref_len
-            (count,) = _U32.unpack_from(blob, pos)
-            pos += 4
-            owners = {}
-            for _ in range(count):
-                ulen, refcount = _OWNER.unpack_from(blob, pos)
-                pos += 6 + ulen
-                if pos > len(blob):
-                    raise ProtocolError("owner name truncated")
-                owners[blob[pos - ulen : pos].decode("utf-8")] = refcount
+            fields = cls._fields(blob)
+            share_size, container_id, entry_index = next(fields)
+            owners = dict(fields)
         except (struct.error, UnicodeDecodeError, ProtocolError) as exc:
             raise ProtocolError(f"bad ShareEntry: {exc}") from exc
         return cls(ContainerRef(container_id, entry_index), share_size, owners)
+
+    @classmethod
+    def probe(cls, blob: bytes, user_id: str) -> tuple[int, int]:
+        """``(share_size, owners.get(user_id, 0))`` of a packed entry,
+        without building it: for a reader that will not write the entry
+        back.  Validates exactly what :meth:`unpack` validates, and raises
+        :class:`ProtocolError` wherever :meth:`unpack` does."""
+        held = 0
+        try:
+            fields = cls._fields(blob)
+            share_size = next(fields)[0]
+            for owner, count in fields:
+                if owner == user_id:
+                    held = count
+        except (struct.error, UnicodeDecodeError, ProtocolError) as exc:
+            raise ProtocolError(f"bad ShareEntry: {exc}") from exc
+        return share_size, held
 
 
 @dataclass

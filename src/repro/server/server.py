@@ -26,6 +26,7 @@ from __future__ import annotations
 import fcntl
 import functools
 import os
+import struct
 import threading
 import time
 from collections import Counter
@@ -35,7 +36,7 @@ from pathlib import Path
 from repro.analysis.annotations import guarded_by, requires_lock
 from repro.cloud.provider import CloudProvider
 from repro.compress import compress_recipe, decompress_recipe
-from repro.crypto.hashing import fingerprint
+from repro.crypto.hashing import HASH_SIZE, fingerprint
 from repro.dedup.stats import DedupStats
 from repro.errors import (
     NotFoundError,
@@ -86,6 +87,9 @@ _STORAGE_WRITE_SECONDS = REGISTRY.histogram(
     "server_storage_write_seconds",
     "Container append latency for one ingested share",
 )
+#: One packed :class:`RecipeEntry`: server fingerprint, then secret size.
+_RECIPE_ENTRY = struct.Struct(f">{HASH_SIZE}sI")
+
 # Where a slow finalize went: reading the old recipe and resolving client
 # fingerprints, the net refcount and usage writes, the recipe and file
 # entry, or the commit.
@@ -536,16 +540,16 @@ class CDStoreServer:
             )
         file_key = self._file_key(user_id, manifest.lookup_key)
         old_blob = self.index.get(file_key)
-        old_recipe: list[RecipeEntry] = []
+        drops: Counter = Counter()
         if old_blob is not None:
             try:
-                old_recipe = self._recipe_entries(FileEntry.unpack(old_blob))
+                drops = Counter(self._recipe_fingerprints(FileEntry.unpack(old_blob)))
             except ReproError:
                 # Unreadable old recipe (corrupt container): nothing left
                 # to release; the overwrite below drops the stale entry.
                 pass
-        resolved: list[tuple[bytes, int]] = []
-        share_entries: dict[bytes, ShareEntry] = {}
+        resolved: list[bytes] = []
+        secret_sizes: list[int] = []
         for meta in sorted(share_metas, key=lambda m: m.secret_seq):
             server_fp = self.index.get(self._intra_key(user_id, meta.fingerprint))
             if server_fp is None:
@@ -553,21 +557,29 @@ class CDStoreServer:
                     f"share for secret {meta.secret_seq} was never uploaded "
                     f"by user {user_id!r}"
                 )
-            if server_fp not in share_entries:
-                share_entry = self._get_share_entry(server_fp)
-                if share_entry is None:
-                    raise ProtocolError(
-                        "intra-user index points at a missing share"
-                    )
-                share_entries[server_fp] = share_entry
-            resolved.append((server_fp, meta.secret_size))
+            resolved.append(server_fp)
+            secret_sizes.append(meta.secret_size)
+        adds = Counter(resolved)
+        # Only a share whose reference count moves is decoded (to be
+        # written back); for the rest — most of an incremental backup —
+        # its size and this tenant's count are all finalize reads.
+        share_entries: dict[bytes, ShareEntry] = {}
+        unmoved: dict[bytes, tuple[int, int]] = {}
+        for server_fp, added in adds.items():
+            blob = self.index.get(self._share_key(server_fp))
+            if blob is None:
+                raise ProtocolError("intra-user index points at a missing share")
+            if added != drops[server_fp]:
+                share_entries[server_fp] = ShareEntry.unpack(blob)
+            else:
+                unmoved[server_fp] = ShareEntry.probe(blob, user_id)
         # Quota: shares this tenant will own for the first time become
         # durable charges; check before the first mutation.
         newly_owned_bytes = sum(
             entry.share_size
             for entry in share_entries.values()
             if user_id not in entry.owners
-        )
+        ) + sum(size for size, held in unmoved.values() if not held)
         quota = self._quota_for(user_id)
         if quota is not None and quota.max_bytes is not None:
             projected = self.tenant_usage(user_id).bytes_stored + newly_owned_bytes
@@ -577,10 +589,7 @@ class CDStoreServer:
                     f"quota is {quota.max_bytes}"
                 )
         resolved_at = time.perf_counter()
-        recipe_blob = b"".join(
-            RecipeEntry(fingerprint=server_fp, secret_size=secret_size).pack()
-            for server_fp, secret_size in resolved
-        )
+        recipe_blob = b"".join(map(_RECIPE_ENTRY.pack, resolved, secret_sizes))
         if self.recipe_compression:
             recipe_blob = compress_recipe(recipe_blob)
         # The append is the last call that can fail (journal record, a
@@ -592,10 +601,11 @@ class CDStoreServer:
         recipe_at = time.perf_counter()
         self._apply_ref_delta(
             user_id,
-            adds=Counter(server_fp for server_fp, _ in resolved),
-            drops=Counter(entry.fingerprint for entry in old_recipe),
+            adds=adds,
+            drops=drops,
             share_entries=share_entries,
             charged_bytes=newly_owned_bytes,
+            unmoved=unmoved,
         )
         if self.tenants is not None and user_id in self.tenants:
             pending = self._pending_bytes.get(user_id, 0)
@@ -694,20 +704,33 @@ class CDStoreServer:
         """Fetch and decode the file recipe (transparently decompressed)."""
         return self._recipe_entries(self.get_file_entry(user_id, lookup_key))
 
-    def _recipe_entries(self, entry: FileEntry) -> list[RecipeEntry]:
-        """Read and decode the recipe a file entry points at."""
+    def _recipe_blob(self, entry: FileEntry) -> bytes:
+        """Read and decompress the recipe a file entry points at: exactly
+        ``secret_count`` packed :class:`RecipeEntry` records."""
         [(_, blob)] = self.containers.read_entries([entry.recipe_ref])
-        size = RecipeEntry.packed_size()
         try:
             # The file entry says how long the recipe is, so a hostile
             # container cannot make the decompressor allocate past it.
-            blob = decompress_recipe(blob, expected_size=entry.secret_count * size)
+            return decompress_recipe(
+                blob, expected_size=entry.secret_count * _RECIPE_ENTRY.size
+            )
         except ParameterError as exc:
             raise ProtocolError(f"recipe blob corrupt ({exc})") from exc
+
+    def _recipe_entries(self, entry: FileEntry) -> list[RecipeEntry]:
+        """Read and decode the recipe a file entry points at."""
         return [
-            RecipeEntry.unpack(blob[pos : pos + size])
-            for pos in range(0, len(blob), size)
+            RecipeEntry(fingerprint, secret_size)
+            for fingerprint, secret_size in _RECIPE_ENTRY.iter_unpack(
+                self._recipe_blob(entry)
+            )
         ]
+
+    def _recipe_fingerprints(self, entry: FileEntry) -> list[bytes]:
+        """The share fingerprints of a recipe, in secret order."""
+        blob = self._recipe_blob(entry)
+        size = _RECIPE_ENTRY.size
+        return [blob[pos : pos + HASH_SIZE] for pos in range(0, len(blob), size)]
 
     def fetch_shares(
         self, fingerprints: list[bytes], owner: str | None = None
@@ -919,6 +942,7 @@ class CDStoreServer:
         drops: Counter,
         share_entries: dict[bytes, ShareEntry],
         charged_bytes: int = 0,
+        unmoved: dict[bytes, tuple[int, int]] | None = None,
     ) -> int:
         """Move ``user_id``'s references by ``adds - drops`` per share.
 
@@ -928,11 +952,14 @@ class CDStoreServer:
         is added.  ``share_entries`` may already hold loaded entries; the
         rest are read here, and every read precedes the first write, so
         once the index is mutated nothing but in-memory puts follow.  A
-        share whose entry is gone has nothing left to drop.  Returns how
-        many dropped shares end up with no owner.
+        share whose entry is gone has nothing left to drop.  ``unmoved``
+        gives ``(share_size, held)`` of shares already read whose count
+        does not move (``adds == drops``; they are never written).
+        Returns how many dropped shares end up with no owner.
         """
+        unmoved = unmoved or {}
         for server_fp in drops:
-            if server_fp not in share_entries:
+            if server_fp not in share_entries and server_fp not in unmoved:
                 share_entry = self._get_share_entry(server_fp)
                 if share_entry is not None:
                     share_entries[server_fp] = share_entry
@@ -942,15 +969,21 @@ class CDStoreServer:
         orphaned = 0
         for server_fp in {**adds, **drops}:
             share_entry = share_entries.get(server_fp)
-            if share_entry is None:
+            if share_entry is not None:
+                share_size = share_entry.share_size
+                held = share_entry.owners.get(user_id, 0)
+            elif server_fp in unmoved:
+                share_size, held = unmoved[server_fp]
+            else:
                 continue
             added, dropped = adds[server_fp], drops[server_fp]
-            held = share_entry.owners.get(user_id, 0) + added
+            held += added
             if 1 <= held <= dropped:
                 # The tenant's last reference goes with the dropped recipe.
-                released_bytes += share_entry.share_size
+                released_bytes += share_size
             if added == dropped:
                 continue
+            assert share_entry is not None
             if held > dropped:
                 share_entry.owners[user_id] = held - dropped
             else:

@@ -1,9 +1,14 @@
 """ConvergentDispersal facade: share pinning, brute-force decode."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.convergent import ConvergentDispersal, create_codec
 from repro.core.caont_rs import CAONTRS
+from repro.core.package_codec import KeyedSecrets
+from repro.crypto.drbg import DRBG
+from repro.crypto.hashing import hash_key
 from repro.errors import CodingError, IntegrityError, ParameterError
 
 
@@ -67,3 +72,29 @@ class TestDecode:
         cd2 = ConvergentDispersal(4, 3, salt=b"org")
         secret = b"dedupable" * 30
         assert cd1.encode(secret).shares == cd2.encode(secret).shares
+
+
+@pytest.mark.parametrize("scheme", ["caont-rs", "caont-rs-rivest", "crsss"])
+@pytest.mark.parametrize("n,k", [(4, 3), (5, 3), (6, 4), (3, 2)])
+class TestSharePrediction:
+    """A share-cache hit takes its share size from ``share_size`` and is
+    never encoded, so the prediction must be exact on every scheme."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 40_000), min_size=1, max_size=3))
+    def test_share_size_and_batch_match_encode(self, scheme, n, k, sizes):
+        dispersal = ConvergentDispersal(n, k, scheme=scheme, salt=b"org")
+        secrets = [
+            DRBG(f"predict-{i}-{size}").random_bytes(size)
+            for i, size in enumerate(sizes)
+        ]
+        batch = dispersal.encode_batch(secrets)
+        for secret, share_set in zip(secrets, batch):
+            assert share_set == dispersal.encode(secret)
+            assert [len(share) for share in share_set.shares] == [
+                dispersal.share_size(len(secret))
+            ] * n
+        keys = dispersal.hash_keys(secrets)
+        assert keys == [hash_key(secret, b"org") for secret in secrets]
+        assert dispersal.encode_batch(KeyedSecrets(secrets, keys)) == batch
+

@@ -1,6 +1,8 @@
 """Protocol message and index-entry codecs."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.server.index import FileEntry, ShareEntry
@@ -153,3 +155,59 @@ class TestFileEntry:
         for cut in range(len(good)):
             with pytest.raises(ProtocolError):
                 FileEntry.unpack(good[:cut])
+
+
+def _unpack_view(blob: bytes, user_id: str) -> tuple[int, int]:
+    entry = ShareEntry.unpack(blob)
+    return entry.share_size, entry.owners.get(user_id, 0)
+
+
+def _same_outcome(blob: bytes, user_id: str) -> None:
+    """probe() answers what unpack() answers, or both raise ProtocolError."""
+    try:
+        expected = _unpack_view(blob, user_id)
+    except ProtocolError:
+        with pytest.raises(ProtocolError):
+            ShareEntry.probe(blob, user_id)
+        return
+    assert ShareEntry.probe(blob, user_id) == expected
+
+
+_OWNER_NAMES = st.sampled_from(["alice", "bob", "é", "u0", ""])
+
+
+class TestShareEntryProbe:
+    """finalize_file reads an unmoved share through probe(), not unpack()."""
+
+    @given(
+        cid=st.text(min_size=0, max_size=24),
+        index=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 2**32 - 1),
+        owners=st.dictionaries(_OWNER_NAMES, st.integers(1, 2**32 - 1), max_size=4),
+        user=_OWNER_NAMES,
+    )
+    def test_packed_entries(self, cid, index, size, owners, user):
+        cid = cid.encode("ascii", "replace").decode("ascii")
+        blob = ShareEntry(ContainerRef(cid, index), size, owners).pack()
+        assert ShareEntry.probe(blob, user) == (size, owners.get(user, 0))
+        _same_outcome(blob, user)
+
+    @given(blob=st.binary(max_size=80), user=_OWNER_NAMES)
+    def test_random_blobs(self, blob, user):
+        _same_outcome(blob, user)
+
+    @given(
+        owners=st.dictionaries(_OWNER_NAMES, st.integers(1, 9), min_size=1, max_size=3),
+        cut=st.integers(0, 200),
+        flips=st.lists(st.tuples(st.integers(0, 200), st.integers(1, 255)), max_size=3),
+        user=_OWNER_NAMES,
+    )
+    def test_truncated_and_garbled_blobs(self, owners, cut, flips, user):
+        blob = bytearray(
+            ShareEntry(ContainerRef("container-0000000001", 5), 2731, owners).pack()
+        )
+        for at, mask in flips:
+            if at < len(blob):
+                blob[at] ^= mask
+        _same_outcome(bytes(blob[:cut]), user)
+
