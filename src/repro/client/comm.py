@@ -27,12 +27,12 @@ module gives the client that concurrency:
   only a cloud that reports the share unknown (wiped, or the share was
   collected) gets it re-encoded, one query window at a time.  Queries and
   uploads are the same bytes, in the same order, whatever the cache holds;
-* a **windowed restore path**: per-window share maps stream through the
-  per-cloud workers (:meth:`stream_share_windows`), ``pipeline_depth``
+* a **windowed prefetch** for restores (:meth:`stream_windows`): each
+  read slot's fetches run on its cloud's worker, ``pipeline_depth``
   windows ahead of the one being decoded, so the client's batched decode
-  starts before the last share arrives, with failover to a spare
-  reachable cloud at *per-window* granularity — a cloud that stalls or
-  corrupts mid-restore costs one window's retry, not the whole file.
+  starts before the last share arrives.  Which server serves a slot, and
+  failover to a spare, is the read session's business
+  (:class:`~repro.client.read.DirectReadSession`), not this module's.
 
 That pipelined schedule is the only one beside the **inline** reference:
 with ``threads == 1`` and ``pipeline_depth == 1`` every operation runs on
@@ -50,6 +50,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from repro.analysis.annotations import guarded_by
@@ -59,16 +60,12 @@ from repro.core.convergent import ConvergentDispersal
 from repro.core.package_codec import KeyedSecrets
 from repro.crypto.hashing import HASH_SIZE, fingerprint
 from repro.errors import (
-    CloudUnavailableError,
     IntegrityError,
     ParameterError,
-    ProtocolError,
-    StorageError,
 )
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import ZERO_TRACE_ID, current_context, use_context
-from repro.server.index import FileEntry
-from repro.server.messages import RecipeEntry, ShareMeta, ShareUpload
+from repro.server.messages import ShareMeta, ShareUpload
 from repro.server.server import CDStoreServer
 from repro.sharing.base import ShareSet
 
@@ -76,12 +73,8 @@ __all__ = [
     "CommEngine",
     "CloudUploadResult",
     "CloudUploader",
-    "FETCH_ERRORS",
-    "FileSource",
     "PIPELINE_DEPTH",
-    "SlotShares",
     "UPLOAD_BATCH_BYTES",
-    "WindowShares",
 ]
 
 #: Client-side upload batch size (§4.1: "batch the shares ... in a 4MB
@@ -101,8 +94,8 @@ UPLOAD_ACK_WINDOW = 4
 PIPELINE_DEPTH = 2
 
 # Comm-pipeline stage timings (docs/OBSERVABILITY.md): one observation
-# per encode slab / upload batch / restore-window slot fetch, so the
-# three histograms together show which §4.6 stage bounds a transfer.
+# per encode slab / upload batch, so the two histograms together show
+# which §4.6 stage bounds an upload (client/read.py times restores).
 _WINDOW_ENCODE_SECONDS = REGISTRY.histogram(
     "client_window_encode_seconds",
     "Wall time encoding one slab of secrets into shares",
@@ -110,14 +103,6 @@ _WINDOW_ENCODE_SECONDS = REGISTRY.histogram(
 _WINDOW_UPLOAD_SECONDS = REGISTRY.histogram(
     "client_window_upload_seconds",
     "Wall time putting one 4 MB upload batch on a cloud's wire",
-)
-_WINDOW_RESTORE_SECONDS = REGISTRY.histogram(
-    "client_window_restore_seconds",
-    "Wall time fetching one restore window's shares from one cloud",
-)
-_FAILOVERS = REGISTRY.counter(
-    "client_failovers_total",
-    "Restore slots that replaced a failed cloud with a promoted spare",
 )
 _SHARE_CACHE = REGISTRY.counter(
     "client_share_cache_total",
@@ -146,13 +131,8 @@ def _carry_context(fn: Callable[..., T]) -> Callable[..., T]:
     return run
 
 
-#: Errors meaning "this server cannot currently supply usable data" — an
-#: outage, missing objects (NotFoundError is a StorageError), a corrupt
-#: container, or a malformed recipe.  The restore path fails over to a
-#: spare cloud or skips the source rather than aborting the download.
-FETCH_ERRORS = (CloudUnavailableError, ProtocolError, StorageError)
-
 T = TypeVar("T")
+W = TypeVar("W")
 
 
 @dataclass
@@ -322,41 +302,6 @@ class CloudUploader:
         self._send_batch()
         self._drain_acks()
         return self.result
-
-
-@dataclass
-class FileSource:
-    """One restore slot: the server currently serving it + its metadata.
-
-    Failover replaces all three fields in place (each server has its own
-    recipe — share fingerprints are per-cloud), so later windows read from
-    the promoted spare while earlier, already-decoded windows keep the
-    shares the original server supplied.
-    """
-
-    slot: int
-    server: CDStoreServer
-    entry: FileEntry
-    recipe: list[RecipeEntry]
-
-
-@dataclass
-class SlotShares:
-    """One slot's contribution to one restore window (a point-in-time
-    snapshot — failover in a later window does not mutate it)."""
-
-    server: CDStoreServer
-    recipe: list[RecipeEntry]
-    shares: dict[bytes, bytes]
-
-
-@dataclass
-class WindowShares:
-    """Shares of secrets ``[start, end)`` from every restore slot."""
-
-    start: int
-    end: int
-    slots: list[SlotShares]
 
 
 class CommEngine:
@@ -667,173 +612,39 @@ class CommEngine:
     # ------------------------------------------------------------------
     # restore path (download)
     # ------------------------------------------------------------------
-    def fetch_sources(
+    def stream_windows(
         self,
-        user_id: str,
-        lookup_key: bytes,
-        chosen: Sequence[CDStoreServer],
-        spares: list[CDStoreServer],
-    ) -> list[FileSource]:
-        """Fetch entry + recipe from each chosen server, with failover.
+        windows: Sequence[W],
+        slots: Sequence[CDStoreServer],
+        fetch: Callable[[int, W], T],
+    ) -> Iterator[list[T]]:
+        """Prefetch ``fetch(i, window)`` for every slot ``i``, window by window.
 
-        ``spares`` is consumed *in place*: a spare promoted here is no
-        longer available to later failovers or to the caller's §3.2
-        share-widening fallback (it is now a chosen source).
+        Yields each window's per-slot results in window order.  When the
+        engine is parallel, slot ``i``'s fetches run on the cloud worker of
+        ``slots[i]``, up to ``pipeline_depth`` windows ahead of the one the
+        caller is consuming — the restore mirror of the upload pipelining;
+        otherwise windows are fetched inline, one at a time.
         """
-        pool_lock = threading.Lock()
-
-        def fetch_one(server: CDStoreServer) -> tuple[CDStoreServer, FileEntry, list]:
-            while True:
-                try:
-                    entry = server.get_file_entry(user_id, lookup_key)
-                    recipe = server.get_recipe(user_id, lookup_key)
-                except FETCH_ERRORS:
-                    with pool_lock:
-                        if not spares:
-                            raise
-                        server = spares.pop(0)
-                    _FAILOVERS.inc()
-                    continue
-                return server, entry, recipe
-
-        results = self.map_servers(fetch_one, chosen)
-        return [
-            FileSource(slot=slot, server=server, entry=entry, recipe=recipe)
-            for slot, (server, entry, recipe) in enumerate(results)
-        ]
-
-    def _promote_spare(
-        self,
-        user_id: str,
-        lookup_key: bytes,
-        source: FileSource,
-        spares: list[CDStoreServer],
-        pool_lock: threading.Lock,
-        expect: tuple[int, int] | None,
-    ) -> None:
-        """Replace ``source``'s server with the next usable spare.
-
-        The spare must supply a readable entry + recipe that agree with the
-        cross-checked ``expect = (file_size, secret_count)`` — a lying or
-        stale spare is skipped exactly like an unreachable one.  Raises the
-        in-flight fetch error when the spares are exhausted (bare ``raise``:
-        this runs inside the caller's except block).
-        """
-        with pool_lock:
-            # Held for the whole promotion: failover is rare, and holding
-            # the lock makes the (server, entry, recipe) swap atomic with
-            # respect to concurrent window fetches snapshotting the source.
-            while True:
-                if not spares:
-                    raise
-                candidate = spares.pop(0)
-                try:
-                    entry = candidate.get_file_entry(user_id, lookup_key)
-                    recipe = candidate.get_recipe(user_id, lookup_key)
-                except FETCH_ERRORS:
-                    continue
-                if expect is not None:
-                    file_size, secret_count = expect
-                    if (
-                        entry.file_size != file_size
-                        or entry.secret_count != secret_count
-                        or len(recipe) != secret_count
-                    ):
-                        continue
-                source.server, source.entry, source.recipe = candidate, entry, recipe
-                _FAILOVERS.inc()
-                return
-
-    def _fetch_window_shares(
-        self,
-        user_id: str,
-        lookup_key: bytes,
-        source: FileSource,
-        start: int,
-        end: int,
-        spares: list[CDStoreServer],
-        pool_lock: threading.Lock,
-        expect: tuple[int, int] | None,
-    ) -> SlotShares:
-        """One slot's shares for secrets ``[start, end)`` (with failover).
-
-        On a fetch error the slot's server is replaced by a promoted spare
-        and the *same window* retried against the spare's own recipe —
-        per-window granularity: windows already decoded are unaffected,
-        later windows go straight to the replacement.
-        """
-        while True:
-            with pool_lock:  # consistent (server, recipe) snapshot
-                server, recipe = source.server, source.recipe
-            try:
-                fingerprints = [recipe[i].fingerprint for i in range(start, end)]
-                shares = server.fetch_shares(fingerprints)
-            except (*FETCH_ERRORS, IndexError):
-                # IndexError: the recipe is shorter than the agreed window —
-                # as unusable as a corrupt one.
-                self._promote_spare(
-                    user_id, lookup_key, source, spares, pool_lock, expect
-                )
-                continue
-            return SlotShares(server=server, recipe=recipe, shares=shares)
-
-    def stream_share_windows(
-        self,
-        user_id: str,
-        lookup_key: bytes,
-        sources: list[FileSource],
-        windows: Sequence[tuple[int, int]],
-        spares: list[CDStoreServer],
-        expect: tuple[int, int] | None = None,
-    ) -> Iterator[WindowShares]:
-        """Stream per-window share maps from every restore slot.
-
-        Yields :class:`WindowShares` in window order.  When the engine is
-        parallel, up to ``pipeline_depth`` windows are in flight on the
-        per-cloud workers while the caller decodes the current one — the
-        restore mirror of the upload pipelining; otherwise windows are
-        fetched inline one at a time.  ``spares`` is shared, mutable state:
-        per-window failover consumes from it (see :meth:`fetch_sources`).
-        """
-        pool_lock = threading.Lock()
-
-        def fetch(source: FileSource, start: int, end: int) -> SlotShares:
-            clock = time.perf_counter()
-            got = self._fetch_window_shares(
-                user_id, lookup_key, source, start, end, spares, pool_lock, expect
-            )
-            _WINDOW_RESTORE_SECONDS.observe(time.perf_counter() - clock)
-            return got
-
         if not self.parallel:
-            for start, end in windows:
-                slots = [fetch(source, start, end) for source in sources]
-                yield WindowShares(start=start, end=end, slots=slots)
+            for window in windows:
+                yield [fetch(i, window) for i in range(len(slots))]
             return
 
         self._ensure_workers()
-
         task = _carry_context(fetch)
+        pools = [self._pool_for(server) for server in slots]
 
-        def submit(window_idx: int) -> list[Future]:
-            start, end = windows[window_idx]
-            return [
-                self._pool_for(source.server).submit(task, source, start, end)
-                for source in sources
-            ]
+        def submit(window: W) -> list[Future]:
+            return [pool.submit(task, i, window) for i, pool in enumerate(pools)]
 
-        pending: deque[list[Future]] = deque()
-        next_window = 0
+        ahead = iter(windows)
+        pending = deque(submit(window) for window in islice(ahead, self.pipeline_depth))
         try:
-            while next_window < min(self.pipeline_depth, len(windows)):
-                pending.append(submit(next_window))
-                next_window += 1
-            for start, end in windows:
-                slots = self._gather(pending.popleft())
-                if next_window < len(windows):
-                    pending.append(submit(next_window))
-                    next_window += 1
-                yield WindowShares(start=start, end=end, slots=slots)
+            while pending:
+                results = self._gather(pending.popleft())
+                pending.extend(submit(window) for window in islice(ahead, 1))
+                yield results
         finally:
             # On error or early abandonment, drain in-flight fetches so no
             # worker is left mutating shared state and no sibling exception
@@ -845,4 +656,3 @@ class CommEngine:
                         future.result()
                     except BaseException:
                         pass
-

@@ -6,9 +6,9 @@ Before this module existed the restore surface was a grab-bag —
 side, and nothing else could reuse the window/decode machinery.  Now a
 restore is two explicit steps shared by every read path:
 
-1. **resolve** — construct a session; resolution (file entry + recipe
-   cross-check, window planning) happens once, up front, and is exposed
-   as an immutable :class:`RestorePlan`;
+1. **resolve** — construct a session; resolution (a quorum of file
+   entries and recipes that agree, window planning) happens once, up
+   front, and is exposed as an immutable :class:`RestorePlan`;
 2. **read** — stream the planned windows, decode each as it lands, and
    return the joined, size-checked bytes.
 
@@ -34,18 +34,24 @@ Two sessions implement the surface:
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.client.comm import FETCH_ERRORS
+from repro.analysis.annotations import guarded_by, requires_lock
 from repro.client.workers import plan_windows
 from repro.errors import (
+    CloudUnavailableError,
     CodingError,
     InsufficientCloudsError,
     IntegrityError,
+    ProtocolError,
+    StorageError,
 )
 from repro.obs.registry import REGISTRY
+from repro.server.index import FileEntry
 from repro.server.messages import RecipeEntry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
@@ -53,6 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.server.server import CDStoreServer
 
 __all__ = [
+    "FETCH_ERRORS",
     "GATEWAY_FALLBACK_ERRORS",
     "DirectReadSession",
     "GatewayReadSession",
@@ -60,16 +67,35 @@ __all__ = [
     "RestorePlan",
 ]
 
-# The decode stage of a restore (docs/OBSERVABILITY.md), beside the
-# per-cloud fetch timings of client/comm.py: one observation per window.
+# Restore-stage timings (docs/OBSERVABILITY.md): one observation per
+# window slot fetch and one per window decode, so the two histograms
+# show whether fetch or decode bounds a restore.
+_WINDOW_RESTORE_SECONDS = REGISTRY.histogram(
+    "client_window_restore_seconds",
+    "Wall time fetching one restore window's shares from one cloud",
+)
 _WINDOW_DECODE_SECONDS = REGISTRY.histogram(
     "client_window_decode_seconds",
     "Wall time decoding one restore window's secrets from their shares",
 )
+_FAILOVERS = REGISTRY.counter(
+    "client_failovers_total",
+    "Restore slots that replaced a failed cloud with a promoted spare",
+)
+
+#: Errors meaning "this server cannot currently supply usable data" — an
+#: outage, missing objects (NotFoundError is a StorageError), a corrupt
+#: container, or a malformed recipe.  The restore fails over to a spare
+#: cloud or skips the server rather than aborting the download.
+FETCH_ERRORS = (CloudUnavailableError, ProtocolError, StorageError)
+
+#: What :meth:`DirectReadSession._describe` learns of one server: its file
+#: entry and its recipe (share fingerprints are per cloud).
+_Description = tuple[FileEntry, list[RecipeEntry]]
 
 #: Errors on the gateway read path that mean "this path failed, the
 #: direct quorum may still succeed": transport/storage failures
-#: (``FETCH_ERRORS`` — the same classes the comm engine fails over on)
+#: (``FETCH_ERRORS`` — the same classes the direct session fails over on)
 #: plus decode failures (``IntegrityError``/``CodingError``), which the
 #: direct path can survive via k-subset retry and §3.2 widening but the
 #: gateway path cannot (it holds exactly k shards per window).
@@ -138,70 +164,127 @@ class ReadSession:
 class DirectReadSession(ReadSession):
     """Quorum restore of one backup from any ``k`` of ``servers``.
 
-    Construction performs resolution over the caller's server list — the
-    reachable clouds for a restore, every available cloud but the one
-    being rebuilt for a repair: the first ``k`` are read, the rest are
-    the spare pool.  All ``k`` file entries and recipes are fetched and
-    cross-checked — a lying minority cannot spoof the file size or
-    secret count unnoticed — and the windows planned.
-    :meth:`decode_windows` then streams windows through the comm engine:
+    The session owns the restore's quorum.  Each server it consults is
+    *described* once — its file entry and recipe, read by
+    :meth:`_describe` — and a server is usable when its description
+    agrees with the ``(file_size, secret_count)`` that ``k`` servers
+    report.  That one rule picks a server in all three places one is
+    picked:
+
+    * resolution describes the first ``k`` of ``servers`` — the reachable
+      clouds for a restore, every available cloud but the one being
+      rebuilt for a repair — and consults the rest, the spare pool, only
+      while no ``k`` of them agree: a stale or lying minority is failed
+      over like an outage, and only a restore with no agreeing quorum
+      raises :class:`IntegrityError`;
+    * a slot whose fetch fails in window ``i`` gets the next usable spare
+      for that window onward (:meth:`_promote`);
+    * a secret no ``k``-subset decodes draws a share from each usable
+      spare (§3.2 widening, :meth:`_widen`).
+
+    :meth:`decode_windows` streams windows through the comm engine:
     decoding of window ``i`` overlaps the fetch of the next
     ``pipeline_depth`` windows (an inline engine fetches and decodes them
-    one at a time), and a cloud failing in window ``i`` is replaced by a
-    spare for that window onward only.
+    one at a time).
     """
+
+    #: Lock discipline (``repro analyze``, LOCK-001): window fetches on the
+    #: cloud workers promote spares while the caller's decode widens from
+    #: them.  Both are rare, and hold the lock across their describe and
+    #: fetch RPCs so a slot swap is atomic with respect to its readers.
+    GUARDED_BY = guarded_by(_slots="_lock", _spares="_lock", _described="_lock")
 
     def __init__(
         self, client: "CDStoreClient", lookup_key: bytes, servers: list["CDStoreServer"]
     ) -> None:
         self.client = client
-        if len(servers) < client.k:
+        k = client.k
+        if len(servers) < k:
             raise InsufficientCloudsError(
                 f"only {len(servers)} of {client.n} clouds reachable; "
-                f"need k={client.k}"
+                f"need k={k}"
             )
-        # Shared, mutable failover pool: the comm engine pops spares it
-        # promotes to chosen sources, so the §3.2 widening below never
-        # treats a promoted spare as extra decode material.
-        self._spare_pool = list(servers[client.k :])
-        self._sources = client.comm.fetch_sources(
-            client.user_id, lookup_key, servers[: client.k], self._spare_pool
-        )
+        self._lookup_key = lookup_key
+        self._lock = threading.Lock()
+        self._described: dict[CDStoreServer, _Description | Exception] = {}
+        self._spares = list(servers[k:])
+        batch = servers[:k]
+        while True:
+            described = client.comm.map_servers(self._describe, batch)
+            self._described.update(zip(batch, described))
+            shapes = Counter(map(_shape, self._described.values()))
+            shapes.pop(None, None)
+            agreed, agreeing = (shapes.most_common(1) or [(None, 0)])[0]
+            if agreeing >= k:
+                break
+            if not self._spares:
+                # No quorum: servers that disagree are an integrity failure;
+                # otherwise the first server's own error stands (an unknown
+                # file stays NotFoundError, an outage CloudUnavailableError).
+                if len(shapes) > 1:
+                    raise IntegrityError(
+                        "no k servers agree on the file entry (file size / "
+                        "secret count)"
+                    )
+                raise next(d for d in self._described.values() if isinstance(d, Exception))
+            batch, self._spares = self._spares[: k - agreeing], self._spares[k - agreeing :]
+        self._slots = [
+            server
+            for server, description in self._described.items()
+            if _shape(description) == agreed
+        ]
+        promoted = sum(server not in servers[:k] for server in self._slots)
+        if promoted:
+            _FAILOVERS.inc(promoted)
 
-        # Cross-check the replicated (non-sensitive) metadata across all
-        # k servers instead of trusting whichever answered last.
-        sizes = {source.entry.file_size for source in self._sources}
-        counts = {source.entry.secret_count for source in self._sources}
-        if len(sizes) != 1 or len(counts) != 1:
-            raise IntegrityError(
-                "servers disagree on file entry (file size / secret count)"
-            )
-        file_size = sizes.pop()
-        secret_count = counts.pop()
-        lengths = {len(source.recipe) for source in self._sources}
-        if len(lengths) != 1 or lengths.pop() != secret_count:
-            raise IntegrityError("servers disagree on recipe length")
-
-        reference = self._sources[0].recipe
+        entry, recipe = self._described[self._slots[0]]
         windows = plan_windows(
-            [client.dispersal.share_size(entry.secret_size) for entry in reference],
+            [client.dispersal.share_size(item.secret_size) for item in recipe],
             client.restore_window_bytes,
         )
         self.plan = RestorePlan(
             lookup_key=lookup_key,
-            file_size=file_size,
-            secret_count=secret_count,
-            secret_sizes=tuple(entry.secret_size for entry in reference),
+            file_size=entry.file_size,
+            secret_count=entry.secret_count,
+            secret_sizes=tuple(item.secret_size for item in recipe),
             windows=tuple(windows),
             via="direct",
         )
 
+    def _describe(self, server: "CDStoreServer") -> _Description | Exception:
+        """Fetch ``server``'s file entry and recipe — the restore path's
+        only reads of either — or the error that makes it unusable."""
+        user_id = self.client.user_id
+        try:
+            entry = server.get_file_entry(user_id, self._lookup_key)
+            recipe = server.get_recipe(user_id, self._lookup_key)
+        except FETCH_ERRORS as exc:
+            return exc
+        if len(recipe) != entry.secret_count:
+            return IntegrityError(
+                f"recipe of {len(recipe)} secrets, file entry says "
+                f"{entry.secret_count}"
+            )
+        return entry, recipe
+
+    @requires_lock("_lock")
+    def _usable(self, server: "CDStoreServer") -> _Description | None:
+        """``server``'s description, described at most once per session,
+        if it agrees with the plan's; None if not."""
+        if server not in self._described:
+            self._described[server] = self._describe(server)
+        description = self._described[server]
+        if _shape(description) != (self.plan.file_size, self.plan.secret_count):
+            return None
+        return description
+
     def path_shares(self) -> dict[int, bytes]:
         """The read clouds' pathname shares (§4.3), by cloud index."""
-        return {
-            source.server.server_id: source.entry.path_share
-            for source in self._sources
-        }
+        with self._lock:
+            return {
+                server.server_id: self._described[server][0].path_share
+                for server in self._slots
+            }
 
     def read(self) -> bytes:
         windows = self.decode_windows(self.plan.windows)
@@ -210,101 +293,99 @@ class DirectReadSession(ReadSession):
     def decode_windows(self, windows: Sequence[tuple[int, int]]) -> Iterator[list[bytes]]:
         """Fetch and decode ``windows`` (some of :attr:`plan`'s, in order),
         yielding each window's secrets as it is decoded."""
-        client = self.client
-        plan = self.plan
-        reference = self._sources[0].recipe
-
-        #: §3.2 widening state, shared across windows: each spare's
-        #: recipe is fetched at most once per call, and a spare that
-        #: fails is skipped for all later secrets in any window.
-        spare_recipes: dict[int, list[RecipeEntry]] = {}
-        dead_spares: set[int] = set()
-
-        stream = client.comm.stream_share_windows(
-            client.user_id,
-            plan.lookup_key,
-            self._sources,
-            list(windows),
-            self._spare_pool,
-            expect=(plan.file_size, plan.secret_count),
-        )
+        dispersal = self.client.dispersal
+        sizes = self.plan.secret_sizes
+        stream = self.client.comm.stream_windows(windows, list(self._slots), self._fetch)
         try:
-            for window in stream:
-                requests: list[tuple[dict[int, bytes], int]] = []
-                for seq in range(window.start, window.end):
-                    shares = {
-                        slot.server.server_id: slot.shares[
-                            slot.recipe[seq].fingerprint
-                        ]
-                        for slot in window.slots
-                    }
-                    requests.append((shares, reference[seq].secret_size))
-
-                used_ids = {slot.server.server_id for slot in window.slots}
-
-                def widen_with_spares(
-                    index: int,
-                    shares: dict[int, bytes],
-                    secret_size: int,
-                    _window=window,
-                    _used=used_ids,
-                ) -> bytes:
-                    """Last resort for one secret: widen its share pool (§3.2).
-
-                    The fetched shares could not decode even with the k-subset
-                    brute force, so pull this secret's share from each
-                    remaining reachable spare cloud and retry.  A spare that
-                    fails is skipped (and not retried for later secrets) — one
-                    bad spare must not abort a restore that the remaining
-                    shares can still satisfy.
-                    """
-                    seq = _window.start + index
-                    widened = dict(shares)
-                    for server in list(self._spare_pool):
-                        if (
-                            server.server_id in _used
-                            or server.server_id in dead_spares
-                        ):
-                            continue
-                        if not server.cloud.available:
-                            # Remember the failed probe: for a remote cloud
-                            # `available` is a network PING, and repeating
-                            # it per secret would stall the widening loop
-                            # on an unresponsive host.
-                            dead_spares.add(server.server_id)
-                            continue
-                        try:
-                            recipe = spare_recipes.get(server.server_id)
-                            if recipe is None:
-                                recipe = server.get_recipe(
-                                    client.user_id, plan.lookup_key
-                                )
-                                spare_recipes[server.server_id] = recipe
-                            fetched = server.fetch_shares(
-                                [recipe[seq].fingerprint]
-                            )
-                        except (*FETCH_ERRORS, IndexError):
-                            # IndexError: the spare's recipe is shorter than
-                            # the agreed secret count — as unusable as corrupt.
-                            dead_spares.add(server.server_id)
-                            continue
-                        widened[server.server_id] = fetched[
-                            recipe[seq].fingerprint
-                        ]
-                    return client.dispersal.decode(widened, secret_size)
-
+            for (start, end), slots in zip(windows, stream):
+                requests = [
+                    ({server_id: shares[i] for server_id, shares in slots}, sizes[seq])
+                    for i, seq in enumerate(range(start, end))
+                ]
                 # Batched happy path: secrets decoded from the same k-subset
                 # share one inverse-matrix multiply; on integrity failure the
                 # dispersal retries per secret and widens only the ones that
                 # still fail.
                 clock = time.perf_counter()
-                secrets = client.dispersal.decode_batch(
-                    requests, fallback=widen_with_spares
+                secrets = dispersal.decode_batch(
+                    requests,
+                    fallback=lambda i, shares, size, start=start: self._widen(
+                        start + i, shares, size
+                    ),
                 )
                 _WINDOW_DECODE_SECONDS.observe(time.perf_counter() - clock)
                 yield secrets
         finally:
             stream.close()
+
+    def _fetch(self, slot: int, window: tuple[int, int]) -> tuple[int, list[bytes]]:
+        """Slot ``slot``'s cloud index and shares of ``window``.
+
+        A failed fetch hands the slot to a spare (:meth:`_promote`) and
+        retries the same window against the spare's own recipe — windows
+        already decoded are unaffected, later ones go to the spare.
+        """
+        clock = time.perf_counter()
+        while True:
+            with self._lock:
+                server = self._slots[slot]
+                _, recipe = self._described[server]
+            fingerprints = [recipe[seq].fingerprint for seq in range(*window)]
+            try:
+                shares = server.fetch_shares(fingerprints)
+            except FETCH_ERRORS:
+                if not self._promote(slot, server):
+                    raise
+                continue
+            _WINDOW_RESTORE_SECONDS.observe(time.perf_counter() - clock)
+            return server.server_id, [shares[fp] for fp in fingerprints]
+
+    def _promote(self, slot: int, failed: "CDStoreServer") -> bool:
+        """Replace ``failed`` in ``slot`` with the next usable spare (unless
+        a concurrent fetch already did); False when the spares ran out."""
+        with self._lock:
+            while self._slots[slot] is failed:
+                if not self._spares:
+                    return False
+                spare = self._spares.pop(0)
+                if self._usable(spare) is not None:
+                    self._slots[slot] = spare
+                    _FAILOVERS.inc()
+            return True
+
+    def _widen(self, seq: int, shares: dict[int, bytes], secret_size: int) -> bytes:
+        """Last resort for secret ``seq``: widen its share pool (§3.2).
+
+        The fetched shares could not decode even with the k-subset brute
+        force, so draw this secret's share from each usable spare and
+        retry.  A spare that is unreachable, disagrees or fails the fetch
+        leaves the pool: one bad spare must not abort a restore the other
+        shares can still satisfy, nor be probed again for later secrets
+        (for a remote cloud ``available`` is a network PING).
+        """
+        widened = dict(shares)
+        with self._lock:
+            for spare in list(self._spares):
+                description = spare.cloud.available and self._usable(spare)
+                if description:
+                    fingerprint = description[1][seq].fingerprint
+                    try:
+                        fetched = spare.fetch_shares([fingerprint])
+                        widened[spare.server_id] = fetched[fingerprint]
+                        continue
+                    except FETCH_ERRORS:
+                        pass
+                self._spares.remove(spare)
+        return self.client.dispersal.decode(widened, secret_size)
+
+
+def _shape(description: _Description | Exception) -> tuple[int, int] | None:
+    """The ``(file_size, secret_count)`` a server reported; None if it
+    could not describe the file."""
+    if isinstance(description, Exception):
+        return None
+    entry, _ = description
+    return entry.file_size, entry.secret_count
 
 
 class GatewayReadSession(ReadSession):

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from repro.analysis.annotations import guarded_by
 from repro.errors import CodingError, IntegrityError, ParameterError
+from repro.lsm.cache import LRUCache
 from repro.sharing.base import SecretSharingScheme, ShareSet
 from repro.sharing.registry import create_scheme
 
@@ -37,7 +37,8 @@ SHARE_CACHE_ENTRIES = 1 << 16
 
 
 class ShareCache:
-    """Bounded LRU map: hash key ``h`` → the ``n`` shares' fingerprints.
+    """Bounded LRU map: hash key ``h`` → the ``n`` shares' fingerprints,
+    kept in an entry-counting :class:`~repro.lsm.cache.LRUCache`.
 
     A value is one ``bytes`` of ``n`` 32-byte fingerprints, share ``i``'s
     at ``[32 i, 32 i + 32)``.  Thread-safe: the encode pool looks slabs up
@@ -49,10 +50,7 @@ class ShareCache:
     GUARDED_BY = guarded_by(_entries="_lock")
 
     def __init__(self, capacity: int = SHARE_CACHE_ENTRIES) -> None:
-        if capacity < 1:
-            raise ParameterError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: OrderedDict[bytes, bytes] = OrderedDict()
+        self._entries = LRUCache(capacity)
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -62,29 +60,20 @@ class ShareCache:
     def get_many(self, keys: Sequence[bytes]) -> list[bytes | None]:
         """The cached value of each key (None where absent); hits become
         the most recently used."""
-        out: list[bytes | None] = []
         with self._lock:
-            for key in keys:
-                value = self._entries.get(key)
-                if value is not None:
-                    self._entries.move_to_end(key)
-                out.append(value)
-        return out
+            return [self._entries.get(key) for key in keys]
 
     def put_many(self, items: Iterable[tuple[bytes, bytes]]) -> None:
         """Insert or refresh ``(key, value)`` pairs, evicting past capacity."""
         items = list(items)
         with self._lock:
             for key, value in items:
-                self._entries[key] = value
-                self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                self._entries.put(key, value)
 
     def discard(self, key: bytes) -> None:
         """Forget ``key`` (an entry found not to match its secret)."""
         with self._lock:
-            self._entries.pop(key, None)
+            self._entries.pop(key)
 
 
 def create_codec(name: str, n: int, k: int, **kwargs) -> SecretSharingScheme:

@@ -1,8 +1,10 @@
-"""LRU caches: the LSM block cache and the container disk cache (§4.5).
+"""One LRU implementation for every bounded cache in the stack.
 
-One generic implementation serves both users: LevelDB-style block caching
-for index lookups, and the "least-recently-used (LRU) disk cache to hold
-the most recently accessed containers" of the container module.
+Its users: the LSM block cache (LevelDB-style block caching for index
+lookups), the container offset-table cache of
+:mod:`repro.storage.container` (each container's entry bounds, so a read
+is one ranged get), the gateway's hot window cache and the client's
+share cache.
 """
 
 from __future__ import annotations

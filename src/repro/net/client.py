@@ -14,8 +14,8 @@ Connection discipline:
   any failure** — the proxy never retries a failed request itself.  A
   request that dies mid-flight surfaces as
   :class:`~repro.errors.CloudUnavailableError`, which is exactly the
-  ``FETCH_ERRORS`` class the comm engine's per-window failover and the
-  client's §3.2 widening already handle; retrying inside the transport
+  ``FETCH_ERRORS`` class the read session's per-window failover and its
+  §3.2 widening already handle; retrying inside the transport
   would re-execute non-idempotent operations (``finalize_file``) behind
   the failover logic's back.
 * **typed errors pass through**: an :data:`~repro.net.wire.R_ERROR` frame

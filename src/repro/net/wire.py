@@ -37,7 +37,7 @@ or a socket.  Every decode consumes its payload exactly: truncation
 
 Errors are first-class frames: a server-side :class:`~repro.errors.
 ReproError` is encoded as :data:`R_ERROR` with a stable numeric code and
-re-raised client-side as the *same exception class* — the comm engine's
+re-raised client-side as the *same exception class* — the read session's
 failover logic (`FETCH_ERRORS`) behaves identically across transports.
 The codes live on the exception classes themselves
 (:data:`repro.errors.WIRE_ERROR_CODES`), so adding a wire-visible error

@@ -12,8 +12,9 @@ One :class:`CDStoreServer` runs inside each cloud's co-locating VM
 * **index module** — file index, share index and intra-user index on an
   LSM/dict backend (§4.4);
 * **container module** — packs unique shares and file recipes into 4 MB
-  containers at the cloud backend, with per-user buffers and an LRU cache
-  (§4.5);
+  containers at the cloud backend, with per-user buffers (§4.5); reads
+  go through the LSM block cache and the container offset-table cache,
+  not a cache of whole containers;
 * restore path — fetches recipes and shares for any authorised user.
 
 Extensions beyond the prototype paper (its §4.7 future work): file

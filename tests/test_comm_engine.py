@@ -125,17 +125,38 @@ class TestFileEntryCrossCheck:
             setattr(entry, attr, getattr(entry, attr) + delta)
         server.index.put(key, entry.pack())
 
+    @staticmethod
+    def _count_fetches(server) -> dict:
+        """Count ``server``'s share fetches (a slot's only reads)."""
+        calls = {"fetch_shares": 0}
+        original = server.fetch_shares
+
+        def counting(fingerprints):
+            calls["fetch_shares"] += 1
+            return original(fingerprints)
+
+        server.fetch_shares = counting
+        return calls
+
     def test_file_size_disagreement_raises(self, system):
+        """A minority entry that disagrees is failed over like an outage;
+        only a restore with no k agreeing servers raises."""
         client = system.client("alice", chunker=FixedChunker(4096))
-        client.upload("/f", data_of(20_000))
+        payload = data_of(20_000)
+        client.upload("/f", payload)
         self._tamper_entry(system, "alice", "/f", server_idx=2, file_size=1)
+        liar = self._count_fetches(system.servers[2])
+        assert client.download("/f") == payload
+        assert liar["fetch_shares"] == 0
+        # Two of four tampered differently: no three servers agree.
+        self._tamper_entry(system, "alice", "/f", server_idx=3, file_size=2)
         with pytest.raises(IntegrityError):
             client.download("/f")
 
     def test_secret_count_disagreement_raises(self, system):
         """A server that *lies* about the secret count (and so skips the
-        consistency check an honest one runs on its own recipe) is caught
-        by the client's cross-check."""
+        consistency check an honest one runs on its own recipe) serves no
+        slot; with no spare to outvote it, the restore raises."""
 
         class LyingServer:
             def __init__(self, inner):
@@ -149,11 +170,41 @@ class TestFileEntryCrossCheck:
                 entry.secret_count += 1
                 return entry
 
+        payload = data_of(20_000)
         client = system.client("alice", chunker=FixedChunker(4096))
-        client.upload("/f", data_of(20_000))
+        client.upload("/f", payload)
+        client.servers[0] = liar = LyingServer(client.servers[0])
+        liar_calls = self._count_fetches(liar)
+        assert client.download("/f") == payload
+        assert liar_calls["fetch_shares"] == 0
+        # n = k = 3: the liar's slot has no spare to take it.
+        small = CDStoreSystem(n=3, k=3, salt=b"org")
+        client = small.client("alice", chunker=FixedChunker(4096))
+        client.upload("/f", payload)
         client.servers[0] = LyingServer(client.servers[0])
         with pytest.raises(IntegrityError):
             client.download("/f")
+
+    def test_stale_minority_after_failed_overwrite_restores_new_version(self):
+        """An overwrite whose finalize failed on one cloud leaves that
+        cloud's entry stale; with the cloud up, the restore reads the
+        three that agree on the new version instead of raising."""
+        system = CDStoreSystem(n=4, k=3, salt=b"org", pipeline_depth=2)
+        client = system.client("alice", chunker=FixedChunker(4096))
+        old, new = data_of(20_000, "old"), data_of(30_000, "new")
+        client.upload("/f", old)
+        stale = system.servers[0]
+
+        def outage(*args, **kwargs):
+            raise CloudUnavailableError("finalize lost")
+
+        stale.finalize_file = outage
+        with pytest.raises(CloudUnavailableError):
+            client.upload("/f", new)
+        del stale.finalize_file
+        assert stale.cloud.available
+        assert client.download("/f") == new
+        system.close()
 
     def test_server_whose_entry_and_recipe_disagree_is_failed_over(self, system):
         """An honest server whose index entry no longer matches its stored

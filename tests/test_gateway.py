@@ -325,6 +325,30 @@ class TestGatewayFallback:
             client = make_client(servers, gateway=service)
             assert client.download("f") == data
 
+    def test_stale_replica_falls_back_to_agreed_version(self):
+        """An overwrite whose finalize failed on one of the gateway's k
+        ring-preferred replicas leaves it stale: the gateway, which never
+        fails over, refuses to resolve, and ``download`` restores the
+        version the other three agree on through the direct quorum."""
+        servers = make_servers(4)
+        old, new = payload(20_000, seed=1), payload(30_000, seed=2)
+        store(servers, "f", old)
+        with GatewayService(servers, k=3) as service:
+            client = make_client(servers, gateway=service)
+            lookup_key = client._lookup_key("f")
+            stale = servers[service.ring.preferred(lookup_key)[0]]
+
+            def outage(*args, **kwargs):
+                raise CloudUnavailableError("finalize lost")
+
+            stale.finalize_file = outage
+            with pytest.raises(CloudUnavailableError):
+                store(servers, "f", new)
+            del stale.finalize_file
+            with pytest.raises(IntegrityError, match="replicas disagree"):
+                client.open_read("f", via="gateway")
+            assert client.download("f") == new
+
 
 # ---------------------------------------------------------------------------
 # end-to-end over real sockets

@@ -242,8 +242,8 @@ class TestServedRepair:
 class TestConnectionKillFailover:
     def test_connection_kill_mid_restore_fails_over_per_window(self):
         """A server that dies after serving window 0 drops the socket with
-        no reply; the proxy surfaces CloudUnavailableError and the comm
-        engine promotes the spare for the remaining windows only."""
+        no reply; the proxy surfaces CloudUnavailableError and the read
+        session promotes the spare for the remaining windows only."""
         servers = make_servers(4)
         victim = CrashingServer(servers[1], ok_calls=2)  # entry+recipe use 0
         spare = CountingServer(servers[3])
