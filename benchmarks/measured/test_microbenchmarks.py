@@ -4,8 +4,9 @@ Not a paper table — these measure the building blocks so readers of the
 measured figures (see "Paper reproductions" in docs/ARCHITECTURE.md) can
 see *why* the absolute throughputs sit where they do in pure Python: the
 from-scratch AES vs the OpenSSL backend, GF(2^8) bulk kernels,
-Reed-Solomon encode, SHA-256 hashing, both chunkers, the LSM store and
-the server's ranged fetch of one restore window.
+Reed-Solomon encode, SHA-256 hashing, both chunkers (a full scan and the
+resync from a previous version's cut points), the LSM store and the
+server's ranged fetch of one restore window.
 Nothing about speed is asserted; what breaks when a kernel is wrong are
 the equivalence tests in tier-1 (``test_chunking.py`` golden cuts,
 ``test_batch_equivalence.py``, ``test_aes.py``).
@@ -151,6 +152,35 @@ def test_microbenchmarks():
                 chunker._scan(big)
                 best = min(best, time.perf_counter() - start)
         rows.append([f"rabin cut scan, 8 MiB (width {width})", _rate(len(big), best)])
+    # What a client does to the next version of an 8 MiB file before
+    # encoding it (cuts plus the hash key of every chunk): cold, one full
+    # scan then the keys; with the path's history, the resync from the
+    # previous version's cut points.  The edit is the backup_incremental
+    # mutation of perf/payloads.py: two 1.5 % extents and a 105-byte insert.
+    from repro.core.convergent import ConvergentDispersal
+
+    hash_keys = ConvergentDispersal(4, 3, salt=b"micro").hash_keys
+    rng = np.random.default_rng(9)
+    nxt = bytearray(big)
+    for _ in range(2):
+        at = int(rng.integers(0, len(nxt) - 125_829))
+        nxt[at : at + 125_829] = rng.bytes(125_829)
+    at = int(rng.integers(0, len(nxt)))
+    nxt[at:at] = rng.bytes(105)
+    nxt = bytes(nxt)
+    for name, ingest_chunker in (("rabin", chunker), ("gear", gear)):
+        previous = list(ingest_chunker.chunk_bytes(big))
+        history = ([c.size for c in previous], hash_keys([c.data for c in previous]))
+        for label in ("no history", "history"):
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                if label == "history":
+                    ingest_chunker.resync(nxt, *history, hash_keys)
+                else:
+                    hash_keys([c.data for c in ingest_chunker.chunk_bytes(nxt)])
+                best = min(best, time.perf_counter() - start)
+            rows.append([f"{name} next version, 8 MiB ({label})", _rate(len(nxt), best)])
     # LSM store put/get throughput.
     import tempfile
 

@@ -3,6 +3,9 @@
 Upload pipeline (Figure 4a):
 
 1. **chunking module** — variable-size (Rabin) chunking into ~8 KB secrets;
+   a path backed up before is cut by :meth:`~repro.chunking.base.Chunker.
+   resync` from its last version's cut points (:class:`ChunkHistory`),
+   which scans only the bytes around what changed;
 2. **coding module** — CAONT-RS encoding of each secret into ``n`` shares,
    parallelisable across secrets with a thread pool (§4.6);
 3. **intra-user deduplication** — fingerprint queries per cloud; only
@@ -26,9 +29,12 @@ failover happens at window granularity.
 
 from __future__ import annotations
 
+import threading
 import time
+from array import array
 from dataclasses import dataclass, field
 
+from repro.analysis.annotations import guarded_by
 from repro.chunking.base import Chunker
 from repro.chunking.registry import ChunkerSpec, create_chunker
 from repro.client.comm import UPLOAD_BATCH_BYTES, CommEngine
@@ -38,8 +44,8 @@ from repro.client.read import (
     GatewayReadSession,
     ReadSession,
 )
-from repro.core.convergent import ConvergentDispersal
-from repro.crypto.hashing import sha256
+from repro.core.convergent import SHARE_CACHE_ENTRIES, ConvergentDispersal
+from repro.crypto.hashing import HASH_SIZE, sha256
 from repro.dedup.stats import DedupStats
 from repro.errors import (
     CloudUnavailableError,
@@ -47,13 +53,14 @@ from repro.errors import (
     IntegrityError,
     ParameterError,
 )
+from repro.lsm.cache import LRUCache
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import SpanRecorder, Tracer
 from repro.server.messages import FileManifest
 from repro.server.server import CDStoreServer
 from repro.sharing.ssss import SSSS
 
-__all__ = ["CDStoreClient", "UploadReceipt", "UPLOAD_BATCH_BYTES"]
+__all__ = ["CDStoreClient", "ChunkHistory", "UploadReceipt", "UPLOAD_BATCH_BYTES"]
 
 # The first stage of every backup (docs/OBSERVABILITY.md): one observation
 # per file, beside the comm engine's per-window encode/upload histograms.
@@ -61,6 +68,58 @@ _CHUNKING_SECONDS = REGISTRY.histogram(
     "client_chunking_seconds",
     "Wall time cutting one file into secrets",
 )
+_CHUNK_BYTES = REGISTRY.counter(
+    "client_chunk_bytes_total",
+    "Bytes of backed-up files whose chunks were found by hashing a previous "
+    "version's chunk (reused) or by the cut scan (scanned)",
+)
+
+
+class ChunkHistory:
+    """Bounded LRU map: path → how its last backup was cut.
+
+    An entry is the chunk sizes (one ``array``) and their hash keys (one
+    ``bytes`` of 32-byte keys), with the chunker that cut them: a client's
+    next backup of the path resyncs from it (:meth:`~repro.chunking.base.
+    Chunker.resync`).  The bound counts chunks, not paths, so the history
+    holds at most ``capacity`` chunks (36 bytes each; a file of more is
+    not remembered).  In memory only.
+    Thread-safe: concurrent uploads on one client each take and store an
+    entry under one acquisition of a lock that guards nothing else.
+    """
+
+    #: Lock discipline (``repro analyze``, LOCK-001).
+    GUARDED_BY = guarded_by(_entries="_lock")
+
+    def __init__(self, capacity: int = SHARE_CACHE_ENTRIES) -> None:
+        self._entries = LRUCache(capacity, size_of=lambda entry: len(entry[1]))
+        self._lock = threading.Lock()
+
+    @property
+    def chunks(self) -> int:
+        """Chunks remembered over every path."""
+        with self._lock:
+            return self._entries.size
+
+    def get(self, path: str, chunker: Chunker) -> tuple[array, list[bytes]] | None:
+        """The sizes and keys ``chunker`` cut ``path`` into last, or None."""
+        with self._lock:
+            entry = self._entries.get(path)
+        if entry is None or entry[0] is not chunker:
+            return None
+        _, sizes, keys = entry
+        return sizes, [keys[at : at + HASH_SIZE] for at in range(0, len(keys), HASH_SIZE)]
+
+    def put(
+        self, path: str, chunker: Chunker, sizes: list[int], keys: list[bytes]
+    ) -> None:
+        """Remember how ``chunker`` cut ``path`` (evicting past capacity)."""
+        entry = (chunker, array("I", sizes), b"".join(keys))
+        with self._lock:
+            if len(sizes) > self._entries.capacity:
+                self._entries.pop(path)
+            else:
+                self._entries.put(path, entry)
 
 
 @dataclass
@@ -160,6 +219,9 @@ class CDStoreClient:
             self.n, k, scheme=scheme, salt=salt, codec=codec
         )
         self.chunker = create_chunker(chunker)
+        #: How each path's last backup was cut, for the next one to
+        #: resync from (kept while the dispersal has hash keys to match).
+        self.history = ChunkHistory()
         self._path_sharer = SSSS(self.n, k)
         self.stats = DedupStats()
         #: Per-cloud share bytes per restore window (restores fetch and
@@ -217,22 +279,38 @@ class CDStoreClient:
         """Back up ``data`` under ``path`` across all ``n`` clouds.
 
         Requires every cloud to be reachable (backups write to all ``n``;
-        restores are what tolerate failures).
+        restores are what tolerate failures).  An upload that raises is
+        not a backup: some clouds may hold the new file entry and others
+        the old one.  Retrying it with the same arguments finalizes it on
+        all ``n`` again (shares already stored are deduplicated), after
+        which every cloud holds the same entry.
         """
         with self.tracer.span("upload", root=True, path=path, bytes=len(data)):
             return self._upload(path, data)
 
     def _upload(self, path: str, data: bytes) -> UploadReceipt:
-        for server in self.servers:
-            server.cloud.check_available()
+        self.comm.map_servers(lambda server: server.cloud.check_available(), self.servers)
         clock = time.perf_counter()
         spec = self.chunker.spec() or type(self.chunker).__name__
         segments = self.chunker.segments(len(data))
+        keyed = self.dispersal.share_cache is not None
+        last = self.history.get(path, self.chunker) if keyed else None
         with self.tracer.span("chunk", bytes=len(data), chunker=str(spec), segments=segments):
-            chunks = list(self.chunker.chunk_bytes(data))
+            if last is None:
+                chunks = list(self.chunker.chunk_bytes(data))
+                keys: list[bytes | None] = [None] * len(chunks)
+                reused = 0
+            else:
+                chunks, keys, reused = self.chunker.resync(
+                    data, *last, self.dispersal.hash_keys
+                )
         _CHUNKING_SECONDS.observe(time.perf_counter() - clock)
+        _CHUNK_BYTES.inc(reused, source="reused")
+        _CHUNK_BYTES.inc(len(data) - reused, source="scanned")
 
-        results = self.comm.upload_file(self.user_id, self.dispersal, chunks)
+        results = self.comm.upload_file(self.user_id, self.dispersal, chunks, keys)
+        if keyed:
+            self.history.put(path, self.chunker, [chunk.size for chunk in chunks], keys)
 
         self.stats.logical_data += len(data)
         self.stats.secrets_total += len(chunks)
@@ -284,7 +362,9 @@ class CDStoreClient:
     # download (restore)
     # ------------------------------------------------------------------
     def _reachable_servers(self) -> list[CDStoreServer]:
-        return [server for server in self.servers if server.cloud.available]
+        """The servers whose cloud answers, probed all at once."""
+        up = self.comm.map_servers(lambda server: server.cloud.available, self.servers)
+        return [server for server, ok in zip(self.servers, up) if ok]
 
     def open_read(self, path: str, via: str = "auto") -> ReadSession:
         """Resolve ``path`` and return the :class:`ReadSession` to read it.

@@ -457,22 +457,26 @@ class CommEngine:
         dispersal: ConvergentDispersal,
         secrets: list[bytes],
         start: int,
-        miss_keys: list[bytes | None],
+        file_keys: list[bytes | None],
     ) -> list[ShareSet | bytes]:
         """Encode the slab of secrets ``start, start + 1, ...``, answering
         what the share cache can without encoding.
 
-        A hit comes back as the ``n`` cached fingerprints, a miss as its
+        The secrets' hash keys are ``file_keys[start:]`` when the chunker
+        already computed them, else computed here and stored there.  A hit
+        comes back as the ``n`` cached fingerprints, a miss as its
         :class:`ShareSet`, encoded in one batch with the other misses from
-        the hash keys already computed for the lookup; each miss's key is
-        recorded in ``miss_keys[seq]`` for :meth:`_remember`.
+        those keys.
         """
         clock = time.perf_counter()
         cache = dispersal.share_cache
         if cache is None:
             encoded: list = dispersal.encode_batch(secrets)
         else:
-            keys = dispersal.hash_keys(secrets)
+            end = start + len(secrets)
+            keys = file_keys[start:end]
+            if None in keys:
+                keys = file_keys[start:end] = dispersal.hash_keys(secrets)
             encoded = cache.get_many(keys)
             misses = [i for i, hit in enumerate(encoded) if hit is None]
             if misses:
@@ -481,7 +485,6 @@ class CommEngine:
                 )
                 for i, share_set in zip(misses, share_sets):
                     encoded[i] = share_set
-                    miss_keys[start + i] = keys[i]
             _SHARE_CACHE.inc(len(secrets) - len(misses), outcome="hit")
             _SHARE_CACHE.inc(len(misses), outcome="miss")
         _WINDOW_ENCODE_SECONDS.observe(time.perf_counter() - clock)
@@ -490,18 +493,17 @@ class CommEngine:
     @staticmethod
     def _remember(
         dispersal: ConvergentDispersal,
-        miss_keys: list[bytes | None],
+        file_keys: list[bytes | None],
         results: list[CloudUploadResult],
     ) -> None:
-        """Cache the fingerprints every cloud's upload computed for the
-        secrets that were encoded (after all of them succeeded)."""
+        """Cache the fingerprints every cloud's upload computed or was
+        answered with, once all of them succeeded."""
         if dispersal.share_cache is None:
             return
         dispersal.share_cache.put_many(
             [
                 (key, b"".join([result.metas[seq].fingerprint for result in results]))
-                for seq, key in enumerate(miss_keys)
-                if key is not None
+                for seq, key in enumerate(file_keys)
             ]
         )
 
@@ -509,7 +511,7 @@ class CommEngine:
         self,
         dispersal: ConvergentDispersal,
         chunks: list[Chunk],
-        miss_keys: list[bytes | None],
+        file_keys: list[bytes | None],
     ) -> SlabbedShareSets:
         """Fan chunker output into encode slabs on the encode pool.
 
@@ -530,7 +532,7 @@ class CommEngine:
                 dispersal,
                 [chunk.data for chunk in chunks[start:end]],
                 start,
-                miss_keys,
+                file_keys,
             )
 
         return SlabbedShareSets(
@@ -545,19 +547,23 @@ class CommEngine:
         user_id: str,
         dispersal: ConvergentDispersal,
         chunks: list[Chunk],
+        keys: list[bytes | None] | None = None,
     ) -> list[CloudUploadResult]:
         """Pipeline one file's shares onto every cloud.
 
-        Returns the per-cloud results (index ``i`` ↔ cloud ``i``).  Once
-        every cloud has its shares, the fingerprints of the secrets that
-        were encoded go into the dispersal's share cache.
+        Returns the per-cloud results (index ``i`` ↔ cloud ``i``).
+        ``keys`` holds each chunk's hash key, or None where the encode
+        slabs are to compute it and store it there (a dispersal with a
+        share cache only).  Once every cloud has its shares, the secrets'
+        fingerprints go into the dispersal's share cache.
         """
         n = len(self.servers)
-        miss_keys: list[bytes | None] = [None] * len(chunks)
+        if keys is None:
+            keys = [None] * len(chunks)
         if self.parallel and len(chunks) > 1:
             self._ensure_workers()
             assert self._cloud_workers is not None
-            encoded = self._submit_encode_slabs(dispersal, chunks, miss_keys)
+            encoded = self._submit_encode_slabs(dispersal, chunks, keys)
             task = _carry_context(self._upload_to_cloud)
             futures = [
                 self._cloud_workers[idx].submit(
@@ -578,13 +584,13 @@ class CommEngine:
             # same byte sequence either way).
             for start, end in slab_spans([chunk.size for chunk in chunks], 1):
                 slab = self._encode_slab(
-                    dispersal, [chunk.data for chunk in chunks[start:end]], start, miss_keys
+                    dispersal, [chunk.data for chunk in chunks[start:end]], start, keys
                 )
                 for uploader in uploaders:
                     for seq in range(start, end):
                         uploader.feed_encoded(chunks[seq], slab[seq - start])
             results = [uploader.finish() for uploader in uploaders]
-        self._remember(dispersal, miss_keys, results)
+        self._remember(dispersal, keys, results)
         return results
 
     def _upload_to_cloud(

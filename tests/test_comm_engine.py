@@ -206,6 +206,46 @@ class TestFileEntryCrossCheck:
         assert client.download("/f") == new
         system.close()
 
+    def test_retried_overwrite_leaves_every_entry_agreeing(self):
+        """``upload``'s retry contract: cloud 0's finalize raises once
+        during an overwrite; retrying the upload finalizes it on all n, so
+        every file entry agrees and cloud 0 serves the new version."""
+        system = CDStoreSystem(n=4, k=3, salt=b"org", pipeline_depth=2)
+        client = system.client("alice")
+        old, new = data_of(60_000, "old"), data_of(90_000, "new")
+        client.upload("/f", old)
+        stale = system.servers[0]
+        finalize = stale.finalize_file
+        failures = []
+
+        def fails_once(*args, **kwargs):
+            if not failures:
+                failures.append(True)
+                raise CloudUnavailableError("finalize lost")
+            return finalize(*args, **kwargs)
+
+        stale.finalize_file = fails_once
+        with pytest.raises(CloudUnavailableError):
+            client.upload("/f", new)
+        lookup_key = client._lookup_key("/f")
+
+        def shapes():
+            return {
+                (entry.file_size, entry.secret_count)
+                for entry in (
+                    server.get_file_entry("alice", lookup_key) for server in system.servers
+                )
+            }
+
+        assert len(shapes()) == 2  # cloud 0 still holds the old entry
+        receipt = client.upload("/f", new)
+        assert failures == [True]
+        assert shapes() == {(len(new), receipt.secret_count)}
+        # A quorum that must include cloud 0 restores the new bytes.
+        system.fail_cloud(3)
+        assert client.download("/f") == new
+        system.close()
+
     def test_server_whose_entry_and_recipe_disagree_is_failed_over(self, system):
         """An honest server whose index entry no longer matches its stored
         recipe reports a malformed recipe; the restore uses the spare."""
