@@ -18,13 +18,11 @@ Upload pipeline (Figure 4a):
    (with the pathname dispersed via Shamir sharing, §4.3) finalise the
    upload on every server.
 
-Download reverses the pipeline from any ``k`` reachable clouds — fetched
-concurrently, with automatic failover to spare reachable clouds on
-mid-restore failures — plus the brute-force subset retry of §3.2 on
-integrity failure.  The restore is *windowed*: per-window share maps are
-fetched and decoded one window at a time (``pipeline_depth`` windows ahead
-when pipelined), so decoding starts before the last share arrives, and
-failover happens at window granularity.
+Download reverses the pipeline from the first ``k`` reachable clouds that
+agree on the file entry (:func:`~repro.client.read.quorum`, the rule
+listing shares), fetched concurrently and one window at a time
+(``pipeline_depth`` windows ahead when pipelined), with failover to spare
+clouds at window granularity and the §3.2 subset retry on integrity failure.
 """
 
 from __future__ import annotations
@@ -33,16 +31,19 @@ import threading
 import time
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.analysis.annotations import guarded_by
 from repro.chunking.base import Chunker
 from repro.chunking.registry import ChunkerSpec, create_chunker
 from repro.client.comm import UPLOAD_BATCH_BYTES, CommEngine
 from repro.client.read import (
+    FETCH_ERRORS,
     GATEWAY_FALLBACK_ERRORS,
     DirectReadSession,
     GatewayReadSession,
     ReadSession,
+    quorum,
 )
 from repro.core.convergent import SHARE_CACHE_ENTRIES, ConvergentDispersal
 from repro.crypto.hashing import HASH_SIZE, sha256
@@ -51,6 +52,7 @@ from repro.errors import (
     CloudUnavailableError,
     InsufficientCloudsError,
     IntegrityError,
+    NotFoundError,
     ParameterError,
 )
 from repro.lsm.cache import LRUCache
@@ -371,8 +373,8 @@ class CDStoreClient:
 
         ``via`` selects the read path: ``"direct"`` (quorum restore),
         ``"gateway"`` (requires a configured gateway), or ``"auto"``
-        (gateway when configured, else direct).  Resolution — file-entry
-        cross-check or gateway recipe resolution, plus window planning —
+        (gateway when configured, else direct).  Resolution — the file-entry
+        quorum, direct or at the gateway, plus window planning —
         happens here, once; the session's :attr:`~ReadSession.plan`
         exposes the result and ``read()`` executes it.
         """
@@ -421,37 +423,53 @@ class CDStoreClient:
     def list_files(self) -> list[str]:
         """List this user's stored pathnames.
 
-        Pathnames are dispersed via Shamir sharing across the servers
-        (§4.3 sensitive metadata), so listing needs any ``k`` reachable
-        clouds — the same availability contract as restore.
+        Pathnames are Shamir-shared across the servers (§4.3).  A path is
+        listed iff ``k`` servers agree on its file entry by the rule a
+        restore resolves with (:func:`~repro.client.read.quorum`, spares
+        consulted for keys that lack ``k``), its name recovered from their
+        shares only: listed iff a direct restore of it would resolve.
         """
         with self.tracer.span("list_files", root=True):
             return self._list_files()
 
     def _list_files(self) -> list[str]:
         reachable = self._reachable_servers()
-        if len(reachable) < self.k:
-            raise InsufficientCloudsError(
-                f"only {len(reachable)} of {self.n} clouds reachable; "
-                f"need k={self.k}"
+        listings: dict[CDStoreServer, dict | Exception] = {}
+
+        def listing(server: CDStoreServer) -> dict | Exception:
+            try:
+                return dict(server.list_files(self.user_id))
+            except FETCH_ERRORS as exc:
+                return exc
+
+        def entry(lookup_key: bytes, server: CDStoreServer) -> tuple | Exception:
+            if server not in listings:
+                listings[server] = listing(server)
+            found = listings[server]
+            if not isinstance(found, dict):
+                return found
+            return (found[lookup_key],) if lookup_key in found else NotFoundError("unlisted")
+
+        # A key k servers agree on is held by one of any n - k + 1 of
+        # them: list those at once, the rest only as spares of a quorum.
+        first = reachable[: max(self.k, len(reachable) - self.k + 1)]
+        listings.update(zip(first, self.comm.map_servers(listing, first)))
+        failed = [found for found in listings.values() if isinstance(found, Exception)]
+        if len(reachable) - len(failed) < self.k:
+            # No k servers can agree on any entry: what is stored is unknown.
+            raise failed[0] if failed else InsufficientCloudsError(
+                f"only {len(reachable)} clouds reachable; need k={self.k}"
             )
-        chosen = reachable[: self.k]
-        listings = {
-            server.server_id: dict(listing)
-            for server, listing in zip(
-                chosen,
-                self.comm.map_servers(
-                    lambda server: server.list_files(self.user_id), chosen
-                ),
-            )
-        }
-        keys = set.intersection(*(set(entries) for entries in listings.values()))
+        keys = dict.fromkeys(
+            key for found in listings.values() if isinstance(found, dict) for key in found
+        )
         paths = []
         for lookup_key in keys:
-            shares = {
-                sid: listing[lookup_key].path_share
-                for sid, listing in listings.items()
-            }
+            try:
+                agreeing, _ = quorum(reachable, self.k, partial(entry, lookup_key), {})
+            except (IntegrityError, *FETCH_ERRORS):
+                continue
+            shares = {s.server_id: listings[s][lookup_key].path_share for s in agreeing}
             size = len(next(iter(shares.values())))
             try:
                 paths.append(self._path_sharer.recover(shares, size).decode("utf-8"))
@@ -468,8 +486,9 @@ class CDStoreClient:
         """Delete the file on every reachable cloud."""
         with self.tracer.span("delete", root=True, path=path):
             lookup_key = self._lookup_key(path)
-            for server in self.servers:
-                if not server.cloud.available:
+            up = self.comm.map_servers(lambda server: server.cloud.available, self.servers)
+            for server, ok in zip(self.servers, up):
+                if not ok:
                     raise CloudUnavailableError(
                         f"cloud {server.cloud.name!r} is down; deletion must "
                         "reach all clouds"

@@ -443,7 +443,15 @@ class CommEngine:
         the first exception (in that order) propagates.
         """
         if not self.parallel or len(servers) < 2:
-            return [fn(server) for server in servers]
+            results, errors = [], []
+            for server in servers:
+                try:
+                    results.append(fn(server))
+                except Exception as exc:
+                    errors.append(exc)
+            if errors:
+                raise errors[0]
+            return results
         self._ensure_workers()
         task = _carry_context(fn)
         futures = [self._pool_for(server).submit(task, server) for server in servers]

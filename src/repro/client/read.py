@@ -1,44 +1,38 @@
-"""The unified read-path API: :class:`RestorePlan` + :class:`ReadSession`.
+"""The read path: one agreement rule, :class:`RestorePlan` and :class:`ReadSession`.
 
-Before this module existed the restore surface was a grab-bag —
-``CDStoreClient.download`` held the whole pipeline inline,
-``restore_window_bytes`` and ``plan_windows`` configured it from the
-side, and nothing else could reuse the window/decode machinery.  Now a
-restore is two explicit steps shared by every read path:
+Every reader agrees on a backup by one rule, :func:`quorum`: servers are
+described (:func:`describe`: file entry and recipe) in order — the first
+``k``, then spares only while fewer than ``k`` agree — until ``k`` report
+the same ``(file_size, secret_count)``; a stale or failed minority is
+skipped like an outage.  Restore (:class:`DirectReadSession`), listing
+(:meth:`CDStoreClient.list_files`) and the gateway's resolution
+(:mod:`repro.gateway.service`) all call it, so a path is listed, and
+served by a gateway, iff a direct restore of it resolves.
 
-1. **resolve** — construct a session; resolution (a quorum of file
-   entries and recipes that agree, window planning) happens once, up
-   front, and is exposed as an immutable :class:`RestorePlan`;
-2. **read** — stream the planned windows, decode each as it lands, and
-   return the joined, size-checked bytes.
+A restore is two steps: **resolve** (construct a session; the quorum and
+window planning happen once and are exposed as an immutable
+:class:`RestorePlan`), then **read** (stream the planned windows, decode
+each as it lands, return the joined, size-checked bytes).
 
-Two sessions implement the surface:
-
-* :class:`DirectReadSession` — the original quorum restore: ``k``
-  concurrent per-cloud fetches through the
-  :class:`~repro.client.comm.CommEngine`, window-granular spare
+* :class:`DirectReadSession` — ``k`` concurrent per-cloud fetches through
+  the :class:`~repro.client.comm.CommEngine`, window-granular spare
   failover, and the §3.2 share-pool widening as the last resort.  Cloud
   repair (:mod:`repro.system.cdstore`) decodes through it too.
-* :class:`GatewayReadSession` — the same plan/read steps against a
-  ``repro gateway`` (:mod:`repro.gateway`): resolution is one
-  round-trip, windows arrive as per-replica shard frames served from
-  the gateway's hot-container cache.  The session performs **no**
-  failover of its own — any fetch/decode failure propagates so
+* :class:`GatewayReadSession` — the same steps against a ``repro
+  gateway`` (:mod:`repro.gateway`): resolution is one round-trip, windows
+  arrive as per-replica shard frames from its hot-container cache.  It
+  performs **no** failover: any fetch/decode failure propagates, and
   :meth:`CDStoreClient.download` falls back to a fresh
-  :class:`DirectReadSession`, where the existing window-granular spare
-  failover (and widening) runs unchanged.
-
-``CDStoreClient.download()`` stays as a thin wrapper over
-``open_read(path).read()``.
+  :class:`DirectReadSession`.
 """
-
 from __future__ import annotations
 
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.analysis.annotations import guarded_by, requires_lock
 from repro.client.workers import plan_windows
@@ -61,10 +55,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
 __all__ = [
     "FETCH_ERRORS",
     "GATEWAY_FALLBACK_ERRORS",
+    "Description",
     "DirectReadSession",
     "GatewayReadSession",
     "ReadSession",
     "RestorePlan",
+    "describe",
+    "quorum",
 ]
 
 # Restore-stage timings (docs/OBSERVABILITY.md): one observation per
@@ -89,10 +86,6 @@ _FAILOVERS = REGISTRY.counter(
 #: cloud or skips the server rather than aborting the download.
 FETCH_ERRORS = (CloudUnavailableError, ProtocolError, StorageError)
 
-#: What :meth:`DirectReadSession._describe` learns of one server: its file
-#: entry and its recipe (share fingerprints are per cloud).
-_Description = tuple[FileEntry, list[RecipeEntry]]
-
 #: Errors on the gateway read path that mean "this path failed, the
 #: direct quorum may still succeed": transport/storage failures
 #: (``FETCH_ERRORS`` — the same classes the direct session fails over on)
@@ -100,6 +93,79 @@ _Description = tuple[FileEntry, list[RecipeEntry]]
 #: direct path can survive via k-subset retry and §3.2 widening but the
 #: gateway path cannot (it holds exactly k shards per window).
 GATEWAY_FALLBACK_ERRORS = (*FETCH_ERRORS, IntegrityError, CodingError)
+
+#: What :func:`describe` learns of one server: its file entry and its
+#: recipe (share fingerprints are per cloud).  A listing describes a
+#: server by its file entry alone, a one-item tuple.
+Description = tuple[FileEntry, list[RecipeEntry]]
+
+
+def describe(server, user_id: str, lookup_key: bytes) -> Description | Exception:
+    """``server``'s file entry and recipe of one backup — the restore and
+    gateway paths' only reads of either — or the error that makes it
+    unusable."""
+    try:
+        entry = server.get_file_entry(user_id, lookup_key)
+        recipe = server.get_recipe(user_id, lookup_key)
+    except FETCH_ERRORS as exc:
+        return exc
+    if len(recipe) != entry.secret_count:
+        return IntegrityError(
+            f"recipe of {len(recipe)} secrets, file entry says {entry.secret_count}"
+        )
+    return entry, recipe
+
+
+def quorum(
+    servers: Sequence,
+    k: int,
+    describe: Callable[..., tuple | Exception],
+    described: dict,
+    map_servers: Callable = map,
+    agree_with: tuple | None = None,
+) -> tuple[list, list]:
+    """The first ``k`` of ``servers`` that agree on one file entry.
+
+    The one agreement rule of every read: a server is usable when its
+    description reports the ``(file_size, secret_count)`` that ``k``
+    servers report (that of ``agree_with``, when a reader already
+    resolved one).  The first ``k`` servers are described, the rest in
+    order only while fewer than ``k`` agree, ``k`` minus the agreeing
+    count at a time, each batch by ``map_servers(describe, batch)``.
+    ``described`` memoizes descriptions: a server in it is not described
+    again, and every new description lands in it.
+
+    Returns the agreeing servers, in order, and the servers never
+    consulted.  Raises :class:`IntegrityError` when servers disagree and
+    no ``k`` agree, else the first server's own error (an unknown file
+    stays :class:`~repro.errors.NotFoundError`).
+    """
+    if len(servers) < k:
+        raise InsufficientCloudsError(f"only {len(servers)} clouds reachable; need k={k}")
+    consulted: list = []
+    batch, spares = list(servers[:k]), list(servers[k:])
+    while True:
+        fresh = [server for server in batch if server not in described]
+        described.update(zip(fresh, map_servers(describe, fresh)))
+        consulted += batch
+        shapes = Counter(_shape(described[server]) for server in consulted)
+        shapes.pop(None, None)
+        agreed = _shape(agree_with) if agree_with else max(shapes, key=shapes.get, default=None)
+        if shapes[agreed] >= k:
+            return [s for s in consulted if _shape(described[s]) == agreed], spares
+        if not spares:
+            if set(shapes) - {agreed}:
+                raise IntegrityError("no k servers agree on the file size and secret count")
+            raise next(d for d in map(described.get, consulted) if isinstance(d, Exception))
+        batch, spares = spares[: k - shapes[agreed]], spares[k - shapes[agreed] :]
+
+
+def _shape(description: tuple | Exception) -> tuple[int, int] | None:
+    """The ``(file_size, secret_count)`` a server reported; None if it
+    could not describe the file."""
+    if isinstance(description, Exception):
+        return None
+    return description[0].file_size, description[0].secret_count
 
 
 @dataclass(frozen=True)
@@ -164,19 +230,14 @@ class ReadSession:
 class DirectReadSession(ReadSession):
     """Quorum restore of one backup from any ``k`` of ``servers``.
 
-    The session owns the restore's quorum.  Each server it consults is
-    *described* once — its file entry and recipe, read by
-    :meth:`_describe` — and a server is usable when its description
-    agrees with the ``(file_size, secret_count)`` that ``k`` servers
-    report.  That one rule picks a server in all three places one is
-    picked:
+    The session owns the restore's quorum: a server is usable when its
+    description (:func:`describe`, once per server) agrees with the
+    ``(file_size, secret_count)`` that ``k`` servers report.  That one
+    rule picks a server in all three places one is picked:
 
-    * resolution describes the first ``k`` of ``servers`` — the reachable
-      clouds for a restore, every available cloud but the one being
-      rebuilt for a repair — and consults the rest, the spare pool, only
-      while no ``k`` of them agree: a stale or lying minority is failed
-      over like an outage, and only a restore with no agreeing quorum
-      raises :class:`IntegrityError`;
+    * resolution, :func:`quorum` over ``servers`` — the reachable clouds
+      for a restore, every available cloud but the one being rebuilt for
+      a repair; those it never consults are the spare pool;
     * a slot whose fetch fails in window ``i`` gets the next usable spare
       for that window onward (:meth:`_promote`);
     * a secret no ``k``-subset decodes draws a share from each usable
@@ -198,42 +259,13 @@ class DirectReadSession(ReadSession):
         self, client: "CDStoreClient", lookup_key: bytes, servers: list["CDStoreServer"]
     ) -> None:
         self.client = client
-        k = client.k
-        if len(servers) < k:
-            raise InsufficientCloudsError(
-                f"only {len(servers)} of {client.n} clouds reachable; "
-                f"need k={k}"
-            )
-        self._lookup_key = lookup_key
+        self._describe = partial(describe, user_id=client.user_id, lookup_key=lookup_key)
         self._lock = threading.Lock()
-        self._described: dict[CDStoreServer, _Description | Exception] = {}
-        self._spares = list(servers[k:])
-        batch = servers[:k]
-        while True:
-            described = client.comm.map_servers(self._describe, batch)
-            self._described.update(zip(batch, described))
-            shapes = Counter(map(_shape, self._described.values()))
-            shapes.pop(None, None)
-            agreed, agreeing = (shapes.most_common(1) or [(None, 0)])[0]
-            if agreeing >= k:
-                break
-            if not self._spares:
-                # No quorum: servers that disagree are an integrity failure;
-                # otherwise the first server's own error stands (an unknown
-                # file stays NotFoundError, an outage CloudUnavailableError).
-                if len(shapes) > 1:
-                    raise IntegrityError(
-                        "no k servers agree on the file entry (file size / "
-                        "secret count)"
-                    )
-                raise next(d for d in self._described.values() if isinstance(d, Exception))
-            batch, self._spares = self._spares[: k - agreeing], self._spares[k - agreeing :]
-        self._slots = [
-            server
-            for server, description in self._described.items()
-            if _shape(description) == agreed
-        ]
-        promoted = sum(server not in servers[:k] for server in self._slots)
+        self._described: dict[CDStoreServer, Description | Exception] = {}
+        self._slots, self._spares = quorum(
+            servers, client.k, self._describe, self._described, client.comm.map_servers
+        )
+        promoted = sum(server not in servers[: client.k] for server in self._slots)
         if promoted:
             _FAILOVERS.inc(promoted)
 
@@ -251,24 +283,8 @@ class DirectReadSession(ReadSession):
             via="direct",
         )
 
-    def _describe(self, server: "CDStoreServer") -> _Description | Exception:
-        """Fetch ``server``'s file entry and recipe — the restore path's
-        only reads of either — or the error that makes it unusable."""
-        user_id = self.client.user_id
-        try:
-            entry = server.get_file_entry(user_id, self._lookup_key)
-            recipe = server.get_recipe(user_id, self._lookup_key)
-        except FETCH_ERRORS as exc:
-            return exc
-        if len(recipe) != entry.secret_count:
-            return IntegrityError(
-                f"recipe of {len(recipe)} secrets, file entry says "
-                f"{entry.secret_count}"
-            )
-        return entry, recipe
-
     @requires_lock("_lock")
-    def _usable(self, server: "CDStoreServer") -> _Description | None:
+    def _usable(self, server: "CDStoreServer") -> Description | None:
         """``server``'s description, described at most once per session,
         if it agrees with the plan's; None if not."""
         if server not in self._described:
@@ -379,28 +395,16 @@ class DirectReadSession(ReadSession):
         return self.client.dispersal.decode(widened, secret_size)
 
 
-def _shape(description: _Description | Exception) -> tuple[int, int] | None:
-    """The ``(file_size, secret_count)`` a server reported; None if it
-    could not describe the file."""
-    if isinstance(description, Exception):
-        return None
-    entry, _ = description
-    return entry.file_size, entry.secret_count
-
-
 class GatewayReadSession(ReadSession):
     """Restore through a ``repro gateway``.
 
     Construction resolves the backup in one round-trip
-    (``resolve_backup``); the gateway plans the windows with *its*
-    window size so every client shares the same hot-cache entries.
-    :meth:`read` fetches each window's per-replica shards
-    (``iter_window_shards``) and decodes from exactly the ``k`` shards
-    the gateway's consistent-hash ring chose.  No failover runs here by
-    design: a dead replica behind a cache miss (or a decode failure)
-    raises, and the caller falls back to a :class:`DirectReadSession`
-    where the quorum machinery — window-granular spare promotion plus
-    §3.2 widening — handles it.
+    (``resolve_backup``: the gateway's :func:`quorum`, windows planned
+    with *its* window size so every client shares its hot-cache entries).
+    :meth:`read` decodes each window from the ``k`` shards the gateway
+    sends (``iter_window_shards``).  No failover runs here: a failed
+    fetch or decode raises, and the caller falls back to a
+    :class:`DirectReadSession`.
     """
 
     def __init__(self, client: "CDStoreClient", lookup_key: bytes, gateway) -> None:

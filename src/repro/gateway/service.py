@@ -5,34 +5,31 @@ One :class:`GatewayService` sits behind an async mux front-end
 ``server=None, gateway=...``) and answers the two gateway frames for
 every multiplexed client connection concurrently:
 
-* **resolve** (``T_GW_RESOLVE``): fetch the backup's file entry from
-  ``k`` ring-preferred replicas, cross-check the replicated metadata
-  (a lying minority cannot spoof size or secret count), pull one
-  reference recipe, and plan the restore windows with the *gateway's*
-  window size — every client therefore shares the same window
-  boundaries, which is what makes the hot cache converge.  Resolutions
-  are cached with a TTL (``recipe_ttl=0`` revalidates on every
-  resolve).
-* **window** (``T_GW_WINDOW``): for each of the ``k`` replicas the
-  consistent-hash ring prefers for this ``(backup, window)``, serve the
-  window's shares from the hot-container cache or fetch them from the
-  replica on miss.  Cache keys are content-addressed by the window's
-  share fingerprints, so an overwritten backup can never hit its old
-  bytes (see :mod:`repro.gateway.cache`).
+* **resolve** (``T_GW_RESOLVE``): agree on the backup by the restore's
+  own rule, :func:`~repro.client.read.quorum` over the ring's replica
+  order for the backup (a stale or lying minority is skipped, not
+  trusted), and plan the restore windows from the first agreeing
+  replica's recipe with the *gateway's* window size — every client
+  shares the same window boundaries, which makes the hot cache converge.
+  Resolutions are cached with a TTL (``recipe_ttl=0`` revalidates on
+  every resolve).
+* **window** (``T_GW_WINDOW``): serve the window from the first ``k``
+  replicas, in the ring's order for this ``(backup, window)``, that agree
+  with the resolution (a replica is described at most once per cached
+  resolution), from the hot-container cache or the replica on miss.
+  Cache keys are content-addressed by the window's share fingerprints,
+  so an overwritten backup can never hit its old bytes (see
+  :mod:`repro.gateway.cache`).
 
-Failure philosophy — **the gateway never fails over**.  A replica dying
-behind a cache miss raises the replica's typed error straight to the
-client, which falls back to the direct quorum restore where the real
-failover machinery (window-granular spare promotion, §3.2 widening)
-lives.  Duplicating that machinery here would mean two divergent
-failover paths to keep correct; routing all degraded traffic through
-one path keeps the gateway a pure, disposable accelerator.  The single
-exception is the overwrite race: a ``NotFoundError`` from a replica
-mid-window usually means the cached resolution went stale, so the
-service invalidates the backup and retries **once** before letting the
-error out.
+Failure philosophy — **resolution uses the quorum rule; fetches never
+fail over**.  A replica dying behind a cache miss raises its typed error
+straight to the client, which falls back to the direct quorum restore,
+where spare promotion and §3.2 widening live: one failover path keeps
+the gateway a disposable accelerator.  The single exception is the
+overwrite race: a ``NotFoundError`` from a replica mid-window usually
+means the cached resolution went stale, so the service invalidates the
+backup and retries **once** before letting the error out.
 """
-
 from __future__ import annotations
 
 import hashlib
@@ -43,8 +40,9 @@ from threading import Lock
 from typing import Callable, Iterable, Iterator
 
 from repro.analysis.annotations import guarded_by
+from repro.client.read import Description, describe, quorum
 from repro.client.workers import plan_windows
-from repro.errors import IntegrityError, NotFoundError, ParameterError
+from repro.errors import NotFoundError, ParameterError
 from repro.gateway.cache import HotContainerCache
 from repro.gateway.ring import HashRing
 from repro.obs.registry import REGISTRY
@@ -66,14 +64,15 @@ class _Resolution:
     """One cached backup resolution (the gateway-side RestorePlan)."""
 
     expires: float
-    file_size: int
-    secret_sizes: tuple[int, ...]
     windows: tuple[tuple[int, int], ...]
-    #: Digest of the reference recipe's fingerprints: two resolutions
-    #: with different digests describe different backup versions.
-    digest: bytes
-    #: Lazily-fetched per-replica recipes (replica id -> recipe).
-    recipes: dict = field(default_factory=dict)
+    #: The first agreeing replica's description: its recipe planned the
+    #: windows (two resolutions whose recipes differ describe different
+    #: versions), and windows are served by replicas that agree with it.
+    reference: Description
+    #: Replica -> description (:func:`~repro.client.read.describe`), each
+    #: replica described at most once per resolution, under :attr:`lock`.
+    described: dict
+    lock: Lock = field(default_factory=Lock)
 
 
 class GatewayService:
@@ -86,8 +85,8 @@ class GatewayService:
         RemoteServerProxy` in production, in-process servers in tests)
         with distinct ``server_id`` values.
     k:
-        Decode threshold: shards per window, replicas cross-checked per
-        resolve.
+        Decode threshold: shards per window, replicas that must agree
+        per resolve.
     own_replicas:
         When True, :meth:`close` closes the replicas too (the ``repro
         gateway`` process owns its proxies; an embedding system shares
@@ -146,7 +145,8 @@ class GatewayService:
     ) -> tuple[int, list[int], list[tuple[int, int]]]:
         """The restore plan: ``(file_size, secret_sizes, windows)``."""
         res = self._resolution(user_id, lookup_key)
-        return res.file_size, list(res.secret_sizes), list(res.windows)
+        entry, recipe = res.reference
+        return entry.file_size, [item.secret_size for item in recipe], list(res.windows)
 
     def iter_window_shards(
         self, user_id: str, lookup_key: bytes, window_index: int
@@ -192,7 +192,7 @@ class GatewayService:
         _RESOLUTIONS.inc(source="fresh")
         with self._lock:
             self._resolutions[backup] = fresh
-        if cached is not None and cached.digest != fresh.digest:
+        if cached is not None and cached.reference[1] != fresh.reference[1]:
             # The backup changed under its TTL: the content-addressed
             # hot keys already can't serve the new version, but the old
             # version's bytes are dead weight — reclaim them now.
@@ -200,41 +200,20 @@ class GatewayService:
         return fresh
 
     def _resolve_fresh(self, user_id: str, lookup_key: bytes) -> _Resolution:
-        chosen = self.ring.preferred(bytes(lookup_key))[: self.k]
-        entries = [
-            self._replicas[server_id].get_file_entry(user_id, lookup_key)
-            for server_id in chosen
-        ]
-        sizes = {entry.file_size for entry in entries}
-        counts = {entry.secret_count for entry in entries}
-        if len(sizes) != 1 or len(counts) != 1:
-            raise IntegrityError(
-                "replicas disagree on file entry (file size / secret count)"
-            )
-        file_size = sizes.pop()
-        secret_count = counts.pop()
-        reference = self._replicas[chosen[0]].get_recipe(user_id, lookup_key)
-        if len(reference) != secret_count:
-            raise IntegrityError(
-                f"replica {chosen[0]} recipe has {len(reference)} entries, "
-                f"file entry records {secret_count} secrets"
-            )
-        secret_sizes = tuple(entry.secret_size for entry in reference)
-        windows = (
-            tuple(plan_windows(list(secret_sizes), self.window_bytes))
-            if secret_count
-            else ()
+        described: dict = {}
+        agreeing, _ = quorum(
+            [self._replicas[sid] for sid in self.ring.preferred(bytes(lookup_key))],
+            self.k,
+            lambda replica: describe(replica, user_id, lookup_key),
+            described,
         )
-        digest = hashlib.sha256(
-            b"".join(entry.fingerprint for entry in reference)
-        ).digest()
+        _, recipe = reference = described[agreeing[0]]
+        sizes = [item.secret_size for item in recipe]
         return _Resolution(
             expires=self._clock() + self.recipe_ttl,
-            file_size=file_size,
-            secret_sizes=secret_sizes,
-            windows=windows,
-            digest=digest,
-            recipes={chosen[0]: reference},
+            windows=tuple(plan_windows(sizes, self.window_bytes)) if sizes else (),
+            reference=reference,
+            described=described,
         )
 
     # ------------------------------------------------------------------
@@ -252,52 +231,39 @@ class GatewayService:
         start, end = res.windows[window_index]
         backup = (user_id, bytes(lookup_key))
         window_key = bytes(lookup_key) + struct.pack(">I", window_index)
+        # The window's first k replicas, in its ring order, that agree with
+        # the resolution; one no window needed yet is described here, once.
+        with res.lock:
+            chosen, _ = quorum(
+                [self._replicas[sid] for sid in self.ring.preferred(window_key)],
+                self.k,
+                lambda replica: describe(replica, user_id, lookup_key),
+                res.described,
+                agree_with=res.reference,
+            )
         shards: list[tuple[int, list[bytes]]] = []
-        for server_id in self.ring.preferred(window_key)[: self.k]:
-            recipe = self._replica_recipe(res, server_id, user_id, lookup_key)
+        for replica in chosen:
+            _, recipe = res.described[replica]
             fingerprints = [recipe[seq].fingerprint for seq in range(start, end)]
             cache_key = (
                 *backup,
                 window_index,
-                server_id,
+                replica.server_id,
                 hashlib.sha256(b"".join(fingerprints)).digest(),
             )
             shares = self.cache.get(cache_key)
             if shares is None:
-                fetched = self._replicas[server_id].fetch_shares(fingerprints)
+                fetched = replica.fetch_shares(fingerprints)
                 try:
                     shares = [fetched[fp] for fp in fingerprints]
                 except KeyError as exc:
                     raise NotFoundError(
-                        f"replica {server_id} no longer holds a share of "
+                        f"replica {replica.server_id} no longer holds a share of "
                         f"window {window_index}"
                     ) from exc
                 self.cache.put(cache_key, shares)
-            shards.append((server_id, shares))
+            shards.append((replica.server_id, shares))
         return shards
-
-    def _replica_recipe(
-        self, res: _Resolution, server_id: int, user_id: str, lookup_key: bytes
-    ):
-        with self._lock:
-            recipe = res.recipes.get(server_id)
-        if recipe is not None:
-            return recipe
-        recipe = self._replicas[server_id].get_recipe(user_id, lookup_key)
-        if len(recipe) != len(res.secret_sizes) or any(
-            entry.secret_size != size
-            for entry, size in zip(recipe, res.secret_sizes)
-        ):
-            # The replica describes a different version than the cached
-            # resolution: surface it as the overwrite race so the
-            # retry-once path re-resolves instead of decoding garbage.
-            raise NotFoundError(
-                f"replica {server_id} recipe disagrees with the cached "
-                f"resolution (backup overwritten?)"
-            )
-        with self._lock:
-            res.recipes[server_id] = recipe
-        return recipe
 
     # ------------------------------------------------------------------
     # lifecycle & observability

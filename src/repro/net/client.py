@@ -842,7 +842,7 @@ class RemoteServerProxy:
         """One-round-trip restore resolution against a read gateway.
 
         Returns ``(file_size, secret_sizes, windows)`` — the gateway's
-        cross-checked :class:`~repro.client.read.RestorePlan` material.
+        quorum-agreed :class:`~repro.client.read.RestorePlan` material.
         A plain cloud front-end answers with ``ProtocolError``.
         """
         return self._call(wire.T_GW_RESOLVE, user_id, lookup_key)

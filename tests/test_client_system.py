@@ -197,8 +197,10 @@ class TestDeletion:
         client = system.client("alice", chunker=FixedChunker(4096))
         client.upload("/f", data_of(10_000))
         system.fail_cloud(3)
-        with pytest.raises(CloudUnavailableError):
+        with pytest.raises(CloudUnavailableError, match="is down; deletion must reach all"):
             client.delete("/f")
+        system.recover_cloud(3)
+        assert client.download("/f") == data_of(10_000)  # nothing was deleted
 
 
 class TestSystemConstruction:

@@ -257,6 +257,126 @@ class TestFileEntryCrossCheck:
 
 
 # ---------------------------------------------------------------------------
+# one agreement rule for every read: fan-out and listing
+# ---------------------------------------------------------------------------
+
+#: The inline reference schedule, and the pipelined one whose per-cloud
+#: workers run every fan-out concurrently.
+SCHEDULES = {"inline": {}, "pipelined": {"threads": 2, "pipeline_depth": 2}}
+
+
+def _outage(*args, **kwargs):
+    raise CloudUnavailableError("finalize lost")
+
+
+def _failed_overwrite(system, client, path: str, data: bytes, stale: set[int]) -> None:
+    """Overwrite ``path`` while the ``stale`` clouds' finalize raises."""
+    for index in stale:
+        system.servers[index].finalize_file = _outage
+    with pytest.raises(CloudUnavailableError):
+        client.upload(path, data)
+    for index in stale:
+        del system.servers[index].finalize_file
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES.values(), ids=SCHEDULES)
+class TestFanOutContract:
+    def test_failed_call_does_not_stop_the_others(self, schedule):
+        """``map_servers`` runs every call before raising the first failure,
+        inline as on the workers: a finalize that fails on cloud 0 still
+        lands on clouds 1-3, so both schedules leave the same entries."""
+        system = CDStoreSystem(n=4, k=3, salt=b"org", **schedule)
+        client = system.client("alice", chunker=FixedChunker(1000))
+        client.upload("/f", data_of(5000, "old"))
+        _failed_overwrite(system, client, "/f", data_of(6000, "new"), stale={0})
+        lookup_key = client._lookup_key("/f")
+        entries = [server.get_file_entry("alice", lookup_key) for server in system.servers]
+        assert [(entry.file_size, entry.secret_count) for entry in entries] == [
+            (5000, 5), (6000, 6), (6000, 6), (6000, 6)
+        ]
+        system.close()
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES.values(), ids=SCHEDULES)
+class TestListingQuorum:
+    """A path is listed iff ``k`` servers agree on its entry, by the rule a
+    restore resolves with, and its name comes from those servers only."""
+
+    def test_listing_after_failed_overwrite_names_the_path(self, schedule):
+        system = CDStoreSystem(n=4, k=3, salt=b"org", **schedule)
+        client = system.client("alice", chunker=FixedChunker(4096))
+        client.upload("/f", data_of(20_000, "old"))
+        new = data_of(30_000, "new")
+        _failed_overwrite(system, client, "/f", new, stale={1})
+        assert client.list_files() == ["/f"]
+        assert client.download("/f") == new
+        system.close()
+
+    def test_listing_that_fails_on_one_cloud_uses_a_spare(self, schedule):
+        system = CDStoreSystem(n=4, k=3, salt=b"org", **schedule)
+        client = system.client("alice", chunker=FixedChunker(4096))
+        for path in ("/a", "/b"):
+            client.upload(path, data_of(10_000, path))
+        spare = system.servers[3]
+        listed = []
+        original = spare.list_files
+
+        def counting(user_id):
+            listed.append(user_id)
+            return original(user_id)
+
+        def broken(user_id):
+            raise CloudUnavailableError("listing lost")
+
+        spare.list_files = counting
+        system.servers[0].list_files = broken
+        assert client.list_files() == ["/a", "/b"]
+        assert listed == ["alice"]
+        # With two of four unable to list, no three can agree on anything.
+        system.servers[1].list_files = broken
+        with pytest.raises(CloudUnavailableError, match="listing lost"):
+            client.list_files()
+        system.close()
+
+    def test_listed_iff_a_direct_restore_resolves(self, schedule):
+        from repro.errors import ReproError
+
+        system = CDStoreSystem(n=4, k=3, salt=b"org", **schedule)
+        client = system.client("alice", chunker=FixedChunker(4096))
+        for path in ("/intact", "/stale", "/deleted-on-one"):
+            client.upload(path, data_of(20_000, path))
+        # Stale minority: the overwrite's finalize failed on cloud 1.
+        _failed_overwrite(system, client, "/stale", data_of(30_000, "new"), stale={1})
+        # Finalized on fewer than k: only clouds 0 and 1 hold the entry.
+        _failed_overwrite(system, client, "/partial", data_of(20_000), stale={2, 3})
+        # Deleted on one cloud only.
+        system.servers[2].delete_file("alice", client._lookup_key("/deleted-on-one"))
+
+        def resolves(path: str) -> bool:
+            try:
+                client.open_read(path, via="direct").close()
+            except ReproError:
+                return False
+            return True
+
+        paths = ["/intact", "/stale", "/partial", "/deleted-on-one"]
+        listed = client.list_files()
+        assert listed == ["/deleted-on-one", "/intact", "/stale"]
+        assert all((path in listed) == resolves(path) for path in paths)
+
+        # One failing cloud: it answers pings but every read raises.
+        def failing(*args, **kwargs):
+            raise CloudUnavailableError("cloud 0 failing")
+
+        for method in ("list_files", "get_file_entry", "get_recipe", "fetch_shares"):
+            setattr(system.servers[0], method, failing)
+        listed = client.list_files()
+        assert listed == ["/intact"]
+        assert all((path in listed) == resolves(path) for path in paths)
+        system.close()
+
+
+# ---------------------------------------------------------------------------
 # mid-restore failover to spare clouds
 # ---------------------------------------------------------------------------
 

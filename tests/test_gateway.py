@@ -11,6 +11,9 @@ the direct-quorum fallback).
 
 from __future__ import annotations
 
+import struct
+from collections import Counter
+
 import pytest
 
 from repro.chunking.fixed import FixedChunker
@@ -20,7 +23,6 @@ from repro.cloud.provider import CloudProvider
 from repro.errors import (
     AuthError,
     CloudUnavailableError,
-    IntegrityError,
     NotFoundError,
     ParameterError,
     ProtocolError,
@@ -326,10 +328,10 @@ class TestGatewayFallback:
             assert client.download("f") == data
 
     def test_stale_replica_falls_back_to_agreed_version(self):
-        """An overwrite whose finalize failed on one of the gateway's k
-        ring-preferred replicas leaves it stale: the gateway, which never
-        fails over, refuses to resolve, and ``download`` restores the
-        version the other three agree on through the direct quorum."""
+        """An overwrite whose finalize failed on the gateway's first
+        ring-preferred replica leaves it stale: the gateway resolves by the
+        restore's quorum, so it serves the version the other three agree
+        on itself instead of failing the restore into the direct path."""
         servers = make_servers(4)
         old, new = payload(20_000, seed=1), payload(30_000, seed=2)
         store(servers, "f", old)
@@ -345,9 +347,64 @@ class TestGatewayFallback:
             with pytest.raises(CloudUnavailableError):
                 store(servers, "f", new)
             del stale.finalize_file
-            with pytest.raises(IntegrityError, match="replicas disagree"):
-                client.open_read("f", via="gateway")
+            with client.open_read("f", via="gateway") as session:
+                assert session.plan.via == "gateway"
+                assert session.read() == new
             assert client.download("f") == new
+
+
+class TestGatewayQuorum:
+    """The gateway resolves by the restore's quorum and serves each window
+    from the first k replicas, in that window's ring order, that agree."""
+
+    @pytest.mark.parametrize(
+        "schedule", [{}, {"threads": 2, "pipeline_depth": 2}], ids=["inline", "pipelined"]
+    )
+    def test_stale_replica_preferred_for_a_window_is_never_served(self, schedule):
+        servers = make_servers(4)
+        old, new = payload(20_000, seed=1), payload(30_000, seed=2)
+        store(servers, "f", old)
+        with GatewayService(servers, k=3, window_bytes=8192) as service:
+            client = make_client(servers, gateway=service)
+            lookup_key = client._lookup_key("f")
+            stale_id = service.ring.preferred(lookup_key + struct.pack(">I", 1))[0]
+
+            def outage(*args, **kwargs):
+                raise CloudUnavailableError("finalize lost")
+
+            servers[stale_id].finalize_file = outage
+            with make_client(servers, **schedule) as writer:
+                with pytest.raises(CloudUnavailableError):
+                    writer.upload("f", new)
+                writer.flush()
+            del servers[stale_id].finalize_file
+
+            cache_keys, recipe_reads = [], Counter()
+            put = service.cache.put
+
+            def recording_put(key, shares):
+                cache_keys.append(key)
+                put(key, shares)
+
+            def counting(server):
+                get_recipe = server.get_recipe
+
+                def counted(*args):
+                    recipe_reads[server.server_id] += 1
+                    return get_recipe(*args)
+
+                return counted
+
+            service.cache.put = recording_put
+            for server in servers:
+                server.get_recipe = counting(server)
+            with client.open_read("f", via="gateway") as session:
+                assert session.plan.via == "gateway"
+                assert len(session.plan.windows) == 4
+                assert session.read() == new
+            assert {key[2] for key in cache_keys} == {0, 1, 2, 3}  # window indices
+            assert stale_id not in {key[3] for key in cache_keys}  # replica ids
+            assert set(recipe_reads.values()) == {1}  # once per cached resolution
 
 
 # ---------------------------------------------------------------------------
