@@ -16,7 +16,8 @@ Upload pipeline (Figure 4a):
    transfer (§4.6);
 5. **metadata offloading** — per-share metadata and the file manifest
    (with the pathname dispersed via Shamir sharing, §4.3) finalise the
-   upload on every server.
+   upload on every server; for a path backed up before, only the changed
+   secrets' metadata, as a delta against that version.
 
 Download reverses the pipeline from the first ``k`` reachable clouds that
 agree on the file entry (:func:`~repro.client.read.quorum`, the rule
@@ -27,16 +28,17 @@ clouds at window granularity and the §3.2 subset retry on integrity failure.
 
 from __future__ import annotations
 
+import secrets
 import threading
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from repro.analysis.annotations import guarded_by
 from repro.chunking.base import Chunker
 from repro.chunking.registry import ChunkerSpec, create_chunker
-from repro.client.comm import UPLOAD_BATCH_BYTES, CommEngine
+from repro.client.comm import UPLOAD_BATCH_BYTES, CloudUploader, CommEngine
 from repro.client.read import (
     FETCH_ERRORS,
     GATEWAY_FALLBACK_ERRORS,
@@ -54,15 +56,16 @@ from repro.errors import (
     IntegrityError,
     NotFoundError,
     ParameterError,
+    StaleBaseError,
 )
 from repro.lsm.cache import LRUCache
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import SpanRecorder, Tracer
-from repro.server.messages import FileManifest
+from repro.server.messages import TAG_SIZE, FileManifest
 from repro.server.server import CDStoreServer
 from repro.sharing.ssss import SSSS
 
-__all__ = ["CDStoreClient", "ChunkHistory", "UploadReceipt", "UPLOAD_BATCH_BYTES"]
+__all__ = ["CDStoreClient", "ChunkHistory", "UploadReceipt", "UPLOAD_BATCH_BYTES", "copied_runs"]
 
 # The first stage of every backup (docs/OBSERVABILITY.md): one observation
 # per file, beside the comm engine's per-window encode/upload histograms.
@@ -75,17 +78,48 @@ _CHUNK_BYTES = REGISTRY.counter(
     "Bytes of backed-up files whose chunks were found by hashing a previous "
     "version's chunk (reused) or by the cut scan (scanned)",
 )
+_FINALIZES = REGISTRY.counter(
+    "client_finalize_total",
+    "Per-cloud finalizes of an upload: a delta against the last version, "
+    "full, or full after the cloud did not hold that version (fallback)",
+)
+
+
+def copied_runs(base: list[bytes], keys: list[bytes]) -> list[tuple[int, int, int]]:
+    """The ``(seq, base_seq, count)`` runs a delta finalize copies, in
+    order: stretches where ``keys[seq + i] == base[base_seq + i]``, each
+    extended while the next keys match, no base chunk copied twice.  Equal
+    hash keys give equal convergent shares, so a copied secret's recipe
+    entry is the base's."""
+    first = {key: at for at, key in reversed(list(enumerate(base)))}
+    taken = bytearray(len(base))
+    runs: list[list[int]] = []
+    follow = -1  # the base chunk after the one the previous secret copied
+    for seq, key in enumerate(keys):
+        if 0 <= follow < len(base) and not taken[follow] and base[follow] == key:
+            at = follow
+            runs[-1][2] += 1
+        else:
+            at = first.get(key, -1)
+            if at < 0 or taken[at]:
+                follow = -1
+                continue
+            runs.append([seq, at, 1])
+        taken[at] = 1
+        follow = at + 1
+    return [(seq, at, count) for seq, at, count in runs]
 
 
 class ChunkHistory:
     """Bounded LRU map: path → how its last backup was cut.
 
     An entry is the chunk sizes (one ``array``) and their hash keys (one
-    ``bytes`` of 32-byte keys), with the chunker that cut them: a client's
-    next backup of the path resyncs from it (:meth:`~repro.chunking.base.
-    Chunker.resync`).  The bound counts chunks, not paths, so the history
-    holds at most ``capacity`` chunks (36 bytes each; a file of more is
-    not remembered).  In memory only.
+    ``bytes`` of 32-byte keys), with the chunker that cut them and the
+    version tag the backup finalized under: a client's next backup of the
+    path resyncs from it (:meth:`~repro.chunking.base.Chunker.resync`)
+    and finalizes as a delta against that version.  The bound counts
+    chunks, not paths, so the history holds at most ``capacity`` chunks
+    (36 bytes each; a file of more is not remembered).  In memory only.
     Thread-safe: concurrent uploads on one client each take and store an
     entry under one acquisition of a lock that guards nothing else.
     """
@@ -103,20 +137,22 @@ class ChunkHistory:
         with self._lock:
             return self._entries.size
 
-    def get(self, path: str, chunker: Chunker) -> tuple[array, list[bytes]] | None:
-        """The sizes and keys ``chunker`` cut ``path`` into last, or None."""
+    def get(self, path: str, chunker: Chunker) -> tuple[array, list[bytes], bytes] | None:
+        """The sizes and keys ``chunker`` cut ``path`` into last, and that
+        version's tag, or None."""
         with self._lock:
             entry = self._entries.get(path)
         if entry is None or entry[0] is not chunker:
             return None
-        _, sizes, keys = entry
-        return sizes, [keys[at : at + HASH_SIZE] for at in range(0, len(keys), HASH_SIZE)]
+        _, sizes, keys, tag = entry
+        return sizes, [keys[at : at + HASH_SIZE] for at in range(0, len(keys), HASH_SIZE)], tag
 
     def put(
-        self, path: str, chunker: Chunker, sizes: list[int], keys: list[bytes]
+        self, path: str, chunker: Chunker, sizes: list[int], keys: list[bytes], tag: bytes
     ) -> None:
-        """Remember how ``chunker`` cut ``path`` (evicting past capacity)."""
-        entry = (chunker, array("I", sizes), b"".join(keys))
+        """Remember how ``chunker`` cut ``path`` under version ``tag``
+        (evicting past capacity)."""
+        entry = (chunker, array("I", sizes), b"".join(keys), tag)
         with self._lock:
             if len(sizes) > self._entries.capacity:
                 self._entries.pop(path)
@@ -281,11 +317,18 @@ class CDStoreClient:
         """Back up ``data`` under ``path`` across all ``n`` clouds.
 
         Requires every cloud to be reachable (backups write to all ``n``;
-        restores are what tolerate failures).  An upload that raises is
-        not a backup: some clouds may hold the new file entry and others
-        the old one.  Retrying it with the same arguments finalizes it on
-        all ``n`` again (shares already stored are deduplicated), after
-        which every cloud holds the same entry.
+        restores are what tolerate failures).  A path this client backed
+        up before finalizes as a delta against that version: only the
+        secrets whose hash key changed are queried, uploaded and resolved,
+        and a cloud that does not hold that version (``StaleBaseError``)
+        is finalized in full instead.
+
+        An upload that raises is not a backup: some clouds may hold the
+        new file entry and others the old one.  Retrying it with the same
+        arguments finalizes it on all ``n`` again (shares already stored
+        are deduplicated), after which every cloud holds the same entry:
+        the retry draws a new version tag, and the clouds the failed
+        attempt did not finalize fall back to a full finalize.
         """
         with self.tracer.span("upload", root=True, path=path, bytes=len(data)):
             return self._upload(path, data)
@@ -304,49 +347,68 @@ class CDStoreClient:
                 reused = 0
             else:
                 chunks, keys, reused = self.chunker.resync(
-                    data, *last, self.dispersal.hash_keys
+                    data, last[0], last[1], self.dispersal.hash_keys
                 )
         _CHUNKING_SECONDS.observe(time.perf_counter() - clock)
         _CHUNK_BYTES.inc(reused, source="reused")
         _CHUNK_BYTES.inc(len(data) - reused, source="scanned")
 
-        results = self.comm.upload_file(self.user_id, self.dispersal, chunks, keys)
+        # Secrets whose key is the last version's are that version's
+        # recipe entries on every cloud holding it: they are neither
+        # queried nor uploaded, and finalize copies them.
+        tag = secrets.token_bytes(TAG_SIZE)
+        runs = tuple(copied_runs(last[1], keys)) if last else ()
+        copied = {seq for start, _, count in runs for seq in range(start, start + count)}
+        results = self.comm.upload_file(self.user_id, self.dispersal, chunks, keys, copied)
         if keyed:
-            self.history.put(path, self.chunker, [chunk.size for chunk in chunks], keys)
+            self.history.put(path, self.chunker, [chunk.size for chunk in chunks], keys, tag)
 
-        self.stats.logical_data += len(data)
-        self.stats.secrets_total += len(chunks)
-        transferred_total = 0
-        for result in results:
-            self.stats.logical_shares += sum(m.share_size for m in result.metas)
-            self.stats.shares_total += len(result.metas)
-            self.stats.shares_transferred += result.transferred
-            transferred_total += result.wire_bytes
-        self.stats.transferred_shares += transferred_total
-
-        # Metadata offloading: manifest + full share metadata (§4.3),
-        # finalised on every server concurrently.
+        # Metadata offloading: manifest + the uncopied secrets' share
+        # metadata (§4.3), finalised on every server concurrently.
         lookup_key = self._lookup_key(path)
         path_shares = self._path_sharer.split(path.encode("utf-8")).shares
-        manifests = {
-            server.server_id: FileManifest(
-                lookup_key=lookup_key,
-                path_share=path_shares[cloud_idx],
-                file_size=len(data),
-                secret_count=len(chunks),
+        slots = {server.server_id: idx for idx, server in enumerate(self.servers)}
+
+        def finalize(server: CDStoreServer) -> None:
+            idx = slots[server.server_id]
+            result = results[idx]
+            manifest = FileManifest(
+                lookup_key, path_shares[idx], len(data), len(chunks), tag=tag
             )
-            for cloud_idx, server in enumerate(self.servers)
-        }
-        metas_by_id = {
-            server.server_id: results[cloud_idx].metas
-            for cloud_idx, server in enumerate(self.servers)
-        }
-        self.comm.map_servers(
-            lambda server: server.finalize_file(
-                self.user_id, manifests[server.server_id], metas_by_id[server.server_id]
-            ),
-            self.servers,
-        )
+            mode = "full"
+            if runs:
+                try:
+                    server.finalize_file(
+                        self.user_id,
+                        replace(manifest, base=last[2], runs=runs),
+                        [meta for meta in result.metas if meta.secret_seq not in copied],
+                    )
+                    _FINALIZES.inc(mode="delta")
+                    return
+                except StaleBaseError:
+                    # This cloud does not hold the base version: send it
+                    # every share it lacks, then finalize in full.
+                    uploader = CloudUploader(server, idx, self.user_id, self.dispersal)
+                    for chunk, meta in zip(chunks, result.metas):
+                        uploader.queue(chunk, meta.fingerprint, meta.share_size)
+                    again = uploader.finish()
+                    result.wire_bytes += again.wire_bytes
+                    result.transferred += again.transferred
+                    result.batches += again.batches
+                    mode = "fallback"
+            server.finalize_file(self.user_id, manifest, result.metas)
+            _FINALIZES.inc(mode=mode)
+
+        try:
+            self.comm.map_servers(finalize, self.servers)
+        finally:
+            self.stats.logical_data += len(data)
+            self.stats.secrets_total += len(chunks)
+            for result in results:
+                self.stats.logical_shares += sum(m.share_size for m in result.metas)
+                self.stats.shares_total += len(result.metas)
+                self.stats.shares_transferred += result.transferred
+                self.stats.transferred_shares += result.wire_bytes
 
         return UploadReceipt(
             path=path,
@@ -355,7 +417,7 @@ class CDStoreClient:
             logical_share_bytes=sum(
                 meta.share_size for result in results for meta in result.metas
             ),
-            transferred_share_bytes=transferred_total,
+            transferred_share_bytes=sum(result.wire_bytes for result in results),
             wire_bytes_per_cloud=[result.wire_bytes for result in results],
             pipeline_depth=self.comm.pipeline_depth,
         )

@@ -162,6 +162,8 @@ class CloudUploader:
     With a ``dispersal``, :meth:`feed_encoded` also takes a share-cache hit:
     the fingerprint without the share, which is re-encoded (and checked
     against that fingerprint) only if this cloud's query reports it unknown.
+    A ``copied`` secret (a delta finalize copies its recipe entry) is
+    recorded in :attr:`result` but neither queried nor uploaded.
     """
 
     def __init__(
@@ -170,11 +172,13 @@ class CloudUploader:
         cloud_idx: int,
         user_id: str,
         dispersal: ConvergentDispersal | None = None,
+        copied: frozenset[int] | set[int] = frozenset(),
     ) -> None:
         self.server = server
         self.cloud_idx = cloud_idx
         self.user_id = user_id
         self.dispersal = dispersal
+        self.copied = copied
         self.result = CloudUploadResult()
         self._seen: set[bytes] = set()
         #: (meta, share or None for a cache hit, chunk) per queued secret.
@@ -264,7 +268,9 @@ class CloudUploader:
         self._window = []
         self._window_bytes = 0
 
-    def _queue(self, chunk: Chunk, fp: bytes, share_size: int, share: bytes | None) -> None:
+    def queue(self, chunk: Chunk, fp: bytes, share_size: int, share: bytes | None = None) -> None:
+        """Accept the next secret by its share's fingerprint and size; with
+        no ``share`` it is re-encoded only if this cloud lacks it."""
         meta = ShareMeta(
             fingerprint=fp,
             share_size=share_size,
@@ -272,6 +278,8 @@ class CloudUploader:
             secret_size=chunk.size,
         )
         self.result.metas.append(meta)
+        if chunk.seq in self.copied:
+            return
         self._window.append((meta, share, chunk))
         self._window_bytes += share_size
         if self._window_bytes >= UPLOAD_BATCH_BYTES:
@@ -279,7 +287,7 @@ class CloudUploader:
 
     def feed(self, chunk: Chunk, share: bytes) -> None:
         """Accept the share of the next secret in sequence order."""
-        self._queue(chunk, fingerprint(share, domain="client"), len(share), share)
+        self.queue(chunk, fingerprint(share, domain="client"), len(share), share)
 
     def feed_encoded(self, chunk: Chunk, encoded: ShareSet | bytes) -> None:
         """Accept the next secret as an encode slab delivers it: its
@@ -289,12 +297,7 @@ class CloudUploader:
             return
         assert self.dispersal is not None
         at = self.cloud_idx * HASH_SIZE
-        self._queue(
-            chunk,
-            encoded[at : at + HASH_SIZE],
-            self.dispersal.share_size(chunk.size),
-            None,
-        )
+        self.queue(chunk, encoded[at : at + HASH_SIZE], self.dispersal.share_size(chunk.size))
 
     def finish(self) -> CloudUploadResult:
         """Flush the tails and wait for every outstanding ack."""
@@ -556,14 +559,17 @@ class CommEngine:
         dispersal: ConvergentDispersal,
         chunks: list[Chunk],
         keys: list[bytes | None] | None = None,
+        copied: frozenset[int] | set[int] = frozenset(),
     ) -> list[CloudUploadResult]:
         """Pipeline one file's shares onto every cloud.
 
         Returns the per-cloud results (index ``i`` ↔ cloud ``i``).
         ``keys`` holds each chunk's hash key, or None where the encode
         slabs are to compute it and store it there (a dispersal with a
-        share cache only).  Once every cloud has its shares, the secrets'
-        fingerprints go into the dispersal's share cache.
+        share cache only).  The ``copied`` secrets are recorded but not
+        queried or uploaded (see :class:`CloudUploader`).  Once every
+        cloud has its shares, the secrets' fingerprints go into the
+        dispersal's share cache.
         """
         n = len(self.servers)
         if keys is None:
@@ -575,14 +581,14 @@ class CommEngine:
             task = _carry_context(self._upload_to_cloud)
             futures = [
                 self._cloud_workers[idx].submit(
-                    task, idx, user_id, dispersal, chunks, encoded
+                    task, idx, user_id, dispersal, chunks, encoded, copied
                 )
                 for idx in range(n)
             ]
             results = self._gather(futures)
         else:
             uploaders = [
-                CloudUploader(self.servers[idx], idx, user_id, dispersal)
+                CloudUploader(self.servers[idx], idx, user_id, dispersal, copied)
                 for idx in range(n)
             ]
             # Inline path: encode one slab at a time and feed every cloud's
@@ -608,6 +614,7 @@ class CommEngine:
         dispersal: ConvergentDispersal,
         chunks: list[Chunk],
         encoded: SlabbedShareSets,
+        copied: frozenset[int] | set[int],
     ) -> CloudUploadResult:
         """One cloud worker's upload: drain the slab stream into the wire.
 
@@ -617,7 +624,7 @@ class CommEngine:
         releases its memory and admits the next slab into the bounded
         pipeline window.
         """
-        uploader = CloudUploader(self.servers[cloud_idx], cloud_idx, user_id, dispersal)
+        uploader = CloudUploader(self.servers[cloud_idx], cloud_idx, user_id, dispersal, copied)
         with encoded.stream() as stream:
             for seq, entry in stream:
                 uploader.feed_encoded(chunks[seq], entry)

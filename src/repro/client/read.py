@@ -3,7 +3,7 @@
 Every reader agrees on a backup by one rule, :func:`quorum`: servers are
 described (:func:`describe`: file entry and recipe) in order — the first
 ``k``, then spares only while fewer than ``k`` agree — until ``k`` report
-the same ``(file_size, secret_count)``; a stale or failed minority is
+the same ``(file_size, secret_count, tag)``; a stale or failed minority is
 skipped like an outage.  Restore (:class:`DirectReadSession`), listing
 (:meth:`CDStoreClient.list_files`) and the gateway's resolution
 (:mod:`repro.gateway.service`) all call it, so a path is listed, and
@@ -46,7 +46,7 @@ from repro.errors import (
 )
 from repro.obs.registry import REGISTRY
 from repro.server.index import FileEntry
-from repro.server.messages import RecipeEntry
+from repro.server.messages import ZERO_TAG, RecipeEntry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.client.client import CDStoreClient
@@ -127,7 +127,7 @@ def quorum(
     """The first ``k`` of ``servers`` that agree on one file entry.
 
     The one agreement rule of every read: a server is usable when its
-    description reports the ``(file_size, secret_count)`` that ``k``
+    description reports the ``(file_size, secret_count, tag)`` that ``k``
     servers report (that of ``agree_with``, when a reader already
     resolved one).  The first ``k`` servers are described, the rest in
     order only while fewer than ``k`` agree, ``k`` minus the agreeing
@@ -155,17 +155,19 @@ def quorum(
             return [s for s in consulted if _shape(described[s]) == agreed], spares
         if not spares:
             if set(shapes) - {agreed}:
-                raise IntegrityError("no k servers agree on the file size and secret count")
+                raise IntegrityError("no k servers agree on the file's version")
             raise next(d for d in map(described.get, consulted) if isinstance(d, Exception))
         batch, spares = spares[: k - shapes[agreed]], spares[k - shapes[agreed] :]
 
 
-def _shape(description: tuple | Exception) -> tuple[int, int] | None:
-    """The ``(file_size, secret_count)`` a server reported; None if it
-    could not describe the file."""
+def _shape(description: tuple | Exception) -> tuple[int, int, bytes] | None:
+    """The ``(file_size, secret_count, tag)`` a server reported; None if
+    it could not describe the file.  The version tag tells apart two
+    uploads of one path that happen to share a size and secret count."""
     if isinstance(description, Exception):
         return None
-    return description[0].file_size, description[0].secret_count
+    entry = description[0]
+    return entry.file_size, entry.secret_count, entry.tag
 
 
 @dataclass(frozen=True)
@@ -188,6 +190,8 @@ class RestorePlan:
     windows: tuple[tuple[int, int], ...]
     #: Which path produced the plan: ``"direct"`` or ``"gateway"``.
     via: str
+    #: The agreed version tag (zero when the gateway resolved the plan).
+    tag: bytes = ZERO_TAG
 
 
 class ReadSession:
@@ -232,7 +236,7 @@ class DirectReadSession(ReadSession):
 
     The session owns the restore's quorum: a server is usable when its
     description (:func:`describe`, once per server) agrees with the
-    ``(file_size, secret_count)`` that ``k`` servers report.  That one
+    ``(file_size, secret_count, tag)`` that ``k`` servers report.  That one
     rule picks a server in all three places one is picked:
 
     * resolution, :func:`quorum` over ``servers`` — the reachable clouds
@@ -281,6 +285,7 @@ class DirectReadSession(ReadSession):
             secret_sizes=tuple(item.secret_size for item in recipe),
             windows=tuple(windows),
             via="direct",
+            tag=entry.tag,
         )
 
     @requires_lock("_lock")
@@ -290,7 +295,7 @@ class DirectReadSession(ReadSession):
         if server not in self._described:
             self._described[server] = self._describe(server)
         description = self._described[server]
-        if _shape(description) != (self.plan.file_size, self.plan.secret_count):
+        if _shape(description) != (self.plan.file_size, self.plan.secret_count, self.plan.tag):
             return None
         return description
 

@@ -33,6 +33,7 @@ __all__ = [
     "QuotaExceededError",
     "RecoveryInProgressError",
     "ServerOverloadedError",
+    "StaleBaseError",
     "WIRE_ERROR_CODES",
     "wire_code_for",
 ]
@@ -142,6 +143,16 @@ class ServerOverloadedError(CloudUnavailableError):
     wire_code = 16
 
 
+class StaleBaseError(ReproError):
+    """A delta finalize named a base version the path's entry is not.
+
+    The client finalizes that cloud in full instead: its entry is stale,
+    missing, or its recipe unreadable, so copying from it would be wrong.
+    """
+
+    wire_code = 17
+
+
 #: Decode registry: wire code -> most-specific exception class.  Built
 #: from the classes above; codes 1..9 predate this registry (they were
 #: positional indices in net/wire.py) and are frozen at those values.
@@ -164,6 +175,7 @@ WIRE_ERROR_CODES: dict[int, type[ReproError]] = {
         QuotaExceededError,
         RecoveryInProgressError,
         ServerOverloadedError,
+        StaleBaseError,
     ]
 }
 

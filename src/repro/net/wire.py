@@ -97,9 +97,10 @@ __all__ = [
 
 #: The one protocol revision this build speaks (version 1, a serial
 #: framing without the ``u32 request_id`` word, and version 2, whose
-#: ``T_GET_RECIPE`` carried a trailing bool, are retired).  Both
-#: handshake frames carry it and each side checks the other's.
-WIRE_VERSION = 3
+#: ``T_GET_RECIPE`` carried a trailing bool, and version 3, whose
+#: manifests carried no version tags, are retired).  Both handshake
+#: frames carry it and each side checks the other's.
+WIRE_VERSION = 4
 
 _FRAME_MAGIC = 0xCD5E
 #: Frame header: magic | frame type | request id | payload length.

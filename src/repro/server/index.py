@@ -26,6 +26,7 @@ from typing import Iterator
 from repro.analysis.annotations import EXTERNAL, guarded_by
 from repro.errors import ProtocolError
 from repro.lsm.db import LSMStore, prefix_upper_bound
+from repro.server.messages import TAG_SIZE, ZERO_TAG
 from repro.storage.container import ContainerRef
 
 __all__ = [
@@ -261,12 +262,15 @@ class ShareEntry:
 
 @dataclass
 class FileEntry:
-    """File-index entry: a reference to the file recipe (§4.4)."""
+    """File-index entry: a reference to the file recipe (§4.4), and the
+    version tag of the upload that wrote it (trailing, only when nonzero,
+    so an entry written before tags decodes with tag zero)."""
 
     recipe_ref: ContainerRef
     path_share: bytes
     file_size: int
     secret_count: int
+    tag: bytes = ZERO_TAG
 
     def pack(self) -> bytes:
         ref_blob = self.recipe_ref.pack()
@@ -276,6 +280,7 @@ class FileEntry:
             + struct.pack(">I", len(self.path_share))
             + self.path_share
             + struct.pack(">QQ", self.file_size, self.secret_count)
+            + (self.tag if self.tag != ZERO_TAG else b"")
         )
 
     @classmethod
@@ -294,6 +299,7 @@ class FileEntry:
             file_size, secret_count = struct.unpack_from(">QQ", blob, pos)
         except (struct.error, StorageError) as exc:
             raise ProtocolError(f"bad FileEntry: {exc}") from exc
-        if pos + 16 != len(blob):
+        tag = blob[pos + 16 :] or ZERO_TAG
+        if len(tag) != TAG_SIZE:
             raise ProtocolError(f"{len(blob) - pos - 16} trailing bytes after FileEntry")
-        return cls(ref, path_share, file_size, secret_count)
+        return cls(ref, path_share, file_size, secret_count, tag)

@@ -12,9 +12,16 @@ from dataclasses import dataclass
 
 from repro.errors import ProtocolError
 
-__all__ = ["ShareMeta", "ShareUpload", "RecipeEntry", "FileManifest"]
+__all__ = ["ShareMeta", "ShareUpload", "RecipeEntry", "FileManifest", "TAG_SIZE", "ZERO_TAG"]
 
 _FP_SIZE = 32
+
+#: Bytes of a version tag: drawn at random per upload, stored in the file
+#: entry, named as the ``base`` of the next upload's delta finalize.
+TAG_SIZE = 16
+#: The tag of a file entry written before tags existed, and "no base".
+ZERO_TAG = bytes(TAG_SIZE)
+_RUN = struct.Struct(">QQQ")
 
 
 @dataclass(frozen=True)
@@ -96,21 +103,38 @@ class FileManifest:
     pathname (sensitive metadata is dispersed, not replicated); ``lookup_key``
     is the hash of (user, pathname) that keys the file index; ``file_size``
     and ``secret_count`` are non-sensitive and replicated.
+
+    ``tag`` names this version of the path.  A delta finalize also names
+    the ``base`` version it was cut against and the ``runs`` it copies
+    from it: ``(seq, base_seq, count)`` says secrets ``seq ..`` equal the
+    base's secrets ``base_seq ..``, so their recipe entries are the
+    base recipe's.  The three trail the packed fields, written only when
+    they differ from their defaults (no tag, no base, no runs).
     """
 
     lookup_key: bytes
     path_share: bytes
     file_size: int
     secret_count: int
+    tag: bytes = ZERO_TAG
+    base: bytes = ZERO_TAG
+    runs: tuple[tuple[int, int, int], ...] = ()
 
     def pack(self) -> bytes:
-        return (
+        out = (
             struct.pack(">I", len(self.lookup_key))
             + self.lookup_key
             + struct.pack(">I", len(self.path_share))
             + self.path_share
             + struct.pack(">QQ", self.file_size, self.secret_count)
         )
+        if len(self.tag) != TAG_SIZE or len(self.base) != TAG_SIZE:
+            raise ProtocolError(f"version tags must be {TAG_SIZE} bytes")
+        if self.base != ZERO_TAG or self.runs:
+            return out + self.tag + self.base + struct.pack(">I", len(self.runs)) + b"".join(
+                _RUN.pack(*run) for run in self.runs
+            )
+        return out + self.tag if self.tag != ZERO_TAG else out
 
     @classmethod
     def unpack(cls, blob: bytes) -> "FileManifest":
@@ -125,6 +149,17 @@ class FileManifest:
             file_size, count = struct.unpack_from(">QQ", blob, pos)
         except struct.error as exc:
             raise ProtocolError(f"bad FileManifest: {exc}") from exc
-        if pos + 16 != len(blob):
-            raise ProtocolError(f"{len(blob) - pos - 16} trailing bytes after FileManifest")
-        return cls(key, share, file_size, count)
+        pos += 16
+        tag = base = ZERO_TAG
+        runs: tuple = ()
+        if len(blob) - pos >= TAG_SIZE:
+            tag, pos = blob[pos : pos + TAG_SIZE], pos + TAG_SIZE
+        if len(blob) - pos >= TAG_SIZE + 4:
+            (run_count,) = struct.unpack_from(">I", blob, pos + TAG_SIZE)
+            body = blob[pos + TAG_SIZE + 4 :]
+            if len(body) == run_count * _RUN.size:
+                base, runs = blob[pos : pos + TAG_SIZE], tuple(_RUN.iter_unpack(body))
+                pos = len(blob)
+        if pos != len(blob):
+            raise ProtocolError(f"{len(blob) - pos} trailing bytes after FileManifest")
+        return cls(key, share, file_size, count, tag, base, runs)

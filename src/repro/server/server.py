@@ -45,6 +45,7 @@ from repro.errors import (
     ProtocolError,
     QuotaExceededError,
     ReproError,
+    StaleBaseError,
     StorageError,
 )
 from repro.server.index import (
@@ -59,7 +60,7 @@ from repro.server.index import (
     ShareEntry,
 )
 from repro.obs.registry import REGISTRY
-from repro.server.messages import FileManifest, RecipeEntry, ShareMeta, ShareUpload
+from repro.server.messages import ZERO_TAG, FileManifest, RecipeEntry, ShareMeta, ShareUpload
 from repro.storage.container import (
     KIND_RECIPE,
     KIND_SHARE,
@@ -118,6 +119,19 @@ _RECOVERY_REPAIRS = REGISTRY.counter(
 
 #: The lock file a durable server holds in its ``durable_root``.
 LOCK_FILE_NAME = "LOCK"
+
+
+def _gaps(spans, limit: int):
+    """The positions below ``limit`` that ``spans`` leave out, as one
+    ``range`` before each ``(start, count)`` span and one after the last.
+    The spans must be non-empty, in order, disjoint and below ``limit``."""
+    end = 0
+    for start, count in spans:
+        if count < 1 or start < end or start + count > limit:
+            raise ProtocolError("copied runs must be non-empty, ordered, disjoint and in range")
+        yield range(end, start)
+        end = start + count
+    yield range(end, limit)
 
 
 def _lock_durable_root(durable_root: Path) -> int:
@@ -514,10 +528,15 @@ class CDStoreServer:
     ) -> None:
         """Build and store the file recipe; update indices and refcounts.
 
-        ``share_metas`` covers *every* secret of the file in sequence
-        order, including intra-user duplicates the client never uploaded;
-        the server resolves each client fingerprint through the intra-user
-        index.
+        ``share_metas`` covers every secret of the file the manifest's
+        copied ``runs`` do not, in sequence order, including intra-user
+        duplicates the client never uploaded; the server resolves each
+        client fingerprint through the intra-user index.  A run's entries
+        are spliced from the recipe being replaced, which must be the
+        manifest's ``base`` version (else :class:`StaleBaseError`, before
+        anything is written): that recipe already holds this tenant's
+        references to them, so they cost no index read.  A manifest
+        without runs is a full finalize.
 
         Overwriting an existing path releases the old recipe's per-user
         references — without this, re-uploading a path leaks refcounts and
@@ -525,42 +544,59 @@ class CDStoreServer:
         validated, and the new recipe appended, before the first index
         mutation: releasing the old references while the old file entry
         survives a failure would let GC reap shares that file still names.
-        Then each share's refcount changes by its net delta (references in
-        the new recipe minus those in the old): only shares whose delta is
-        non-zero are written, and the tenant is charged once.  An
-        incremental backup of a mostly unchanged file therefore rewrites
-        only the shares that changed.
+        Then each share's refcount changes by its net delta (the resolved
+        metas minus the old entries no run copies): only shares whose
+        delta is non-zero are written, and the tenant is charged once.
         """
         self.cloud.check_available()
         started = time.perf_counter()
-        if len(share_metas) != manifest.secret_count:
+        runs = manifest.runs
+        copied = sum(count for _, _, count in runs)
+        if len(share_metas) + copied != manifest.secret_count:
             # Readers size the recipe from the file entry's secret count.
             raise ProtocolError(
                 f"manifest names {manifest.secret_count} secrets, "
-                f"{len(share_metas)} share metas were sent"
+                f"{len(share_metas)} share metas were sent and {copied} copied"
             )
+        if runs and manifest.base == ZERO_TAG:
+            raise ProtocolError("copied runs need a base version")
         file_key = self._file_key(user_id, manifest.lookup_key)
         old_blob = self.index.get(file_key)
-        drops: Counter = Counter()
+        base: bytes | None = b""  # the packed recipe being replaced
+        old_tag = None
         if old_blob is not None:
             try:
-                drops = Counter(self._recipe_fingerprints(FileEntry.unpack(old_blob)))
+                old = FileEntry.unpack(old_blob)
+                old_tag, base = old.tag, self._recipe_blob(old)
             except ReproError:
                 # Unreadable old recipe (corrupt container): nothing left
                 # to release; the overwrite below drops the stale entry.
-                pass
-        resolved: list[bytes] = []
-        secret_sizes: list[int] = []
-        for meta in sorted(share_metas, key=lambda m: m.secret_seq):
-            server_fp = self.index.get(self._intra_key(user_id, meta.fingerprint))
-            if server_fp is None:
-                raise ProtocolError(
-                    f"share for secret {meta.secret_seq} was never uploaded "
-                    f"by user {user_id!r}"
-                )
-            resolved.append(server_fp)
-            secret_sizes.append(meta.secret_size)
-        adds = Counter(resolved)
+                base = None
+        if manifest.base != ZERO_TAG and (base is None or old_tag != manifest.base):
+            raise StaleBaseError(f"server {self.server_id} does not hold the base version")
+        width = _RECIPE_ENTRY.size
+        base = base or b""
+        drops: Counter = Counter()
+        for gap in _gaps(sorted((at, count) for _, at, count in runs), len(base) // width):
+            drops.update(base[at * width : at * width + HASH_SIZE] for at in gap)
+        metas = iter(sorted(share_metas, key=lambda m: m.secret_seq))
+        parts: list[bytes] = []
+        adds: Counter = Counter()
+        gaps = list(_gaps([(seq, count) for seq, _, count in runs], manifest.secret_count))
+        for gap, run in zip(gaps, (*runs, None)):
+            for seq in gap:
+                meta = next(metas)
+                if meta.secret_seq != seq:
+                    raise ProtocolError(f"secret {seq} is neither copied nor sent")
+                server_fp = self.index.get(self._intra_key(user_id, meta.fingerprint))
+                if server_fp is None:
+                    raise ProtocolError(
+                        f"share for secret {seq} was never uploaded by user {user_id!r}"
+                    )
+                adds[server_fp] += 1
+                parts.append(_RECIPE_ENTRY.pack(server_fp, meta.secret_size))
+            if run is not None:
+                parts.append(base[run[1] * width : (run[1] + run[2]) * width])
         # Only a share whose reference count moves is decoded (to be
         # written back); for the rest — most of an incremental backup —
         # its size and this tenant's count are all finalize reads.
@@ -590,7 +626,7 @@ class CDStoreServer:
                     f"quota is {quota.max_bytes}"
                 )
         resolved_at = time.perf_counter()
-        recipe_blob = b"".join(map(_RECIPE_ENTRY.pack, resolved, secret_sizes))
+        recipe_blob = b"".join(parts)
         if self.recipe_compression:
             recipe_blob = compress_recipe(recipe_blob)
         # The append is the last call that can fail (journal record, a
@@ -616,6 +652,7 @@ class CDStoreServer:
             path_share=manifest.path_share,
             file_size=manifest.file_size,
             secret_count=manifest.secret_count,
+            tag=manifest.tag,
         )
         self.index.put(file_key, file_entry.pack())
         released_at = time.perf_counter()
@@ -726,12 +763,6 @@ class CDStoreServer:
                 self._recipe_blob(entry)
             )
         ]
-
-    def _recipe_fingerprints(self, entry: FileEntry) -> list[bytes]:
-        """The share fingerprints of a recipe, in secret order."""
-        blob = self._recipe_blob(entry)
-        size = _RECIPE_ENTRY.size
-        return [blob[pos : pos + HASH_SIZE] for pos in range(0, len(blob), size)]
 
     def fetch_shares(
         self, fingerprints: list[bytes], owner: str | None = None

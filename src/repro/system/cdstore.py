@@ -411,7 +411,9 @@ class CDStoreSystem:
                 session.path_shares(), index + 1
             )
             plan = session.plan
-            manifest = FileManifest(lookup_key, path_share, plan.file_size, plan.secret_count)
+            manifest = FileManifest(
+                lookup_key, path_share, plan.file_size, plan.secret_count, tag=plan.tag
+            )
             target.finalize_file(user, manifest, result.metas)
             rebuilt += result.transferred
         target.flush()

@@ -312,6 +312,20 @@ class TestListingQuorum:
         assert client.download("/f") == new
         system.close()
 
+    def test_listing_after_same_shape_failed_overwrite_names_the_path(self, schedule):
+        """Cloud 0 keeps a version of the new one's size and secret count:
+        its version tag, not its shape, marks it stale, so the listing
+        never combines its pathname share with the others'."""
+        for seed in range(20):
+            system = CDStoreSystem(n=4, k=3, salt=b"org", **schedule)
+            client = system.client("alice", chunker=FixedChunker(4096))
+            client.upload("/f", data_of(20_000, f"old{seed}"))
+            new = data_of(20_000, f"new{seed}")
+            _failed_overwrite(system, client, "/f", new, stale={0})
+            assert client.list_files() == ["/f"], seed
+            assert client.download("/f") == new
+            system.close()
+
     def test_listing_that_fails_on_one_cloud_uses_a_spare(self, schedule):
         system = CDStoreSystem(n=4, k=3, salt=b"org", **schedule)
         client = system.client("alice", chunker=FixedChunker(4096))

@@ -368,16 +368,7 @@ class TestGatewayQuorum:
             client = make_client(servers, gateway=service)
             lookup_key = client._lookup_key("f")
             stale_id = service.ring.preferred(lookup_key + struct.pack(">I", 1))[0]
-
-            def outage(*args, **kwargs):
-                raise CloudUnavailableError("finalize lost")
-
-            servers[stale_id].finalize_file = outage
-            with make_client(servers, **schedule) as writer:
-                with pytest.raises(CloudUnavailableError):
-                    writer.upload("f", new)
-                writer.flush()
-            del servers[stale_id].finalize_file
+            self._overwrite_failing_on(servers, stale_id, new, schedule)
 
             cache_keys, recipe_reads = [], Counter()
             put = service.cache.put
@@ -405,6 +396,54 @@ class TestGatewayQuorum:
             assert {key[2] for key in cache_keys} == {0, 1, 2, 3}  # window indices
             assert stale_id not in {key[3] for key in cache_keys}  # replica ids
             assert set(recipe_reads.values()) == {1}  # once per cached resolution
+
+    @staticmethod
+    def _overwrite_failing_on(servers, stale_id: int, data: bytes, schedule) -> None:
+        """Overwrite ``f`` with ``data`` while ``stale_id``'s finalize raises."""
+
+        def outage(*args, **kwargs):
+            raise CloudUnavailableError("finalize lost")
+
+        servers[stale_id].finalize_file = outage
+        with make_client(servers, **schedule) as writer:
+            with pytest.raises(CloudUnavailableError):
+                writer.upload("f", data)
+            writer.flush()
+        del servers[stale_id].finalize_file
+
+    @pytest.mark.parametrize(
+        "schedule", [{}, {"threads": 2, "pipeline_depth": 2}], ids=["inline", "pipelined"]
+    )
+    def test_same_shape_stale_replica_is_never_served(self, schedule):
+        """A stale replica whose entry has the new version's size and secret
+        count differs in its version tag: preferred for a window, it is
+        skipped there, and every window comes from agreeing replicas."""
+        servers = make_servers(4)
+        old, new = payload(20_000, seed=1), payload(20_000, seed=2)
+        store(servers, "f", old)
+        with GatewayService(servers, k=3, window_bytes=8192) as service:
+            client = make_client(servers, gateway=service)
+            lookup_key = client._lookup_key("f")
+            stale_id = service.ring.preferred(lookup_key + struct.pack(">I", 1))[0]
+            self._overwrite_failing_on(servers, stale_id, new, schedule)
+            stale = servers[stale_id].get_file_entry("alice", lookup_key)
+            assert (stale.file_size, stale.secret_count) == (len(new), 5)
+
+            cache_keys = []
+            put = service.cache.put
+
+            def recording_put(key, shares):
+                cache_keys.append(key)
+                put(key, shares)
+
+            service.cache.put = recording_put
+            with client.open_read("f", via="gateway") as session:
+                assert session.plan.via == "gateway"
+                assert session.read() == new
+                windows = len(session.plan.windows)
+            assert windows > 1
+            assert {key[2] for key in cache_keys} == set(range(windows))
+            assert stale_id not in {key[3] for key in cache_keys}
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,31 @@ class TestCrossTransportIdentity:
         # The connection survives a typed error: the next call works.
         assert proxies[0].ping()
 
+    def test_delta_finalize_and_its_fallback_over_sockets(self, served):
+        """A delta manifest crosses the wire, and so does the typed
+        ``StaleBaseError`` a cloud answers when it does not hold the base."""
+        from repro.obs.registry import REGISTRY
+
+        _servers, _tcps, proxies = served
+        counter = REGISTRY.counter("client_finalize_total")
+
+        def finalizes():
+            return [counter.value(mode=mode) for mode in ("delta", "full", "fallback")]
+
+        first, second = make_client(proxies), make_client(proxies)
+        v1 = payload(80_000, seed=1)
+        v2 = v1[:30_000] + payload(4096, seed=2) + v1[34_096:]
+        v3, v4 = payload(80_000, seed=3), v2[:40_000] + payload(100, seed=4) + v2[40_100:]
+        first.upload("f", v1)
+        before = finalizes()
+        first.upload("f", v2)  # a delta on every cloud
+        second.upload("f", v3)  # no history on this client: full
+        first.upload("f", v4)  # its base is v2's version: stale everywhere
+        assert [now - then for now, then in zip(finalizes(), before)] == [4, 4, 4]
+        assert second.download("f") == v4
+        first.close()
+        second.close()
+
     def test_streaming_pipeline_over_sockets(self, served):
         """The comm engine's streaming upload/restore stages (per-cloud
         workers, bounded windows) run unchanged over the proxies."""

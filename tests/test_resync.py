@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -258,7 +259,12 @@ class TestClientHistory:
         system.close()
 
     @pytest.mark.parametrize("schedule", [(1, 1), (3, 2)])
-    def test_servers_see_the_same_traffic_with_and_without_history(self, schedule):
+    def test_history_changes_queries_not_uploads(self, schedule):
+        """History makes a backup finalize as a delta: the secrets it
+        copies from the last version are not queried again.  Every cloud
+        still receives the same uploads, byte for byte and batch for
+        batch, and is queried for a strict sub-multiset of what it is
+        queried for without history."""
         threads, depth = schedule
         logs = []
         for keep_history in (False, True):
@@ -287,20 +293,29 @@ class TestClientHistory:
             assert client.download("/f") == data
             logs.append(sorted(log, key=lambda entry: entry[0]))
             system.close()
-        assert logs[0] == logs[1]
+        uploads = [[entry for entry in log if entry[1] == "upload"] for log in logs]
+        assert uploads[0] == uploads[1]
+        for idx in range(4):
+            without, with_history = (
+                Counter(
+                    fp for cloud, kind, fps in log if (cloud, kind) == (idx, "query") for fp in fps
+                )
+                for log in logs
+            )
+            assert with_history < without
 
     def test_history_stays_bounded(self):
         history = ChunkHistory(capacity=100)
         chunker = create_chunker("rabin")
         key = bytes(32)
         for i in range(20):
-            history.put(f"/f{i}", chunker, [8192] * 30, [key] * 30)
+            history.put(f"/f{i}", chunker, [8192] * 30, [key] * 30, b"t" * 16)
             assert history.chunks <= 100
         assert history.get("/f19", chunker) is not None
         assert history.get("/f0", chunker) is None
         # A file of more chunks than the bound is not remembered, and
         # forgets that path's older entry instead of evicting the rest.
-        history.put("/f19", chunker, [1] * 101, [key] * 101)
+        history.put("/f19", chunker, [1] * 101, [key] * 101, b"t" * 16)
         assert history.get("/f19", chunker) is None
         assert history.get("/f18", chunker) is not None
         # An entry cut by another chunker is no history for this one.

@@ -30,13 +30,14 @@ from repro.errors import (
     NotFoundError,
     ProtocolError,
     ReproError,
+    StaleBaseError,
     StorageError,
 )
 from repro.net import CDStoreTCPServer, RemoteServerProxy, wire
 from repro.net.dispatch import ConnState, FrameDispatcher
 from repro.obs.registry import REGISTRY
 from repro.server.index import FileEntry
-from repro.server.messages import FileManifest, RecipeEntry, ShareMeta
+from repro.server.messages import ZERO_TAG, FileManifest, RecipeEntry, ShareMeta
 from repro.server.protocol import CDStoreServerAPI
 from repro.server.server import CDStoreServer
 from repro.storage.container import ContainerRef
@@ -66,8 +67,18 @@ share_metas = st.builds(
     st.integers(0, 2**32 - 1),
 )
 recipe_entries = st.builds(RecipeEntry, fingerprints, st.integers(0, 2**32 - 1))
+#: Version tags: zero (an entry written before tags) or drawn.
+tags = st.one_of(st.just(ZERO_TAG), st.binary(min_size=16, max_size=16))
+runs = st.lists(st.tuples(*[st.integers(0, 2**64 - 1)] * 3), max_size=4).map(tuple)
 file_manifests = st.builds(
-    FileManifest, small_bytes, small_bytes, st.integers(0, 2**50), st.integers(0, 2**40)
+    FileManifest,
+    small_bytes,
+    small_bytes,
+    st.integers(0, 2**50),
+    st.integers(0, 2**40),
+    tags,
+    tags,
+    runs,
 )
 file_entries = st.builds(
     FileEntry,
@@ -79,6 +90,7 @@ file_entries = st.builds(
     small_bytes,
     st.integers(0, 2**50),
     st.integers(0, 2**40),
+    tags,
 )
 snapshots = st.fixed_dictionaries(
     {"version": st.integers(0, 9)},
@@ -88,6 +100,11 @@ snapshots = st.fixed_dictionaries(
 FP, FP2 = bytes(range(32)), bytes(range(32, 64))
 ENTRY = FileEntry(ContainerRef("container-0000000001", 2), b"path-share", 6, 7)
 ENTRY2 = FileEntry(ContainerRef("container-0000000002", 3), b"", 8, 9)
+#: The second examples of the two records that carry version fields.  No
+#: frame's golden payload holds them (neither kind travels in a list),
+#: so they get golden bytes of their own (:func:`test_golden_version_fields`).
+TAGGED_ENTRY = FileEntry(ContainerRef("container-0000000003", 4), b"p", 8, 9, FP2[:16])
+DELTA_MANIFEST = FileManifest(b"", b"", 8, 9, FP[:16], FP2[:16], ((0, 1, 2), (5, 7, 1)))
 
 #: spec token -> (strategy, example, second example for list elements).
 KINDS = {
@@ -108,9 +125,9 @@ KINDS = {
     "sized(FileManifest)": (
         file_manifests,
         FileManifest(b"lookup-key", b"path-share", 6, 7),
-        FileManifest(b"", b"", 8, 9),
+        DELTA_MANIFEST,
     ),
-    "FileEntry": (file_entries, ENTRY, ENTRY2),
+    "FileEntry": (file_entries, ENTRY, TAGGED_ENTRY),
     "sized(FileEntry)": (file_entries, ENTRY, ENTRY2),
     wire.dedup_stats.doc: (
         st.builds(DedupStats, *[st.integers(0, 2**40)] * 8),
@@ -252,6 +269,22 @@ def test_golden_bytes(row):
     assert row.decode(bytes.fromhex(GOLDEN[row.name])) == example_fields(row)
 
 
+def test_golden_version_fields():
+    """The tag, base and runs trail each record's version-3 layout."""
+    assert TAGGED_ENTRY.pack().hex() == (
+        "001a001400000004636f6e7461696e65722d303030303030303030330000000170"
+        "00000000000000080000000000000009202122232425262728292a2b2c2d2e2f"
+    )
+    assert DELTA_MANIFEST.pack().hex() == (
+        "0000000000000000000000000000000800000000000000090001020304050607"
+        "08090a0b0c0d0e0f202122232425262728292a2b2c2d2e2f0000000200000000"
+        "0000000000000000000000010000000000000002000000000000000500000000"
+        "000000070000000000000001"
+    )
+    assert FileEntry.unpack(TAGGED_ENTRY.pack()) == TAGGED_ENTRY
+    assert FileManifest.unpack(DELTA_MANIFEST.pack()) == DELTA_MANIFEST
+
+
 # ---------------------------------------------------------------------------
 # typed error frames
 # ---------------------------------------------------------------------------
@@ -260,7 +293,7 @@ def test_golden_bytes(row):
 class TestErrorFrames:
     @pytest.mark.parametrize("exc_type", [
         CloudUnavailableError, NotFoundError, StorageError, ProtocolError,
-        IntegrityError, ReproError,
+        IntegrityError, ReproError, StaleBaseError,
     ])
     def test_exception_class_round_trips(self, exc_type):
         rebuilt = wire.decode_error(wire.encode_error(exc_type("boom 42")))
