@@ -7,7 +7,8 @@ Upload pipeline (Figure 4a):
    resync` from its last version's cut points (:class:`ChunkHistory`),
    which scans only the bytes around what changed;
 2. **coding module** — CAONT-RS encoding of each secret into ``n`` shares,
-   parallelisable across secrets with a thread pool (§4.6);
+   parallelisable across secrets with a thread pool (§4.6); a secret the
+   path's last version holds at its place is copied, not encoded (step 5);
 3. **intra-user deduplication** — fingerprint queries per cloud; only
    shares this user never uploaded travel further (§3.3 stage 1);
 4. **comm module** — unique shares batched per cloud (4 MB units, §4.1)
@@ -17,7 +18,8 @@ Upload pipeline (Figure 4a):
 5. **metadata offloading** — per-share metadata and the file manifest
    (with the pathname dispersed via Shamir sharing, §4.3) finalise the
    upload on every server; for a path backed up before, only the changed
-   secrets' metadata, as a delta against that version.
+   secrets' metadata, as a delta against that version whose unchanged
+   recipe entries each server copies.
 
 Download reverses the pipeline from the first ``k`` reachable clouds that
 agree on the file entry (:func:`~repro.client.read.quorum`, the rule
@@ -47,7 +49,7 @@ from repro.client.read import (
     ReadSession,
     quorum,
 )
-from repro.core.convergent import SHARE_CACHE_ENTRIES, ConvergentDispersal
+from repro.core.convergent import ConvergentDispersal
 from repro.crypto.hashing import HASH_SIZE, sha256
 from repro.dedup.stats import DedupStats
 from repro.errors import (
@@ -65,7 +67,18 @@ from repro.server.messages import TAG_SIZE, FileManifest
 from repro.server.server import CDStoreServer
 from repro.sharing.ssss import SSSS
 
-__all__ = ["CDStoreClient", "ChunkHistory", "UploadReceipt", "UPLOAD_BATCH_BYTES", "copied_runs"]
+__all__ = [
+    "CDStoreClient",
+    "ChunkHistory",
+    "HISTORY_CHUNKS",
+    "UploadReceipt",
+    "UPLOAD_BATCH_BYTES",
+    "copied_runs",
+]
+
+#: Chunks a client's :class:`ChunkHistory` remembers over every path
+#: (~2.4 MB, covering 512 MiB of 8 KB-average chunks).
+HISTORY_CHUNKS = 1 << 16
 
 # The first stage of every backup (docs/OBSERVABILITY.md): one observation
 # per file, beside the comm engine's per-window encode/upload histograms.
@@ -127,7 +140,7 @@ class ChunkHistory:
     #: Lock discipline (``repro analyze``, LOCK-001).
     GUARDED_BY = guarded_by(_entries="_lock")
 
-    def __init__(self, capacity: int = SHARE_CACHE_ENTRIES) -> None:
+    def __init__(self, capacity: int = HISTORY_CHUNKS) -> None:
         self._entries = LRUCache(capacity, size_of=lambda entry: len(entry[1]))
         self._lock = threading.Lock()
 
@@ -338,7 +351,7 @@ class CDStoreClient:
         clock = time.perf_counter()
         spec = self.chunker.spec() or type(self.chunker).__name__
         segments = self.chunker.segments(len(data))
-        keyed = self.dispersal.share_cache is not None
+        keyed = self.dispersal.has_hash_keys
         last = self.history.get(path, self.chunker) if keyed else None
         with self.tracer.span("chunk", bytes=len(data), chunker=str(spec), segments=segments):
             if last is None:
@@ -355,16 +368,20 @@ class CDStoreClient:
 
         # Secrets whose key is the last version's are that version's
         # recipe entries on every cloud holding it: they are neither
-        # queried nor uploaded, and finalize copies them.
+        # encoded, queried nor uploaded, and finalize copies them.
         tag = secrets.token_bytes(TAG_SIZE)
         runs = tuple(copied_runs(last[1], keys)) if last else ()
         copied = {seq for start, _, count in runs for seq in range(start, start + count)}
-        results = self.comm.upload_file(self.user_id, self.dispersal, chunks, keys, copied)
+        sent = [chunk for chunk in chunks if chunk.seq not in copied]
+        sent_keys = [keys[chunk.seq] for chunk in sent]
+        results = self.comm.upload_file(self.user_id, self.dispersal, sent, sent_keys)
         if keyed:
+            for chunk, key in zip(sent, sent_keys):
+                keys[chunk.seq] = key
             self.history.put(path, self.chunker, [chunk.size for chunk in chunks], keys, tag)
 
-        # Metadata offloading: manifest + the uncopied secrets' share
-        # metadata (§4.3), finalised on every server concurrently.
+        # Metadata offloading: manifest + the sent secrets' share metadata
+        # (§4.3), finalised on every server concurrently.
         lookup_key = self._lookup_key(path)
         path_shares = self._path_sharer.split(path.encode("utf-8")).shares
         slots = {server.server_id: idx for idx, server in enumerate(self.servers)}
@@ -375,38 +392,40 @@ class CDStoreClient:
             manifest = FileManifest(
                 lookup_key, path_shares[idx], len(data), len(chunks), tag=tag
             )
-            mode = "full"
+            metas, mode = result.metas, "full"
             if runs:
                 try:
                     server.finalize_file(
-                        self.user_id,
-                        replace(manifest, base=last[2], runs=runs),
-                        [meta for meta in result.metas if meta.secret_seq not in copied],
+                        self.user_id, replace(manifest, base=last[2], runs=runs), metas
                     )
                     _FINALIZES.inc(mode="delta")
                     return
                 except StaleBaseError:
-                    # This cloud does not hold the base version: send it
-                    # every share it lacks, then finalize in full.
-                    uploader = CloudUploader(server, idx, self.user_id, self.dispersal)
-                    for chunk, meta in zip(chunks, result.metas):
-                        uploader.queue(chunk, meta.fingerprint, meta.share_size)
-                    again = uploader.finish()
+                    # This cloud does not hold the base version: encode
+                    # the whole file for it, send every share it lacks,
+                    # then finalize in full.
+                    (again,) = self.comm.upload_inline(
+                        self.dispersal, chunks, keys, [CloudUploader(server, idx, self.user_id)]
+                    )
                     result.wire_bytes += again.wire_bytes
                     result.transferred += again.transferred
                     result.batches += again.batches
-                    mode = "fallback"
-            server.finalize_file(self.user_id, manifest, result.metas)
+                    metas, mode = again.metas, "fallback"
+            server.finalize_file(self.user_id, manifest, metas)
             _FINALIZES.inc(mode=mode)
 
+        # Every secret counts n shares, the copied ones included.
+        logical_share_bytes = self.n * sum(
+            self.dispersal.share_size(chunk.size) for chunk in chunks
+        )
         try:
             self.comm.map_servers(finalize, self.servers)
         finally:
             self.stats.logical_data += len(data)
             self.stats.secrets_total += len(chunks)
+            self.stats.logical_shares += logical_share_bytes
+            self.stats.shares_total += self.n * len(chunks)
             for result in results:
-                self.stats.logical_shares += sum(m.share_size for m in result.metas)
-                self.stats.shares_total += len(result.metas)
                 self.stats.shares_transferred += result.transferred
                 self.stats.transferred_shares += result.wire_bytes
 
@@ -414,9 +433,7 @@ class CDStoreClient:
             path=path,
             file_size=len(data),
             secret_count=len(chunks),
-            logical_share_bytes=sum(
-                meta.share_size for result in results for meta in result.metas
-            ),
+            logical_share_bytes=logical_share_bytes,
             transferred_share_bytes=sum(result.wire_bytes for result in results),
             wire_bytes_per_cloud=[result.wire_bytes for result in results],
             pipeline_depth=self.comm.pipeline_depth,
@@ -545,7 +562,11 @@ class CDStoreClient:
     # deletion (extension; the paper defers GC to future work, §4.7)
     # ------------------------------------------------------------------
     def delete(self, path: str) -> None:
-        """Delete the file on every reachable cloud."""
+        """Delete the file on all ``n`` clouds.
+
+        Refuses with :class:`CloudUnavailableError`, deleting nothing,
+        unless every cloud is reachable.
+        """
         with self.tracer.span("delete", root=True, path=path):
             lookup_key = self._lookup_key(path)
             up = self.comm.map_servers(lambda server: server.cloud.available, self.servers)

@@ -10,7 +10,8 @@ module gives the client that concurrency:
 * an **encode pool** of ``threads`` threads that encodes *slabs* of
   secrets with the batched codec kernels while earlier slabs are already
   in flight — encoding overlaps transfer within one upload, the
-  pipelining of Figure 4(a);
+  pipelining of Figure 4(a).  Every secret the engine is given is
+  encoded (the client keeps the ones a delta finalize copies away);
 * a **bounded slab queue** between the two: encode slabs flow into the
   per-cloud upload workers the moment they finish, so wire time hides
   behind encoding even with a single encode thread, and at most
@@ -20,13 +21,6 @@ module gives the client that concurrency:
 * a windowed upload path per cloud: shares accumulate into 4 MB windows
   (§4.1 batching), each window is intra-user-dedup-queried (§3.3 stage 1)
   and its unique shares uploaded, while later secrets are still encoding;
-* a **share cache** consulted before encoding: a secret whose hash key
-  ``h = H(salt || X)`` the dispersal's
-  :class:`~repro.core.convergent.ShareCache` holds is not encoded at all —
-  every cloud is queried with the fingerprint its share had last time, and
-  only a cloud that reports the share unknown (wiped, or the share was
-  collected) gets it re-encoded, one query window at a time.  Queries and
-  uploads are the same bytes, in the same order, whatever the cache holds;
 * a **windowed prefetch** for restores (:meth:`stream_windows`): each
   read slot's fetches run on its cloud's worker, ``pipeline_depth``
   windows ahead of the one being decoded, so the client's batched decode
@@ -58,11 +52,8 @@ from repro.chunking.base import Chunk
 from repro.client.workers import SlabbedShareSets, slab_spans
 from repro.core.convergent import ConvergentDispersal
 from repro.core.package_codec import KeyedSecrets
-from repro.crypto.hashing import HASH_SIZE, fingerprint
-from repro.errors import (
-    IntegrityError,
-    ParameterError,
-)
+from repro.crypto.hashing import fingerprint
+from repro.errors import ParameterError
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import ZERO_TRACE_ID, current_context, use_context
 from repro.server.messages import ShareMeta, ShareUpload
@@ -103,11 +94,6 @@ _WINDOW_ENCODE_SECONDS = REGISTRY.histogram(
 _WINDOW_UPLOAD_SECONDS = REGISTRY.histogram(
     "client_window_upload_seconds",
     "Wall time putting one 4 MB upload batch on a cloud's wire",
-)
-_SHARE_CACHE = REGISTRY.counter(
-    "client_share_cache_total",
-    "Secrets the share cache answered (hit), encoded (miss) or a cloud "
-    "needed re-encoded (reencode)",
 )
 
 
@@ -158,31 +144,15 @@ class CloudUploader:
     pre-streaming whole-file pass did — the wire traffic is byte-identical
     regardless of how the feed is sliced into slabs.  :meth:`finish`
     flushes the tails and waits for the last acks.
-
-    With a ``dispersal``, :meth:`feed_encoded` also takes a share-cache hit:
-    the fingerprint without the share, which is re-encoded (and checked
-    against that fingerprint) only if this cloud's query reports it unknown.
-    A ``copied`` secret (a delta finalize copies its recipe entry) is
-    recorded in :attr:`result` but neither queried nor uploaded.
     """
 
-    def __init__(
-        self,
-        server: CDStoreServer,
-        cloud_idx: int,
-        user_id: str,
-        dispersal: ConvergentDispersal | None = None,
-        copied: frozenset[int] | set[int] = frozenset(),
-    ) -> None:
+    def __init__(self, server: CDStoreServer, cloud_idx: int, user_id: str) -> None:
         self.server = server
         self.cloud_idx = cloud_idx
         self.user_id = user_id
-        self.dispersal = dispersal
-        self.copied = copied
         self.result = CloudUploadResult()
         self._seen: set[bytes] = set()
-        #: (meta, share or None for a cache hit, chunk) per queued secret.
-        self._window: list[tuple[ShareMeta, bytes | None, Chunk]] = []
+        self._window: list[ShareUpload] = []
         self._window_bytes = 0
         # The 4 MB upload buffer persists across query windows (§4.1: the
         # buffer holds *unique* shares and is uploaded only when full).
@@ -221,83 +191,38 @@ class CloudUploader:
         while self._inflight:
             self._inflight.popleft().result()
 
-    def _reencode(self, wanted: list[int]) -> None:
-        """Re-encode the window's cache hits at ``wanted``: this cloud
-        needs their shares after all.  A share whose fingerprint is not
-        the cached one raises :class:`IntegrityError` (and leaves the
-        cache, so the next backup encodes the secret afresh)."""
-        assert self.dispersal is not None
-        secrets = [self._window[i][2].data for i in wanted]
-        keys = self.dispersal.hash_keys(secrets)
-        share_sets = self.dispersal.encode_batch(KeyedSecrets(secrets, keys))
-        _SHARE_CACHE.inc(len(wanted), outcome="reencode")
-        for i, key, share_set in zip(wanted, keys, share_sets):
-            meta, _, chunk = self._window[i]
-            share = share_set.shares[self.cloud_idx]
-            if fingerprint(share, domain="client") != meta.fingerprint:
-                self.dispersal.share_cache.discard(key)
-                raise IntegrityError(
-                    f"secret {meta.secret_seq} re-encoded to a share whose "
-                    f"fingerprint is not the cached one (cloud {self.cloud_idx})"
-                )
-            self._window[i] = (meta, share, chunk)
-
     def _flush_window(self) -> None:
         if not self._window:
             return
         known = self.server.query_duplicates(
-            self.user_id, [meta.fingerprint for meta, _, _ in self._window]
+            self.user_id, [upload.meta.fingerprint for upload in self._window]
         )
-        wanted = [
-            i
-            for i, ((meta, share, _), is_known) in enumerate(zip(self._window, known))
-            if share is None and not is_known and meta.fingerprint not in self._seen
-        ]
-        if wanted:
-            self._reencode(wanted)
-        for (meta, payload, _), is_known in zip(self._window, known):
-            if is_known or meta.fingerprint in self._seen:
+        for upload, is_known in zip(self._window, known):
+            if is_known or upload.meta.fingerprint in self._seen:
                 continue
-            self._seen.add(meta.fingerprint)
-            self._batch.append(ShareUpload(meta=meta, data=payload))
-            self._batch_bytes += len(payload)
-            self.result.wire_bytes += len(payload)
+            self._seen.add(upload.meta.fingerprint)
+            self._batch.append(upload)
+            self._batch_bytes += len(upload.data)
+            self.result.wire_bytes += len(upload.data)
             self.result.transferred += 1
             if self._batch_bytes >= UPLOAD_BATCH_BYTES:
                 self._send_batch()
         self._window = []
         self._window_bytes = 0
 
-    def queue(self, chunk: Chunk, fp: bytes, share_size: int, share: bytes | None = None) -> None:
-        """Accept the next secret by its share's fingerprint and size; with
-        no ``share`` it is re-encoded only if this cloud lacks it."""
+    def feed(self, chunk: Chunk, share: bytes) -> None:
+        """Accept the share of the next secret in sequence order."""
         meta = ShareMeta(
-            fingerprint=fp,
-            share_size=share_size,
+            fingerprint=fingerprint(share, domain="client"),
+            share_size=len(share),
             secret_seq=chunk.seq,
             secret_size=chunk.size,
         )
         self.result.metas.append(meta)
-        if chunk.seq in self.copied:
-            return
-        self._window.append((meta, share, chunk))
-        self._window_bytes += share_size
+        self._window.append(ShareUpload(meta=meta, data=share))
+        self._window_bytes += len(share)
         if self._window_bytes >= UPLOAD_BATCH_BYTES:
             self._flush_window()
-
-    def feed(self, chunk: Chunk, share: bytes) -> None:
-        """Accept the share of the next secret in sequence order."""
-        self.queue(chunk, fingerprint(share, domain="client"), len(share), share)
-
-    def feed_encoded(self, chunk: Chunk, encoded: ShareSet | bytes) -> None:
-        """Accept the next secret as an encode slab delivers it: its
-        share set, or a share-cache hit's ``n`` fingerprints."""
-        if isinstance(encoded, ShareSet):
-            self.feed(chunk, encoded.shares[self.cloud_idx])
-            return
-        assert self.dispersal is not None
-        at = self.cloud_idx * HASH_SIZE
-        self.queue(chunk, encoded[at : at + HASH_SIZE], self.dispersal.share_size(chunk.size))
 
     def finish(self) -> CloudUploadResult:
         """Flush the tails and wait for every outstanding ack."""
@@ -469,54 +394,24 @@ class CommEngine:
         secrets: list[bytes],
         start: int,
         file_keys: list[bytes | None],
-    ) -> list[ShareSet | bytes]:
-        """Encode the slab of secrets ``start, start + 1, ...``, answering
-        what the share cache can without encoding.
+    ) -> list[ShareSet]:
+        """Encode the slab of secrets ``start, start + 1, ...``.
 
         The secrets' hash keys are ``file_keys[start:]`` when the chunker
-        already computed them, else computed here and stored there.  A hit
-        comes back as the ``n`` cached fingerprints, a miss as its
-        :class:`ShareSet`, encoded in one batch with the other misses from
-        those keys.
+        already computed them, else computed here and stored there (a
+        dispersal that :attr:`~ConvergentDispersal.has_hash_keys` only);
+        the codec encodes from them instead of hashing each secret again.
         """
         clock = time.perf_counter()
-        cache = dispersal.share_cache
-        if cache is None:
-            encoded: list = dispersal.encode_batch(secrets)
-        else:
+        if dispersal.has_hash_keys:
             end = start + len(secrets)
             keys = file_keys[start:end]
             if None in keys:
                 keys = file_keys[start:end] = dispersal.hash_keys(secrets)
-            encoded = cache.get_many(keys)
-            misses = [i for i, hit in enumerate(encoded) if hit is None]
-            if misses:
-                share_sets = dispersal.encode_batch(
-                    KeyedSecrets([secrets[i] for i in misses], [keys[i] for i in misses])
-                )
-                for i, share_set in zip(misses, share_sets):
-                    encoded[i] = share_set
-            _SHARE_CACHE.inc(len(secrets) - len(misses), outcome="hit")
-            _SHARE_CACHE.inc(len(misses), outcome="miss")
+            secrets = KeyedSecrets(secrets, keys)
+        share_sets = dispersal.encode_batch(secrets)
         _WINDOW_ENCODE_SECONDS.observe(time.perf_counter() - clock)
-        return encoded
-
-    @staticmethod
-    def _remember(
-        dispersal: ConvergentDispersal,
-        file_keys: list[bytes | None],
-        results: list[CloudUploadResult],
-    ) -> None:
-        """Cache the fingerprints every cloud's upload computed or was
-        answered with, once all of them succeeded."""
-        if dispersal.share_cache is None:
-            return
-        dispersal.share_cache.put_many(
-            [
-                (key, b"".join([result.metas[seq].fingerprint for result in results]))
-                for seq, key in enumerate(file_keys)
-            ]
-        )
+        return share_sets
 
     def _submit_encode_slabs(
         self,
@@ -559,17 +454,13 @@ class CommEngine:
         dispersal: ConvergentDispersal,
         chunks: list[Chunk],
         keys: list[bytes | None] | None = None,
-        copied: frozenset[int] | set[int] = frozenset(),
     ) -> list[CloudUploadResult]:
-        """Pipeline one file's shares onto every cloud.
+        """Pipeline the shares of ``chunks`` onto every cloud.
 
-        Returns the per-cloud results (index ``i`` ↔ cloud ``i``).
-        ``keys`` holds each chunk's hash key, or None where the encode
-        slabs are to compute it and store it there (a dispersal with a
-        share cache only).  The ``copied`` secrets are recorded but not
-        queried or uploaded (see :class:`CloudUploader`).  Once every
-        cloud has its shares, the secrets' fingerprints go into the
-        dispersal's share cache.
+        Returns the per-cloud results (index ``i`` ↔ cloud ``i``), whose
+        metas carry each chunk's own ``seq``.  ``keys`` holds each chunk's
+        hash key, or None where the encode slabs are to compute it and
+        store it there.
         """
         n = len(self.servers)
         if keys is None:
@@ -580,41 +471,48 @@ class CommEngine:
             encoded = self._submit_encode_slabs(dispersal, chunks, keys)
             task = _carry_context(self._upload_to_cloud)
             futures = [
-                self._cloud_workers[idx].submit(
-                    task, idx, user_id, dispersal, chunks, encoded, copied
-                )
+                self._cloud_workers[idx].submit(task, idx, user_id, chunks, encoded)
                 for idx in range(n)
             ]
-            results = self._gather(futures)
-        else:
-            uploaders = [
-                CloudUploader(self.servers[idx], idx, user_id, dispersal, copied)
-                for idx in range(n)
-            ]
-            # Inline path: encode one slab at a time and feed every cloud's
-            # uploader before encoding the next, so even the serial client
-            # holds at most one slab of shares (wire-identical to encoding
-            # the whole file up front — the 4 MB windows accumulate the
-            # same byte sequence either way).
-            for start, end in slab_spans([chunk.size for chunk in chunks], 1):
-                slab = self._encode_slab(
-                    dispersal, [chunk.data for chunk in chunks[start:end]], start, keys
-                )
-                for uploader in uploaders:
-                    for seq in range(start, end):
-                        uploader.feed_encoded(chunks[seq], slab[seq - start])
-            results = [uploader.finish() for uploader in uploaders]
-        self._remember(dispersal, keys, results)
-        return results
+            return self._gather(futures)
+        return self.upload_inline(
+            dispersal,
+            chunks,
+            keys,
+            [CloudUploader(self.servers[idx], idx, user_id) for idx in range(n)],
+        )
+
+    @classmethod
+    def upload_inline(
+        cls,
+        dispersal: ConvergentDispersal,
+        chunks: list[Chunk],
+        keys: list[bytes | None],
+        uploaders: list[CloudUploader],
+    ) -> list[CloudUploadResult]:
+        """Encode ``chunks`` on the caller's thread one slab at a time,
+        feeding every uploader before encoding the next (``keys`` as for
+        :meth:`upload_file`), and finish the uploaders.
+
+        Even the serial client holds at most one slab of shares, and the
+        wire traffic is that of encoding the whole file up front: the
+        4 MB windows accumulate the same byte sequence either way.
+        """
+        for start, end in slab_spans([chunk.size for chunk in chunks], 1):
+            slab = cls._encode_slab(
+                dispersal, [chunk.data for chunk in chunks[start:end]], start, keys
+            )
+            for uploader in uploaders:
+                for chunk, share_set in zip(chunks[start:end], slab):
+                    uploader.feed(chunk, share_set.shares[uploader.cloud_idx])
+        return [uploader.finish() for uploader in uploaders]
 
     def _upload_to_cloud(
         self,
         cloud_idx: int,
         user_id: str,
-        dispersal: ConvergentDispersal,
         chunks: list[Chunk],
         encoded: SlabbedShareSets,
-        copied: frozenset[int] | set[int],
     ) -> CloudUploadResult:
         """One cloud worker's upload: drain the slab stream into the wire.
 
@@ -624,10 +522,10 @@ class CommEngine:
         releases its memory and admits the next slab into the bounded
         pipeline window.
         """
-        uploader = CloudUploader(self.servers[cloud_idx], cloud_idx, user_id, dispersal, copied)
+        uploader = CloudUploader(self.servers[cloud_idx], cloud_idx, user_id)
         with encoded.stream() as stream:
-            for seq, entry in stream:
-                uploader.feed_encoded(chunks[seq], entry)
+            for at, share_set in stream:
+                uploader.feed(chunks[at], share_set.shares[cloud_idx])
         return uploader.finish()
 
     # ------------------------------------------------------------------

@@ -144,10 +144,6 @@ class SlabStream:
 class SlabbedShareSets:
     """Ordered, bounded view over the ShareSets of in-flight encode slabs.
 
-    A slab's entry for a secret is its :class:`ShareSet`, or, for a secret
-    the client's share cache answered, the ``n`` share fingerprints
-    (``bytes``) in place of shares.
-
     ``submit(start, end) -> Future`` is called for at most ``depth`` slabs
     beyond the slowest consumer; when all ``consumers`` have drained a
     slab its share sets are dropped and the next pending slab is
@@ -244,7 +240,7 @@ class SlabbedShareSets:
                 self._freed += 1
             self._pump_locked()
 
-    def _result(self, slab: int) -> list[ShareSet | bytes]:
+    def _result(self, slab: int) -> list[ShareSet]:
         """Share sets of ``slab``, waiting for its submission."""
         with self._cond:
             while self._futures[slab] is None:
@@ -260,7 +256,7 @@ class SlabbedShareSets:
         """An ordered consumer over all slabs (one per cloud worker)."""
         return SlabStream(self)
 
-    def __getitem__(self, seq: int) -> ShareSet | bytes:
+    def __getitem__(self, seq: int) -> ShareSet:
         if not 0 <= seq < self._count:
             raise IndexError(f"secret sequence {seq} outside [0, {self._count})")
         slab = bisect_right(self._starts, seq) - 1

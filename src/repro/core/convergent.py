@@ -5,75 +5,25 @@ Figure 2 of the paper: a secret goes in, ``n`` deterministic shares come
 out, with the share-to-cloud pinning and brute-force decode fallback of
 §3.2 handled here so the client code stays simple.
 
-Because the shares are a fixed function of the secret and the dispersal's
-(salt, n, k, scheme), so are their fingerprints: each dispersal owns a
-:class:`ShareCache` from a secret's hash key ``h = H(salt || X)`` (Eq. 1)
-to what its shares were fingerprinted as, which lets an incremental backup
-skip encoding the secrets it already dispersed.
+A dispersal built from a registry scheme also computes each secret's hash
+key ``h = H(salt || X)`` (Eq. 1, :meth:`ConvergentDispersal.hash_keys`):
+the client matches a path's chunks against its last version's by it, and
+hands it to the codec with the slab so no secret is hashed twice.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.analysis.annotations import guarded_by
 from repro.errors import CodingError, IntegrityError, ParameterError
-from repro.lsm.cache import LRUCache
 from repro.sharing.base import SecretSharingScheme, ShareSet
 from repro.sharing.registry import create_scheme
 
-__all__ = ["SHARE_CACHE_ENTRIES", "ConvergentDispersal", "ShareCache", "create_codec"]
+__all__ = ["ConvergentDispersal", "create_codec"]
 
 _CONVERGENT_SCHEMES = ("caont-rs", "caont-rs-rivest", "crsss")
-
-#: Secrets a dispersal's :class:`ShareCache` remembers (least recently
-#: used first out).  One entry is a 32-byte key and ``n`` 32-byte
-#: fingerprints, about 0.3 KB with its dict slot at n = 4, so the bound
-#: is ~20 MB and covers 512 MiB of 8 KB-average chunks.
-SHARE_CACHE_ENTRIES = 1 << 16
-
-
-class ShareCache:
-    """Bounded LRU map: hash key ``h`` → the ``n`` shares' fingerprints,
-    kept in an entry-counting :class:`~repro.lsm.cache.LRUCache`.
-
-    A value is one ``bytes`` of ``n`` 32-byte fingerprints, share ``i``'s
-    at ``[32 i, 32 i + 32)``.  Thread-safe: the encode pool looks slabs up
-    while an upload inserts what it learned, each under one acquisition of
-    a lock that guards nothing else.
-    """
-
-    #: Lock discipline (``repro analyze``, LOCK-001).
-    GUARDED_BY = guarded_by(_entries="_lock")
-
-    def __init__(self, capacity: int = SHARE_CACHE_ENTRIES) -> None:
-        self._entries = LRUCache(capacity)
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get_many(self, keys: Sequence[bytes]) -> list[bytes | None]:
-        """The cached value of each key (None where absent); hits become
-        the most recently used."""
-        with self._lock:
-            return [self._entries.get(key) for key in keys]
-
-    def put_many(self, items: Iterable[tuple[bytes, bytes]]) -> None:
-        """Insert or refresh ``(key, value)`` pairs, evicting past capacity."""
-        items = list(items)
-        with self._lock:
-            for key, value in items:
-                self._entries.put(key, value)
-
-    def discard(self, key: bytes) -> None:
-        """Forget ``key`` (an entry found not to match its secret)."""
-        with self._lock:
-            self._entries.pop(key)
 
 
 def create_codec(name: str, n: int, k: int, **kwargs) -> SecretSharingScheme:
@@ -125,8 +75,8 @@ class ConvergentDispersal:
             self.scheme = codec.name
             self.codec = codec
             # Its key is not H(salt || X) (a key server derives it), so
-            # there is no hash key to cache shares under.
-            self.share_cache: ShareCache | None = None
+            # it has no hash keys to offer.
+            self._salt: bytes | None = None
             return
         if scheme not in _CONVERGENT_SCHEMES:
             raise ParameterError(
@@ -137,9 +87,12 @@ class ConvergentDispersal:
         self.scheme = scheme
         self.codec = create_codec(scheme, n, k, salt=salt, **kwargs)
         self._salt = bytes(salt)
-        #: Hash key → share fingerprints for this (salt, n, k, scheme);
-        #: created with the dispersal so it cannot outlive its parameters.
-        self.share_cache = ShareCache()
+
+    @property
+    def has_hash_keys(self) -> bool:
+        """Whether :meth:`hash_keys` applies: a registry scheme, not a
+        pre-built codec whose key is derived elsewhere."""
+        return self._salt is not None
 
     # ------------------------------------------------------------------
     def encode(self, secret: bytes) -> ShareSet:
@@ -158,9 +111,9 @@ class ConvergentDispersal:
 
     def hash_keys(self, secrets: Sequence[bytes]) -> list[bytes]:
         """``h = H(salt || X)`` (Eq. 1) of each secret: the convergent key
-        the codec derives its shares from, and the :attr:`share_cache` key.
+        the codec derives its shares from.
 
-        Only for dispersals that own a share cache (the registry schemes).
+        Only for dispersals that :attr:`has_hash_keys`.
         """
         salted = hashlib.sha256(self._salt)
         keys = []

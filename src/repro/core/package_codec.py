@@ -35,8 +35,8 @@ class KeyedSecrets(list):
     """A slab of secrets carrying their convergent hash keys ``h = H(salt || X)``.
 
     :meth:`~repro.core.convergent.ConvergentDispersal.encode_batch` hands
-    a codec the keys it already computed (the client looks them up in its
-    share cache first) without widening the codec's ``encode_batch(secrets)``
+    a codec the keys it already computed (the client matches a path's
+    chunks against its last version's by them) without widening the codec's ``encode_batch(secrets)``
     call; a convergent codec's :meth:`PackageRSCodec._draw_keys` takes them
     instead of hashing each secret again.  To everything else it is the
     plain list of secrets.

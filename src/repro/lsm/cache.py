@@ -4,7 +4,7 @@ Its users: the LSM block cache (LevelDB-style block caching for index
 lookups), the container offset-table cache of
 :mod:`repro.storage.container` (each container's entry bounds, so a read
 is one ranged get), the gateway's hot window cache and the client's
-share cache.
+chunk history.
 """
 
 from __future__ import annotations

@@ -77,8 +77,8 @@ class TestDecode:
 @pytest.mark.parametrize("scheme", ["caont-rs", "caont-rs-rivest", "crsss"])
 @pytest.mark.parametrize("n,k", [(4, 3), (5, 3), (6, 4), (3, 2)])
 class TestSharePrediction:
-    """A share-cache hit takes its share size from ``share_size`` and is
-    never encoded, so the prediction must be exact on every scheme."""
+    """An upload counts a copied secret's shares by ``share_size``
+    without encoding it, so the prediction must be exact on every scheme."""
 
     @settings(max_examples=15, deadline=None)
     @given(sizes=st.lists(st.integers(1, 40_000), min_size=1, max_size=3))

@@ -5,8 +5,8 @@ A client remembers each path's last version tag beside its cut points
 queries, uploads and sends metas for the secrets whose hash key changed
 only; each server splices the rest from the recipe it holds for that tag.
 A cloud that does not hold the base version answers ``StaleBaseError`` and
-is re-queried and finalized in full.  The client-side tests run under the
-inline and the pipelined schedule.
+is sent every share it lacks and finalized in full.  The client-side tests
+run under the inline and the pipelined schedule.
 """
 
 from __future__ import annotations
@@ -202,7 +202,42 @@ class TestDeltaFinalize:
         assert_recount(system)
         system.fail_cloud(3)
         assert client.download("/f") == new
+        system.recover_cloud(3)
+        # The same bytes after another wipe: every secret is copied, so
+        # only the wiped cloud is sent shares.
+        system.wipe_cloud(2)
+        before = finalizes()
+        receipt = client.upload("/f", new)
+        assert finalizes() - before == Counter(delta=3, fallback=1)
+        assert [sent > 0 for sent in receipt.wire_bytes_per_cloud] == [False, False, True, False]
+        assert_recount(system)
+        system.fail_cloud(0)  # a quorum that must include cloud 2
+        assert client.download("/f") == new
         system.close()
+
+    def test_ledger_counts_copied_secrets(self, schedule):
+        """Fig. 6's logical side counts every secret's ``n`` shares, copied
+        or sent: a delta upload reports what a client without history
+        reports for the same bytes."""
+        old, new = versions(120_000, 2)
+        ledgers = []
+        for keep_history in (True, False):
+            system = CDStoreSystem(n=4, k=3, salt=b"org", **schedule)
+            client = system.client("alice")
+            client.upload("/f", old)
+            if not keep_history:
+                client.history = ChunkHistory()
+            before = finalizes()
+            receipt = client.upload("/f", new)
+            assert finalizes() - before == (Counter(delta=4) if keep_history else Counter(full=4))
+            chunks = list(client.chunker.chunk_bytes(new))
+            assert receipt.secret_count == len(chunks)
+            assert receipt.logical_share_bytes == 4 * sum(
+                client.dispersal.share_size(chunk.size) for chunk in chunks
+            )
+            ledgers.append((receipt, client.stats))
+            system.close()
+        assert ledgers[0] == ledgers[1]
 
     def test_second_client_overwriting_the_path(self, schedule):
         system = make_system(schedule)

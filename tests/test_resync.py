@@ -213,6 +213,26 @@ def versions_of(size: int, count: int) -> list[bytes]:
     return out
 
 
+def record_traffic(system: CDStoreSystem) -> list:
+    """Log every dedup query and upload each server receives, in order,
+    as ``(cloud, "query", fingerprints)`` or ``(cloud, "upload", shares)``."""
+    log: list = []
+    for idx, server in enumerate(system.servers):
+        query, upload = server.query_duplicates, server.upload_shares
+
+        def logged_query(user, fps, idx=idx, query=query):
+            log.append((idx, "query", list(fps)))
+            return query(user, fps)
+
+        def logged_upload(user, uploads, idx=idx, upload=upload):
+            log.append((idx, "upload", [(u.meta, u.data) for u in uploads]))
+            return upload(user, uploads)
+
+        server.query_duplicates = logged_query
+        server.upload_shares = logged_upload
+    return log
+
+
 class TestClientHistory:
     def test_cold_path_runs_exactly_one_chunk_bytes(self):
         system = CDStoreSystem(n=4, k=3, salt=b"org")
@@ -272,20 +292,7 @@ class TestClientHistory:
                 n=4, k=3, salt=b"org", threads=threads, pipeline_depth=depth
             )
             client = system.client("alice")
-            log: list = []
-            for idx, server in enumerate(system.servers):
-                query, upload = server.query_duplicates, server.upload_shares
-
-                def logged_query(user, fps, idx=idx, query=query, log=log):
-                    log.append((idx, "query", list(fps)))
-                    return query(user, fps)
-
-                def logged_upload(user, uploads, idx=idx, upload=upload, log=log):
-                    log.append((idx, "upload", [(u.meta, u.data) for u in uploads]))
-                    return upload(user, uploads)
-
-                server.query_duplicates = logged_query
-                server.upload_shares = logged_upload
+            log = record_traffic(system)
             for data in versions_of(300_000, 4):
                 if not keep_history:
                     client.history = ChunkHistory()
@@ -303,6 +310,24 @@ class TestClientHistory:
                 for log in logs
             )
             assert with_history < without
+
+    def test_inline_and_pipelined_send_the_same_traffic(self):
+        """Over several versions of one path, each cloud is queried and
+        sent the same bytes in the same order whichever schedule runs."""
+        logs = []
+        for threads, depth in ((1, 1), (3, 2)):
+            system = CDStoreSystem(
+                n=4, k=3, salt=b"org", threads=threads, pipeline_depth=depth
+            )
+            client = system.client("alice")
+            log = record_traffic(system)
+            for data in versions_of(300_000, 4):
+                client.upload("/f", data)
+            assert client.download("/f") == data
+            logs.append(sorted(log, key=lambda entry: entry[0]))
+            system.close()
+        assert logs[0] == logs[1]
+        assert any(kind == "upload" for _, kind, _ in logs[0])
 
     def test_history_stays_bounded(self):
         history = ChunkHistory(capacity=100)
