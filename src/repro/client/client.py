@@ -40,7 +40,7 @@ from functools import partial
 from repro.analysis.annotations import guarded_by
 from repro.chunking.base import Chunker
 from repro.chunking.registry import ChunkerSpec, create_chunker
-from repro.client.comm import UPLOAD_BATCH_BYTES, CloudUploader, CommEngine
+from repro.client.comm import UPLOAD_BATCH_BYTES, CommEngine
 from repro.client.read import (
     FETCH_ERRORS,
     GATEWAY_FALLBACK_ERRORS,
@@ -386,40 +386,53 @@ class CDStoreClient:
         path_shares = self._path_sharer.split(path.encode("utf-8")).shares
         slots = {server.server_id: idx for idx, server in enumerate(self.servers)}
 
-        def finalize(server: CDStoreServer) -> None:
+        def finalize(server: CDStoreServer, mode: str) -> int | None:
+            """Finalize on ``server``; a delta it has no base for returns
+            the cloud's index instead."""
             idx = slots[server.server_id]
-            result = results[idx]
             manifest = FileManifest(
                 lookup_key, path_shares[idx], len(data), len(chunks), tag=tag
             )
-            metas, mode = result.metas, "full"
-            if runs:
+            if mode != "delta":
+                server.finalize_file(self.user_id, manifest, results[idx].metas)
+            else:
                 try:
                     server.finalize_file(
-                        self.user_id, replace(manifest, base=last[2], runs=runs), metas
+                        self.user_id,
+                        replace(manifest, base=last[2], runs=runs),
+                        results[idx].metas,
                     )
-                    _FINALIZES.inc(mode="delta")
-                    return
                 except StaleBaseError:
-                    # This cloud does not hold the base version: encode
-                    # the whole file for it, send every share it lacks,
-                    # then finalize in full.
-                    (again,) = self.comm.upload_inline(
-                        self.dispersal, chunks, keys, [CloudUploader(server, idx, self.user_id)]
-                    )
-                    result.wire_bytes += again.wire_bytes
-                    result.transferred += again.transferred
-                    result.batches += again.batches
-                    metas, mode = again.metas, "fallback"
-            server.finalize_file(self.user_id, manifest, metas)
+                    return idx
             _FINALIZES.inc(mode=mode)
+            return None
 
         # Every secret counts n shares, the copied ones included.
         logical_share_bytes = self.n * sum(
             self.dispersal.share_size(chunk.size) for chunk in chunks
         )
         try:
-            self.comm.map_servers(finalize, self.servers)
+            mode = "delta" if runs else "full"
+            stale = [
+                idx
+                for idx in self.comm.map_servers(partial(finalize, mode=mode), self.servers)
+                if idx is not None
+            ]
+            if stale:
+                # These clouds do not hold the base version: encode the
+                # whole file once for all of them, send each the shares it
+                # lacks, then finalize them in full.
+                again = self.comm.upload_file(
+                    self.user_id, self.dispersal, chunks, keys, clouds=stale
+                )
+                for idx, result in zip(stale, again):
+                    result.wire_bytes += results[idx].wire_bytes
+                    result.transferred += results[idx].transferred
+                    result.batches += results[idx].batches
+                    results[idx] = result
+                self.comm.map_servers(
+                    partial(finalize, mode="fallback"), [self.servers[idx] for idx in stale]
+                )
         finally:
             self.stats.logical_data += len(data)
             self.stats.secrets_total += len(chunks)

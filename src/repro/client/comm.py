@@ -11,13 +11,13 @@ module gives the client that concurrency:
   secrets with the batched codec kernels while earlier slabs are already
   in flight — encoding overlaps transfer within one upload, the
   pipelining of Figure 4(a).  Every secret the engine is given is
-  encoded (the client keeps the ones a delta finalize copies away);
-* a **bounded slab queue** between the two: encode slabs flow into the
-  per-cloud upload workers the moment they finish, so wire time hides
-  behind encoding even with a single encode thread, and at most
-  ``max(pipeline_depth, threads)`` slabs of shares are ever materialised —
-  a slow cloud applies backpressure to the encode stage instead of letting
-  shares pile up unboundedly;
+  encoded once (the client keeps the ones a delta finalize copies away);
+* **one upload loop** (:meth:`CommEngine.upload_file`): each slab is
+  encoded, then fed to every cloud's :class:`CloudUploader` on that
+  cloud's worker, whose FIFO keeps slab order.  The caller stops
+  submitting while ``max(pipeline_depth, threads)`` slabs are not yet fed
+  to every cloud, so a slow cloud holds the encode stage back instead of
+  letting shares pile up;
 * a windowed upload path per cloud: shares accumulate into 4 MB windows
   (§4.1 batching), each window is intra-user-dedup-queried (§3.3 stage 1)
   and its unique shares uploaded, while later secrets are still encoding;
@@ -42,14 +42,14 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from repro.analysis.annotations import guarded_by
 from repro.chunking.base import Chunk
-from repro.client.workers import SlabbedShareSets, slab_spans
+from repro.client.workers import slab_spans
 from repro.core.convergent import ConvergentDispersal
 from repro.core.package_codec import KeyedSecrets
 from repro.crypto.hashing import fingerprint
@@ -223,6 +223,11 @@ class CloudUploader:
         self._window_bytes += len(share)
         if self._window_bytes >= UPLOAD_BATCH_BYTES:
             self._flush_window()
+
+    def feed_slab(self, chunks: list[Chunk], share_sets: list[ShareSet]) -> None:
+        """Accept the next encoded slab: each secret's share for this cloud."""
+        for chunk, share_set in zip(chunks, share_sets):
+            self.feed(chunk, share_set.shares[self.cloud_idx])
 
     def finish(self) -> CloudUploadResult:
         """Flush the tails and wait for every outstanding ack."""
@@ -413,40 +418,30 @@ class CommEngine:
         _WINDOW_ENCODE_SECONDS.observe(time.perf_counter() - clock)
         return share_sets
 
-    def _submit_encode_slabs(
-        self,
-        dispersal: ConvergentDispersal,
+    @staticmethod
+    def _feed(
+        previous: Future | None,
+        uploader: CloudUploader,
         chunks: list[Chunk],
-        file_keys: list[bytes | None],
-    ) -> SlabbedShareSets:
-        """Fan chunker output into encode slabs on the encode pool.
+        slab: Future,
+    ) -> None:
+        """A cloud worker's feed of one encoded slab to ``uploader``.
 
-        Chunks are grouped into contiguous slabs sized for the pool (see
-        :func:`repro.client.workers.slab_spans`); each slab encodes with
-        the batched codec kernels (:meth:`_encode_slab`).  Slabs are
-        submitted lazily: at most ``max(pipeline_depth, threads)`` beyond
-        the slowest cloud worker (a pool of ``threads`` encoders cannot be
-        kept busy by fewer), each dropped from memory once every cloud has
-        drained it.
+        ``previous`` is this cloud's feed of the slab before, already done
+        (the worker runs one task at a time, in order): if it failed, its
+        error is raised again and this cloud skips the rest of the file.
         """
-        assert self._encode_pool is not None
-        task = _carry_context(self._encode_slab)
+        if previous is not None:
+            previous.result()
+        uploader.feed_slab(chunks, slab.result())
 
-        def submit(start: int, end: int) -> Future:
-            return self._encode_pool.submit(
-                task,
-                dispersal,
-                [chunk.data for chunk in chunks[start:end]],
-                start,
-                file_keys,
-            )
-
-        return SlabbedShareSets(
-            slab_spans([chunk.size for chunk in chunks], self.threads),
-            submit,
-            depth=max(self.pipeline_depth, self.threads),
-            consumers=len(self.servers),
-        )
+    @staticmethod
+    def _finish(previous: Future | None, uploader: CloudUploader) -> CloudUploadResult:
+        """A cloud worker's :meth:`CloudUploader.finish` after its last
+        feed, ``previous``, whose error it raises instead."""
+        if previous is not None:
+            previous.result()
+        return uploader.finish()
 
     def upload_file(
         self,
@@ -454,79 +449,65 @@ class CommEngine:
         dispersal: ConvergentDispersal,
         chunks: list[Chunk],
         keys: list[bytes | None] | None = None,
+        clouds: Sequence[int] | None = None,
     ) -> list[CloudUploadResult]:
-        """Pipeline the shares of ``chunks`` onto every cloud.
+        """Encode ``chunks`` slab by slab and send each cloud its shares.
 
-        Returns the per-cloud results (index ``i`` ↔ cloud ``i``), whose
-        metas carry each chunk's own ``seq``.  ``keys`` holds each chunk's
-        hash key, or None where the encode slabs are to compute it and
-        store it there.
+        Returns one result per cloud of ``clouds`` (default: every cloud,
+        index ``i`` ↔ cloud ``i``), whose metas carry each chunk's own
+        ``seq``.  ``keys`` holds each chunk's hash key, or None where the
+        encode slabs are to compute it and store it there.
+
+        Inline, each slab is encoded and fed on the caller's thread.
+        Pipelined, it is encoded on the encode pool and fed on each
+        cloud's worker; the caller waits for the oldest slab's feeds
+        before submitting one more than ``max(pipeline_depth, threads)``
+        (a pool of ``threads`` encoders cannot be kept busy by fewer).
+        Either way the wire traffic is that of encoding the whole file up
+        front: the 4 MB windows accumulate the same byte sequence.
         """
-        n = len(self.servers)
         if keys is None:
             keys = [None] * len(chunks)
-        if self.parallel and len(chunks) > 1:
-            self._ensure_workers()
-            assert self._cloud_workers is not None
-            encoded = self._submit_encode_slabs(dispersal, chunks, keys)
-            task = _carry_context(self._upload_to_cloud)
-            futures = [
-                self._cloud_workers[idx].submit(task, idx, user_id, chunks, encoded)
-                for idx in range(n)
-            ]
-            return self._gather(futures)
-        return self.upload_inline(
-            dispersal,
-            chunks,
-            keys,
-            [CloudUploader(self.servers[idx], idx, user_id) for idx in range(n)],
-        )
+        uploaders = [
+            CloudUploader(self.servers[idx], idx, user_id)
+            for idx in (range(len(self.servers)) if clouds is None else clouds)
+        ]
+        spans = slab_spans([chunk.size for chunk in chunks], self.threads)
+        if not self.parallel or len(chunks) < 2:
+            for start, end in spans:
+                part = chunks[start:end]
+                slab = self._encode_slab(dispersal, [c.data for c in part], start, keys)
+                for uploader in uploaders:
+                    uploader.feed_slab(part, slab)
+                del slab  # hold no slab of shares while the next encodes
+            return [uploader.finish() for uploader in uploaders]
 
-    @classmethod
-    def upload_inline(
-        cls,
-        dispersal: ConvergentDispersal,
-        chunks: list[Chunk],
-        keys: list[bytes | None],
-        uploaders: list[CloudUploader],
-    ) -> list[CloudUploadResult]:
-        """Encode ``chunks`` on the caller's thread one slab at a time,
-        feeding every uploader before encoding the next (``keys`` as for
-        :meth:`upload_file`), and finish the uploaders.
-
-        Even the serial client holds at most one slab of shares, and the
-        wire traffic is that of encoding the whole file up front: the
-        4 MB windows accumulate the same byte sequence either way.
-        """
-        for start, end in slab_spans([chunk.size for chunk in chunks], 1):
-            slab = cls._encode_slab(
-                dispersal, [chunk.data for chunk in chunks[start:end]], start, keys
+        self._ensure_workers()
+        assert self._encode_pool is not None and self._cloud_workers is not None
+        encode, feed = _carry_context(self._encode_slab), _carry_context(self._feed)
+        workers = [self._cloud_workers[uploader.cloud_idx] for uploader in uploaders]
+        last: list[Future | None] = [None] * len(uploaders)
+        unfed: deque[list[Future]] = deque()
+        for start, end in spans:
+            if len(unfed) >= max(self.pipeline_depth, self.threads):
+                wait(unfed.popleft())
+            part = chunks[start:end]
+            slab = self._encode_pool.submit(
+                encode, dispersal, [c.data for c in part], start, keys
             )
-            for uploader in uploaders:
-                for chunk, share_set in zip(chunks[start:end], slab):
-                    uploader.feed(chunk, share_set.shares[uploader.cloud_idx])
-        return [uploader.finish() for uploader in uploaders]
-
-    def _upload_to_cloud(
-        self,
-        cloud_idx: int,
-        user_id: str,
-        chunks: list[Chunk],
-        encoded: SlabbedShareSets,
-    ) -> CloudUploadResult:
-        """One cloud worker's upload: drain the slab stream into the wire.
-
-        Consuming through :meth:`SlabbedShareSets.stream` blocks only on
-        the slab being encoded right now — transfer of already-encoded
-        windows overlaps the encoding of later ones, and draining a slab
-        releases its memory and admits the next slab into the bounded
-        pipeline window.
-        """
-        uploader = CloudUploader(self.servers[cloud_idx], cloud_idx, user_id)
-        with encoded.stream() as stream:
-            for at, share_set in stream:
-                uploader.feed(chunks[at], share_set.shares[cloud_idx])
-        return uploader.finish()
+            last = [
+                worker.submit(feed, previous, uploader, part, slab)
+                for worker, previous, uploader in zip(workers, last, uploaders)
+            ]
+            unfed.append(last)
+            del slab  # the feeds hold it until the last cloud is fed
+        finish = _carry_context(self._finish)
+        return self._gather(
+            [
+                worker.submit(finish, previous, uploader)
+                for worker, previous, uploader in zip(workers, last, uploaders)
+            ]
+        )
 
     # ------------------------------------------------------------------
     # restore path (download)

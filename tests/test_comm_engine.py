@@ -705,22 +705,6 @@ class TestEncodeSlabs:
             assert a_end == b_start  # contiguous, ordered, gap-free
         assert len(spans) >= 8  # at least 2 slabs per worker
 
-    def test_slabbed_share_sets_resolve_in_any_order(self):
-        from concurrent.futures import Future
-
-        from repro.client.workers import SlabbedShareSets
-
-        futures = {0: Future(), 2: Future()}
-        futures[0].set_result(["a", "b"])
-        futures[2].set_result(["c"])
-        view = SlabbedShareSets(
-            [(0, 2), (2, 3)], lambda start, _end: futures[start], depth=2
-        )
-        assert len(view) == 3
-        assert [view[2], view[0], view[1]] == ["c", "a", "b"]
-        with pytest.raises(IndexError):
-            view[3]
-
     def test_prebuilt_codec_uploads_and_restores(self):
         """A dispersal over a pre-built codec encodes on the thread pool."""
         from repro.core.caont_rs import CAONTRS

@@ -4,8 +4,9 @@ A client remembers each path's last version tag beside its cut points
 (:class:`~repro.client.client.ChunkHistory`).  The next upload of the path
 queries, uploads and sends metas for the secrets whose hash key changed
 only; each server splices the rest from the recipe it holds for that tag.
-A cloud that does not hold the base version answers ``StaleBaseError`` and
-is sent every share it lacks and finalized in full.  The client-side tests
+A cloud that does not hold the base version answers ``StaleBaseError``;
+the file is then encoded once for all such clouds, each is sent every
+share it lacks and finalized in full.  The client-side tests
 run under the inline and the pipelined schedule.
 """
 
@@ -266,6 +267,35 @@ class TestDeltaFinalize:
         for server in system.servers:
             server.collect_garbage()
         assert_recount(system)
+        assert client.download("/f") == new
+        system.close()
+
+    def test_stale_clouds_encode_each_secret_once(self, schedule):
+        """``test_delete_then_upload``'s sequence: every cloud is stale, so
+        the upload encodes its sent secrets, then the whole file once for
+        all four clouds, not once per cloud."""
+        system = make_system(schedule)
+        client = system.client("alice")
+        old, new = versions(120_000, 2)
+        client.upload("/f", old)
+        client.delete("/f")
+        encoded = []
+        encode_batch = client.dispersal.encode_batch
+
+        def counting(secrets):
+            encoded.append(len(secrets))
+            return encode_batch(secrets)
+
+        client.dispersal.encode_batch = counting
+        before = finalizes()
+        receipt = client.upload("/f", new)
+        assert finalizes() - before == Counter(fallback=4)
+        keys = [
+            client.dispersal.hash_keys([chunk.data for chunk in client.chunker.chunk_bytes(data)])
+            for data in (old, new)
+        ]
+        sent = receipt.secret_count - sum(count for _, _, count in copied_runs(*keys))
+        assert sum(encoded) == receipt.secret_count + sent == 16
         assert client.download("/f") == new
         system.close()
 

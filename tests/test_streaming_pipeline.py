@@ -1,11 +1,11 @@
-"""Transfer pipeline: bounded slab queue + windowed restore.
+"""Transfer pipeline: the upload loop + windowed restore.
 
 Covers the ``pipeline_depth`` knob end to end: byte identity of the
 pipelined schedule with the inline reference across the ``threads × depth``
 grid, the window and slab budgets at every depth, per-window restore
 failover (a cloud stalling mid-window, a corrupt share healed by a spare),
-and the backpressure/release discipline of
-:class:`~repro.client.workers.SlabbedShareSets`.
+and how :meth:`~repro.client.comm.CommEngine.upload_file` unwinds when a
+cloud or an encode slab fails.
 """
 
 from __future__ import annotations
@@ -13,15 +13,17 @@ from __future__ import annotations
 import struct
 import threading
 import time
-from concurrent.futures import Future
+import weakref
+from collections import Counter
 
 import pytest
 
 from repro.chunking.fixed import FixedChunker
-from repro.client.workers import SlabbedShareSets, plan_windows
+from repro.client import comm
+from repro.client.workers import plan_windows, slab_spans
 from repro.cloud.network import pipeline_makespan
 from repro.crypto.drbg import DRBG
-from repro.errors import CloudUnavailableError, ParameterError
+from repro.errors import CloudUnavailableError, CodingError, ParameterError
 from repro.system.cdstore import CDStoreSystem
 
 
@@ -223,143 +225,6 @@ class TestWindowedRestoreFailover:
 
 
 # ---------------------------------------------------------------------------
-# the bounded slab queue (lazy SlabbedShareSets)
-# ---------------------------------------------------------------------------
-
-
-class TestBoundedSlabQueue:
-    @staticmethod
-    def _lazy_view(spans, depth, consumers, log=None):
-        def submit(start: int, end: int) -> Future:
-            if log is not None:
-                log.append((start, end))
-            future: Future = Future()
-            future.set_result(list(range(start, end)))
-            return future
-
-        return SlabbedShareSets(
-            spans=spans, submit=submit, depth=depth, consumers=consumers
-        )
-
-    def test_submission_respects_depth(self):
-        log: list[tuple[int, int]] = []
-        spans = [(0, 2), (2, 4), (4, 6), (6, 8)]
-        view = self._lazy_view(spans, depth=2, consumers=1, log=log)
-        assert log == [(0, 2), (2, 4)]  # only depth slabs submitted eagerly
-        with view.stream() as stream:
-            seen = [seq for seq, _ in stream]
-        assert seen == list(range(8))
-        assert log == spans  # draining admitted the rest, in order
-
-    def test_drained_slabs_release_memory(self):
-        spans = [(0, 2), (2, 4)]
-        view = self._lazy_view(spans, depth=1, consumers=1)
-        with view.stream() as stream:
-            list(stream)
-        assert view._futures == [None, None]  # all slabs dropped
-
-    def test_slab_is_freed_only_after_every_consumer(self):
-        """A slab leaves the window — its shares dropped, the next slab
-        submitted — only once every consumer has drained it, in slab
-        order; an abandoned consumer counts as having drained the rest."""
-        log: list[tuple[int, int]] = []
-        spans = [(0, 1), (1, 2), (2, 3)]
-        view = self._lazy_view(spans, depth=2, consumers=2, log=log)
-        first, second = view.stream(), view.stream()
-        a, b = iter(first), iter(second)
-        assert next(a) == (0, 0) and next(a) == (1, 1)  # a drained slab 0
-        assert log == spans[:2] and view._futures[0] is not None
-        assert next(b) == (0, 0) and next(b) == (1, 1)  # so did b
-        assert log == spans and view._futures[0] is None
-        first.close()  # a is abandoned holding slab 1
-        assert view._futures[1] is not None
-        assert list(b) == [(2, 2)]
-        second.close()
-        assert view._futures == [None, None, None]
-
-    def test_abandoned_consumer_unblocks_siblings(self):
-        """A consumer dying mid-stream must release its claims so the
-        other consumer can still pull every slab through the window."""
-        spans = [(0, 1), (1, 2), (2, 3), (3, 4)]
-        submitted: list[tuple[int, int]] = []
-
-        def submit(start: int, end: int) -> Future:
-            submitted.append((start, end))
-            future: Future = Future()
-            future.set_result([f"slab-{start}"])
-            return future
-
-        view = SlabbedShareSets(
-            spans=spans, submit=submit, depth=1, consumers=2
-        )
-
-        def dying():
-            with view.stream() as stream:
-                for _seq, _item in stream:
-                    raise RuntimeError("consumer died")
-
-        with pytest.raises(RuntimeError):
-            dying()
-
-        done = threading.Event()
-        results: list = []
-
-        def survivor():
-            with view.stream() as stream:
-                results.extend(item for _seq, item in stream)
-            done.set()
-
-        worker = threading.Thread(target=survivor)
-        worker.start()
-        worker.join(timeout=5.0)
-        assert done.is_set(), "surviving consumer deadlocked"
-        assert results == [f"slab-{i}" for i in range(4)]
-        assert submitted == spans
-
-    def test_failing_submit_poisons_slab_instead_of_deadlocking(self):
-        """A submit that raises (e.g. a pool already shut down) must surface
-        as the slab's error on every consumer — not leave the slot empty
-        with the other cloud workers blocked on it forever."""
-        spans = [(0, 1), (1, 2), (2, 3)]
-
-        def submit(start: int, end: int) -> Future:
-            if start == 1:
-                raise OSError("no space left on device")
-            future: Future = Future()
-            future.set_result([f"slab-{start}"])
-            return future
-
-        view = SlabbedShareSets(spans=spans, submit=submit, depth=1, consumers=2)
-
-        def consume() -> list:
-            got: list = []
-            with view.stream() as stream:
-                for _seq, item in stream:
-                    got.append(item)
-            return got
-
-        errors: list[BaseException] = []
-        partials: list[list] = []
-
-        def worker():
-            try:
-                partials.append(consume())
-            except BaseException as exc:  # noqa: BLE001 - recording for assert
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=5.0)
-        assert not any(thread.is_alive() for thread in threads), "consumer hung"
-        assert len(errors) == 2 and all(
-            isinstance(exc, OSError) for exc in errors
-        )
-        assert not partials
-
-
-# ---------------------------------------------------------------------------
 # the slab budget feeds every encoder and never exceeds max(depth, threads)
 # ---------------------------------------------------------------------------
 
@@ -367,8 +232,8 @@ class TestBoundedSlabQueue:
 class _WatchedChunk:
     """A chunk that tells a ledger what the engine does with it: reading
     ``.data`` is its slab being submitted (the engine materialises a
-    slab's secrets at submit time), reading ``.seq`` is one cloud worker
-    being fed its share (each cloud has its own worker thread)."""
+    slab's secrets at submit time), reading ``.seq`` is one cloud being
+    fed its share."""
 
     def __init__(self, chunk, ledger: "_SlabLedger") -> None:
         self._chunk = chunk
@@ -392,26 +257,22 @@ class _SlabLedger:
         self._starts = {start for start, _end in spans}
         self._lasts = [end - 1 for _start, end in spans]
         self._clouds = clouds
-        self._submitted = 0
-        self._fed_by: dict[int, set[int]] = {last: set() for last in self._lasts}
+        #: Slabs submitted so far.
+        self.slabs = 0
+        self._fed: Counter[int] = Counter()
         #: Most slabs ever submitted but not yet drained by every cloud.
         self.peak_outstanding = 0
 
     def submitted(self, seq: int) -> None:
         with self._lock:
             if seq in self._starts:
-                self._submitted += 1
-                drained = sum(
-                    len(self._fed_by[last]) == self._clouds for last in self._lasts
-                )
-                self.peak_outstanding = max(
-                    self.peak_outstanding, self._submitted - drained
-                )
+                self.slabs += 1
+                drained = sum(self._fed[last] == self._clouds for last in self._lasts)
+                self.peak_outstanding = max(self.peak_outstanding, self.slabs - drained)
 
     def fed(self, seq: int) -> None:
         with self._lock:
-            if seq in self._fed_by:
-                self._fed_by[seq].add(threading.get_ident())
+            self._fed[seq] += 1
 
 
 class TestEncodePoolIsFed:
@@ -419,8 +280,6 @@ class TestEncodePoolIsFed:
     def test_four_encoders_get_four_slabs_and_no_more(self, depth):
         """threads=4 keeps four slabs in flight at any depth <= 4: every
         encoder has work, and a file of 8 slabs is never submitted whole."""
-        from repro.client.workers import slab_spans
-
         system = make_system(depth, threads=4)
         client = windowed_client(system)
         chunks = list(client.chunker.chunk_bytes(data_of(16 * 4096)))
@@ -458,6 +317,174 @@ class TestEncodePoolIsFed:
         assert [len(result.metas) for result in results] == [16] * system.n
         assert peak_inside == 4
         assert ledger.peak_outstanding == 4
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_one_encoder_keeps_depth_slabs_unfed(self, depth):
+        """threads=1 keeps ``depth`` slabs not yet fed to every cloud:
+        depth 1 is the inline reference, each slab fed before the next is
+        encoded; deeper, the caller runs ahead of the one encoder."""
+        system = make_system(depth, threads=1)
+        client = system.client("alice", chunker=FixedChunker(1 << 16))
+        chunks = list(client.chunker.chunk_bytes(data_of(5 << 20)))
+        spans = slab_spans([chunk.size for chunk in chunks], 1)
+        assert len(spans) == 5
+        ledger = _SlabLedger(spans, clouds=system.n)
+        real_encode = client.dispersal.encode_batch
+
+        def held_encode(secrets):
+            # Encode nothing until ``depth`` slabs are submitted (or a
+            # schedule that never submits them gives up waiting).
+            deadline = time.monotonic() + 2.0
+            while ledger.slabs < depth and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return real_encode(secrets)
+
+        client.dispersal.encode_batch = held_encode
+        results = client.comm.upload_file(
+            "alice", client.dispersal, [_WatchedChunk(c, ledger) for c in chunks]
+        )
+        system.close()
+        assert [len(result.metas) for result in results] == [len(chunks)] * system.n
+        assert ledger.peak_outstanding == depth
+
+
+# ---------------------------------------------------------------------------
+# a failing cloud or encode slab surfaces from upload_file, which unwinds
+# ---------------------------------------------------------------------------
+
+UPLOAD_SCHEDULES = {"inline": (1, 1), "pipelined": (2, 2)}
+
+
+def within(seconds: float, fn):
+    """``fn()``'s result (or exception), failing if it runs past ``seconds``."""
+    outcome: dict = {}
+
+    def run():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "upload_file hung"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class TestUploadFailures:
+    @staticmethod
+    def _client(schedule):
+        threads, depth = schedule
+        system = make_system(depth, threads=threads)
+        client = system.client("alice", chunker=FixedChunker(4096))
+        chunks = list(client.chunker.chunk_bytes(data_of(3 << 20)))
+        assert len(slab_spans([chunk.size for chunk in chunks], threads)) >= 3
+        return system, client, chunks
+
+    def test_cloud_failing_mid_file_gets_no_later_slab(self, monkeypatch):
+        """Pipelined, cloud 2's first upload raises: upload_file raises
+        that error once every cloud is done, cloud 2 is sent nothing more,
+        the other clouds get every share, and the engine's next upload
+        succeeds.  (Inline, the error leaves the caller's loop at once.)"""
+        monkeypatch.setattr(comm, "UPLOAD_BATCH_BYTES", 16 << 10)
+        system, client, chunks = self._client(UPLOAD_SCHEDULES["pipelined"])
+        shares_sent = [0] * system.n
+        calls_after_failure: list[str] = []
+        outage = CloudUnavailableError("mid-file outage")
+        for idx, server in enumerate(system.servers):
+            upload, query = server.upload_shares, server.query_duplicates
+
+            def counted(user_id, uploads, idx=idx, upload=upload):
+                if idx == 2:
+                    calls_after_failure.append("upload_shares")
+                    raise outage
+                shares_sent[idx] += len(uploads)
+                return upload(user_id, uploads)
+
+            def watched(user_id, fingerprints, idx=idx, query=query):
+                if idx == 2 and calls_after_failure:
+                    calls_after_failure.append("query_duplicates")
+                return query(user_id, fingerprints)
+
+            server.upload_shares, server.query_duplicates = counted, watched
+        with pytest.raises(CloudUnavailableError) as failed:
+            within(30.0, lambda: client.comm.upload_file("alice", client.dispersal, chunks))
+        assert failed.value is outage
+        assert calls_after_failure == ["upload_shares"]
+        assert shares_sent == [len(chunks), len(chunks), 0, len(chunks)]
+        for server in system.servers:
+            del server.upload_shares, server.query_duplicates
+        results = within(30.0, lambda: client.comm.upload_file("alice", client.dispersal, chunks))
+        assert [result.transferred for result in results] == [0, 0, len(chunks), 0]
+        system.close()
+
+    @pytest.mark.parametrize("schedule", UPLOAD_SCHEDULES.values(), ids=UPLOAD_SCHEDULES)
+    def test_encode_failing_on_slab_two_surfaces(self, schedule):
+        system, client, chunks = self._client(schedule)
+        third = chunks[slab_spans([chunk.size for chunk in chunks], schedule[0])[2][0]].data
+        real_encode = client.dispersal.encode_batch
+        broken = CodingError("slab 2 failed to encode")
+
+        def failing(secrets):
+            if secrets[0] == third:
+                raise broken
+            return real_encode(secrets)
+
+        client.dispersal.encode_batch = failing
+        with pytest.raises(CodingError) as failed:
+            within(30.0, lambda: client.comm.upload_file("alice", client.dispersal, chunks))
+        assert failed.value is broken
+        del client.dispersal.encode_batch
+        results = within(30.0, lambda: client.comm.upload_file("alice", client.dispersal, chunks))
+        assert [len(result.metas) for result in results] == [len(chunks)] * system.n
+        system.close()
+
+
+# ---------------------------------------------------------------------------
+# a slab of shares lives only until every cloud is fed it
+# ---------------------------------------------------------------------------
+
+
+class _Slab(list):
+    """An encoded slab a test can hold a weak reference to."""
+
+
+@pytest.mark.parametrize("schedule", UPLOAD_SCHEDULES.values(), ids=UPLOAD_SCHEDULES)
+def test_no_slab_outlives_its_feeds(schedule, monkeypatch):
+    """Once every cloud has been fed every slab, no slab of shares is
+    still referenced while the uploaders finish."""
+    threads, depth = schedule
+    system = make_system(depth, threads=threads)
+    client = system.client("alice", chunker=FixedChunker(4096))
+    chunks = list(client.chunker.chunk_bytes(data_of(3 << 20)))
+    real_encode = client.dispersal.encode_batch
+    slabs: list[weakref.ref] = []
+
+    def encode(secrets):
+        slab = _Slab(real_encode(secrets))
+        slabs.append(weakref.ref(slab))
+        return slab
+
+    # Pipelined, each cloud finishes on its own worker right after its
+    # last feed: once all of them are finishing, every feed is done.
+    all_finishing = threading.Barrier(system.n if threads > 1 else 1, timeout=10.0)
+    alive_at_finish: list[int] = []
+    real_finish = comm.CloudUploader.finish
+
+    def finish(uploader):
+        all_finishing.wait()
+        alive_at_finish.append(sum(ref() is not None for ref in slabs))
+        return real_finish(uploader)
+
+    client.dispersal.encode_batch = encode
+    monkeypatch.setattr(comm.CloudUploader, "finish", finish)
+    client.comm.upload_file("alice", client.dispersal, chunks)
+    system.close()
+    assert len(slabs) >= 3
+    assert alive_at_finish == [0] * system.n
 
 
 # ---------------------------------------------------------------------------
