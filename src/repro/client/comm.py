@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
+import traceback
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -163,6 +164,9 @@ class CloudUploader:
         # one-call-per-batch path.
         self._upload_async = getattr(server, "upload_shares_async", None)
         self._inflight: deque = deque()
+        #: The first error a pipelined feed of this cloud raised; later
+        #: feeds skip their slab and the cloud's finish raises it.
+        self.error: BaseException | None = None
 
     def _send_batch(self) -> None:
         if not self._batch:
@@ -297,7 +301,10 @@ class CommEngine:
         False is the inline reference."""
         return self.threads > 1 or self.pipeline_depth > 1
 
-    def _ensure_workers(self) -> None:
+    def _ensure_workers(self) -> tuple[ThreadPoolExecutor, list[ThreadPoolExecutor]]:
+        """Start the pools if they are not running; returns (encode pool,
+        cloud workers) as they stand, for a caller that must not see them
+        swapped by a concurrent :meth:`close`."""
         with self._init_lock:  # engines may be shared across caller threads
             if self._cloud_workers is None:
                 self._encode_pool = ThreadPoolExecutor(
@@ -309,6 +316,7 @@ class CommEngine:
                     )
                     for i in range(len(self.servers))
                 ]
+            return self._encode_pool, self._cloud_workers
 
     def close(self) -> None:
         """Shut the worker pools down (idempotent)."""
@@ -419,28 +427,34 @@ class CommEngine:
         return share_sets
 
     @staticmethod
-    def _feed(
-        previous: Future | None,
-        uploader: CloudUploader,
-        chunks: list[Chunk],
-        slab: Future,
-    ) -> None:
+    def _feed(uploader: CloudUploader, chunks: list[Chunk], box: list[Future]) -> None:
         """A cloud worker's feed of one encoded slab to ``uploader``.
 
-        ``previous`` is this cloud's feed of the slab before, already done
-        (the worker runs one task at a time, in order): if it failed, its
-        error is raised again and this cloud skips the rest of the file.
+        ``box`` holds the slab's future and the feed takes it out, so
+        neither the finished task nor a frame that a recorded error keeps
+        pins the slab.  The worker runs one task at a time, in slab order,
+        so a feed that raised has recorded its error on ``uploader`` (its
+        frames' locals cleared) before the next one starts: that cloud
+        skips the rest of the file, waiting only for each slab's encode to
+        end, so none runs on once the upload is over.
         """
-        if previous is not None:
-            previous.result()
-        uploader.feed_slab(chunks, slab.result())
+        slab = box.pop()
+        if uploader.error is not None:
+            wait((slab,))
+            return
+        try:
+            uploader.feed_slab(chunks, slab.result())
+        except BaseException as exc:
+            del slab
+            traceback.clear_frames(exc.__traceback__)
+            uploader.error = exc
 
     @staticmethod
-    def _finish(previous: Future | None, uploader: CloudUploader) -> CloudUploadResult:
+    def _finish(uploader: CloudUploader) -> CloudUploadResult:
         """A cloud worker's :meth:`CloudUploader.finish` after its last
-        feed, ``previous``, whose error it raises instead."""
-        if previous is not None:
-            previous.result()
+        feed, or the error a feed recorded."""
+        if uploader.error is not None:
+            raise uploader.error
         return uploader.finish()
 
     def upload_file(
@@ -462,9 +476,10 @@ class CommEngine:
         Pipelined, it is encoded on the encode pool and fed on each
         cloud's worker; the caller waits for the oldest slab's feeds
         before submitting one more than ``max(pipeline_depth, threads)``
-        (a pool of ``threads`` encoders cannot be kept busy by fewer).
-        Either way the wire traffic is that of encoding the whole file up
-        front: the 4 MB windows accumulate the same byte sequence.
+        (a pool of ``threads`` encoders cannot be kept busy by fewer), and
+        submits no more once every cloud's feed has failed.  Either way
+        the wire traffic is that of encoding the whole file up front: the
+        4 MB windows accumulate the same byte sequence.
         """
         if keys is None:
             keys = [None] * len(chunks)
@@ -482,32 +497,36 @@ class CommEngine:
                 del slab  # hold no slab of shares while the next encodes
             return [uploader.finish() for uploader in uploaders]
 
-        self._ensure_workers()
-        assert self._encode_pool is not None and self._cloud_workers is not None
+        encode_pool, cloud_workers = self._ensure_workers()
         encode, feed = _carry_context(self._encode_slab), _carry_context(self._feed)
-        workers = [self._cloud_workers[uploader.cloud_idx] for uploader in uploaders]
-        last: list[Future | None] = [None] * len(uploaders)
-        unfed: deque[list[Future]] = deque()
-        for start, end in spans:
-            if len(unfed) >= max(self.pipeline_depth, self.threads):
-                wait(unfed.popleft())
-            part = chunks[start:end]
-            slab = self._encode_pool.submit(
-                encode, dispersal, [c.data for c in part], start, keys
-            )
-            last = [
-                worker.submit(feed, previous, uploader, part, slab)
-                for worker, previous, uploader in zip(workers, last, uploaders)
-            ]
-            unfed.append(last)
-            del slab  # the feeds hold it until the last cloud is fed
         finish = _carry_context(self._finish)
-        return self._gather(
-            [
-                worker.submit(finish, previous, uploader)
-                for worker, previous, uploader in zip(workers, last, uploaders)
-            ]
-        )
+        workers = [cloud_workers[uploader.cloud_idx] for uploader in uploaders]
+        unfed: deque[list[Future]] = deque()
+        finishing: list[Future] = []
+        slab: Future | None = None
+        try:
+            for start, end in spans:
+                if len(unfed) >= max(self.pipeline_depth, self.threads):
+                    wait(unfed[0])
+                    unfed.popleft()
+                if all(uploader.error is not None for uploader in uploaders):
+                    break
+                part = chunks[start:end]
+                slab = encode_pool.submit(encode, dispersal, [c.data for c in part], start, keys)
+                fed: list[Future] = []
+                unfed.append(fed)
+                for worker, uploader in zip(workers, uploaders):
+                    fed.append(worker.submit(feed, uploader, part, [slab]))
+                slab = None  # the feeds hold it until the last cloud is fed
+            for worker, uploader in zip(workers, uploaders):
+                finishing.append(worker.submit(finish, uploader))
+        except BaseException:
+            # The caller's own loop failed (a pool shut down under it, an
+            # interrupt): let everything it submitted end before raising.
+            submitted = [future for fed in unfed for future in fed] + finishing
+            wait(submitted if slab is None else [slab, *submitted])
+            raise
+        return self._gather(finishing)
 
     # ------------------------------------------------------------------
     # restore path (download)

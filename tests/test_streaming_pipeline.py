@@ -376,11 +376,11 @@ def within(seconds: float, fn):
 
 class TestUploadFailures:
     @staticmethod
-    def _client(schedule):
+    def _client(schedule, size: int = 3 << 20):
         threads, depth = schedule
         system = make_system(depth, threads=threads)
         client = system.client("alice", chunker=FixedChunker(4096))
-        chunks = list(client.chunker.chunk_bytes(data_of(3 << 20)))
+        chunks = list(client.chunker.chunk_bytes(data_of(size)))
         assert len(slab_spans([chunk.size for chunk in chunks], threads)) >= 3
         return system, client, chunks
 
@@ -423,12 +423,19 @@ class TestUploadFailures:
 
     @pytest.mark.parametrize("schedule", UPLOAD_SCHEDULES.values(), ids=UPLOAD_SCHEDULES)
     def test_encode_failing_on_slab_two_surfaces(self, schedule):
-        system, client, chunks = self._client(schedule)
-        third = chunks[slab_spans([chunk.size for chunk in chunks], schedule[0])[2][0]].data
+        """The encode error surfaces, and no slab is submitted once slab
+        2's failure has reached every cloud: inline none after slab 2,
+        pipelined (a budget of two unfed slabs) at most slab 3, of six."""
+        system, client, chunks = self._client(schedule, size=6 << 20)
+        spans = slab_spans([chunk.size for chunk in chunks], schedule[0])
+        assert len(spans) == 6
+        third = chunks[spans[2][0]].data
         real_encode = client.dispersal.encode_batch
         broken = CodingError("slab 2 failed to encode")
+        encoded: list[bytes] = []
 
         def failing(secrets):
+            encoded.append(secrets[0])
             if secrets[0] == third:
                 raise broken
             return real_encode(secrets)
@@ -437,7 +444,53 @@ class TestUploadFailures:
         with pytest.raises(CodingError) as failed:
             within(30.0, lambda: client.comm.upload_file("alice", client.dispersal, chunks))
         assert failed.value is broken
+        # Pipelined, slab 3 is submitted unless slab 2's failure reached
+        # every cloud while the caller waited on slab 1's feeds.
+        assert len(encoded) in ((3,) if schedule == UPLOAD_SCHEDULES["inline"] else (3, 4))
         del client.dispersal.encode_batch
+        results = within(30.0, lambda: client.comm.upload_file("alice", client.dispersal, chunks))
+        assert [len(result.metas) for result in results] == [len(chunks)] * system.n
+        system.close()
+
+    def test_failing_submit_leaves_no_feed_running(self, monkeypatch):
+        """When the caller's own loop fails (here: the encode pool refuses
+        slab 2), upload_file raises only after every feed it submitted has
+        ended, and the engine's next upload succeeds."""
+        system, client, chunks = self._client(UPLOAD_SCHEDULES["pipelined"])
+        encode_pool, _ = client.comm._ensure_workers()
+        real_submit = encode_pool.submit
+        submits = 0
+        refused = RuntimeError("cannot schedule new futures after shutdown")
+
+        def refusing(*args, **kwargs):
+            nonlocal submits
+            submits += 1
+            if submits == 3:
+                raise refused
+            return real_submit(*args, **kwargs)
+
+        feeding = 0
+        gate = threading.Lock()
+        real_feed_slab = comm.CloudUploader.feed_slab
+
+        def slow_feed_slab(uploader, part, slab):
+            nonlocal feeding
+            with gate:
+                feeding += 1
+            try:
+                time.sleep(0.05)
+                real_feed_slab(uploader, part, slab)
+            finally:
+                with gate:
+                    feeding -= 1
+
+        monkeypatch.setattr(encode_pool, "submit", refusing)
+        monkeypatch.setattr(comm.CloudUploader, "feed_slab", slow_feed_slab)
+        with pytest.raises(RuntimeError) as failed:
+            within(30.0, lambda: client.comm.upload_file("alice", client.dispersal, chunks))
+        assert failed.value is refused
+        assert feeding == 0
+        monkeypatch.undo()
         results = within(30.0, lambda: client.comm.upload_file("alice", client.dispersal, chunks))
         assert [len(result.metas) for result in results] == [len(chunks)] * system.n
         system.close()
@@ -485,6 +538,51 @@ def test_no_slab_outlives_its_feeds(schedule, monkeypatch):
     system.close()
     assert len(slabs) >= 3
     assert alive_at_finish == [0] * system.n
+
+
+def test_failed_cloud_pins_no_slab(monkeypatch):
+    """Pipelined, cloud 2's first upload raises: once the other clouds are
+    finishing, no slab of shares is referenced, the recorded error's
+    frames included, and none is after upload_file has raised it."""
+    monkeypatch.setattr(comm, "UPLOAD_BATCH_BYTES", 16 << 10)
+    system = make_system(2, threads=2)
+    client = system.client("alice", chunker=FixedChunker(4096))
+    chunks = list(client.chunker.chunk_bytes(data_of(3 << 20)))
+    real_encode = client.dispersal.encode_batch
+    slabs: list[weakref.ref] = []
+
+    def encode(secrets):
+        slab = _Slab(real_encode(secrets))
+        slabs.append(weakref.ref(slab))
+        return slab
+
+    def down(user_id, uploads):
+        raise CloudUnavailableError("cloud 2 is down")
+
+    others_finishing = threading.Barrier(system.n - 1, timeout=10.0)
+    alive_at_finish: list[int] = []
+    real_finish = comm.CloudUploader.finish
+
+    def finish(uploader):
+        if uploader.cloud_idx != 2:
+            others_finishing.wait()
+            # Cloud 2's worker may still be skipping its last queued feeds.
+            deadline = time.monotonic() + 5.0
+            while any(ref() is not None for ref in slabs) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            alive_at_finish.append(sum(ref() is not None for ref in slabs))
+        return real_finish(uploader)
+
+    client.dispersal.encode_batch = encode
+    system.servers[2].upload_shares = down
+    monkeypatch.setattr(comm.CloudUploader, "finish", finish)
+    with pytest.raises(CloudUnavailableError) as failed:
+        within(30.0, lambda: client.comm.upload_file("alice", client.dispersal, chunks))
+    assert "cloud 2" in str(failed.value)
+    assert len(slabs) >= 3
+    assert alive_at_finish == [0] * (system.n - 1)
+    assert [ref() for ref in slabs] == [None] * len(slabs)
+    system.close()
 
 
 # ---------------------------------------------------------------------------
