@@ -10,11 +10,14 @@ the deployment shape the paper actually measures on this machine:
   per content-defined chunker;
 * the **front-end curve**: aggregate RPC-level upload throughput of
   1 -> 64 concurrent clients against the thread-per-connection and the
-  asyncio front-ends.
+  asyncio front-ends;
+* the **small-RPC cost**: CPU time and voluntary context switches that
+  one trivial request costs on each front-end.
 
 Nothing about speed is asserted; each leg checks that it moved its bytes.
 """
 
+import resource
 import threading
 import time
 from collections import deque
@@ -282,3 +285,57 @@ def test_fig8_mux_scaling_curve():
               f"vs #clients, {per_client_bytes / MB:.2f} MB/client",
     )
     emit("fig8_mux_scaling", table)
+
+
+# ---------------------------------------------------------------------------
+# small-RPC cost: what one trivial request costs each front-end
+# ---------------------------------------------------------------------------
+
+#: Serial requests timed per front-end, after as many untimed ones.
+_SMALL_RPCS = 2000
+
+
+def _small_rpc_cost(front_end) -> tuple[float, float]:
+    """CPU microseconds and voluntary context switches per serial
+    ``query_duplicates`` of one fingerprint, client and server together
+    (both run in this process, so ``RUSAGE_SELF`` sees both)."""
+    server = CDStoreServer(
+        server_id=0, cloud=CloudProvider("cloud-0", Link(1000.0), Link(1000.0))
+    )
+    fingerprints = [fingerprint(b"fig8-small-rpc")]
+    with front_end(server) as tcp:
+        host, port = tcp.address
+        proxy = RemoteServerProxy(f"tcp://{host}:{port}", server_id=0)
+        try:
+            for _ in range(_SMALL_RPCS):
+                assert proxy.query_duplicates("bench", fingerprints) == [False]
+            before = resource.getrusage(resource.RUSAGE_SELF)
+            for _ in range(_SMALL_RPCS):
+                proxy.query_duplicates("bench", fingerprints)
+            after = resource.getrusage(resource.RUSAGE_SELF)
+        finally:
+            proxy.close()
+    cpu_s = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    return cpu_s / _SMALL_RPCS * 1e6, (after.ru_nvcsw - before.ru_nvcsw) / _SMALL_RPCS
+
+
+def test_fig8_small_rpc_cost():
+    """The per-request price of each front-end, isolated from storage work.
+
+    One client, one connection, ``_SMALL_RPCS`` serial one-fingerprint
+    ``query_duplicates`` calls (about 2 us of server work each): what is
+    left is framing, the hops between threads and the kernel round trip.
+    This is the small-op cost that ``serve_small_mixed`` pays per frame.
+    """
+    rows = []
+    for name, front_end in (("thread", CDStoreTCPServer), ("async", AsyncCDStoreTCPServer)):
+        cpu_us, switches = _small_rpc_cost(front_end)
+        assert cpu_us > 0
+        rows.append([name, cpu_us, switches])
+    table = format_table(
+        ["front-end", "CPU us/request", "voluntary switches/request"],
+        rows,
+        title=f"Figure 8 (small-RPC cost): {_SMALL_RPCS} serial one-fingerprint "
+              "query_duplicates over loopback, client + server CPU",
+    )
+    emit("fig8_small_rpc", table)

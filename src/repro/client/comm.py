@@ -164,8 +164,7 @@ class CloudUploader:
         # one-call-per-batch path.
         self._upload_async = getattr(server, "upload_shares_async", None)
         self._inflight: deque = deque()
-        #: The first error a pipelined feed of this cloud raised; later
-        #: feeds skip their slab and the cloud's finish raises it.
+        #: The first error a feed of this cloud raised (see :meth:`fail`).
         self.error: BaseException | None = None
 
     def _send_batch(self) -> None:
@@ -232,6 +231,13 @@ class CloudUploader:
         """Accept the next encoded slab: each secret's share for this cloud."""
         for chunk, share_set in zip(chunks, share_sets):
             self.feed(chunk, share_set.shares[self.cloud_idx])
+
+    def fail(self, exc: BaseException) -> None:
+        """Record the error that ends this cloud's upload: later slabs skip
+        the cloud and its finish raises the error.  The error's frames are
+        cleared, so keeping it pins no slab of shares."""
+        traceback.clear_frames(exc.__traceback__)
+        self.error = exc
 
     def finish(self) -> CloudUploadResult:
         """Flush the tails and wait for every outstanding ack."""
@@ -446,8 +452,7 @@ class CommEngine:
             uploader.feed_slab(chunks, slab.result())
         except BaseException as exc:
             del slab
-            traceback.clear_frames(exc.__traceback__)
-            uploader.error = exc
+            uploader.fail(exc)
 
     @staticmethod
     def _finish(uploader: CloudUploader) -> CloudUploadResult:
@@ -476,10 +481,13 @@ class CommEngine:
         Pipelined, it is encoded on the encode pool and fed on each
         cloud's worker; the caller waits for the oldest slab's feeds
         before submitting one more than ``max(pipeline_depth, threads)``
-        (a pool of ``threads`` encoders cannot be kept busy by fewer), and
-        submits no more once every cloud's feed has failed.  Either way
-        the wire traffic is that of encoding the whole file up front: the
-        4 MB windows accumulate the same byte sequence.
+        (a pool of ``threads`` encoders cannot be kept busy by fewer).
+        Either way the wire traffic is that of encoding the whole file up
+        front: the 4 MB windows accumulate the same byte sequence.  A
+        failure ends alike too: a cloud whose feed fails gets no later
+        slab, the others are fed and finished, no slab is encoded once
+        every cloud has failed, and then the error of the first failed
+        cloud (in ``clouds`` order) is raised.
         """
         if keys is None:
             keys = [None] * len(chunks)
@@ -490,12 +498,27 @@ class CommEngine:
         spans = slab_spans([chunk.size for chunk in chunks], self.threads)
         if not self.parallel or len(chunks) < 2:
             for start, end in spans:
+                if all(uploader.error is not None for uploader in uploaders):
+                    break
                 part = chunks[start:end]
                 slab = self._encode_slab(dispersal, [c.data for c in part], start, keys)
                 for uploader in uploaders:
-                    uploader.feed_slab(part, slab)
+                    if uploader.error is None:
+                        try:
+                            uploader.feed_slab(part, slab)
+                        except BaseException as exc:
+                            uploader.fail(exc)
                 del slab  # hold no slab of shares while the next encodes
-            return [uploader.finish() for uploader in uploaders]
+            for uploader in uploaders:
+                if uploader.error is None:
+                    try:
+                        uploader.finish()
+                    except BaseException as exc:
+                        uploader.fail(exc)
+            for uploader in uploaders:
+                if uploader.error is not None:
+                    raise uploader.error
+            return [uploader.result for uploader in uploaders]
 
         encode_pool, cloud_workers = self._ensure_workers()
         encode, feed = _carry_context(self._encode_slab), _carry_context(self._feed)

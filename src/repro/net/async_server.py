@@ -2,9 +2,10 @@
 
 :class:`AsyncCDStoreTCPServer` is the high-fan-in counterpart of the
 thread-per-connection :class:`~repro.net.server.CDStoreTCPServer`.  One
-event-loop thread owns every socket: it reads frames, answers control
-frames (PING/AUTH) inline, and dispatches API frames onto the existing
-blocking, lock-disciplined storage stack through a **bounded**
+event-loop thread is a reactor over raw non-blocking sockets: one
+readiness callback per connection reads whatever arrived, answers control
+frames (PING/AUTH) inline, and hands API frames to the existing blocking,
+lock-disciplined storage stack through a **bounded**
 ``ThreadPoolExecutor``.  Connection count no longer buys a thread each —
 ten thousand idle connections cost ten thousand socket objects, not ten
 thousand stacks — while the storage stack keeps being driven by plain
@@ -31,20 +32,22 @@ A request over either bound is *shed*, not queued: the client gets an
 immediate typed :data:`~repro.net.wire.R_ERROR` frame carrying
 :class:`~repro.errors.ServerOverloadedError` (which the comm engine
 treats as a transient cloud outage — fail over or retry), and the
-connection stays healthy.
+connection stays healthy.  The loop admits; the worker that ran the
+request releases its slot, under one admission lock.
 
 Backpressure & slow readers
 ---------------------------
 
-Worker replies enter a per-connection outbound queue capped at
-``write_queue_cap`` bytes; a writer coroutine drains it through
-``await drain()`` so socket backpressure propagates into the queue.  A
-worker that finds the queue full blocks (bounding the server-side working
-set of a streamed fetch, exactly like TCP backpressure does on the
-threaded server) — but only for ``slow_reader_grace`` seconds.  A client
-that stops reading past that grace is **evicted**: its connection is
-aborted, releasing the worker, rather than letting one dead peer pin an
-executor slot forever.
+The worker that produced a reply writes it straight to the socket under
+the connection's write lock, so frames never interleave.  Only bytes the
+socket refuses are queued, for a loop writer callback to drain; neither
+the loop nor a control reply ever waits on a socket or on a worker.  A
+worker that finds more than ``write_queue_cap`` bytes queued waits
+(bounding a streamed fetch's server-side working set, exactly like TCP
+backpressure does on the threaded server) — but only for
+``slow_reader_grace`` seconds.  A client that stops reading past that
+grace is **evicted**: its connection is aborted, releasing the worker,
+rather than letting one dead peer pin an executor slot forever.
 
 Error discipline matches the threaded server: a :class:`~repro.errors.
 ReproError` is a typed in-band answer; any other exception is a server
@@ -62,6 +65,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.analysis.annotations import guarded_by
 from repro.errors import ProtocolError, ReproError, ServerOverloadedError
 from repro.net import wire
 from repro.net.dispatch import ConnState, FrameDispatcher
@@ -94,8 +98,13 @@ _SLOW_READER_EVICTIONS = REGISTRY.counter(
 )
 _WRITE_QUEUE_BYTES = REGISTRY.gauge(
     "net_async_write_queue_bytes",
-    "Bytes parked in per-connection outbound reply queues",
+    "Reply bytes the socket refused, parked in per-connection queues",
 )
+
+_HEADER = wire.MUX_FRAME_HEADER.size
+#: The loop's read buffer, shared by every connection between frames that
+#: fit it, so an idle connection holds no buffer at all.
+_READ_BUFFER = 256 << 10
 
 
 class AsyncCDStoreTCPServer:
@@ -122,7 +131,8 @@ class AsyncCDStoreTCPServer:
         Accepted-connection cap; further connects are answered with one
         typed overload frame and closed.
     write_queue_cap:
-        Per-connection outbound-queue byte cap (slow-reader bound).
+        Per-connection cap on queued reply bytes the socket has not yet
+        taken (slow-reader bound).
     source_inflight_cap:
         Max in-flight requests per tenant (or per connection when open).
     max_backlog:
@@ -136,6 +146,13 @@ class AsyncCDStoreTCPServer:
         the trace extension in PONG, the span ring capacity, and the
         slow-request log threshold in seconds (``None`` disables).
     """
+
+    #: Lock discipline (``repro analyze``, LOCK-001): the loop admits a
+    #: request and the worker that ran it releases the slot, so the
+    #: admission counters live under ``_admission_lock``.
+    GUARDED_BY = guarded_by(
+        _total_inflight="_admission_lock", _source_inflight="_admission_lock"
+    )
 
     def __init__(
         self,
@@ -163,13 +180,8 @@ class AsyncCDStoreTCPServer:
         if write_queue_cap < 1:
             raise ValueError(f"write_queue_cap must be >= 1, got {write_queue_cap}")
         self._dispatcher = FrameDispatcher(
-            server,
-            frame_budget=frame_budget,
-            tenants=tenants,
-            gateway=gateway,
-            trace=trace,
-            span_ring=span_ring,
-            slow_threshold=slow_threshold,
+            server, frame_budget=frame_budget, tenants=tenants, gateway=gateway,
+            trace=trace, span_ring=span_ring, slow_threshold=slow_threshold,
         )
         self.server = server
         self.gateway = gateway
@@ -185,13 +197,15 @@ class AsyncCDStoreTCPServer:
         self._address: tuple[str, int] | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
-        self._aserver: asyncio.base_events.Server | None = None
+        self._listener: socket.socket | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._boot_error: BaseException | None = None
         self._stopped = threading.Event()
-        # Loop-affine state (touched only on the event-loop thread, so no
-        # lock): the live-connection set and the admission counters.
+        #: Open connections and the shared read buffer: only the loop
+        #: thread touches them, so no lock.
         self._connections: set[_AsyncConnection] = set()
+        self._rbuf = bytearray(_READ_BUFFER)
+        self._admission_lock = threading.Lock()
         self._total_inflight = 0
         self._source_inflight: dict[object, int] = {}
 
@@ -270,7 +284,6 @@ class AsyncCDStoreTCPServer:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
         self._loop = None
-        self._aserver = None
         self._address = None
 
     def close(self) -> None:
@@ -285,72 +298,72 @@ class AsyncCDStoreTCPServer:
 
     def _run_loop(self, ready: threading.Event) -> None:
         loop = self._loop
-        assert loop is not None
         asyncio.set_event_loop(loop)
         try:
-            self._aserver = loop.run_until_complete(
-                asyncio.start_server(self._on_connect, self._host, self._port)
-            )
+            family, _, _, _, addr = socket.getaddrinfo(
+                self._host or None, self._port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+            )[0]
+            listener = socket.create_server(addr, family=family, backlog=100)
         except OSError as exc:
             self._boot_error = exc
             loop.close()
             ready.set()
             return
-        self._address = self._aserver.sockets[0].getsockname()[:2]
+        listener.setblocking(False)
+        self._listener = listener
+        self._address = listener.getsockname()[:2]
         self._executor = ThreadPoolExecutor(
             max_workers=self.executor_size,
             thread_name_prefix=f"cdstore-async-{self.server_id}",
         )
+        loop.add_reader(listener, self._on_accept)
         ready.set()
         try:
             loop.run_forever()
         finally:
-            self._aserver.close()
+            loop.remove_reader(listener)
+            listener.close()
+            self._listener = None
             for conn in list(self._connections):
                 conn.abort()
-            with contextlib.suppress(Exception):
-                loop.run_until_complete(self._aserver.wait_closed())
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                with contextlib.suppress(Exception):
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
+                conn._close()
             loop.close()
 
     # ------------------------------------------------------------------
     # connection handling (event-loop thread)
     # ------------------------------------------------------------------
-    async def _on_connect(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _on_accept(self) -> None:
+        listener, loop = self._listener, self._loop
+        for _ in range(64):  # bounded, so a connect flood cannot starve reads
+            try:
+                sock, _addr = listener.accept()
+            except (BlockingIOError, InterruptedError, ConnectionAbortedError):
+                return
+            except OSError:
+                break
+            self._take(sock)
+        else:
+            return
+        # Out of descriptors or memory: pause instead of spinning on it.
+        loop.remove_reader(listener)
+        loop.call_later(1.0, loop.add_reader, listener, self._on_accept)
+
+    def _take(self, sock: socket.socket) -> None:
+        """Serve an accepted socket, or shed it over the connection cap."""
+        sock.setblocking(False)
         if len(self._connections) >= self.max_connections:
             _SHEDS.inc(reason="connection_cap", server=self.server_id)
-            # Shed with a typed, connection-level answer (request id 0):
-            # the proxy's handshake read surfaces it as the PING's reply.
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.write(
-                    wire.encode_error_frame(
-                        0, ServerOverloadedError("connection limit reached")
-                    )
-                )
-                writer.close()
+            # A typed answer with request id 0: the proxy reads it as the PONG.
+            shed = ServerOverloadedError("connection limit reached")
+            with sock, contextlib.suppress(OSError):
+                sock.send(wire.encode_error_frame(0, shed))
             return
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            with contextlib.suppress(OSError):
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _AsyncConnection(self, reader, writer)
+        with contextlib.suppress(OSError):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _AsyncConnection(self, sock)
         self._connections.add(conn)
         _CONNECTIONS.inc(server=self.server_id)
-        try:
-            await conn.run()
-        finally:
-            self._connections.discard(conn)
-            _CONNECTIONS.dec(server=self.server_id)
-            conn.abort()
+        self._loop.add_reader(sock, conn.on_readable)
 
     def _admit(self, conn: "_AsyncConnection", state: ConnState) -> object | None:
         """Admission control for one API request; returns the charge key.
@@ -361,322 +374,307 @@ class AsyncCDStoreTCPServer:
         mode fairness is per connection.
         """
         key: object = state.tenant if state.tenant is not None else conn
-        if self._total_inflight >= self.max_backlog:
-            _SHEDS.inc(reason="backlog", server=self.server_id)
+        with self._admission_lock:
+            if self._total_inflight >= self.max_backlog:
+                shed = "backlog"
+            elif self._source_inflight.get(key, 0) >= self.source_inflight_cap:
+                shed = "source_inflight"
+            else:
+                shed = None
+                self._total_inflight += 1
+                self._source_inflight[key] = self._source_inflight.get(key, 0) + 1
+        if shed is not None:
+            _SHEDS.inc(reason=shed, server=self.server_id)
             return None
-        if self._source_inflight.get(key, 0) >= self.source_inflight_cap:
-            _SHEDS.inc(reason="source_inflight", server=self.server_id)
-            return None
-        self._total_inflight += 1
-        self._source_inflight[key] = self._source_inflight.get(key, 0) + 1
         _INFLIGHT.inc(server=self.server_id)
         return key
 
     def _release(self, key: object) -> None:
+        with self._admission_lock:
+            self._total_inflight -= 1
+            left = self._source_inflight.get(key, 0) - 1
+            if left <= 0:
+                self._source_inflight.pop(key, None)
+            else:
+                self._source_inflight[key] = left
         _INFLIGHT.dec(server=self.server_id)
-        self._total_inflight -= 1
-        left = self._source_inflight.get(key, 0) - 1
-        if left <= 0:
-            self._source_inflight.pop(key, None)
-        else:
-            self._source_inflight[key] = left
 
     # ------------------------------------------------------------------
     # request execution (executor worker threads)
     # ------------------------------------------------------------------
-    def _run_job(
-        self,
-        conn: "_AsyncConnection",
-        state: ConnState,
-        frame_type: int,
-        request_id: int,
-        payload: bytes,
-    ) -> None:
+    def _run_job(self, conn: "_AsyncConnection", state: ConnState, frame_type: int,
+                 request_id: int, payload: bytes, key: object) -> None:
+        """Answer one API frame on a worker, writing the replies itself.
+
+        A streamed reply's middle frames go out as they are produced; the
+        final frame (or the typed error) waits for the dispatch to end, so
+        the slot and the id are free before the client can reuse the id.
+        """
+        row = wire.FRAMES.get(frame_type)
+        mid = row.mid if row is not None else None
+        last: bytes | None = None
         try:
-            for reply_type, reply in self._dispatcher.dispatch(
-                state, frame_type, payload
-            ):
-                conn.send_from_worker(
-                    wire.encode_mux_frame(reply_type, request_id, reply)
-                )
+            for reply_type, reply in self._dispatcher.dispatch(state, frame_type, payload):
+                frame = wire.encode_mux_frame(reply_type, request_id, reply)
+                if reply_type == mid:
+                    conn.send(frame)
+                else:
+                    last = frame
         except ReproError as exc:
-            with contextlib.suppress(ConnectionError, OSError):
-                conn.send_from_worker(wire.encode_error_frame(request_id, exc))
-        except (ConnectionError, OSError):
-            pass  # peer went away or was evicted mid-stream
+            last = wire.encode_error_frame(request_id, exc)
+        except OSError:
+            conn.abort()  # the peer went away or was evicted, or the stack failed
         except Exception:  # noqa: BLE001 - server bug: drop the connection
-            logger.exception(
-                "request handler crashed on server %s; aborting connection",
-                self.server_id,
-            )
-            conn.abort_threadsafe()
+            logger.exception("request handler crashed on server %s; aborting connection",
+                             self.server_id)
+            conn.abort()
+        finally:
+            self._release(key)
+            conn.end_job(request_id, last)
 
 
 class _AsyncConnection:
-    """One multiplexed client connection (owned by the event-loop thread).
+    """One multiplexed client connection on a non-blocking socket.
 
-    The outbound queue (``_out``/``_out_bytes``/``dead``) is the only
-    state shared with executor workers and lives under ``_qlock`` — a
-    plain mutex held for appends/pops only, never across I/O.  Everything
-    else is loop-affine.
-    """
+    Reads, parsing and teardown run on the loop.  The loop (control
+    replies) and workers (API replies) write whole frames under
+    ``_wlock``, a mutex held for non-blocking sends and queue updates only;
+    a worker over ``write_queue_cap`` waits on its condition."""
 
-    def __init__(
-        self,
-        srv: AsyncCDStoreTCPServer,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    #: Lock discipline (``repro analyze``, LOCK-001): what a worker and the
+    #: loop both touch (the refused bytes, the in-flight ids and job count,
+    #: the liveness flags) lives under the write lock.
+    GUARDED_BY = guarded_by(
+        _out="_wlock", _out_bytes="_wlock", _inflight_ids="_wlock",
+        _jobs="_wlock", _reading="_wlock", dead="_wlock",
+    )
+
+    def __init__(self, srv: AsyncCDStoreTCPServer, sock: socket.socket) -> None:
         self.srv = srv
-        self.reader = reader
-        self.writer = writer
+        self.loop = srv._loop
+        self.sock = sock
         self.state = ConnState()
-        self._qlock = threading.Lock()
-        self._out: deque[bytes] = deque()
+        self._wlock = threading.Condition(threading.Lock())
+        self._out: deque[memoryview] = deque()
         self._out_bytes = 0
-        self.dead = False
-        #: Worker-side flow control: set while the queue has room.
-        self._space = threading.Event()
-        self._space.set()
-        #: Loop-side writer wakeup: set while the queue has frames.
-        self._wake = asyncio.Event()
-        #: Request ids currently in flight (loop-affine; reuse guard).
+        #: In-flight request ids (reuse guard); a hung-up connection closes at 0 jobs.
         self._inflight_ids: set[int] = set()
         self._jobs = 0
+        self._reading = True
+        self.dead = False
+        # Loop-affine unparsed bytes: ``_rest``, or ``_rbuf[:_rlen]`` while a
+        # frame larger than the shared buffer arrives into one of its own.
+        self._rest = b""
+        self._rbuf: bytearray | None = None
+        self._rlen = 0
 
-    # -------------------------- read / dispatch side ------------------
-    async def run(self) -> None:
-        loop = asyncio.get_running_loop()
-        writer_task = loop.create_task(self._write_loop())
-        state = self.state
+    # -------------------------- read / dispatch side (loop) -----------
+    def on_readable(self) -> None:
+        """Read what arrived and handle every complete frame in it."""
+        buf, start = self._rbuf, self._rlen
+        if buf is None:
+            buf, start = self.srv._rbuf, len(self._rest)
+            buf[:start] = self._rest
         try:
-            while True:
+            with memoryview(buf) as view:
+                got = self.sock.recv_into(view[start:])
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            got = 0
+        if not got:
+            self._hang_up()  # client went away
+            return
+        end = start + got
+        pos, need = 0, _HEADER
+        with memoryview(buf) as view:
+            while end - pos >= _HEADER:
+                request_id = 0  # a header that fails to parse answers no request
                 try:
-                    frame_type, request_id, payload = await self._read_frame()
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    return  # client went away between frames
+                    frame_type, request_id, length = wire.decode_header(
+                        view[pos:pos + _HEADER], self.srv.max_frame
+                    )
+                    need = _HEADER + length
+                    if end - pos < need:
+                        break
+                    payload = bytes(view[pos + _HEADER:pos + need])
+                    pos, need = pos + need, _HEADER
+                    self._handle_frame(frame_type, request_id, payload)
                 except ReproError as exc:
-                    # Bad magic / oversized length: unrecoverable desync —
-                    # answer typed (connection-level: id 0), then hang up.
-                    self._write_inline_error(0, exc)
+                    # Bad magic, oversized length or a reused request id: the
+                    # stream cannot be trusted further — answer, then hang up.
+                    self._reply_now(wire.encode_error_frame(request_id, exc))
+                    self._hang_up()
                     return
-                try:
-                    self._handle_frame(state, frame_type, request_id, payload)
-                except ReproError as exc:
-                    # Framing-layer violation (e.g. request-id reuse):
-                    # answer typed, then hang up — in-flight ids cannot be
-                    # disambiguated any more.
-                    self._write_inline_error(request_id, exc)
+                except Exception:  # noqa: BLE001 - server bug: drop the connection
+                    logger.exception("frame handler crashed on server %s; aborting connection",
+                                     self.srv.server_id)
+                    self.abort()
                     return
-        finally:
-            await self._finish(writer_task)
+        if need <= _READ_BUFFER:
+            self._rest, self._rbuf, self._rlen = bytes(buf[pos:end]), None, 0
+        elif buf is self.srv._rbuf or end == len(buf):
+            # A larger frame is arriving: give it a buffer of its own, grown
+            # with what came, so a bare header cannot claim ``max_frame``.
+            self._rbuf = bytearray(min(need, 4 * (end - pos)))
+            self._rbuf[:end - pos] = buf[pos:end]
+            self._rlen = end - pos
+        else:
+            self._rlen = end  # the frame fills its own buffer from 0
 
-    async def _read_frame(self) -> tuple[int, int, bytes]:
-        raw = await self.reader.readexactly(wire.MUX_FRAME_HEADER.size)
-        frame_type, request_id, length = wire.decode_header(raw, self.srv.max_frame)
-        payload = await self.reader.readexactly(length) if length else b""
-        return frame_type, request_id, payload
-
-    def _handle_frame(
-        self, state: ConnState, frame_type: int, request_id: int, payload: bytes
-    ) -> None:
-        srv = self.srv
+    def _handle_frame(self, frame_type: int, request_id: int, payload: bytes) -> None:
+        srv, state = self.srv, self.state
         if frame_type in wire.CONTROL_FRAMES:
             # Control frames (version handshake, auth exchange) are cheap —
             # one HMAC at most — and mutate per-connection state, so they
-            # run inline on the loop, serial with the read loop.
+            # run inline on the loop, serial with the reads.
             try:
-                for reply_type, reply in srv._dispatcher.dispatch(
-                    state, frame_type, payload
-                ):
-                    self._write_inline(
-                        wire.encode_mux_frame(reply_type, request_id, reply)
-                    )
+                for reply_type, reply in srv._dispatcher.dispatch(state, frame_type, payload):
+                    self._reply_now(wire.encode_mux_frame(reply_type, request_id, reply))
             except ReproError as exc:
-                self._write_inline_error(request_id, exc)
+                self._reply_now(wire.encode_error_frame(request_id, exc))
             return
-        if request_id in self._inflight_ids:
-            raise ProtocolError(
-                f"request id {request_id} reused while still in flight"
-            )
-        self._inflight_ids.add(request_id)
-        key = srv._admit(self, state)
+        with self._wlock:
+            if request_id in self._inflight_ids:
+                raise ProtocolError(f"request id {request_id} reused while still in flight")
+            key = srv._admit(self, state)
+            if key is not None:
+                self._inflight_ids.add(request_id)
+                self._jobs += 1
         if key is None:
-            self._inflight_ids.discard(request_id)
-            self._write_inline_error(
-                request_id,
-                ServerOverloadedError(
-                    f"server {srv.server_id} shed request under load"
-                ),
-            )
+            shed = ServerOverloadedError(f"server {srv.server_id} shed request under load")
+            self._reply_now(wire.encode_error_frame(request_id, shed))
             return
-        self._jobs += 1
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
-            srv._executor, srv._run_job, self, state, frame_type, request_id, payload
-        )
-        future.add_done_callback(
-            lambda f, key=key, rid=request_id: self._job_done(key, rid, f)
-        )
+        srv._executor.submit(srv._run_job, self, state, frame_type, request_id, payload, key)
 
-    def _job_done(self, key: object, request_id: int, future) -> None:
-        self.srv._release(key)
-        self._jobs -= 1
-        self._inflight_ids.discard(request_id)
-        if future.cancelled():
-            return
-        exc = future.exception()
-        if exc is not None:  # _run_job catches everything; belt-and-braces
-            logger.error(
-                "request job failed on server %s",
-                self.srv.server_id,
-                exc_info=exc,
-            )
+    def _hang_up(self) -> None:
+        """Stop reading; close once in-flight jobs have written their
+        replies, or after ``slow_reader_grace`` seconds at the latest."""
+        self.loop.remove_reader(self.sock)
+        with self._wlock:
+            self._reading = False
+            idle = not self._jobs and not self._out
+        if idle:
+            self.abort()
+        else:
+            self.loop.call_later(self.srv.slow_reader_grace, self.abort)
+
+    # -------------------------- write side -----------------------------
+    def send(self, frame: bytes) -> None:
+        """Write one whole frame from a worker; see :meth:`_wait_for_room_locked`."""
+        with self._wlock:
+            self._wait_for_room_locked()
+            self._write_locked(frame)
+
+    def end_job(self, request_id: int, frame: bytes | None) -> None:
+        """A job is over: free its id, write its final frame, count it done."""
+        with self._wlock:
+            self._inflight_ids.discard(request_id)
+            if frame is not None:
+                with contextlib.suppress(OSError):  # dead or evicted: no one to answer
+                    self._wait_for_room_locked()
+                    self._write_locked(frame)
+            self._jobs -= 1
+            hung_up = not self._jobs and not self._reading and not self._out
+        if hung_up:
             self.abort()
 
-    # -------------------------- write side ----------------------------
-    def _write_inline(self, buf: bytes) -> None:
-        """Loop-thread write of one whole frame (control/error replies)."""
-        if self.dead:
-            return
-        with contextlib.suppress(ConnectionError, OSError):
-            self.writer.write(buf)
+    def _reply_now(self, frame: bytes) -> None:
+        """Loop-thread write of one whole frame; never waits for room."""
+        with self._wlock, contextlib.suppress(OSError):
+            self._write_locked(frame)
 
-    def _write_inline_error(self, request_id: int, exc: ReproError) -> None:
-        self._write_inline(wire.encode_error_frame(request_id, exc))
-
-    async def _write_loop(self) -> None:
-        """Drain the worker-reply queue through real socket backpressure."""
-        while True:
-            await self._wake.wait()
-            while True:
-                with self._qlock:
-                    if self.dead:
-                        return
-                    if not self._out:
-                        self._wake.clear()
-                        break
-                    buf = self._out.popleft()
-                    self._out_bytes -= len(buf)
-                    if self._out_bytes <= self.srv.write_queue_cap:
-                        self._space.set()
-                _WRITE_QUEUE_BYTES.add(-len(buf), server=self.srv.server_id)
-                self.writer.write(buf)
-                try:
-                    await self.writer.drain()
-                except (ConnectionError, OSError):
-                    self.abort()
-                    return
-
-    def send_from_worker(self, buf: bytes) -> None:
-        """Enqueue one whole frame from an executor worker (may block).
-
-        Blocks while the queue is over ``write_queue_cap`` — that bound is
-        what keeps a streamed fetch's server-side working set finite — and
-        evicts the connection if the client gives no room for
-        ``slow_reader_grace`` seconds.
-        """
+    def _wait_for_room_locked(self) -> None:
+        """Wait while over ``write_queue_cap`` refused bytes are queued (this
+        bounds a streamed fetch's working set); evict after the grace."""
         srv = self.srv
         deadline = time.monotonic() + srv.slow_reader_grace
-        while True:
-            with self._qlock:
-                if self.dead:
-                    raise ConnectionResetError("connection closed")
-                if self._out_bytes <= srv.write_queue_cap:
-                    self._out.append(buf)
-                    self._out_bytes += len(buf)
-                    if self._out_bytes > srv.write_queue_cap:
-                        self._space.clear()
-                    queued = True
-                else:
-                    self._space.clear()
-                    queued = False
-            if queued:
-                _WRITE_QUEUE_BYTES.add(len(buf), server=srv.server_id)
-                self._call_soon(self._wake_writer)
-                return
+        while self._out_bytes > srv.write_queue_cap and not self.dead:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 # Slow reader: evict rather than pin this worker forever.
                 _SLOW_READER_EVICTIONS.inc(server=srv.server_id)
-                self.abort_threadsafe()
+                self._kill_locked()
                 raise ConnectionResetError("slow reader evicted")
-            self._space.wait(timeout=min(remaining, 0.1))
+            self._wlock.wait(remaining)
 
-    def _wake_writer(self) -> None:
-        if not self.dead:
-            self._wake.set()
+    def _write_locked(self, frame: bytes) -> None:
+        """Send what the socket takes now; queue the rest behind the queue."""
+        if self.dead:
+            raise ConnectionResetError("connection closed")
+        rest = memoryview(frame)
+        if not self._out:
+            try:
+                rest = rest[self.sock.send(rest):]
+            except (BlockingIOError, InterruptedError):
+                pass
+            except OSError:
+                self._kill_locked()
+                raise
+            if not rest:
+                return
+            self._call_soon(self._arm_writer)
+        self._out.append(rest)
+        self._out_bytes += len(rest)
+        _WRITE_QUEUE_BYTES.add(len(rest), server=self.srv.server_id)
+
+    def _arm_writer(self) -> None:
+        with self._wlock:
+            if self._out and not self.dead:
+                self.loop.add_writer(self.sock, self._on_writable)
+
+    def _on_writable(self) -> None:
+        """Loop writer callback: drain refused bytes as the socket takes them."""
+        with self._wlock:
+            try:
+                while self._out:
+                    head = self._out[0]
+                    took = self.sock.send(head)
+                    self._out_bytes -= took
+                    _WRITE_QUEUE_BYTES.add(-took, server=self.srv.server_id)
+                    if took < len(head):
+                        self._out[0] = head[took:]
+                        break
+                    self._out.popleft()
+            except (BlockingIOError, InterruptedError):
+                pass
+            except OSError:
+                self._kill_locked()
+            self._wlock.notify_all()
+            if self._out and not self.dead:
+                return
+            hung_up = self.dead or (not self._jobs and not self._reading)
+        self.loop.remove_writer(self.sock)
+        if hung_up:
+            self.abort()
 
     def _call_soon(self, fn) -> None:
-        loop = self.srv._loop
-        if loop is None:
-            return
-        with contextlib.suppress(RuntimeError):
-            loop.call_soon_threadsafe(fn)
+        with contextlib.suppress(RuntimeError):  # loop already closed
+            self.loop.call_soon_threadsafe(fn)
 
-    # -------------------------- teardown -------------------------------
     def abort(self) -> None:
-        """Kill the connection now (loop thread): drop queue, reset socket."""
-        with self._qlock:
-            if self.dead:
-                return
-            self.dead = True
-            cleared = self._out_bytes
-            self._out.clear()
-            self._out_bytes = 0
-        if cleared:
-            _WRITE_QUEUE_BYTES.add(-cleared, server=self.srv.server_id)
-        self._space.set()  # release blocked workers (they observe dead)
-        self._wake.set()  # release the writer coroutine
-        transport = self.writer.transport
-        if transport is not None:
-            with contextlib.suppress(Exception):
-                transport.abort()
+        """Kill the connection (any thread): no write reaches it any more."""
+        with self._wlock:
+            self._kill_locked()
 
-    def abort_threadsafe(self) -> None:
-        """Worker-thread-safe abort: mark dead now, reset on the loop."""
-        with self._qlock:
-            already = self.dead
-            self.dead = True
-            cleared = self._out_bytes
-            self._out.clear()
-            self._out_bytes = 0
-        if cleared:
-            _WRITE_QUEUE_BYTES.add(-cleared, server=self.srv.server_id)
-        self._space.set()
-        if not already:
-            self._call_soon(self._finish_abort)
+    def _kill_locked(self) -> None:
+        """Mark dead, drop the queue, wake workers, have the loop close."""
+        if self.dead:
+            return
+        self.dead = True
+        _WRITE_QUEUE_BYTES.add(-self._out_bytes, server=self.srv.server_id)
+        self._out.clear()
+        self._out_bytes = 0
+        self._wlock.notify_all()
+        self._call_soon(self._close)
 
-    def _finish_abort(self) -> None:
-        self._wake.set()
-        transport = self.writer.transport
-        if transport is not None:
-            with contextlib.suppress(Exception):
-                transport.abort()
-
-    async def _finish(self, writer_task: asyncio.Task) -> None:
-        """Read loop is done: flush what in-flight jobs produced, then die."""
-        try:
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + 1.0
-            while loop.time() < deadline:
-                with self._qlock:
-                    drained = not self._out and self._jobs == 0
-                    if self.dead:
-                        break
-                if drained:
-                    break
-                await asyncio.sleep(0.01)
-            if not self.dead:
-                with contextlib.suppress(
-                    ConnectionError, OSError, asyncio.TimeoutError
-                ):
-                    await asyncio.wait_for(self.writer.drain(), timeout=0.5)
-        finally:
-            # Runs even when the connection task itself is cancelled at
-            # shutdown mid-drain — the writer task must always be reaped
-            # or the loop reports it as destroyed-while-pending.
-            self.abort()
-            writer_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await writer_task
+    def _close(self) -> None:
+        """Loop thread, after the connection is dead: release the socket."""
+        srv = self.srv
+        if self not in srv._connections:
+            return
+        srv._connections.discard(self)
+        _CONNECTIONS.dec(server=srv.server_id)
+        self.loop.remove_reader(self.sock)
+        self.loop.remove_writer(self.sock)
+        self.sock.close()

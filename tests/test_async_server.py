@@ -5,7 +5,10 @@ well-behaved clients (same dispatcher, same typed errors, same bytes),
 while adding the multiplexing semantics this suite pins down: out-of-order
 replies routed by request id, request-id reuse rejection, overload
 shedding with typed frames, slow-reader eviction, and fast failure of all
-in-flight requests when the connection dies mid-mux.
+in-flight requests when the connection dies mid-mux.  Raw-socket tests
+hold the reactor's framing to the same answers however the request bytes
+arrive (pipelined, dribbled, split around a large frame) and with replies
+written concurrently by the loop and by workers.
 """
 
 from __future__ import annotations
@@ -176,6 +179,166 @@ def drain_until_close(sock) -> bytes:
         if not chunk:
             return b"".join(chunks)
         chunks.append(chunk)
+
+
+def request(row, request_id: int, *fields) -> bytes:
+    """One complete request frame carrying ``fields``."""
+    return wire.encode_mux_frame(row, request_id, row.encode(*fields))
+
+
+# ---------------------------------------------------------------------------
+# the reactor's framing: however the request bytes arrive
+# ---------------------------------------------------------------------------
+
+
+class TestReactorFraming:
+    def test_pipelined_requests_in_one_send_are_all_answered(self):
+        server = make_servers(1)[0]
+        seed_shares(server, count=8, size=1024)
+        known = [fingerprint(bytes([i]) * 1024) for i in range(8)]
+        unknown = [fingerprint(bytes([i]) * 7) for i in range(8)]
+        asked = {100 + i: fp for i, fp in enumerate(known + unknown)}
+        with AsyncCDStoreTCPServer(server) as tcp:
+            sock = connect_raw(tcp)
+            try:
+                sock.sendall(b"".join(
+                    request(wire.T_QUERY_DUPLICATES, rid, "alice", [fp])
+                    for rid, fp in asked.items()))
+                answers = {}
+                for _ in asked:
+                    frame_type, rid, body = read_raw_frame(sock)
+                    assert frame_type == wire.R_BOOLS
+                    answers[rid] = wire.R_BOOLS.decode_result(body)
+            finally:
+                sock.close()
+        assert answers == {rid: [fp in known] for rid, fp in asked.items()}
+
+    def test_request_dribbled_one_byte_per_send_is_answered(self):
+        server = make_servers(1)[0]
+        seed_shares(server, count=1, size=1024)
+        fp = fingerprint(bytes(1024))
+        with AsyncCDStoreTCPServer(server) as tcp:
+            sock = connect_raw(tcp)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            try:
+                for byte in request(wire.T_QUERY_DUPLICATES, 5, "alice", [fp, b"\x00" * 32]):
+                    sock.send(bytes([byte]))
+                    time.sleep(0.001)
+                frame_type, rid, body = read_raw_frame(sock)
+            finally:
+                sock.close()
+        assert (frame_type, rid) == (wire.R_BOOLS, 5)
+        assert wire.R_BOOLS.decode_result(body) == [True, False]
+
+    def test_partial_frames_of_two_connections_stay_apart(self):
+        """The loop reads every connection through one shared buffer; what
+        one connection left half-sent is its own when it resumes."""
+        server = make_servers(1)[0]
+        seed_shares(server, count=2, size=1024)
+        first, second = (request(wire.T_QUERY_DUPLICATES, 7 + i, "alice", [fingerprint(bytes([i]) * 1024)])
+                         for i in range(2))
+        with AsyncCDStoreTCPServer(server) as tcp:
+            a, b = connect_raw(tcp), connect_raw(tcp)
+            try:
+                a.sendall(first[:20])
+                b.sendall(request(wire.T_QUERY_DUPLICATES, 9, "alice", [b"\x00" * 32]) + second[:20])
+                time.sleep(0.1)  # both halves reach the loop before the rest
+                a.sendall(first[20:])
+                b.sendall(second[20:])
+                answers = [read_raw_frame(a), read_raw_frame(b), read_raw_frame(b)]
+            finally:
+                a.close()
+                b.close()
+        bools = [(rid, wire.R_BOOLS.decode_result(body)) for _type, rid, body in answers]
+        assert bools == [(7, [True]), (9, [False]), (8, [True])]
+
+    def test_frame_larger_than_the_read_buffer(self):
+        """A 1 MB upload and a query behind it, in one send: the read
+        buffer grows for the upload and the query is still answered."""
+        server = make_servers(1)[0]
+        data = payload(1 << 20)
+        meta = ShareMeta(fingerprint=fingerprint(data), share_size=len(data),
+                         secret_seq=0, secret_size=len(data))
+        with AsyncCDStoreTCPServer(server) as tcp:
+            sock = connect_raw(tcp)
+            try:
+                sock.sendall(
+                    request(wire.T_UPLOAD_SHARES, 1, "alice", [ShareUpload(meta=meta, data=data)])
+                    + request(wire.T_FLUSH, 2))
+                replies = {rid: frame_type for frame_type, rid, _ in
+                           (read_raw_frame(sock) for _ in range(2))}
+            finally:
+                sock.close()
+        assert replies == {1: wire.R_OK, 2: wire.R_OK}
+        assert server.query_duplicates("alice", [meta.fingerprint]) == [True]
+
+    def test_oversized_length_in_a_lone_header_is_a_typed_error(self):
+        """A header announcing more than ``max_frame`` bytes is answered
+        before any payload arrives: R_ERROR with id 0, then a hang-up."""
+        server = make_servers(1)[0]
+        with AsyncCDStoreTCPServer(server, max_frame=1 << 20) as tcp:
+            sock = connect_raw(tcp)
+            try:
+                magic, _type, _rid, _length = wire.MUX_FRAME_HEADER.unpack(
+                    wire.encode_mux_frame(wire.T_LIST_FILES, 1))
+                sock.sendall(wire.MUX_FRAME_HEADER.pack(magic, wire.T_LIST_FILES, 9, (1 << 20) + 1))
+                frame_type, rid, body = read_raw_frame(sock)
+                rest = drain_until_close(sock)
+            finally:
+                sock.close()
+        assert (frame_type, rid) == (wire.R_ERROR, 0)
+        exc = wire.decode_error(body)
+        assert isinstance(exc, ProtocolError) and "exceeds" in str(exc)
+        assert rest == b""
+
+    def test_concurrent_writers_never_interleave_a_frame(self):
+        """PINGs answered on the loop between three streamed fetches and
+        eight queries answered on four workers, all on one connection and
+        behind a small write queue: every reply frame parses and carries
+        exactly what its own request asked for."""
+        server = make_servers(1)[0]
+        # 9 MB of replies, left unread for a moment: more than loopback
+        # buffers hold, so the socket refuses bytes and workers wait on
+        # the write queue while the loop answers the PINGs.
+        fps = seed_shares(server, count=144, size=64 << 10)
+        slices = {10 + i: fps[48 * i:48 * (i + 1)] for i in range(3)}
+        queries = {20 + i: fingerprint(bytes([i * 11]) * (64 << 10)) for i in range(8)}
+        pings = range(30, 40)
+        with AsyncCDStoreTCPServer(server, executor_size=4, frame_budget=160 << 10,
+                                   write_queue_cap=256 << 10) as tcp:
+            sock = connect_raw(tcp)
+            try:
+                frames = [request(wire.T_FETCH_SHARES, rid, wanted)
+                          for rid, wanted in slices.items()]
+                frames += [request(wire.T_QUERY_DUPLICATES, rid, "alice", [fp])
+                           for rid, fp in queries.items()]
+                for i, rid in enumerate(pings):
+                    frames.insert(2 * i, request(wire.T_PING, rid, wire.WIRE_VERSION, 0))
+                sock.sendall(b"".join(frames))
+                time.sleep(0.5)
+                streamed = {rid: {} for rid in slices}
+                ended, answered, ponged = {}, {}, set()
+                while len(ended) + len(answered) + len(ponged) < 21:
+                    frame_type, rid, body = read_raw_frame(sock)
+                    if frame_type == wire.R_SHARE_BATCH:
+                        assert rid not in ended
+                        streamed[rid].update(wire.R_SHARE_BATCH.decode_result(body))
+                    elif frame_type == wire.R_SHARES_END:
+                        ended[rid] = wire.R_SHARES_END.decode_result(body)
+                    elif frame_type == wire.R_BOOLS:
+                        answered[rid] = wire.R_BOOLS.decode_result(body)
+                    else:
+                        assert frame_type == wire.R_PONG
+                        ponged.add(rid)
+            finally:
+                sock.close()
+        assert ponged == set(pings)
+        assert answered == {rid: [True] for rid in queries}
+        assert ended == {rid: len(wanted) for rid, wanted in slices.items()}
+        for rid, wanted in slices.items():
+            assert set(streamed[rid]) == set(wanted)
+            for fp, data in streamed[rid].items():
+                assert fingerprint(data, domain="server") == fp
 
 
 # ---------------------------------------------------------------------------

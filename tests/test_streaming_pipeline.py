@@ -384,13 +384,14 @@ class TestUploadFailures:
         assert len(slab_spans([chunk.size for chunk in chunks], threads)) >= 3
         return system, client, chunks
 
-    def test_cloud_failing_mid_file_gets_no_later_slab(self, monkeypatch):
-        """Pipelined, cloud 2's first upload raises: upload_file raises
-        that error once every cloud is done, cloud 2 is sent nothing more,
-        the other clouds get every share, and the engine's next upload
-        succeeds.  (Inline, the error leaves the caller's loop at once.)"""
+    @pytest.mark.parametrize("schedule", UPLOAD_SCHEDULES.values(), ids=UPLOAD_SCHEDULES)
+    def test_cloud_failing_mid_file_gets_no_later_slab(self, monkeypatch, schedule):
+        """Cloud 2's first upload raises: on either schedule upload_file
+        raises that error once every cloud is done, cloud 2 is sent
+        nothing more, the other clouds get every share, and the engine's
+        next upload succeeds."""
         monkeypatch.setattr(comm, "UPLOAD_BATCH_BYTES", 16 << 10)
-        system, client, chunks = self._client(UPLOAD_SCHEDULES["pipelined"])
+        system, client, chunks = self._client(schedule)
         shares_sent = [0] * system.n
         calls_after_failure: list[str] = []
         outage = CloudUnavailableError("mid-file outage")
@@ -419,6 +420,35 @@ class TestUploadFailures:
             del server.upload_shares, server.query_duplicates
         results = within(30.0, lambda: client.comm.upload_file("alice", client.dispersal, chunks))
         assert [result.transferred for result in results] == [0, 0, len(chunks), 0]
+        system.close()
+
+    @pytest.mark.parametrize("schedule", UPLOAD_SCHEDULES.values(), ids=UPLOAD_SCHEDULES)
+    def test_every_cloud_failing_stops_the_encode(self, monkeypatch, schedule):
+        """Every cloud's first upload raises, each its own error: no slab
+        is encoded once all have failed (inline after slab 0; pipelined at
+        most the two its budget submits before it waits on slab 0's
+        feeds, one if they failed first), and the error raised is cloud
+        0's."""
+        monkeypatch.setattr(comm, "UPLOAD_BATCH_BYTES", 16 << 10)
+        system, client, chunks = self._client(schedule)
+        outages = [CloudUnavailableError(f"cloud {idx} is down") for idx in range(system.n)]
+        for server, outage in zip(system.servers, outages):
+            def failing(user_id, uploads, outage=outage):
+                raise outage
+
+            server.upload_shares = failing
+        real_encode = client.dispersal.encode_batch
+        encoded: list[int] = []
+
+        def counted(secrets):
+            encoded.append(len(secrets))
+            return real_encode(secrets)
+
+        client.dispersal.encode_batch = counted
+        with pytest.raises(CloudUnavailableError) as failed:
+            within(30.0, lambda: client.comm.upload_file("alice", client.dispersal, chunks))
+        assert failed.value is outages[0]
+        assert len(encoded) in ((1,) if schedule == UPLOAD_SCHEDULES["inline"] else (1, 2))
         system.close()
 
     @pytest.mark.parametrize("schedule", UPLOAD_SCHEDULES.values(), ids=UPLOAD_SCHEDULES)
