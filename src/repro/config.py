@@ -159,6 +159,9 @@ class CloudSpec:
     def parse(cls, text: str) -> "CloudSpec":
         """Parse ``"local"`` or ``"tcp://host:port"``.
 
+        An IPv6 host is written in brackets (``tcp://[::1]:9300``); the
+        unbracketed ``tcp://::1:9300`` is still read.
+
         The one canonical parser: :func:`cloud_spec` (and so the CLI's
         argparse types) and the system façade all route here, so a
         malformed spec produces the same
@@ -176,6 +179,8 @@ class CloudSpec:
             )
         rest = text[len("tcp://"):]
         host, sep, port_text = rest.rpartition(":")
+        if host.startswith("[") and host.endswith("]"):
+            host = host[1:-1]
         if not sep or not host:
             raise ParameterError(
                 f"cloud spec {text!r} is missing a host or port (tcp://host:port)"
@@ -191,7 +196,8 @@ class CloudSpec:
     def __str__(self) -> str:
         if self.kind == "local":
             return "local"
-        return f"tcp://{self.host}:{self.port}"
+        host = f"[{self.host}]" if ":" in self.host else self.host
+        return f"tcp://{host}:{self.port}"
 
 
 def cloud_spec(value: "CloudSpec | str") -> CloudSpec:

@@ -22,10 +22,12 @@ Connection discipline:
   re-raises the server's exception class locally and leaves the
   connection usable (the server answered; nothing is desynchronised).
 
-The proxy is **fully concurrent**: many threads share the one socket,
-each request gets a fresh correlation id, a dedicated reader thread
-routes reply frames to per-request queues, and streaming fetches
-interleave freely with other requests.  Pipelined uploads
+The proxy is **fully concurrent** and starts no thread: many threads
+share the one socket, each request gets a fresh correlation id, and
+streaming fetches interleave freely with other requests.  The first
+waiter to find the socket unread reads one frame, files it in the
+mailbox its id names and gives the read up, so the one cloud worker
+driving a proxy simply reads its own replies.  Pipelined uploads
 (:meth:`RemoteServerProxy.upload_shares_async`) return an ack handle
 instead of blocking a round-trip per batch — this is what lets a
 comm-engine streaming window keep the socket full.
@@ -44,9 +46,11 @@ The :class:`RemoteCloud` companion stands in for the
 from __future__ import annotations
 
 import os
-import queue
+import select
 import socket
 import threading
+import time
+from collections import deque
 
 from repro.analysis.annotations import guarded_by, requires_lock
 from repro.config import CloudSpec
@@ -103,35 +107,30 @@ class RemoteCloud:
         return f"RemoteCloud({self.name!r})"
 
 
+def _readable(sock: socket.socket, timeout: float) -> bool:
+    """Whether ``sock`` has bytes (or an EOF) to read within ``timeout`` s.
+
+    ``poll`` rather than ``select``: it takes descriptors past FD_SETSIZE."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(timeout * 1000))
+
+
 class _PendingReply:
     """Reply mailbox for one in-flight request.
 
-    The reader thread pushes ``(frame_type, payload)`` tuples (several,
-    for a streamed fetch) or an exception instance when the connection
-    dies; the issuing thread blocks on :meth:`next`.
+    Whichever waiter reads the socket appends ``(frame_type, payload)``
+    tuples to ``frames`` (several, for a streamed fetch); a dropped
+    connection sets ``error``.  Both are touched only under the proxy's
+    ``_lock``.
     """
 
-    __slots__ = ("request_id", "_queue")
+    __slots__ = ("request_id", "frames", "error")
 
     def __init__(self, request_id: int) -> None:
         self.request_id = request_id
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-
-    def push(self, item) -> None:
-        self._queue.put(item)
-
-    def fail(self, exc: Exception) -> None:
-        self._queue.put(exc)
-
-    def next(self, timeout: float) -> tuple[int, bytes]:
-        """The next reply frame; raises the pushed exception on failure."""
-        try:
-            item = self._queue.get(timeout=timeout)
-        except queue.Empty:
-            raise TimeoutError from None
-        if isinstance(item, Exception):
-            raise item
-        return item
+        self.frames: deque[tuple[int, bytes]] = deque()
+        self.error: Exception | None = None
 
 
 class _MuxAck:
@@ -183,14 +182,17 @@ class RemoteServerProxy:
         server accepts, every non-control request frame carries a
         fixed-size trace trailer (the calling thread's context, or
         zeroes when untraced) — see ``docs/PROTOCOL.md`` §3.1.
+
+    A stream nobody reads (a suspended :meth:`iter_share_batches`, an
+    ack never waited on) is read off the socket by the next waiting caller.
     """
 
     #: Lock discipline (``repro analyze``, LOCK-001): connection identity
     #: (the socket, the handshake-learned server id, the negotiated trace
-    #: extension) and the in-flight request tables are only touched under
-    #: ``_lock`` — the comm engine drives one proxy from several threads,
-    #: the reader thread routes replies concurrently, and reconnects must
-    #: never interleave with either.
+    #: extension), the in-flight request tables and the read turn are
+    #: only touched under ``_lock`` (``_replies`` is a condition over it)
+    #: — several threads share one proxy, one of them reads replies for
+    #: all, and reconnects must never interleave with either.
     GUARDED_BY = guarded_by(
         _sock="_lock",
         _server_id="_lock",
@@ -198,6 +200,8 @@ class RemoteServerProxy:
         _pending="_lock",
         _discard="_lock",
         _next_id="_lock",
+        _reading="_lock",
+        _replies="_lock",
     )
 
     def __init__(
@@ -232,9 +236,12 @@ class RemoteServerProxy:
         #: Abandoned stream ids whose late frames must be swallowed.
         self._discard: set[int] = set()
         self._next_id = 1
+        #: Whether a waiter is reading the socket; the others wait on
+        #: ``_replies`` for a frame filed, the read given up, or a drop.
+        self._reading = False
+        self._replies = threading.Condition(self._lock)
         #: Serialises sends so concurrent frames never interleave.
         self._send_lock = threading.Lock()
-        self._reader: threading.Thread | None = None
         self.cloud = RemoteCloud(self)
         #: Reply-frame observability: total frames seen and the largest
         #: frame (header + payload) this proxy ever received — the
@@ -247,7 +254,7 @@ class RemoteServerProxy:
     # ------------------------------------------------------------------
     @property
     def address_spec(self) -> str:
-        return f"tcp://{self.host}:{self.port}"
+        return str(CloudSpec.tcp(self.host, self.port))
 
     @property
     def server_id(self) -> int:
@@ -262,17 +269,18 @@ class RemoteServerProxy:
         """Sever the connection and fail every in-flight request fast.
 
         The pending mailboxes get a :class:`~repro.errors.
-        CloudUnavailableError` pushed *now* — a reconnect (which re-runs
-        the auth handshake on a brand-new socket) can never answer a
-        request sent on the old one, so letting callers wait out their
-        socket timeout would only stall the failover path.
+        CloudUnavailableError` *now* — a reconnect (which re-runs the auth
+        handshake on a brand-new socket) can never answer a request sent
+        on the old one, so letting callers wait out their socket timeout
+        would only stall the failover path.
         """
         sock, self._sock = self._sock, None
         if sock is not None:
             try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
+                sock.shutdown(socket.SHUT_RDWR)  # wakes a waiter reading it
+            except OSError:
+                pass  # the peer already reset it
+            sock.close()
         self._trace = False
         self._discard.clear()
         pending, self._pending = self._pending, {}
@@ -282,13 +290,21 @@ class RemoteServerProxy:
                 f"connection to {self.address_spec} dropped{detail}"
             )
             for handle in pending.values():
-                handle.fail(failure)
+                handle.error = failure
+        self._replies.notify_all()
 
     @requires_lock("_lock")
     def _ensure_connected(self) -> socket.socket:
-        """Connect + handshake if needed; raises CloudUnavailableError."""
+        """Connect + handshake if needed; raises CloudUnavailableError.
+
+        An idle connection (nothing pending, discarded or being read)
+        with something to read was closed by the server: it is redialled.
+        """
         if self._sock is not None:
-            return self._sock
+            busy = self._pending or self._discard or self._reading
+            if busy or not _readable(self._sock, 0):
+                return self._sock
+            self._drop(reason="closed by the server while idle")
         try:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
@@ -341,15 +357,6 @@ class RemoteServerProxy:
         self._trace = bool(accepted & offered & wire.FLAG_TRACE)
         if self.credentials is not None:
             self._authenticate()
-        # Handshake + auth ran with direct serial reads; from here the
-        # reader thread owns the receive side of the socket.
-        self._reader = threading.Thread(
-            target=self._reader_loop,
-            args=(self._sock,),
-            name=f"cdstore-mux-reader-{self.host}:{self.port}",
-            daemon=True,
-        )
-        self._reader.start()
         return self._sock
 
     @requires_lock("_lock")
@@ -402,15 +409,17 @@ class RemoteServerProxy:
         return f"RemoteServerProxy({self.address_spec!r}, {state})"
 
     # ------------------------------------------------------------------
-    # handshake plumbing (before the reader thread owns the socket)
+    # handshake plumbing (before any request is in flight)
     # ------------------------------------------------------------------
     @requires_lock("_lock")
     def _handshake(self, row: wire.Frame, *fields) -> tuple:
         """Send one handshake request, read and decode its reply (lock held).
 
-        Only legal before the reader thread starts.  Each exchange burns
-        a fresh correlation id and checks the echo; id 0 is accepted for
-        an :data:`~repro.net.wire.R_ERROR` only — that is how the server
+        Only legal while connecting: the connect holds ``_lock``, under
+        which a waiter would take the read, so this serial read is the
+        only one on the socket.  Each exchange burns a fresh correlation
+        id and checks the echo; id 0 is accepted for an
+        :data:`~repro.net.wire.R_ERROR` only — that is how the server
         sheds a connection it never served (``max_connections``).
         """
         sock = self._sock
@@ -473,12 +482,12 @@ class RemoteServerProxy:
         return rid
 
     def _submit(self, frame_type: int, payload: bytes) -> _PendingReply:
-        """Register + send one request; replies arrive on the handle.
+        """Register + send one request; its replies are filed in the handle.
 
         The connection lock covers connect/registration only — the send
         happens under the dedicated send lock so a slow ``sendall`` never
-        blocks the reader thread's reply routing, and waiting for the
-        reply holds no lock at all.
+        blocks a waiter filing replies, and waiting for the reply holds
+        no lock at all.
         """
         with self._lock:
             self._ensure_connected()
@@ -502,23 +511,85 @@ class RemoteServerProxy:
         return handle
 
     def _await_reply(self, handle: _PendingReply) -> tuple[int, bytes]:
-        """Block for the next frame routed to ``handle``.
+        """Block for the next frame filed for ``handle``, reading it if nobody is.
 
-        A timeout is indistinguishable from a wedged server: the reply
-        could still arrive and desynchronise nothing (ids disambiguate),
-        but the *caller's* window deadline has passed — drop the whole
-        connection so every sibling request fails over together.
+        A waiter that finds no other reader takes the read (see
+        :meth:`_read_and_file`); the others sleep on ``_replies`` until
+        their frame is filed, the connection drops, or their deadline
+        passes.  A timeout is indistinguishable from a wedged server: the
+        reply could still arrive and desynchronise nothing (ids
+        disambiguate), but the *caller's* window deadline has passed —
+        drop the whole connection so every sibling request fails over
+        together.
         """
-        try:
-            return handle.next(self.timeout)
-        except TimeoutError:
+        deadline = time.monotonic() + self.timeout
+        while True:
             with self._lock:
-                self._pending.pop(handle.request_id, None)
-                self._drop(reason="request timed out")
-            raise CloudUnavailableError(
-                f"request to {self.address_spec} timed out "
-                f"after {self.timeout}s"
-            ) from None
+                if handle.frames:
+                    return handle.frames.popleft()
+                if handle.error is not None:
+                    raise handle.error
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    self._pending.pop(handle.request_id, None)
+                    self._drop(reason="request timed out")
+                    raise CloudUnavailableError(
+                        f"request to {self.address_spec} timed out "
+                        f"after {self.timeout}s"
+                    )
+                if self._reading:
+                    self._replies.wait(remaining)
+                    continue
+                self._reading = True
+                sock = self._sock
+            self._read_and_file(sock, remaining)
+
+    def _read_and_file(self, sock: socket.socket, timeout: float) -> None:
+        """Read one reply frame, file it in its request's mailbox, give the read up.
+
+        Reads without ``_lock``, by the one waiter that set ``_reading``;
+        files nothing when no frame starts within ``timeout``.  Any other
+        failure — EOF, a frame cut off mid-read, an unsolicited
+        correlation id — kills the connection, which fails every
+        in-flight request fast.
+        """
+        frame = failure = None
+        try:
+            if _readable(sock, timeout):
+                frame = wire.read_frame_mux(
+                    lambda n: wire.recv_exact(sock, n), self.max_frame
+                )
+                self._count_frame(frame[2])
+        except BaseException as exc:  # noqa: BLE001 - any failure drops
+            failure = exc
+        with self._lock:
+            self._reading = False
+            self._replies.notify_all()
+            if self._sock is sock and frame is not None:
+                reply_type, request_id, payload = frame
+                handle = self._pending.get(request_id)
+                if handle is not None:
+                    if reply_type not in _MIDSTREAM_FRAMES:
+                        # Every reply except a mid-stream share batch is
+                        # terminal: retire the id here so a handle nobody
+                        # awaits (an abandoned pipelined ack) cannot leak
+                        # its pending-table entry.
+                        del self._pending[request_id]
+                    handle.frames.append((reply_type, payload))
+                elif request_id in self._discard:
+                    # Tail of an abandoned stream: swallow until its
+                    # terminal frame, then forget the id.
+                    if reply_type not in _MIDSTREAM_FRAMES:
+                        self._discard.discard(request_id)
+                else:
+                    failure = ProtocolError(
+                        f"{self.address_spec} sent unsolicited frame "
+                        f"0x{reply_type:02x} for request id {request_id}"
+                    )
+            if self._sock is sock and failure is not None:
+                self._drop(reason=failure)
+        if failure is not None and not isinstance(failure, Exception):
+            raise failure
 
     def _forget(self, handle: _PendingReply) -> None:
         with self._lock:
@@ -541,84 +612,6 @@ class RemoteServerProxy:
             )
         return reply
 
-    def _reader_loop(self, sock: socket.socket) -> None:
-        """Route reply frames to their request mailbox (one per connection).
-
-        Exits when the socket dies or the connection is dropped; any
-        protocol violation (unsolicited correlation id, desynchronised
-        framing) kills the connection, which fails all in-flight requests
-        fast.
-        """
-        try:
-            while True:
-                frame = self._read_routed_frame(sock)
-                if frame is None:
-                    return
-                reply_type, request_id, payload = frame
-                handle: _PendingReply | None
-                with self._lock:
-                    if self._sock is not sock:
-                        return  # connection was replaced under us
-                    handle = self._pending.get(request_id)
-                    if handle is None:
-                        if request_id in self._discard:
-                            # Tail of an abandoned stream: swallow until
-                            # its terminal frame, then forget the id.
-                            if reply_type not in _MIDSTREAM_FRAMES:
-                                self._discard.discard(request_id)
-                            continue
-                        raise ProtocolError(
-                            f"{self.address_spec} sent unsolicited frame "
-                            f"0x{reply_type:02x} for request id {request_id}"
-                        )
-                    if reply_type not in _MIDSTREAM_FRAMES:
-                        # Every reply except a mid-stream share batch is
-                        # terminal: retire the id here so a handle nobody
-                        # awaits (an abandoned pipelined ack) cannot leak
-                        # its pending-table entry.
-                        del self._pending[request_id]
-                handle.push((reply_type, payload))
-        except BaseException as exc:  # noqa: BLE001 - any exit fails pendings
-            with self._lock:
-                if self._sock is sock:
-                    self._drop(reason=exc)
-
-    def _read_routed_frame(self, sock: socket.socket):
-        """One frame, tolerating idle-timeout ticks with nothing pending.
-
-        Returns ``None`` when the connection was dropped while idle; lets
-        the timeout propagate when requests are waiting (that is a real
-        outage) or when a frame was cut off mid-read (desync).
-        """
-        started = False
-
-        def recv(n: int) -> bytes:
-            nonlocal started
-            parts: list[bytes] = []
-            remaining = n
-            while remaining:
-                try:
-                    chunk = sock.recv(min(remaining, 1 << 20))
-                except socket.timeout:
-                    if started or parts:
-                        raise  # mid-frame: the stream is desynchronised
-                    with self._lock:
-                        if self._sock is not sock:
-                            raise  # dropped while idle: exit the reader
-                        if self._pending:
-                            raise  # someone is waiting: a real outage
-                    continue  # idle keepalive tick; keep listening
-                if not chunk:
-                    raise ConnectionError("peer closed the connection mid-frame")
-                parts.append(chunk)
-                remaining -= len(chunk)
-            started = True
-            return b"".join(parts)
-
-        frame_type, request_id, payload = wire.read_frame_mux(recv, self.max_frame)
-        self._count_frame(payload)
-        return frame_type, request_id, payload
-
     # ------------------------------------------------------------------
     # request execution
     # ------------------------------------------------------------------
@@ -638,8 +631,8 @@ class RemoteServerProxy:
         is up and answering, and reporting it as unreachable would send
         the operator debugging the network instead of their secret.
 
-        The probe flows through the reader thread like any other request
-        (no lock is held while waiting, so concurrent requests keep
+        The probe is an ordinary request and reads its own PONG like any
+        other (no lock is held while waiting, so concurrent requests keep
         moving).
         """
         try:

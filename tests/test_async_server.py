@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -548,6 +549,59 @@ class TestMuxSemantics:
                 sock.close()
 
 
+class TestSharedProxy:
+    def test_threads_sharing_one_proxy_each_get_their_own_answers(self):
+        """8 threads x 50 mixed calls on one proxy with no reader thread,
+        against out-of-order replies, beside a stream abandoned after its
+        first batch: every call gets its own answer and the connection
+        is never dropped."""
+        server = make_servers(1)[0]
+        fps = seed_shares(server, count=32, size=2048)
+        known = [fingerprint(bytes([i]) * 2048) for i in range(32)]
+        unknown = [fingerprint(bytes([i]) * 5) for i in range(32)]
+        errors: list[BaseException] = []
+
+        def work(t: int) -> None:
+            try:
+                for j in range(50):
+                    at = (t * 50 + j) % 30
+                    if j % 2:
+                        asked = [known[at], unknown[at], known[at + 1]]
+                        assert proxy.query_duplicates("alice", asked) == [True, False, True]
+                    else:
+                        got = proxy.fetch_shares(fps[at:at + 3])
+                        assert set(got) == set(fps[at:at + 3])
+                        for fp, data in got.items():
+                            assert fingerprint(data, domain="server") == fp
+                    if t == 0 and j == 10:
+                        for _batch in proxy.iter_share_batches(fps):
+                            break  # abandoned: its tail is swallowed
+            except BaseException as exc:  # noqa: BLE001 - recording
+                errors.append(exc)
+
+        with AsyncCDStoreTCPServer(server, executor_size=4, frame_budget=4096) as tcp:
+            proxy = proxy_for(tcp)
+            try:
+                assert proxy.ping()
+                sock = proxy._sock
+                threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-5)
+                try:
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert proxy._sock is sock
+                assert set(proxy.fetch_shares(fps)) == set(fps)
+            finally:
+                proxy.close()
+
+
 # ---------------------------------------------------------------------------
 # overload + backpressure
 # ---------------------------------------------------------------------------
@@ -707,6 +761,69 @@ class TestMuxFailureSemantics:
                 proxy.close()
             for tcp in tcps:
                 tcp.shutdown()
+
+    def test_close_wakes_a_caller_reading_its_reply(self):
+        """``close()`` from another thread fails a call blocked reading its
+        reply at once, not after the 30 s timeout."""
+        server = GatedServer(make_servers(1)[0])
+        failures: list[BaseException] = []
+
+        def call() -> None:
+            try:
+                proxy.list_files("alice")
+            except BaseException as exc:  # noqa: BLE001 - recording
+                failures.append(exc)
+
+        with AsyncCDStoreTCPServer(server, executor_size=4) as tcp:
+            proxy = proxy_for(tcp, timeout=30.0)
+            worker = threading.Thread(target=call)
+            try:
+                worker.start()
+                assert server.entered.wait(timeout=10)
+                start = time.monotonic()
+                proxy.close()
+                worker.join(timeout=10)
+                elapsed = time.monotonic() - start
+            finally:
+                server.gate.set()
+        assert not worker.is_alive()
+        assert len(failures) == 1 and isinstance(failures[0], CloudUnavailableError)
+        assert elapsed < 5, f"close took {elapsed:.1f}s to fail the call"
+
+    def test_a_wedged_request_times_out_every_waiter_at_once(self):
+        """The request whose deadline passes first drops the connection,
+        which fails every other waiter at once, not at its own deadline."""
+        server = GatedServer(make_servers(1)[0])
+        outcomes: dict = {}
+
+        def call(name) -> None:
+            start = time.monotonic()
+            try:
+                proxy.list_files("alice")
+                outcomes[name] = (None, time.monotonic() - start)
+            except BaseException as exc:  # noqa: BLE001 - recording
+                outcomes[name] = (exc, time.monotonic() - start)
+
+        with AsyncCDStoreTCPServer(server, executor_size=8) as tcp:
+            proxy = proxy_for(tcp, timeout=2.0)
+            try:
+                wedged = threading.Thread(target=call, args=("wedged",))
+                wedged.start()
+                assert server.entered.wait(timeout=10)
+                time.sleep(1.0)
+                others = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+                for thread in others:
+                    thread.start()
+                for thread in [wedged, *others]:
+                    thread.join(timeout=10)
+            finally:
+                server.gate.set()
+                proxy.close()
+        assert set(outcomes) == {"wedged", 0, 1, 2, 3}
+        assert all(isinstance(exc, CloudUnavailableError) for exc, _ in outcomes.values())
+        assert "timed out" in str(outcomes["wedged"][0])
+        # Each of the others waited about 1 s of its own 2 s timeout.
+        assert max(outcomes[i][1] for i in range(4)) < 1.75
 
     def test_proxy_reconnects_and_reauths_after_failure(self, aserved):
         """After a fail-fast drop the next call redials (and re-runs the

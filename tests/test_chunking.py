@@ -602,16 +602,23 @@ class TestScanThreads:
     and a consumer that stops early leave no helper behind."""
 
     @staticmethod
-    def watched_segments(fail_at: int | None = None):
+    def watched_segments(fail_at: int | None = None, first_round: frozenset = frozenset()):
         """A ``PairScan._segment`` stand-in recording which segments (by
         base) started and which are running; helpers' segments linger so a
-        caller that did not wait for them would still see them run."""
-        real, started, running, lock = scan.PairScan._segment, set(), set(), threading.Lock()
+        caller that did not wait for them would still see them run.  The
+        caller's segment 0 waits (10 s at most) until every base in
+        ``first_round`` has started, so no helper is still to start one
+        when the caller moves on."""
+        real, started, running = scan.PairScan._segment, set(), set()
+        changed = threading.Condition()
 
         def segment(self, buf, base, rows):
-            with lock:
+            with changed:
                 started.add(base)
                 running.add(base)
+                changed.notify_all()
+                if base == 0:
+                    changed.wait_for(lambda: first_round <= started, timeout=10)
             try:
                 if base == fail_at:
                     raise ValueError(f"segment {base} failed")
@@ -619,7 +626,7 @@ class TestScanThreads:
                     time.sleep(0.2)
                 yield from real(self, buf, base, rows)
             finally:
-                with lock:
+                with changed:
                     running.discard(base)
 
         return mock.patch.object(scan.PairScan, "_segment", segment), started, running
@@ -685,7 +692,8 @@ class TestScanThreads:
     @mock.patch.object(scan, "_WIDTH", 3)
     def test_a_failing_segment_raises_in_the_caller_after_its_helpers_stop(self):
         data = DRBG("scan-error").random_bytes(1 << 20)
-        patch, started, running = self.watched_segments(fail_at=scan.BLOCK)
+        first_round = frozenset({0, scan.BLOCK, 2 * scan.BLOCK})
+        patch, started, running = self.watched_segments(scan.BLOCK, first_round)
         with patch, pytest.raises(ValueError, match=f"segment {scan.BLOCK} failed"):
             RabinChunker()._scan(data)
         assert running == set()

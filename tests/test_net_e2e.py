@@ -10,6 +10,8 @@ server-side working set — beyond the configured frame budget.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.chunking.fixed import FixedChunker
@@ -18,7 +20,7 @@ from repro.cloud.network import Link
 from repro.cloud.provider import CloudProvider
 from repro.errors import CloudUnavailableError, NotFoundError
 from repro.config import CloudSpec
-from repro.net import CDStoreTCPServer, RemoteServerProxy
+from repro.net import AsyncCDStoreTCPServer, CDStoreTCPServer, RemoteServerProxy
 from repro.server.server import CDStoreServer
 from repro.storage.container import KIND_SHARE
 from repro.system.cdstore import CDStoreSystem
@@ -325,6 +327,42 @@ class TestConnectionKillFailover:
         assert proxies[0].query_duplicates("alice", []) == []
 
 
+class TestIdleConnection:
+    """No thread reads the proxy's socket between calls, so a connection
+    the server closed while the proxy sat idle is found before the next
+    request is sent on it."""
+
+    @pytest.mark.parametrize("front_end", [CDStoreTCPServer, AsyncCDStoreTCPServer])
+    def test_server_restarted_while_idle_is_redialled(self, front_end):
+        server = make_servers(1)[0]
+        tcp = front_end(server).start()
+        host, port = tcp.address
+        proxy = RemoteServerProxy(f"tcp://{host}:{port}", server_id=0)
+        try:
+            assert proxy.query_duplicates("alice", []) == []
+            tcp.shutdown()
+            tcp = front_end(server, host=host, port=port).start()
+            # No ping in between: the first call after the restart works.
+            assert proxy.query_duplicates("alice", []) == []
+        finally:
+            proxy.close()
+            tcp.shutdown()
+
+    def test_a_connected_proxy_starts_no_thread(self):
+        server = make_servers(1)[0]
+        # One executor worker, started by a first proxy: the server adds
+        # no thread for the connection under test.
+        with AsyncCDStoreTCPServer(server, executor_size=1) as tcp:
+            spec = f"tcp://{tcp.address[0]}:{tcp.address[1]}"
+            with RemoteServerProxy(spec) as warm:
+                assert warm.query_duplicates("alice", []) == []
+            before = threading.active_count()
+            with RemoteServerProxy(spec) as proxy:
+                for _ in range(100):
+                    assert proxy.query_duplicates("alice", []) == []
+                assert threading.active_count() == before
+
+
 # ---------------------------------------------------------------------------
 # frame budget: bounded replies and bounded server memory
 # ---------------------------------------------------------------------------
@@ -449,8 +487,31 @@ class TestCloudSpecParsing:
         assert CloudSpec.parse("tcp://localhost:9300").address == ("localhost", 9300)
         assert CloudSpec.parse("tcp://10.0.0.1:1").address == ("10.0.0.1", 1)
 
+    @pytest.mark.parametrize("text", ["tcp://[::1]:9300", "tcp://::1:9300"])
+    def test_ipv6_host_round_trips_in_brackets(self, text):
+        """The bracketed form is written; the unbracketed one that older
+        config files hold is still read."""
+        spec = CloudSpec.parse(text)
+        assert spec.address == ("::1", 9300)
+        assert str(spec) == "tcp://[::1]:9300"
+        assert CloudSpec.parse(str(spec)) == spec
+        assert str(CloudSpec.parse("tcp://10.0.0.1:1")) == "tcp://10.0.0.1:1"
+
+    def test_proxy_dials_a_bracketed_ipv6_spec(self):
+        try:
+            tcp = AsyncCDStoreTCPServer(make_servers(1)[0], host="::1").start()
+        except OSError:
+            pytest.skip("::1 does not bind on this host")
+        spec = f"tcp://[::1]:{tcp.address[1]}"
+        try:
+            with RemoteServerProxy(spec) as proxy:
+                assert proxy.address_spec == spec
+                assert proxy.ping()
+        finally:
+            tcp.shutdown()
+
     @pytest.mark.parametrize("spec", [
-        "localhost:9300", "tcp://", "tcp://host", "tcp://:9300",
+        "localhost:9300", "tcp://", "tcp://host", "tcp://:9300", "tcp://[]:9300",
         "tcp://host:", "tcp://host:abc", "tcp://host:0", "tcp://host:70000",
         "udp://host:1", "",
     ])
